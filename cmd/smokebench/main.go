@@ -34,7 +34,7 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids (see -list), or 'all'")
 	scale := flag.String("scale", "small", "dataset scale: tiny | small | paper")
 	reps := flag.Int("reps", 3, "timed repetitions per measurement (median reported)")
-	jsonFlag := flag.String("json", "", "directory for BENCH_*.json output (created if missing); default: cwd at small/paper scale, suppressed at tiny so CI noise never overwrites the committed trajectory files")
+	jsonFlag := flag.String("json", "", "directory for BENCH_*.json output (created if missing); default: cwd at small/paper scale, suppressed at tiny (its timings are noise)")
 	profileDir := flag.String("profile", "", "directory for pprof artifacts (created if missing): CPU profile over the whole experiment run (profile_cpu.pprof) plus an end-of-run heap profile (profile_heap.pprof)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
@@ -49,9 +49,8 @@ func main() {
 	jsonDir := *jsonFlag
 	if jsonDir == "" {
 		// Tiny scale exists for CI gate runs; its timings are noise, so it
-		// must not overwrite the committed BENCH_*.json artifacts in the cwd
-		// unless an output directory is asked for explicitly (the CI
-		// bench-regression gate does).
+		// writes no report unless an output directory is asked for
+		// explicitly (the CI bench-regression gate does).
 		jsonDir = "."
 		if *scale == "tiny" {
 			jsonDir = ""

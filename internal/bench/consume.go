@@ -27,7 +27,7 @@ import (
 //     Capture.Backward, serial rid-set HashAgg, serial forward Trace) — how
 //     consuming queries ran before they were plan citizens.
 //   - plan: the same roundtrip as trace-then-aggregate plans
-//     (core.Query.Backward → GroupBy, core.Query.Forward), at workers=1 and
+//     (core.Query.Trace backward → GroupBy, then forward), at workers=1 and
 //     workers=4 — the morsel-parallel physical trace operator plus the
 //     duplicate-tolerant parallel aggregation.
 //
@@ -99,14 +99,14 @@ func Consume(cfg Config) error {
 	}
 	// plan path for one bar at a given parallelism.
 	planPath := func(bar lineage.Rid, par int) (*core.Result, *core.Result, error) {
-		cons, err := db.Query().Backward(view1, "interact", []lineage.Rid{bar}).
+		cons, err := db.Query().Trace(view1, core.TraceBackward, "interact", core.Rids(bar)).
 			GroupBy("d2").Agg(ops.Count, nil, "n").Agg(ops.Sum, expr.C("v"), "sv").
 			Run(core.CaptureOptions{Mode: ops.Inject, Parallelism: par})
 		if err != nil {
 			return nil, nil, err
 		}
 		rids := bw.Trace([]lineage.Rid{bar})
-		fwRes, err := db.Query().Forward(view2, "interact", rids).
+		fwRes, err := db.Query().Trace(view2, core.TraceForward, "interact", core.Rids(rids...)).
 			Run(core.CaptureOptions{Mode: ops.None, Parallelism: par})
 		if err != nil {
 			return nil, nil, err

@@ -86,7 +86,7 @@ func Serve(cfg Config) error {
 		return err
 	}
 	refTrace := func(bar int64) (*core.Result, error) {
-		return db.Query().Backward(ref, "interact", []lineage.Rid{lineage.Rid(bar)}).
+		return db.Query().Trace(ref, core.TraceBackward, "interact", core.Rids(lineage.Rid(bar))).
 			GroupBy("d2").Agg(ops.Count, nil, "n").Agg(ops.Sum, expr.C("v"), "sv").
 			Run(core.CaptureOptions{})
 	}

@@ -251,9 +251,8 @@ func (db *DB) Query() *Query { return &Query{db: db} }
 // builder query.
 func (db *DB) QueryPlan(n plan.Node) *Query { return &Query{db: db, prebuilt: n} }
 
-// Trace starts the query from a lineage trace of res in the given direction
-// — the unified form of the Backward/BackwardWhere/Forward/ForwardWhere
-// constructors. seed selects the starting rows: Rids(...) for explicit rids
+// Trace starts the query from a lineage trace of res in the given
+// direction. seed selects the starting rows: Rids(...) for explicit rids
 // (output rids for TraceBackward, base rids for TraceForward), Where(pred)
 // for a predicate seed, and the zero Seed for everything. The query's input
 // rows are the traced rows (duplicates preserved — transformational
@@ -334,38 +333,6 @@ func (q *Query) TraceWith(s Strategy) *Query {
 		q.fail(serr.New(serr.Invalid, "core: per-trace strategy must be eager or lazy"))
 	}
 	return q
-}
-
-// Backward starts the query from the backward lineage trace of res into
-// table: the base rows of table that contributed to the given output rows
-// of res. A nil outRids seeds everything.
-//
-// Deprecated: Backward is Trace(res, TraceBackward, table, Rids(outRids...)).
-func (q *Query) Backward(res *Result, table string, outRids []Rid) *Query {
-	return q.Trace(res, TraceBackward, table, ridSeed(outRids, outRids != nil))
-}
-
-// BackwardWhere is Backward seeded by a predicate over res's output rows.
-//
-// Deprecated: BackwardWhere is Trace(res, TraceBackward, table, Where(pred)).
-func (q *Query) BackwardWhere(res *Result, table string, seedPred expr.Expr) *Query {
-	return q.Trace(res, TraceBackward, table, Where(seedPred))
-}
-
-// Forward starts the query from the forward lineage trace of res: the
-// output rows of res that depend on the given base rows of table. A nil
-// inRids seeds everything.
-//
-// Deprecated: Forward is Trace(res, TraceForward, table, Rids(inRids...)).
-func (q *Query) Forward(res *Result, table string, inRids []Rid) *Query {
-	return q.Trace(res, TraceForward, table, ridSeed(inRids, inRids != nil))
-}
-
-// ForwardWhere is Forward seeded by a predicate over table's base rows.
-//
-// Deprecated: ForwardWhere is Trace(res, TraceForward, table, Where(pred)).
-func (q *Query) ForwardWhere(res *Result, table string, seedPred expr.Expr) *Query {
-	return q.Trace(res, TraceForward, table, Where(seedPred))
 }
 
 // Where adds a consuming predicate over the trace's output rows — for
@@ -811,7 +778,7 @@ func (q *Query) runSingle(opts CaptureOptions) (*Result, error) {
 // captured backward index answer by re-executing the stored plan
 // (TraceStrategy reports the path).
 func (r *Result) Backward(table string, outRids []Rid) ([]Rid, error) {
-	return r.trace(TraceBackward, table, ridSeed(outRids, true), false)
+	return r.trace(TraceBackward, table, Rids(outRids...), false)
 }
 
 // BackwardPartition evaluates a parameterized backward query over a
@@ -831,17 +798,17 @@ func (r *Result) BackwardPartition(outRid Rid, vals []any) ([]Rid, error) {
 // Forward evaluates Lf(inRids ⊆ table, Out). Lazy results answer by
 // re-executing the stored plan.
 func (r *Result) Forward(table string, inRids []Rid) ([]Rid, error) {
-	return r.trace(TraceForward, table, ridSeed(inRids, true), false)
+	return r.trace(TraceForward, table, Rids(inRids...), false)
 }
 
 // ForwardDistinct is Forward with set semantics (highlighting use cases).
 func (r *Result) ForwardDistinct(table string, inRids []Rid) ([]Rid, error) {
-	return r.trace(TraceForward, table, ridSeed(inRids, true), true)
+	return r.trace(TraceForward, table, Rids(inRids...), true)
 }
 
 // BackwardDistinct is Backward with set semantics (which-provenance).
 func (r *Result) BackwardDistinct(table string, outRids []Rid) ([]Rid, error) {
-	return r.trace(TraceBackward, table, ridSeed(outRids, true), true)
+	return r.trace(TraceBackward, table, Rids(outRids...), true)
 }
 
 // Capture exposes the raw lineage indexes (benchmark harness, applications).
@@ -903,7 +870,7 @@ func (r *Result) Cube() *cube.Cube { return r.cube }
 // morsel-parallel like base queries: backward rid sets preserve duplicates
 // (transformational semantics), which the duplicate-tolerant aggregation
 // kernel (ops.AggOpts.DupRids) handles with output and lineage identical to
-// a serial run. Query.Backward/Forward are the plan-level form of the same
+// a serial run. Query.Trace is the plan-level form of the same
 // operation (with seed predicates, optimizer rewrites, and EXPLAIN).
 func (r *Result) ConsumeGroupBy(rids []Rid, spec ops.GroupBySpec, opts CaptureOptions) (*Result, error) {
 	if r.baseRel == nil {

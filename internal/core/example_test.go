@@ -39,9 +39,9 @@ func Example() {
 	// Output: emea = 40 from base rows [0 2]
 }
 
-// ExampleQuery_Backward builds a lineage-consuming query: the rows behind an
+// ExampleQuery_Trace builds a lineage-consuming query: the rows behind an
 // output group, filtered and re-aggregated through the plan layer.
-func ExampleQuery_Backward() {
+func ExampleQuery_Trace() {
 	db := core.Open()
 	db.Register(exampleOrders())
 
@@ -54,7 +54,7 @@ func ExampleQuery_Backward() {
 	// Count the base rows behind group 0 with amount < 25 (the Where sinks
 	// into the trace's rid-list expansion).
 	cons, _ := db.Query().
-		Backward(base, "orders", []lineage.Rid{0}).
+		Trace(base, core.TraceBackward, "orders", core.Rids(0)).
 		Where(expr.LtE(expr.C("amount"), expr.F(25))).
 		GroupBy("region").
 		Agg(ops.Count, nil, "n").
@@ -64,10 +64,10 @@ func ExampleQuery_Backward() {
 	// Output: emea kept 1 of 2 rows
 }
 
-// ExampleQuery_BackwardWhere seeds the trace by predicate over the output
+// ExampleQuery_Trace_where seeds the trace by predicate over the output
 // rows instead of explicit rids — "the rows behind every group whose total
 // exceeds 20".
-func ExampleQuery_BackwardWhere() {
+func ExampleQuery_Trace_where() {
 	db := core.Open()
 	db.Register(exampleOrders())
 
@@ -78,7 +78,7 @@ func ExampleQuery_BackwardWhere() {
 		Run(core.CaptureOptions{Mode: ops.Inject})
 
 	traced, _ := db.Query().
-		BackwardWhere(base, "orders", expr.GtE(expr.C("total"), expr.F(25))).
+		Trace(base, core.TraceBackward, "orders", core.Where(expr.GtE(expr.C("total"), expr.F(25)))).
 		Run(core.CaptureOptions{})
 
 	fmt.Println("rows behind heavy groups:", traced.Out.N)

@@ -134,12 +134,6 @@ func Rids(rids ...Rid) Seed { return Seed{rids: rids, explicit: true} }
 // Where seeds a trace with a predicate; Where(nil) seeds everything.
 func Where(pred expr.Expr) Seed { return Seed{pred: pred} }
 
-// ridSeed wraps a caller-supplied rid slice in the deprecated wrappers'
-// convention, where the nil/empty distinction is level-specific.
-func ridSeed(rids []Rid, explicit bool) Seed {
-	return Seed{rids: rids, explicit: explicit}
-}
-
 // ridsForExec renders the seed in the plan convention: nil means "not
 // rid-seeded" (predicate or everything); an explicit seed set is non-nil
 // even when empty.

@@ -27,7 +27,7 @@ func traceDB(t *testing.T, workers int) (*DB, *storage.Relation) {
 }
 
 // TestQueryBackwardMatchesConsumeGroupBy: the plan-level consuming query
-// (Query.Backward + GroupBy) must be element-identical to the pre-plan
+// (Query.Trace + GroupBy) must be element-identical to the pre-plan
 // Result.Backward + ConsumeGroupBy path.
 func TestQueryBackwardMatchesConsumeGroupBy(t *testing.T) {
 	for _, workers := range []int{1, 3} {
@@ -51,7 +51,7 @@ func TestQueryBackwardMatchesConsumeGroupBy(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		got, err := db.Query().Backward(base, "orders", seeds).GroupBy("cat").
+		got, err := db.Query().Trace(base, TraceBackward, "orders", Rids(seeds...)).GroupBy("cat").
 			Agg(ops.Count, nil, "n").Agg(ops.Sum, expr.C("amount"), "s").
 			Run(CaptureOptions{Mode: ops.Inject})
 		if err != nil {
@@ -77,7 +77,7 @@ func TestQueryBackwardMatchesConsumeGroupBy(t *testing.T) {
 		}
 		// The consuming result is itself a single-base query: chain another
 		// trace off it (Q1b → Q1c).
-		chain, err := db.Query().Backward(got, "orders", []Rid{0}).Run(CaptureOptions{Mode: ops.Inject})
+		chain, err := db.Query().Trace(got, TraceBackward, "orders", Rids(0)).Run(CaptureOptions{Mode: ops.Inject})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestQueryBackwardWhereSeedsByPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query().BackwardWhere(base, "orders", expr.EqE(expr.C("state"), expr.I(2))).
+	res, err := db.Query().Trace(base, TraceBackward, "orders", Where(expr.EqE(expr.C("state"), expr.I(2)))).
 		Run(CaptureOptions{Mode: ops.Inject})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestQueryWhereSinksIntoTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Query().Backward(base, "orders", []Rid{1}).
+		res, err := db.Query().Trace(base, TraceBackward, "orders", Rids(1)).
 			Where(expr.LtE(expr.C("amount"), expr.F(30))).
 			GroupBy("cat").Agg(ops.Count, nil, "n").
 			Run(CaptureOptions{Mode: ops.Inject})
@@ -172,7 +172,7 @@ func TestQueryForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query().Forward(base, "orders", []Rid{0, 7}).
+	res, err := db.Query().Trace(base, TraceForward, "orders", Rids(0, 7)).
 		Run(CaptureOptions{Mode: ops.Inject})
 	if err != nil {
 		t.Fatal(err)
@@ -195,19 +195,19 @@ func TestTraceQueryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query().From("orders", nil).Backward(base, "orders", []Rid{0}).
+	if _, err := db.Query().From("orders", nil).Trace(base, TraceBackward, "orders", Rids(0)).
 		GroupBy("cat").Agg(ops.Count, nil, "n").Run(CaptureOptions{Mode: ops.Inject}); err == nil {
 		t.Error("trace after From should fail")
 	}
-	if _, err := db.Query().Backward(base, "orders", []Rid{0}).
+	if _, err := db.Query().Trace(base, TraceBackward, "orders", Rids(0)).
 		From("orders", expr.LtE(expr.C("amount"), expr.F(1))).
 		GroupBy("cat").Agg(ops.Count, nil, "n").Run(CaptureOptions{Mode: ops.Inject}); err == nil {
 		t.Error("From after a trace should fail (the filter would be silently dropped)")
 	}
-	if _, err := db.Query().Backward(base, "nope", []Rid{0}).Run(CaptureOptions{}); err == nil {
+	if _, err := db.Query().Trace(base, TraceBackward, "nope", Rids(0)).Run(CaptureOptions{}); err == nil {
 		t.Error("unknown table should fail")
 	}
-	if _, err := db.Query().Backward(base, "orders", []Rid{0}).GroupBy("cat").
+	if _, err := db.Query().Trace(base, TraceBackward, "orders", Rids(0)).GroupBy("cat").
 		Agg(ops.Count, nil, "n").
 		Run(CaptureOptions{Mode: ops.Inject, PushdownFilter: expr.EqE(expr.C("cat"), expr.I(1))}); err == nil {
 		t.Error("capture push-down on a trace query should fail")
@@ -219,7 +219,7 @@ func TestTraceQueryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query().Backward(pruned, "orders", []Rid{0}).Run(CaptureOptions{Mode: ops.Inject}); err == nil {
+	if _, err := db.Query().Trace(pruned, TraceBackward, "orders", Rids(0)).Run(CaptureOptions{Mode: ops.Inject}); err == nil {
 		t.Error("backward trace over a forward-only capture should fail")
 	}
 }

@@ -8,7 +8,7 @@
 //     shared selection scan of the base table.
 //   - BT:    Smoke backward indexes replace the selection scan: each
 //     interaction is a backward trace-then-aggregate plan
-//     (core.Query.Backward → GroupBy) running through the plan layer's
+//     (core.Query.Trace → GroupBy) running through the plan layer's
 //     physical trace operator — the engine's first-class consuming-query
 //     path.
 //   - BT+FT: forward indexes map each input record straight to its bar in
@@ -214,7 +214,7 @@ func (a *App) btHighlight(v int, bar Rid) (Counts, error) {
 			continue
 		}
 		res, err := a.db.Query().
-			Backward(a.views[v], a.rel.Name, []Rid{bar}).
+			Trace(a.views[v], core.TraceBackward, a.rel.Name, core.Rids(bar)).
 			GroupBy(a.dims[w]).
 			Agg(ops.Count, nil, "count").
 			Run(core.CaptureOptions{Mode: ops.None})

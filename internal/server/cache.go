@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"smoke/internal/core"
-	"smoke/internal/expr"
 	"smoke/internal/serr"
 )
 
@@ -133,37 +132,6 @@ func cacheKey(fingerprint string, opts core.CaptureOptions) string {
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
-}
-
-// paramsFromJSON converts wire parameters to expression parameters. Numbers
-// arrive as json.Number; integral values bind as int64 (so :cutoff compares
-// against int columns), everything else as float64.
-func paramsFromJSON(in map[string]any) (expr.Params, error) {
-	if len(in) == 0 {
-		return nil, nil
-	}
-	out := expr.Params{}
-	for k, v := range in {
-		switch n := v.(type) {
-		case string, bool:
-			out[k] = n
-		default:
-			if i, err := jsonInt(v); err == nil {
-				if f, ferr := jsonFloat(v); ferr == nil && float64(i) != f {
-					out[k] = f // non-integral number
-				} else {
-					out[k] = i
-				}
-				continue
-			}
-			f, err := jsonFloat(v)
-			if err != nil {
-				return nil, serr.New(serr.Invalid, "server: parameter %q: %v", k, err)
-			}
-			out[k] = f
-		}
-	}
-	return out, nil
 }
 
 // gate is the bounded admission controller: at most inflight requests

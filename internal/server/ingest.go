@@ -1,131 +1,24 @@
 package server
 
 import (
-	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"io"
 	"strconv"
 	"strings"
 
 	"smoke/internal/serr"
 	"smoke/internal/storage"
+	"smoke/internal/wire"
 )
 
-// fieldJSON is one schema field on the wire.
-type fieldJSON struct {
-	Name string `json:"name"`
-	Type string `json:"type"` // "int" | "float" | "string"
-}
-
-// tableJSON is the JSON ingest body of POST /v1/tables/{name}: an explicit
-// schema plus rows in schema order.
-type tableJSON struct {
-	Schema []fieldJSON `json:"schema"`
-	Rows   [][]any     `json:"rows"`
-	// PK optionally declares the primary-key column (enables the pk-fk join
-	// specializations for later queries).
-	PK string `json:"pk,omitempty"`
-}
-
-func parseType(s string) (storage.Type, error) {
-	switch strings.ToLower(s) {
-	case "int":
-		return storage.TInt, nil
-	case "float":
-		return storage.TFloat, nil
-	case "string":
-		return storage.TString, nil
-	}
-	return 0, serr.New(serr.Invalid, "server: unknown column type %q (want int, float, or string)", s)
-}
-
-func typeName(t storage.Type) string {
-	switch t {
-	case storage.TInt:
-		return "int"
-	case storage.TFloat:
-		return "float"
-	case storage.TString:
-		return "string"
-	}
-	return "?"
-}
-
-// relationFromJSON builds a relation from the JSON ingest body. JSON numbers
-// arrive as json.Number (the handler decodes with UseNumber so int64 values
-// survive beyond float64 precision).
-func relationFromJSON(name string, body tableJSON) (*storage.Relation, error) {
-	if len(body.Schema) == 0 {
-		return nil, serr.New(serr.Invalid, "server: table body needs a non-empty schema")
-	}
-	schema := make(storage.Schema, len(body.Schema))
-	for i, f := range body.Schema {
-		if f.Name == "" {
-			return nil, serr.New(serr.Invalid, "server: schema field %d has no name", i)
-		}
-		ty, err := parseType(f.Type)
-		if err != nil {
-			return nil, err
-		}
-		schema[i] = storage.Field{Name: f.Name, Type: ty}
-	}
-	rel := storage.NewRelation(name, schema, len(body.Rows))
-	for i, row := range body.Rows {
-		if len(row) != len(schema) {
-			return nil, serr.New(serr.Invalid, "server: row %d has %d values for %d columns", i, len(row), len(schema))
-		}
-		for c, f := range schema {
-			switch f.Type {
-			case storage.TInt:
-				v, err := jsonInt(row[c])
-				if err != nil {
-					return nil, serr.New(serr.Invalid, "server: row %d column %s: %v", i, f.Name, err)
-				}
-				rel.Cols[c].Ints[i] = v
-			case storage.TFloat:
-				v, err := jsonFloat(row[c])
-				if err != nil {
-					return nil, serr.New(serr.Invalid, "server: row %d column %s: %v", i, f.Name, err)
-				}
-				rel.Cols[c].Floats[i] = v
-			case storage.TString:
-				s, ok := row[c].(string)
-				if !ok {
-					return nil, serr.New(serr.Invalid, "server: row %d column %s: want string, got %T", i, f.Name, row[c])
-				}
-				rel.Cols[c].Strs[i] = s
-			}
-		}
-	}
-	return rel, nil
-}
-
-func jsonInt(v any) (int64, error) {
-	switch n := v.(type) {
-	case json.Number:
-		return strconv.ParseInt(n.String(), 10, 64)
-	case float64:
-		return int64(n), nil
-	}
-	return 0, serr.New(serr.Invalid, "want integer, got %T", v)
-}
-
-func jsonFloat(v any) (float64, error) {
-	switch n := v.(type) {
-	case json.Number:
-		return n.Float64()
-	case float64:
-		return n, nil
-	}
-	return 0, serr.New(serr.Invalid, "want number, got %T", v)
-}
-
-// relationFromCSV builds a relation from a CSV body: the first record is the
-// header. Column types come from the types parameter ("int,float,string",
-// one per column) or, when empty, are sniffed per column from the data (a
-// column where every value parses as int is int; else float; else string).
-func relationFromCSV(name string, r io.Reader, types string) (*storage.Relation, error) {
+// ParseTableCSV builds a relation from a CSV ingest body: the first record
+// is the header. Column types come from the types parameter
+// ("int,float,string", one per column) or, when empty, are sniffed per column
+// from the data (a column where every value parses as int is int; else
+// float; else string). Exported for the shard coordinator (internal/shard),
+// which parses an ingest body once and splits the rows by rid range before
+// handing each shard its slice.
+func ParseTableCSV(name string, r io.Reader, types string) (*storage.Relation, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
 	records, err := cr.ReadAll()
@@ -151,7 +44,7 @@ func relationFromCSV(name string, r io.Reader, types string) (*storage.Relation,
 			return nil, serr.New(serr.Invalid, "server: types lists %d types for %d columns", len(parts), cols)
 		}
 		for c, p := range parts {
-			ty, err := parseType(strings.TrimSpace(p))
+			ty, err := wire.ParseType(strings.TrimSpace(p))
 			if err != nil {
 				return nil, err
 			}
@@ -225,32 +118,6 @@ func sniffCSVType(rows [][]string, c int) storage.Type {
 	return storage.TString
 }
 
-// relationJSON renders a relation as the wire result shape shared by every
-// query/trace/result endpoint.
-// ParseTableCSV builds a relation from a CSV ingest body (header record
-// first; types as in POST /v1/tables). Exported for the shard coordinator
-// (internal/shard), which parses an ingest body once and splits the rows by
-// rid range before handing each shard its slice.
-func ParseTableCSV(name string, r io.Reader, types string) (*storage.Relation, error) {
-	return relationFromCSV(name, r, types)
-}
-
-// ParseTableJSON builds a relation from a JSON ingest body, returning the
-// declared primary key ("" when absent). Exported for the shard coordinator.
-func ParseTableJSON(name string, body []byte) (*storage.Relation, string, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.UseNumber()
-	var tb tableJSON
-	if err := dec.Decode(&tb); err != nil {
-		return nil, "", serr.New(serr.Invalid, "server: bad request body: %v", err)
-	}
-	rel, err := relationFromJSON(name, tb)
-	if err != nil {
-		return nil, "", err
-	}
-	return rel, tb.PK, nil
-}
-
 // VerifyPK checks a client-declared primary key against the data before it
 // is believed: the column must exist, be int-typed, and hold unique values.
 // A declared pk short-circuits the optimizer's uniqueness check and sends
@@ -267,39 +134,4 @@ func VerifyPK(rel *storage.Relation, pk string) error {
 		return serr.New(serr.Invalid, "server: pk column %q holds duplicate values", pk)
 	}
 	return nil
-}
-
-type resultJSON struct {
-	Columns []string `json:"columns"`
-	Types   []string `json:"types"`
-	Rows    [][]any  `json:"rows"`
-	N       int      `json:"row_count"`
-	// GroupCounts is the input cardinality of each output group on group-by
-	// results. The shard coordinator merges per-shard partial aggregates
-	// through it (AVG reweighting needs the partial group sizes).
-	GroupCounts []int64 `json:"group_counts,omitempty"`
-	Cached      bool    `json:"cached,omitempty"`
-	Explain     string  `json:"explain,omitempty"`
-	// Retained echoes the name a result was stored under in the session.
-	Retained string `json:"retained,omitempty"`
-	// StrategyUsed echoes the lineage path that answered this request
-	// ("eager", "lazy", "hybrid") when the request selected a strategy or a
-	// trace was routed through a non-eager path.
-	StrategyUsed string `json:"strategy_used,omitempty"`
-}
-
-func renderRelation(rel *storage.Relation) resultJSON {
-	out := resultJSON{N: rel.N, Rows: make([][]any, rel.N)}
-	for _, f := range rel.Schema {
-		out.Columns = append(out.Columns, f.Name)
-		out.Types = append(out.Types, typeName(f.Type))
-	}
-	for i := 0; i < rel.N; i++ {
-		row := make([]any, len(rel.Schema))
-		for c := range rel.Schema {
-			row[c] = rel.Value(c, i)
-		}
-		out.Rows[i] = row
-	}
-	return out
 }

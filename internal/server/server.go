@@ -20,14 +20,13 @@
 // plan-fingerprint result cache short-circuits repeated identical queries
 // (crossfilter re-brushing).
 //
-// Error mapping is deterministic: every engine error is a structured
-// serr.E, and its Kind maps to the status code (Invalid→400, NotFound→404,
-// Gone→410, Unsupported→422, Busy→429, Unavailable→503, anything
-// else→500).
+// The JSON bodies are internal/wire's. Error mapping is deterministic: every
+// engine error is a structured serr.E, and its Kind maps to the status code
+// (wire.StatusOf: Invalid→400, NotFound→404, Gone→410, Unsupported→422,
+// Busy→429, Unavailable→503, anything else→500).
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -43,6 +42,7 @@ import (
 	"smoke/internal/serr"
 	"smoke/internal/sql"
 	"smoke/internal/storage"
+	"smoke/internal/wire"
 )
 
 // Config sizes a Server. Zero fields take the documented defaults.
@@ -203,55 +203,10 @@ func (s *Server) routes() {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			writeError(w, serr.New(serr.Internal, "server: internal panic: %v", rec))
+			wire.WriteError(w, serr.New(serr.Internal, "server: internal panic: %v", rec))
 		}
 	}()
 	s.mux.ServeHTTP(w, r)
-}
-
-// errorJSON is the uniform error body.
-type errorJSON struct {
-	Error struct {
-		Kind    string `json:"kind"`
-		Message string `json:"message"`
-		Pos     *int   `json:"pos,omitempty"` // byte offset into the SQL text
-	} `json:"error"`
-}
-
-// statusOf maps a structured error kind to its HTTP status.
-func statusOf(err error) int {
-	switch serr.KindOf(err) {
-	case serr.Invalid:
-		return http.StatusBadRequest
-	case serr.NotFound:
-		return http.StatusNotFound
-	case serr.Gone:
-		return http.StatusGone
-	case serr.Unsupported:
-		return http.StatusUnprocessableEntity
-	case serr.Busy:
-		return http.StatusTooManyRequests
-	case serr.Unavailable:
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	var body errorJSON
-	body.Error.Kind = serr.KindOf(err).String()
-	body.Error.Message = err.Error()
-	if pos := serr.PosOf(err); pos >= 0 {
-		body.Error.Pos = &pos
-	}
-	writeJSON(w, statusOf(err), body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
 }
 
 // Body size caps. MaxBytesReader (not a bare LimitReader) enforces them: an
@@ -261,17 +216,6 @@ const (
 	maxJSONBody   = 64 << 20
 	maxIngestBody = 256 << 20
 )
-
-// decodeJSON decodes a request body with UseNumber (int64-exact numbers) and
-// unknown-field tolerance.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
-	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
-		return serr.New(serr.Invalid, "server: bad request body: %v", err)
-	}
-	return nil
-}
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := s.sessions.stats()
@@ -300,14 +244,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		body["delete_errors"] = st.c.deleteErrors
 		body["publish_errors"] = st.c.publishErrors
 	}
-	writeJSON(w, http.StatusOK, body)
+	wire.WriteJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleListTables(w http.ResponseWriter, r *http.Request) {
 	type tbl struct {
-		Name   string      `json:"name"`
-		Rows   int         `json:"rows"`
-		Schema []fieldJSON `json:"schema"`
+		Name   string       `json:"name"`
+		Rows   int          `json:"rows"`
+		Schema []wire.Field `json:"schema"`
 	}
 	var out []tbl
 	for _, name := range s.db.Catalog().Names() {
@@ -315,26 +259,18 @@ func (s *Server) handleListTables(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue // raced a re-registration; skip
 		}
-		t := tbl{Name: name, Rows: rel.N}
-		for _, f := range rel.Schema {
-			t.Schema = append(t.Schema, fieldJSON{Name: f.Name, Type: typeName(f.Type)})
-		}
-		out = append(out, t)
+		out = append(out, tbl{Name: name, Rows: rel.N, Schema: wire.Fields(rel.Schema)})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"tables": out})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"tables": out})
 }
 
 func (s *Server) handleGetTable(w http.ResponseWriter, r *http.Request) {
 	rel, err := s.db.Table(r.PathValue("name"))
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
-	var schema []fieldJSON
-	for _, f := range rel.Schema {
-		schema = append(schema, fieldJSON{Name: f.Name, Type: typeName(f.Type)})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"name": rel.Name, "rows": rel.N, "schema": schema})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"name": rel.Name, "rows": rel.N, "schema": wire.Fields(rel.Schema)})
 }
 
 // handleIngest registers (or replaces) a table from a CSV or JSON body.
@@ -343,7 +279,7 @@ func (s *Server) handleGetTable(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if name == "" {
-		writeError(w, serr.New(serr.Invalid, "server: table name is empty"))
+		wire.WriteError(w, serr.New(serr.Invalid, "server: table name is empty"))
 		return
 	}
 	ct := r.Header.Get("Content-Type")
@@ -353,25 +289,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		err error
 	)
 	if strings.HasPrefix(ct, "text/csv") {
-		rel, err = relationFromCSV(name, http.MaxBytesReader(w, r.Body, maxIngestBody), r.URL.Query().Get("types"))
+		rel, err = ParseTableCSV(name, http.MaxBytesReader(w, r.Body, maxIngestBody), r.URL.Query().Get("types"))
 	} else {
-		var body tableJSON
-		if err := decodeJSON(w, r, &body); err != nil {
-			writeError(w, err)
+		var body wire.Table
+		if err := wire.DecodeRequest(http.MaxBytesReader(w, r.Body, maxJSONBody), &body); err != nil {
+			wire.WriteError(w, err)
 			return
 		}
 		if body.PK != "" {
 			pk = body.PK
 		}
-		rel, err = relationFromJSON(name, body)
+		rel, err = body.Relation(name)
 	}
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	if pk != "" {
 		if err := VerifyPK(rel, pk); err != nil {
-			writeError(w, err)
+			wire.WriteError(w, err)
 			return
 		}
 	}
@@ -380,7 +316,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// and the manifest still agree (the old version, if any, stays live
 		// in both), and the client knows to retry.
 		if err := s.store.PutTable(rel, pk); err != nil {
-			writeError(w, serr.New(serr.Internal, "server: persist table %q: %v", name, err))
+			wire.WriteError(w, serr.New(serr.Internal, "server: persist table %q: %v", name, err))
 			return
 		}
 	}
@@ -388,82 +324,52 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if pk != "" {
 		s.db.Catalog().SetPrimaryKey(name, pk)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "rows": rel.N})
-}
-
-// queryRequest is the body of POST /v1/query and POST
-// /v1/sessions/{id}/results/{name}.
-type queryRequest struct {
-	SQL string `json:"sql"`
-	// Capture is "none", "inject", or "defer". /v1/query defaults to none;
-	// retained results default to inject (a capture is the point of
-	// retaining) unless Strategy is "lazy".
-	Capture  string         `json:"capture,omitempty"`
-	Compress bool           `json:"compress,omitempty"`
-	Params   map[string]any `json:"params,omitempty"`
-	// Strategy is "eager", "lazy", "hybrid", or "auto" (empty keeps the
-	// capture-mode default). Lazy retains no indexes: traces re-execute the
-	// stored plan. Conflicting capture/strategy combinations are 400s.
-	Strategy string `json:"strategy,omitempty"`
-}
-
-func captureMode(s string, def ops.CaptureMode) (ops.CaptureMode, error) {
-	switch strings.ToLower(s) {
-	case "":
-		return def, nil
-	case "none":
-		return ops.None, nil
-	case "inject":
-		return ops.Inject, nil
-	case "defer":
-		return ops.Defer, nil
-	}
-	return 0, serr.New(serr.Invalid, "server: unknown capture mode %q (want none, inject, or defer)", s)
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "rows": rel.N})
 }
 
 // runSQL parses, compiles, and executes one statement with the
 // plan-fingerprint cache in front. EXPLAIN statements render the optimizer
 // trace instead of executing.
-func (s *Server) runSQL(req queryRequest, defMode ops.CaptureMode) (*core.Result, resultJSON, error) {
+func (s *Server) runSQL(req wire.QueryRequest, defMode ops.CaptureMode) (*core.Result, wire.Result, error) {
 	if strings.TrimSpace(req.SQL) == "" {
-		return nil, resultJSON{}, serr.New(serr.Invalid, "server: request has no sql")
+		return nil, wire.Result{}, serr.New(serr.Invalid, "server: request has no sql")
 	}
 	st, err := sql.Parse(req.SQL)
 	if err != nil {
-		return nil, resultJSON{}, err
+		return nil, wire.Result{}, err
 	}
 	if st.Explain {
 		text, err := sql.ExplainStmt(s.db, st)
 		if err != nil {
-			return nil, resultJSON{}, err
+			return nil, wire.Result{}, err
 		}
-		return nil, resultJSON{Explain: text}, nil
+		return nil, wire.Result{Explain: text}, nil
 	}
 	strat, err := core.ParseStrategy(req.Strategy)
 	if err != nil {
-		return nil, resultJSON{}, err
+		return nil, wire.Result{}, err
 	}
 	if strat == core.StrategyLazy {
 		// Lazy is capture-free by definition; an unset capture must not fall
 		// back to a capturing default and trip the conflict validation.
 		defMode = ops.None
 	}
-	mode, err := captureMode(req.Capture, defMode)
+	mode, err := wire.ParseCaptureMode(req.Capture, defMode)
 	if err != nil {
-		return nil, resultJSON{}, err
+		return nil, wire.Result{}, err
 	}
-	params, err := paramsFromJSON(req.Params)
+	params, err := wire.Params(req.Params)
 	if err != nil {
-		return nil, resultJSON{}, err
+		return nil, wire.Result{}, err
 	}
 	q, err := sql.CompileStmt(s.db, st)
 	if err != nil {
-		return nil, resultJSON{}, err
+		return nil, wire.Result{}, err
 	}
 	opts := core.CaptureOptions{Mode: mode, Compress: req.Compress, Params: params, Strategy: strat}
 	res, out, err := s.runCached(q, opts)
 	if err != nil {
-		return nil, resultJSON{}, err
+		return nil, wire.Result{}, err
 	}
 	if strat != core.StrategyDefault && res != nil {
 		out.StrategyUsed = res.Strategy().String()
@@ -472,13 +378,13 @@ func (s *Server) runSQL(req queryRequest, defMode ops.CaptureMode) (*core.Result
 }
 
 // runCached executes q through the fingerprint cache.
-func (s *Server) runCached(q *core.Query, opts core.CaptureOptions) (*core.Result, resultJSON, error) {
+func (s *Server) runCached(q *core.Query, opts core.CaptureOptions) (*core.Result, wire.Result, error) {
 	var key string
 	if s.cache != nil {
 		if fp, err := q.Fingerprint(); err == nil {
 			key = cacheKey(fp, opts)
 			if res, ok := s.cache.get(key); ok {
-				out := renderRelation(res.Out)
+				out := wire.Rows(res.Out, nil)
 				out.GroupCounts = res.GroupCounts
 				out.Cached = true
 				return res, out, nil
@@ -487,36 +393,36 @@ func (s *Server) runCached(q *core.Query, opts core.CaptureOptions) (*core.Resul
 	}
 	res, err := q.Run(opts)
 	if err != nil {
-		return nil, resultJSON{}, err
+		return nil, wire.Result{}, err
 	}
 	s.cache.put(key, res)
-	out := renderRelation(res.Out)
+	out := wire.Rows(res.Out, nil)
 	out.GroupCounts = res.GroupCounts
 	return res, out, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	var req wire.QueryRequest
+	if err := wire.DecodeRequest(http.MaxBytesReader(w, r.Body, maxJSONBody), &req); err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 	if err := s.gate.enter(r.Context()); err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	defer s.gate.exit()
 	_, out, err := s.runSQL(req, ops.None)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessions.create()
-	writeJSON(w, http.StatusCreated, map[string]any{
+	wire.WriteJSON(w, http.StatusCreated, map[string]any{
 		"id":          sess.id,
 		"ttl_seconds": int(s.sessions.ttl / time.Second),
 	})
@@ -524,7 +430,7 @@ func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDropSession(w http.ResponseWriter, r *http.Request) {
 	if err := s.sessions.drop(r.PathValue("id")); err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -534,9 +440,9 @@ func (s *Server) handleDropSession(w http.ResponseWriter, r *http.Request) {
 // /v1/sessions/{id}/results/{name} for later bound traces.
 func (s *Server) handleRunResult(w http.ResponseWriter, r *http.Request) {
 	id, name := r.PathValue("id"), r.PathValue("name")
-	var req queryRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	var req wire.QueryRequest
+	if err := wire.DecodeRequest(http.MaxBytesReader(w, r.Body, maxJSONBody), &req); err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 	// Retention exists to serve later traces. Without a lazy-capable
@@ -547,7 +453,7 @@ func (s *Server) handleRunResult(w http.ResponseWriter, r *http.Request) {
 	// exactly the point: its traces re-execute the stored plan.
 	strat, err := core.ParseStrategy(req.Strategy)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	lazyCapable := strat == core.StrategyLazy || strat == core.StrategyAuto
@@ -555,36 +461,36 @@ func (s *Server) handleRunResult(w http.ResponseWriter, r *http.Request) {
 	if strat == core.StrategyLazy {
 		defMode = ops.None
 	}
-	if mode, err := captureMode(req.Capture, defMode); err != nil {
-		writeError(w, err)
+	if mode, err := wire.ParseCaptureMode(req.Capture, defMode); err != nil {
+		wire.WriteError(w, err)
 		return
 	} else if mode == ops.None && !lazyCapable {
-		writeError(w, serr.New(serr.Invalid,
+		wire.WriteError(w, serr.New(serr.Invalid,
 			"server: retained results need a capture; use \"inject\" or \"defer\" (or omit capture), or set \"strategy\":\"lazy\" for capture-free retention"))
 		return
 	}
 	// Probe the session before paying for execution; put re-checks after
 	// the run, covering a mid-query expiry.
 	if err := s.sessions.touch(id); err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	if err := s.gate.enter(r.Context()); err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	defer s.gate.exit()
 	res, out, err := s.runSQL(req, defMode)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	if res == nil {
-		writeError(w, serr.New(serr.Invalid, "server: EXPLAIN statements cannot be retained"))
+		wire.WriteError(w, serr.New(serr.Invalid, "server: EXPLAIN statements cannot be retained"))
 		return
 	}
 	if err := s.sessions.put(id, name, res); err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	// Remember the producing request: if every capture tier is later
@@ -592,83 +498,23 @@ func (s *Server) handleRunResult(w http.ResponseWriter, r *http.Request) {
 	// retention tier) instead of answering 410.
 	s.sessions.rememberSpec(id, name, req)
 	out.Retained = name
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	res, err := s.sessions.get(r.PathValue("id"), r.PathValue("name"))
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, renderRelation(res.Out))
-}
-
-// traceRequest is the body of POST
-// /v1/sessions/{id}/results/{name}/trace: a bound backward/forward trace of
-// the retained result, optionally filtered and re-aggregated (the consuming
-// query), optionally retained under a new name for further chained traces.
-type traceRequest struct {
-	// Direction is "backward" or "forward".
-	Direction string `json:"direction"`
-	// Table is the base relation to trace into (backward) or from (forward).
-	Table string `json:"table"`
-	// Rids seeds the trace with explicit rids (output rids for backward,
-	// base rids for forward). Mutually exclusive with SeedWhere.
-	Rids []int64 `json:"rids,omitempty"`
-	// SeedWhere seeds the trace by predicate (SQL expression syntax) over
-	// the result's output rows (backward) or the base rows (forward).
-	SeedWhere string `json:"seed_where,omitempty"`
-	// Where filters the traced rows during rid-list expansion.
-	Where string `json:"where,omitempty"`
-	// GroupBy + Aggs build a consuming aggregation over the traced rows;
-	// empty GroupBy returns the traced rows themselves.
-	GroupBy []string  `json:"group_by,omitempty"`
-	Aggs    []aggJSON `json:"aggs,omitempty"`
-
-	Capture  string         `json:"capture,omitempty"`
-	Compress bool           `json:"compress,omitempty"`
-	Params   map[string]any `json:"params,omitempty"`
-	// Retain stores the trace result under this name in the same session
-	// (consuming results are base queries for further traces, §2.1).
-	Retain string `json:"retain,omitempty"`
-	// Strategy forces the trace's answer path: "eager" requires the captured
-	// index (400 when the result has none), "lazy" forces plan re-execution.
-	// Empty or "auto" keeps the result's own routing; "hybrid" is a
-	// capture-time split, not a per-trace path, and is a 400 here. The
-	// response echoes the path taken in "strategy_used".
-	Strategy string `json:"strategy,omitempty"`
-}
-
-type aggJSON struct {
-	Fn   string `json:"fn"`            // count, sum, avg, min, max, count_distinct
-	Arg  string `json:"arg,omitempty"` // SQL expression; empty for count
-	Name string `json:"name,omitempty"`
-}
-
-func parseAggFn(s string) (ops.AggFn, error) {
-	switch strings.ToLower(s) {
-	case "count":
-		return ops.Count, nil
-	case "sum":
-		return ops.Sum, nil
-	case "avg":
-		return ops.Avg, nil
-	case "min":
-		return ops.Min, nil
-	case "max":
-		return ops.Max, nil
-	case "count_distinct":
-		return ops.CountDistinct, nil
-	}
-	return 0, serr.New(serr.Invalid, "server: unknown aggregate %q", s)
+	wire.WriteJSON(w, http.StatusOK, wire.Rows(res.Out, nil))
 }
 
 // traceHintOf projects a trace request onto the registry's routing hint.
 // Seeds pass through unvalidated: the registry's cost probe bounds-checks
 // them itself (out-of-range falls back to promotion, where runTrace turns
 // the bad seed into a 400), and nil seeds mean predicate-seeded.
-func traceHintOf(req traceRequest) traceHint {
+func traceHintOf(req wire.TraceRequest) traceHint {
 	h := traceHint{
 		backward: strings.EqualFold(req.Direction, "backward"),
 		table:    req.Table,
@@ -684,18 +530,18 @@ func traceHintOf(req traceRequest) traceHint {
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id, name := r.PathValue("id"), r.PathValue("name")
-	var req traceRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, err)
+	var req wire.TraceRequest
+	if err := wire.DecodeRequest(http.MaxBytesReader(w, r.Body, maxJSONBody), &req); err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 	res, err := s.sessions.getForTrace(id, name, traceHintOf(req))
 	if err != nil && serr.KindOf(err) != serr.Gone {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	if gerr := s.gate.enter(r.Context()); gerr != nil {
-		writeError(w, gerr)
+		wire.WriteError(w, gerr)
 		return
 	}
 	defer s.gate.exit()
@@ -706,17 +552,17 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		// the lazy path instead of 410.
 		res, err = s.lazyRebuild(id, name, err)
 		if err != nil {
-			writeError(w, err)
+			wire.WriteError(w, err)
 			return
 		}
 	}
 
 	out, err := s.runTrace(id, res, req)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 // lazyRebuild is the lazy retention tier: a result evicted from memory and
@@ -748,20 +594,10 @@ func (s *Server) lazyRebuild(id, name string, goneErr error) (*core.Result, erro
 }
 
 // runTrace builds and executes the bound trace query described by req.
-func (s *Server) runTrace(sessionID string, res *core.Result, req traceRequest) (resultJSON, error) {
-	if req.Table == "" {
-		return resultJSON{}, serr.New(serr.Invalid, "server: trace needs a table")
-	}
-	backward := false
-	switch strings.ToLower(req.Direction) {
-	case "backward":
-		backward = true
-	case "forward":
-	default:
-		return resultJSON{}, serr.New(serr.Invalid, "server: direction must be backward or forward, got %q", req.Direction)
-	}
-	if req.Rids != nil && req.SeedWhere != "" {
-		return resultJSON{}, serr.New(serr.Invalid, "server: rids and seed_where are mutually exclusive")
+func (s *Server) runTrace(sessionID string, res *core.Result, req wire.TraceRequest) (wire.Result, error) {
+	backward, err := req.Validate()
+	if err != nil {
+		return wire.Result{}, err
 	}
 
 	// Validate explicit seeds against the addressed space so a bad seed is a
@@ -775,7 +611,7 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req traceRequest) 
 			// current catalog entry, which may have been re-ingested since.
 			rel := res.BaseRelation(req.Table)
 			if rel == nil {
-				return resultJSON{}, serr.New(serr.NotFound,
+				return wire.Result{}, serr.New(serr.NotFound,
 					"server: result has no captured base relation %q", req.Table)
 			}
 			limit, space = rel.N, "base rows of "+req.Table
@@ -783,7 +619,7 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req traceRequest) 
 		rids = make([]lineage.Rid, len(req.Rids))
 		for i, v := range req.Rids {
 			if v < 0 || v >= int64(limit) {
-				return resultJSON{}, serr.New(serr.Invalid,
+				return wire.Result{}, serr.New(serr.Invalid,
 					"server: seed rid %d out of range [0,%d) for %s", v, limit, space)
 			}
 			rids[i] = lineage.Rid(v)
@@ -792,7 +628,7 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req traceRequest) 
 
 	forced, err := core.ParseStrategy(req.Strategy)
 	if err != nil {
-		return resultJSON{}, err
+		return wire.Result{}, err
 	}
 	dir := core.TraceForward
 	if backward {
@@ -805,7 +641,7 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req traceRequest) 
 	case req.SeedWhere != "":
 		pred, err := parseOptionalExpr(req.SeedWhere)
 		if err != nil {
-			return resultJSON{}, err
+			return wire.Result{}, err
 		}
 		seed = core.Where(pred)
 	}
@@ -823,7 +659,7 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req traceRequest) 
 	if req.Where != "" {
 		pred, err := sql.ParseExpr(req.Where)
 		if err != nil {
-			return resultJSON{}, err
+			return wire.Result{}, err
 		}
 		q = q.Where(pred)
 	}
@@ -831,15 +667,15 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req traceRequest) 
 		q = q.GroupBy(req.GroupBy...)
 	}
 	for i, a := range req.Aggs {
-		fn, err := parseAggFn(a.Fn)
+		fn, err := wire.ParseAggFn(a.Fn)
 		if err != nil {
-			return resultJSON{}, err
+			return wire.Result{}, err
 		}
 		var arg expr.Expr
 		if a.Arg != "" {
 			arg, err = sql.ParseScalarExpr(a.Arg)
 			if err != nil {
-				return resultJSON{}, err
+				return wire.Result{}, err
 			}
 		}
 		aname := a.Name
@@ -853,21 +689,21 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req traceRequest) 
 	if req.Retain != "" {
 		defMode = ops.Inject // retained consuming results need a capture
 	}
-	mode, err := captureMode(req.Capture, defMode)
+	mode, err := wire.ParseCaptureMode(req.Capture, defMode)
 	if err != nil {
-		return resultJSON{}, err
+		return wire.Result{}, err
 	}
 	if req.Retain != "" && mode == ops.None {
-		return resultJSON{}, serr.New(serr.Invalid,
+		return wire.Result{}, serr.New(serr.Invalid,
 			"server: retaining a trace result needs a capture; use \"inject\" or \"defer\" (or omit capture)")
 	}
-	params, err := paramsFromJSON(req.Params)
+	params, err := wire.Params(req.Params)
 	if err != nil {
-		return resultJSON{}, err
+		return wire.Result{}, err
 	}
 	traced, out, err := s.runCached(q, core.CaptureOptions{Mode: mode, Compress: req.Compress, Params: params})
 	if err != nil {
-		return resultJSON{}, err
+		return wire.Result{}, err
 	}
 	if path == core.StrategyLazy {
 		s.lazyTraces.Add(1)
@@ -880,7 +716,7 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req traceRequest) 
 	}
 	if req.Retain != "" {
 		if err := s.sessions.put(sessionID, req.Retain, traced); err != nil {
-			return resultJSON{}, err
+			return wire.Result{}, err
 		}
 		out.Retained = req.Retain
 	}

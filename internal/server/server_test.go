@@ -14,6 +14,7 @@ import (
 	"smoke/internal/lineage"
 	"smoke/internal/ops"
 	"smoke/internal/serverclient"
+	"smoke/internal/wire"
 )
 
 // coreCol / coreLt build in-process reference expressions.
@@ -196,6 +197,28 @@ func TestSessionTraceRoundTrip(t *testing.T) {
 		}
 	}
 
+	// The rids contract: an explicit empty seed (an empty brush) traces
+	// nothing, under the traced table's schema; an absent seed traces
+	// everything.
+	empty, err := sess.Trace(ctx, "byregion", serverclient.TraceRequest{
+		Direction: "backward", Table: "orders", Rids: []int64{},
+	})
+	if err != nil {
+		t.Fatalf("empty-seed trace: %v", err)
+	}
+	if empty.N != 0 || len(empty.Rows) != 0 ||
+		!reflect.DeepEqual(empty.Columns, traced.Columns) || !reflect.DeepEqual(empty.Types, traced.Types) {
+		t.Fatalf("empty-seed trace = %d rows %v/%v, want 0 rows %v/%v",
+			empty.N, empty.Columns, empty.Types, traced.Columns, traced.Types)
+	}
+	all, err := sess.Trace(ctx, "byregion", serverclient.TraceRequest{Direction: "backward", Table: "orders"})
+	if err != nil {
+		t.Fatalf("nil-seed trace: %v", err)
+	}
+	if all.N != rel.N {
+		t.Fatalf("nil-seed trace returned %d rows, want all %d", all.N, rel.N)
+	}
+
 	// Consuming aggregation with a filter, retained for chaining.
 	cons, err := sess.Trace(ctx, "byregion", serverclient.TraceRequest{
 		Direction: "backward", Table: "orders", Rids: []int64{0},
@@ -210,7 +233,7 @@ func TestSessionTraceRoundTrip(t *testing.T) {
 	if cons.Retained != "drill" {
 		t.Fatalf("consuming retained = %q", cons.Retained)
 	}
-	consRef, err := db.Query().Backward(ref, "orders", []lineage.Rid{0}).
+	consRef, err := db.Query().Trace(ref, core.TraceBackward, "orders", core.Rids(0)).
 		Where(coreLt("amount", 25)).GroupBy("region").
 		Agg(ops.Count, nil, "n").Agg(ops.Sum, coreCol("amount"), "s").
 		Run(core.CaptureOptions{Mode: ops.Inject})
@@ -666,7 +689,7 @@ func TestAdmissionGateRejects(t *testing.T) {
 	}
 	// Queue is full: the next request is turned away immediately with Busy.
 	err := g.enter(ctx)
-	if err == nil || statusOf(err) != 429 {
+	if err == nil || wire.StatusOf(err) != 429 {
 		t.Fatalf("overflow enter = %v, want Busy/429", err)
 	}
 	g.exit()

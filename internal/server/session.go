@@ -9,6 +9,7 @@ import (
 	"smoke/internal/core"
 	"smoke/internal/lineage"
 	"smoke/internal/serr"
+	"smoke/internal/wire"
 )
 
 // registry is the session-scoped result store: each session retains named
@@ -144,7 +145,7 @@ type session struct {
 	// capture evicted from every tier can be rebuilt capture-free (the lazy
 	// retention tier) instead of answering 410. Lazily allocated; bounded;
 	// not persisted — recovered sessions fall back to 410 semantics.
-	specs map[string]queryRequest
+	specs map[string]wire.QueryRequest
 }
 
 type retainedResult struct {
@@ -419,7 +420,7 @@ func (r *registry) put(id, name string, res *core.Result) error {
 
 // rememberSpec records the request that produced result name. Best-effort:
 // a missing session just skips (the lazy tier then narrows back to 410).
-func (r *registry) rememberSpec(id, name string, req queryRequest) {
+func (r *registry) rememberSpec(id, name string, req wire.QueryRequest) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.sessions[id]
@@ -427,7 +428,7 @@ func (r *registry) rememberSpec(id, name string, req queryRequest) {
 		return
 	}
 	if s.specs == nil {
-		s.specs = map[string]queryRequest{}
+		s.specs = map[string]wire.QueryRequest{}
 	}
 	// Bound the spec book well above the live-result cap (specs outlive the
 	// results they describe — that is the point); evict arbitrarily past it.
@@ -441,7 +442,7 @@ func (r *registry) rememberSpec(id, name string, req queryRequest) {
 }
 
 // spec returns the remembered producing request for result name, if any.
-func (r *registry) spec(id, name string) (queryRequest, bool) {
+func (r *registry) spec(id, name string) (wire.QueryRequest, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.sessions[id]
@@ -449,7 +450,7 @@ func (r *registry) spec(id, name string) (queryRequest, bool) {
 		s, ok = r.dormant[id]
 	}
 	if !ok {
-		return queryRequest{}, false
+		return wire.QueryRequest{}, false
 	}
 	req, ok := s.specs[name]
 	return req, ok

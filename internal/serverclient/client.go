@@ -2,8 +2,9 @@
 // (internal/server): table ingest, SQL queries, and session-scoped retained
 // results with bound backward/forward traces. The server's own tests, the
 // serve bench experiment's load generator, and external Go tools all speak
-// through it, so the wire shapes live in exactly two places (server encode,
-// client decode) and drift breaks tests immediately.
+// through it. It declares no JSON shape of its own: the request, response
+// and error bodies are internal/wire's, re-exported here under the names
+// callers already use.
 package serverclient
 
 import (
@@ -14,6 +15,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
+
+	"smoke/internal/wire"
 )
 
 // Client talks to one smoked server.
@@ -43,67 +46,16 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("server: %d %s: %s", e.Status, e.Kind, e.Message)
 }
 
-// Field mirrors one schema field.
-type Field struct {
-	Name string `json:"name"`
-	Type string `json:"type"` // "int" | "float" | "string"
-}
-
-// Result is a decoded query/trace/result response. Row values are normalized
-// by column type: int64, float64, or string.
-type Result struct {
-	Columns []string `json:"columns"`
-	Types   []string `json:"types"`
-	Rows    [][]any  `json:"rows"`
-	N       int      `json:"row_count"`
-	// GroupCounts is the input cardinality of each output group on group-by
-	// results (the shard coordinator's two-phase aggregation reads it).
-	GroupCounts []int64 `json:"group_counts"`
-	Cached      bool    `json:"cached"`
-	Explain     string  `json:"explain"`
-	Retained    string  `json:"retained"`
-	// StrategyUsed echoes the lineage path that answered ("eager", "lazy",
-	// "hybrid") when a strategy was requested or a trace took a non-default
-	// path.
-	StrategyUsed string `json:"strategy_used"`
-}
-
-// QueryRequest is the body of Query and Session.Run.
-type QueryRequest struct {
-	SQL      string         `json:"sql"`
-	Capture  string         `json:"capture,omitempty"` // none | inject | defer
-	Compress bool           `json:"compress,omitempty"`
-	Params   map[string]any `json:"params,omitempty"`
-	// Strategy selects lineage capture: "eager", "lazy", "hybrid", "auto",
-	// or "" for the capture mode's default.
-	Strategy string `json:"strategy,omitempty"`
-}
-
-// TraceRequest is the body of Session.Trace: a bound trace of a retained
-// result, optionally filtered/re-aggregated/re-retained.
-type TraceRequest struct {
-	Direction string         `json:"direction"` // backward | forward
-	Table     string         `json:"table"`
-	Rids      []int64        `json:"rids,omitempty"`
-	SeedWhere string         `json:"seed_where,omitempty"`
-	Where     string         `json:"where,omitempty"`
-	GroupBy   []string       `json:"group_by,omitempty"`
-	Aggs      []Agg          `json:"aggs,omitempty"`
-	Capture   string         `json:"capture,omitempty"`
-	Compress  bool           `json:"compress,omitempty"`
-	Params    map[string]any `json:"params,omitempty"`
-	Retain    string         `json:"retain,omitempty"`
-	// Strategy forces the trace path: "eager" (captured index required) or
-	// "lazy" (plan re-execution); "" keeps the result's own routing.
-	Strategy string `json:"strategy,omitempty"`
-}
-
-// Agg is one consuming aggregate.
-type Agg struct {
-	Fn   string `json:"fn"`
-	Arg  string `json:"arg,omitempty"`
-	Name string `json:"name,omitempty"`
-}
+// The wire shapes, by the names this package has always exported. A Result
+// handed back by the client has been normalized: row values are int64,
+// float64, or string by column type.
+type (
+	Field        = wire.Field
+	Result       = wire.Result
+	QueryRequest = wire.QueryRequest
+	TraceRequest = wire.TraceRequest
+	Agg          = wire.Agg
+)
 
 // Health pings the server and returns its status map.
 func (c *Client) Health(ctx context.Context) (map[string]any, error) {
@@ -115,11 +67,7 @@ func (c *Client) Health(ctx context.Context) (map[string]any, error) {
 // CreateTable registers (or replaces) a table from schema + rows. pk may be
 // "" for no primary key.
 func (c *Client) CreateTable(ctx context.Context, name string, schema []Field, rows [][]any, pk string) error {
-	body := map[string]any{"schema": schema, "rows": rows}
-	if pk != "" {
-		body["pk"] = pk
-	}
-	return c.do(ctx, http.MethodPost, "/v1/tables/"+name, body, nil)
+	return c.CreateTableDist(ctx, name, schema, rows, pk, "")
 }
 
 // CreateTableDist is CreateTable with an explicit placement against a
@@ -127,15 +75,11 @@ func (c *Client) CreateTable(ctx context.Context, name string, schema []Field, r
 // across the shards, dist "replicate" (or "") registers a full copy on every
 // shard. A single-node server ignores the parameter.
 func (c *Client) CreateTableDist(ctx context.Context, name string, schema []Field, rows [][]any, pk, dist string) error {
-	body := map[string]any{"schema": schema, "rows": rows}
-	if pk != "" {
-		body["pk"] = pk
-	}
 	path := "/v1/tables/" + name
 	if dist != "" {
 		path += "?dist=" + dist
 	}
-	return c.do(ctx, http.MethodPost, path, body, nil)
+	return c.do(ctx, http.MethodPost, path, wire.Table{Schema: schema, Rows: rows, PK: pk}, nil)
 }
 
 // CreateTableCSV registers a table from CSV bytes (header record first).
@@ -161,12 +105,7 @@ func (c *Client) CreateTableCSV(ctx context.Context, name string, csvBody []byte
 // Query runs one stateless SQL statement (including EXPLAIN and unbound
 // LINEAGE sources).
 func (c *Client) Query(ctx context.Context, req QueryRequest) (*Result, error) {
-	var out Result
-	if err := c.do(ctx, http.MethodPost, "/v1/query", req, &out); err != nil {
-		return nil, err
-	}
-	out.normalize()
-	return &out, nil
+	return c.result(ctx, http.MethodPost, "/v1/query", req)
 }
 
 // Session is a server-side session handle.
@@ -204,36 +143,31 @@ func (s *Session) Close(ctx context.Context) error {
 // Run executes a statement and retains its Result (with live capture) under
 // name; later Trace calls bind to it.
 func (s *Session) Run(ctx context.Context, name string, req QueryRequest) (*Result, error) {
-	var out Result
-	if err := s.c.do(ctx, http.MethodPost, s.path(name), req, &out); err != nil {
-		return nil, err
-	}
-	out.normalize()
-	return &out, nil
+	return s.c.result(ctx, http.MethodPost, s.path(name), req)
 }
 
 // Result fetches a retained result's rows.
 func (s *Session) Result(ctx context.Context, name string) (*Result, error) {
-	var out Result
-	if err := s.c.do(ctx, http.MethodGet, s.path(name), nil, &out); err != nil {
-		return nil, err
-	}
-	out.normalize()
-	return &out, nil
+	return s.c.result(ctx, http.MethodGet, s.path(name), nil)
 }
 
 // Trace runs a bound backward/forward trace against the retained result.
 func (s *Session) Trace(ctx context.Context, name string, req TraceRequest) (*Result, error) {
-	var out Result
-	if err := s.c.do(ctx, http.MethodPost, s.path(name)+"/trace", req, &out); err != nil {
-		return nil, err
-	}
-	out.normalize()
-	return &out, nil
+	return s.c.result(ctx, http.MethodPost, s.path(name)+"/trace", req)
 }
 
 func (s *Session) path(name string) string {
 	return "/v1/sessions/" + s.ID + "/results/" + name
+}
+
+// result is do for the endpoints that answer a result body.
+func (c *Client) result(ctx context.Context, method, path string, in any) (*Result, error) {
+	var out Result
+	if err := c.do(ctx, method, path, in, &out); err != nil {
+		return nil, err
+	}
+	out.Normalize()
+	return &out, nil
 }
 
 // do sends a JSON request and decodes a JSON reply (out may be nil).
@@ -268,49 +202,13 @@ func (c *Client) roundTrip(req *http.Request, out any) error {
 	}
 	if resp.StatusCode >= 300 {
 		e := &Error{Status: resp.StatusCode, Kind: "internal", Message: string(data), Pos: -1}
-		var body struct {
-			Error struct {
-				Kind    string `json:"kind"`
-				Message string `json:"message"`
-				Pos     *int   `json:"pos"`
-			} `json:"error"`
-		}
-		if json.Unmarshal(data, &body) == nil && body.Error.Kind != "" {
-			e.Kind, e.Message = body.Error.Kind, body.Error.Message
-			if body.Error.Pos != nil {
-				e.Pos = *body.Error.Pos
-			}
+		if se, ok := wire.ParseError(data); ok {
+			e.Kind, e.Message, e.Pos = se.Kind.String(), se.Msg, se.Pos
 		}
 		return e
 	}
 	if out == nil {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	return dec.Decode(out)
-}
-
-// normalize converts row values to their column's Go type: json.Number →
-// int64/float64 per the Types list, so callers compare values without
-// float64 precision loss on large ints.
-func (r *Result) normalize() {
-	for _, row := range r.Rows {
-		for c := range row {
-			n, ok := row[c].(json.Number)
-			if !ok || c >= len(r.Types) {
-				continue
-			}
-			switch r.Types[c] {
-			case "int":
-				if v, err := n.Int64(); err == nil {
-					row[c] = v
-				}
-			case "float":
-				if v, err := n.Float64(); err == nil {
-					row[c] = v
-				}
-			}
-		}
-	}
+	return wire.Decode(bytes.NewReader(data), out)
 }

@@ -1,8 +1,13 @@
 package shard
 
 import (
+	"math"
+	"strconv"
+	"strings"
+
 	"smoke/internal/ops"
 	"smoke/internal/serr"
+	"smoke/internal/wire"
 )
 
 // gatherMap remembers how a merged grouped result relates to its per-shard
@@ -43,7 +48,7 @@ type aggState struct {
 // (the group_counts the shard replies carry). The merged reply carries the
 // summed group_counts, so a retained merged result supports consuming traces
 // the same way a single node's does.
-func mergeGrouped(parts []*wireResult, nKeys int, aggs []ops.AggFn) (*wireResult, *gatherMap, error) {
+func mergeGrouped(parts []*wire.Result, nKeys int, aggs []ops.AggFn) (*wire.Result, *gatherMap, error) {
 	if len(parts) == 0 {
 		return nil, nil, serr.New(serr.Internal, "shard: merge of zero partials")
 	}
@@ -139,7 +144,7 @@ func mergeGrouped(parts []*wireResult, nKeys int, aggs []ops.AggFn) (*wireResult
 		}
 	}
 
-	out := &wireResult{
+	out := &wire.Result{
 		Columns:     first.Columns,
 		Types:       first.Types,
 		Rows:        make([][]any, len(keys)),
@@ -181,6 +186,32 @@ func mergeGrouped(parts []*wireResult, nKeys int, aggs []ops.AggFn) (*wireResult
 
 // emptyLike builds a zero-row result with a partial's schema (empty trace
 // waves gather into this instead of a nil reply).
-func emptyLike(p *wireResult) *wireResult {
-	return &wireResult{Columns: p.Columns, Types: p.Types, Rows: [][]any{}, N: 0}
+func emptyLike(p *wire.Result) *wire.Result {
+	return &wire.Result{Columns: p.Columns, Types: p.Types, Rows: [][]any{}, N: 0}
+}
+
+// encodeKey builds the group-identity string of a key tuple. Float keys
+// encode by exact bit pattern and strings are length-prefixed, so distinct
+// tuples can never collide through formatting.
+func encodeKey(keys []any) string {
+	var b strings.Builder
+	for _, k := range keys {
+		switch v := k.(type) {
+		case int64:
+			b.WriteByte('i')
+			b.WriteString(strconv.FormatInt(v, 10))
+		case float64:
+			b.WriteByte('f')
+			b.WriteString(strconv.FormatUint(math.Float64bits(v), 16))
+		case string:
+			b.WriteByte('s')
+			b.WriteString(strconv.Itoa(len(v)))
+			b.WriteByte(':')
+			b.WriteString(v)
+		default:
+			b.WriteByte('?')
+		}
+		b.WriteByte('|')
+	}
+	return b.String()
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -8,16 +9,8 @@ import (
 
 	"smoke/internal/serr"
 	"smoke/internal/sql"
+	"smoke/internal/wire"
 )
-
-// queryBody is the slice of the query request the coordinator itself needs
-// (the raw body is forwarded to the shards byte-for-byte, so fields the
-// coordinator does not read still reach them unchanged).
-type queryBody struct {
-	SQL      string `json:"sql"`
-	Capture  string `json:"capture"`
-	Strategy string `json:"strategy"`
-}
 
 // resolvedStrategy mirrors core.resolveStrategy's label for a query request:
 // an explicit strategy wins, otherwise capture "none" resolves lazy and every
@@ -35,13 +28,15 @@ func resolvedStrategy(capture, strategy string) string {
 	return "eager"
 }
 
-// readBody buffers a JSON request body for re-sending to shards.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// readRequest decodes a JSON request body into req and returns the raw
+// bytes: those are what the shards receive, so fields the coordinator does
+// not read still reach them unchanged.
+func readRequest(w http.ResponseWriter, r *http.Request, req any) ([]byte, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		return nil, serr.New(serr.Invalid, "shard: read body: %v", err)
 	}
-	return body, nil
+	return body, wire.DecodeRequest(bytes.NewReader(body), req)
 }
 
 // planQuery parses the statement and decides its route. Single-shard
@@ -71,24 +66,20 @@ func (c *Coordinator) planQuery(sqlText string) (*analysis, error) {
 // shards), scatter + two-phase merge when the statement reads the sharded
 // table.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
+	var req wire.QueryRequest
+	body, err := readRequest(w, r, &req)
 	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req queryBody
-	if jerr := unmarshalNumber(body, &req); jerr != nil {
-		writeError(w, serr.New(serr.Invalid, "server: bad request body: %v", jerr))
+		wire.WriteError(w, err)
 		return
 	}
 	if err := c.enter(); err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	defer c.exit()
 	a, err := c.planQuery(req.SQL)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	if a.route == routeProxy {
@@ -98,7 +89,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res, err := c.nodes[c.ring.owner(req.SQL)].invoke(ctx, http.MethodPost, "/v1/query", body, "application/json")
 		if err != nil {
 			c.shardTimeouts.Add(1)
-			writeError(w, err)
+			wire.WriteError(w, err)
 			return
 		}
 		writeShardReply(w, res)
@@ -109,12 +100,12 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return http.MethodPost, "/v1/query", body
 	})
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	merged, _, err := mergeGrouped(parts, a.nKeys, a.aggs)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	// Cached is per-node observability; a merged reply is "cached" only when
@@ -127,7 +118,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	c.mergedQueries.Add(1)
-	writeJSON(w, http.StatusOK, merged)
+	wire.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleRunResult executes and retains a named result. Proxy-routed
@@ -138,27 +129,23 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 	id, name := r.PathValue("id"), r.PathValue("name")
 	sess, err := c.lookupSession(id)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
-	body, err := readBody(w, r)
+	var req wire.QueryRequest
+	body, err := readRequest(w, r, &req)
 	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req queryBody
-	if jerr := unmarshalNumber(body, &req); jerr != nil {
-		writeError(w, serr.New(serr.Invalid, "server: bad request body: %v", jerr))
+		wire.WriteError(w, err)
 		return
 	}
 	if err := c.enter(); err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	defer c.exit()
 	a, err := c.planQuery(req.SQL)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	if a.route == routeProxy {
@@ -169,7 +156,7 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		res, err := c.nodes[sess.home].invoke(ctx, http.MethodPost, path, body, "application/json")
 		if err != nil {
 			c.shardTimeouts.Add(1)
-			writeError(w, err)
+			wire.WriteError(w, err)
 			return
 		}
 		if res.ok() {
@@ -183,12 +170,12 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		return http.MethodPost, "/v1/sessions/" + sess.shardIDs[s] + "/results/" + name, body
 	})
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	merged, gm, err := mergeGrouped(parts, a.nKeys, a.aggs)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	c.mergedQueries.Add(1)
@@ -205,7 +192,7 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		strategy:  resolvedStrategy(req.Capture, req.Strategy),
 	})
 	merged.Retained = name
-	writeJSON(w, http.StatusOK, merged)
+	wire.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleGetResult re-renders a retained result. Scattered results render
@@ -215,17 +202,17 @@ func (c *Coordinator) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	id, name := r.PathValue("id"), r.PathValue("name")
 	sess, err := c.lookupSession(id)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	if err := c.enter(); err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	defer c.exit()
 	p := sess.placementOf(name)
 	if p != nil && p.scattered {
-		writeJSON(w, http.StatusOK, &wireResult{
+		wire.WriteJSON(w, http.StatusOK, &wire.Result{
 			Columns: p.merged.Columns,
 			Types:   p.merged.Types,
 			Rows:    p.merged.Rows,
@@ -239,7 +226,7 @@ func (c *Coordinator) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	res, err := c.nodes[sess.home].invoke(ctx, http.MethodGet, path, nil, "")
 	if err != nil {
 		c.shardTimeouts.Add(1)
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	writeShardReply(w, res)

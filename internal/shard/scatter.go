@@ -11,6 +11,7 @@ import (
 	"smoke/internal/core"
 	"smoke/internal/serr"
 	"smoke/internal/server"
+	"smoke/internal/wire"
 )
 
 // node is one in-process shard: a full engine (its own DB, worker pool,
@@ -101,7 +102,7 @@ func (n *node) invoke(ctx context.Context, method, path string, body []byte, con
 
 // callJSON invokes a shard and decodes a 2xx reply as a result body. Non-2xx
 // replies come back as the shard's own structured error.
-func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string, body []byte) (*wireResult, error) {
+func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string, body []byte) (*wire.Result, error) {
 	res, err := n.invoke(ctx, method, path, body, "application/json")
 	if err != nil {
 		c.shardTimeouts.Add(1)
@@ -111,7 +112,23 @@ func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string
 		c.shardErrors.Add(1)
 		return nil, errorFromShard(n.id, res.status, res.body)
 	}
-	return decodeResult(res.body)
+	// Numbers decode exactly and normalize by column type, so merge
+	// arithmetic never round-trips large int64 values through float64.
+	var out wire.Result
+	if err := wire.Decode(bytes.NewReader(res.body), &out); err != nil {
+		return nil, serr.New(serr.Internal, "shard: undecodable shard reply: %v", err)
+	}
+	out.Normalize()
+	return &out, nil
+}
+
+// errorFromShard rebuilds the structured error a shard answered with, so the
+// coordinator's reply carries the same kind, message, and SQL position.
+func errorFromShard(shardID int, status int, body []byte) error {
+	if e, ok := wire.ParseError(body); ok {
+		return e
+	}
+	return serr.New(serr.Internal, "shard: shard %d answered %d with an unreadable error body", shardID, status)
 }
 
 // scatter fans one request wave out to the given shards concurrently and
@@ -119,12 +136,12 @@ func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string
 // deadline; the first shard failure (down, timed out, or answering an error
 // status) cancels the remaining calls and surfaces as the wave's error, so a
 // half-answered wave never yields a silently partial gather.
-func (c *Coordinator) scatter(ctx context.Context, shards []int, build func(shard int) (method, path string, body []byte)) ([]*wireResult, error) {
+func (c *Coordinator) scatter(ctx context.Context, shards []int, build func(shard int) (method, path string, body []byte)) ([]*wire.Result, error) {
 	c.scatters.Add(1)
 	wctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 
-	results := make([]*wireResult, len(shards))
+	results := make([]*wire.Result, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, s := range shards {

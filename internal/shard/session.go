@@ -9,6 +9,7 @@ import (
 
 	"smoke/internal/expr"
 	"smoke/internal/serr"
+	"smoke/internal/wire"
 )
 
 // session is the coordinator's view of one client session. The shards hold
@@ -37,7 +38,7 @@ type placement struct {
 	// gather map translating global slots ↔ per-shard partial rows.
 	table  string
 	nKeys  int
-	merged *wireResult
+	merged *wire.Result
 	gm     *gatherMap
 	// tbl snapshots the sharded table AS OF the run — the capture-time
 	// relation and rid-range starts. Traces translate seeds against this
@@ -75,7 +76,7 @@ func (s *session) placementOf(name string) *placement {
 // setup.
 func (c *Coordinator) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	if err := c.enter(); err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	defer c.exit()
@@ -118,7 +119,7 @@ func (c *Coordinator) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			writeError(w, err)
+			wire.WriteError(w, err)
 			return
 		}
 	}
@@ -136,7 +137,7 @@ func (c *Coordinator) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.sessions[id] = sess
 	c.mu.Unlock()
-	writeJSON(w, http.StatusCreated, map[string]any{
+	wire.WriteJSON(w, http.StatusCreated, map[string]any{
 		"id":          id,
 		"ttl_seconds": replies[0].ttl,
 	})
@@ -178,7 +179,7 @@ func (c *Coordinator) handleDropSession(w http.ResponseWriter, r *http.Request) 
 	}
 	c.mu.Unlock()
 	if !ok {
-		writeError(w, c.missingSessionErr(id))
+		wire.WriteError(w, c.missingSessionErr(id))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
@@ -203,7 +204,7 @@ func (c *Coordinator) handleDropSession(w http.ResponseWriter, r *http.Request) 
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			writeError(w, err)
+			wire.WriteError(w, err)
 			return
 		}
 	}

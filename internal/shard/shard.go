@@ -36,7 +36,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -48,6 +47,7 @@ import (
 	"smoke/internal/serr"
 	"smoke/internal/server"
 	"smoke/internal/storage"
+	"smoke/internal/wire"
 )
 
 // Config sizes a Coordinator. Zero fields take the documented defaults.
@@ -204,7 +204,7 @@ func (c *Coordinator) routes() {
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			writeError(w, serr.New(serr.Internal, "shard: internal panic: %v", rec))
+			wire.WriteError(w, serr.New(serr.Internal, "shard: internal panic: %v", rec))
 		}
 	}()
 	c.mux.ServeHTTP(w, r)
@@ -224,48 +224,6 @@ func (c *Coordinator) enter() error {
 }
 
 func (c *Coordinator) exit() { <-c.gate }
-
-type errorJSON struct {
-	Error struct {
-		Kind    string `json:"kind"`
-		Message string `json:"message"`
-		Pos     *int   `json:"pos,omitempty"`
-	} `json:"error"`
-}
-
-func statusOf(err error) int {
-	switch serr.KindOf(err) {
-	case serr.Invalid:
-		return http.StatusBadRequest
-	case serr.NotFound:
-		return http.StatusNotFound
-	case serr.Gone:
-		return http.StatusGone
-	case serr.Unsupported:
-		return http.StatusUnprocessableEntity
-	case serr.Busy:
-		return http.StatusTooManyRequests
-	case serr.Unavailable:
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	var body errorJSON
-	body.Error.Kind = serr.KindOf(err).String()
-	body.Error.Message = err.Error()
-	if pos := serr.PosOf(err); pos >= 0 {
-		body.Error.Pos = &pos
-	}
-	writeJSON(w, statusOf(err), body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
 
 // writeShardReply forwards a shard's reply verbatim (proxy paths).
 func writeShardReply(w http.ResponseWriter, res *callResult) {
@@ -334,27 +292,23 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	body["per_shard"] = perShard
-	writeJSON(w, http.StatusOK, body)
+	wire.WriteJSON(w, http.StatusOK, body)
 }
 
 func (c *Coordinator) handleListTables(w http.ResponseWriter, r *http.Request) {
 	type tbl struct {
-		Name   string           `json:"name"`
-		Rows   int              `json:"rows"`
-		Dist   string           `json:"dist"`
-		Schema []map[string]any `json:"schema"`
+		Name   string       `json:"name"`
+		Rows   int          `json:"rows"`
+		Dist   string       `json:"dist"`
+		Schema []wire.Field `json:"schema"`
 	}
 	c.mu.RLock()
 	var out []tbl
 	for name, t := range c.tables {
-		entry := tbl{Name: name, Rows: t.rel.N, Dist: t.dist}
-		for _, f := range t.rel.Schema {
-			entry.Schema = append(entry.Schema, map[string]any{"name": f.Name, "type": typeName(f.Type)})
-		}
-		out = append(out, entry)
+		out = append(out, tbl{Name: name, Rows: t.rel.N, Dist: t.dist, Schema: wire.Fields(t.rel.Schema)})
 	}
 	c.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{"tables": out})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"tables": out})
 }
 
 func (c *Coordinator) handleGetTable(w http.ResponseWriter, r *http.Request) {
@@ -363,26 +317,10 @@ func (c *Coordinator) handleGetTable(w http.ResponseWriter, r *http.Request) {
 	t, ok := c.tables[name]
 	c.mu.RUnlock()
 	if !ok {
-		writeError(w, serr.New(serr.NotFound, "shard: unknown table %q", name))
+		wire.WriteError(w, serr.New(serr.NotFound, "shard: unknown table %q", name))
 		return
 	}
-	var schema []map[string]any
-	for _, f := range t.rel.Schema {
-		schema = append(schema, map[string]any{"name": f.Name, "type": typeName(f.Type)})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "rows": t.rel.N, "dist": t.dist, "schema": schema})
-}
-
-func typeName(t storage.Type) string {
-	switch t {
-	case storage.TInt:
-		return "int"
-	case storage.TFloat:
-		return "float"
-	case storage.TString:
-		return "string"
-	}
-	return "?"
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "rows": t.rel.N, "dist": t.dist, "schema": wire.Fields(t.rel.Schema)})
 }
 
 // splitStarts computes the rid-range boundaries of an n-row table over the
@@ -411,7 +349,7 @@ func splitStarts(n, shards int) []int {
 func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if name == "" {
-		writeError(w, serr.New(serr.Invalid, "shard: table name is empty"))
+		wire.WriteError(w, serr.New(serr.Invalid, "shard: table name is empty"))
 		return
 	}
 	dist := strings.ToLower(r.URL.Query().Get("dist"))
@@ -420,7 +358,7 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		dist = "replicate"
 	case "shard", "replicate":
 	default:
-		writeError(w, serr.New(serr.Invalid, "shard: unknown dist %q (want shard or replicate)", dist))
+		wire.WriteError(w, serr.New(serr.Invalid, "shard: unknown dist %q (want shard or replicate)", dist))
 		return
 	}
 	pk := r.URL.Query().Get("pk")
@@ -432,24 +370,21 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "text/csv") {
 		rel, err = server.ParseTableCSV(name, http.MaxBytesReader(w, r.Body, maxBody), r.URL.Query().Get("types"))
 	} else {
-		body, rerr := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if rerr != nil {
-			writeError(w, serr.New(serr.Invalid, "shard: read body: %v", rerr))
-			return
+		var body wire.Table
+		if err = wire.DecodeRequest(http.MaxBytesReader(w, r.Body, maxBody), &body); err == nil {
+			rel, err = body.Relation(name)
 		}
-		var bodyPK string
-		rel, bodyPK, err = server.ParseTableJSON(name, body)
-		if err == nil && bodyPK != "" {
-			pk = bodyPK
+		if body.PK != "" {
+			pk = body.PK
 		}
 	}
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	if pk != "" {
 		if err := server.VerifyPK(rel, pk); err != nil {
-			writeError(w, err)
+			wire.WriteError(w, err)
 			return
 		}
 	}
@@ -471,7 +406,7 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.tables[name] = t
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "rows": rel.N})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "rows": rel.N})
 }
 
 // allShards returns [0, 1, ..., n-1].

@@ -179,6 +179,9 @@ func TestScatteredTraceMatchesSingleNode(t *testing.T) {
 			{Direction: "forward", Table: "fact", Rids: []int64{0, 51, 102}},
 			{Direction: "forward", Table: "fact", SeedWhere: "b = 1"},
 			{Direction: "forward", Table: "fact", Rids: []int64{5, 6, 7}, Where: "cnt > 20"},
+			// An empty brush: zero explicit seeds, not trace-all.
+			{Direction: "backward", Table: "fact", Rids: []int64{}},
+			{Direction: "forward", Table: "fact", Rids: []int64{}},
 		}
 		for i, tr := range traces {
 			want, err := refSess.Trace(ctx, "base", tr)
@@ -190,6 +193,14 @@ func TestScatteredTraceMatchesSingleNode(t *testing.T) {
 				t.Fatalf("shards=%d trace %d: %v", shards, i, err)
 			}
 			sameResult(t, fmt.Sprintf("shards=%d trace %d", shards, i), got, want)
+			// Identity with the reference cannot see a seed both sides drop:
+			// pin the rids contract absolutely.
+			switch {
+			case tr.Rids != nil && len(tr.Rids) == 0 && got.N != 0:
+				t.Fatalf("shards=%d trace %d: explicit empty seed traced %d rows, want 0", shards, i, got.N)
+			case tr.Rids == nil && tr.SeedWhere == "" && got.N != 103:
+				t.Fatalf("shards=%d trace %d: nil seed traced %d rows, want all 103", shards, i, got.N)
+			}
 		}
 	}
 }

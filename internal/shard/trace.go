@@ -14,51 +14,8 @@ import (
 	"smoke/internal/serr"
 	"smoke/internal/sql"
 	"smoke/internal/storage"
+	"smoke/internal/wire"
 )
-
-// traceBody mirrors the single-node trace request. Rids carries no omitempty
-// on purpose: nil means "trace everything" while a present-but-empty list is
-// an explicit zero-seed trace, and the outbound per-shard requests must keep
-// that distinction when they re-encode (omitempty would silently turn an
-// empty seed list into a trace-all).
-type traceBody struct {
-	Direction string         `json:"direction"`
-	Table     string         `json:"table"`
-	Rids      []int64        `json:"rids"`
-	SeedWhere string         `json:"seed_where,omitempty"`
-	Where     string         `json:"where,omitempty"`
-	GroupBy   []string       `json:"group_by,omitempty"`
-	Aggs      []aggJSON      `json:"aggs,omitempty"`
-	Capture   string         `json:"capture,omitempty"`
-	Compress  bool           `json:"compress,omitempty"`
-	Params    map[string]any `json:"params,omitempty"`
-	Retain    string         `json:"retain,omitempty"`
-	Strategy  string         `json:"strategy,omitempty"`
-}
-
-type aggJSON struct {
-	Fn   string `json:"fn"`
-	Arg  string `json:"arg,omitempty"`
-	Name string `json:"name,omitempty"`
-}
-
-func parseAggFn(s string) (ops.AggFn, error) {
-	switch strings.ToLower(s) {
-	case "count":
-		return ops.Count, nil
-	case "sum":
-		return ops.Sum, nil
-	case "avg":
-		return ops.Avg, nil
-	case "min":
-		return ops.Min, nil
-	case "max":
-		return ops.Max, nil
-	case "count_distinct":
-		return ops.CountDistinct, nil
-	}
-	return 0, serr.New(serr.Invalid, "server: unknown aggregate %q", s)
-}
 
 // handleTrace runs a bound trace against a retained result. Results retained
 // whole on the session's home shard (and every result in a single-shard
@@ -72,21 +29,17 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id, name := r.PathValue("id"), r.PathValue("name")
 	sess, err := c.lookupSession(id)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
-	body, err := readBody(w, r)
+	var req wire.TraceRequest
+	body, err := readRequest(w, r, &req)
 	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req traceBody
-	if jerr := unmarshalNumber(body, &req); jerr != nil {
-		writeError(w, serr.New(serr.Invalid, "server: bad request body: %v", jerr))
+		wire.WriteError(w, err)
 		return
 	}
 	if err := c.enter(); err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	defer c.exit()
@@ -103,7 +56,7 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 		res, err := c.nodes[sess.home].invoke(ctx, http.MethodPost, path, body, "application/json")
 		if err != nil {
 			c.shardTimeouts.Add(1)
-			writeError(w, err)
+			wire.WriteError(w, err)
 			return
 		}
 		writeShardReply(w, res)
@@ -112,29 +65,19 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	out, err := c.runScatteredTrace(r.Context(), sess, name, p, req)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	c.mergedTraces.Add(1)
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 // runScatteredTrace validates, routes, and gathers a trace against a
 // scattered placement.
-func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name string, p *placement, req traceBody) (*wireResult, error) {
-	backward := false
-	switch strings.ToLower(req.Direction) {
-	case "backward":
-		backward = true
-	case "forward":
-	default:
-		return nil, serr.New(serr.Invalid, "server: direction must be backward or forward, got %q", req.Direction)
-	}
-	if req.Table == "" {
-		return nil, serr.New(serr.Invalid, "server: trace needs a table")
-	}
-	if req.Rids != nil && req.SeedWhere != "" {
-		return nil, serr.New(serr.Invalid, "server: rids and seed_where are mutually exclusive")
+func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name string, p *placement, req wire.TraceRequest) (*wire.Result, error) {
+	backward, err := req.Validate()
+	if err != nil {
+		return nil, err
 	}
 	if req.Table != p.table {
 		// A scattered capture records lineage to the sharded table per shard.
@@ -149,7 +92,7 @@ func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name
 			"shard: retaining a trace of a scattered result is not supported; re-run the consuming query as a retained base query")
 	}
 	for _, a := range req.Aggs {
-		fn, err := parseAggFn(a.Fn)
+		fn, err := wire.ParseAggFn(a.Fn)
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +100,7 @@ func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name
 			return nil, serr.New(serr.Unsupported, "shard: COUNT(DISTINCT) does not decompose across shards; not supported")
 		}
 	}
-	params, err := paramsOf(req.Params)
+	params, err := wire.Params(req.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +116,7 @@ func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name
 // neither — every slot (the zero-seed "trace everything" expansion the
 // engine itself uses). The parsed seed predicate is returned alongside so
 // the scan-decision mirror can inspect its columns without re-parsing.
-func (p *placement) seedSlots(req traceBody, params expr.Params) ([]int, expr.Expr, error) {
+func (p *placement) seedSlots(req wire.TraceRequest, params expr.Params) ([]int, expr.Expr, error) {
 	if req.Rids != nil {
 		slots := make([]int, len(req.Rids))
 		for i, v := range req.Rids {
@@ -190,7 +133,7 @@ func (p *placement) seedSlots(req traceBody, params expr.Params) ([]int, expr.Ex
 		if err != nil {
 			return nil, nil, err
 		}
-		rel, err := relationOf("merged", p.merged.Columns, p.merged.Types, p.merged.Rows)
+		rel, err := p.merged.Relation("merged")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -264,8 +207,8 @@ func containsStr(xs []string, s string) bool {
 
 // shardTraceBody renders the per-shard request: same trace, shard-local
 // seeds. marshal cannot fail on these field types.
-func shardTraceBody(req traceBody, rids []int64, keepWhere bool) []byte {
-	out := traceBody{
+func shardTraceBody(req wire.TraceRequest, rids []int64, keepWhere bool) []byte {
+	out := wire.TraceRequest{
 		Direction: req.Direction,
 		Table:     req.Table,
 		Rids:      rids,
@@ -291,7 +234,7 @@ func (sess *session) tracePath(shard int, name string) string {
 // emptyTrace answers a zero-seed trace by asking one shard for its (empty)
 // result — the cheapest way to produce the exactly-right output schema for
 // every trace shape without re-deriving it coordinator-side.
-func (c *Coordinator) emptyTrace(ctx context.Context, sess *session, name string, req traceBody, keepWhere bool) (*wireResult, error) {
+func (c *Coordinator) emptyTrace(ctx context.Context, sess *session, name string, req wire.TraceRequest, keepWhere bool) (*wire.Result, error) {
 	parts, err := c.scatter(ctx, []int{0}, func(int) (string, string, []byte) {
 		return http.MethodPost, sess.tracePath(0, name), shardTraceBody(req, []int64{}, keepWhere)
 	})
@@ -320,7 +263,7 @@ func (c *Coordinator) emptyTrace(ctx context.Context, sess *session, name string
 // two-phase grouped merge; when the single node would have scanned, the
 // merged groups are re-ranked into scan discovery order (merge values are
 // order-insensitive, first-appearance order is not).
-func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name string, p *placement, req traceBody, params expr.Params) (*wireResult, error) {
+func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name string, p *placement, req wire.TraceRequest, params expr.Params) (*wire.Result, error) {
 	// Join placements (!scanOK) always take the per-seed path, and it is
 	// order-exact for them: the analyzer admits joins only with the sharded
 	// table as the probe side, so each group's captured lineage list is its
@@ -373,8 +316,8 @@ func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name
 // per-seed boundaries, so batching a shard's seeds into one request would
 // lose the seed-major interleave a single node produces. Crossfilter-style
 // interactions seed one output row, so the common case is exactly one wave.
-func (c *Coordinator) perSeedCells(ctx context.Context, sess *session, name string, p *placement, req traceBody, slots []int) ([]*wireResult, error) {
-	var cells []*wireResult
+func (c *Coordinator) perSeedCells(ctx context.Context, sess *session, name string, p *placement, req wire.TraceRequest, slots []int) ([]*wire.Result, error) {
+	var cells []*wire.Result
 	for _, g := range slots {
 		var participants []int
 		for s, local := range p.gm.globalToLocal[g] {
@@ -394,10 +337,10 @@ func (c *Coordinator) perSeedCells(ctx context.Context, sess *session, name stri
 	return cells, nil
 }
 
-func reqAggs(req traceBody) []ops.AggFn {
+func reqAggs(req wire.TraceRequest) []ops.AggFn {
 	aggs := make([]ops.AggFn, len(req.Aggs))
 	for i, a := range req.Aggs {
-		aggs[i], _ = parseAggFn(a.Fn) // validated in runScatteredTrace
+		aggs[i], _ = wire.ParseAggFn(a.Fn) // validated in runScatteredTrace
 	}
 	return aggs
 }
@@ -409,7 +352,7 @@ func reqAggs(req traceBody) []ops.AggFn {
 // bare trace needs no shard round-trip; a consuming trace still gathers its
 // aggregate VALUES from per-seed shard cells (two-phase merge) and takes only
 // its row ORDER from the scan's first-appearance sequence.
-func (c *Coordinator) scanBackward(ctx context.Context, sess *session, name string, p *placement, req traceBody, seedPred expr.Expr, params expr.Params, slots []int, path string) (*wireResult, error) {
+func (c *Coordinator) scanBackward(ctx context.Context, sess *session, name string, p *placement, req wire.TraceRequest, seedPred expr.Expr, params expr.Params, slots []int, path string) (*wire.Result, error) {
 	conj := p.scanPreds
 	if seedPred != nil {
 		conj = append(conj[:len(conj):len(conj)], seedPred)
@@ -427,9 +370,9 @@ func (c *Coordinator) scanBackward(ctx context.Context, sess *session, name stri
 	}
 
 	if len(req.GroupBy) == 0 && len(req.Aggs) == 0 {
-		out := wireRowsOf(p.tbl.rel, keep)
+		out := wire.Rows(p.tbl.rel, keep)
 		out.StrategyUsed = path
-		return out, nil
+		return &out, nil
 	}
 
 	// Consuming: correct values from the per-seed merge, scan-order rows.
@@ -487,35 +430,6 @@ func compileConj(preds []expr.Expr, rel *storage.Relation, params expr.Params) (
 	return func(r int) bool { return cp(int32(r)) }, nil
 }
 
-// wireRowsOf renders the rows of rel satisfying keep (nil = all) as a wire
-// result, in rid order — the scan rewrite's output shape.
-func wireRowsOf(rel *storage.Relation, keep func(int) bool) *wireResult {
-	out := &wireResult{Rows: [][]any{}}
-	for _, f := range rel.Schema {
-		out.Columns = append(out.Columns, f.Name)
-		out.Types = append(out.Types, typeName(f.Type))
-	}
-	for r := 0; r < rel.N; r++ {
-		if keep != nil && !keep(r) {
-			continue
-		}
-		row := make([]any, len(rel.Schema))
-		for ci, f := range rel.Schema {
-			switch f.Type {
-			case storage.TInt:
-				row[ci] = rel.Int(ci, r)
-			case storage.TFloat:
-				row[ci] = rel.Float(ci, r)
-			case storage.TString:
-				row[ci] = rel.Str(ci, r)
-			}
-		}
-		out.Rows = append(out.Rows, row)
-		out.N++
-	}
-	return out
-}
-
 // relKey renders the group-identity string of a base row's key columns in
 // exactly encodeKey's format, so ranks computed from the base relation match
 // keys computed from merged wire rows.
@@ -545,7 +459,7 @@ func relKey(rel *storage.Relation, cols []int, r int) string {
 // counts) into the given first-appearance order. Keys absent from the rank
 // map — which a correct merge never produces — keep their relative order at
 // the end rather than dropping rows.
-func reorderGrouped(merged *wireResult, nKeys int, rank map[string]int) {
+func reorderGrouped(merged *wire.Result, nKeys int, rank map[string]int) {
 	type slot struct {
 		row  []any
 		gc   int64
@@ -573,8 +487,8 @@ func reorderGrouped(merged *wireResult, nKeys int, rank map[string]int) {
 }
 
 // concatCells concatenates non-consuming trace cells in order.
-func concatCells(cells []*wireResult) *wireResult {
-	out := &wireResult{Columns: cells[0].Columns, Types: cells[0].Types, Rows: [][]any{}}
+func concatCells(cells []*wire.Result) *wire.Result {
+	out := &wire.Result{Columns: cells[0].Columns, Types: cells[0].Types, Rows: [][]any{}}
 	strategy, uniform := cells[0].StrategyUsed, true
 	for _, cell := range cells {
 		out.Rows = append(out.Rows, cell.Rows...)
@@ -597,7 +511,7 @@ func concatCells(cells []*wireResult) *wireResult {
 // global row by group identity and applies the consuming filter against the
 // MERGED values, because the shard-local partial aggregates are not the
 // values a single node's filter would see.
-func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name string, p *placement, req traceBody, params expr.Params) (*wireResult, error) {
+func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name string, p *placement, req wire.TraceRequest, params expr.Params) (*wire.Result, error) {
 	if len(req.GroupBy) > 0 || len(req.Aggs) > 0 {
 		return nil, serr.New(serr.Unsupported,
 			"shard: consuming forward traces of a scattered result are not supported")
@@ -654,7 +568,7 @@ func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name 
 		if err != nil {
 			return nil, err
 		}
-		rel, err := relationOf("merged", p.merged.Columns, p.merged.Types, p.merged.Rows)
+		rel, err := p.merged.Relation("merged")
 		if err != nil {
 			return nil, err
 		}
@@ -671,7 +585,7 @@ func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name 
 	// Maximal same-owner seed runs, one shard request per run: the shard
 	// answers its seeds' reached rows in seed order, so run-order concat is
 	// the global seed-order concat.
-	out := &wireResult{Columns: p.merged.Columns, Types: p.merged.Types, Rows: [][]any{}}
+	out := &wire.Result{Columns: p.merged.Columns, Types: p.merged.Types, Rows: [][]any{}}
 	strategy, uniform, first := "", true, true
 	for i := 0; i < len(seeds); {
 		owner := t.ownerOf(seeds[i])

@@ -1,0 +1,262 @@
+package wire
+
+import (
+	"encoding/json"
+	"errors"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"smoke/internal/expr"
+	"smoke/internal/serr"
+	"smoke/internal/storage"
+)
+
+// TestGoldenBytes pins the encoded form of every body: these bytes are the
+// contract clients and shards were built against.
+func TestGoldenBytes(t *testing.T) {
+	cases := []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"result", Result{
+			Columns: []string{"k", "v"}, Types: []string{"int", "float"},
+			Rows: [][]any{{int64(1), 2.5}}, N: 1,
+		}, `{"columns":["k","v"],"types":["int","float"],"rows":[[1,2.5]],"row_count":1}`},
+		{"result, every annotation", Result{
+			Columns: []string{"k"}, Types: []string{"string"}, Rows: [][]any{}, N: 0,
+			GroupCounts: []int64{3}, Cached: true, Explain: "plan", Retained: "r", StrategyUsed: "lazy",
+		}, `{"columns":["k"],"types":["string"],"rows":[],"row_count":0,"group_counts":[3],"cached":true,"explain":"plan","retained":"r","strategy_used":"lazy"}`},
+		{"trace, nil rids = everything", TraceRequest{Direction: "backward", Table: "t"},
+			`{"direction":"backward","table":"t","rids":null}`},
+		{"trace, empty rids = nothing", TraceRequest{Direction: "backward", Table: "t", Rids: []int64{}},
+			`{"direction":"backward","table":"t","rids":[]}`},
+		{"trace, every field", TraceRequest{
+			Direction: "forward", Table: "t", Rids: []int64{4, 2}, SeedWhere: "a = 1", Where: "b < 2",
+			GroupBy: []string{"g"}, Aggs: []Agg{{Fn: "count"}, {Fn: "sum", Arg: "v", Name: "sv"}},
+			Capture: "inject", Compress: true, Params: map[string]any{"p": 1}, Retain: "drill", Strategy: "eager",
+		}, `{"direction":"forward","table":"t","rids":[4,2],"seed_where":"a = 1","where":"b \u003c 2","group_by":["g"],` +
+			`"aggs":[{"fn":"count"},{"fn":"sum","arg":"v","name":"sv"}],"capture":"inject","compress":true,` +
+			`"params":{"p":1},"retain":"drill","strategy":"eager"}`},
+		{"query, sql only", QueryRequest{SQL: "SELECT 1"}, `{"sql":"SELECT 1"}`},
+		{"query, every field", QueryRequest{
+			SQL: "SELECT 1", Capture: "defer", Compress: true, Params: map[string]any{"x": "y"}, Strategy: "auto",
+		}, `{"sql":"SELECT 1","capture":"defer","compress":true,"params":{"x":"y"},"strategy":"auto"}`},
+		{"table", Table{Schema: []Field{{Name: "a", Type: "int"}}, Rows: [][]any{{1}}, PK: "a"},
+			`{"schema":[{"name":"a","type":"int"}],"rows":[[1]],"pk":"a"}`},
+	}
+	for _, c := range cases {
+		got, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestErrorBodies pins the error reply (with and without a SQL position) and
+// checks that every kind maps to its own status and survives the trip back
+// through ParseError.
+func TestErrorBodies(t *testing.T) {
+	golden := []struct {
+		err    error
+		status int
+		body   string
+	}{
+		{serr.New(serr.NotFound, "no table %q", "t"), 404,
+			`{"error":{"kind":"not_found","message":"no table \"t\""}}` + "\n"},
+		{serr.At(serr.Invalid, 7, "bad token"), 400,
+			`{"error":{"kind":"invalid","message":"bad token (at offset 7)","pos":7}}` + "\n"},
+		{errors.New("plain"), 500, `{"error":{"kind":"internal","message":"plain"}}` + "\n"},
+	}
+	for _, g := range golden {
+		rec := httptest.NewRecorder()
+		WriteError(rec, g.err)
+		if rec.Code != g.status || rec.Body.String() != g.body {
+			t.Errorf("WriteError(%v) = %d %q, want %d %q", g.err, rec.Code, rec.Body.String(), g.status, g.body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Content-Type = %q", ct)
+		}
+	}
+
+	kinds := []serr.Kind{serr.Internal, serr.Invalid, serr.NotFound, serr.Unsupported, serr.Gone, serr.Busy, serr.Unavailable}
+	seen := map[int]serr.Kind{}
+	for _, k := range kinds {
+		rec := httptest.NewRecorder()
+		WriteError(rec, serr.New(k, "boom"))
+		if prev, dup := seen[rec.Code]; dup {
+			t.Errorf("kinds %v and %v share status %d", prev, k, rec.Code)
+		}
+		seen[rec.Code] = k
+		back, ok := ParseError(rec.Body.Bytes())
+		if !ok || back.Kind != k || back.Msg != "boom" || back.Pos != -1 || StatusOf(back) != rec.Code {
+			t.Errorf("kind %v: status %d parsed back as %+v (ok=%v)", k, rec.Code, back, ok)
+		}
+	}
+	if back, ok := ParseError([]byte(`{"error":{"kind":"invalid","message":"m","pos":3}}`)); !ok || back.Pos != 3 || back.Msg != "m" {
+		t.Errorf("positioned body parsed as %+v (ok=%v)", back, ok)
+	}
+	for _, junk := range []string{"", "404 page not found", `{"rows":[]}`} {
+		if _, ok := ParseError([]byte(junk)); ok {
+			t.Errorf("ParseError(%q) accepted a non-error body", junk)
+		}
+	}
+}
+
+// TestDecodeNormalizeExact: an int64 beyond float64's 2^53 integer range
+// survives decode and normalization bit-exact.
+func TestDecodeNormalizeExact(t *testing.T) {
+	const big = int64(1)<<53 + 1
+	body := `{"columns":["i","f","s"],"types":["int","float","string"],"rows":[[9007199254740993,0.25,"x"]],"row_count":1}`
+	var r Result
+	if err := Decode(strings.NewReader(body), &r); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Rows[0][0].(json.Number); !ok {
+		t.Fatalf("decoded int is %T, want json.Number", r.Rows[0][0])
+	}
+	r.Normalize()
+	if want := []any{big, 0.25, "x"}; !reflect.DeepEqual(r.Rows[0], want) {
+		t.Fatalf("normalized row = %#v, want %#v", r.Rows[0], want)
+	}
+	if err := DecodeRequest(strings.NewReader("{"), &r); serr.KindOf(err) != serr.Invalid {
+		t.Fatalf("truncated request body = %v, want Invalid", err)
+	}
+}
+
+func TestParams(t *testing.T) {
+	var in map[string]any
+	if err := Decode(strings.NewReader(`{"i":3,"f":3.5,"e":1e3,"s":"x","b":true}`), &in); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Params(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := expr.Params{"i": int64(3), "f": 3.5, "e": 1000.0, "s": "x", "b": true}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Params = %#v, want %#v", got, want)
+	}
+	if p, err := Params(nil); p != nil || err != nil {
+		t.Fatalf("Params(nil) = %v, %v", p, err)
+	}
+	if _, err := Params(map[string]any{"o": map[string]any{"nested": 1}}); serr.KindOf(err) != serr.Invalid {
+		t.Fatalf("nested object parameter = %v, want Invalid", err)
+	}
+}
+
+// TestRelationRoundTrip: relation → rows → relation is the identity, through
+// JSON and through the row filter.
+func TestRelationRoundTrip(t *testing.T) {
+	rel := storage.NewRelation("t", storage.Schema{
+		{Name: "i", Type: storage.TInt}, {Name: "f", Type: storage.TFloat}, {Name: "s", Type: storage.TString},
+	}, 0)
+	rel.AppendRow(int64(1)<<53+1, 0.5, "a")
+	rel.AppendRow(int64(-2), 1.25, "b")
+	rel.AppendRow(int64(3), -7.0, "")
+
+	all := Rows(rel, nil)
+	if all.N != 3 || !reflect.DeepEqual(all.Columns, []string{"i", "f", "s"}) || !reflect.DeepEqual(all.Types, []string{"int", "float", "string"}) {
+		t.Fatalf("Rows = %+v", all)
+	}
+	// Over the wire and back.
+	data, err := json.Marshal(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Result
+	if err := Decode(strings.NewReader(string(data)), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	decoded.Normalize()
+	back, err := decoded.Relation("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Schema, rel.Schema) || back.N != rel.N {
+		t.Fatalf("round-trip schema/rows = %v/%d, want %v/%d", back.Schema, back.N, rel.Schema, rel.N)
+	}
+	for r := 0; r < rel.N; r++ {
+		if !reflect.DeepEqual(back.Row(r), rel.Row(r)) {
+			t.Fatalf("row %d = %v, want %v", r, back.Row(r), rel.Row(r))
+		}
+	}
+
+	odd := Rows(rel, func(rid int) bool { return rid%2 == 0 })
+	if odd.N != 2 || !reflect.DeepEqual(odd.Rows, [][]any{rel.Row(0), rel.Row(2)}) {
+		t.Fatalf("filtered Rows = %+v", odd)
+	}
+	if none := Rows(rel, func(int) bool { return false }); none.N != 0 || none.Rows == nil {
+		t.Fatalf("empty filter = %+v, want zero rows encoding as []", none)
+	}
+
+	// The ingest direction rejects what it cannot place.
+	for _, bad := range []Table{
+		{},
+		{Schema: []Field{{Name: "", Type: "int"}}},
+		{Schema: []Field{{Name: "a", Type: "decimal"}}},
+		{Schema: []Field{{Name: "a", Type: "int"}}, Rows: [][]any{{1, 2}}},
+		{Schema: []Field{{Name: "a", Type: "int"}}, Rows: [][]any{{"x"}}},
+		{Schema: []Field{{Name: "a", Type: "string"}}, Rows: [][]any{{json.Number("1")}}},
+	} {
+		if _, err := bad.Relation("t"); serr.KindOf(err) != serr.Invalid {
+			t.Errorf("Table %+v = %v, want Invalid", bad, err)
+		}
+	}
+	if _, err := (&Result{Columns: []string{"a"}, Types: []string{"int"}, Rows: [][]any{{"x"}}}).Relation("t"); serr.KindOf(err) != serr.Internal {
+		t.Errorf("malformed result = %v, want Internal", err)
+	}
+}
+
+func TestTraceValidate(t *testing.T) {
+	cases := []struct {
+		req      TraceRequest
+		backward bool
+		bad      bool
+	}{
+		{TraceRequest{Direction: "backward", Table: "t"}, true, false},
+		{TraceRequest{Direction: "FORWARD", Table: "t", Rids: []int64{}}, false, false},
+		{TraceRequest{Direction: "backward", Table: "t", SeedWhere: "a = 1"}, true, false},
+		{TraceRequest{Direction: "backward"}, false, true},
+		{TraceRequest{Direction: "sideways", Table: "t"}, false, true},
+		{TraceRequest{Direction: "backward", Table: "t", Rids: []int64{}, SeedWhere: "a = 1"}, false, true},
+	}
+	for _, c := range cases {
+		backward, err := c.req.Validate()
+		if (err != nil) != c.bad || backward != c.backward || (c.bad && serr.KindOf(err) != serr.Invalid) {
+			t.Errorf("Validate(%+v) = %v, %v", c.req, backward, err)
+		}
+	}
+}
+
+// TestNameTables: every wire name parses to its engine value and back.
+func TestNameTables(t *testing.T) {
+	for _, ty := range []storage.Type{storage.TInt, storage.TFloat, storage.TString} {
+		if back, err := ParseType(TypeName(ty)); err != nil || back != ty {
+			t.Errorf("type %v → %q → %v, %v", ty, TypeName(ty), back, err)
+		}
+	}
+	for _, name := range []string{"count", "sum", "avg", "min", "max", "count_distinct"} {
+		if _, err := ParseAggFn(strings.ToUpper(name)); err != nil {
+			t.Errorf("aggregate %q: %v", name, err)
+		}
+	}
+	for _, name := range []string{"", "none", "inject", "defer"} {
+		if _, err := ParseCaptureMode(name, 0); err != nil {
+			t.Errorf("capture mode %q: %v", name, err)
+		}
+	}
+	_, e1 := ParseType("decimal")
+	_, e2 := ParseAggFn("median")
+	_, e3 := ParseCaptureMode("eager", 0)
+	for _, err := range []error{e1, e2, e3} {
+		if serr.KindOf(err) != serr.Invalid {
+			t.Errorf("unknown name = %v, want Invalid", err)
+		}
+	}
+}

@@ -33,7 +33,7 @@
 // with end-to-end lineage composed across blocks. See DESIGN.md "Plan layer
 // & optimizer".
 //
-// Lineage consumption is a plan citizen too: Query.Backward/Forward (and
+// Lineage consumption is a plan citizen too: Query.Trace (and
 // the SQL LINEAGE BACKWARD/FORWARD clause) start a query from a trace of a
 // prior result's captured indexes, re-aggregating the traced rows through
 // the same optimizer (consuming predicates push through the trace;
