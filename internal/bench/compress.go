@@ -28,12 +28,16 @@ import (
 // directions), gates on element-identical lineage — including a
 // morsel-parallel compressed run, which exercises the encoded-concat merge —
 // and then reports bytes-per-rid and backward/forward trace latency for
-// three representations: raw, compressed (decode-expansion through the chunk
-// cursor), and compressed-insitu (TraceInSitu — the trace result stays
-// encoded, no chunk is ever decoded; its equality to the raw trace is gated
-// outside the timed region). It also times the compressed capture itself at
-// workers ∈ {1, 2, 4, 8} (the encoded-concat merge scaling). Results land in
-// BENCH_compress.json with a detected-cores annotation.
+// four representations: raw, compressed (Index.Trace — the expanding trace:
+// headers size the output, each chunk decodes once), compressed-merged (the
+// same expansion over the morsel-parallel capture, whose lists are one chunk
+// per contributing partition — the shape a served capture has), and
+// compressed-insitu (TraceInSitu — the trace result stays encoded, no chunk
+// is ever decoded; its equality to the raw trace is gated outside the timed
+// region). The compressed rows over the raw row are the encoded-vs-raw trace
+// ratios. It also times the compressed capture itself at workers ∈ {1, 2, 4,
+// 8} (the encoded-concat merge scaling). Results land in BENCH_compress.json
+// with a detected-cores annotation.
 func Compress(cfg Config) error {
 	n := 400_000
 	groups := 1_000
@@ -143,6 +147,7 @@ func Compress(cfg Config) error {
 		}{
 			{"raw", rawBW, rawFW},
 			{"compressed", compBW, compFW},
+			{"compressed-merged", parComp.BackwardIndex(), parComp.ForwardIndex()},
 		} {
 			bw, fw := m.bw, m.fw
 			bwD := cfg.Median(func() { bw.Trace(outRids) })

@@ -82,10 +82,15 @@ func Spill(cfg Config) error {
 		return err
 	}
 
-	// Promote: map the segment back and restore a servable result.
+	// Promote: map the segment back, validate its chunk bytes (the full
+	// restore's check, as the server's promotion runs it) and restore a
+	// servable result.
 	var disk *core.Result
 	promote := cfg.Median(func() {
 		ld, perr := store.LoadResult("sSpill", "view")
+		if perr == nil {
+			perr = ld.Capture.Validate()
+		}
 		if perr != nil {
 			err = perr
 			return

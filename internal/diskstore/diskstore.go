@@ -21,6 +21,8 @@ package diskstore
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,12 +93,16 @@ type Store struct {
 	// relByFile dedups loads: results sharing a base segment share the
 	// loaded *Relation.
 	relByFile map[string]*storage.Relation
+	// stale is what Open dropped because the segment was written in format
+	// v1: session id → result names (see StaleResults).
+	stale map[string][]string
 }
 
 // Open opens (or initializes) a store directory: loads the manifest, drops
-// manifest entries whose segment files are missing, and sweeps orphaned
-// segment and temp files left by a crash between segment rename and manifest
-// publish.
+// manifest entries whose segment files are missing or were written in the
+// previous segment format, and sweeps the files nothing references any more
+// — those, and the orphaned segment and temp files left by a crash between
+// segment rename and manifest publish.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -106,6 +112,7 @@ func Open(dir string) (*Store, error) {
 		man:       manifest{Version: 1, Tables: map[string]tableEntry{}, Sessions: map[string]*sessionEntry{}},
 		relFiles:  map[*storage.Relation]string{},
 		relByFile: map[string]*storage.Relation{},
+		stale:     map[string][]string{},
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
@@ -124,31 +131,50 @@ func Open(dir string) (*Store, error) {
 	default:
 		return nil, err
 	}
-	s.dropMissing()
+	s.dropUnusable()
 	if err := s.sweepOrphans(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// dropMissing removes manifest entries whose backing file vanished (partial
-// corruption, manual deletion): recovery is best-effort per entry, not
-// all-or-nothing.
-func (s *Store) dropMissing() {
+// dropUnusable removes manifest entries this build cannot serve: those whose
+// backing file vanished (partial corruption, manual deletion) and results
+// whose segment is format v1, i.e. holds lineage chunks no decoder reads any
+// more. Recovery is best-effort per entry, not all-or-nothing. The v1 results
+// are remembered (StaleResults) and reported in one log line; their files go
+// with the orphan sweep that follows. v1 table and base segments still load.
+func (s *Store) dropUnusable() {
 	exists := func(file string) bool {
 		_, err := os.Stat(filepath.Join(s.dir, file))
 		return err == nil
+	}
+	isV1 := func(file string) bool {
+		f, err := os.Open(filepath.Join(s.dir, file))
+		if err != nil {
+			return false
+		}
+		defer f.Close()
+		var magic [len(segMagicV1)]byte
+		_, err = io.ReadFull(f, magic[:])
+		return err == nil && string(magic[:]) == segMagicV1
 	}
 	for name, t := range s.man.Tables {
 		if !exists(t.File) {
 			delete(s.man.Tables, name)
 		}
 	}
+	stale := 0
 	for sid, se := range s.man.Sessions {
 		for name, re := range se.Results {
 			ok := exists(re.File)
 			for _, b := range re.Bases {
 				ok = ok && exists(b)
+			}
+			if ok && isV1(re.File) {
+				s.stale[sid] = append(s.stale[sid], name)
+				stale++
+				ok = false
 			}
 			if !ok {
 				delete(se.Results, name)
@@ -158,7 +184,16 @@ func (s *Store) dropMissing() {
 			delete(s.man.Sessions, sid)
 		}
 	}
+	if stale > 0 {
+		log.Printf("diskstore: %s: dropped %d retained results written in segment format v1 (the lineage chunk format changed); re-run their base queries", s.dir, stale)
+	}
 }
+
+// StaleResults returns the results Open dropped because their segments were
+// written in the previous format: session id → result names. They are gone
+// for good — the server answers 410 for them, as for any evicted result whose
+// query it no longer remembers.
+func (s *Store) StaleResults() map[string][]string { return s.stale }
 
 // referenced returns every segment file the manifest reaches.
 func (s *Store) referenced() map[string]bool {

@@ -144,6 +144,9 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Fatalf("group counts differ: %v vs %v", got.GroupCounts, res.GroupCounts)
 	}
 	sameRelation(t, got.Bases["orders"], base)
+	if err := got.Capture.Validate(); err != nil {
+		t.Fatalf("chunk bytes of a segment this build wrote do not validate: %v", err)
+	}
 
 	seeds := []lineage.Rid{0, 3, 15}
 	wantBW, err := res.Capture.Backward("orders", seeds)
@@ -453,4 +456,86 @@ func mustReadDir(t *testing.T, dir string) []string {
 		names = append(names, e.Name())
 	}
 	return names
+}
+
+// rewriteMagic stamps a segment file's header and trailer with magic, turning
+// a file this build wrote into what another format version left behind.
+func rewriteMagic(t *testing.T, path, magic string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, magic)
+	copy(data[len(data)-len(magic):], magic)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A data dir written in segment format v1 (chunk format v1) must reopen
+// cleanly: its result segments hold chunks nothing decodes any more, so they
+// are dropped — reported through StaleResults, their files removed — while
+// its tables, whose layout did not change, still load. Nothing surfaces as a
+// corrupt segment.
+func TestOpenDropsFormatV1Results(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := testRelation("orders", 211)
+	if err := s.PutTable(base, "id"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutResult("s1", "old", buildResult(base)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Everything on disk so far becomes a v1 file, the table's segment too.
+	var oldResult string
+	for _, name := range mustReadDir(t, dir) {
+		if filepath.Ext(name) != ".seg" {
+			continue
+		}
+		rewriteMagic(t, filepath.Join(dir, name), segMagicV1)
+		if name[0] == 's' { // result segments are s*.seg, tables t*, spilled bases r*
+			oldResult = name
+		}
+	}
+	if oldResult == "" {
+		t.Fatal("no result segment on disk")
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open over a v1 data dir: %v", err)
+	}
+	defer s2.Close()
+	if got := s2.StaleResults(); !reflect.DeepEqual(got, map[string][]string{"s1": {"old"}}) {
+		t.Fatalf("StaleResults = %v, want s1/old", got)
+	}
+	if got := s2.Sessions(); len(got) != 0 {
+		t.Fatalf("v1 result still listed: %v", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, oldResult)); !os.IsNotExist(err) {
+		t.Fatalf("v1 result segment %s was not removed (stat: %v)", oldResult, err)
+	}
+	tbl, err := s2.LoadTable("orders")
+	if err != nil {
+		t.Fatalf("v1 table segment must still load: %v", err)
+	}
+	sameRelation(t, tbl, base)
+	// The store keeps working in the current format beside the v1 table.
+	if _, err := s2.PutResult("s1", "new", buildResult(tbl)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.LoadResult("s1", "new"); err != nil {
+		t.Fatal(err)
+	}
 }

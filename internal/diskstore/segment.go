@@ -4,7 +4,7 @@ package diskstore
 // result (output relation + group counts + encoded lineage indexes + base
 // relations), laid out mmap-friendly:
 //
-//	[0, 8)      magic "SMKSEG1\n"
+//	[0, 8)      magic "SMKSEG2\n"
 //	[4096, ...) sections, each starting on a 4096-byte page boundary
 //	...         JSON directory (segMeta)
 //	trailer     uint32 LE directory length | magic (the file's last 12 bytes)
@@ -21,6 +21,13 @@ package diskstore
 // Integer sections are native-endian (the store is a cache local to one
 // machine, not an interchange format); the magic would have to be versioned
 // before a cross-architecture reader could exist.
+//
+// The magic's digit is the format version. Lineage chunk bytes are persisted
+// verbatim, so the chunk format (internal/lineage/encoded.go) is part of this
+// one: version 2 is chunk format v2. Nothing decodes v1 chunks any more, so a
+// v1 result segment is unreadable — Open drops those (see dropUnusable) — but
+// a v1 relation segment holds no chunk bytes, has the same layout, and still
+// loads: an upgrade must not lose ingested tables.
 
 import (
 	"bufio"
@@ -39,8 +46,9 @@ import (
 )
 
 const (
-	segMagic = "SMKSEG1\n"
-	pageSize = 4096
+	segMagic   = "SMKSEG2\n"
+	segMagicV1 = "SMKSEG1\n"
+	pageSize   = 4096
 )
 
 type sectionMeta struct {
@@ -245,10 +253,11 @@ func openSegment(path string, full bool) (*segment, error) {
 
 func (s *segment) parse(full bool) error {
 	size := int64(len(s.data))
-	if string(s.data[:len(segMagic)]) != segMagic {
+	magic := string(s.data[:len(segMagic)])
+	if magic != segMagic && magic != segMagicV1 {
 		return corruptf(s.path, "bad magic")
 	}
-	if string(s.data[size-8:]) != segMagic {
+	if string(s.data[size-8:]) != magic {
 		return corruptf(s.path, "bad trailer magic (torn write?)")
 	}
 	metaLen := int64(binary.LittleEndian.Uint32(s.data[size-12 : size-8]))
@@ -258,6 +267,9 @@ func (s *segment) parse(full bool) error {
 	}
 	if err := json.Unmarshal(s.data[metaOff:size-12], &s.meta); err != nil {
 		return corruptf(s.path, "directory does not parse: %v", err)
+	}
+	if magic == segMagicV1 && s.meta.Kind != "relation" {
+		return corruptf(s.path, "format v1 %s segment: its lineage chunks predate chunk format v2", s.meta.Kind)
 	}
 	for _, sec := range s.meta.Sections {
 		if sec.Off < pageSize || sec.Len < 0 || sec.Off+sec.Len > metaOff {

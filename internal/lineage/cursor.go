@@ -4,24 +4,36 @@ package lineage
 // kernels share: an encoded rid list is a sequence of self-contained chunks
 // (see encoded.go), and a ChunkCursor walks them one at a time exposing
 // count, bounds, and expansion — without ever materializing the whole list.
-// Three trace strategies build on it:
+// Every chunk's byte extent comes from its header (format v2), so advancing
+// the cursor never reads a payload; only sub-lenHeaderMin varint chunks are
+// delimited by a (bounded) walk. Three trace strategies build on it:
 //
-//   - Expansion (EncodedIndex.AppendList): each chunk pre-grows the output
-//     by its exact count and fills it with indexed writes — no per-element
-//     append, no growth checks in the inner loop.
+//   - Expansion: every decoding caller runs the one chunk loop (appendChunks
+//     → Chunk.ExpandInto) over the word-at-a-time kernels below — 8 payload
+//     bytes per step for gaps chunks, 64-bit words for bitmaps. Multi-seed
+//     traces (Index.Trace, ParTrace, ParTraceFiltered, via
+//     EncodedIndex.AppendLists) and EncodedList.AppendTo first size the output
+//     exactly from the headers, so each chunk decodes once into its final
+//     slot; one-entry probes (TraceOne, and Compose/Invert through it) reuse
+//     a caller buffer and let each chunk's header pre-grow it.
 //   - In-situ trace (TraceInSitu / ParTraceInSitu): because chunks are
 //     self-contained, the backward trace of a seed set is the byte
-//     concatenation of the seeds' chunk bytes. The result stays encoded
-//     (EncodedList) and moves ~1–2 bytes per rid instead of decoding and
-//     copying 4 — on dense lineage the encoded trace beats the raw one.
+//     concatenation of the seeds' chunk bytes, and its element count is a sum
+//     of headers — no payload is decoded or even scanned. The result stays
+//     encoded (EncodedList) and moves ~1–2 bytes per rid instead of 4.
 //   - In-situ intersection (IntersectEncoded): chunk pairs dispatch on their
 //     encodings — range∩range is O(1) overlap arithmetic, bitmap∩bitmap is a
 //     byte-wise AND — and only mismatched pairs fall back to expand-and-merge
 //     over pooled scratch.
+//
+// The cursor and the kernels trust their bytes: an index built by the encoder
+// is well-formed by construction, and bytes from outside the process pass
+// ValidateEncoded (parts.go) before a cursor sees them.
 
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"smoke/internal/scratch"
 )
@@ -30,9 +42,9 @@ import (
 type Chunk struct {
 	Tag   byte
 	N     int // element count
-	Start Rid // first rid (range/RLE start, bitmap base, first raw/delta element)
+	Start Rid // first rid (range/RLE start, bitmap base, first raw/gaps/delta element)
 	// Payload is the per-kind body: raw = 4·N little-endian rids (including
-	// the first), delta = the N-1 zigzag varints after the first value, RLE =
+	// the first), gaps/delta = the N-1 varints after the first value, RLE =
 	// the run/gap varint stream, bitmap = the bitmap bytes, range = empty.
 	Payload []byte
 	// rawRids carries an in-memory list through the Chunk shape (RawCursor);
@@ -58,9 +70,10 @@ type EncCursor struct {
 // EncodedIndex.ListBytes or EncodedList.Data).
 func NewEncCursor(b []byte) *EncCursor { return &EncCursor{rest: b} }
 
-// Next parses the next chunk. Parsing is O(1) for raw, range, and bitmap
-// chunks; delta and RLE payloads are delimited by walking their varints
-// (their byte length is not stored).
+// Next parses the next chunk: the one parser of the chunk format. It reads
+// header fields only — a varint-stream chunk's extent is its recorded body
+// length — except below lenHeaderMin elements, where the body is delimited by
+// walking its (at most lenHeaderMin-1) varints.
 func (c *EncCursor) Next() (Chunk, bool) {
 	b := c.rest
 	if len(b) == 0 {
@@ -80,33 +93,22 @@ func (c *EncCursor) Next() (Chunk, bool) {
 		s, k := binary.Uvarint(b)
 		ch.Start = Rid(s)
 		b = b[k:]
-	case chunkDelta:
-		u, k := binary.Uvarint(b)
-		ch.Start = Rid(unzigzag(u))
-		b = b[k:]
-		end := 0
-		for j := 1; j < n; j++ {
-			_, k := binary.Uvarint(b[end:])
-			end += k
+	case chunkGaps, chunkDelta, chunkRLE:
+		var body []byte
+		if n >= lenHeaderMin {
+			l, k := binary.Uvarint(b)
+			body, b = b[k:k+int(l)], b[k+int(l):]
+		} else {
+			end := shortBodyLen(tag, n, b)
+			body, b = b[:end], b[end:]
 		}
-		ch.Payload = b[:end]
-		b = b[end:]
-	case chunkRLE:
-		s, k := binary.Uvarint(b)
-		ch.Start = Rid(s)
-		b = b[k:]
-		end := 0
-		for rem := n; rem > 0; {
-			l64, k := binary.Uvarint(b[end:])
-			end += k
-			rem -= int(l64)
-			if rem > 0 {
-				_, k := binary.Uvarint(b[end:])
-				end += k
-			}
+		s, k := binary.Uvarint(body)
+		if tag == chunkDelta {
+			ch.Start = Rid(unzigzag(s))
+		} else {
+			ch.Start = Rid(s)
 		}
-		ch.Payload = b[:end]
-		b = b[end:]
+		ch.Payload = body[k:]
 	case chunkBitmap:
 		base, k := binary.Uvarint(b)
 		b = b[k:]
@@ -118,6 +120,32 @@ func (c *EncCursor) Next() (Chunk, bool) {
 	}
 	c.rest = b
 	return ch, true
+}
+
+// shortBodyLen delimits the body of a varint-stream chunk too small to carry
+// a length field: n varints for gaps/delta, the start plus the run/gap stream
+// covering n elements for RLE.
+func shortBodyLen(tag byte, n int, b []byte) int {
+	end := 0
+	if tag != chunkRLE {
+		for ; n > 0; end++ {
+			if b[end] < 0x80 {
+				n--
+			}
+		}
+		return end
+	}
+	_, end = binary.Uvarint(b)
+	for rem := n; rem > 0; {
+		l, k := binary.Uvarint(b[end:])
+		end += k
+		rem -= int(l)
+		if rem > 0 {
+			_, k := binary.Uvarint(b[end:])
+			end += k
+		}
+	}
+	return end
 }
 
 // RawCursor presents a raw rid array as a single-chunk cursor, so kernels
@@ -164,75 +192,192 @@ func (ch *Chunk) Bounds() (lo, hi Rid, ok bool) {
 	return 0, 0, false
 }
 
-// ExpandInto appends the chunk's rids to dst: one exact pre-grow, then
-// indexed writes — the no-append decode kernel every expansion path shares.
+// ExpandInto appends the chunk's rids to dst: one exact pre-grow (a no-op
+// when the caller sized dst from the headers), then the per-kind kernel fills
+// the chunk's slot with indexed writes — the decode every expansion path
+// shares.
 func (ch *Chunk) ExpandInto(dst []Rid) []Rid {
 	n := ch.N
 	if n == 0 {
 		return dst
 	}
 	off := len(dst)
-	if cap(dst)-off < n {
-		dst = append(dst, make([]Rid, n)...)
-	} else {
-		dst = dst[:off+n]
-	}
-	out := dst[off : off+n]
+	dst = slices.Grow(dst, n)[:off+n]
+	out := dst[off : off+n : off+n]
 	switch ch.Tag {
 	case chunkRaw:
 		if ch.rawRids != nil {
 			copy(out, ch.rawRids)
 			break
 		}
-		p := ch.Payload
+		p := ch.Payload[:4*n]
 		for j := range out {
-			out[j] = Rid(binary.LittleEndian.Uint32(p[4*j:]))
+			out[j] = Rid(binary.LittleEndian.Uint32(p[4*j : 4*j+4]))
 		}
 	case chunkRange:
-		s := ch.Start
-		for j := range out {
-			out[j] = s + Rid(j)
-		}
+		fillRun(out, ch.Start)
+	case chunkGaps:
+		expandGaps(out, ch.Start, ch.Payload)
 	case chunkDelta:
-		prev := int64(ch.Start)
-		out[0] = ch.Start
-		p := ch.Payload
-		for j := 1; j < n; j++ {
-			u, k := binary.Uvarint(p)
-			p = p[k:]
-			prev += unzigzag(u)
-			out[j] = Rid(prev)
-		}
+		expandDelta(out, ch.Start, ch.Payload)
 	case chunkRLE:
-		cur := int64(ch.Start)
+		cur := ch.Start
 		p := ch.Payload
-		j := 0
-		for j < n {
+		for j := 0; j < n; {
 			l64, k := binary.Uvarint(p)
 			p = p[k:]
-			for i := int64(0); i < int64(l64); i++ {
-				out[j] = Rid(cur + i)
-				j++
-			}
-			cur += int64(l64)
+			l := int(l64)
+			fillRun(out[j:j+l], cur)
+			j += l
+			cur += Rid(l)
 			if j < n {
 				g, k := binary.Uvarint(p)
 				p = p[k:]
-				cur += int64(g)
+				cur += Rid(g)
 			}
 		}
 	case chunkBitmap:
-		base := ch.Start
-		j := 0
-		for bi, w := range ch.Payload {
-			for w != 0 {
-				out[j] = base + Rid(bi*8+bits.TrailingZeros8(w))
-				j++
-				w &= w - 1
-			}
-		}
+		expandBitmap(out, ch.Start, ch.Payload)
 	}
 	return dst
+}
+
+// fillRun writes the contiguous run start, start+1, … over out.
+func fillRun(out []Rid, start Rid) {
+	for j := range out {
+		out[j] = start + Rid(j)
+	}
+}
+
+const varintContBits = 0x8080808080808080
+
+// expandGaps decodes a gaps chunk: out[0] = first, then a running sum of
+// len(out)-1 unsigned varint gaps. Each step loads 8 payload bytes and reads
+// their continuation bits: none set means 8 one-byte gaps (a large group's
+// list), every second one set means 4 two-byte gaps (a small group's), and
+// either prefix-sums straight out of the register. Any other mix emits the
+// one-byte gaps ahead of the first longer varint from the same word and
+// decodes that varint on its own (2-byte case first, then the generic
+// decoder). The last few elements take the scalar path so the word load never
+// reads past the payload.
+func expandGaps(out []Rid, first Rid, p []byte) {
+	out[0] = first
+	prev := first
+	j, n := 1, len(out)
+	for j+8 <= n {
+		w := binary.LittleEndian.Uint64(p)
+		m := w & varintContBits
+		if m == 0 {
+			o := out[j : j+8 : j+8]
+			prev += Rid(w & 0xff)
+			o[0] = prev
+			prev += Rid(w >> 8 & 0xff)
+			o[1] = prev
+			prev += Rid(w >> 16 & 0xff)
+			o[2] = prev
+			prev += Rid(w >> 24 & 0xff)
+			o[3] = prev
+			prev += Rid(w >> 32 & 0xff)
+			o[4] = prev
+			prev += Rid(w >> 40 & 0xff)
+			o[5] = prev
+			prev += Rid(w >> 48 & 0xff)
+			o[6] = prev
+			prev += Rid(w >> 56)
+			o[7] = prev
+			p = p[8:]
+			j += 8
+			continue
+		}
+		if m == 0x0080008000800080 {
+			o := out[j : j+4 : j+4]
+			prev += Rid(w&0x7f | w>>1&0x3f80)
+			o[0] = prev
+			prev += Rid(w>>16&0x7f | w>>17&0x3f80)
+			o[1] = prev
+			prev += Rid(w>>32&0x7f | w>>33&0x3f80)
+			o[2] = prev
+			prev += Rid(w>>48&0x7f | w>>49&0x3f80)
+			o[3] = prev
+			p = p[8:]
+			j += 4
+			continue
+		}
+		singles := bits.TrailingZeros64(m) >> 3
+		for s := 0; s < singles; s++ {
+			prev += Rid(w & 0xff)
+			out[j] = prev
+			j++
+			w >>= 8
+		}
+		p = p[singles:]
+		if b1 := p[1]; b1 < 0x80 {
+			prev += Rid(p[0]&0x7f) | Rid(b1)<<7
+			p = p[2:]
+		} else {
+			g, k := binary.Uvarint(p)
+			prev += Rid(g)
+			p = p[k:]
+		}
+		out[j] = prev
+		j++
+	}
+	for ; j < n; j++ {
+		var g uint64
+		g, p = readUvarint(p)
+		prev += Rid(g)
+		out[j] = prev
+	}
+}
+
+// expandDelta decodes a zigzag delta chunk (unsorted or duplicated lists — off
+// the group-by trace path, so no word kernel).
+func expandDelta(out []Rid, first Rid, p []byte) {
+	out[0] = first
+	prev := first
+	for j := 1; j < len(out); j++ {
+		var u uint64
+		u, p = readUvarint(p)
+		prev += Rid(unzigzag(u))
+		out[j] = prev
+	}
+}
+
+// readUvarint decodes one uvarint off the front of p with the 1- and 2-byte
+// widths tried before the generic decoder, returning the value and the
+// remaining bytes.
+func readUvarint(p []byte) (uint64, []byte) {
+	b0 := p[0]
+	if b0 < 0x80 {
+		return uint64(b0), p[1:]
+	}
+	if b1 := p[1]; b1 < 0x80 {
+		return uint64(b0&0x7f) | uint64(b1)<<7, p[2:]
+	}
+	u, k := binary.Uvarint(p)
+	return u, p[k:]
+}
+
+// expandBitmap decodes a bitmap chunk 64 bits at a time: one TrailingZeros64
+// per set bit, nothing per clear one. The trailing partial word is
+// zero-extended.
+func expandBitmap(out []Rid, base Rid, p []byte) {
+	j := 0
+	for i := 0; i < len(p); i += 8 {
+		var w uint64
+		if i+8 <= len(p) {
+			w = binary.LittleEndian.Uint64(p[i:])
+		} else {
+			var tail [8]byte
+			copy(tail[:], p[i:])
+			w = binary.LittleEndian.Uint64(tail[:])
+		}
+		b := base + Rid(8*i)
+		for ; w != 0; w &= w - 1 {
+			out[j] = b + Rid(bits.TrailingZeros64(w))
+			j++
+		}
+	}
 }
 
 // EncodedList is a standalone encoded rid list: the result shape of the
@@ -249,16 +394,9 @@ func (l EncodedList) Len() int { return l.N }
 // SizeBytes returns the encoded payload size.
 func (l EncodedList) SizeBytes() int { return len(l.Data) }
 
-// AppendTo decodes the list onto dst (chunk-granular pre-grow).
+// AppendTo decodes the list onto dst (one exact grow, see AppendLists).
 func (l EncodedList) AppendTo(dst []Rid) []Rid {
-	c := EncCursor{rest: l.Data}
-	for {
-		ch, ok := c.Next()
-		if !ok {
-			return dst
-		}
-		dst = ch.ExpandInto(dst)
-	}
+	return appendChunks(slices.Grow(dst, l.N), l.Data)
 }
 
 // TraceInSitu evaluates the backward trace of src without decoding: the
@@ -266,7 +404,8 @@ func (l EncodedList) AppendTo(dst []Rid) []Rid {
 // valid because chunks are self-contained. Decoding the result yields
 // exactly the rids Trace would return, in the same order; only the
 // representation differs — the trace moves encoded bytes (~1–2 per rid on
-// dense lineage) instead of expanding to 4-byte rids.
+// dense lineage) instead of expanding to 4-byte rids, and counts them from the
+// chunk headers alone.
 func (e *EncodedIndex) TraceInSitu(src []Rid) EncodedList {
 	total := 0
 	for _, i := range src {

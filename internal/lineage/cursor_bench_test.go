@@ -1,6 +1,11 @@
 package lineage
 
-import "testing"
+import (
+	"sort"
+	"testing"
+
+	"smoke/internal/datagen"
+)
 
 // Microbenchmarks for the chunk-cursor trace kernels: decode-expansion vs
 // in-situ byte concatenation, the specialized intersection paths, and the
@@ -144,4 +149,63 @@ func BenchmarkEncodedArrCursorSequential(b *testing.B) {
 		}
 		_ = sink
 	}
+}
+
+// The skewed trace the claims benchmark times (capture-olap): a 300k-row,
+// 1000-group θ=1 group-by captured by two workers, so every backward list is
+// two chunks (the MergeEncodedBySlot shape), traced from the 4 largest groups
+// plus every tenth group of the remaining size order — head, middle and tail
+// of the skew in one seed set, ~110k rids.
+func benchZipfTrace() (raw *Index, enc *EncodedIndex, seeds []Rid, rids int) {
+	const rows, groups, parts = 300_000, 1000, 2
+	zs := datagen.Zipf("zipf", 1.0, rows, groups, 2).Cols[1].Ints
+	full := NewRidIndex(groups)
+	local := make([]*EncodedIndex, parts)
+	slotMaps := make([][]Rid, parts)
+	for p := range local {
+		part := NewRidIndex(groups)
+		for r := p * rows / parts; r < (p+1)*rows/parts; r++ {
+			part.Append(int(zs[r]-1), Rid(r))
+			full.Append(int(zs[r]-1), Rid(r))
+		}
+		local[p] = EncodeRidIndex(part)
+		slotMaps[p] = benchSeeds(groups)
+	}
+	enc = MergeEncodedBySlot(local, slotMaps, groups)
+
+	order := benchSeeds(groups)
+	sort.SliceStable(order, func(a, b int) bool { return len(full.List(int(order[a]))) > len(full.List(int(order[b]))) })
+	seeds = append(seeds, order[:4]...)
+	for rk := 4; rk < groups; rk += 10 {
+		seeds = append(seeds, order[rk])
+	}
+	for _, s := range seeds {
+		rids += len(full.List(int(s)))
+	}
+	return NewOneToMany(full), enc, seeds, rids
+}
+
+func benchTraceRate(b *testing.B, rids int, trace func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trace()
+	}
+	b.ReportMetric(float64(rids)*float64(b.N)/b.Elapsed().Seconds(), "rids/s")
+}
+
+func BenchmarkTraceZipfRaw(b *testing.B) {
+	raw, _, seeds, rids := benchZipfTrace()
+	benchTraceRate(b, rids, func() { _ = raw.Trace(seeds) })
+}
+
+func BenchmarkTraceZipfEncoded(b *testing.B) {
+	_, enc, seeds, rids := benchZipfTrace()
+	ix := NewEncodedMany(enc)
+	benchTraceRate(b, rids, func() { _ = ix.Trace(seeds) })
+}
+
+func BenchmarkTraceZipfInSitu(b *testing.B) {
+	_, enc, seeds, rids := benchZipfTrace()
+	benchTraceRate(b, rids, func() { _ = enc.TraceInSitu(seeds) })
 }

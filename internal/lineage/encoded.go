@@ -8,9 +8,9 @@ package lineage
 // materializes a decompressed index (cf. "Compression and In-Situ Query
 // Processing for Fine-Grained Array Lineage", Zhao & Krishnan).
 //
-// An encoded list is a sequence of self-contained chunks, each
+// An encoded list is a sequence of self-contained chunks (format v2), each
 //
-//	tag byte | uvarint element count | payload
+//	tag byte | uvarint element count n | [uvarint body length] | body
 //
 // so two encoded lists concatenate into a valid encoded list. That is what
 // makes the parallel merge compression-aware: partition-local lists encode
@@ -19,21 +19,38 @@ package lineage
 // serial append order exactly, because partitions cover disjoint, ordered rid
 // ranges and merge in partition order.
 //
+// Every chunk's extent is known from its header, so skipping a chunk, sizing
+// a list (ListLen) and tracing in situ (TraceInSitu) never read a payload:
+// raw, range and bitmap bodies have a length their header fields imply, and
+// the varint-stream kinds (gaps, delta, rle) record their body's byte length
+// once they hold lenHeaderMin elements or more. Below that the length field
+// is omitted — a join's thousands of 1–7-rid lists would pay a byte each for
+// it — and the cursor delimits the body by walking at most lenHeaderMin-1
+// varints. The decoder knows which layout it reads from n alone.
+//
 // Chunk encodings (chosen adaptively per list, smallest wins):
 //
-//   - range:  one contiguous ascending run; payload is the uvarint start.
+//   - range:  one contiguous ascending run; body is the uvarint start.
+//   - gaps:   strictly ascending lists (every group-by backward list): uvarint
+//     first value, then n-1 unsigned uvarint gaps. No zigzag: a gap below 128
+//     is one byte where the signed form spends two from 64 up, which is what
+//     pays for the length field.
 //   - rle:    run-length: uvarint first start, then alternating uvarint run
 //     length and uvarint gap to the next run. Strictly ascending lists only.
-//   - bitmap: fixed-width bitmap over [base, base+8·nbytes); payload is
-//     uvarint base, uvarint nbytes, then the bitmap. Strictly ascending only.
-//   - delta:  zigzag varints — absolute first value, then deltas. Handles
-//     arbitrary (unsorted, duplicated) lists.
+//   - bitmap: fixed-width bitmap over [base, base+8·nbytes); body is uvarint
+//     base, uvarint nbytes, then the bitmap. Strictly ascending only.
+//   - delta:  zigzag varints — absolute first value, then n-1 signed deltas.
+//     Handles arbitrary (unsorted, duplicated) lists.
 //   - raw:    4-byte little-endian rids; the incompressibility fallback that
 //     bounds worst-case size at raw-array cost.
+//
+// Chunk bytes are persisted verbatim (internal/diskstore), so a layout change
+// here is a segment format change: bump diskstore's segment magic with it.
 
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 const (
@@ -42,7 +59,18 @@ const (
 	chunkDelta
 	chunkRLE
 	chunkBitmap
+	chunkGaps
 )
+
+// lenHeaderMin is the element count from which a gaps, delta or rle chunk
+// carries its body's byte length (see the format comment above).
+const lenHeaderMin = 16
+
+// hasLenHeader reports whether a chunk of the given kind and element count
+// records its body length.
+func hasLenHeader(tag byte, n int) bool {
+	return n >= lenHeaderMin && (tag == chunkGaps || tag == chunkDelta || tag == chunkRLE)
+}
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
@@ -75,64 +103,62 @@ func (e *EncodedIndex) SizeBytes() int { return len(e.data) + 4*len(e.offs) }
 // list's to form the encoded concatenation of the two lists.
 func (e *EncodedIndex) ListBytes(i int) []byte { return e.data[e.offs[i]:e.offs[i+1]] }
 
-// AppendList decodes entry i onto dst and returns it (the TraceOne shape).
-// Decoding is chunk-granular: each chunk's header count pre-grows dst once
-// and the chunk kernels fill it with indexed writes (Chunk.ExpandInto), so
-// the hot trace path has no per-element append or growth check.
-func (e *EncodedIndex) AppendList(i int, dst []Rid) []Rid {
-	c := EncCursor{rest: e.ListBytes(i)}
-	for {
-		ch, ok := c.Next()
-		if !ok {
-			return dst
-		}
-		dst = ch.ExpandInto(dst)
-	}
-}
+// ListLen returns entry i's element count by summing chunk headers; no
+// payload is read (sub-lenHeaderMin varint chunks aside).
+func (e *EncodedIndex) ListLen(i int) int { return chunksLen(e.ListBytes(i)) }
 
-// ListLen returns entry i's element count by summing chunk headers (payloads
-// are skipped, not decoded).
-func (e *EncodedIndex) ListLen(i int) int {
-	b := e.ListBytes(i)
+// chunksLen sums the header counts of a chunk sequence.
+func chunksLen(b []byte) int {
+	c := EncCursor{rest: b}
 	total := 0
-	for len(b) > 0 {
-		tag := b[0]
-		n64, k := binary.Uvarint(b[1:])
-		b = b[1+k:]
-		n := int(n64)
-		total += n
-		switch tag {
-		case chunkRaw:
-			b = b[4*n:]
-		case chunkRange:
-			_, k := binary.Uvarint(b)
-			b = b[k:]
-		case chunkDelta:
-			for j := 0; j < n; j++ {
-				_, k := binary.Uvarint(b)
-				b = b[k:]
-			}
-		case chunkRLE:
-			_, k := binary.Uvarint(b)
-			b = b[k:]
-			for rem := n; rem > 0; {
-				l64, k := binary.Uvarint(b)
-				b = b[k:]
-				rem -= int(l64)
-				if rem > 0 {
-					g, k := binary.Uvarint(b)
-					b = b[k:]
-					_ = g
-				}
-			}
-		case chunkBitmap:
-			_, k := binary.Uvarint(b)
-			b = b[k:]
-			nb, k := binary.Uvarint(b)
-			b = b[k+int(nb):]
-		}
+	for ch, ok := c.Next(); ok; ch, ok = c.Next() {
+		total += ch.N
 	}
 	return total
+}
+
+// AppendList decodes entry i onto dst and returns it (the TraceOne shape:
+// one entry at a time into a buffer the caller reuses, so there is no sizing
+// walk — each chunk's header pre-grows dst by its own count).
+func (e *EncodedIndex) AppendList(i int, dst []Rid) []Rid {
+	return appendChunks(dst, e.ListBytes(i))
+}
+
+// AppendLists decodes entries src, in order, onto dst: the expansion behind
+// every multi-seed decoding trace (Index.Trace, ParTrace, ParTraceFiltered).
+// A header-only walk sizes the output, so dst grows at most once, and each
+// chunk then decodes once, straight into its final slot: one pass over the
+// seeds' bytes.
+func (e *EncodedIndex) AppendLists(src []Rid, dst []Rid) []Rid {
+	return e.appendEntries(slices.Grow(dst, e.listsLen(src)), src)
+}
+
+// listsLen sums the header counts of entries src.
+func (e *EncodedIndex) listsLen(src []Rid) int {
+	total := 0
+	for _, i := range src {
+		total += e.ListLen(int(i))
+	}
+	return total
+}
+
+// appendEntries decodes entries src, in order, onto dst (unsized: see
+// AppendLists).
+func (e *EncodedIndex) appendEntries(dst []Rid, src []Rid) []Rid {
+	for _, i := range src {
+		dst = appendChunks(dst, e.ListBytes(int(i)))
+	}
+	return dst
+}
+
+// appendChunks decodes the chunk sequence b onto dst: the one decode loop
+// every expansion path runs.
+func appendChunks(dst []Rid, b []byte) []Rid {
+	c := EncCursor{rest: b}
+	for ch, ok := c.Next(); ok; ch, ok = c.Next() {
+		dst = ch.ExpandInto(dst)
+	}
+	return dst
 }
 
 // EncodedBuilder assembles an EncodedIndex one list at a time.
@@ -170,6 +196,15 @@ func (b *EncodedBuilder) Build() *EncodedIndex {
 	return &EncodedIndex{offs: b.offs, data: b.data, card: b.card}
 }
 
+// withLenHeader returns a varint-stream body's size plus the length field a
+// chunk of n elements carries for it.
+func withLenHeader(body, n int) int {
+	if n >= lenHeaderMin {
+		return body + uvarintLen(uint64(body))
+	}
+	return body
+}
+
 // appendEncodedList appends list as one adaptively-chosen chunk. Empty lists
 // append nothing (a zero-byte list decodes as empty).
 func appendEncodedList(data []byte, list []Rid) []byte {
@@ -177,21 +212,19 @@ func appendEncodedList(data []byte, list []Rid) []byte {
 	if n == 0 {
 		return data
 	}
-	// One analysis pass: strict ascension, exact delta and RLE payload sizes.
+	// One analysis pass over an ascending list: exact gaps and RLE body sizes.
+	// It stops at the first descent — only then is the zigzag size needed.
 	ascending := true
-	deltaSize := uvarintLen(zigzag(int64(list[0])))
-	rleSize := uvarintLen(uint64(list[0]))
-	runs := 1
-	runLen := 1
+	gapsSize := uvarintLen(uint64(list[0]))
+	rleSize := gapsSize
+	runs, runLen := 1, 1
 	for i := 1; i < n; i++ {
 		d := int64(list[i]) - int64(list[i-1])
-		deltaSize += uvarintLen(zigzag(d))
 		if d <= 0 {
 			ascending = false
+			break
 		}
-		if !ascending {
-			continue
-		}
+		gapsSize += uvarintLen(uint64(d))
 		if d == 1 {
 			runLen++
 		} else {
@@ -200,39 +233,52 @@ func appendEncodedList(data []byte, list []Rid) []byte {
 			runLen = 1
 		}
 	}
-	rawSize := 4 * n
 
-	var tag byte
-	var size int
-	if ascending && runs == 1 {
+	// body is the chosen encoding's byte size after the header, size the same
+	// plus the length field the varint-stream kinds may carry.
+	tag, body, size := chunkRaw, 4*n, 4*n
+	switch {
+	case ascending && runs == 1:
 		tag = chunkRange
-	} else {
-		tag, size = chunkDelta, deltaSize
-		if rawSize < size {
-			tag, size = chunkRaw, rawSize
+	case ascending:
+		if s := withLenHeader(gapsSize, n); s <= size {
+			tag, body, size = chunkGaps, gapsSize, s
 		}
-		if ascending {
-			rleSize += uvarintLen(uint64(runLen)) // close the last run
-			if rleSize <= size {
-				tag, size = chunkRLE, rleSize
-			}
-			span := int64(list[n-1]) - int64(list[0]) + 1
-			nb := (span + 7) / 8
-			bmSize := uvarintLen(uint64(list[0])) + uvarintLen(uint64(nb)) + int(nb)
-			if bmSize < size {
-				tag = chunkBitmap
-			}
+		rleSize += uvarintLen(uint64(runLen)) // close the last run
+		if s := withLenHeader(rleSize, n); s <= size {
+			tag, body, size = chunkRLE, rleSize, s
+		}
+		span := int64(list[n-1]) - int64(list[0]) + 1
+		nb := (span + 7) / 8
+		if bm := uvarintLen(uint64(list[0])) + uvarintLen(uint64(nb)) + int(nb); bm < size {
+			tag = chunkBitmap
+		}
+	default:
+		deltaSize := uvarintLen(zigzag(int64(list[0])))
+		for i := 1; i < n; i++ {
+			deltaSize += uvarintLen(zigzag(int64(list[i]) - int64(list[i-1])))
+		}
+		if s := withLenHeader(deltaSize, n); s <= size {
+			tag, body = chunkDelta, deltaSize
 		}
 	}
 
 	data = append(data, tag)
 	data = binary.AppendUvarint(data, uint64(n))
+	if hasLenHeader(tag, n) {
+		data = binary.AppendUvarint(data, uint64(body))
+	}
 	switch tag {
 	case chunkRange:
 		data = binary.AppendUvarint(data, uint64(list[0]))
 	case chunkRaw:
 		for _, r := range list {
 			data = binary.LittleEndian.AppendUint32(data, uint32(r))
+		}
+	case chunkGaps:
+		data = binary.AppendUvarint(data, uint64(list[0]))
+		for i := 1; i < n; i++ {
+			data = binary.AppendUvarint(data, uint64(list[i]-list[i-1]))
 		}
 	case chunkDelta:
 		data = binary.AppendUvarint(data, zigzag(int64(list[0])))

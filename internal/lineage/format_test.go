@@ -1,0 +1,403 @@
+package lineage
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"smoke/internal/pool"
+)
+
+// Chunk format v2: the byte layout, the decode kernels' edges, and the
+// validator that stands between outside bytes and the trusting cursor.
+
+// TestChunkLayoutGolden pins the v2 bytes of one tiny list per chunk kind,
+// plus the smallest gaps chunk that carries a body length. A diff here is a
+// format change: bump diskstore's segment magic with it.
+func TestChunkLayoutGolden(t *testing.T) {
+	hundreds := make([]Rid, lenHeaderMin)
+	wantHundreds := []byte{chunkGaps, lenHeaderMin, lenHeaderMin, 0}
+	for i := range hundreds {
+		hundreds[i] = Rid(100 * i)
+		if i > 0 {
+			wantHundreds = append(wantHundreds, 100)
+		}
+	}
+	cases := []struct {
+		name string
+		list []Rid
+		want []byte
+	}{
+		{"range", []Rid{10, 11, 12, 13}, []byte{chunkRange, 4, 10}},
+		{"gaps", []Rid{5, 200, 1000}, []byte{chunkGaps, 3, 5, 0xC3, 0x01, 0xA0, 0x06}},
+		{"rle", []Rid{7, 8, 9, 20, 21}, []byte{chunkRLE, 5, 7, 3, 10, 2}},
+		{"bitmap", []Rid{3, 4, 6, 7, 8, 10, 11, 12}, []byte{chunkBitmap, 8, 3, 2, 0xBB, 0x03}},
+		{"delta", []Rid{9, 2, 5}, []byte{chunkDelta, 3, 18, 13, 6}},
+		{"raw", []Rid{1 << 30, 5, 1 << 29}, []byte{chunkRaw, 3, 0, 0, 0, 0x40, 5, 0, 0, 0, 0, 0, 0, 0x20}},
+		{"gaps+len", hundreds, wantHundreds},
+	}
+	for _, c := range cases {
+		got := appendEncodedList(nil, c.list)
+		if !bytes.Equal(got, c.want) {
+			t.Errorf("%s: encoded % x, want % x", c.name, got, c.want)
+		}
+		if dec := (EncodedList{Data: c.want, N: len(c.list)}).AppendTo(nil); !reflect.DeepEqual(dec, c.list) {
+			t.Errorf("%s: golden bytes decode to %v, want %v", c.name, dec, c.list)
+		}
+	}
+}
+
+// kindLists builds, per chunk kind, a generator of n-element lists that the
+// adaptive chooser encodes as that kind once n is past the tiny sizes where
+// everything collapses to range or raw.
+var kindLists = map[byte]func(n int, rng *rand.Rand) []Rid{
+	chunkRange: func(n int, _ *rand.Rand) []Rid {
+		return ascendingBy(n, 40, func(int) Rid { return 1 })
+	},
+	chunkGaps: func(n int, rng *rand.Rand) []Rid {
+		// Gap widths straddle the 1→2→3-byte varint boundaries.
+		widths := []Rid{2, 127, 128, 129, 300, 16383, 16384, 16385}
+		return ascendingBy(n, 3, func(int) Rid { return widths[rng.Intn(len(widths))] })
+	},
+	chunkRLE: func(n int, _ *rand.Rand) []Rid {
+		return ascendingBy(n, 9, func(i int) Rid {
+			if i%6 == 0 {
+				return 5000
+			}
+			return 1
+		})
+	},
+	chunkBitmap: func(n int, rng *rand.Rand) []Rid {
+		return ascendingBy(n, 77, func(int) Rid { return Rid(2 + rng.Intn(2)) })
+	},
+	chunkDelta: func(n int, rng *rand.Rand) []Rid {
+		l := make([]Rid, n)
+		cur := Rid(50_000)
+		for i := range l {
+			l[i] = cur
+			cur += Rid(rng.Intn(400) - 200) // signed, duplicates included
+		}
+		return l
+	},
+	chunkRaw: func(n int, rng *rand.Rand) []Rid {
+		l := make([]Rid, n)
+		for i := range l {
+			l[i] = Rid(rng.Int31())
+		}
+		return l
+	},
+}
+
+func ascendingBy(n int, first Rid, gap func(i int) Rid) []Rid {
+	l := make([]Rid, n)
+	cur := first
+	for i := range l {
+		l[i] = cur
+		cur += gap(i + 1)
+	}
+	return l
+}
+
+// decodeEveryWay decodes one encoded entry through each decoding surface and
+// fails unless all agree with want.
+func decodeEveryWay(t *testing.T, what string, enc []byte, want []Rid) {
+	t.Helper()
+	e := &EncodedIndex{offs: []uint32{0, uint32(len(enc))}, data: enc, card: len(want)}
+	check := func(how string, got []Rid) {
+		t.Helper()
+		if len(got) == 0 && len(want) == 0 {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s decoded %v, want %v", what, how, got, want)
+		}
+	}
+	check("AppendList", e.AppendList(0, nil))
+	check("AppendLists", e.AppendLists([]Rid{0}, nil))
+	check("AppendTo", EncodedList{Data: enc, N: len(want)}.AppendTo(nil))
+	check("AppendList onto a prefix", e.AppendList(0, []Rid{-7})[1:])
+	if got := e.ListLen(0); got != len(want) {
+		t.Fatalf("%s: ListLen = %d, want %d", what, got, len(want))
+	}
+	if card, err := ValidateEncoded(e.offs, e.data); err != nil || card != len(want) {
+		t.Fatalf("%s: ValidateEncoded = %d, %v; want %d, nil", what, card, err, len(want))
+	}
+}
+
+// TestChunkKindsRoundTripAndConcat is the format's property test: for every
+// kind and every size around the kernels' 8-wide window and the length-header
+// threshold, decode(encode(l)) == l and decode(a‖b) == decode(a)+decode(b).
+func TestChunkKindsRoundTripAndConcat(t *testing.T) {
+	sizes := []int{1, 2, 7, 8, 9, lenHeaderMin - 1, lenHeaderMin, lenHeaderMin + 1, 24, 25, 100, 1000}
+	for kind, gen := range kindLists {
+		rng := rand.New(rand.NewSource(int64(kind) + 1))
+		var prev []Rid
+		var prevEnc []byte
+		for _, n := range sizes {
+			list := gen(n, rng)
+			enc := appendEncodedList(nil, list)
+			what := fmt.Sprintf("kind %d n=%d", kind, n)
+			if n >= 9 && enc[0] != kind {
+				t.Fatalf("%s: chooser picked kind %d", what, enc[0])
+			}
+			if got := hasLenHeader(enc[0], n); got != (n >= lenHeaderMin && (kind == chunkGaps || kind == chunkDelta || kind == chunkRLE)) {
+				t.Fatalf("%s: hasLenHeader = %v", what, got)
+			}
+			decodeEveryWay(t, what, enc, list)
+			// Concatenation with the previous size's list: chunks are
+			// self-contained, so the bytes just append.
+			both := append(append([]byte(nil), prevEnc...), enc...)
+			decodeEveryWay(t, what+" after its predecessor", both, append(append([]Rid(nil), prev...), list...))
+			prev, prevEnc = list, enc
+		}
+	}
+}
+
+// Unsorted and duplicated lists have no ascending encoding to fall into:
+// they must come out as zigzag delta or raw, whatever their size.
+func TestUnsortedListsPickDeltaOrRaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{2, 7, 8, 9, lenHeaderMin - 1, lenHeaderMin, lenHeaderMin + 1, 300} {
+		for _, gen := range []func(int, *rand.Rand) []Rid{kindLists[chunkDelta], kindLists[chunkRaw]} {
+			list := gen(n, rng)
+			list[n-1] = list[0] // a duplicate, and a descent unless n == 1
+			enc := appendEncodedList(nil, list)
+			if enc[0] != chunkDelta && enc[0] != chunkRaw {
+				t.Fatalf("n=%d: non-ascending list encoded as kind %d", n, enc[0])
+			}
+			decodeEveryWay(t, fmt.Sprintf("unsorted n=%d", n), enc, list)
+		}
+	}
+}
+
+// The gaps kernel reads 8 payload bytes at a time: every mix of varint widths
+// must decode the same whether a varint starts, straddles or ends a window,
+// and whether the payload ends inside one.
+func TestGapsKernelWindowEdges(t *testing.T) {
+	widths := []Rid{1, 127, 128, 16383, 16384, 2097151, 2097152}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(40)
+		// Runs of one width (the 8×1-byte and 4×2-byte fast paths) broken by
+		// single gaps of another.
+		run, other := widths[rng.Intn(len(widths))], widths[rng.Intn(len(widths))]
+		breakAt := 1 + rng.Intn(n)
+		list := ascendingBy(n, Rid(rng.Intn(300)), func(i int) Rid {
+			if i%breakAt == 0 {
+				return other
+			}
+			return run
+		})
+		enc := appendGapsChunk(list)
+		decodeEveryWay(t, fmt.Sprintf("trial %d (n=%d run=%d other=%d every %d)", trial, n, run, other, breakAt), enc, list)
+	}
+}
+
+// appendGapsChunk encodes an ascending list as a gaps chunk regardless of what
+// the chooser would pick (RLE wins on unit gaps, range on a single run).
+func appendGapsChunk(list []Rid) []byte {
+	body := []byte{}
+	prev := Rid(0)
+	for _, r := range list {
+		body = appendUvarint(body, uint64(r-prev))
+		prev = r
+	}
+	enc := appendUvarint([]byte{chunkGaps}, uint64(len(list)))
+	if len(list) >= lenHeaderMin {
+		enc = appendUvarint(enc, uint64(len(body)))
+	}
+	return append(enc, body...)
+}
+
+func appendUvarint(b []byte, v uint64) []byte {
+	for ; v >= 0x80; v >>= 7 {
+		b = append(b, byte(v)|0x80)
+	}
+	return append(b, byte(v))
+}
+
+// The bitmap kernel reads 64-bit words: bitmaps one byte short of, exactly
+// at, and one byte past a word boundary, with the last bit set in each.
+func TestBitmapKernelWordEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, nb := range []int{1, 7, 8, 9, 63, 64, 65} {
+		var list []Rid
+		base := Rid(1000)
+		for bit := 0; bit < 8*nb; bit++ {
+			if bit == 0 || bit == 8*nb-1 || rng.Intn(3) == 0 {
+				list = append(list, base+Rid(bit))
+			}
+		}
+		enc := appendUvarint([]byte{chunkBitmap}, uint64(len(list)))
+		enc = appendUvarint(enc, uint64(base))
+		enc = appendUvarint(enc, uint64(nb))
+		bm := make([]byte, nb)
+		for _, r := range list {
+			bm[(r-base)/8] |= 1 << ((r - base) % 8)
+		}
+		decodeEveryWay(t, fmt.Sprintf("bitmap of %d bytes", nb), append(enc, bm...), list)
+	}
+}
+
+// In-situ traces count and concatenate from headers alone; decoding them must
+// equal the expanding trace on merged (multi-chunk) lists, serial or parallel.
+func TestTraceInSituMatchesTraceOnMergedLists(t *testing.T) {
+	const groups, rows = 40, 6000
+	rng := rand.New(rand.NewSource(17))
+	key := make([]int, rows)
+	for i := range key {
+		key[i] = int(float64(groups) * rng.Float64() * rng.Float64()) // skewed
+	}
+	pl := pool.New(4)
+	defer pl.Close()
+	for _, parts := range []int{1, 2, 4} {
+		local := make([]*EncodedIndex, parts)
+		slotMaps := make([][]Rid, parts)
+		full := NewRidIndex(groups)
+		for p := range local {
+			part := NewRidIndex(groups)
+			for r := p * rows / parts; r < (p+1)*rows/parts; r++ {
+				part.Append(key[r], Rid(r))
+				full.Append(key[r], Rid(r))
+			}
+			local[p] = EncodeRidIndex(part)
+			slotMaps[p] = benchSeeds(groups)
+		}
+		enc := MergeEncodedBySlot(local, slotMaps, groups)
+		ix, raw := NewEncodedMany(enc), NewOneToMany(full)
+		seeds := []Rid{0, 5, 5, groups - 1, 17, 3, 0}
+		want := raw.Trace(seeds)
+		for _, workers := range []int{1, 2, 4} {
+			what := fmt.Sprintf("%d chunks per list, %d workers", parts, workers)
+			if got := ParTrace(ix, seeds, workers, pl); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: ParTrace differs from the raw trace", what)
+			}
+			is := ParTraceInSitu(enc, seeds, workers, pl)
+			if is.N != len(want) {
+				t.Fatalf("%s: in-situ trace counts %d rids from the headers, want %d", what, is.N, len(want))
+			}
+			if got := is.AppendTo(nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: decoded in-situ trace differs from the raw trace", what)
+			}
+			keep := func(r Rid) bool { return r%3 != 0 }
+			var wantKept []Rid
+			for _, r := range want {
+				if keep(r) {
+					wantKept = append(wantKept, r)
+				}
+			}
+			if got := ParTraceFiltered(ix, seeds, keep, workers, pl); !reflect.DeepEqual(got, wantKept) {
+				t.Fatalf("%s: ParTraceFiltered differs from the filtered raw trace", what)
+			}
+		}
+	}
+}
+
+// chunkSeeds is one well-formed chunk of each kind (with and without a body
+// length): the fuzz corpus, and the starting points of the mutation test.
+func chunkSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(19))
+	var seeds [][]byte
+	for _, kind := range []byte{chunkRaw, chunkRange, chunkDelta, chunkRLE, chunkBitmap, chunkGaps} {
+		for _, n := range []int{9, lenHeaderMin + 5} {
+			seeds = append(seeds, appendEncodedList(nil, kindLists[kind](n, rng)))
+		}
+	}
+	return seeds
+}
+
+// checkAcceptedBytesDecode is the contract between ValidateEncoded and the
+// trusting cursor: bytes it accepts decode, without a panic, to exactly the
+// count it returned.
+func checkAcceptedBytesDecode(t *testing.T, data []byte) {
+	offs := []uint32{0, uint32(len(data))}
+	card, err := ValidateEncoded(offs, data)
+	if err != nil || card > 1<<20 {
+		// A range or RLE chunk states millions of rids in a few bytes; they
+		// are well-formed, just too large to expand once per fuzz input.
+		return
+	}
+	e, err := EncodedIndexFromParts(offs, data, card)
+	if err != nil {
+		t.Fatalf("validated bytes % x rejected by EncodedIndexFromParts: %v", data, err)
+	}
+	if got := e.ListLen(0); got != card {
+		t.Fatalf("bytes % x: ListLen = %d, validator counted %d", data, got, card)
+	}
+	if got := len(e.AppendLists([]Rid{0}, nil)); got != card {
+		t.Fatalf("bytes % x: decoded %d rids, validator counted %d", data, got, card)
+	}
+	if is := e.TraceInSitu([]Rid{0, 0}); is.N != 2*card || len(is.AppendTo(nil)) != 2*card {
+		t.Fatalf("bytes % x: in-situ trace of the entry twice holds %d rids, want %d", data, is.N, 2*card)
+	}
+}
+
+func FuzzEncodedChunks(f *testing.F) {
+	for _, s := range chunkSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(checkAcceptedBytesDecode)
+}
+
+// Truncations and single-byte corruptions of well-formed chunks — lying
+// counts, lengths and bitmaps among them — are rejected with a structured
+// error or decode cleanly; none panics. (The fuzz target explores further;
+// this runs on every `go test`.)
+func TestValidateEncodedRejectsHostileBytes(t *testing.T) {
+	rejected := 0
+	for _, seed := range chunkSeeds() {
+		for cut := 1; cut < len(seed); cut++ {
+			if _, err := ValidateEncoded([]uint32{0, uint32(cut)}, seed[:cut]); err == nil {
+				t.Fatalf("chunk % x truncated to %d bytes validated", seed, cut)
+			}
+		}
+		for i := range seed {
+			for _, v := range []byte{0, 1, 0x7f, 0x80, 0xff, seed[i] + 1, seed[i] ^ 0x80} {
+				mut := append([]byte(nil), seed...)
+				mut[i] = v
+				if _, err := ValidateEncoded([]uint32{0, uint32(len(mut))}, mut); err != nil {
+					rejected++
+				}
+				checkAcceptedBytesDecode(t, mut)
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no corruption was rejected")
+	}
+	for _, offs := range [][]uint32{{}, {1, 3}, {0, 2, 1, 3}, {0, 2}} {
+		if _, err := ValidateEncoded(offs, []byte{chunkRange, 1, 0}); err == nil {
+			t.Fatalf("directory %v over a 3-byte payload validated", offs)
+		}
+	}
+}
+
+func TestCaptureValidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	b := NewEncodedBuilder(3)
+	b.Add(kindLists[chunkGaps](50, rng))
+	b.Add(nil)
+	b.Add(kindLists[chunkBitmap](50, rng))
+	e := b.Build()
+	c := NewCapture()
+	c.SetBackward("t", NewEncodedMany(e))
+	c.SetForward("t", NewOneToOne([]Rid{0, -1, 2}))
+	if err := c.Validate(); err != nil {
+		t.Fatalf("well-formed capture: %v", err)
+	}
+	offs, data, card := e.Parts()
+	lying, _ := EncodedIndexFromParts(offs, data, card+1)
+	c.SetBackward("t", NewEncodedMany(lying))
+	if err := c.Validate(); err == nil {
+		t.Fatal("capture whose directory overstates its cardinality validated")
+	}
+	bad := append([]byte(nil), data...)
+	bad[len(bad)-1] ^= 0x10 // one bitmap bit: popcount no longer matches
+	flipped, _ := EncodedIndexFromParts(offs, bad, card)
+	c.SetBackward("t", NewEncodedMany(flipped))
+	if err := c.Validate(); err == nil {
+		t.Fatal("capture with a flipped bitmap bit validated")
+	}
+}

@@ -1,6 +1,13 @@
 package lineage
 
-import "smoke/internal/serr"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
+
+	"smoke/internal/serr"
+)
 
 // Persistence seam for the encoded representations. The disk tier
 // (internal/diskstore) stores an encoded index exactly as it sits in memory —
@@ -18,28 +25,187 @@ func (e *EncodedIndex) Parts() (offs []uint32, data []byte, card int) {
 
 // EncodedIndexFromParts reassembles an EncodedIndex around externally owned
 // storage (typically slices aliasing mmap-backed bytes). Only the offset
-// directory is validated — offsets must start at zero, be non-decreasing, and
-// end exactly at len(data) — because a broken directory would index data out
-// of bounds, while broken chunk bytes are caught by the segment checksums.
+// directory is validated here — offsets must start at zero, be non-decreasing,
+// and end exactly at len(data) — so wrapping a segment touches none of its
+// chunk pages: that is what keeps a segment-backed view lazy. The chunk bytes
+// themselves are trusted by every cursor; a caller that restores a whole
+// result for arbitrary tracing runs Capture.Validate (ValidateEncoded) first.
 func EncodedIndexFromParts(offs []uint32, data []byte, card int) (*EncodedIndex, error) {
-	if len(offs) == 0 {
-		return nil, serr.New(serr.Internal, "lineage: encoded index has an empty offset directory")
-	}
-	if offs[0] != 0 {
-		return nil, serr.New(serr.Internal, "lineage: encoded index directory starts at %d, want 0", offs[0])
-	}
-	for i := 1; i < len(offs); i++ {
-		if offs[i] < offs[i-1] {
-			return nil, serr.New(serr.Internal, "lineage: encoded index directory decreases at entry %d", i)
-		}
-	}
-	if got := int(offs[len(offs)-1]); got != len(data) {
-		return nil, serr.New(serr.Internal, "lineage: encoded index directory ends at %d, payload is %d bytes", got, len(data))
+	if err := checkDirectory(offs, len(data)); err != nil {
+		return nil, err
 	}
 	if card < 0 {
 		return nil, serr.New(serr.Internal, "lineage: encoded index cardinality %d is negative", card)
 	}
 	return &EncodedIndex{offs: offs, data: data, card: card}, nil
+}
+
+func checkDirectory(offs []uint32, dataLen int) error {
+	if len(offs) == 0 {
+		return serr.New(serr.Internal, "lineage: encoded index has an empty offset directory")
+	}
+	if offs[0] != 0 {
+		return serr.New(serr.Internal, "lineage: encoded index directory starts at %d, want 0", offs[0])
+	}
+	for i := 1; i < len(offs); i++ {
+		if offs[i] < offs[i-1] {
+			return serr.New(serr.Internal, "lineage: encoded index directory decreases at entry %d", i)
+		}
+	}
+	if got := int(offs[len(offs)-1]); got != dataLen {
+		return serr.New(serr.Internal, "lineage: encoded index directory ends at %d, payload is %d bytes", got, dataLen)
+	}
+	return nil
+}
+
+// ValidateEncoded checks that (offs, data) is a well-formed encoded index and
+// returns its cardinality: the directory is sound and every entry is a
+// sequence of well-formed v2 chunks — a known tag, a positive count, a body
+// that ends inside the entry, and body contents that decode to exactly the
+// header count (varint count for gaps/delta, run sum for RLE, popcount for
+// bitmaps). Bytes it accepts decode without a panic; EncCursor and the
+// expansion kernels assume nothing less. The walk reads headers only, except
+// for those per-kind content checks, which cost one pass over the body.
+func ValidateEncoded(offs []uint32, data []byte) (card int, err error) {
+	if err := checkDirectory(offs, len(data)); err != nil {
+		return 0, err
+	}
+	for i := 0; i+1 < len(offs); i++ {
+		n, err := validateChunks(data[offs[i]:offs[i+1]])
+		if err != nil {
+			return 0, serr.New(serr.Internal, "lineage: encoded index entry %d: %v", i, err)
+		}
+		card += n
+	}
+	return card, nil
+}
+
+// validateChunks validates one entry's chunk sequence and returns its element
+// count. It mirrors EncCursor.Next field for field, with every read checked.
+func validateChunks(b []byte) (int, error) {
+	total := 0
+	for len(b) > 0 {
+		tag := b[0]
+		if tag > chunkGaps {
+			return 0, fmt.Errorf("unknown chunk tag %d", tag)
+		}
+		n64, k := binary.Uvarint(b[1:])
+		if k <= 0 || n64 == 0 || n64 > math.MaxInt32 {
+			return 0, fmt.Errorf("chunk count missing or out of range")
+		}
+		b = b[1+k:]
+		n := int(n64)
+		var bodyLen int
+		switch tag {
+		case chunkRaw:
+			bodyLen = 4 * n
+		case chunkRange:
+			s, k := binary.Uvarint(b)
+			if k <= 0 || s > math.MaxInt32 || s+n64-1 > math.MaxInt32 {
+				return 0, fmt.Errorf("range chunk start missing or past the rid domain")
+			}
+			bodyLen = k
+		case chunkBitmap:
+			base, k1 := binary.Uvarint(b)
+			if k1 <= 0 {
+				return 0, fmt.Errorf("bitmap chunk base missing")
+			}
+			nb, k2 := binary.Uvarint(b[k1:])
+			if k2 <= 0 || nb > uint64(len(b)) || base > math.MaxInt32 || base+8*nb > math.MaxInt32+8 {
+				return 0, fmt.Errorf("bitmap chunk length missing or out of range")
+			}
+			bodyLen = k1 + k2 + int(nb)
+			if bodyLen <= len(b) && popcount(b[k1+k2:bodyLen]) != n {
+				return 0, fmt.Errorf("bitmap chunk holds a different number of bits than its count %d", n)
+			}
+		default: // the varint-stream kinds
+			body := b
+			if n >= lenHeaderMin {
+				l, k := binary.Uvarint(b)
+				if k <= 0 || l > uint64(len(b)-k) {
+					return 0, fmt.Errorf("chunk body length missing or past the entry")
+				}
+				b = b[k:]
+				body = b[:l]
+			}
+			end, ok := varintBodyLen(tag, n, body)
+			if !ok || (n >= lenHeaderMin && end != len(body)) {
+				return 0, fmt.Errorf("chunk body does not hold exactly %d elements", n)
+			}
+			bodyLen = end
+		}
+		if bodyLen > len(b) {
+			return 0, fmt.Errorf("chunk body runs past the entry")
+		}
+		b = b[bodyLen:]
+		total += n
+	}
+	return total, nil
+}
+
+// varintBodyLen walks the body of a gaps, delta or RLE chunk of n elements
+// with every varint checked, returning the bytes it spans.
+func varintBodyLen(tag byte, n int, body []byte) (end int, ok bool) {
+	next := func() (uint64, bool) {
+		u, k := binary.Uvarint(body[end:])
+		end += k
+		return u, k > 0
+	}
+	if tag != chunkRLE {
+		for ; n > 0; n-- {
+			if _, ok := next(); !ok {
+				return 0, false
+			}
+		}
+		return end, true
+	}
+	if _, ok := next(); !ok {
+		return 0, false
+	}
+	for rem := uint64(n); rem > 0; {
+		l, ok := next()
+		if !ok || l == 0 || l > rem {
+			return 0, false
+		}
+		if rem -= l; rem > 0 {
+			if _, ok := next(); !ok {
+				return 0, false
+			}
+		}
+	}
+	return end, true
+}
+
+func popcount(b []byte) int {
+	n := 0
+	for ; len(b) >= 8; b = b[8:] {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(b))
+	}
+	for _, c := range b {
+		n += bits.OnesCount8(c)
+	}
+	return n
+}
+
+// Validate runs ValidateEncoded over every encoded rid index of the capture
+// and checks each against its recorded cardinality: the full-restore check
+// for a capture whose chunk bytes came from outside the process.
+func (c *Capture) Validate() error {
+	for _, dir := range []map[string]*Index{c.backward, c.forward} {
+		for rel, ix := range dir {
+			if ix.Kind != EncodedMany {
+				continue
+			}
+			card, err := ValidateEncoded(ix.Enc.offs, ix.Enc.data)
+			if err == nil && card != ix.Enc.card {
+				err = serr.New(serr.Internal, "lineage: encoded index holds %d rids, its directory says %d", card, ix.Enc.card)
+			}
+			if err != nil {
+				return fmt.Errorf("index of %q: %w", rel, err)
+			}
+		}
+	}
+	return nil
 }
 
 // Parts exposes the run directory of the encoded array: entry count, run

@@ -197,22 +197,14 @@ func (ix *Index) seqTracer() func(i Rid, dst []Rid) []Rid {
 
 // Trace returns the union (with duplicates preserved, per the paper's
 // transformational semantics) of the records mapped from each source rid.
-// Encoded indexes trace through their cursor forms: EncodedMany sums the
-// chunk headers first so the result is one exact allocation, and EncodedOne
-// probes through an ArrCursor (amortized O(1) per probe for the common
-// ascending seed order instead of a binary search per rid).
+// Encoded indexes trace through their cursor forms: EncodedMany expands
+// through AppendLists (headers size one exact allocation, each chunk decodes
+// once), and EncodedOne probes through an ArrCursor (amortized O(1) per probe
+// for the common ascending seed order instead of a binary search per rid).
 func (ix *Index) Trace(src []Rid) []Rid {
 	switch ix.Kind {
 	case EncodedMany:
-		total := 0
-		for _, i := range src {
-			total += ix.Enc.ListLen(int(i))
-		}
-		dst := make([]Rid, 0, total)
-		for _, i := range src {
-			dst = ix.Enc.AppendList(int(i), dst)
-		}
-		return dst
+		return ix.Enc.AppendLists(src, []Rid{}) // non-nil even when empty: nil rid lists mean "all rows" downstream
 	case EncodedOne:
 		dst := make([]Rid, 0, len(src))
 		c := ix.EncArr.Cursor()

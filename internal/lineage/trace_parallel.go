@@ -4,12 +4,11 @@ import "smoke/internal/pool"
 
 // ParTrace is the morsel-parallel rid-list expansion behind the physical
 // trace operator: it evaluates ix.Trace(src) by splitting the seed set into
-// contiguous partitions, expanding each partition's rid lists into a
-// partition-local buffer on the worker pool, and concatenating the buffers in
-// partition order. Because Trace is a per-seed concatenation, the result is
-// element-for-element identical to the serial call — duplicates (repeated
-// seeds, transformational semantics) included. Encoded indexes decode their
-// touched entries in place, per partition.
+// contiguous partitions, expanding each partition's rid lists on the worker
+// pool, and laying the expansions out in partition order. Because Trace is a
+// per-seed concatenation, the result is element-for-element identical to the
+// serial call — duplicates (repeated seeds, transformational semantics)
+// included.
 //
 // workers <= 1 (or a tiny seed set) falls through to the serial Trace.
 func ParTrace(ix *Index, src []Rid, workers int, pl *pool.Pool) []Rid {
@@ -17,22 +16,36 @@ func ParTrace(ix *Index, src []Rid, workers int, pl *pool.Pool) []Rid {
 		return ix.Trace(src)
 	}
 	ranges := pool.Split(len(src), workers)
+	if ix.Kind == EncodedMany {
+		// The chunk headers give every partition's exact extent up front, so
+		// the partitions decode straight into their slots of the one result
+		// array: no partition-local buffers, no concatenation copy.
+		offs := make([]int, len(ranges)+1)
+		for p, r := range ranges {
+			offs[p+1] = offs[p] + ix.Enc.listsLen(src[r.Lo:r.Hi])
+		}
+		out := make([]Rid, offs[len(ranges)])
+		pl.RunSplit(ranges, func(part, lo, hi int) {
+			ix.Enc.appendEntries(out[offs[part]:offs[part]:offs[part+1]], src[lo:hi])
+		})
+		return out
+	}
 	locals := make([][]Rid, len(ranges))
 	pl.RunSplit(ranges, func(part, lo, hi int) {
 		// Each partition routes through the serial Trace so it inherits the
-		// cursor specializations (exact-sized EncodedMany expansion,
-		// ArrCursor sequential probes).
+		// ArrCursor sequential probes.
 		locals[part] = ix.Trace(src[lo:hi])
 	})
-	total := 0
-	for _, l := range locals {
-		total += len(l)
+	return concatRids(locals)
+}
+
+// concatRids is ConcatRidArrays with a non-nil result even when empty (a nil
+// rid list means "all rows" to the consumers of a trace).
+func concatRids(locals [][]Rid) []Rid {
+	if out := ConcatRidArrays(locals); out != nil {
+		return out
 	}
-	out := make([]Rid, 0, total)
-	for _, l := range locals {
-		out = append(out, l...)
-	}
-	return out
+	return []Rid{}
 }
 
 // ParTraceInSitu is the morsel-parallel form of EncodedIndex.TraceInSitu:
@@ -62,14 +75,15 @@ func ParTraceInSitu(e *EncodedIndex, src []Rid, workers int, pl *pool.Pool) Enco
 }
 
 // ParTraceFiltered is ParTrace with a per-rid keep predicate applied during
-// expansion (the trace operator's pushed-down consuming filter): traced rids
-// failing keep are dropped before any materialization, preserving the order
-// of the survivors. A nil keep is equivalent to ParTrace.
+// expansion (the trace operator's pushed-down consuming filter): each
+// partition expands its seeds through the serial Trace and drops the rids
+// failing keep in place, preserving the order of the survivors. A nil keep is
+// equivalent to ParTrace.
 func ParTraceFiltered(ix *Index, src []Rid, keep func(Rid) bool, workers int, pl *pool.Pool) []Rid {
 	if keep == nil {
 		return ParTrace(ix, src, workers, pl)
 	}
-	if workers <= 1 || len(src) < 2 {
+	traceKept := func(src []Rid) []Rid {
 		out := ix.Trace(src)
 		kept := out[:0]
 		for _, r := range out {
@@ -79,28 +93,11 @@ func ParTraceFiltered(ix *Index, src []Rid, keep func(Rid) bool, workers int, pl
 		}
 		return kept
 	}
+	if workers <= 1 || len(src) < 2 {
+		return traceKept(src)
+	}
 	ranges := pool.Split(len(src), workers)
 	locals := make([][]Rid, len(ranges))
-	pl.RunSplit(ranges, func(part, lo, hi int) {
-		one := ix.seqTracer() // partition-local cursor state
-		var buf, dst []Rid
-		for _, s := range src[lo:hi] {
-			buf = one(s, buf[:0])
-			for _, r := range buf {
-				if keep(r) {
-					dst = append(dst, r)
-				}
-			}
-		}
-		locals[part] = dst
-	})
-	total := 0
-	for _, l := range locals {
-		total += len(l)
-	}
-	out := make([]Rid, 0, total)
-	for _, l := range locals {
-		out = append(out, l...)
-	}
-	return out
+	pl.RunSplit(ranges, func(part, lo, hi int) { locals[part] = traceKept(src[lo:hi]) })
+	return concatRids(locals)
 }

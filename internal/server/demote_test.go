@@ -2,7 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -39,6 +43,41 @@ func newDiskServer(t *testing.T, dir string, tweak func(*Config)) (*serverclient
 		}
 	}
 	return serverclient.New(ts.URL, ts.Client()), srv, store, stop
+}
+
+// stampFormatV1 rewrites the magic of the segment holding session sid's
+// result name, as found through the store's manifest.
+func stampFormatV1(t *testing.T, dir, sid, name string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Sessions map[string]struct {
+			Results map[string]struct {
+				File string `json:"file"`
+			} `json:"results"`
+		} `json:"sessions"`
+	}
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	file := man.Sessions[sid].Results[name].File
+	if file == "" {
+		t.Fatalf("manifest has no segment for %s/%s", sid, name)
+	}
+	path := filepath.Join(dir, file)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v1 = "SMKSEG1\n"
+	copy(data, v1)
+	copy(data[len(data)-len(v1):], v1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func sameRows(t *testing.T, what string, got, want *serverclient.Result) {
@@ -195,11 +234,25 @@ func TestRestartRecoversSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := sess.Run(ctx, "old", serverclient.QueryRequest{
+		SQL: "SELECT region, MAX(amount) AS m FROM orders GROUP BY region"}); err != nil {
+		t.Fatal(err)
+	}
 	stop() // graceful shutdown: drain, flush, publish, close
 
-	c2, _, _, stop2 := newDiskServer(t, dir, nil)
+	// "old" turns into a segment the previous format version wrote: its
+	// lineage chunks are unreadable now, so after the restart it must answer
+	// 410 (re-run the base query) — not 404, not a corrupt-segment 500.
+	stampFormatV1(t, dir, sess.ID, "old")
+
+	c2, srv2, _, stop2 := newDiskServer(t, dir, nil)
 	defer stop2()
 	sess2 := c2.Session(sess.ID)
+	_, err = sess2.Trace(ctx, "old", bw)
+	wantStatus(t, err, http.StatusGone)
+	if n := srv2.sessions.stats().c.flushErrors; n != 0 {
+		t.Fatalf("recovering a format v1 result counted %d flush errors", n)
+	}
 	gotBW, err := sess2.Trace(ctx, "base", bw)
 	if err != nil {
 		t.Fatalf("backward trace after restart: %v", err)

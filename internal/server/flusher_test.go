@@ -304,6 +304,60 @@ func TestInSituTraceRouting(t *testing.T) {
 	}
 }
 
+// rotStore hands out results whose backward chunk bytes rotted on disk: the
+// first chunk's tag is one no decoder knows.
+type rotStore struct{ resultStore }
+
+func (r rotStore) LoadResult(sid, name string) (*diskstore.Result, error) {
+	ld, err := r.resultStore.LoadResult(sid, name)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := ld.Capture.BackwardIndex("interact")
+	if err != nil {
+		return nil, err
+	}
+	offs, data, card := ix.Enc.Parts()
+	bad := append([]byte(nil), data...)
+	bad[0] = 0xee
+	enc, err := lineage.EncodedIndexFromParts(offs, bad, card)
+	if err != nil {
+		return nil, err
+	}
+	ld.Capture.SetBackward("interact", lineage.NewEncodedMany(enc))
+	return ld, nil
+}
+
+// Promotion is the full restore, so it validates the chunk bytes the lazily
+// mapped view took on trust: a segment whose chunks rotted makes the result
+// gone (410, re-run the base query) instead of handing every later trace a
+// capture that panics inside a cursor.
+func TestPromotionRejectsRottenChunkBytes(t *testing.T) {
+	db := tierDB(t)
+	store := openTierStore(t, t.TempDir())
+	t.Cleanup(func() { _ = store.Close() })
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	reg := newRegistry(db, rotStore{store}, clk.now, time.Hour, 64, 1, 512<<20, 4<<30)
+	t.Cleanup(func() { _ = reg.close() })
+
+	s := reg.create()
+	mustPut(t, reg, s.id, "a", tierResult(t, db))
+	clk.advance(time.Second)
+	mustPut(t, reg, s.id, "b", tierResult(t, db)) // cap 1: demotes "a"
+	reg.fl.drain()
+
+	_, err := reg.get(s.id, "a") // a plain get promotes
+	if k := serr.KindOf(err); k != serr.Gone {
+		t.Fatalf("promoting a result with rotten chunk bytes: kind %v (%v), want Gone", k, err)
+	}
+	if st := reg.stats(); st.c.promotes != 0 {
+		t.Fatalf("rotten result was promoted: %+v", st.c)
+	}
+	if _, err := reg.get(s.id, "a"); serr.KindOf(err) != serr.Gone {
+		t.Fatalf("second access: %v, want the 410 to stick", err)
+	}
+}
+
 // Crash mid-flush: result A's segment write landed, B's failed without
 // touching the disk, and the process dies with no graceful flush. A restart
 // over the same dir serves A's traces element-identically; B answers 404 —

@@ -17,6 +17,7 @@ type resultStore interface {
 	DeleteSessionNoPublish(session string) bool
 	Publish() error
 	Sessions() map[string]map[string]int64
+	StaleResults() map[string][]string
 	NextSessionID() uint64
 	SetNextSessionID(id uint64)
 }

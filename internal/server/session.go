@@ -259,27 +259,43 @@ func (r *registry) close() error {
 
 // recoverLocked rebuilds the dormant set from the store's manifest: every
 // published session comes back as a dormant session whose results are
-// demoted entries, promoted lazily on first access. Runs at construction
-// (before the registry is shared), so no lock is actually held.
+// demoted entries, promoted lazily on first access. Results the store had to
+// drop because their segments predate the current format come back as
+// tombstones, so they answer 410 (re-run the base query) like any other
+// result lost across a restart, not 404. Runs at construction (before the
+// registry is shared), so no lock is actually held.
 func (r *registry) recoverLocked() {
 	now := r.clock()
-	for sid, results := range r.store.Sessions() {
-		s := &session{
-			id: sid, last: now,
-			results: map[string]*retainedResult{},
-			demoted: map[string]*demotedResult{},
-			gone:    newTombstones(tombstoneCap),
+	recovered := func(sid string) *session {
+		s := r.dormant[sid]
+		if s == nil {
+			s = &session{
+				id: sid, last: now,
+				results: map[string]*retainedResult{},
+				demoted: map[string]*demotedResult{},
+				gone:    newTombstones(tombstoneCap),
+			}
+			r.dormant[sid] = s
+			// Keep the id generator ahead of recovered ids even if the
+			// persisted watermark lagged (it publishes lazily).
+			var n uint64
+			if _, err := fmt.Sscanf(sid, "s%x", &n); err == nil && n > r.nextID {
+				r.nextID = n
+			}
 		}
+		return s
+	}
+	for sid, results := range r.store.Sessions() {
+		s := recovered(sid)
 		for name, bytes := range results {
 			s.demoted[name] = &demotedResult{bytes: bytes, last: now}
 			r.diskBytes += bytes
 		}
-		r.dormant[sid] = s
-		// Keep the id generator ahead of recovered ids even if the persisted
-		// watermark lagged (it publishes lazily).
-		var n uint64
-		if _, err := fmt.Sscanf(sid, "s%x", &n); err == nil && n > r.nextID {
-			r.nextID = n
+	}
+	for sid, names := range r.store.StaleResults() {
+		s := recovered(sid)
+		for _, name := range names {
+			s.gone.add(name)
 		}
 	}
 	if wm := r.store.NextSessionID(); wm > r.nextID {
@@ -623,15 +639,34 @@ func (r *registry) acquire(id, name string, h *traceHint) (*core.Result, error) 
 			r.counters.insituTraces++
 			return dr.view, nil
 		}
+		// Promotion is the full restore: from here the result serves every
+		// kind of trace over all of its lists, so its chunk bytes — which
+		// the lazily mapped view took on trust — are validated first.
+		if err := dr.view.Capture().Validate(); err != nil {
+			return nil, r.unrecoverableLocked(s, name, dr, err)
+		}
 		return r.promoteLocked(s, name, dr, now), nil
 	}
+}
+
+// unrecoverableLocked makes a demoted result whose segment cannot be used
+// gone — when the entry is still current — and returns the 410 the client
+// sees.
+func (r *registry) unrecoverableLocked(s *session, name string, dr *demotedResult, err error) error {
+	if cur, ok := s.demoted[name]; ok && cur == dr {
+		r.deleteDemotedLocked(s, name)
+		s.gone.add(name)
+	}
+	return serr.New(serr.Gone,
+		"server: result %q of session %s could not be recovered from disk (%v); re-run the base query",
+		name, s.id, err)
 }
 
 // ensureViewLocked materializes dr's segment-backed view, releasing the
 // registry lock for the segment load so concurrent sessions keep moving.
 // Exactly one goroutine loads; waiters block on dr.loading. On return the
-// lock is held again. A load failure makes the result gone — the segment is
-// unrecoverable — when the entry is still current.
+// lock is held again. A load failure makes the result gone (the segment is
+// unrecoverable).
 func (r *registry) ensureViewLocked(s *session, name string, dr *demotedResult) error {
 	w := make(chan struct{})
 	dr.loading = w
@@ -645,13 +680,7 @@ func (r *registry) ensureViewLocked(s *session, name string, dr *demotedResult) 
 	dr.loading = nil
 	close(w)
 	if err != nil {
-		if cur, ok := s.demoted[name]; ok && cur == dr {
-			r.deleteDemotedLocked(s, name)
-			s.gone.add(name)
-		}
-		return serr.New(serr.Gone,
-			"server: result %q of session %s could not be recovered from disk (%v); re-run the base query",
-			name, s.id, err)
+		return r.unrecoverableLocked(s, name, dr, err)
 	}
 	dr.view = view
 	r.counters.views++
