@@ -12,31 +12,21 @@
 // with a logged annotation — a 1-core runner cannot demonstrate a speedup,
 // and failing there would just test the CI hardware.
 //
-// It also enforces the trace-strategy invariant on the current
-// BENCH_lazy.json (when present): at every trace-rate point at or below
-// -lazy-max-rate, the lazy end-to-end total (capture-free base query plus
-// re-executed traces) must beat the eager total within -lazy-slack-ms.
-//
-// Finally it enforces the horizontal-scaling ratio on the current
-// BENCH_serve.json (when present): the scatter/gather tier's trace p95 at
-// shards=N must stay within -shard-max-ratio of the shards=1 proxy row.
-// Reports detecting fewer than -shard-min-cores CPUs skip with a logged
-// annotation — a single-core runner cannot run a shard wave concurrently.
+// The paper's end-to-end claims (capture overhead, trace vs re-execution,
+// the served and sharded interactive loop) are measured by the claims
+// benchmark under benchmark/, not here; see docs/benchmarks.md.
 //
 // Usage:
 //
-//	smokebench -exp compress,parscale,plan,consume -scale tiny -reps 1 -json bench/out
+//	smokebench -exp compress,parscale,plan -scale tiny -reps 1 -json bench/out
 //	benchgate -baseline bench/baselines -current bench/out -tol 2.0 -slack-ms 10 \
-//	    -at-workers 4 -min-speedup 1.2 -scaling-min-ms 20 \
-//	    -lazy-max-rate 0.011 -lazy-slack-ms 1 \
-//	    -shard-max-ratio 2.0 -shard-min-cores 2
+//	    -at-workers 4 -min-speedup 1.2 -scaling-min-ms 20
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"smoke/internal/bench"
 )
@@ -49,12 +39,6 @@ func main() {
 	atWorkers := flag.Int("at-workers", 4, "parallel worker count compared against workers=1 by the scaling gate")
 	minSpeedup := flag.Float64("min-speedup", 1.2, "required ms(workers=1)/ms(workers=N) ratio; 0 disables the scaling gate")
 	scalingMinMS := flag.Float64("scaling-min-ms", 20, "scaling-gate noise floor: skip pairs whose serial latency is below this")
-	lazyMaxRate := flag.Float64("lazy-max-rate", 0.011, "highest trace_rate gated by the lazy-beats-eager rule; negative disables")
-	lazySlackMS := flag.Float64("lazy-slack-ms", 1, "additive slack for the lazy gate: lazy_total <= eager_total + slack")
-	shardMaxRatio := flag.Float64("shard-max-ratio", 2.0, "allowed shards=N vs shards=1 trace p95 ratio in BENCH_serve.json; 0 disables")
-	shardMaxShards := flag.Int("shard-max-shards", 4, "scaled-out shard count compared against shards=1 by the shard gate")
-	shardMinCores := flag.Int("shard-min-cores", 2, "skip the shard gate (logged) when the report detected fewer cores")
-	shardSlackMS := flag.Float64("shard-slack-ms", 10, "additive slack for the shard gate (scatter constants dominate sub-ms tiny-scale rows)")
 	flag.Parse()
 
 	cfg := bench.GateConfig{Tolerance: *tol, SlackMS: *slack}
@@ -75,33 +59,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: FAIL\n%v\n", err)
 		fail = true
 	}
-	lcfg := bench.LazyConfig{
-		MaxRate: *lazyMaxRate,
-		SlackMS: *lazySlackMS,
-		Logf: func(format string, args ...any) {
-			fmt.Printf("benchgate: "+format+"\n", args...)
-		},
-	}
-	if err := bench.LazyGateFile(filepath.Join(*current, "BENCH_lazy.json"), lcfg); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL\n%v\n", err)
-		fail = true
-	}
-	shcfg := bench.ShardConfig{
-		MaxShards: *shardMaxShards,
-		MaxRatio:  *shardMaxRatio,
-		SlackMS:   *shardSlackMS,
-		MinCores:  *shardMinCores,
-		Logf: func(format string, args ...any) {
-			fmt.Printf("benchgate: "+format+"\n", args...)
-		},
-	}
-	if err := bench.ShardGateFile(filepath.Join(*current, "BENCH_serve.json"), shcfg); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL\n%v\n", err)
-		fail = true
-	}
 	if fail {
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: OK (%s vs %s, tol %.1fx + %.0fms; scaling w%d >= %.2fx; lazy <= eager at rate <= %.3f; shards=%d p95 <= %.1fx shards=1)\n",
-		*current, *baseline, *tol, *slack, *atWorkers, *minSpeedup, *lazyMaxRate, *shardMaxShards, *shardMaxRatio)
+	fmt.Printf("benchgate: OK (%s vs %s, tol %.1fx + %.0fms; scaling w%d >= %.2fx)\n",
+		*current, *baseline, *tol, *slack, *atWorkers, *minSpeedup)
 }

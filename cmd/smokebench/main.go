@@ -1,16 +1,16 @@
 // Command smokebench regenerates the paper's tables and figures (DESIGN.md
 // per-experiment index). Each experiment prints the series the corresponding
-// figure plots.
+// figure plots. The end-to-end claims benchmark is `bash benchmark/run.sh`.
 //
 // Usage:
 //
 //	smokebench -exp fig5,fig8          # run specific experiments
 //	smokebench -exp all                # run everything, paper order
 //	smokebench -exp fig13 -scale paper # paper-scale datasets (slow, RAM-hungry)
-//	smokebench -exp compress,parscale,plan,consume -scale tiny -reps 1 -json bench/out
-//	                                   # CI smoke-job: lineage-equality gates
-//	                                   # at sub-second scale; benchgate then
-//	                                   # compares bench/out to bench/baselines
+//	smokebench -exp compress,parscale,plan -scale tiny -reps 1 -json bench/out
+//	                                   # CI smoke-job: lineage-equality gates at
+//	                                   # sub-second scale; benchgate compares
+//	                                   # bench/out to bench/baselines
 //	smokebench -exp plan -profile prof # also write prof/profile_cpu.pprof and
 //	                                   # prof/profile_heap.pprof for
 //	                                   # `go tool pprof` drill-down

@@ -5,6 +5,7 @@
 // benchmarks. Absolute numbers differ from the paper (different hardware and
 // language runtime); the orderings and rough ratios are the reproduction
 // target — see docs/benchmarks.md for the per-experiment index and gates.
+// The engine-level end-to-end claims live in the benchmark/ program instead.
 package bench
 
 import (
@@ -104,10 +105,6 @@ func Experiments() map[string]Runner {
 		"parscale": ParScale,
 		"compress": Compress,
 		"plan":     PlanBench,
-		"consume":  Consume,
-		"serve":    Serve,
-		"spill":    Spill,
-		"lazy":     Lazy,
 	}
 }
 
@@ -116,6 +113,6 @@ func Order() []string {
 	return []string{
 		"fig5", "fig5tc", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig21", "fig22", "fig23",
-		"parscale", "compress", "plan", "consume", "serve", "spill", "lazy",
+		"parscale", "compress", "plan",
 	}
 }

@@ -27,17 +27,13 @@ import (
 // For each workload it captures raw and compressed (Inject, both
 // directions), gates on element-identical lineage — including a
 // morsel-parallel compressed run, which exercises the encoded-concat merge —
-// and then reports bytes-per-rid and backward/forward trace latency for
-// four representations: raw, compressed (Index.Trace — the expanding trace:
-// headers size the output, each chunk decodes once), compressed-merged (the
-// same expansion over the morsel-parallel capture, whose lists are one chunk
-// per contributing partition — the shape a served capture has), and
-// compressed-insitu (TraceInSitu — the trace result stays encoded, no chunk
-// is ever decoded; its equality to the raw trace is gated outside the timed
-// region). The compressed rows over the raw row are the encoded-vs-raw trace
-// ratios. It also times the compressed capture itself at workers ∈ {1, 2, 4,
-// 8} (the encoded-concat merge scaling). Results land in BENCH_compress.json
-// with a detected-cores annotation.
+// and then reports bytes-per-rid for three representations: raw, compressed,
+// and compressed-merged (the morsel-parallel capture, whose lists are one
+// chunk per contributing partition — the shape a served capture has). It
+// also times the compressed capture itself at workers ∈ {1, 2, 4, 8} (the
+// encoded-concat merge scaling). Encoded-vs-raw trace cost is the claims
+// benchmark's (encoded_vs_raw_ratio, lineage.backward_insitu_ms). Results
+// land in BENCH_compress.json with a detected-cores annotation.
 func Compress(cfg Config) error {
 	n := 400_000
 	groups := 1_000
@@ -60,8 +56,6 @@ func Compress(cfg Config) error {
 		Cardinality int     `json:"cardinality"`
 		IndexBytes  int     `json:"index_bytes"`
 		BytesPerRid float64 `json:"bytes_per_rid"`
-		BackwardMs  float64 `json:"backward_trace_ms"`
-		ForwardMs   float64 `json:"forward_trace_ms"`
 	}
 	type captureRow struct {
 		Workload string  `json:"workload"`
@@ -80,7 +74,7 @@ func Compress(cfg Config) error {
 	}{Tuples: n, Groups: groups, Cores: runtime.NumCPU(), Mode: "inject+both"}
 
 	cfg.printf("Figure Z (beyond-paper): compressed lineage indexes, %d tuples, %d groups, %d cores\n", n, groups, report.Cores)
-	cfg.printf("%-10s %-18s %14s %14s %14s\n", "workload", "repr", "bytes/rid", "backward(ms)", "forward(ms)")
+	cfg.printf("%-10s %-18s %14s %14s\n", "workload", "repr", "bytes/rid", "index bytes")
 
 	aggSpec := microAggSpec()
 	for _, wl := range []struct {
@@ -107,80 +101,26 @@ func Compress(cfg Config) error {
 
 		// Lineage-equality gate: serial-compressed and parallel-compressed
 		// (the encoded-concat merge path) must decode element-identically to
-		// the raw capture. Timing a lossy representation would be meaningless.
+		// the raw capture. Measuring a lossy representation would be meaningless.
 		for what, c := range map[string]*ops.AggResult{"serial": &comp, "parallel": &parComp} {
 			if err := compressGate(wl.name+"/"+what, &raw, c); err != nil {
 				return err
 			}
 		}
 
-		rawBW, rawFW := raw.BackwardIndex(), raw.ForwardIndex()
-		compBW, compFW := comp.BackwardIndex(), comp.ForwardIndex()
 		card := raw.BW.Cardinality()
-
-		outRids := make([]lineage.Rid, raw.Out.N)
-		for i := range outRids {
-			outRids[i] = lineage.Rid(i)
-		}
-		inRids := make([]lineage.Rid, 0, n/10)
-		for i := 0; i < n; i += 10 {
-			inRids = append(inRids, lineage.Rid(i))
-		}
-
-		// In-situ equality gate (outside the timed region): the encoded
-		// trace's decode must equal the raw trace element-for-element.
-		insitu := comp.BWEnc.TraceInSitu(outRids)
-		wantTrace := rawBW.Trace(outRids)
-		if insitu.Len() != len(wantTrace) {
-			return fmt.Errorf("compress: %s: in-situ trace has %d rids, want %d", wl.name, insitu.Len(), len(wantTrace))
-		}
-		dec := insitu.AppendTo(nil)
-		for i := range wantTrace {
-			if dec[i] != wantTrace[i] {
-				return fmt.Errorf("compress: %s: in-situ trace diverges from raw at element %d", wl.name, i)
-			}
-		}
-
 		for _, m := range []struct {
-			repr   string
-			bw, fw *lineage.Index
-		}{
-			{"raw", rawBW, rawFW},
-			{"compressed", compBW, compFW},
-			{"compressed-merged", parComp.BackwardIndex(), parComp.ForwardIndex()},
-		} {
-			bw, fw := m.bw, m.fw
-			bwD := cfg.Median(func() { bw.Trace(outRids) })
-			fwD := cfg.Median(func() { fw.Trace(inRids) })
-			bytes := bw.SizeBytes() + fw.SizeBytes()
+			repr string
+			res  *ops.AggResult
+		}{{"raw", &raw}, {"compressed", &comp}, {"compressed-merged", &parComp}} {
+			bytes := m.res.BackwardIndex().SizeBytes() + m.res.ForwardIndex().SizeBytes()
 			r := row{
 				Workload: wl.name, Repr: m.repr,
 				Cardinality: card, IndexBytes: bytes,
 				BytesPerRid: float64(bytes) / float64(card+n), // bw rids + fw entries
-				BackwardMs:  ms(bwD), ForwardMs: ms(fwD),
 			}
 			report.Rows = append(report.Rows, r)
-			cfg.printf("%-10s %-18s %14.2f %14.2f %14.2f\n", r.Workload, r.Repr, r.BytesPerRid, r.BackwardMs, r.ForwardMs)
-		}
-
-		// The in-situ row: the backward trace never decodes a chunk — it
-		// byte-concatenates the seed groups' chunk sequences (TraceInSitu).
-		// Forward probes go through the EncodedArr sequential cursor, which
-		// Index.Trace already routes to. This is the representation-native
-		// trace cost that competes with (and on dense lineage, beats) raw.
-		{
-			enc := comp.BWEnc
-			bwD := cfg.Median(func() { enc.TraceInSitu(outRids) })
-			fwD := cfg.Median(func() { compFW.Trace(inRids) })
-			bytes := compBW.SizeBytes() + compFW.SizeBytes()
-			r := row{
-				Workload: wl.name, Repr: "compressed-insitu",
-				Cardinality: card, IndexBytes: bytes,
-				BytesPerRid: float64(bytes) / float64(card+n),
-				BackwardMs:  ms(bwD), ForwardMs: ms(fwD),
-			}
-			report.Rows = append(report.Rows, r)
-			cfg.printf("%-10s %-18s %14.2f %14.2f %14.2f\n", r.Workload, r.Repr, r.BytesPerRid, r.BackwardMs, r.ForwardMs)
+			cfg.printf("%-10s %-18s %14.2f %14d\n", r.Workload, r.Repr, r.BytesPerRid, r.IndexBytes)
 		}
 
 		// Compressed-capture scaling: the whole capture (execute + encode +

@@ -57,14 +57,11 @@ func (r benchReport) allRows() []map[string]any {
 
 // measurementField reports whether a row field is a measurement (gated or
 // derived) rather than part of the row's identity. Latency fields ("ms" and
-// any "*_ms") are gated; ratios, byte counts ("*_bytes"), and observed
-// counters ("*_count") are derived and ignored — they vary run to run and
-// must never split a row's identity.
+// any "*_ms") are gated; speedups and compress's size columns are derived
+// and ignored — they vary run to run and must never split a row's identity.
 func measurementField(k string) bool {
-	return k == "ms" || strings.HasSuffix(k, "_ms") ||
-		strings.HasPrefix(k, "speedup") || strings.HasPrefix(k, "bytes_per_rid") ||
-		strings.HasSuffix(k, "_bytes") || strings.HasSuffix(k, "_count") ||
-		k == "index_bytes" || k == "cardinality"
+	return latencyField(k) || strings.HasPrefix(k, "speedup") ||
+		k == "bytes_per_rid" || k == "index_bytes" || k == "cardinality"
 }
 
 // latencyField reports whether a measurement is a gated latency.
@@ -316,168 +313,6 @@ func ScalingGateDir(currentDir string, cfg ScalingConfig) error {
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("%s", strings.Join(failures, "\n"))
-	}
-	return nil
-}
-
-// LazyConfig tunes the trace-strategy gate over BENCH_lazy.json: at every
-// trace-rate point at or below MaxRate, the lazy end-to-end total (base query
-// plus traces) must beat the eager total within SlackMS. This is the whole
-// argument for the lazy tier — if capture-free execution plus a sparse
-// handful of re-executed traces is not cheaper than paying eager capture up
-// front, the strategy seam has regressed.
-type LazyConfig struct {
-	// MaxRate is the highest trace_rate gated (e.g. 0.011 gates the 0 and 1%
-	// points but not 10%, where eager is expected to win). < 0 disables.
-	MaxRate float64
-	// SlackMS is the additive grace in milliseconds: lazy passes when
-	// lazy_total <= eager_total + SlackMS.
-	SlackMS float64
-	// Logf, when set, receives skip annotations. Defaults to discarding them.
-	Logf func(format string, args ...any)
-}
-
-func (cfg LazyConfig) logf(format string, args ...any) {
-	if cfg.Logf != nil {
-		cfg.Logf(format, args...)
-	}
-}
-
-// LazyGateFile enforces the lazy-beats-eager invariant on one BENCH_lazy.json
-// report. A missing report skips with an annotation (the lazy experiment may
-// not be in the run's -exp list); a present report with no comparable
-// eager/lazy pairs at gated rates is an error — that means the report shape
-// drifted and the gate would otherwise pass silently forever.
-func LazyGateFile(path string, cfg LazyConfig) error {
-	if cfg.MaxRate < 0 {
-		return nil
-	}
-	rep, err := readReport(path)
-	if os.IsNotExist(err) {
-		cfg.logf("lazy gate: %s: skipped (no report)", filepath.Base(path))
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("lazy gate: %s: %w", path, err)
-	}
-	totals := map[float64]map[string]float64{}
-	for _, row := range rep.allRows() {
-		strat, _ := row["strategy"].(string)
-		rate, rateOK := row["trace_rate"].(float64)
-		total, totalOK := row["total_ms"].(float64)
-		if strat == "" || !rateOK || !totalOK {
-			continue
-		}
-		if totals[rate] == nil {
-			totals[rate] = map[string]float64{}
-		}
-		totals[rate][strat] = total
-	}
-	rates := make([]float64, 0, len(totals))
-	for rate := range totals {
-		rates = append(rates, rate)
-	}
-	sort.Float64s(rates)
-	var failures []string
-	pairs := 0
-	for _, rate := range rates {
-		eager, eagerOK := totals[rate]["eager"]
-		lazy, lazyOK := totals[rate]["lazy"]
-		if !eagerOK || !lazyOK {
-			continue
-		}
-		if rate > cfg.MaxRate {
-			cfg.logf("lazy gate: %s: trace_rate=%v skipped (above %.3f — eager may win there)",
-				filepath.Base(path), rate, cfg.MaxRate)
-			continue
-		}
-		pairs++
-		if lazy > eager+cfg.SlackMS {
-			failures = append(failures,
-				fmt.Sprintf("trace_rate=%v: lazy end-to-end %.2fms exceeds eager %.2fms + %.2fms slack",
-					rate, lazy, eager, cfg.SlackMS))
-		}
-	}
-	if pairs == 0 {
-		return fmt.Errorf("lazy gate: %s: no eager/lazy pairs at trace_rate <= %.3f", filepath.Base(path), cfg.MaxRate)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("lazy gate: %s:\n  %s", filepath.Base(path), strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// ShardConfig tunes the horizontal-scaling gate over BENCH_serve.json: the
-// scatter/gather tier's trace p95 at shards=MaxShards must stay within
-// MaxRatio of the shards=1 (pure proxy) p95, plus SlackMS of additive grace.
-// This is the scale-out regression net — a coordinator that serializes its
-// scatter waves, re-buffers partials, or loses the per-seed merge's
-// linearity shows up as a blown ratio.
-type ShardConfig struct {
-	// MaxShards is the scaled-out row compared against shards=1.
-	MaxShards int
-	// MaxRatio is the allowed p95(shards=MaxShards) / p95(shards=1) ratio.
-	// <= 0 disables the gate.
-	MaxRatio float64
-	// SlackMS is the additive grace in milliseconds on top of the ratio
-	// (absorbs scheduler noise on sub-millisecond tiny-scale rows).
-	SlackMS float64
-	// MinCores is the smallest detected-cores annotation the gate trusts:
-	// below it the comparison skips with a logged annotation — a single-core
-	// runner cannot run a 4-shard wave concurrently, and gating there would
-	// test the CI hardware, not the coordinator.
-	MinCores int
-	// Logf, when set, receives skip annotations. Defaults to discarding them.
-	Logf func(format string, args ...any)
-}
-
-func (cfg ShardConfig) logf(format string, args ...any) {
-	if cfg.Logf != nil {
-		cfg.Logf(format, args...)
-	}
-}
-
-// ShardGateFile enforces the shard-scaling ratio on one BENCH_serve.json
-// report. A missing report skips with an annotation (serve may not be in the
-// run's -exp list); a present report without both shard rows is an error —
-// the report shape drifted and the gate would otherwise pass silently.
-func ShardGateFile(path string, cfg ShardConfig) error {
-	if cfg.MaxRatio <= 0 {
-		return nil
-	}
-	rep, err := readReport(path)
-	if os.IsNotExist(err) {
-		cfg.logf("shard gate: %s: skipped (no report)", filepath.Base(path))
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("shard gate: %s: %w", path, err)
-	}
-	if rep.Cores > 0 && rep.Cores < cfg.MinCores {
-		cfg.logf("shard gate: %s: skipped (detected %d cores < %d)",
-			filepath.Base(path), rep.Cores, cfg.MinCores)
-		return nil
-	}
-	p95 := map[int]float64{}
-	for _, row := range rep.allRows() {
-		shards, ok := row["shards"].(float64)
-		if !ok {
-			continue
-		}
-		if v, ok := row["p95_ms"].(float64); ok {
-			p95[int(shards)] = v
-		}
-	}
-	one, oneOK := p95[1]
-	many, manyOK := p95[cfg.MaxShards]
-	if !oneOK || !manyOK {
-		return fmt.Errorf("shard gate: %s: missing shards=1 and/or shards=%d trace rows (report shape drifted)",
-			filepath.Base(path), cfg.MaxShards)
-	}
-	if budget := one*cfg.MaxRatio + cfg.SlackMS; many > budget {
-		return fmt.Errorf(
-			"shard gate: %s: shards=%d trace p95 %.2fms exceeds %.2fms (shards=1 %.2fms x %.1f + %.0fms slack)",
-			filepath.Base(path), cfg.MaxShards, many, budget, one, cfg.MaxRatio, cfg.SlackMS)
 	}
 	return nil
 }

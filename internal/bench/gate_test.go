@@ -26,9 +26,9 @@ const gateBaseline = `{
   ]
 }`
 
-// TestGateCoversSuffixedLatencyFields: compress-style rows measure
-// backward_trace_ms/forward_trace_ms instead of ms; those gate too, and
-// derived fields (bytes_per_rid, index_bytes) stay out of the identity.
+// TestGateCoversSuffixedLatencyFields: a row may measure *_ms fields
+// instead of ms; those gate too, and derived fields (bytes_per_rid,
+// index_bytes) stay out of the identity.
 func TestGateCoversSuffixedLatencyFields(t *testing.T) {
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", `{
@@ -192,10 +192,10 @@ func TestScalingGateSkipsOnSmallMachine(t *testing.T) {
 // rows are logged skips, never failures.
 func TestScalingGateSkipsNoiseFloorAndUnpaired(t *testing.T) {
 	dir := t.TempDir()
-	path := writeReport(t, dir, "BENCH_consume.json", `{
+	path := writeReport(t, dir, "BENCH_plan.json", `{
   "cores": 8,
   "rows": [
-    {"path": "preplan", "workers": 1, "ms": 50.0},
+    {"path": "reference", "workers": 1, "ms": 50.0},
     {"path": "tinyrow", "workers": 1, "ms": 0.4},
     {"path": "tinyrow", "workers": 4, "ms": 0.9}
   ]
@@ -240,148 +240,5 @@ func TestGateDirs(t *testing.T) {
 	}
 	if err := CompareGateDirs(filepath.Join(baseDir, "empty"), curDir, GateConfig{}); err == nil {
 		t.Fatal("empty baseline dir must fail")
-	}
-}
-
-const lazyHealthy = `{
-  "cores": 1,
-  "rows": [
-    {"strategy": "eager", "trace_rate": 0, "base_ms": 4.0, "trace_ms": 0.0, "total_ms": 4.0},
-    {"strategy": "eager", "trace_rate": 0.01, "base_ms": 4.0, "trace_ms": 0.1, "total_ms": 4.1},
-    {"strategy": "eager", "trace_rate": 0.1, "base_ms": 4.0, "trace_ms": 0.2, "total_ms": 4.2},
-    {"strategy": "lazy", "trace_rate": 0, "base_ms": 2.0, "trace_ms": 0.0, "total_ms": 2.0},
-    {"strategy": "lazy", "trace_rate": 0.01, "base_ms": 2.0, "trace_ms": 1.0, "total_ms": 3.0},
-    {"strategy": "lazy", "trace_rate": 0.1, "base_ms": 2.0, "trace_ms": 7.0, "total_ms": 9.0}
-  ]
-}`
-
-// TestLazyGatePassesWhenSparseTracesWin: lazy beating eager at the 0 and 1%
-// points passes even though eager wins at 10% — that point is above the
-// gated rate and skips with an annotation.
-func TestLazyGatePassesWhenSparseTracesWin(t *testing.T) {
-	dir := t.TempDir()
-	path := writeReport(t, dir, "BENCH_lazy.json", lazyHealthy)
-	var logged []string
-	cfg := LazyConfig{MaxRate: 0.011, SlackMS: 1,
-		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }}
-	if err := LazyGateFile(path, cfg); err != nil {
-		t.Fatalf("sparse-trace win should pass: %v", err)
-	}
-	if len(logged) != 1 || !strings.Contains(logged[0], "trace_rate=0.1") {
-		t.Fatalf("the 10%% point must skip with an annotation, got: %v", logged)
-	}
-}
-
-// TestLazyGateFailsWhenEagerWinsSparse: lazy losing end-to-end at a gated
-// rate fails with the point named.
-func TestLazyGateFailsWhenEagerWinsSparse(t *testing.T) {
-	dir := t.TempDir()
-	path := writeReport(t, dir, "BENCH_lazy.json", `{
-  "rows": [
-    {"strategy": "eager", "trace_rate": 0.01, "base_ms": 4.0, "trace_ms": 0.1, "total_ms": 4.1},
-    {"strategy": "lazy", "trace_rate": 0.01, "base_ms": 2.0, "trace_ms": 9.0, "total_ms": 11.0}
-  ]
-}`)
-	err := LazyGateFile(path, LazyConfig{MaxRate: 0.011, SlackMS: 1})
-	if err == nil || !strings.Contains(err.Error(), "trace_rate=0.01") {
-		t.Fatalf("lazy losing a gated point must fail and name it, got: %v", err)
-	}
-}
-
-// TestLazyGateSkipsMissingAndRejectsEmpty: a missing report is a logged
-// skip (the experiment may be off this run); a present report with no
-// comparable pairs is an error, not a silent pass.
-func TestLazyGateSkipsMissingAndRejectsEmpty(t *testing.T) {
-	dir := t.TempDir()
-	var logged []string
-	cfg := LazyConfig{MaxRate: 0.011, SlackMS: 1,
-		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }}
-	if err := LazyGateFile(filepath.Join(dir, "BENCH_lazy.json"), cfg); err != nil {
-		t.Fatalf("missing report must skip, not fail: %v", err)
-	}
-	if len(logged) != 1 || !strings.Contains(logged[0], "no report") {
-		t.Fatalf("missing-report skip must be annotated, got: %v", logged)
-	}
-	path := writeReport(t, dir, "BENCH_lazy.json", `{"rows": [{"strategy": "eager", "trace_rate": 0.5, "total_ms": 4.0}]}`)
-	if err := LazyGateFile(path, cfg); err == nil {
-		t.Fatal("report with no gated pairs must fail")
-	}
-	if err := LazyGateFile(path, LazyConfig{MaxRate: -1}); err != nil {
-		t.Fatalf("negative MaxRate must disable the gate: %v", err)
-	}
-}
-
-const shardServeReport = `{
-  "cores": 8,
-  "rows": [
-    {"op": "trace", "sessions": 4, "workers": 4, "requests": 64, "p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0, "cache_hit_rate": 0.5},
-    {"op": "trace-shard1", "sessions": 4, "workers": 1, "shards": 1, "requests": 64, "p50_ms": 1.0, "p95_ms": %0.1f, "p99_ms": 3.0, "cache_hit_rate": 0},
-    {"op": "trace-shard4", "sessions": 4, "workers": 1, "shards": 4, "requests": 64, "p50_ms": 1.2, "p95_ms": %0.1f, "p99_ms": 4.0, "cache_hit_rate": 0}
-  ]
-}`
-
-// TestShardGateWithinRatioPasses: shards=4 p95 inside the ratio budget is
-// green; blowing the budget fails and names both rows' numbers.
-func TestShardGateWithinRatioPasses(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ShardConfig{MaxShards: 4, MaxRatio: 2.0, SlackMS: 0, MinCores: 2}
-	ok := writeReport(t, dir, "ok.json", fmt.Sprintf(shardServeReport, 10.0, 19.0))
-	if err := ShardGateFile(ok, cfg); err != nil {
-		t.Fatalf("within-ratio report failed: %v", err)
-	}
-	bad := writeReport(t, dir, "bad.json", fmt.Sprintf(shardServeReport, 10.0, 21.0))
-	err := ShardGateFile(bad, cfg)
-	if err == nil || !strings.Contains(err.Error(), "21.00ms") || !strings.Contains(err.Error(), "10.00ms") {
-		t.Fatalf("blown ratio must fail naming both p95s, got: %v", err)
-	}
-}
-
-// TestShardGateSlackAbsorbsNoise: the additive slack keeps sub-millisecond
-// tiny-scale rows from flaking on a pure ratio.
-func TestShardGateSlackAbsorbsNoise(t *testing.T) {
-	dir := t.TempDir()
-	path := writeReport(t, dir, "cur.json", fmt.Sprintf(shardServeReport, 0.4, 2.1))
-	if err := ShardGateFile(path, ShardConfig{MaxShards: 4, MaxRatio: 2.0, SlackMS: 5, MinCores: 2}); err != nil {
-		t.Fatalf("slack must absorb sub-ms noise: %v", err)
-	}
-	if err := ShardGateFile(path, ShardConfig{MaxShards: 4, MaxRatio: 2.0, SlackMS: 0, MinCores: 2}); err == nil {
-		t.Fatal("without slack the same report must fail")
-	}
-}
-
-// TestShardGateSkipsSmallMachines: a report detecting fewer cores than
-// MinCores skips with a logged annotation instead of failing — and a missing
-// report skips too (serve may not be in the run's -exp list).
-func TestShardGateSkipsSmallMachines(t *testing.T) {
-	dir := t.TempDir()
-	report := strings.Replace(fmt.Sprintf(shardServeReport, 10.0, 100.0), `"cores": 8`, `"cores": 1`, 1)
-	path := writeReport(t, dir, "cur.json", report)
-	var logged []string
-	cfg := ShardConfig{MaxShards: 4, MaxRatio: 2.0, MinCores: 2,
-		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }}
-	if err := ShardGateFile(path, cfg); err != nil {
-		t.Fatalf("1-core report must skip, got: %v", err)
-	}
-	if err := ShardGateFile(filepath.Join(dir, "missing.json"), cfg); err != nil {
-		t.Fatalf("missing report must skip, got: %v", err)
-	}
-	if len(logged) != 2 {
-		t.Fatalf("want 2 skip annotations, got %v", logged)
-	}
-}
-
-// TestShardGateFailsOnVanishedRows: a present report without both shard rows
-// means the report shape drifted — that must be loud, not a silent pass.
-func TestShardGateFailsOnVanishedRows(t *testing.T) {
-	dir := t.TempDir()
-	path := writeReport(t, dir, "cur.json", `{
-  "cores": 8,
-  "rows": [
-    {"op": "trace", "sessions": 4, "workers": 4, "requests": 64, "p95_ms": 2.0}
-  ]
-}`)
-	err := ShardGateFile(path, ShardConfig{MaxShards: 4, MaxRatio: 2.0, MinCores: 2})
-	if err == nil || !strings.Contains(err.Error(), "shape drifted") {
-		t.Fatalf("missing shard rows must fail as shape drift, got: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"smoke/internal/datagen"
 	"smoke/internal/expr"
 	"smoke/internal/ops"
-	"smoke/internal/storage"
 )
 
 // microAggSpec is the §6.1.1 base query: z plus seven aggregates, chosen so
@@ -184,15 +183,17 @@ func Fig7(cfg Config) error {
 	return nil
 }
 
-// Fig21 (Appendix G.1) measures selection capture with and without
-// selectivity estimates across predicate selectivities.
+// Fig21 (Appendix G.1) measures selection capture across predicate
+// selectivities. The paper's Smoke-I+EC variant (a selectivity estimate
+// presizes the rid array) has no column: the bitmap kernel sizes it exactly
+// from the popcount, so every Smoke-I run already has exact preallocation.
 func Fig21(cfg Config) error {
 	sizes := []int{1_000_000, 5_000_000}
 	if !cfg.paper() {
 		sizes = []int{200_000, 1_000_000}
 	}
 	cfg.printf("Figure 21: selection lineage capture latency (ms)\n")
-	cfg.printf("%-10s %-8s %-12s %-12s %-14s\n", "tuples", "sel%", "baseline", "smoke-i", "smoke-i+ec")
+	cfg.printf("%-10s %-8s %-12s %-12s\n", "tuples", "sel%", "baseline", "smoke-i")
 	for _, n := range sizes {
 		rel := datagen.Zipf("zipf", 0, n, 100, 7)
 		for _, selPct := range []int{1, 10, 25, 50} {
@@ -207,17 +208,7 @@ func Fig21(cfg Config) error {
 				r := ops.Select(rel.N, pred, ops.SelectOpts{Mode: ops.Inject, Dirs: ops.CaptureBoth})
 				sinkRids(r.OutRids)
 			})
-			// The estimate v/100 is exact for the uniform column; the paper
-			// finds overestimating is safe while underestimating pays
-			// resizing, so estimate slightly high.
-			smokeEC := cfg.Median(func() {
-				r := ops.Select(rel.N, pred, ops.SelectOpts{
-					Mode: ops.Inject, Dirs: ops.CaptureBoth,
-					EstimatedSelectivity: float64(selPct)/100 + 0.01,
-				})
-				sinkRids(r.OutRids)
-			})
-			cfg.printf("%-10d %-8d %-12.1f %-12.1f %-14.1f\n", n, selPct, ms(base), ms(smokeI), ms(smokeEC))
+			cfg.printf("%-10d %-8d %-12.1f %-12.1f\n", n, selPct, ms(base), ms(smokeI))
 		}
 	}
 	return nil
@@ -236,5 +227,3 @@ func must(err error) {
 		panic(err)
 	}
 }
-
-var _ = storage.TInt

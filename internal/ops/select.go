@@ -14,12 +14,6 @@ import (
 type SelectOpts struct {
 	Mode CaptureMode
 	Dirs Directions
-	// EstimatedSelectivity is retained for API compatibility with the
-	// Smoke-I+EC variant of Appendix G.1. The two-pass bitmap kernel sizes
-	// the output rid array exactly from the bitmap popcount, so the estimate
-	// no longer affects execution: every mode now has the exact-preallocation
-	// behavior the estimate used to approximate.
-	EstimatedSelectivity float64
 	// Kernel, when non-nil, is the vectorized predicate bit-kernel compiled
 	// by expr.CompileBitKernel (column-vs-constant comparisons and their
 	// AND/OR/NOT combinations). When nil, Select wraps the row predicate in

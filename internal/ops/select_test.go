@@ -69,21 +69,14 @@ func TestSelectInjectLineage(t *testing.T) {
 	}
 }
 
+// TestSelectEstimatePreallocates: the bitmap kernel sizes the backward rid
+// array exactly from the popcount — no selectivity estimate, no growth slack.
 func TestSelectEstimatePreallocates(t *testing.T) {
 	rel, pred := selFixture(t)
 	want := naiveSelect(rel, pred)
-	// Overestimate: the backward array should never reallocate.
-	res := Select(rel.N, pred, SelectOpts{Mode: Inject, Dirs: CaptureBoth, EstimatedSelectivity: 0.5})
-	if !reflect.DeepEqual(res.BW, want) {
-		t.Fatal("estimated-capacity selection output differs")
-	}
-	if cap(res.BW) < len(want) {
-		t.Fatal("estimate should preallocate enough capacity")
-	}
-	// Underestimate must still be correct (falls back to growth).
-	res = Select(rel.N, pred, SelectOpts{Mode: Inject, Dirs: CaptureBoth, EstimatedSelectivity: 0.01})
-	if !reflect.DeepEqual(res.BW, want) {
-		t.Fatal("underestimated selection output differs")
+	res := Select(rel.N, pred, SelectOpts{Mode: Inject, Dirs: CaptureBoth})
+	if !reflect.DeepEqual(res.BW, want) || len(res.BW) != cap(res.BW) {
+		t.Fatalf("backward array len %d cap %d, want exactly %d", len(res.BW), cap(res.BW), len(want))
 	}
 }
 
