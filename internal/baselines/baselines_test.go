@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"smoke/internal/datagen"
 	"smoke/internal/expr"
 	"smoke/internal/ops"
+	"smoke/internal/pool"
 )
 
 func microSpec() ops.GroupBySpec {
@@ -116,29 +118,46 @@ func TestGroupByLogicalTup(t *testing.T) {
 	}
 }
 
+// TestGroupByLogicIdxMatchesSmoke uses Logic-Idx — lineage re-derived by
+// joining the output back to the input — as a reference independent of the
+// capture driver: at every partition count, under both capture modes and over
+// the whole input and a selection's rid subset, Smoke's backward lists and
+// forward array must equal it element for element, order included.
 func TestGroupByLogicIdxMatchesSmoke(t *testing.T) {
 	rel := datagen.Zipf("zipf", 1.0, 2000, 15, 9)
-	smoke, err := ops.HashAgg(rel, nil, microSpec(), ops.AggOpts{Mode: ops.Inject, Dirs: ops.CaptureBoth})
-	if err != nil {
-		t.Fatal(err)
+	var sub []Rid
+	for i := Rid(0); i < Rid(rel.N); i++ {
+		if i%3 != 0 {
+			sub = append(sub, i)
+		}
 	}
-	_, bw, fw, err := GroupByLogicIdx(rel, nil, microSpec(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fw, smoke.FW) {
-		t.Fatal("Logic-Idx forward differs from Smoke")
-	}
-	if bw.Len() != smoke.BW.Len() {
-		t.Fatal("group counts differ")
-	}
-	for o := 0; o < bw.Len(); o++ {
-		a := append([]Rid(nil), bw.List(o)...)
-		b := append([]Rid(nil), smoke.BW.List(o)...)
-		sortRids(a)
-		sortRids(b)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("Logic-Idx backward differs at group %d", o)
+	p := pool.New(4)
+	defer p.Close()
+	for _, inRids := range [][]Rid{nil, sub} {
+		_, bw, fw, err := GroupByLogicIdx(rel, inRids, microSpec(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []ops.CaptureMode{ops.Inject, ops.Defer} {
+			for _, workers := range []int{1, 2, 4, 7} {
+				tag := fmt.Sprintf("mode=%v sub=%v w=%d", mode, inRids != nil, workers)
+				smoke, err := ops.HashAgg(rel, inRids, microSpec(), ops.AggOpts{
+					Mode: mode, Dirs: ops.CaptureBoth, Workers: workers, Pool: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fw, smoke.FW) {
+					t.Fatalf("%s: Logic-Idx forward differs from Smoke", tag)
+				}
+				if bw.Len() != smoke.BW.Len() {
+					t.Fatalf("%s: %d groups, Logic-Idx has %d", tag, smoke.BW.Len(), bw.Len())
+				}
+				for o := 0; o < bw.Len(); o++ {
+					if !reflect.DeepEqual(bw.List(o), smoke.BW.List(o)) {
+						t.Fatalf("%s: Logic-Idx backward differs at group %d", tag, o)
+					}
+				}
+			}
 		}
 	}
 }

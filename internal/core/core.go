@@ -8,8 +8,9 @@
 // Execution is morsel-parallel: Open(WithWorkers(n)) shares a worker pool
 // across queries, each query splits its scans into contiguous row-range
 // partitions with partition-local lineage capture, and the merged result is
-// identical to the workers=1 (serial) specialization that reproduces the
-// paper's experiments. A DB is safe for concurrent Query().Run() calls.
+// identical for every partition count; workers=1 is one partition of the
+// same drivers and reproduces the paper's experiments. A DB is safe for
+// concurrent Query().Run() calls.
 //
 // The root package smoke re-exports this API for library users.
 package core
@@ -54,8 +55,8 @@ type DB struct {
 type Option func(*DB)
 
 // WithWorkers sets the DB's default intra-query parallelism: queries run
-// their morsel-parallel kernels over a shared pool of n workers (n <= 1
-// keeps the serial specialization, the paper's original execution model).
+// their morsel-parallel kernels over a shared pool of n workers (n <= 1 runs
+// one partition of the same drivers, the paper's original execution model).
 // Per-query CaptureOptions.Parallelism overrides the default.
 func WithWorkers(n int) Option {
 	return func(db *DB) {
@@ -134,9 +135,9 @@ type CaptureOptions struct {
 	// Params binds named expression parameters.
 	Params expr.Params
 	// Parallelism overrides the DB's worker count for this query: 0 uses
-	// the DB default (Open(WithWorkers(n))), 1 forces the serial path, and
-	// n > 1 runs the morsel-parallel kernels with n partitions. Parallel
-	// runs produce lineage identical to serial runs; float aggregates (SUM,
+	// the DB default (Open(WithWorkers(n))), 1 runs one partition, and
+	// n > 1 runs the morsel-parallel kernels with n partitions. Every
+	// partition count produces identical lineage; float aggregates (SUM,
 	// AVG) can differ in the final ulp because partial sums accumulate per
 	// partition (addition order), all other output is identical.
 	Parallelism int
@@ -165,7 +166,7 @@ func (o CaptureOptions) workers(db *DB) (int, *pool.Pool) {
 	}
 	pl := db.sharedPool(w)
 	if pl == nil {
-		return 1, nil // closed DB: serial fallback
+		return 1, nil // closed DB: one partition
 	}
 	if max := 4 * pl.Workers(); w > max {
 		w = max
@@ -783,10 +784,18 @@ func (r *Result) Backward(table string, outRids []Rid) ([]Rid, error) {
 
 // BackwardPartition evaluates a parameterized backward query over a
 // data-skipping index: only the rid partition matching the attribute values
-// (in PartitionBy order) is read (§4.2).
+// (in PartitionBy order, one per attribute) is read (§4.2). An outRid outside
+// the result or a wrong value count is a serr.Invalid error.
 func (r *Result) BackwardPartition(outRid Rid, vals []any) ([]Rid, error) {
 	if r.bwPart == nil {
 		return nil, serr.New(serr.Invalid, "core: query was not captured with PartitionBy")
+	}
+	if outRid < 0 || int(outRid) >= r.bwPart.Len() {
+		return nil, serr.New(serr.Invalid, "core: output rid %d out of range [0, %d)", outRid, r.bwPart.Len())
+	}
+	if len(vals) != len(r.partAttrs) {
+		return nil, serr.New(serr.Invalid, "core: %d partition values for %d PartitionBy attributes %v",
+			len(vals), len(r.partAttrs), r.partAttrs)
 	}
 	key, ok := ops.PartitionKey(r.baseAgg, r.baseRel, r.partAttrs, vals)
 	if !ok {

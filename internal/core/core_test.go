@@ -11,6 +11,7 @@ import (
 	"smoke/internal/expr"
 	"smoke/internal/lineage"
 	"smoke/internal/ops"
+	"smoke/internal/serr"
 	"smoke/internal/tpch"
 )
 
@@ -144,6 +145,19 @@ func TestDataSkippingThroughFacade(t *testing.T) {
 	dist, err := res.BackwardDistinct("lineitem", []core.Rid{0, 0})
 	if err != nil || len(dist) != len(all) {
 		t.Fatalf("distinct over partitioned = %d rids, want %d", len(dist), len(all))
+	}
+	// Bad arguments are structured Invalid errors, never panics.
+	for name, call := range map[string]struct {
+		outRid core.Rid
+		vals   []any
+	}{
+		"outRid past the groups": {99, []any{"MAIL", "NONE"}},
+		"negative outRid":        {-1, []any{"MAIL", "NONE"}},
+		"too few values":         {0, nil},
+	} {
+		if _, err := res.BackwardPartition(call.outRid, call.vals); serr.KindOf(err) != serr.Invalid {
+			t.Fatalf("%s: err = %v, want an Invalid error", name, err)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func RunLogicIdx(spec Spec, params map[string]any) (Result, *storage.Relation, e
 	}
 	pipe.buildChains()
 
-	agg, err := newSPJAAgg(spec, Opts{Mode: ops.None, Params: params})
+	agg, err := newSPJAAgg(spec, Opts{Mode: ops.None, Params: params}, nil, false)
 	if err != nil {
 		return Result{}, nil, err
 	}

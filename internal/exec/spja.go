@@ -10,12 +10,13 @@
 // and the non-fusible residue runs operator-at-a-time with index
 // composition.
 //
-// The block executor is morsel-parallel (spja_parallel.go): join chains
-// build serially, then the final pipeline — where all aggregation and
-// capture work happens — runs over contiguous row-range partitions of the
-// last table's scan, each with a partition-local aggregation and
-// partition-local lineage, merged in partition order into the exact serial
-// result. Workers <= 1 in Opts is the serial specialization.
+// The block executor is morsel-parallel (Run): join chains build serially,
+// then the final pipeline — where all aggregation and capture work happens —
+// runs over contiguous row-range partitions of the last table's scan, each
+// with a partition-local aggregation and partition-local lineage, merged in
+// partition order into a result identical for every partition count.
+// Workers <= 1 in Opts is one partition of the same driver, which skips the
+// merge.
 package exec
 
 import (
@@ -82,18 +83,18 @@ type Opts struct {
 	TableDirs []ops.Directions
 	// Params binds expression parameters in filters and aggregates.
 	Params expr.Params
-	// Workers > 1 runs the final pipeline morsel-parallel: the join chain
-	// builds serially (its hash tables are then probed read-only), the last
-	// table's scan splits into contiguous partitions each feeding a
+	// Workers bounds the partition count of the final pipeline: the join
+	// chain builds serially (its hash tables are then probed read-only), the
+	// last table's scan splits into contiguous partitions each feeding a
 	// partition-local aggregation with partition-local capture, and the
-	// merge (spja_parallel.go) reproduces the serial output and lineage
-	// exactly. Workers <= 1 is the serial specialization.
+	// merge (see Run) reproduces the one-partition output and lineage
+	// exactly. Workers <= 1 is one partition of the same driver.
 	Workers int
 	// Pool schedules the partition kernels; nil runs them inline.
 	Pool *pool.Pool
 	// Compress encodes the captured indexes into their adaptive compressed
-	// forms after capture (serial: the whole capture encodes post-run;
-	// parallel: each partition encodes its local backward lists and the merge
+	// forms after capture (one partition: the whole capture encodes post-run;
+	// several: each partition encodes its local backward lists and the merge
 	// concatenates encoded lists without re-encoding). Backward/Forward and
 	// consuming queries read the encoded indexes in place.
 	Compress bool
@@ -301,8 +302,16 @@ func (p *pipeline) forEachLastRange(lo, hi int, visit func(chain []lineage.Rid, 
 	}
 }
 
-// Run executes the SPJA block: chain build serial, final pipeline and
-// aggregation morsel-parallel when opts.Workers > 1.
+// Run executes the SPJA block. The join chain builds serially (its
+// lineage-annotated hash tables are then shared read-only); the last table's
+// scan — the paper's final pipeline, where both the aggregation work and the
+// capture writes happen — splits into up to opts.Workers contiguous rid-range
+// partitions, each feeding its own spjaAgg. Partition-local group tables,
+// per-table rid lists, and forward indexes merge in partition order, which
+// reproduces the one-partition group discovery order (a group's first
+// occurrence lies in the first partition that contains it) and therefore the
+// same output relation and every lineage index exactly. One partition's
+// aggregation already is the result, so it skips the merge.
 func Run(spec Spec, opts Opts) (Result, error) {
 	pipe, err := compilePipeline(spec, opts.Params)
 	if err != nil {
@@ -310,43 +319,164 @@ func Run(spec Spec, opts Opts) (Result, error) {
 	}
 	pipe.buildChains()
 
-	if opts.Workers > 1 && spec.Tables[len(spec.Tables)-1].Rel.N > 1 {
-		return runParallel(pipe, spec, opts)
-	}
+	k := len(spec.Tables)
+	last := k - 1
+	n := spec.Tables[last].Rel.N
+	ranges := pool.Split(n, opts.Workers)
+	merge := len(ranges) > 1
 
-	agg, err := newSPJAAgg(spec, opts)
-	if err != nil {
-		return Result{}, err
+	// The last table's forward index is rid-addressed and partitions own
+	// disjoint rid ranges, so all partitions share one array (writing
+	// partition-local group slots, rebased after a merge).
+	var fwLast []lineage.Rid
+	if opts.dirsFor(last).Forward() {
+		fwLast = make([]lineage.Rid, n)
+		for i := range fwLast {
+			fwLast[i] = -1
+		}
 	}
-	processLast := pipe.forEachLast
+	locals := make([]*spjaAgg, len(ranges))
+	for p := range locals {
+		a, err := newSPJAAgg(spec, opts, fwLast, merge)
+		if err != nil {
+			return Result{}, err
+		}
+		locals[p] = a
+	}
 
 	inject := opts.Mode == ops.Inject
-	processLast(func(chain []lineage.Rid, rid int32) {
-		slot := agg.lookup(chain)
-		agg.update(slot, chain)
-		if inject {
-			agg.captureRow(slot, chain)
+	// Compressed capture with several partitions: each partition encodes its
+	// local backward lists inside the worker (encBW[part][t]); the merge
+	// below concatenates the encoded lists per global group without
+	// re-encoding.
+	encodeLocal := merge && opts.Compress && opts.Mode != ops.None
+	encBW := make([][]*lineage.EncodedIndex, len(ranges))
+	opts.Pool.RunSplit(ranges, func(part, lo, hi int) {
+		a := locals[part]
+		pipe.forEachLastRange(lo, hi, func(chain []lineage.Rid, rid int32) {
+			slot := a.lookup(chain)
+			a.update(slot, chain)
+			if inject {
+				a.captureRow(slot, chain)
+			}
+		})
+		if opts.Mode == ops.Defer {
+			// Partition-local Zγ pass: rerun the range, probing the pinned
+			// hash tables and the aggregation table to recover each chain's
+			// group; local counts are exact for the local range, so the
+			// local backward indexes preallocate exactly.
+			a.prepareDefer()
+			pipe.forEachLastRange(lo, hi, func(chain []lineage.Rid, rid int32) {
+				a.captureRow(a.probe(chain), chain)
+			})
+		}
+		if encodeLocal {
+			encBW[part] = make([]*lineage.EncodedIndex, k)
+			for t := 0; t < k; t++ {
+				if !a.tableDirs[t].Backward() {
+					continue
+				}
+				if opts.Mode == ops.Defer {
+					encBW[part][t] = lineage.EncodeRidIndex(a.deferBW[t])
+				} else {
+					encBW[part][t] = lineage.EncodeLists(a.groupRids[t])
+				}
+			}
 		}
 	})
 
-	res := Result{Out: agg.materialize(), GroupCounts: agg.counts, Capture: lineage.NewCapture()}
-
-	switch opts.Mode {
-	case ops.Inject:
-		agg.emitInject(res.Capture)
-	case ops.Defer:
-		// Rerun the final pipeline, probing the (pinned) hash tables and the
-		// aggregation table to recover each chain's group, and fill
-		// exactly-sized backward indexes.
-		agg.prepareDefer()
-		processLast(func(chain []lineage.Rid, rid int32) {
-			slot := agg.probe(chain)
-			agg.captureRow(slot, chain)
-		})
-		agg.emitInject(res.Capture)
+	if !merge {
+		// One partition: its aggregation and direct-form indexes are the
+		// result — no re-lookup, no slot maps, no rebase.
+		a := locals[0]
+		res := Result{Out: a.materialize(), GroupCounts: a.counts, Capture: lineage.NewCapture()}
+		a.emitInject(res.Capture)
+		if opts.Compress {
+			res.Capture.EncodeAll()
+		}
+		return res, nil
 	}
-	if opts.Compress && opts.Mode != ops.None {
-		res.Capture.EncodeAll()
+
+	// Merge partition tables in partition order. The merged aggregation
+	// carries no capture plumbing (Mode None); indexes are stitched from the
+	// partition-local structures below.
+	merged, err := newSPJAAgg(spec, Opts{Params: opts.Params}, nil, false)
+	if err != nil {
+		return Result{}, err
+	}
+	slotMaps := make([][]lineage.Rid, len(locals))
+	for p, a := range locals {
+		sm := make([]lineage.Rid, a.nGroups)
+		for s := int32(0); s < a.nGroups; s++ {
+			g := merged.lookup(a.repChain[s])
+			sm[s] = g
+			merged.counts[g] += a.counts[s]
+			for i := range merged.accs {
+				merged.accs[i].mergeFrom(g, &a.accs[i], s)
+			}
+		}
+		slotMaps[p] = sm
+	}
+	nG := int(merged.nGroups)
+
+	res := Result{Out: merged.materialize(), GroupCounts: merged.counts, Capture: lineage.NewCapture()}
+	for t := 0; t < k; t++ {
+		d := locals[0].tableDirs[t]
+		name := spec.Tables[t].Rel.Name
+		if d.Backward() {
+			if opts.Compress {
+				// Compression-aware merge: concatenate the partition-encoded
+				// lists per global group — no re-encoding.
+				parts := make([]*lineage.EncodedIndex, len(locals))
+				for p := range locals {
+					parts[p] = encBW[p][t]
+				}
+				merged := lineage.MergeEncodedBySlot(parts, slotMaps, nG)
+				res.Capture.SetBackward(name, lineage.NewEncodedMany(merged))
+			} else if opts.Mode == ops.Defer {
+				parts := make([]*lineage.RidIndex, len(locals))
+				for p, a := range locals {
+					parts[p] = a.deferBW[t]
+				}
+				ix := lineage.MergeIndexesBySlot(parts, slotMaps, nG)
+				res.Capture.SetBackward(name, lineage.NewOneToMany(ix))
+			} else {
+				lists := make([][][]lineage.Rid, len(locals))
+				for p, a := range locals {
+					lists[p] = a.groupRids[t]
+				}
+				ix := lineage.MergeListsBySlot(lists, slotMaps, nG)
+				res.Capture.SetBackward(name, lineage.NewOneToMany(ix))
+			}
+		}
+		if d.Forward() {
+			if t == last {
+				// Rebase shared last-table forward entries from local to
+				// global slots, each partition covering only its rid range.
+				opts.Pool.RunSplit(ranges, func(part, lo, hi int) {
+					lineage.SlotRebase(fwLast, lo, hi, slotMaps[part])
+				})
+				fwIx := lineage.NewOneToOne(fwLast)
+				if opts.Compress {
+					fwIx = lineage.EncodeIndex(fwIx)
+				}
+				res.Capture.SetForward(name, fwIx)
+			} else {
+				pairR := make([][]lineage.Rid, len(locals))
+				pairS := make([][]lineage.Rid, len(locals))
+				for p, a := range locals {
+					pairR[p] = a.fwPairR[t]
+					pairS[p] = a.fwPairS[t]
+				}
+				fw := lineage.MergePairsByRid(pairR, pairS, spec.Tables[t].Rel.N,
+					func(part int, s lineage.Rid) lineage.Rid { return slotMaps[part][s] })
+				if opts.Compress {
+					res.Capture.SetForward(name, lineage.NewEncodedMany(lineage.EncodeRidIndex(fw)))
+				} else {
+					res.Capture.SetForward(name, lineage.NewOneToMany(fw))
+				}
+			}
+		}
 	}
 	return res, nil
 }
@@ -378,10 +508,10 @@ type spjaAgg struct {
 	fwLast    []lineage.Rid     // last table: one-to-one
 	fwMany    []*lineage.RidIndex
 	deferBW   []*lineage.RidIndex // Defer: exact-sized backward indexes
-	// Partition-local aggregations collect non-last forward edges as
-	// (rid, local slot) pairs instead of filling fwMany — a relation-sized
-	// index per partition would multiply memory by the worker count; the
-	// merge builds one exactly-sized index from the pairs.
+	// When partitions merge, each collects non-last forward edges as (rid,
+	// local slot) pairs instead of filling fwMany — a relation-sized index
+	// per partition would multiply memory by the worker count; the merge
+	// builds one exactly-sized index from the pairs.
 	collectFW        bool
 	fwPairR, fwPairS [][]lineage.Rid // [table] parallel pair arrays
 }
@@ -397,18 +527,13 @@ type spjaAcc struct {
 	cnts   []int64 // per-acc count (filtered aggregates can't share counts)
 }
 
-func newSPJAAgg(spec Spec, opts Opts) (*spjaAgg, error) {
-	return newSPJAAggShared(spec, opts, nil, false)
-}
-
-// newSPJAAggShared is the partition-local constructor of the parallel path
-// (partitionLocal true): all partitions write last-table forward entries
-// into one shared, rid-addressed array (their rid ranges are disjoint)
-// instead of each allocating and -1-filling its own, and non-last forward
-// edges are collected as pairs rather than relation-sized per-partition
-// indexes. Serial newSPJAAgg keeps the direct-index form.
-func newSPJAAggShared(spec Spec, opts Opts, sharedFwLast []lineage.Rid, partitionLocal bool) (*spjaAgg, error) {
-	a := &spjaAgg{spec: &spec, opts: opts, keyCols: spec.Keys, collectFW: partitionLocal}
+// newSPJAAgg builds one partition's aggregation. fwLast is the last table's
+// rid-addressed forward array, shared by every partition (their rid ranges
+// are disjoint). collectFW, set when partitions will merge, collects non-last
+// forward edges as pairs rather than relation-sized per-partition indexes;
+// a one-partition run keeps the direct-index form.
+func newSPJAAgg(spec Spec, opts Opts, fwLast []lineage.Rid, collectFW bool) (*spjaAgg, error) {
+	a := &spjaAgg{spec: &spec, opts: opts, keyCols: spec.Keys, fwLast: fwLast, collectFW: collectFW}
 	if len(spec.Keys) == 1 {
 		kr := spec.Keys[0]
 		rel := spec.Tables[kr.Table].Rel
@@ -468,23 +593,10 @@ func newSPJAAggShared(spec Spec, opts Opts, sharedFwLast []lineage.Rid, partitio
 		a.fwPairR = make([][]lineage.Rid, k)
 		a.fwPairS = make([][]lineage.Rid, k)
 	}
-	for t := 0; t < k; t++ {
-		d := a.tableDirs[t]
-		if d.Forward() {
-			if t == k-1 {
-				if sharedFwLast != nil {
-					a.fwLast = sharedFwLast
-				} else {
-					a.fwLast = make([]lineage.Rid, spec.Tables[t].Rel.N)
-					for i := range a.fwLast {
-						a.fwLast[i] = -1
-					}
-				}
-			} else if a.collectFW {
-				// pair arrays grow on demand
-			} else {
-				a.fwMany[t] = lineage.NewRidIndex(spec.Tables[t].Rel.N)
-			}
+	for t := 0; t < k-1; t++ {
+		// With collectFW the pair arrays grow on demand instead.
+		if a.tableDirs[t].Forward() && !a.collectFW {
+			a.fwMany[t] = lineage.NewRidIndex(spec.Tables[t].Rel.N)
 		}
 	}
 	return a, nil

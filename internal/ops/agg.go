@@ -74,10 +74,10 @@ type AggOpts struct {
 	// CountsByKey supplies exact group cardinalities indexed by a single
 	// integer group-by key k in [1, len(CountsByKey)] (the cardinality
 	// statistics of §6.1.1): group rid lists are preallocated exactly and
-	// never resize. Only meaningful with one TInt key column. Serial only:
-	// the parallel path ignores it (global counts would overallocate every
-	// partition) and sizes the merged index exactly from the partition-local
-	// list lengths instead.
+	// never resize. Only meaningful with one TInt key column. Used only when
+	// the run has one partition: with several, global counts would
+	// overallocate every partition, so it is ignored and the merged index is
+	// sized exactly from the partition-local list lengths instead.
 	CountsByKey []int32
 	// Params binds expression parameters in aggregate arguments.
 	Params expr.Params
@@ -97,32 +97,32 @@ type AggOpts struct {
 	// Observe here to materialize drill-down aggregates during capture.
 	Observe func(slot int32, rid Rid)
 
-	// Workers > 1 runs the aggregation morsel-parallel: two-phase, with
+	// Workers bounds the partition count of the two-phase aggregation:
 	// partition-local hash tables and rid lists merged in partition order
-	// (see agg_parallel.go). Workers <= 1 is the serial specialization.
-	// Paths the merge does not cover (Observe, and non-int or composite
-	// PartitionBy) fall back to serial.
+	// (see HashAgg). Workers <= 1 is one partition of the same driver, which
+	// skips the merge. Options the merge does not cover (Observe, and
+	// non-int or composite PartitionBy) run as one partition.
 	Workers int
 	// Pool schedules the partition kernels; nil runs them inline.
 	Pool *pool.Pool
 	// DupRids declares that inRids may contain duplicate entries — the shape
 	// of lineage-consuming queries, whose backward rid sets preserve
-	// duplicates (transformational semantics). The parallel path then tracks
-	// forward slots per input *position* instead of writing the shared
-	// rid-addressed forward array from the kernels (a duplicated rid spanning
-	// two partitions would otherwise be rebased by both), and fills the
-	// forward array once after the merge. Backward lists and aggregate states
-	// handle duplicates natively. Ignored when inRids is nil.
+	// duplicates (transformational semantics). With several partitions the
+	// driver then tracks forward slots per input *position* instead of
+	// writing the shared rid-addressed forward array from the kernels (a
+	// duplicated rid spanning two partitions would otherwise be rebased by
+	// both), and fills the forward array once after the merge. Backward lists
+	// and aggregate states handle duplicates natively. Ignored when inRids is
+	// nil.
 	DupRids bool
 
 	// Compress encodes the finished lineage indexes into their adaptive
 	// compressed forms (internal/lineage encoded.go) after capture: the
 	// operator loop still appends into raw structures (Inject) or
-	// exactly-sized arrays (Defer), and encoding happens post-capture —
-	// per partition in the parallel path, whose merge then concatenates
-	// encoded lists without re-encoding. The result's BWEnc/FWEnc replace
-	// BW/FW; queries read them in place. PartitionBy (data-skipping) indexes
-	// are not compressed.
+	// exactly-sized arrays (Defer), and encoding happens post-capture, per
+	// partition; a merge then concatenates encoded lists without
+	// re-encoding. The result's BWEnc/FWEnc replace BW/FW; queries read them
+	// in place. PartitionBy (data-skipping) indexes are not compressed.
 	Compress bool
 }
 
@@ -170,20 +170,6 @@ func (r *AggResult) ForwardIndex() *lineage.Index {
 		return lineage.NewOneToOne(r.FW)
 	}
 	return nil
-}
-
-// compress applies post-capture encoding to the finished raw indexes.
-func (r *AggResult) compress() {
-	if r.BW != nil {
-		r.BWEnc = lineage.EncodeRidIndex(r.BW)
-		r.BW = nil
-	}
-	if r.FW != nil {
-		if e := lineage.EncodeArr(r.FW); e != nil {
-			r.FWEnc = e
-			r.FW = nil
-		}
-	}
 }
 
 // aggAcc accumulates one aggregate across groups (structure-of-arrays:
@@ -445,7 +431,7 @@ func newAggState(in *storage.Relation, spec GroupBySpec, opts AggOpts) (*aggStat
 		st.kind = keyComposite
 		st.strHT = make(map[string]int32, 64)
 	}
-	for i, a := range spec.Aggs {
+	for _, a := range spec.Aggs {
 		acc := aggAcc{fn: a.Fn}
 		switch a.Fn {
 		case Count:
@@ -488,7 +474,6 @@ func newAggState(in *storage.Relation, spec GroupBySpec, opts AggOpts) (*aggStat
 			acc.num = f
 		}
 		st.accs = append(st.accs, acc)
-		_ = i
 	}
 	if opts.PushdownFilter != nil {
 		p, err := expr.CompilePred(opts.PushdownFilter, in, opts.Params)
@@ -555,8 +540,11 @@ func partitionKeyFn(in *storage.Relation, attrs []string) (func(Rid) int64, *lin
 
 // PartitionKey recomputes the partition code of an attribute-value
 // combination so consuming queries can address the right partition. Values
-// must be given in PartitionBy order.
+// must be given in PartitionBy order, one per attribute.
 func PartitionKey(res *AggResult, in *storage.Relation, attrs []string, vals []any) (int64, bool) {
+	if len(vals) != len(attrs) {
+		return 0, false
+	}
 	dict := res.BWPart.Dict()
 	if dict == nil {
 		// single int attribute
@@ -573,7 +561,7 @@ func PartitionKey(res *AggResult, in *storage.Relation, attrs []string, vals []a
 		if !ok {
 			return 0, false
 		}
-		return dictLookup(dict, s)
+		return dict.Lookup(s)
 	}
 	var buf []byte
 	for i, a := range attrs {
@@ -600,11 +588,7 @@ func PartitionKey(res *AggResult, in *storage.Relation, attrs []string, vals []a
 			buf = append(buf, 0)
 		}
 	}
-	return dictLookup(dict, string(buf))
-}
-
-func dictLookup(d *lineage.Dict, s string) (int64, bool) {
-	return d.Lookup(s)
+	return dict.Lookup(string(buf))
 }
 
 // encodeComposite serializes the key columns of rid into st.buf.
@@ -885,6 +869,39 @@ func (st *aggState) deferFillable() bool {
 	return st.kind == keyInt && st.partKey == nil && st.pdFilter == nil
 }
 
+// Hash aggregation runs the paper-style two-phase plan, and Workers <= 1 is
+// its one-partition case. Phase 1 splits the input into contiguous row-range
+// partitions; each worker runs the aggregation kernel (aggState.processRows)
+// against its own hash table and appends rids into its own partition-local
+// lists — no shared-state writes in the hot loop beyond rid-disjoint
+// forward-array slots. Phase 2 merges the
+// partition tables in partition order: because a group's first global
+// occurrence lies in the first partition that contains it, the merged group
+// discovery order — and therefore the output relation, the group counts, and
+// every backward rid list — is element-for-element identical for every
+// partition count. One partition's state already is the result, so it skips
+// phase 2.
+
+// parallelizableAgg reports whether the two-phase merge covers the requested
+// options; when it does not, HashAgg runs them as one partition. Observe
+// (group-by push-down cube building) is stateful and order-sensitive, and
+// data-skipping partition codes are only stable across partition-local
+// dictionaries for single TInt attributes (string codes are assigned in
+// discovery order, which differs per partition).
+func parallelizableAgg(in *storage.Relation, opts AggOpts) bool {
+	if opts.Observe != nil {
+		return false
+	}
+	if len(opts.PartitionBy) == 0 {
+		return true
+	}
+	if len(opts.PartitionBy) > 1 {
+		return false
+	}
+	c := in.Schema.Col(opts.PartitionBy[0])
+	return c >= 0 && in.Schema[c].Type == storage.TInt
+}
+
 // HashAgg executes a hash group-by aggregation over in (all rows when inRids
 // is nil, otherwise only the listed rids — the shape lineage-consuming
 // queries take when they aggregate over a backward-lineage rid set).
@@ -895,116 +912,232 @@ func (st *aggState) deferFillable() bool {
 // indexes in a second probe pass, preallocating exactly from the per-group
 // counts that aggregation tracks anyway.
 //
-// With opts.Workers > 1 the aggregation runs morsel-parallel (two-phase,
-// partition-local tables and indexes merged in partition order); the merged
-// output and lineage are identical to a serial run.
+// The input splits into up to opts.Workers partitions whose tables and
+// indexes merge in partition order; output and lineage are identical for
+// every partition count.
 func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts) (AggResult, error) {
-	if opts.Workers > 1 && parallelizableAgg(in, opts) {
-		n := in.N
-		if inRids != nil {
-			n = len(inRids)
-		}
-		if n > 1 {
-			return parHashAgg(in, inRids, spec, opts)
-		}
+	n := in.N
+	if inRids != nil {
+		n = len(inRids)
 	}
-	st, err := newAggState(in, spec, opts)
-	if err != nil {
-		return AggResult{}, err
+	workers := opts.Workers
+	if !parallelizableAgg(in, opts) {
+		workers = 1
 	}
-	if opts.Mode == Inject && opts.Dirs.Forward() {
-		st.fw = newForwardArray(in.N, inRids != nil)
+	ranges := pool.Split(n, workers)
+	merge := len(ranges) > 1
+
+	// Partition-local states compile up front (serially) so expression
+	// errors surface deterministically before any kernel runs. With several
+	// partitions CountsByKey is dropped for the locals: the counts are
+	// global, so every partition would preallocate each group's list at
+	// full-table cardinality (workers × total-rid memory); the merge builds
+	// an exactly-sized index from the local list lengths regardless.
+	popts := opts
+	if merge {
+		popts.CountsByKey = nil
+	}
+	sts := make([]*aggState, len(ranges))
+	for p := range sts {
+		st, err := newAggState(in, spec, popts)
+		if err != nil {
+			return AggResult{}, err
+		}
+		sts[p] = st
 	}
 
-	if inRids == nil {
-		st.processRows(nil, 0, in.N, nil)
-	} else {
-		st.processRows(inRids, 0, len(inRids), nil)
+	wantBW := opts.Mode != None && opts.Dirs.Backward()
+	wantFW := opts.Mode != None && opts.Dirs.Forward()
+	var fw []Rid
+	var posSlots []Rid
+	if wantFW {
+		// One shared forward array: partitions own disjoint rid sets, so
+		// each writes its rows' entries (with partition-local group slots,
+		// rebased to global slots after a merge) without conflicts.
+		fw = newForwardArray(in.N, inRids != nil)
+		switch {
+		case merge && opts.DupRids && inRids != nil:
+			// Duplicate rid sets (lineage-consuming queries) break the
+			// disjointness assumption: the same rid in two partitions would
+			// be rebased by both. Kernels instead record each input
+			// *position*'s partition-local slot (positions are disjoint by
+			// construction), and the forward array fills after the merge.
+			posSlots = make([]Rid, len(inRids))
+		case opts.Mode == Inject:
+			for _, st := range sts {
+				st.fw = fw
+			}
+		}
 	}
+	// Compressed capture: each partition encodes its own local lists after
+	// its kernel finishes (inside the worker, so encoding parallelizes), and
+	// a merge concatenates the encoded lists per global slot without
+	// re-encoding (lineage.MergeEncodedBySlot).
+	encodeLocal := opts.Compress && wantBW && sts[0].partKey == nil
+	deferBWs := make([]*lineage.RidIndex, len(ranges))
+	encBWs := make([]*lineage.EncodedIndex, len(ranges))
 
-	res := AggResult{Out: st.materialize(spec), GroupCounts: st.counts}
+	opts.Pool.RunSplit(ranges, func(part, lo, hi int) {
+		st := sts[part]
+		var injectPos []Rid
+		if opts.Mode == Inject {
+			injectPos = posSlots
+		}
+		st.processRows(inRids, lo, hi, injectPos)
+		switch {
+		case opts.Mode == Defer:
+			deferBWs[part] = st.deferPass(inRids, lo, hi, wantBW, fw, posSlots)
+			if encodeLocal {
+				encBWs[part] = lineage.EncodeRidIndex(deferBWs[part])
+			}
+		case encodeLocal && opts.Mode == Inject:
+			encBWs[part] = lineage.EncodeLists(st.groupRids)
+		}
+	})
 
-	switch opts.Mode {
-	case Inject:
-		if opts.Dirs.Backward() {
-			if st.partKey != nil {
-				res.BWPart = lineage.NewPartitionedIndexFromParts(st.partMaps, st.partDict)
-			} else {
-				bw := lineage.NewRidIndex(int(st.nGroups))
-				for slot, l := range st.groupRids {
-					bw.SetList(slot, l) // reuse the hash-table rid lists (P4)
-				}
-				res.BW = bw
-			}
+	// Phase 2. One partition's state and indexes are the result as built;
+	// several merge in partition order through per-partition slot maps
+	// (local group slot → global slot). The merged state carries no capture
+	// options — indexes are stitched from the locals.
+	final := sts[0]
+	var slotMaps [][]Rid
+	if merge {
+		var err error
+		if final, err = newAggState(in, spec, AggOpts{Params: opts.Params}); err != nil {
+			return AggResult{}, err
 		}
-		res.FW = st.fw
-	case Defer:
-		// Zγ (§3.2.3): rescan the input, reuse the pinned hash table to
-		// recover each record's group, and fill exactly-sized indexes.
-		var bw *lineage.RidIndex
-		if opts.Dirs.Backward() {
-			if st.partKey != nil {
-				st.partMaps = make([]map[int64][]Rid, st.nGroups)
-			} else {
-				c32 := make([]int32, st.nGroups)
-				for i, c := range st.counts {
-					c32[i] = int32(c)
-				}
-				bw = lineage.NewRidIndexWithCounts(c32)
-			}
-		}
-		var fw []Rid
-		if opts.Dirs.Forward() {
-			fw = newForwardArray(in.N, inRids != nil)
-		}
-		fill := func(rid Rid) {
-			slot := st.probeSlot(rid)
-			if opts.Dirs.Backward() {
-				if st.partKey != nil || st.pdFilter != nil {
-					if st.pdFilter == nil || st.pdFilter(rid) {
-						if st.partKey != nil {
-							st.captureBackward(slot, rid)
-						} else {
-							bw.AppendFast(int(slot), rid)
-						}
-					}
-				} else {
-					bw.AppendFast(int(slot), rid)
+		slotMaps = make([][]Rid, len(sts))
+		for p, st := range sts {
+			sm := make([]Rid, st.nGroups)
+			for s := int32(0); s < st.nGroups; s++ {
+				g := final.lookupSlot(st.repRids[s])
+				sm[s] = g
+				final.counts[g] += st.counts[s]
+				for i := range final.accs {
+					final.accs[i].mergeFrom(g, &st.accs[i], s)
 				}
 			}
-			if fw != nil {
-				fw[rid] = slot
-			}
+			slotMaps[p] = sm
 		}
-		if st.deferFillable() {
-			if inRids == nil {
-				st.deferFillBatched(nil, 0, in.N, bw, fw, nil)
-			} else {
-				st.deferFillBatched(inRids, 0, len(inRids), bw, fw, nil)
+	}
+	nG := int(final.nGroups)
+
+	res := AggResult{Out: final.materialize(spec), GroupCounts: final.counts}
+	if wantBW {
+		switch {
+		case sts[0].partKey != nil && merge:
+			parts := make([][]map[int64][]Rid, len(sts))
+			for p, st := range sts {
+				parts[p] = st.partMaps
 			}
-		} else if inRids == nil {
-			n := int32(in.N)
-			for rid := int32(0); rid < n; rid++ {
-				fill(rid)
+			res.BWPart = lineage.MergePartitionMaps(parts, slotMaps, nG, nil)
+		case sts[0].partKey != nil:
+			res.BWPart = lineage.NewPartitionedIndexFromParts(sts[0].partMaps, sts[0].partDict)
+		case encodeLocal && merge:
+			res.BWEnc = lineage.MergeEncodedBySlot(encBWs, slotMaps, nG)
+		case encodeLocal:
+			res.BWEnc = encBWs[0]
+		case opts.Mode == Defer && merge:
+			res.BW = lineage.MergeIndexesBySlot(deferBWs, slotMaps, nG)
+		case opts.Mode == Defer:
+			res.BW = deferBWs[0]
+		case merge:
+			lists := make([][][]Rid, len(sts))
+			for p, st := range sts {
+				lists[p] = st.groupRids
 			}
-		} else {
-			for _, rid := range inRids {
-				fill(rid)
+			res.BW = lineage.MergeListsBySlot(lists, slotMaps, nG)
+		default:
+			bw := lineage.NewRidIndex(nG)
+			for slot, l := range final.groupRids {
+				bw.SetList(slot, l) // reuse the hash-table rid lists (P4)
 			}
-		}
-		if st.partKey != nil && opts.Dirs.Backward() {
-			res.BWPart = lineage.NewPartitionedIndexFromParts(st.partMaps, st.partDict)
-		} else {
 			res.BW = bw
 		}
-		res.FW = fw
 	}
-	if opts.Compress {
-		// Post-capture (and Defer-time) encoding: the finished indexes shrink
-		// to their adaptive encoded forms; the hot loop above is unchanged.
-		res.compress()
+	if wantFW {
+		switch {
+		case posSlots != nil:
+			// Duplicate-tolerant fill: one pass rebases each position's
+			// local slot through its partition's map and writes its rid's
+			// entry. Duplicates of a rid all land on the same merged group
+			// (same key), so every write stores the same value and the
+			// result is identical to the one-partition forward array.
+			for _, r := range ranges {
+				sm := slotMaps[r.Part]
+				for pos := r.Lo; pos < r.Hi; pos++ {
+					fw[inRids[pos]] = sm[posSlots[pos]]
+				}
+			}
+		case merge:
+			// Rebase partition-local slots to global slots, in parallel:
+			// each partition revisits exactly the rids it wrote.
+			opts.Pool.RunSplit(ranges, func(part, lo, hi int) {
+				if inRids == nil {
+					lineage.SlotRebase(fw, lo, hi, slotMaps[part])
+				} else {
+					lineage.SlotRebaseRids(fw, inRids[lo:hi], slotMaps[part])
+				}
+			})
+		}
+		res.FW = fw
+		if opts.Compress {
+			if e := lineage.EncodeArr(fw); e != nil {
+				res.FWEnc = e
+				res.FW = nil
+			}
+		}
 	}
 	return res, nil
+}
+
+// deferPass is the partition-local Zγ pass (§3.2.3) over rows [lo, hi) of
+// the kernel's range: rescan it, reuse the pinned hash table to recover each
+// record's group, and fill backward indexes preallocated exactly from the
+// local counts, so Defer keeps its no-growth property per morsel. Forward
+// entries go to posSlots when it is non-nil, else to fw.
+func (st *aggState) deferPass(inRids []Rid, lo, hi int, wantBW bool, fw, posSlots []Rid) *lineage.RidIndex {
+	var bw *lineage.RidIndex
+	if wantBW {
+		if st.partKey != nil {
+			st.partMaps = make([]map[int64][]Rid, st.nGroups)
+		} else {
+			c32 := make([]int32, st.nGroups)
+			for i, c := range st.counts {
+				c32[i] = int32(c)
+			}
+			bw = lineage.NewRidIndexWithCounts(c32)
+		}
+	}
+	if st.deferFillable() {
+		st.deferFillBatched(inRids, lo, hi, bw, fw, posSlots)
+		return bw
+	}
+	fill := func(pos int, rid Rid) {
+		slot := st.probeSlot(rid)
+		if wantBW && (st.pdFilter == nil || st.pdFilter(rid)) {
+			if st.partKey != nil {
+				st.captureBackward(slot, rid)
+			} else {
+				bw.AppendFast(int(slot), rid)
+			}
+		}
+		if posSlots != nil {
+			posSlots[pos] = slot
+		} else if fw != nil {
+			fw[rid] = slot
+		}
+	}
+	if inRids == nil {
+		for rid := int32(lo); rid < int32(hi); rid++ {
+			fill(-1, rid)
+		}
+	} else {
+		for i, rid := range inRids[lo:hi] {
+			fill(lo+i, rid)
+		}
+	}
+	return bw
 }
 
 // newForwardArray allocates a forward rid array; when the input is a subset

@@ -14,12 +14,12 @@
 // internal/baselines deliberately violates it to measure the cost.
 //
 // Operators are written in range-kernel form: the hot loop runs over a
-// contiguous rid range (lo, hi) with partition-local capture state. With
-// Workers > 1 in the operator options, the input splits into morsels
-// (contiguous ranges) executed concurrently over a shared pool, and
-// partition-local indexes merge in partition order into structures identical
-// to a serial run's (see agg_parallel.go and internal/lineage/merge.go).
-// Workers <= 1 is the serial specialization, which reproduces the paper's
+// contiguous rid range (lo, hi) with partition-local capture state. The
+// input splits into up to Workers morsels (contiguous ranges) executed
+// concurrently over a shared pool, and partition-local indexes merge in
+// partition order into structures identical for every partition count (see
+// HashAgg and internal/lineage/merge.go). Workers <= 1 is one partition of
+// the same driver — it skips the merge — and reproduces the paper's
 // single-threaded experiments exactly.
 package ops
 

@@ -13,7 +13,9 @@ import (
 )
 
 // Parity tests: every morsel-parallel kernel must produce output and lineage
-// element-for-element identical to its workers=1 specialization.
+// element-for-element identical to its one-partition (workers=1) run. The
+// group-by also checks against an independent reference, Logic-Idx, in
+// internal/baselines.
 
 func parTestRel(n int) *storage.Relation {
 	rel := storage.NewRelation("t", storage.Schema{
@@ -215,11 +217,74 @@ func TestHashAggParallelPushdownAndSkipping(t *testing.T) {
 		if par.BWPart.Cardinality() != serial.BWPart.Cardinality() {
 			t.Fatalf("partitioned cardinality %d, want %d", par.BWPart.Cardinality(), serial.BWPart.Cardinality())
 		}
-		for g := 0; g < serial.BWPart.Len(); g++ {
-			for _, code := range serial.BWPart.Partitions(g) {
-				sameRidArr(t, fmt.Sprintf("BWPart[%d][%d]", g, code),
-					par.BWPart.Partition(g, code), serial.BWPart.Partition(g, code))
+		sameBWPart(t, fmt.Sprintf("int PartitionBy mode=%v", mode), par.BWPart, serial.BWPart)
+
+		// Options the merge does not cover run as one partition at any
+		// worker count: composite data skipping, and the order-sensitive
+		// Observe hook (its call sequence must match too).
+		opts = AggOpts{Mode: mode, Dirs: CaptureBackward, PartitionBy: []string{"part", "s"}}
+		serial, err = HashAgg(rel, nil, spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Workers, opts.Pool = 4, p
+		par, err = HashAgg(rel, nil, spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBWPart(t, fmt.Sprintf("composite PartitionBy mode=%v", mode), par.BWPart, serial.BWPart)
+
+		var calls [2][]Rid
+		observed := func(i, workers int) AggResult {
+			res, err := HashAgg(rel, nil, spec, AggOpts{Mode: mode, Dirs: CaptureBoth, Workers: workers, Pool: p,
+				Observe: func(slot int32, rid Rid) { calls[i] = append(calls[i], slot, rid) }})
+			if err != nil {
+				t.Fatal(err)
 			}
+			return res
+		}
+		serial, par = observed(0, 1), observed(1, 4)
+		sameRidArr(t, fmt.Sprintf("Observe mode=%v calls", mode), calls[1], calls[0])
+		sameRidIndex(t, fmt.Sprintf("Observe mode=%v BW", mode), par.BW, serial.BW)
+		sameRidArr(t, fmt.Sprintf("Observe mode=%v FW", mode), par.FW, serial.FW)
+
+		// CountsByKey presizes one partition's lists; with several it is
+		// ignored and the merged index must still be identical.
+		counts := make([]int32, 17)
+		for _, z := range rel.Cols[0].Ints {
+			if z >= 1 {
+				counts[z-1]++
+			}
+		}
+		opts = AggOpts{Mode: mode, Dirs: CaptureBoth, CountsByKey: counts}
+		serial, err = HashAgg(rel, nil, spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Workers, opts.Pool = 4, p
+		par, err = HashAgg(rel, nil, spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRelation(t, par.Out, serial.Out)
+		sameRidIndex(t, fmt.Sprintf("CountsByKey mode=%v BW", mode), par.BW, serial.BW)
+		sameRidArr(t, fmt.Sprintf("CountsByKey mode=%v FW", mode), par.FW, serial.FW)
+	}
+}
+
+func sameBWPart(t *testing.T, what string, got, want *lineage.PartitionedIndex) {
+	t.Helper()
+	if got == nil || want == nil {
+		t.Fatalf("%s: expected partitioned indexes (got %v, want %v)", what, got != nil, want != nil)
+	}
+	if got.Cardinality() != want.Cardinality() || got.Len() != want.Len() {
+		t.Fatalf("%s: %d groups / %d rids, want %d / %d", what,
+			got.Len(), got.Cardinality(), want.Len(), want.Cardinality())
+	}
+	for g := 0; g < want.Len(); g++ {
+		for _, code := range want.Partitions(g) {
+			sameRidArr(t, fmt.Sprintf("%s BWPart[%d][%d]", what, g, code),
+				got.Partition(g, code), want.Partition(g, code))
 		}
 	}
 }

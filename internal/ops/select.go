@@ -22,7 +22,8 @@ type SelectOpts struct {
 	// Workers > 1 runs the selection morsel-parallel: the input range splits
 	// into contiguous partitions, each executed by the range kernel with
 	// partition-local capture, merged in partition order (identical output
-	// and lineage to workers=1). Workers <= 1 is the serial specialization.
+	// and lineage to workers=1). Workers <= 1 runs the same range kernel
+	// over one range.
 	Workers int
 	// Pool schedules the partition kernels; nil runs them inline.
 	Pool *pool.Pool

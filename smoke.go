@@ -8,11 +8,11 @@
 // every scan into contiguous row-range partitions executed over a shared
 // worker pool, with partition-local lineage capture merged in partition
 // order — the paper's tight-integration principle (P1) holds per partition,
-// and the merged lineage is identical to a serial run (float aggregates can
-// differ in the final ulp from partial-sum order; nothing else does). The
-// workers=1 default is the serial specialization the paper describes (and
-// the one its experiments reproduce); a DB is safe for concurrent
-// Query().Run() calls either way.
+// and the merged lineage is identical for every partition count (float
+// aggregates can differ in the final ulp from partial-sum order; nothing else
+// does). The workers=1 default is one partition of the same drivers — the
+// single-threaded execution the paper describes and its experiments
+// reproduce; a DB is safe for concurrent Query().Run() calls either way.
 //
 // Captured indexes can be stored compressed: CaptureOptions{Compress: true}
 // encodes every finished rid list adaptively (raw rids, delta+varint,
