@@ -146,7 +146,7 @@ func TestGroupByLogicIdxMatchesSmoke(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(fw, smoke.FW) {
+				if !reflect.DeepEqual(fw, smoke.ForwardIndex().DenseForward(rel.N)) {
 					t.Fatalf("%s: Logic-Idx forward differs from Smoke", tag)
 				}
 				if bw.Len() != smoke.BW.Len() {

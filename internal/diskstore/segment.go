@@ -71,14 +71,16 @@ type relMeta struct {
 
 // indexMeta describes one persisted lineage index. Kind is the physical
 // representation: "arr" (raw 1-to-1 rid array), "encarr" (EncodedArr run
-// directory), or "encmany" (EncodedIndex chunk store). Raw 1-to-N indexes
-// are encoded before they are written — the chunked encoding IS the
-// persistence format — so "rawmany" does not exist on disk.
+// directory), "encmany" (EncodedIndex chunk store), or "sparse" (SparseArr:
+// presence bitmap words and one value per present record; the rank
+// directory is rebuilt at load). Raw 1-to-N indexes are encoded before they
+// are written — the chunked encoding IS the persistence format — so
+// "rawmany" does not exist on disk.
 type indexMeta struct {
 	Sec  string `json:"sec"` // section-name prefix inside the segment
 	Rel  string `json:"rel"`
 	Dir  string `json:"dir"`  // "bw" | "fw"
-	Kind string `json:"kind"` // "arr" | "encarr" | "encmany"
+	Kind string `json:"kind"` // "arr" | "encarr" | "encmany" | "sparse"
 	N    int    `json:"n"`
 	Card int    `json:"card,omitempty"`
 }
@@ -294,7 +296,7 @@ func (s *segment) parse(full bool) error {
 func directorySection(name string) bool {
 	return strings.HasSuffix(name, ".offs") || strings.HasSuffix(name, ".starts") ||
 		strings.HasSuffix(name, ".seq") || strings.HasSuffix(name, ".vals") ||
-		strings.HasSuffix(name, ".gc")
+		strings.HasSuffix(name, ".words") || strings.HasSuffix(name, ".gc")
 }
 
 func (s *segment) close() {
@@ -345,6 +347,13 @@ func asInt32s(b []byte) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
+func asUint64s(b []byte) []uint64 {
+	if len(b) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
+}
+
 func asUint32s(b []byte) []uint32 {
 	if len(b) == 0 {
 		return nil
@@ -378,6 +387,13 @@ func int32Bytes(v []int32) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+}
+
+func uint64Bytes(v []uint64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
 }
 
 func uint32Bytes(v []uint32) []byte {
@@ -500,7 +516,7 @@ func loadRelation(seg *segment, prefix string, m relMeta) (*storage.Relation, er
 // Raw 1-to-N indexes are converted to the chunked encoding first: the
 // encoded form is the on-disk representation (and what a promoted result
 // traces in situ). Raw 1-to-1 arrays stay raw — EncodeArr already decided
-// the run directory would not pay for itself.
+// the run directory would not pay for itself — and sparse arrays stay sparse.
 func addIndexSections(w *segWriter, prefix, rel, dir string, ix *lineage.Index) indexMeta {
 	if ix.Kind == lineage.OneToMany {
 		ix = lineage.EncodeIndex(ix)
@@ -523,6 +539,11 @@ func addIndexSections(w *segWriter, prefix, rel, dir string, ix *lineage.Index) 
 		m.Card = card
 		w.add(prefix+".offs", uint32Bytes(offs))
 		w.add(prefix+".data", data)
+	case lineage.SparseOne:
+		m.Kind = "sparse"
+		_, words, vals := ix.Sparse.Parts()
+		w.add(prefix+".words", uint64Bytes(words))
+		w.add(prefix+".vals", int32Bytes(vals))
 	}
 	return m
 }
@@ -577,6 +598,23 @@ func loadIndex(seg *segment, prefix string, m indexMeta) (*lineage.Index, error)
 			return nil, fmt.Errorf("%s: index %q: %w", filepath.Base(seg.path), prefix, err)
 		}
 		return lineage.NewEncodedMany(e), nil
+	case "sparse":
+		wb, err := seg.section(prefix + ".words")
+		if err != nil {
+			return nil, err
+		}
+		vb, err := seg.section(prefix + ".vals")
+		if err != nil {
+			return nil, err
+		}
+		if len(wb)%8 != 0 || len(vb)%4 != 0 {
+			return nil, corruptf(seg.path, "index %q sections are not whole words", prefix)
+		}
+		s, err := lineage.SparseArrFromParts(m.N, asUint64s(wb), asInt32s(vb))
+		if err != nil {
+			return nil, fmt.Errorf("%s: index %q: %w", filepath.Base(seg.path), prefix, err)
+		}
+		return lineage.NewSparseOne(s), nil
 	}
 	return nil, corruptf(seg.path, "index %q has unknown kind %q", prefix, m.Kind)
 }

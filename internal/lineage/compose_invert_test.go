@@ -19,12 +19,14 @@ func manyOf(lists ...[]Rid) *Index {
 }
 
 // encodedForms returns ix plus its force-encoded twin (EncodeIndex adaptively
-// keeps tiny rid arrays raw, which would silently skip the encoded branch).
+// keeps tiny rid arrays raw, which would silently skip the encoded branch)
+// and, for a rid array, its sparse twin.
 func encodedForms(ix *Index) map[string]*Index {
 	forms := map[string]*Index{"raw": ix}
 	switch ix.Kind {
 	case OneToOne:
 		forms["encoded"] = NewEncodedOne(encodeArrRuns(ix.Arr, len(ix.Arr)))
+		forms["sparse"] = NewSparseOne(sparseOf(ix.Arr))
 	case OneToMany:
 		forms["encoded"] = NewEncodedMany(EncodeRidIndex(ix.Many))
 	}

@@ -75,16 +75,6 @@ func SlotRebase(arr []Rid, lo, hi int, slotMap []Rid) {
 	}
 }
 
-// SlotRebaseRids is SlotRebase over an explicit rid subset (a partition's
-// slice of the input rid list), preserving negative entries.
-func SlotRebaseRids(arr []Rid, rids []Rid, slotMap []Rid) {
-	for _, r := range rids {
-		if arr[r] >= 0 {
-			arr[r] = slotMap[arr[r]]
-		}
-	}
-}
-
 // MergeListsBySlot merges partition-local per-group rid lists into a global
 // RidIndex with nGlobal entries. parts[p] holds partition p's local group
 // lists; slotMaps[p] maps partition p's local group slot to its global slot.

@@ -1,5 +1,7 @@
 package lineage
 
+import "math/bits"
+
 // RidIndex is the 1-to-N lineage representation (§3.1, Figure 3): an inverted
 // index whose i-th entry is the rid array of input (or output) records
 // associated with the i-th output (or input) record. Backward lineage of
@@ -84,6 +86,11 @@ const (
 	// EncodedIndex). Queries read it in place; it is never decompressed
 	// wholesale.
 	EncodedMany
+	// SparseOne is a rid array over a subset of its source records
+	// (SparseArr: presence bitmap, rank directory, one value per present
+	// record). Only forward indexes take this form — an aggregation over a
+	// rid subset — and it is already compact, so encoding keeps it as is.
+	SparseOne
 )
 
 // Index is a direction-agnostic lineage index: a rid array or a rid index, in
@@ -95,6 +102,7 @@ type Index struct {
 	Many   *RidIndex     // when Kind == OneToMany
 	EncArr *EncodedArr   // when Kind == EncodedOne
 	Enc    *EncodedIndex // when Kind == EncodedMany
+	Sparse *SparseArr    // when Kind == SparseOne
 }
 
 // NewOneToOne wraps a rid array.
@@ -109,12 +117,15 @@ func NewEncodedOne(e *EncodedArr) *Index { return &Index{Kind: EncodedOne, EncAr
 // NewEncodedMany wraps a compressed rid index.
 func NewEncodedMany(e *EncodedIndex) *Index { return &Index{Kind: EncodedMany, Enc: e} }
 
+// NewSparseOne wraps a sparse rid array.
+func NewSparseOne(s *SparseArr) *Index { return &Index{Kind: SparseOne, Sparse: s} }
+
 // Encoded reports whether the index is stored in compressed form.
 func (ix *Index) Encoded() bool { return ix.Kind == EncodedOne || ix.Kind == EncodedMany }
 
 // EncodeIndex returns the compressed form of ix (or ix itself when already
-// encoded, or when a rid array is incompressible and raw is the adaptive
-// choice). Trace, Compose, and Invert read the result in place.
+// encoded or sparse, or when a rid array is incompressible and raw is the
+// adaptive choice). Trace, Compose, and Invert read the result in place.
 func EncodeIndex(ix *Index) *Index {
 	switch ix.Kind {
 	case OneToOne:
@@ -138,6 +149,8 @@ func (ix *Index) SizeBytes() int {
 		return 4*ix.Many.Cardinality() + 24*ix.Many.Len() // lists + slice headers
 	case EncodedOne:
 		return ix.EncArr.SizeBytes()
+	case SparseOne:
+		return ix.Sparse.SizeBytes()
 	default:
 		return ix.Enc.SizeBytes()
 	}
@@ -152,6 +165,8 @@ func (ix *Index) Len() int {
 		return ix.Many.Len()
 	case EncodedOne:
 		return ix.EncArr.Len()
+	case SparseOne:
+		return ix.Sparse.Len()
 	default:
 		return ix.Enc.Len()
 	}
@@ -170,6 +185,11 @@ func (ix *Index) TraceOne(i Rid, dst []Rid) []Rid {
 		return append(dst, ix.Many.List(int(i))...)
 	case EncodedOne:
 		if r := ix.EncArr.Get(i); r >= 0 {
+			dst = append(dst, r)
+		}
+		return dst
+	case SparseOne:
+		if r := ix.Sparse.Get(i); r >= 0 {
 			dst = append(dst, r)
 		}
 		return dst
@@ -214,6 +234,14 @@ func (ix *Index) Trace(src []Rid) []Rid {
 			}
 		}
 		return dst
+	case SparseOne:
+		var dst []Rid // nil when nothing maps, like the raw array's trace
+		for _, i := range src {
+			if r := ix.Sparse.Get(i); r >= 0 {
+				dst = append(dst, r)
+			}
+		}
+		return dst
 	}
 	var dst []Rid
 	for _, i := range src {
@@ -248,6 +276,10 @@ func (ix *Index) DenseForward(n int) []Rid {
 		return ix.Arr
 	}
 	out := make([]Rid, n)
+	if ix.Kind == SparseOne {
+		ix.Sparse.dense(out)
+		return out
+	}
 	if ix.Kind == EncodedOne {
 		// The scan probes rids 0..n-1 in order: the cursor walks the run
 		// directory once instead of binary-searching per entry.
@@ -294,8 +326,12 @@ func (ix *Index) TraceDistinct(src []Rid) []Rid {
 // intermediate (B) indexes can be garbage collected. Encoded operands are
 // read in place, one entry at a time, and yield an encoded result (each
 // composed list encodes as soon as it is complete — the full raw index is
-// never materialized).
+// never materialized). A sparse outer over a 1-to-1 inner stays sparse: only
+// its values are remapped.
 func Compose(outer, inner *Index) *Index {
+	if outer.Kind == SparseOne && inner.Kind == OneToOne {
+		return NewSparseOne(outer.Sparse.remap(inner.Arr))
+	}
 	if outer.Kind == OneToOne && inner.Kind == OneToOne {
 		arr := make([]Rid, len(outer.Arr))
 		for i, mid := range outer.Arr {
@@ -362,6 +398,13 @@ func Invert(ix *Index, targets int) *Index {
 				counts[r]++
 			}
 		}
+	case SparseOne:
+		// Absent records map to nothing: only the values are read.
+		for _, r := range ix.Sparse.vals {
+			if r >= 0 {
+				counts[r]++
+			}
+		}
 	default:
 		n := ix.Len()
 		var buf []Rid
@@ -391,6 +434,17 @@ func Invert(ix *Index, targets int) *Index {
 		for i := 0; i < ix.EncArr.Len(); i++ {
 			if r := c.Get(Rid(i)); r >= 0 {
 				out.AppendFast(int(r), Rid(i))
+			}
+		}
+	case SparseOne:
+		// Walk the set bits only, in ascending rid order.
+		s, k := ix.Sparse, 0
+		for w, x := range s.words {
+			for ; x != 0; x &= x - 1 {
+				if r := s.vals[k]; r >= 0 {
+					out.AppendFast(int(r), Rid(w<<6+bits.TrailingZeros64(x)))
+				}
+				k++
 			}
 		}
 	default:

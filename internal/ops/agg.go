@@ -109,11 +109,10 @@ type AggOpts struct {
 	// of lineage-consuming queries, whose backward rid sets preserve
 	// duplicates (transformational semantics). With several partitions the
 	// driver then tracks forward slots per input *position* instead of
-	// writing the shared rid-addressed forward array from the kernels (a
-	// duplicated rid spanning two partitions would otherwise be rebased by
-	// both), and fills the forward array once after the merge. Backward lists
-	// and aggregate states handle duplicates natively. Ignored when inRids is
-	// nil.
+	// writing the shared forward array from the kernels (a duplicated rid
+	// spanning two partitions would otherwise be rebased by both), and fills
+	// the forward array once after the merge. Backward lists and aggregate
+	// states handle duplicates natively. Ignored when inRids is nil.
 	DupRids bool
 
 	// Compress encodes the finished lineage indexes into their adaptive
@@ -122,14 +121,17 @@ type AggOpts struct {
 	// exactly-sized arrays (Defer), and encoding happens post-capture, per
 	// partition; a merge then concatenates encoded lists without
 	// re-encoding. The result's BWEnc/FWEnc replace BW/FW; queries read them
-	// in place. PartitionBy (data-skipping) indexes are not compressed.
+	// in place. A sparse forward array (FWSparse) is already compact and is
+	// kept as is; PartitionBy (data-skipping) indexes are not compressed.
 	Compress bool
 }
 
 // AggResult is the output of an instrumented hash aggregation. Backward
 // lineage is 1-to-N (rid index: group → input rids); forward lineage is a rid
-// array (input rid → group). Output record i corresponds to hash-table group
-// slot i in discovery order.
+// array (input rid → group): dense over the whole relation when the input is
+// the whole relation (FW), sparse over the present rids when it is a rid
+// subset (FWSparse). Output record i corresponds to hash-table group slot i
+// in discovery order.
 type AggResult struct {
 	Out *storage.Relation
 	BW  *lineage.RidIndex
@@ -142,6 +144,9 @@ type AggResult struct {
 	// FWEnc replaces FW when AggOpts.Compress encoded the forward array
 	// (the encoder adaptively keeps FW raw when runs don't pay off).
 	FWEnc *lineage.EncodedArr
+	// FWSparse replaces FW when the input is a rid subset: nothing on that
+	// path allocates or fills an array of one entry per relation row.
+	FWSparse *lineage.SparseArr
 	// GroupCounts[i] is the input cardinality of group i (tracked for every
 	// mode; Defer uses it to preallocate exact backward lists).
 	GroupCounts []int64
@@ -164,6 +169,8 @@ func (r *AggResult) BackwardIndex() *lineage.Index {
 // nil if forward lineage was not captured.
 func (r *AggResult) ForwardIndex() *lineage.Index {
 	switch {
+	case r.FWSparse != nil:
+		return lineage.NewSparseOne(r.FWSparse)
 	case r.FWEnc != nil:
 		return lineage.NewEncodedOne(r.FWEnc)
 	case r.FW != nil:
@@ -390,7 +397,7 @@ type aggState struct {
 	countsByKey []int32
 
 	groupRids [][]Rid // Inject backward lists (i_rids per group)
-	fw        []Rid
+	fw        fwdSink
 
 	// push-down state (§4.2)
 	pdFilter expr.Pred
@@ -540,23 +547,21 @@ func partitionKeyFn(in *storage.Relation, attrs []string) (func(Rid) int64, *lin
 
 // PartitionKey recomputes the partition code of an attribute-value
 // combination so consuming queries can address the right partition. Values
-// must be given in PartitionBy order, one per attribute.
+// must be given in PartitionBy order, one per attribute; they are encoded
+// exactly as partitionKeyFn encodes column values at capture time.
 func PartitionKey(res *AggResult, in *storage.Relation, attrs []string, vals []any) (int64, bool) {
 	if len(vals) != len(attrs) {
 		return 0, false
 	}
 	dict := res.BWPart.Dict()
 	if dict == nil {
-		// single int attribute
-		switch v := vals[0].(type) {
-		case int64:
-			return v, true
-		case int:
-			return int64(v), true
-		}
-		return 0, false
+		return intValue(vals[0]) // single int attribute: the value is the code
 	}
-	if len(attrs) == 1 {
+	types := make([]storage.Type, len(attrs))
+	for i, a := range attrs {
+		types[i] = in.Schema[in.Schema.MustCol(a)].Type
+	}
+	if len(attrs) == 1 && types[0] == storage.TString {
 		s, ok := vals[0].(string)
 		if !ok {
 			return 0, false
@@ -564,21 +569,20 @@ func PartitionKey(res *AggResult, in *storage.Relation, attrs []string, vals []a
 		return dict.Lookup(s)
 	}
 	var buf []byte
-	for i, a := range attrs {
-		c := in.Schema.MustCol(a)
-		switch in.Schema[c].Type {
+	for i, t := range types {
+		switch t {
 		case storage.TInt:
-			var tmp [8]byte
-			iv, ok := vals[i].(int64)
+			iv, ok := intValue(vals[i])
 			if !ok {
-				if ii, ok2 := vals[i].(int); ok2 {
-					iv = int64(ii)
-				} else {
-					return 0, false
-				}
+				return 0, false
 			}
-			binary.LittleEndian.PutUint64(tmp[:], uint64(iv))
-			buf = append(buf, tmp[:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(iv))
+		case storage.TFloat:
+			fv, ok := floatValue(vals[i])
+			if !ok {
+				return 0, false
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(fv))
 		case storage.TString:
 			s, ok := vals[i].(string)
 			if !ok {
@@ -589,6 +593,30 @@ func PartitionKey(res *AggResult, in *storage.Relation, attrs []string, vals []a
 		}
 	}
 	return dict.Lookup(string(buf))
+}
+
+func intValue(v any) (int64, bool) {
+	switch v := v.(type) {
+	case int64:
+		return v, true
+	case int:
+		return int64(v), true
+	}
+	return 0, false
+}
+
+// floatValue accepts a float attribute's value in any numeric form: a whole
+// number written without a decimal point (0 for 0.0) addresses it too.
+func floatValue(v any) (float64, bool) {
+	switch v := v.(type) {
+	case float64:
+		return v, true
+	case int64:
+		return float64(v), true
+	case int:
+		return float64(v), true
+	}
+	return 0, false
 }
 
 // encodeComposite serializes the key columns of rid into st.buf.
@@ -709,9 +737,7 @@ func (st *aggState) processRow(rid Rid) int32 {
 		if st.dirs.Backward() {
 			st.captureBackward(slot, rid)
 		}
-		if st.fw != nil {
-			st.fw[rid] = slot
-		}
+		st.fw.set(rid, slot)
 	}
 	return slot
 }
@@ -810,19 +836,14 @@ func (st *aggState) accumulateBatch(slots []int32, rids []Rid) {
 				}
 			}
 		}
-		if st.fw != nil {
-			fw := st.fw
-			for j, s := range slots {
-				fw[rids[j]] = s
-			}
-		}
+		st.fw.setBatch(rids, slots)
 	}
 }
 
 // deferFillBatched is the batched Zγ second pass for the plain single-int-key
 // shape (no partitioning, no push-down filter): slots resolve through the
 // batched read-only probe, then the exactly-sized indexes fill in row order.
-func (st *aggState) deferFillBatched(inRids []Rid, lo, hi int, bw *lineage.RidIndex, fw []Rid, posSlots []Rid) {
+func (st *aggState) deferFillBatched(inRids []Rid, lo, hi int, bw *lineage.RidIndex, fw fwdSink, posSlots []Rid) {
 	keys := scratch.Ints(aggBatchSize)
 	slots := scratch.Rids(aggBatchSize)
 	ridBuf := scratch.Rids(aggBatchSize)
@@ -853,10 +874,8 @@ func (st *aggState) deferFillBatched(inRids []Rid, lo, hi int, bw *lineage.RidIn
 		}
 		if posSlots != nil {
 			copy(posSlots[base:end], sb)
-		} else if fw != nil {
-			for j, s := range sb {
-				fw[rb[j]] = s
-			}
+		} else {
+			fw.setBatch(rb, sb)
 		}
 	}
 	scratch.PutInts(keys)
@@ -948,13 +967,19 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 
 	wantBW := opts.Mode != None && opts.Dirs.Backward()
 	wantFW := opts.Mode != None && opts.Dirs.Forward()
-	var fw []Rid
+	var fw fwdSink
 	var posSlots []Rid
 	if wantFW {
 		// One shared forward array: partitions own disjoint rid sets, so
 		// each writes its rows' entries (with partition-local group slots,
-		// rebased to global slots after a merge) without conflicts.
-		fw = newForwardArray(in.N, inRids != nil)
+		// rebased to global slots after a merge) without conflicts. A rid
+		// subset gets the sparse form, built by one bit-set pass over
+		// inRids: no array of in.N entries is allocated or filled.
+		if inRids == nil {
+			fw.dense = make([]Rid, in.N)
+		} else {
+			fw.sparse = lineage.NewSparseArr(in.N, inRids)
+		}
 		switch {
 		case merge && opts.DupRids && inRids != nil:
 			// Duplicate rid sets (lineage-consuming queries) break the
@@ -1066,7 +1091,7 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 			for _, r := range ranges {
 				sm := slotMaps[r.Part]
 				for pos := r.Lo; pos < r.Hi; pos++ {
-					fw[inRids[pos]] = sm[posSlots[pos]]
+					fw.set(inRids[pos], sm[posSlots[pos]])
 				}
 			}
 		case merge:
@@ -1074,17 +1099,16 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 			// each partition revisits exactly the rids it wrote.
 			opts.Pool.RunSplit(ranges, func(part, lo, hi int) {
 				if inRids == nil {
-					lineage.SlotRebase(fw, lo, hi, slotMaps[part])
+					lineage.SlotRebase(fw.dense, lo, hi, slotMaps[part])
 				} else {
-					lineage.SlotRebaseRids(fw, inRids[lo:hi], slotMaps[part])
+					fw.sparse.RebaseRids(inRids[lo:hi], slotMaps[part])
 				}
 			})
 		}
-		res.FW = fw
-		if opts.Compress {
-			if e := lineage.EncodeArr(fw); e != nil {
-				res.FWEnc = e
-				res.FW = nil
+		res.FW, res.FWSparse = fw.dense, fw.sparse
+		if opts.Compress && res.FW != nil {
+			if e := lineage.EncodeArr(res.FW); e != nil {
+				res.FWEnc, res.FW = e, nil
 			}
 		}
 	}
@@ -1096,7 +1120,7 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 // record's group, and fill backward indexes preallocated exactly from the
 // local counts, so Defer keeps its no-growth property per morsel. Forward
 // entries go to posSlots when it is non-nil, else to fw.
-func (st *aggState) deferPass(inRids []Rid, lo, hi int, wantBW bool, fw, posSlots []Rid) *lineage.RidIndex {
+func (st *aggState) deferPass(inRids []Rid, lo, hi int, wantBW bool, fw fwdSink, posSlots []Rid) *lineage.RidIndex {
 	var bw *lineage.RidIndex
 	if wantBW {
 		if st.partKey != nil {
@@ -1124,8 +1148,8 @@ func (st *aggState) deferPass(inRids []Rid, lo, hi int, wantBW bool, fw, posSlot
 		}
 		if posSlots != nil {
 			posSlots[pos] = slot
-		} else if fw != nil {
-			fw[rid] = slot
+		} else {
+			fw.set(rid, slot)
 		}
 	}
 	if inRids == nil {
@@ -1140,16 +1164,35 @@ func (st *aggState) deferPass(inRids []Rid, lo, hi int, wantBW bool, fw, posSlot
 	return bw
 }
 
-// newForwardArray allocates a forward rid array; when the input is a subset
-// of the relation, unvisited entries must read as "no output" (-1).
-func newForwardArray(n int, sparse bool) []Rid {
-	fw := make([]Rid, n)
-	if sparse {
-		for i := range fw {
-			fw[i] = -1
+// fwdSink is the forward array an aggregation kernel writes group slots
+// into: dense and rid-addressed when the input is the whole relation, sparse
+// over the present rids when it is a rid subset, or neither when forward
+// lineage is not captured (writes are then no-ops).
+type fwdSink struct {
+	dense  []Rid
+	sparse *lineage.SparseArr
+}
+
+func (f fwdSink) set(rid, slot Rid) {
+	if f.dense != nil {
+		f.dense[rid] = slot
+	} else if f.sparse != nil {
+		f.sparse.Set(rid, slot)
+	}
+}
+
+// setBatch is set over a resolved batch, with the form switch hoisted out of
+// the row loop.
+func (f fwdSink) setBatch(rids, slots []Rid) {
+	if fw := f.dense; fw != nil {
+		for j, s := range slots {
+			fw[rids[j]] = s
+		}
+	} else if sp := f.sparse; sp != nil {
+		for j, s := range slots {
+			sp.Set(rids[j], s)
 		}
 	}
-	return fw
 }
 
 // materialize builds the output relation: group-by keys (gathered via each

@@ -219,14 +219,30 @@ func TestHashAggSubsetInput(t *testing.T) {
 	if total != int64(len(sub)) {
 		t.Fatalf("subset aggregation counted %d rows, want %d", total, len(sub))
 	}
-	// Forward entries outside the subset must be -1.
+	// A rid subset captures the sparse forward form; entries outside the
+	// subset read -1, entries inside it their group.
+	if res.FW != nil || res.FWSparse == nil {
+		t.Fatalf("subset forward lineage: FW nil=%v, FWSparse nil=%v; want only the sparse form",
+			res.FW == nil, res.FWSparse == nil)
+	}
+	if _, _, vals := res.FWSparse.Parts(); len(vals) != len(sub) {
+		t.Fatalf("sparse forward holds %d rids, want %d", len(vals), len(sub))
+	}
 	inSub := map[Rid]bool{}
 	for _, r := range sub {
 		inSub[r] = true
 	}
-	for rid, o := range res.FW {
+	fw := res.ForwardIndex().DenseForward(rel.N)
+	for rid, o := range fw {
 		if inSub[Rid(rid)] == (o == -1) {
 			t.Fatalf("fw[%d] = %d inconsistent with subset membership", rid, o)
+		}
+	}
+	for slot := 0; slot < res.BW.Len(); slot++ {
+		for _, rid := range res.BW.List(slot) {
+			if fw[rid] != Rid(slot) {
+				t.Fatalf("fw[%d] = %d, want group %d", rid, fw[rid], slot)
+			}
 		}
 	}
 }

@@ -125,7 +125,7 @@ func HashJoinPKFK(build *storage.Relation, buildKey string, buildRids []Rid,
 	if capture && opts.Dirs.Forward() {
 		// Initialized to -1 unconditionally: even a pk-fk probe row can miss
 		// when the build side was filtered.
-		res.ProbeFW = newForwardArray(probe.N, true)
+		res.ProbeFW = newForwardArray(probe.N)
 		if opts.CountsByBuildKey != nil {
 			counts := make([]int32, build.N)
 			for rid := 0; rid < build.N; rid++ {

@@ -119,7 +119,7 @@ func pkfkParallelProbe(build, probe *storage.Relation, probeCol []int64, ht *has
 	res := PKFKResult{}
 	var probeFW []Rid
 	if wantFW {
-		probeFW = newForwardArray(probe.N, true)
+		probeFW = newForwardArray(probe.N)
 	}
 
 	ranges := pool.Split(nProbe, opts.Workers)

@@ -1,10 +1,12 @@
 package ops
 
 import (
+	"runtime"
 	"testing"
 
 	"smoke/internal/datagen"
 	"smoke/internal/expr"
+	"smoke/internal/storage"
 )
 
 // Selection microbenchmarks: the two-pass bitmap kernel with a compiled
@@ -50,5 +52,57 @@ func BenchmarkSelectBitmapKernelInject(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Select(n, pred, SelectOpts{Kernel: kern, Mode: Inject, Dirs: CaptureBoth})
+	}
+}
+
+// Subset aggregation: a capture-on group-by over 1k rids of a 500k-row
+// relation — the consuming-query and filtered-view shape. Its forward
+// lineage is sparse, so what it allocates follows the 1k rids it aggregates
+// (plus a bitmap of one bit per relation row), not the relation.
+
+const subsetAggRows, subsetAggRids = 500_000, 1000
+
+func subsetAggInputs() (*storage.Relation, []Rid, GroupBySpec) {
+	rel := datagen.Zipf("zipf", 1.0, subsetAggRows, 1000, 1)
+	rids := make([]Rid, subsetAggRids)
+	for i := range rids {
+		rids[i] = Rid(i * (subsetAggRows / subsetAggRids))
+	}
+	return rel, rids, GroupBySpec{Keys: []string{"z"}, Aggs: []AggSpec{
+		{Fn: Count, Name: "cnt"}, {Fn: Sum, Arg: expr.C("v"), Name: "sv"}}}
+}
+
+func BenchmarkHashAggSubsetCapture(b *testing.B) {
+	b.ReportAllocs()
+	rel, rids, spec := subsetAggInputs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := HashAgg(rel, rids, spec, AggOpts{Mode: Inject, Dirs: CaptureBoth, DupRids: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestHashAggSubsetAllocatesNoRelationSizedArray pins the bound the benchmark
+// above reports: under 256 KB allocated per call, where one forward entry
+// per relation row alone would be 2 MB.
+func TestHashAggSubsetAllocatesNoRelationSizedArray(t *testing.T) {
+	rel, rids, spec := subsetAggInputs()
+	run := func() {
+		if _, err := HashAgg(rel, rids, spec, AggOpts{Mode: Inject, Dirs: CaptureBoth, DupRids: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the scratch pools
+	const reps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reps; per >= 256<<10 {
+		t.Fatalf("capture-on group-by over %d of %d rows allocates %d bytes per call, want < 256 KB",
+			subsetAggRids, subsetAggRows, per)
 	}
 }

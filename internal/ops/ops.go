@@ -71,3 +71,13 @@ func (d Directions) Forward() bool { return d&CaptureForward != 0 }
 
 // Rid re-exports the lineage record id type for brevity inside this package.
 type Rid = lineage.Rid
+
+// newForwardArray allocates a forward rid array whose unvisited entries read
+// as "no output" (-1).
+func newForwardArray(n int) []Rid {
+	fw := make([]Rid, n)
+	for i := range fw {
+		fw[i] = -1
+	}
+	return fw
+}

@@ -45,6 +45,21 @@ func sameRidArr(t *testing.T, what string, got, want []Rid) {
 	}
 }
 
+// sameForward compares two aggregation results' forward lineage in dense
+// form, whichever representation each holds (a rid subset's forward array is
+// sparse, FW stays nil), so the comparison never passes vacuously: forward
+// lineage present on one side only is a mismatch.
+func sameForward(t *testing.T, what string, got, want AggResult, n int) {
+	t.Helper()
+	g, w := got.ForwardIndex(), want.ForwardIndex()
+	if (g == nil) != (w == nil) {
+		t.Fatalf("%s: forward index nil mismatch (got %v, want %v)", what, g == nil, w == nil)
+	}
+	if g != nil {
+		sameRidArr(t, what, g.DenseForward(n), w.DenseForward(n))
+	}
+}
+
 func head(r []Rid) []Rid {
 	if len(r) > 8 {
 		return r[:8]
@@ -98,6 +113,9 @@ func TestSelectParallelMatchesSerial(t *testing.T) {
 				tag := fmt.Sprintf("mode=%v dirs=%b w=%d", mode, dirs, workers)
 				sameRidArr(t, tag+" OutRids", par.OutRids, serial.OutRids)
 				sameRidArr(t, tag+" BW", par.BW, serial.BW)
+				if mode != None && dirs.Forward() && len(serial.FW) != rel.N {
+					t.Fatalf("%s: serial forward array has %d entries, want %d", tag, len(serial.FW), rel.N)
+				}
 				sameRidArr(t, tag+" FW", par.FW, serial.FW)
 			}
 		}
@@ -126,6 +144,9 @@ func TestSelectParallelZeroMatches(t *testing.T) {
 				t.Fatalf("%s: OutRids nil-ness differs (par=%v serial=%v)",
 					tag, par.OutRids == nil, serial.OutRids == nil)
 			}
+			if (par.FW == nil) != (serial.FW == nil) {
+				t.Fatalf("%s: FW nil-ness differs (par=%v serial=%v)", tag, par.FW == nil, serial.FW == nil)
+			}
 			sameRidArr(t, tag+" FW", par.FW, serial.FW)
 		}
 	}
@@ -145,21 +166,34 @@ func TestHashAggParallelMatchesSerial(t *testing.T) {
 		"str-key":       {Keys: []string{"s"}, Aggs: []AggSpec{{Fn: Avg, Arg: expr.C("v"), Name: "a"}}},
 		"composite-key": {Keys: []string{"z", "s"}, Aggs: []AggSpec{{Fn: Count, Name: "c"}}},
 	}
-	// A filtered rid subset (sorted, distinct), as produced by a selection.
-	var sub []Rid
+	// A filtered rid subset (sorted, distinct), as produced by a selection,
+	// and a consuming query's rid bag (unsorted, with repeats, half the
+	// relation untouched), which runs with DupRids.
+	var sub, bag []Rid
 	for i := int32(0); i < int32(rel.N); i++ {
 		if i%3 != 0 {
 			sub = append(sub, i)
 		}
 	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 6000; i++ {
+		bag = append(bag, Rid(rng.Intn(rel.N/2)))
+	}
 	for name, spec := range specs {
 		for _, mode := range []CaptureMode{None, Inject, Defer} {
 			for _, dirs := range []Directions{CaptureBackward, CaptureForward, CaptureBoth} {
-				for _, inRids := range [][]Rid{nil, sub} {
-					opts := AggOpts{Mode: mode, Dirs: dirs}
+				for _, in := range []struct {
+					rids []Rid
+					dup  bool
+				}{{nil, false}, {sub, false}, {bag, true}} {
+					inRids := in.rids
+					opts := AggOpts{Mode: mode, Dirs: dirs, DupRids: in.dup}
 					serial, err := HashAgg(rel, inRids, spec, opts)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if captured := serial.ForwardIndex() != nil; captured != (mode != None && dirs.Forward()) {
+						t.Fatalf("%s mode=%v dirs=%b: forward index captured=%v", name, mode, dirs, captured)
 					}
 					for _, workers := range []int{2, 4, 7} {
 						opts.Workers, opts.Pool = workers, p
@@ -167,13 +201,13 @@ func TestHashAggParallelMatchesSerial(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						tag := fmt.Sprintf("%s mode=%v dirs=%b sub=%v w=%d", name, mode, dirs, inRids != nil, workers)
+						tag := fmt.Sprintf("%s mode=%v dirs=%b inRids=%d dup=%v w=%d", name, mode, dirs, len(inRids), opts.DupRids, workers)
 						sameRelation(t, par.Out, serial.Out)
 						if !reflect.DeepEqual(par.GroupCounts, serial.GroupCounts) {
 							t.Fatalf("%s: GroupCounts differ", tag)
 						}
 						sameRidIndex(t, tag+" BW", par.BW, serial.BW)
-						sameRidArr(t, tag+" FW", par.FW, serial.FW)
+						sameForward(t, tag+" FW", par, serial, rel.N)
 					}
 				}
 			}
@@ -246,7 +280,7 @@ func TestHashAggParallelPushdownAndSkipping(t *testing.T) {
 		serial, par = observed(0, 1), observed(1, 4)
 		sameRidArr(t, fmt.Sprintf("Observe mode=%v calls", mode), calls[1], calls[0])
 		sameRidIndex(t, fmt.Sprintf("Observe mode=%v BW", mode), par.BW, serial.BW)
-		sameRidArr(t, fmt.Sprintf("Observe mode=%v FW", mode), par.FW, serial.FW)
+		sameForward(t, fmt.Sprintf("Observe mode=%v FW", mode), par, serial, rel.N)
 
 		// CountsByKey presizes one partition's lists; with several it is
 		// ignored and the merged index must still be identical.
@@ -268,7 +302,7 @@ func TestHashAggParallelPushdownAndSkipping(t *testing.T) {
 		}
 		sameRelation(t, par.Out, serial.Out)
 		sameRidIndex(t, fmt.Sprintf("CountsByKey mode=%v BW", mode), par.BW, serial.BW)
-		sameRidArr(t, fmt.Sprintf("CountsByKey mode=%v FW", mode), par.FW, serial.FW)
+		sameForward(t, fmt.Sprintf("CountsByKey mode=%v FW", mode), par, serial, rel.N)
 	}
 }
 

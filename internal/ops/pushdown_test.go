@@ -2,6 +2,7 @@ package ops
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"smoke/internal/datagen"
@@ -146,6 +147,52 @@ func TestDataSkippingCompositeKey(t *testing.T) {
 	// Unseen combination reports not-found.
 	if _, ok := PartitionKey(&res, rel, []string{"mode", "z"}, []any{"NOPE", int64(1)}); ok {
 		t.Fatal("unseen combination should not resolve")
+	}
+}
+
+// A float data-skipping attribute, alone or inside a composite, resolves
+// through PartitionKey to exactly the rows holding that value (it used to
+// answer an empty partition with no error).
+func TestDataSkippingFloatAttribute(t *testing.T) {
+	rel := pushdownFixture()
+	mcol, vcol := rel.Schema.MustCol("mode"), rel.Schema.MustCol("v")
+	for _, tc := range []struct {
+		attrs []string
+		vals  []any
+		mode  string // "" matches every mode
+	}{
+		{[]string{"v"}, []any{42.0}, ""},
+		{[]string{"v"}, []any{42}, ""},
+		{[]string{"mode", "v"}, []any{"MAIL", 42.0}, "MAIL"},
+	} {
+		res, err := HashAgg(rel, nil, countSpec(), AggOpts{Mode: Inject, Dirs: CaptureBackward, PartitionBy: tc.attrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk, ok := PartitionKey(&res, rel, tc.attrs, tc.vals)
+		if !ok {
+			t.Fatalf("%v = %v: partition key not found", tc.attrs, tc.vals)
+		}
+		var got, want []Rid
+		for slot := 0; slot < res.BWPart.Len(); slot++ {
+			got = append(got, res.BWPart.Partition(slot, pk)...)
+		}
+		slices.Sort(got)
+		for i := 0; i < rel.N; i++ {
+			if rel.Float(vcol, i) == 42 && (tc.mode == "" || rel.Str(mcol, i) == tc.mode) {
+				want = append(want, Rid(i))
+			}
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v = %v: partition %v, want %v", tc.attrs, tc.vals, got, want)
+		}
+	}
+	res, err := HashAgg(rel, nil, countSpec(), AggOpts{Mode: Inject, Dirs: CaptureBackward, PartitionBy: []string{"v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := PartitionKey(&res, rel, []string{"v"}, []any{"42"}); ok {
+		t.Fatal("a string value resolved a float partition")
 	}
 }
 

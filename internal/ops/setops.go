@@ -261,9 +261,9 @@ func setOp(a *storage.Relation, aAttrs []string, b *storage.Relation, bAttrs []s
 		}
 	}
 	if dirs.Forward() {
-		res.AFW = newForwardArray(a.N, true)
+		res.AFW = newForwardArray(a.N)
 		if captureB {
-			res.BFW = newForwardArray(b.N, true)
+			res.BFW = newForwardArray(b.N)
 		}
 	}
 	if dirs == 0 {
@@ -548,7 +548,7 @@ func BagDiff(a *storage.Relation, aAttrs []string, b *storage.Relation, bAttrs [
 		res.ABW = outRids
 	}
 	if dirs.Forward() {
-		res.AFW = newForwardArray(a.N, true)
+		res.AFW = newForwardArray(a.N)
 		for o, r := range outRids {
 			res.AFW[r] = Rid(o)
 		}

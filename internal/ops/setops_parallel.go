@@ -37,8 +37,8 @@ func SetUnionPar(a *storage.Relation, aAttrs []string, b *storage.Relation, bAtt
 	captureB := true
 
 	if dirs.Forward() {
-		res.AFW = newForwardArray(a.N, true)
-		res.BFW = newForwardArray(b.N, true)
+		res.AFW = newForwardArray(a.N)
+		res.BFW = newForwardArray(b.N)
 	}
 
 	backfill := func(rel *storage.Relation, attrs []string, fw []Rid) (*lineage.RidIndex, error) {

@@ -195,9 +195,26 @@ func TestDiskBudgetFallsBackToLazyTier(t *testing.T) {
 	if out.StrategyUsed != "lazy" {
 		t.Fatalf("strategy_used = %q, want %q", out.StrategyUsed, "lazy")
 	}
-	// The in-memory survivor is untouched.
+	// Re-deriving "first" re-retains it, which under the one-result cap
+	// demotes "second"; once that write lands, the 1-byte disk budget evicts
+	// it too. Drain so the outcome does not race the flusher: "second" is
+	// then gone from memory and disk, and — as docs/http-api.md documents
+	// for any evicted capture whose producing request is remembered — a
+	// trace against it answers via the lazy tier rather than 410.
+	srv.sessions.fl.drain()
+	out, err = sess.Trace(ctx, "second", serverclient.TraceRequest{Direction: "backward", Table: "orders"})
+	if err != nil {
+		t.Fatalf("evicted \"second\" should answer via the lazy tier: %v", err)
+	}
+	if out.StrategyUsed != "lazy" {
+		t.Fatalf("second: strategy_used = %q, want %q", out.StrategyUsed, "lazy")
+	}
+	if n := srv.lazyFallbacks.Load(); n != 2 {
+		t.Fatalf("lazy_fallbacks = %d, want 2", n)
+	}
+	// The re-derived result is retained again: its rows read back.
 	if _, err := sess.Result(ctx, "second"); err != nil {
-		t.Fatalf("in-memory result lost to the disk budget: %v", err)
+		t.Fatalf("re-derived result not retained: %v", err)
 	}
 }
 
@@ -234,6 +251,21 @@ func TestRestartRecoversSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A filtered group-by's forward lineage covers a rid subset of orders
+	// (the sparse form, persisted as a "sparse" segment section): every
+	// base rid, kept or filtered out, must trace the same after reloading.
+	if _, err := sess.Run(ctx, "filtered", serverclient.QueryRequest{
+		SQL: "SELECT region, COUNT(*) AS n FROM orders WHERE amount >= 5 GROUP BY region"}); err != nil {
+		t.Fatal(err)
+	}
+	fwAll := serverclient.TraceRequest{Direction: "forward", Table: "orders", Rids: []int64{0, 1, 2, 3, 4}}
+	wantFiltered, err := sess.Trace(ctx, "filtered", fwAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantFiltered.N != 4 {
+		t.Fatalf("filtered forward trace reached %d output rows, want 4 (one base row filtered out)", wantFiltered.N)
+	}
 	if _, err := sess.Run(ctx, "old", serverclient.QueryRequest{
 		SQL: "SELECT region, MAX(amount) AS m FROM orders GROUP BY region"}); err != nil {
 		t.Fatal(err)
@@ -263,6 +295,11 @@ func TestRestartRecoversSessions(t *testing.T) {
 		t.Fatalf("forward trace after restart: %v", err)
 	}
 	sameRows(t, "post-restart forward", gotFW, wantFW)
+	gotFiltered, err := sess2.Trace(ctx, "filtered", fwAll)
+	if err != nil {
+		t.Fatalf("filtered forward trace after restart: %v", err)
+	}
+	sameRows(t, "post-restart filtered forward", gotFiltered, wantFiltered)
 
 	fresh, err := c2.NewSession(ctx)
 	if err != nil {

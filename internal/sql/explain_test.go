@@ -211,11 +211,25 @@ func TestSQLSingleTablePushdownOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The answer is group 0's backward list (from the same query captured
+	// without data skipping) filtered on v = 0.0 — and it is not empty.
+	plain, err := q.Run(core.CaptureOptions{Mode: ops.Inject})
+	if err != nil {
+		t.Fatal(err)
+	}
+	group0, err := plain.Backward("fact", []core.Rid{0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fact, _ := db.Table("fact")
-	for _, r := range part {
-		if fact.Float(1, int(r)) != 0.0 {
-			t.Fatal("partition returned wrong rids")
+	var want []core.Rid
+	for _, r := range group0 {
+		if fact.Float(1, int(r)) == 0.0 {
+			want = append(want, r)
 		}
+	}
+	if len(part) == 0 || !reflect.DeepEqual(part, want) {
+		t.Fatalf("BackwardPartition(0, v = 0.0) = %v, want %v (non-empty)", part, want)
 	}
 	// Multi-block SQL still rejects push-down options.
 	mb, err := sql.Compile(db, `SELECT label, COUNT(*) AS c FROM dim JOIN fact ON g = k GROUP BY label`)
@@ -224,6 +238,50 @@ func TestSQLSingleTablePushdownOptions(t *testing.T) {
 	}
 	if _, err := mb.Run(core.CaptureOptions{Mode: ops.Inject, PartitionBy: []string{"v"}}); err == nil {
 		t.Fatal("multi-table push-down should error")
+	}
+}
+
+// A filtered group-by captures its forward lineage over the filtered rids
+// only (the sparse form); a HAVING above it composes that index with the
+// filter's rid array. Every base rid must trace forward to the surviving
+// output rows of its group — and to nothing when the WHERE or the HAVING
+// dropped it — exactly as the lazy re-execution answers.
+func TestSQLHavingOverFilteredGroupByForward(t *testing.T) {
+	db := explainDB(t)
+	q, err := sql.Compile(db, `SELECT k, COUNT(*) AS c FROM fact WHERE v >= 3 GROUP BY k HAVING c >= 4`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager, err := q.Run(core.CaptureOptions{Mode: ops.Inject})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := q.Run(core.CaptureOptions{Strategy: core.StrategyLazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fact row i holds k = i%5, v = i: rows 3..19 pass the WHERE, groups
+	// k=3 and k=4 (discovered first, four rows each) pass the HAVING.
+	for r := core.Rid(0); r < 20; r++ {
+		var want []core.Rid
+		switch {
+		case r >= 3 && r%5 == 3:
+			want = []core.Rid{0}
+		case r >= 3 && r%5 == 4:
+			want = []core.Rid{1}
+		}
+		got, err := eager.Forward("fact", []core.Rid{r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := lazy.Forward("fact", []core.Rid{r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(rids []core.Rid) bool { return len(rids) == len(want) && (len(want) == 0 || rids[0] == want[0]) }
+		if !same(got) || !same(re) {
+			t.Fatalf("forward of fact rid %d: eager %v, lazy %v, want %v", r, got, re, want)
+		}
 	}
 }
 
