@@ -458,8 +458,8 @@ func (q *Query) fail(err error) {
 
 // asSingleBlock extracts a prebuilt plan's single-table aggregation block
 // when it has exactly the shape runSingle serves — a GroupBy over one
-// (possibly filtered) base scan with unfiltered aggregates — as a builder
-// query. HAVING/ORDER BY/LIMIT residue or joins disqualify it.
+// (possibly filtered) base scan — as a builder query. HAVING/ORDER BY/LIMIT
+// residue or joins disqualify it.
 func (q *Query) asSingleBlock() (*Query, bool) {
 	gb, ok := q.prebuilt.(plan.GroupBy)
 	if !ok {
@@ -488,20 +488,9 @@ func (q *Query) asSingleBlock() (*Query, bool) {
 		nq.keys = append(nq.keys, exec.KeyRef{Col: k})
 	}
 	for i, a := range gb.Aggs {
-		if a.Filter != nil {
-			return nil, false
-		}
-		nq.aggs = append(nq.aggs, exec.AggRef{Fn: a.Fn, Arg: a.Arg, Name: a.OutName(i)})
+		nq.aggs = append(nq.aggs, exec.AggRef{Fn: a.Fn, Arg: a.Arg, Filter: a.Filter, Name: a.OutName(i)})
 	}
 	return nq, true
-}
-
-// Spec exposes the underlying SPJA block (for the benchmark harness).
-func (q *Query) Spec() (exec.Spec, error) {
-	if q.err != nil {
-		return exec.Spec{}, q.err
-	}
-	return exec.Spec{Tables: q.tables, Joins: q.joins, Keys: q.keys, Aggs: q.aggs}, nil
 }
 
 // Plan lowers the query onto the logical plan IR (unoptimized): scans with
@@ -716,15 +705,9 @@ func (q *Query) runSingle(opts CaptureOptions) (*Result, error) {
 		inRids = sres.OutRids
 	}
 
-	spec := ops.GroupBySpec{}
+	spec := ops.GroupBySpec{Aggs: q.aggs}
 	for _, k := range q.keys {
 		spec.Keys = append(spec.Keys, k.Col)
-	}
-	for _, a := range q.aggs {
-		if a.Filter != nil {
-			return nil, serr.New(serr.Unsupported, "core: filtered aggregates require a join block")
-		}
-		spec.Aggs = append(spec.Aggs, ops.AggSpec{Fn: a.Fn, Arg: a.Arg, Name: a.Name})
 	}
 
 	dirs := opts.dirs()

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -75,6 +76,73 @@ func TestQueryWithFilterKeepsBaseRids(t *testing.T) {
 		for _, r := range rids {
 			if rel.Float(vcol, int(r)) >= 30 {
 				t.Fatal("lineage rid violates base filter")
+			}
+		}
+	}
+}
+
+// TestFilteredAggregateSingleTable runs filtered aggregates through the
+// public builder on one table, on the plan path and on the push-down path,
+// against a naive fold over the base rows.
+func TestFilteredAggregateSingleTable(t *testing.T) {
+	db, _ := openZipf(t)
+	rel, _ := db.Table("zipf")
+	zcol, vcol := rel.Schema.MustCol("z"), rel.Schema.MustCol("v")
+	pass := expr.LtE(expr.C("v"), expr.F(30))
+	type fold struct {
+		cnt, passed int64
+		sum         float64
+	}
+	want := map[int64]*fold{}
+	for r := 0; r < rel.N; r++ {
+		f := want[rel.Int(zcol, r)]
+		if f == nil {
+			f = &fold{}
+			want[rel.Int(zcol, r)] = f
+		}
+		f.cnt++
+		if v := rel.Float(vcol, r); v < 30 {
+			f.passed++
+			f.sum += v
+		}
+	}
+	for _, opts := range []core.CaptureOptions{
+		{Mode: ops.Inject},
+		{Mode: ops.Inject, PushdownFilter: pass},
+	} {
+		res, err := db.Query().From("zipf", nil).GroupBy("z").
+			Agg(ops.Count, nil, "cnt").
+			AggFiltered(ops.Count, nil, pass, "c").
+			AggFiltered(ops.Avg, expr.C("v"), pass, "a").
+			Run(opts)
+		if err != nil {
+			t.Fatalf("push-down %v: %v", opts.PushdownFilter != nil, err)
+		}
+		if res.Out.N != len(want) {
+			t.Fatalf("groups = %d, want %d", res.Out.N, len(want))
+		}
+		for o := 0; o < res.Out.N; o++ {
+			w := want[res.Out.Int(0, o)]
+			avg := 0.0
+			if w.passed > 0 {
+				avg = w.sum / float64(w.passed)
+			}
+			if res.Out.Int(1, o) != w.cnt || res.Out.Int(2, o) != w.passed || math.Abs(res.Out.Float(3, o)-avg) > 1e-9 {
+				t.Fatalf("push-down %v group z=%d: (%d, %d, %v), want (%d, %d, %v)", opts.PushdownFilter != nil,
+					res.Out.Int(0, o), res.Out.Int(1, o), res.Out.Int(2, o), res.Out.Float(3, o), w.cnt, w.passed, avg)
+			}
+			// An aggregate's filter does not touch lineage; the push-down
+			// filter restricts it to the rows passing it.
+			rids, err := res.Backward("zipf", []core.Rid{core.Rid(o)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantN := w.cnt
+			if opts.PushdownFilter != nil {
+				wantN = w.passed
+			}
+			if int64(len(rids)) != wantN {
+				t.Fatalf("push-down %v group %d: %d lineage rids, want %d", opts.PushdownFilter != nil, o, len(rids), wantN)
 			}
 		}
 	}

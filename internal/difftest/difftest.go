@@ -132,7 +132,7 @@ func GenQuery(ds *Dataset, r *rand.Rand) (func() *core.Query, string, bool) {
 		return func() *core.Query {
 			q := ds.DB.Query().From("fact", factFilter).GroupBy(keys...)
 			for _, a := range aggs {
-				q = q.Agg(a.fn, a.arg, a.name)
+				q = q.AggFiltered(a.fn, a.arg, a.filter, a.name)
 			}
 			return q
 		}, desc, true
@@ -148,37 +148,46 @@ func GenQuery(ds *Dataset, r *rand.Rand) (func() *core.Query, string, bool) {
 			Join("fact", factFilter, "dim", "g", "k").
 			GroupBy(key)
 		for _, a := range aggs {
-			q = q.Agg(a.fn, a.arg, a.name)
+			q = q.AggFiltered(a.fn, a.arg, a.filter, a.name)
 		}
 		return q
 	}, desc, false
 }
 
 type aggDef struct {
-	fn   ops.AggFn
-	arg  expr.Expr
-	name string
+	fn     ops.AggFn
+	arg    expr.Expr
+	filter expr.Expr
+	name   string
 }
 
-// genAggs always includes COUNT(*) and adds a random subset of the numeric
-// aggregates; CountDistinct only on the single-table path (the fused SPJA
-// executor does not support it).
+// genAggs always includes COUNT(*) and one filtered aggregate (a COUNT, SUM
+// or AVG folding only rows with v below a random bound), and adds a random
+// subset of the numeric aggregates. CountDistinct joins only on the
+// single-table path: the optimizer's fusion rule declines COUNT(DISTINCT)
+// blocks, so a join query carrying one would never reach the fused executor.
 func genAggs(r *rand.Rand, singleTable bool) []aggDef {
-	aggs := []aggDef{{ops.Count, nil, "cnt"}}
+	aggs := []aggDef{{ops.Count, nil, nil, "cnt"}}
+	filtered := aggDef{[]ops.AggFn{ops.Count, ops.Sum, ops.Avg}[r.Intn(3)], expr.C("v"),
+		expr.LtE(expr.C("v"), expr.F(float64(r.Intn(100)))), "filt_v"}
+	if filtered.fn == ops.Count {
+		filtered.arg = nil
+	}
+	aggs = append(aggs, filtered)
 	if r.Intn(2) == 0 {
-		aggs = append(aggs, aggDef{ops.Sum, expr.C("v"), "sum_v"})
+		aggs = append(aggs, aggDef{ops.Sum, expr.C("v"), nil, "sum_v"})
 	}
 	if r.Intn(2) == 0 {
-		aggs = append(aggs, aggDef{ops.Min, expr.C("v"), "min_v"})
+		aggs = append(aggs, aggDef{ops.Min, expr.C("v"), nil, "min_v"})
 	}
 	if r.Intn(2) == 0 {
-		aggs = append(aggs, aggDef{ops.Max, expr.C("v"), "max_v"})
+		aggs = append(aggs, aggDef{ops.Max, expr.C("v"), nil, "max_v"})
 	}
 	if r.Intn(3) == 0 {
-		aggs = append(aggs, aggDef{ops.Avg, expr.C("v"), "avg_v"})
+		aggs = append(aggs, aggDef{ops.Avg, expr.C("v"), nil, "avg_v"})
 	}
 	if singleTable && r.Intn(3) == 0 {
-		aggs = append(aggs, aggDef{ops.CountDistinct, expr.C("b"), "cd_b"})
+		aggs = append(aggs, aggDef{ops.CountDistinct, expr.C("b"), nil, "cd_b"})
 	}
 	return aggs
 }

@@ -124,22 +124,26 @@ func GenMultiBlockPlan(ds *Dataset, fact2 *storage.Relation, r *rand.Rand) (plan
 
 	switch r.Intn(3) {
 	case 0:
-		// Fusible star block: group-by over pk-fk join of two scans.
+		// Fusible star block: group-by over pk-fk join of two scans, keyed
+		// by one table's column or by a key spanning both tables, with
+		// filtered aggregates reading either table.
 		left := dimScan
 		left.Filter = genDimFilter(r)
 		right := factScan
 		right.Filter = genFactFilter(r)
-		key := []string{"label", "b"}[r.Intn(2)]
+		keys := [][]string{{"label"}, {"b"}, {"label", "b"}}[r.Intn(3)]
 		n := plan.Node(plan.GroupBy{
 			Child: plan.Join{Left: left, Right: right, LeftKey: "g", RightKey: "k"},
-			Keys:  []string{key},
+			Keys:  keys,
 			Aggs: []plan.AggDef{
 				{Fn: ops.Count, Name: "cnt"},
 				{Fn: ops.Sum, Arg: expr.C("v"), Name: "sv"},
+				{Fn: ops.Count, Filter: expr.LtE(expr.C("w"), expr.F(float64(r.Intn(100)))), Name: "fc"},
+				{Fn: ops.Avg, Arg: expr.C("v"), Filter: expr.LtE(expr.C("v"), expr.F(float64(r.Intn(100)))), Name: "fa"},
 			},
 		})
 		n, rdesc := residue(n, "cnt")
-		return n, "star-block group by " + key + rdesc
+		return n, fmt.Sprintf("star-block group by %v", keys) + rdesc
 	case 1:
 		// Aggregate over join over grouped subquery.
 		inner := plan.GroupBy{

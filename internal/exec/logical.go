@@ -2,7 +2,6 @@ package exec
 
 import (
 	"smoke/internal/lineage"
-	"smoke/internal/ops"
 	"smoke/internal/storage"
 )
 
@@ -24,26 +23,28 @@ func RunLogicIdx(spec Spec, params map[string]any) (Result, *storage.Relation, e
 	}
 	pipe.buildChains()
 
-	agg, err := newSPJAAgg(spec, Opts{Mode: ops.None, Params: params}, nil, false)
+	groups, err := pipe.newGroups(params)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	pipe.forEachLast(func(chain []lineage.Rid, rid int32) {
-		slot := agg.lookup(chain)
-		agg.update(slot, chain)
+	n := spec.Tables[len(spec.Tables)-1].Rel.N
+	slots := make([]lineage.Rid, batchRows)
+	pipe.forEachBatch(0, n, func(cols [][]lineage.Rid) {
+		groups.Fold(cols, slots[:len(cols[0])])
 	})
-	out := agg.materialize()
+	out := groups.Materialize("spja")
 
 	// Re-join: second pass over the probe pipeline, reusing the pinned hash
 	// tables, annotating every join row with its output rid and base rids.
 	k := len(spec.Tables)
 	oids := make([]lineage.Rid, 0, 1024)
 	ridCols := make([][]lineage.Rid, k)
-	pipe.forEachLast(func(chain []lineage.Rid, rid int32) {
-		slot := agg.probe(chain)
-		oids = append(oids, slot)
-		for t := 0; t < k; t++ {
-			ridCols[t] = append(ridCols[t], chain[t])
+	pipe.forEachBatch(0, n, func(cols [][]lineage.Rid) {
+		sb := slots[:len(cols[0])]
+		groups.Probe(cols, sb)
+		oids = append(oids, sb...)
+		for t := range cols {
+			ridCols[t] = append(ridCols[t], cols[t]...)
 		}
 	})
 
@@ -93,5 +94,5 @@ func RunLogicIdx(spec Spec, params map[string]any) (Result, *storage.Relation, e
 			cap_.SetForward(name, lineage.NewOneToMany(fw))
 		}
 	}
-	return Result{Out: out, Capture: cap_, GroupCounts: agg.counts}, annotated, nil
+	return Result{Out: out, Capture: cap_, GroupCounts: groups.Counts()}, annotated, nil
 }

@@ -293,24 +293,18 @@ func runFilter(node plan.Filter, opts PlanOpts) (nodeOut, error) {
 	return res, nil
 }
 
-// groupBySpec converts the plan-level aggregate list (per-aggregate filters
-// are fused-block-only) into the generic hash-aggregation spec.
-func groupBySpec(node plan.GroupBy) (ops.GroupBySpec, error) {
+// groupBySpec converts the plan-level aggregate list into the generic
+// hash-aggregation spec.
+func groupBySpec(node plan.GroupBy) ops.GroupBySpec {
 	spec := ops.GroupBySpec{Keys: node.Keys}
-	for i, a := range node.Aggs {
-		if a.Filter != nil {
-			return spec, fmt.Errorf("exec: filtered aggregate %q requires a fusible SPJA block", a.OutName(i))
-		}
-		spec.Aggs = append(spec.Aggs, ops.AggSpec{Fn: a.Fn, Arg: a.Arg, Name: a.Name})
+	for _, a := range node.Aggs {
+		spec.Aggs = append(spec.Aggs, ops.AggSpec{Fn: a.Fn, Arg: a.Arg, Filter: a.Filter, Name: a.Name})
 	}
-	return spec, nil
+	return spec
 }
 
 func runGroupBy(node plan.GroupBy, opts PlanOpts) (nodeOut, error) {
-	spec, err := groupBySpec(node)
-	if err != nil {
-		return nodeOut{}, err
-	}
+	spec := groupBySpec(node)
 	if sc, ok := node.Child.(plan.Scan); ok {
 		return runGroupByOverScan(sc, spec, opts)
 	}

@@ -284,12 +284,32 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := RunPlan(plan.Filter{Child: plan.Scan{Table: "zipf", Rel: rel}, Pred: expr.C("z")}, PlanOpts{}); err == nil {
 		t.Error("non-boolean filter should error")
 	}
-	if _, err := RunPlan(plan.GroupBy{
+	// A filtered aggregate outside a fusible block folds through the same
+	// group state as the fused one.
+	res, err := RunPlan(plan.GroupBy{
 		Child: plan.Scan{Table: "zipf", Rel: rel},
 		Keys:  []string{"z"},
-		Aggs:  []plan.AggDef{{Fn: ops.Count, Filter: expr.LtE(expr.C("v"), expr.F(1)), Name: "c"}},
-	}, PlanOpts{}); err == nil {
-		t.Error("filtered aggregate outside a fusible block should error")
+		Aggs:  []plan.AggDef{{Fn: ops.Count, Filter: expr.LtE(expr.C("v"), expr.F(50)), Name: "c"}},
+	}, PlanOpts{})
+	if err != nil {
+		t.Fatalf("filtered aggregate over a scan: %v", err)
+	}
+	want := map[int64]int64{}
+	for r := 0; r < rel.N; r++ {
+		if _, ok := want[rel.Int(1, r)]; !ok {
+			want[rel.Int(1, r)] = 0
+		}
+		if rel.Float(2, r) < 50 {
+			want[rel.Int(1, r)]++
+		}
+	}
+	if res.Out.N != len(want) {
+		t.Fatalf("groups = %d, want %d", res.Out.N, len(want))
+	}
+	for o := 0; o < res.Out.N; o++ {
+		if got, w := res.Out.Int(1, o), want[res.Out.Int(0, o)]; got != w {
+			t.Errorf("z=%d: filtered count %d, want %d", res.Out.Int(0, o), got, w)
+		}
 	}
 }
 

@@ -10,19 +10,21 @@
 // and the non-fusible residue runs operator-at-a-time with index
 // composition.
 //
-// The block executor is morsel-parallel (Run): join chains build serially,
-// then the final pipeline — where all aggregation and capture work happens —
-// runs over contiguous row-range partitions of the last table's scan, each
-// with a partition-local aggregation and partition-local lineage, merged in
-// partition order into a result identical for every partition count.
+// The block executor owns the join chain and the capture; the group state
+// does not live here. The final pipeline hands its joined rows, as
+// column-major batches of base-rid chains, to ops.GroupState — the same
+// group-by state ops.HashAgg folds into — and writes per-table lineage from
+// the group slots it resolves. The executor is morsel-parallel (Run): join
+// chains build serially, then the final pipeline runs over contiguous
+// row-range partitions of the last table's scan, each with its own group
+// state and partition-local lineage, merged in partition order
+// (ops.MergeGroups) into a result identical for every partition count.
 // Workers <= 1 in Opts is one partition of the same driver, which skips the
 // merge.
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"smoke/internal/expr"
 	"smoke/internal/hashtab"
@@ -50,21 +52,12 @@ type JoinEdge struct {
 }
 
 // KeyRef is a group-by key column qualified by its table index.
-type KeyRef struct {
-	Table int
-	Col   string
-}
+type KeyRef = ops.KeyRef
 
-// AggRef is one aggregate of the final aggregation. Arg (and the optional
-// Filter, which models SQL's CASE WHEN ... THEN 1 counting idiom) are
-// evaluated against the rows of a single table.
-type AggRef struct {
-	Fn     ops.AggFn
-	Table  int
-	Arg    expr.Expr
-	Filter expr.Expr
-	Name   string
-}
+// AggRef is one aggregate of the final aggregation: Table indexes
+// Spec.Tables, and Arg and the optional Filter are evaluated against that
+// table's rows.
+type AggRef = ops.AggSpec
 
 // Spec is a select-project-join-aggregate block.
 type Spec struct {
@@ -258,60 +251,78 @@ func (p *pipeline) buildChains() {
 	}
 }
 
-// forEachLast runs the final pipeline over the whole last table.
-func (p *pipeline) forEachLast(visit func(chain []lineage.Rid, rid int32)) {
-	p.forEachLastRange(0, p.spec.Tables[len(p.spec.Tables)-1].Rel.N, visit)
-}
+// batchRows bounds the joined rows the final pipeline hands the group state
+// per batch.
+const batchRows = 512
 
-// forEachLastRange is the final-pipeline range kernel: scan rids [lo, hi) of
-// the last table with its filter inlined, probe the (read-only) chain, and
-// visit every joined row (as base-rid chains). Concurrent calls over
-// disjoint ranges are safe — the kernel only reads shared state and each
-// call owns its chain buffer.
-func (p *pipeline) forEachLastRange(lo, hi int, visit func(chain []lineage.Rid, rid int32)) {
+// forEachBatch is the final-pipeline range kernel: scan rids [lo, hi) of the
+// last table with its filter inlined, probe the (read-only) chain, and hand
+// the joined rows to visit in column-major batches of at most batchRows
+// rows, in scan order: cols[t][j] is the base rid of table t in row j.
+// Concurrent calls over disjoint ranges are safe — the kernel only reads
+// shared state and each call owns its batch buffers.
+func (p *pipeline) forEachBatch(lo, hi int, visit func(cols [][]lineage.Rid)) {
 	k := len(p.spec.Tables)
 	last := k - 1
-	if k == 1 {
-		chain := make([]lineage.Rid, 1)
-		for rid := int32(lo); rid < int32(hi); rid++ {
-			if p.filters[last] != nil && !p.filters[last](rid) {
-				continue
-			}
-			chain[0] = rid
-			visit(chain, rid)
-		}
-		return
+	cols := make([][]lineage.Rid, k)
+	for t := range cols {
+		cols[t] = make([]lineage.Rid, 0, batchRows)
 	}
-	probeKey := p.rightKeyCols[last-1]
-	buf := make([]lineage.Rid, k)
+	emit := func() {
+		visit(cols)
+		for t := range cols {
+			cols[t] = cols[t][:0]
+		}
+	}
+	filter := p.filters[last]
 	for rid := int32(lo); rid < int32(hi); rid++ {
-		if p.filters[last] != nil && !p.filters[last](rid) {
+		if filter != nil && !filter(rid) {
 			continue
 		}
-		head, ok := p.level.ht.Get(probeKey[rid])
+		if k == 1 {
+			if cols[0] = append(cols[0], rid); len(cols[0]) == batchRows {
+				emit()
+			}
+			continue
+		}
+		head, ok := p.level.ht.Get(p.rightKeyCols[last-1][rid])
 		if !ok {
 			continue
 		}
 		for c := head; c >= 0; c = p.level.next[c] {
 			for pos, t := range p.level.tables {
-				buf[t] = p.level.rids[pos][c]
+				cols[t] = append(cols[t], p.level.rids[pos][c])
 			}
-			buf[last] = rid
-			visit(buf, rid)
+			if cols[last] = append(cols[last], rid); len(cols[last]) == batchRows {
+				emit()
+			}
 		}
 	}
+	if len(cols[last]) > 0 {
+		emit()
+	}
+}
+
+// newGroups builds one group state of the block's final aggregation.
+func (p *pipeline) newGroups(params expr.Params) (*ops.GroupState, error) {
+	rels := make([]*storage.Relation, len(p.spec.Tables))
+	for t, tr := range p.spec.Tables {
+		rels[t] = tr.Rel
+	}
+	return ops.NewGroupState(rels, p.spec.Keys, p.spec.Aggs, params)
 }
 
 // Run executes the SPJA block. The join chain builds serially (its
 // lineage-annotated hash tables are then shared read-only); the last table's
 // scan — the paper's final pipeline, where both the aggregation work and the
 // capture writes happen — splits into up to opts.Workers contiguous rid-range
-// partitions, each feeding its own spjaAgg. Partition-local group tables,
-// per-table rid lists, and forward indexes merge in partition order, which
-// reproduces the one-partition group discovery order (a group's first
-// occurrence lies in the first partition that contains it) and therefore the
-// same output relation and every lineage index exactly. One partition's
-// aggregation already is the result, so it skips the merge.
+// partitions. Each folds its joined rows into its own ops.GroupState and
+// writes its own per-table capture from the resolved group slots. The group
+// states merge in partition order (ops.MergeGroups), and per-table rid
+// lists and forward indexes are stitched through the resulting slot maps,
+// which reproduces the one-partition output relation and every lineage index
+// exactly. One partition's aggregation already is the result, so it skips
+// the merge.
 func Run(spec Spec, opts Opts) (Result, error) {
 	pipe, err := compilePipeline(spec, opts.Params)
 	if err != nil {
@@ -335,13 +346,13 @@ func Run(spec Spec, opts Opts) (Result, error) {
 			fwLast[i] = -1
 		}
 	}
-	locals := make([]*spjaAgg, len(ranges))
+	locals := make([]*partAgg, len(ranges))
+	groups := make([]*ops.GroupState, len(ranges))
 	for p := range locals {
-		a, err := newSPJAAgg(spec, opts, fwLast, merge)
-		if err != nil {
+		if groups[p], err = pipe.newGroups(opts.Params); err != nil {
 			return Result{}, err
 		}
-		locals[p] = a
+		locals[p] = newPartAgg(groups[p], spec, opts, fwLast, merge)
 	}
 
 	inject := opts.Mode == ops.Inject
@@ -353,21 +364,24 @@ func Run(spec Spec, opts Opts) (Result, error) {
 	encBW := make([][]*lineage.EncodedIndex, len(ranges))
 	opts.Pool.RunSplit(ranges, func(part, lo, hi int) {
 		a := locals[part]
-		pipe.forEachLastRange(lo, hi, func(chain []lineage.Rid, rid int32) {
-			slot := a.lookup(chain)
-			a.update(slot, chain)
+		slots := make([]lineage.Rid, batchRows)
+		pipe.forEachBatch(lo, hi, func(cols [][]lineage.Rid) {
+			sb := slots[:len(cols[0])]
+			a.groups.Fold(cols, sb)
 			if inject {
-				a.captureRow(slot, chain)
+				a.capture(cols, sb)
 			}
 		})
 		if opts.Mode == ops.Defer {
 			// Partition-local Zγ pass: rerun the range, probing the pinned
-			// hash tables and the aggregation table to recover each chain's
-			// group; local counts are exact for the local range, so the
-			// local backward indexes preallocate exactly.
+			// hash tables and the group state to recover each row's group;
+			// local counts are exact for the local range, so the local
+			// backward indexes preallocate exactly.
 			a.prepareDefer()
-			pipe.forEachLastRange(lo, hi, func(chain []lineage.Rid, rid int32) {
-				a.captureRow(a.probe(chain), chain)
+			pipe.forEachBatch(lo, hi, func(cols [][]lineage.Rid) {
+				sb := slots[:len(cols[0])]
+				a.groups.Probe(cols, sb)
+				a.capture(cols, sb)
 			})
 		}
 		if encodeLocal {
@@ -387,39 +401,20 @@ func Run(spec Spec, opts Opts) (Result, error) {
 
 	if !merge {
 		// One partition: its aggregation and direct-form indexes are the
-		// result — no re-lookup, no slot maps, no rebase.
+		// result — no slot maps, no rebase.
 		a := locals[0]
-		res := Result{Out: a.materialize(), GroupCounts: a.counts, Capture: lineage.NewCapture()}
-		a.emitInject(res.Capture)
+		res := Result{Out: a.groups.Materialize("spja"), GroupCounts: a.groups.Counts(), Capture: lineage.NewCapture()}
+		a.emit(res.Capture, spec)
 		if opts.Compress {
 			res.Capture.EncodeAll()
 		}
 		return res, nil
 	}
 
-	// Merge partition tables in partition order. The merged aggregation
-	// carries no capture plumbing (Mode None); indexes are stitched from the
-	// partition-local structures below.
-	merged, err := newSPJAAgg(spec, Opts{Params: opts.Params}, nil, false)
-	if err != nil {
-		return Result{}, err
-	}
-	slotMaps := make([][]lineage.Rid, len(locals))
-	for p, a := range locals {
-		sm := make([]lineage.Rid, a.nGroups)
-		for s := int32(0); s < a.nGroups; s++ {
-			g := merged.lookup(a.repChain[s])
-			sm[s] = g
-			merged.counts[g] += a.counts[s]
-			for i := range merged.accs {
-				merged.accs[i].mergeFrom(g, &a.accs[i], s)
-			}
-		}
-		slotMaps[p] = sm
-	}
-	nG := int(merged.nGroups)
-
-	res := Result{Out: merged.materialize(), GroupCounts: merged.counts, Capture: lineage.NewCapture()}
+	slotMaps := ops.MergeGroups(groups)
+	final := groups[0]
+	nG := final.Len()
+	res := Result{Out: final.Materialize("spja"), GroupCounts: final.Counts(), Capture: lineage.NewCapture()}
 	for t := 0; t < k; t++ {
 		d := locals[0].tableDirs[t]
 		name := spec.Tables[t].Rel.Name
@@ -481,25 +476,11 @@ func Run(spec Spec, opts Opts) (Result, error) {
 	return res, nil
 }
 
-// spjaAgg is the instrumented final aggregation of an SPJA block.
-type spjaAgg struct {
-	spec *Spec
-	opts Opts
-
-	// group key compilation
-	singleIntKey []int64 // fast path: one TInt key column
-	keyTable     int
-	keyCols      []KeyRef
-	buf          []byte
-
-	ht    *hashtab.Map
-	strHT map[string]int32
-
-	nGroups  int32
-	repChain [][]lineage.Rid // per group: representative chain (for key output)
-	counts   []int64
-
-	accs []spjaAcc
+// partAgg is one partition of the final aggregation: its group state plus
+// the block's end-to-end capture, written from the group slots the state
+// resolves.
+type partAgg struct {
+	groups *ops.GroupState
 
 	// capture state: per table, per group rid lists (Inject) and forward
 	// indexes.
@@ -516,241 +497,69 @@ type spjaAgg struct {
 	fwPairR, fwPairS [][]lineage.Rid // [table] parallel pair arrays
 }
 
-type spjaAcc struct {
-	fn     ops.AggFn
-	table  int
-	num    expr.NumFn
-	filter expr.Pred
-	sums   []float64
-	mins   []float64
-	maxs   []float64
-	cnts   []int64 // per-acc count (filtered aggregates can't share counts)
-}
-
-// newSPJAAgg builds one partition's aggregation. fwLast is the last table's
+// newPartAgg sets up one partition's capture. fwLast is the last table's
 // rid-addressed forward array, shared by every partition (their rid ranges
 // are disjoint). collectFW, set when partitions will merge, collects non-last
 // forward edges as pairs rather than relation-sized per-partition indexes;
 // a one-partition run keeps the direct-index form.
-func newSPJAAgg(spec Spec, opts Opts, fwLast []lineage.Rid, collectFW bool) (*spjaAgg, error) {
-	a := &spjaAgg{spec: &spec, opts: opts, keyCols: spec.Keys, fwLast: fwLast, collectFW: collectFW}
-	if len(spec.Keys) == 1 {
-		kr := spec.Keys[0]
-		rel := spec.Tables[kr.Table].Rel
-		c := rel.Schema.Col(kr.Col)
-		if c < 0 {
-			return nil, fmt.Errorf("exec: unknown key column %s", kr.Col)
-		}
-		if rel.Schema[c].Type == storage.TInt {
-			a.singleIntKey = rel.Cols[c].Ints
-			a.keyTable = kr.Table
-			a.ht = hashtab.New(64)
-		}
-	}
-	if a.ht == nil {
-		for _, kr := range spec.Keys {
-			rel := spec.Tables[kr.Table].Rel
-			if rel.Schema.Col(kr.Col) < 0 {
-				return nil, fmt.Errorf("exec: unknown key column %s in %s", kr.Col, rel.Name)
-			}
-		}
-		a.strHT = make(map[string]int32, 64)
-	}
-	for _, ar := range spec.Aggs {
-		if ar.Table < 0 || ar.Table >= len(spec.Tables) {
-			return nil, fmt.Errorf("exec: aggregate %q references table %d", ar.Name, ar.Table)
-		}
-		rel := spec.Tables[ar.Table].Rel
-		acc := spjaAcc{fn: ar.Fn, table: ar.Table}
-		if ar.Fn != ops.Count {
-			if ar.Arg == nil {
-				return nil, fmt.Errorf("exec: aggregate %q needs an argument", ar.Name)
-			}
-			f, err := expr.CompileNum(ar.Arg, rel, opts.Params)
-			if err != nil {
-				return nil, err
-			}
-			acc.num = f
-		}
-		if ar.Filter != nil {
-			p, err := expr.CompilePred(ar.Filter, rel, opts.Params)
-			if err != nil {
-				return nil, err
-			}
-			acc.filter = p
-		}
-		a.accs = append(a.accs, acc)
-	}
-	// Capture plumbing.
+func newPartAgg(groups *ops.GroupState, spec Spec, opts Opts, fwLast []lineage.Rid, collectFW bool) *partAgg {
 	k := len(spec.Tables)
-	a.tableDirs = make([]ops.Directions, k)
-	for t := 0; t < k; t++ {
+	a := &partAgg{groups: groups, fwLast: fwLast, collectFW: collectFW,
+		tableDirs: make([]ops.Directions, k), groupRids: make([][][]lineage.Rid, k), fwMany: make([]*lineage.RidIndex, k)}
+	for t := range a.tableDirs {
 		a.tableDirs[t] = opts.dirsFor(t)
 	}
-	a.groupRids = make([][][]lineage.Rid, k)
-	a.fwMany = make([]*lineage.RidIndex, k)
-	if a.collectFW {
+	if collectFW {
 		a.fwPairR = make([][]lineage.Rid, k)
 		a.fwPairS = make([][]lineage.Rid, k)
 	}
 	for t := 0; t < k-1; t++ {
 		// With collectFW the pair arrays grow on demand instead.
-		if a.tableDirs[t].Forward() && !a.collectFW {
+		if a.tableDirs[t].Forward() && !collectFW {
 			a.fwMany[t] = lineage.NewRidIndex(spec.Tables[t].Rel.N)
 		}
 	}
-	return a, nil
+	return a
 }
 
-// encodeKey serializes the (composite or non-int) group key of a chain.
-func (a *spjaAgg) encodeKey(chain []lineage.Rid) {
-	a.buf = a.buf[:0]
-	for _, kr := range a.keyCols {
-		rel := a.spec.Tables[kr.Table].Rel
-		c := rel.Schema.MustCol(kr.Col)
-		rid := chain[kr.Table]
-		switch rel.Schema[c].Type {
-		case storage.TInt:
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], uint64(rel.Cols[c].Ints[rid]))
-			a.buf = append(a.buf, tmp[:]...)
-		case storage.TFloat:
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(rel.Cols[c].Floats[rid]))
-			a.buf = append(a.buf, tmp[:]...)
-		case storage.TString:
-			a.buf = append(a.buf, rel.Cols[c].Strs[rid]...)
-			a.buf = append(a.buf, 0)
-		}
-	}
-}
-
-func (a *spjaAgg) lookup(chain []lineage.Rid) int32 {
-	if a.singleIntKey != nil {
-		slot, inserted := a.ht.GetOrPut(a.singleIntKey[chain[a.keyTable]], a.nGroups)
-		if inserted {
-			a.newGroup(chain)
-		}
-		return slot
-	}
-	a.encodeKey(chain)
-	if slot, ok := a.strHT[string(a.buf)]; ok {
-		return slot
-	}
-	slot := a.nGroups
-	a.strHT[string(a.buf)] = slot
-	a.newGroup(chain)
-	return slot
-}
-
-func (a *spjaAgg) probe(chain []lineage.Rid) int32 {
-	if a.singleIntKey != nil {
-		slot, _ := a.ht.Get(a.singleIntKey[chain[a.keyTable]])
-		return slot
-	}
-	a.encodeKey(chain)
-	return a.strHT[string(a.buf)]
-}
-
-func (a *spjaAgg) newGroup(chain []lineage.Rid) {
-	a.nGroups++
-	a.repChain = append(a.repChain, append([]lineage.Rid(nil), chain...))
-	a.counts = append(a.counts, 0)
-	for i := range a.accs {
-		acc := &a.accs[i]
-		switch acc.fn {
-		case ops.Sum, ops.Avg:
-			acc.sums = append(acc.sums, 0)
-			acc.cnts = append(acc.cnts, 0)
-		case ops.Min:
-			acc.mins = append(acc.mins, math.Inf(1))
-		case ops.Max:
-			acc.maxs = append(acc.maxs, math.Inf(-1))
-		case ops.Count:
-			acc.cnts = append(acc.cnts, 0)
-		}
-	}
-	for t := range a.groupRids {
-		if a.tableDirs[t].Backward() && a.opts.Mode == ops.Inject {
-			a.groupRids[t] = append(a.groupRids[t], nil)
-		}
-	}
-}
-
-func (a *spjaAgg) update(slot int32, chain []lineage.Rid) {
-	a.counts[slot]++
-	for i := range a.accs {
-		acc := &a.accs[i]
-		rid := chain[acc.table]
-		if acc.filter != nil && !acc.filter(rid) {
-			continue
-		}
-		switch acc.fn {
-		case ops.Count:
-			acc.cnts[slot]++
-		case ops.Sum:
-			acc.sums[slot] += acc.num(rid)
-			acc.cnts[slot]++
-		case ops.Avg:
-			acc.sums[slot] += acc.num(rid)
-			acc.cnts[slot]++
-		case ops.Min:
-			if v := acc.num(rid); v < acc.mins[slot] {
-				acc.mins[slot] = v
-			}
-		case ops.Max:
-			if v := acc.num(rid); v > acc.maxs[slot] {
-				acc.maxs[slot] = v
-			}
-		}
-	}
-}
-
-// mergeFrom folds partition-local group s of o into global group g (all
-// SPJA aggregates are algebraic, so the merge is exact up to float addition
-// order).
-func (a *spjaAcc) mergeFrom(g int32, o *spjaAcc, s int32) {
-	switch a.fn {
-	case ops.Count:
-		a.cnts[g] += o.cnts[s]
-	case ops.Sum, ops.Avg:
-		a.sums[g] += o.sums[s]
-		a.cnts[g] += o.cnts[s]
-	case ops.Min:
-		if o.mins[s] < a.mins[g] {
-			a.mins[g] = o.mins[s]
-		}
-	case ops.Max:
-		if o.maxs[s] > a.maxs[g] {
-			a.maxs[g] = o.maxs[s]
-		}
-	}
-}
-
-// captureRow writes one output row's lineage edges for every captured table.
-func (a *spjaAgg) captureRow(slot int32, chain []lineage.Rid) {
-	last := len(a.spec.Tables) - 1
-	for t := range a.spec.Tables {
-		d := a.tableDirs[t]
-		if d == 0 {
-			continue
-		}
-		rid := chain[t]
+// capture writes one resolved batch's lineage edges for every captured
+// table. Each table's structures see the rows in scan order, so lists and
+// forward entries are those of a row-at-a-time loop.
+func (a *partAgg) capture(cols [][]lineage.Rid, slots []lineage.Rid) {
+	last := len(cols) - 1
+	for t, d := range a.tableDirs {
+		rids := cols[t]
 		if d.Backward() {
 			if a.deferBW != nil {
-				a.deferBW[t].AppendFast(int(slot), rid)
+				bw := a.deferBW[t]
+				for j, s := range slots {
+					bw.AppendFast(int(s), rids[j])
+				}
 			} else {
-				a.groupRids[t][slot] = lineage.AppendRid(a.groupRids[t][slot], rid)
+				gr := a.groupRids[t]
+				for len(gr) < a.groups.Len() {
+					gr = append(gr, nil)
+				}
+				for j, s := range slots {
+					gr[s] = lineage.AppendRid(gr[s], rids[j])
+				}
+				a.groupRids[t] = gr
 			}
 		}
 		if d.Forward() {
-			if t == last {
-				a.fwLast[rid] = slot
-			} else if a.collectFW {
-				a.fwPairR[t] = append(a.fwPairR[t], rid)
-				a.fwPairS[t] = append(a.fwPairS[t], slot)
-			} else {
-				a.fwMany[t].Append(int(rid), slot)
+			switch {
+			case t == last:
+				for j, s := range slots {
+					a.fwLast[rids[j]] = s
+				}
+			case a.collectFW:
+				a.fwPairR[t] = append(a.fwPairR[t], rids...)
+				a.fwPairS[t] = append(a.fwPairS[t], slots...)
+			default:
+				fw := a.fwMany[t]
+				for j, s := range slots {
+					fw.Append(int(rids[j]), s)
+				}
 			}
 		}
 	}
@@ -759,33 +568,32 @@ func (a *spjaAgg) captureRow(slot int32, chain []lineage.Rid) {
 // prepareDefer allocates exact-sized backward indexes: each table's per-group
 // list length equals the group's row count (every join row contributes one
 // rid per table).
-func (a *spjaAgg) prepareDefer() {
-	k := len(a.spec.Tables)
-	a.deferBW = make([]*lineage.RidIndex, k)
-	c32 := make([]int32, len(a.counts))
-	for i, c := range a.counts {
+func (a *partAgg) prepareDefer() {
+	counts := a.groups.Counts()
+	c32 := make([]int32, len(counts))
+	for i, c := range counts {
 		c32[i] = int32(c)
 	}
-	for t := 0; t < k; t++ {
-		if a.tableDirs[t].Backward() {
+	a.deferBW = make([]*lineage.RidIndex, len(a.tableDirs))
+	for t, d := range a.tableDirs {
+		if d.Backward() {
 			a.deferBW[t] = lineage.NewRidIndexWithCounts(c32)
 		}
 	}
 }
 
-// emitInject moves the accumulated indexes into the capture container,
-// reusing the per-group rid lists directly (P4).
-func (a *spjaAgg) emitInject(cap_ *lineage.Capture) {
-	last := len(a.spec.Tables) - 1
-	for t := range a.spec.Tables {
-		d := a.tableDirs[t]
-		name := a.spec.Tables[t].Rel.Name
+// emit moves the accumulated indexes into the capture container, reusing
+// the per-group rid lists directly (P4).
+func (a *partAgg) emit(cap_ *lineage.Capture, spec Spec) {
+	last := len(a.tableDirs) - 1
+	for t, d := range a.tableDirs {
+		name := spec.Tables[t].Rel.Name
 		if d.Backward() {
 			var ix *lineage.RidIndex
-			if a.deferBW != nil && a.deferBW[t] != nil {
+			if a.deferBW != nil {
 				ix = a.deferBW[t]
 			} else {
-				ix = lineage.NewRidIndex(int(a.nGroups))
+				ix = lineage.NewRidIndex(a.groups.Len())
 				for slot, l := range a.groupRids[t] {
 					ix.SetList(slot, l)
 				}
@@ -800,70 +608,4 @@ func (a *spjaAgg) emitInject(cap_ *lineage.Capture) {
 			}
 		}
 	}
-}
-
-// materialize builds the output relation: key columns then aggregates.
-func (a *spjaAgg) materialize() *storage.Relation {
-	g := int(a.nGroups)
-	schema := make(storage.Schema, 0, len(a.keyCols)+len(a.accs))
-	for _, kr := range a.keyCols {
-		rel := a.spec.Tables[kr.Table].Rel
-		c := rel.Schema.MustCol(kr.Col)
-		schema = append(schema, storage.Field{Name: kr.Col, Type: rel.Schema[c].Type})
-	}
-	for i, ar := range a.spec.Aggs {
-		name := ar.Name
-		if name == "" {
-			name = fmt.Sprintf("%s_%d", ar.Fn, i)
-		}
-		ty := storage.TFloat
-		if ar.Fn == ops.Count {
-			ty = storage.TInt
-		}
-		schema = append(schema, storage.Field{Name: name, Type: ty})
-	}
-	out := storage.NewRelation("spja", schema, g)
-	for ki, kr := range a.keyCols {
-		rel := a.spec.Tables[kr.Table].Rel
-		c := rel.Schema.MustCol(kr.Col)
-		switch rel.Schema[c].Type {
-		case storage.TInt:
-			src, dst := rel.Cols[c].Ints, out.Cols[ki].Ints
-			for slot, chain := range a.repChain {
-				dst[slot] = src[chain[kr.Table]]
-			}
-		case storage.TFloat:
-			src, dst := rel.Cols[c].Floats, out.Cols[ki].Floats
-			for slot, chain := range a.repChain {
-				dst[slot] = src[chain[kr.Table]]
-			}
-		case storage.TString:
-			src, dst := rel.Cols[c].Strs, out.Cols[ki].Strs
-			for slot, chain := range a.repChain {
-				dst[slot] = src[chain[kr.Table]]
-			}
-		}
-	}
-	for i := range a.accs {
-		acc := &a.accs[i]
-		col := len(a.keyCols) + i
-		switch acc.fn {
-		case ops.Count:
-			copy(out.Cols[col].Ints, acc.cnts)
-		case ops.Sum:
-			copy(out.Cols[col].Floats, acc.sums)
-		case ops.Avg:
-			dst := out.Cols[col].Floats
-			for slot := 0; slot < g; slot++ {
-				if acc.cnts[slot] > 0 {
-					dst[slot] = acc.sums[slot] / float64(acc.cnts[slot])
-				}
-			}
-		case ops.Min:
-			copy(out.Cols[col].Floats, acc.mins)
-		case ops.Max:
-			copy(out.Cols[col].Floats, acc.maxs)
-		}
-	}
-	return out
 }

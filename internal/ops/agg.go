@@ -1,12 +1,9 @@
 package ops
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"smoke/internal/expr"
-	"smoke/internal/hashtab"
 	"smoke/internal/lineage"
 	"smoke/internal/pool"
 	"smoke/internal/scratch"
@@ -53,11 +50,16 @@ func (f AggFn) String() string {
 	return "?"
 }
 
-// AggSpec is one aggregate in the SELECT list.
+// AggSpec is one aggregate in the SELECT list. Arg and the optional Filter
+// (SQL's CASE WHEN … THEN 1 counting idiom: only rows satisfying it fold)
+// are evaluated against the rows of table Table of the group state — always
+// 0 for HashAgg, one table of the join chain for the fused SPJA block.
 type AggSpec struct {
-	Fn   AggFn
-	Arg  expr.Expr // nil for COUNT(*)
-	Name string    // output column name; defaults to fn_<i>
+	Fn     AggFn
+	Table  int
+	Arg    expr.Expr // nil for COUNT(*)
+	Filter expr.Expr
+	Name   string // output column name; defaults to fn_<i>
 }
 
 // GroupBySpec describes a hash aggregation: group-by key columns and the
@@ -179,221 +181,13 @@ func (r *AggResult) ForwardIndex() *lineage.Index {
 	return nil
 }
 
-// aggAcc accumulates one aggregate across groups (structure-of-arrays:
-// slot-indexed slices).
-type aggAcc struct {
-	fn   AggFn
-	num  expr.NumFn
-	argI expr.IntFn // CountDistinct over ints
-	argS expr.StrFn // CountDistinct over strings
-
-	sums []float64
-	mins []float64
-	maxs []float64
-	// COUNT(DISTINCT) state: the overwhelmingly common case in profiling
-	// workloads is one distinct value per group (the FD holds), so the first
-	// value is kept inline and the set is allocated lazily on the first
-	// disagreement.
-	firstI []int64
-	firstS []string
-	seen   []bool
-	setsI  []map[int64]struct{}
-	setsS  []map[string]struct{}
-}
-
-func (a *aggAcc) addGroup() {
-	switch a.fn {
-	case Sum, Avg:
-		a.sums = append(a.sums, 0)
-	case Min:
-		a.mins = append(a.mins, math.Inf(1))
-	case Max:
-		a.maxs = append(a.maxs, math.Inf(-1))
-	case CountDistinct:
-		a.seen = append(a.seen, false)
-		if a.argI != nil {
-			a.firstI = append(a.firstI, 0)
-			a.setsI = append(a.setsI, nil)
-		} else {
-			a.firstS = append(a.firstS, "")
-			a.setsS = append(a.setsS, nil)
-		}
-	}
-}
-
-func (a *aggAcc) update(slot int32, rid Rid) {
-	switch a.fn {
-	case Count:
-		// counts are tracked once for all aggregates
-	case Sum, Avg:
-		a.sums[slot] += a.num(rid)
-	case Min:
-		if v := a.num(rid); v < a.mins[slot] {
-			a.mins[slot] = v
-		}
-	case Max:
-		if v := a.num(rid); v > a.maxs[slot] {
-			a.maxs[slot] = v
-		}
-	case CountDistinct:
-		if a.argI != nil {
-			a.addDistinctI(slot, a.argI(rid))
-		} else {
-			a.addDistinctS(slot, a.argS(rid))
-		}
-	}
-}
-
-// updateBatch is update over a resolved batch with the function switch
-// hoisted out of the row loop (rows still fold in input order).
-func (a *aggAcc) updateBatch(slots []int32, rids []Rid) {
-	switch a.fn {
-	case Count:
-		// counts are tracked once for all aggregates
-	case Sum, Avg:
-		sums := a.sums
-		for j, s := range slots {
-			sums[s] += a.num(rids[j])
-		}
-	case Min:
-		mins := a.mins
-		for j, s := range slots {
-			if v := a.num(rids[j]); v < mins[s] {
-				mins[s] = v
-			}
-		}
-	case Max:
-		maxs := a.maxs
-		for j, s := range slots {
-			if v := a.num(rids[j]); v > maxs[s] {
-				maxs[s] = v
-			}
-		}
-	case CountDistinct:
-		if a.argI != nil {
-			for j, s := range slots {
-				a.addDistinctI(s, a.argI(rids[j]))
-			}
-		} else {
-			for j, s := range slots {
-				a.addDistinctS(s, a.argS(rids[j]))
-			}
-		}
-	}
-}
-
-// addDistinctI folds one int value into slot's COUNT(DISTINCT) state (same
-// policy as update: first value inline, set allocated on disagreement).
-func (a *aggAcc) addDistinctI(slot int32, v int64) {
-	if !a.seen[slot] {
-		a.seen[slot] = true
-		a.firstI[slot] = v
-		return
-	}
-	if s := a.setsI[slot]; s != nil {
-		s[v] = struct{}{}
-		return
-	}
-	if v != a.firstI[slot] {
-		a.setsI[slot] = map[int64]struct{}{a.firstI[slot]: {}, v: {}}
-	}
-}
-
-// addDistinctS is addDistinctI for string arguments.
-func (a *aggAcc) addDistinctS(slot int32, v string) {
-	if !a.seen[slot] {
-		a.seen[slot] = true
-		a.firstS[slot] = v
-		return
-	}
-	if s := a.setsS[slot]; s != nil {
-		s[v] = struct{}{}
-		return
-	}
-	if v != a.firstS[slot] {
-		a.setsS[slot] = map[string]struct{}{a.firstS[slot]: {}, v: {}}
-	}
-}
-
-// mergeFrom folds partition-local slot s of o into global slot g. All
-// supported aggregates are algebraic or distributive, so the merge is exact;
-// float sums accumulate per partition first, which can differ from serial in
-// the last ulp (addition order), never in lineage.
-func (a *aggAcc) mergeFrom(g int32, o *aggAcc, s int32) {
-	switch a.fn {
-	case Count:
-		// counts are tracked once for all aggregates
-	case Sum, Avg:
-		a.sums[g] += o.sums[s]
-	case Min:
-		if o.mins[s] < a.mins[g] {
-			a.mins[g] = o.mins[s]
-		}
-	case Max:
-		if o.maxs[s] > a.maxs[g] {
-			a.maxs[g] = o.maxs[s]
-		}
-	case CountDistinct:
-		if !o.seen[s] {
-			return
-		}
-		if a.argI != nil {
-			if set := o.setsI[s]; set != nil {
-				for v := range set {
-					a.addDistinctI(g, v)
-				}
-			} else {
-				a.addDistinctI(g, o.firstI[s])
-			}
-		} else {
-			if set := o.setsS[s]; set != nil {
-				for v := range set {
-					a.addDistinctS(g, v)
-				}
-			} else {
-				a.addDistinctS(g, o.firstS[s])
-			}
-		}
-	}
-}
-
-// outType is the storage type of the aggregate's output column.
-func (a *aggAcc) outType() storage.Type {
-	switch a.fn {
-	case Count, CountDistinct:
-		return storage.TInt
-	default:
-		return storage.TFloat
-	}
-}
-
-type keyKind uint8
-
-const (
-	keyInt keyKind = iota // single TInt column: the value is the hash key
-	keyStr                // single TString column
-	keyComposite
-)
-
-// aggState carries the group-by hash table and all per-group state.
+// aggState is one partition of HashAgg: the shared group state plus this
+// driver's own capture — backward rid lists (raw, or shaped by the §4.2
+// push-downs), the forward sink, and the Observe hook.
 type aggState struct {
-	in   *storage.Relation
-	mode CaptureMode
-	dirs Directions
-
-	kind    keyKind
-	intCol  []int64
-	strCol  []string
-	keyCols []int // composite: column indexes
-	buf     []byte
-
-	ht    *hashtab.Map
-	strHT map[string]int32
-
-	nGroups     int32
-	repRids     []Rid
-	counts      []int64
-	accs        []aggAcc
+	g           *GroupState
+	mode        CaptureMode
+	dirs        Directions
 	countsByKey []int32
 
 	groupRids [][]Rid // Inject backward lists (i_rids per group)
@@ -408,80 +202,15 @@ type aggState struct {
 }
 
 func newAggState(in *storage.Relation, spec GroupBySpec, opts AggOpts) (*aggState, error) {
-	if len(spec.Keys) == 0 {
-		return nil, fmt.Errorf("ops: group-by needs at least one key column")
+	keys := make([]KeyRef, len(spec.Keys))
+	for i, k := range spec.Keys {
+		keys[i] = KeyRef{Col: k}
 	}
-	st := &aggState{in: in, mode: opts.Mode, dirs: opts.Dirs, countsByKey: opts.CountsByKey}
-	for _, k := range spec.Keys {
-		c := in.Schema.Col(k)
-		if c < 0 {
-			return nil, fmt.Errorf("ops: unknown group-by column %q in %s", k, in.Name)
-		}
-		st.keyCols = append(st.keyCols, c)
+	g, err := NewGroupState([]*storage.Relation{in}, keys, spec.Aggs, opts.Params)
+	if err != nil {
+		return nil, err
 	}
-	if len(spec.Keys) == 1 {
-		c := st.keyCols[0]
-		switch in.Schema[c].Type {
-		case storage.TInt:
-			st.kind = keyInt
-			st.intCol = in.Cols[c].Ints
-			st.ht = hashtab.New(64)
-		case storage.TString:
-			st.kind = keyStr
-			st.strCol = in.Cols[c].Strs
-			st.strHT = make(map[string]int32, 64)
-		default:
-			st.kind = keyComposite
-			st.strHT = make(map[string]int32, 64)
-		}
-	} else {
-		st.kind = keyComposite
-		st.strHT = make(map[string]int32, 64)
-	}
-	for _, a := range spec.Aggs {
-		acc := aggAcc{fn: a.Fn}
-		switch a.Fn {
-		case Count:
-		case CountDistinct:
-			if a.Arg == nil {
-				return nil, fmt.Errorf("ops: COUNT(DISTINCT) needs an argument")
-			}
-			t, err := expr.TypeOf(a.Arg, in.Schema, opts.Params)
-			if err != nil {
-				return nil, err
-			}
-			if t == storage.TString {
-				f, err := expr.CompileStr(a.Arg, in, opts.Params)
-				if err != nil {
-					return nil, err
-				}
-				acc.argS = f
-			} else {
-				f, err := expr.CompileInt(a.Arg, in, opts.Params)
-				if err != nil {
-					// Float distinct args are rare; compile via NumFn and
-					// bit-cast to int64 for set membership.
-					nf, nerr := expr.CompileNum(a.Arg, in, opts.Params)
-					if nerr != nil {
-						return nil, err
-					}
-					acc.argI = func(rid int32) int64 { return int64(math.Float64bits(nf(rid))) }
-				} else {
-					acc.argI = f
-				}
-			}
-		default:
-			if a.Arg == nil {
-				return nil, fmt.Errorf("ops: %s needs an argument", a.Fn)
-			}
-			f, err := expr.CompileNum(a.Arg, in, opts.Params)
-			if err != nil {
-				return nil, err
-			}
-			acc.num = f
-		}
-		st.accs = append(st.accs, acc)
-	}
+	st := &aggState{g: g, mode: opts.Mode, dirs: opts.Dirs, countsByKey: opts.CountsByKey, observe: opts.Observe}
 	if opts.PushdownFilter != nil {
 		p, err := expr.CompilePred(opts.PushdownFilter, in, opts.Params)
 		if err != nil {
@@ -497,49 +226,35 @@ func newAggState(in *storage.Relation, spec GroupBySpec, opts AggOpts) (*aggStat
 		st.partKey = pk
 		st.partDict = dict
 	}
-	st.observe = opts.Observe
 	return st, nil
 }
 
 // partitionKeyFn compiles the data-skipping partition key: single TInt
 // attributes key directly by value; everything else interns the (composite)
-// value through a dictionary.
+// value, in the key byte format, through a dictionary.
 func partitionKeyFn(in *storage.Relation, attrs []string) (func(Rid) int64, *lineage.Dict, error) {
-	cols := make([]int, len(attrs))
+	cols := make([]keyCol, len(attrs))
 	for i, a := range attrs {
-		c := in.Schema.Col(a)
-		if c < 0 {
+		kc, err := compileKeyCol(in, 0, a)
+		if err != nil {
 			return nil, nil, fmt.Errorf("ops: unknown partition attribute %q", a)
 		}
-		cols[i] = c
+		cols[i] = kc
 	}
-	if len(cols) == 1 && in.Schema[cols[0]].Type == storage.TInt {
-		col := in.Cols[cols[0]].Ints
+	if len(cols) == 1 && cols[0].typ == storage.TInt {
+		col := cols[0].col.Ints
 		return func(rid Rid) int64 { return col[rid] }, nil, nil
 	}
-	if len(cols) == 1 && in.Schema[cols[0]].Type == storage.TString {
-		col := in.Cols[cols[0]].Strs
-		dict := lineage.NewDict()
+	dict := lineage.NewDict()
+	if len(cols) == 1 && cols[0].typ == storage.TString {
+		col := cols[0].col.Strs
 		return func(rid Rid) int64 { return dict.Code(col[rid]) }, dict, nil
 	}
-	dict := lineage.NewDict()
 	var buf []byte
 	return func(rid Rid) int64 {
 		buf = buf[:0]
-		for _, c := range cols {
-			switch in.Schema[c].Type {
-			case storage.TInt:
-				var tmp [8]byte
-				binary.LittleEndian.PutUint64(tmp[:], uint64(in.Cols[c].Ints[rid]))
-				buf = append(buf, tmp[:]...)
-			case storage.TFloat:
-				var tmp [8]byte
-				binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(in.Cols[c].Floats[rid]))
-				buf = append(buf, tmp[:]...)
-			case storage.TString:
-				buf = append(buf, in.Cols[c].Strs[rid]...)
-				buf = append(buf, 0)
-			}
+		for i := range cols {
+			buf = cols[i].appendKey(buf, rid)
 		}
 		return dict.Code(string(buf))
 	}, dict, nil
@@ -547,8 +262,9 @@ func partitionKeyFn(in *storage.Relation, attrs []string) (func(Rid) int64, *lin
 
 // PartitionKey recomputes the partition code of an attribute-value
 // combination so consuming queries can address the right partition. Values
-// must be given in PartitionBy order, one per attribute; they are encoded
-// exactly as partitionKeyFn encodes column values at capture time.
+// must be given in PartitionBy order, one per attribute; each is encoded
+// through the same key encoder partitionKeyFn applies to column values at
+// capture time.
 func PartitionKey(res *AggResult, in *storage.Relation, attrs []string, vals []any) (int64, bool) {
 	if len(vals) != len(attrs) {
 		return 0, false
@@ -570,29 +286,28 @@ func PartitionKey(res *AggResult, in *storage.Relation, attrs []string, vals []a
 	}
 	var buf []byte
 	for i, t := range types {
-		switch t {
-		case storage.TInt:
-			iv, ok := intValue(vals[i])
-			if !ok {
-				return 0, false
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(iv))
-		case storage.TFloat:
-			fv, ok := floatValue(vals[i])
-			if !ok {
-				return 0, false
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(fv))
-		case storage.TString:
-			s, ok := vals[i].(string)
-			if !ok {
-				return 0, false
-			}
-			buf = append(buf, s...)
-			buf = append(buf, 0)
+		col, ok := valueColumn(t, vals[i])
+		if !ok {
+			return 0, false
 		}
+		kc := keyCol{typ: t, col: &col}
+		buf = kc.appendKey(buf, 0)
 	}
 	return dict.Lookup(string(buf))
+}
+
+// valueColumn holds one attribute value as a one-row column of type t.
+func valueColumn(t storage.Type, v any) (storage.Column, bool) {
+	switch t {
+	case storage.TInt:
+		iv, ok := intValue(v)
+		return storage.Column{Ints: []int64{iv}}, ok
+	case storage.TFloat:
+		fv, ok := floatValue(v)
+		return storage.Column{Floats: []float64{fv}}, ok
+	}
+	s, ok := v.(string)
+	return storage.Column{Strs: []string{s}}, ok
 }
 
 func intValue(v any) (int64, bool) {
@@ -619,87 +334,21 @@ func floatValue(v any) (float64, bool) {
 	return 0, false
 }
 
-// encodeComposite serializes the key columns of rid into st.buf.
-func (st *aggState) encodeComposite(rid Rid) {
-	st.buf = st.buf[:0]
-	for _, c := range st.keyCols {
-		switch st.in.Schema[c].Type {
-		case storage.TInt:
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], uint64(st.in.Cols[c].Ints[rid]))
-			st.buf = append(st.buf, tmp[:]...)
-		case storage.TFloat:
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(st.in.Cols[c].Floats[rid]))
-			st.buf = append(st.buf, tmp[:]...)
-		case storage.TString:
-			st.buf = append(st.buf, st.in.Cols[c].Strs[rid]...)
-			st.buf = append(st.buf, 0)
-		}
-	}
-}
-
-// lookupSlot returns the group slot of rid, inserting a new group if needed.
-func (st *aggState) lookupSlot(rid Rid) int32 {
-	switch st.kind {
-	case keyInt:
-		k := st.intCol[rid]
-		slot, inserted := st.ht.GetOrPut(k, st.nGroups)
-		if inserted {
-			st.newGroup(rid, k)
-		}
-		return slot
-	case keyStr:
-		k := st.strCol[rid]
-		if slot, ok := st.strHT[k]; ok {
-			return slot
-		}
-		slot := st.nGroups
-		st.strHT[k] = slot
-		st.newGroup(rid, 0)
-		return slot
-	default:
-		st.encodeComposite(rid)
-		if slot, ok := st.strHT[string(st.buf)]; ok {
-			return slot
-		}
-		slot := st.nGroups
-		st.strHT[string(st.buf)] = slot
-		st.newGroup(rid, 0)
-		return slot
-	}
-}
-
-// probeSlot returns the existing slot of rid (Defer's second pass); the group
-// must exist.
-func (st *aggState) probeSlot(rid Rid) int32 {
-	switch st.kind {
-	case keyInt:
-		slot, _ := st.ht.Get(st.intCol[rid])
-		return slot
-	case keyStr:
-		return st.strHT[st.strCol[rid]]
-	default:
-		st.encodeComposite(rid)
-		return st.strHT[string(st.buf)]
-	}
-}
-
-func (st *aggState) newGroup(rid Rid, key int64) {
-	st.nGroups++
-	st.repRids = append(st.repRids, rid)
-	st.counts = append(st.counts, 0)
-	for i := range st.accs {
-		st.accs[i].addGroup()
-	}
-	if st.mode == Inject && st.dirs.Backward() {
-		if st.partKey != nil {
+// addGroups extends the Inject backward structures to the groups the state
+// discovered since the last batch.
+func (st *aggState) addGroups() {
+	if st.partKey != nil {
+		for len(st.partMaps) < st.g.Len() {
 			st.partMaps = append(st.partMaps, nil)
-			return
 		}
+		return
+	}
+	for slot := len(st.groupRids); slot < st.g.Len(); slot++ {
 		var l []Rid
-		if st.countsByKey != nil && st.kind == keyInt && key >= 1 && int(key) <= len(st.countsByKey) {
-			l = make([]Rid, 0, st.countsByKey[key-1])
+		if st.countsByKey != nil && st.g.kind == keyInt {
+			if key := st.g.intCol[st.g.rep[0][slot]]; key >= 1 && int(key) <= len(st.countsByKey) {
+				l = make([]Rid, 0, st.countsByKey[key-1])
+			}
 		}
 		st.groupRids = append(st.groupRids, l)
 	}
@@ -724,182 +373,96 @@ func (st *aggState) captureBackward(slot int32, rid Rid) {
 	st.groupRids[slot] = lineage.AppendRid(st.groupRids[slot], rid)
 }
 
-func (st *aggState) processRow(rid Rid) int32 {
-	slot := st.lookupSlot(rid)
-	st.counts[slot]++
-	for i := range st.accs {
-		st.accs[i].update(slot, rid)
-	}
-	if st.observe != nil {
-		st.observe(slot, rid)
-	}
-	if st.mode == Inject {
-		if st.dirs.Backward() {
-			st.captureBackward(slot, rid)
-		}
-		st.fw.set(rid, slot)
-	}
-	return slot
-}
-
-// aggBatchSize is how many rows the single-int-key path hands the hash table
-// per probe call: large enough to amortize the per-batch setup, small enough
-// that the key/slot scratch stays cache-resident.
+// aggBatchSize is how many rows a kernel hands the group state per call:
+// large enough to amortize the per-batch setup, small enough that the
+// key/slot scratch stays cache-resident.
 const aggBatchSize = 512
 
-// processRows drives the aggregation kernel over a rid stream — inRids[lo:hi]
-// when inRids is non-nil, else the dense range [lo, hi). The single-int-key
-// shape runs batched: keys gather into pooled scratch, the hash table
-// resolves a whole batch of slots per call (hashing amortized, probes
-// bounds-check-free), and the per-aggregate switch hoists out of the row
-// loop. Every per-(slot, rid) effect happens in row order, so group discovery
-// order, backward list order, and forward entries are identical to the
-// row-at-a-time kernel. posSlots, when non-nil, records each input
-// position's slot (the duplicate-rid parallel path). Other key kinds — and
-// the order-sensitive Observe hook — run the row-at-a-time kernel.
-func (st *aggState) processRows(inRids []Rid, lo, hi int, posSlots []Rid) {
-	if st.kind != keyInt || st.observe != nil {
-		switch {
-		case inRids == nil:
-			for rid := int32(lo); rid < int32(hi); rid++ {
-				st.processRow(rid)
-			}
-		case posSlots != nil:
-			for i, rid := range inRids[lo:hi] {
-				posSlots[lo+i] = st.processRow(rid)
-			}
-		default:
-			for _, rid := range inRids[lo:hi] {
-				st.processRow(rid)
-			}
+// forEachBatch hands input positions [lo, hi) — of inRids, or of the dense
+// rid range when inRids is nil — to f in aggBatchSize chunks; base is the
+// chunk's first position.
+func forEachBatch(inRids []Rid, lo, hi int, f func(base int, rids []Rid)) {
+	var dense []Rid
+	if inRids == nil {
+		dense = scratch.Rids(aggBatchSize)
+		defer scratch.PutRids(dense)
+	}
+	for base := lo; base < hi; base += aggBatchSize {
+		end := min(base+aggBatchSize, hi)
+		if inRids != nil {
+			f(base, inRids[base:end])
+			continue
 		}
+		rids := dense[:end-base]
+		for j := range rids {
+			rids[j] = Rid(base + j)
+		}
+		f(base, rids)
+	}
+}
+
+// processRows drives the aggregation kernel over input positions [lo, hi):
+// each batch folds into the group state (which resolves a whole batch of
+// slots per call) and then into this driver's capture. Every per-(slot, rid)
+// effect happens in row order, so group discovery order, backward list
+// order, and forward entries are those of a row-at-a-time loop. posSlots,
+// when non-nil, records each input position's slot (the duplicate-rid
+// parallel path).
+func (st *aggState) processRows(inRids []Rid, lo, hi int, posSlots []Rid) {
+	slots := scratch.Rids(aggBatchSize)
+	cols := make([][]Rid, 1)
+	forEachBatch(inRids, lo, hi, func(base int, rids []Rid) {
+		sb := slots[:len(rids)]
+		cols[0] = rids
+		st.g.Fold(cols, sb)
+		st.capture(sb, rids)
+		if posSlots != nil {
+			copy(posSlots[base:], sb)
+		}
+	})
+	scratch.PutRids(slots)
+}
+
+// capture applies one folded batch to the Observe hook and, under Inject, to
+// the backward lists and forward entries. The loops are per-effect rather
+// than per-row, but each effect still sees rows in input order, which is all
+// any of them depends on.
+func (st *aggState) capture(slots, rids []Rid) {
+	if st.observe != nil {
+		for j, s := range slots {
+			st.observe(s, rids[j])
+		}
+	}
+	if st.mode != Inject {
 		return
 	}
-	keys := scratch.Ints(aggBatchSize)
-	slots := scratch.Rids(aggBatchSize)
-	ridBuf := scratch.Rids(aggBatchSize)
-	col := st.intCol
-	for base := lo; base < hi; base += aggBatchSize {
-		end := base + aggBatchSize
-		if end > hi {
-			end = hi
-		}
-		m := end - base
-		rb := ridBuf[:m]
-		if inRids == nil {
-			for j := range rb {
-				rb[j] = Rid(base + j)
+	if st.dirs.Backward() {
+		st.addGroups()
+		if st.partKey == nil && st.pdFilter == nil {
+			gr := st.groupRids
+			for j, s := range slots {
+				gr[s] = lineage.AppendRid(gr[s], rids[j])
 			}
 		} else {
-			copy(rb, inRids[base:end])
-		}
-		kb, sb := keys[:m], slots[:m]
-		for j, r := range rb {
-			kb[j] = col[r]
-		}
-		st.ht.GetOrPutBatch(kb, sb, func(j int, key int64) int32 {
-			slot := st.nGroups
-			st.newGroup(rb[j], key)
-			return slot
-		})
-		st.accumulateBatch(sb, rb)
-		if posSlots != nil {
-			copy(posSlots[base:end], sb)
-		}
-	}
-	scratch.PutInts(keys)
-	scratch.PutRids(slots)
-	scratch.PutRids(ridBuf)
-}
-
-// accumulateBatch applies one resolved batch to the per-group state. The
-// loops are per-effect rather than per-row, but each effect still sees rows
-// in input order, which is all any of them depends on.
-func (st *aggState) accumulateBatch(slots []int32, rids []Rid) {
-	counts := st.counts
-	for _, s := range slots {
-		counts[s]++
-	}
-	for i := range st.accs {
-		st.accs[i].updateBatch(slots, rids)
-	}
-	if st.mode == Inject {
-		if st.dirs.Backward() {
-			if st.partKey == nil && st.pdFilter == nil {
-				gr := st.groupRids
-				for j, s := range slots {
-					gr[s] = lineage.AppendRid(gr[s], rids[j])
-				}
-			} else {
-				for j, s := range slots {
-					st.captureBackward(s, rids[j])
-				}
+			for j, s := range slots {
+				st.captureBackward(s, rids[j])
 			}
 		}
-		st.fw.setBatch(rids, slots)
 	}
-}
-
-// deferFillBatched is the batched Zγ second pass for the plain single-int-key
-// shape (no partitioning, no push-down filter): slots resolve through the
-// batched read-only probe, then the exactly-sized indexes fill in row order.
-func (st *aggState) deferFillBatched(inRids []Rid, lo, hi int, bw *lineage.RidIndex, fw fwdSink, posSlots []Rid) {
-	keys := scratch.Ints(aggBatchSize)
-	slots := scratch.Rids(aggBatchSize)
-	ridBuf := scratch.Rids(aggBatchSize)
-	col := st.intCol
-	for base := lo; base < hi; base += aggBatchSize {
-		end := base + aggBatchSize
-		if end > hi {
-			end = hi
-		}
-		m := end - base
-		rb := ridBuf[:m]
-		if inRids == nil {
-			for j := range rb {
-				rb[j] = Rid(base + j)
-			}
-		} else {
-			copy(rb, inRids[base:end])
-		}
-		kb, sb := keys[:m], slots[:m]
-		for j, r := range rb {
-			kb[j] = col[r]
-		}
-		st.ht.GetBatch(kb, sb)
-		if bw != nil {
-			for j, s := range sb {
-				bw.AppendFast(int(s), rb[j])
-			}
-		}
-		if posSlots != nil {
-			copy(posSlots[base:end], sb)
-		} else {
-			fw.setBatch(rb, sb)
-		}
-	}
-	scratch.PutInts(keys)
-	scratch.PutRids(slots)
-	scratch.PutRids(ridBuf)
-}
-
-// deferFillable reports whether deferFillBatched covers the state's options.
-func (st *aggState) deferFillable() bool {
-	return st.kind == keyInt && st.partKey == nil && st.pdFilter == nil
+	st.fw.setBatch(rids, slots)
 }
 
 // Hash aggregation runs the paper-style two-phase plan, and Workers <= 1 is
 // its one-partition case. Phase 1 splits the input into contiguous row-range
 // partitions; each worker runs the aggregation kernel (aggState.processRows)
-// against its own hash table and appends rids into its own partition-local
+// against its own group state and appends rids into its own partition-local
 // lists — no shared-state writes in the hot loop beyond rid-disjoint
-// forward-array slots. Phase 2 merges the
-// partition tables in partition order: because a group's first global
-// occurrence lies in the first partition that contains it, the merged group
-// discovery order — and therefore the output relation, the group counts, and
-// every backward rid list — is element-for-element identical for every
-// partition count. One partition's state already is the result, so it skips
-// phase 2.
+// forward-array slots. Phase 2 merges the partition group states in
+// partition order (MergeGroups): because a group's first global occurrence
+// lies in the first partition that contains it, the merged group discovery
+// order — and therefore the output relation, the group counts, and every
+// backward rid list — is element-for-element identical for every partition
+// count. One partition's state already is the result, so it skips phase 2.
 
 // parallelizableAgg reports whether the two-phase merge covers the requested
 // options; when it does not, HashAgg runs them as one partition. Observe
@@ -924,6 +487,11 @@ func parallelizableAgg(in *storage.Relation, opts AggOpts) bool {
 // HashAgg executes a hash group-by aggregation over in (all rows when inRids
 // is nil, otherwise only the listed rids — the shape lineage-consuming
 // queries take when they aggregate over a backward-lineage rid set).
+//
+// The groups, their counts and aggregates live in GroupState, the same state
+// the fused SPJA block folds join chains into; HashAgg drives it over
+// one-table batches of base rids and keeps only its capture — backward
+// lists, the forward array, and the §4.2 push-downs.
 //
 // Inject (§3.2.3) augments each group's intermediate state with the rid array
 // of its input records and emits indexes directly from the hash table.
@@ -1021,33 +589,21 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 	})
 
 	// Phase 2. One partition's state and indexes are the result as built;
-	// several merge in partition order through per-partition slot maps
-	// (local group slot → global slot). The merged state carries no capture
-	// options — indexes are stitched from the locals.
-	final := sts[0]
+	// several merge in partition order into the first partition's group
+	// state (MergeGroups), and indexes are stitched from the locals through
+	// the per-partition slot maps (local group slot → global slot).
+	final := sts[0].g
 	var slotMaps [][]Rid
 	if merge {
-		var err error
-		if final, err = newAggState(in, spec, AggOpts{Params: opts.Params}); err != nil {
-			return AggResult{}, err
-		}
-		slotMaps = make([][]Rid, len(sts))
+		parts := make([]*GroupState, len(sts))
 		for p, st := range sts {
-			sm := make([]Rid, st.nGroups)
-			for s := int32(0); s < st.nGroups; s++ {
-				g := final.lookupSlot(st.repRids[s])
-				sm[s] = g
-				final.counts[g] += st.counts[s]
-				for i := range final.accs {
-					final.accs[i].mergeFrom(g, &st.accs[i], s)
-				}
-			}
-			slotMaps[p] = sm
+			parts[p] = st.g
 		}
+		slotMaps = MergeGroups(parts)
 	}
-	nG := int(final.nGroups)
+	nG := final.Len()
 
-	res := AggResult{Out: final.materialize(spec), GroupCounts: final.counts}
+	res := AggResult{Out: final.Materialize("groupby"), GroupCounts: final.Counts()}
 	if wantBW {
 		switch {
 		case sts[0].partKey != nil && merge:
@@ -1074,7 +630,7 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 			res.BW = lineage.MergeListsBySlot(lists, slotMaps, nG)
 		default:
 			bw := lineage.NewRidIndex(nG)
-			for slot, l := range final.groupRids {
+			for slot, l := range sts[0].groupRids {
 				bw.SetList(slot, l) // reuse the hash-table rid lists (P4)
 			}
 			res.BW = bw
@@ -1124,43 +680,41 @@ func (st *aggState) deferPass(inRids []Rid, lo, hi int, wantBW bool, fw fwdSink,
 	var bw *lineage.RidIndex
 	if wantBW {
 		if st.partKey != nil {
-			st.partMaps = make([]map[int64][]Rid, st.nGroups)
+			st.partMaps = make([]map[int64][]Rid, st.g.Len())
 		} else {
-			c32 := make([]int32, st.nGroups)
-			for i, c := range st.counts {
+			c32 := make([]int32, st.g.Len())
+			for i, c := range st.g.Counts() {
 				c32[i] = int32(c)
 			}
 			bw = lineage.NewRidIndexWithCounts(c32)
 		}
 	}
-	if st.deferFillable() {
-		st.deferFillBatched(inRids, lo, hi, bw, fw, posSlots)
-		return bw
-	}
-	fill := func(pos int, rid Rid) {
-		slot := st.probeSlot(rid)
-		if wantBW && (st.pdFilter == nil || st.pdFilter(rid)) {
-			if st.partKey != nil {
-				st.captureBackward(slot, rid)
-			} else {
-				bw.AppendFast(int(slot), rid)
+	slots := scratch.Rids(aggBatchSize)
+	cols := make([][]Rid, 1)
+	forEachBatch(inRids, lo, hi, func(base int, rids []Rid) {
+		sb := slots[:len(rids)]
+		cols[0] = rids
+		st.g.Probe(cols, sb)
+		switch {
+		case !wantBW:
+		case st.partKey != nil:
+			for j, s := range sb {
+				st.captureBackward(s, rids[j])
+			}
+		default:
+			for j, s := range sb {
+				if st.pdFilter == nil || st.pdFilter(rids[j]) {
+					bw.AppendFast(int(s), rids[j])
+				}
 			}
 		}
 		if posSlots != nil {
-			posSlots[pos] = slot
+			copy(posSlots[base:], sb)
 		} else {
-			fw.set(rid, slot)
+			fw.setBatch(rids, sb)
 		}
-	}
-	if inRids == nil {
-		for rid := int32(lo); rid < int32(hi); rid++ {
-			fill(-1, rid)
-		}
-	} else {
-		for i, rid := range inRids[lo:hi] {
-			fill(lo+i, rid)
-		}
-	}
+	})
+	scratch.PutRids(slots)
 	return bw
 }
 
@@ -1193,81 +747,4 @@ func (f fwdSink) setBatch(rids, slots []Rid) {
 			sp.Set(rids[j], s)
 		}
 	}
-}
-
-// materialize builds the output relation: group-by keys (gathered via each
-// group's representative rid) followed by aggregate columns.
-func (st *aggState) materialize(spec GroupBySpec) *storage.Relation {
-	g := int(st.nGroups)
-	schema := make(storage.Schema, 0, len(spec.Keys)+len(spec.Aggs))
-	for _, k := range spec.Keys {
-		c := st.in.Schema.MustCol(k)
-		schema = append(schema, storage.Field{Name: k, Type: st.in.Schema[c].Type})
-	}
-	for i, a := range spec.Aggs {
-		name := a.Name
-		if name == "" {
-			name = fmt.Sprintf("%s_%d", a.Fn, i)
-		}
-		schema = append(schema, storage.Field{Name: name, Type: st.accs[i].outType()})
-	}
-	out := storage.NewRelation("groupby", schema, g)
-	for ki, k := range spec.Keys {
-		c := st.in.Schema.MustCol(k)
-		switch st.in.Schema[c].Type {
-		case storage.TInt:
-			src := st.in.Cols[c].Ints
-			dst := out.Cols[ki].Ints
-			for slot, rep := range st.repRids {
-				dst[slot] = src[rep]
-			}
-		case storage.TFloat:
-			src := st.in.Cols[c].Floats
-			dst := out.Cols[ki].Floats
-			for slot, rep := range st.repRids {
-				dst[slot] = src[rep]
-			}
-		case storage.TString:
-			src := st.in.Cols[c].Strs
-			dst := out.Cols[ki].Strs
-			for slot, rep := range st.repRids {
-				dst[slot] = src[rep]
-			}
-		}
-	}
-	for i := range st.accs {
-		acc := &st.accs[i]
-		col := len(spec.Keys) + i
-		switch acc.fn {
-		case Count:
-			dst := out.Cols[col].Ints
-			copy(dst, st.counts)
-		case CountDistinct:
-			dst := out.Cols[col].Ints
-			for slot := 0; slot < g; slot++ {
-				switch {
-				case acc.argI != nil && acc.setsI[slot] != nil:
-					dst[slot] = int64(len(acc.setsI[slot]))
-				case acc.argI == nil && acc.setsS[slot] != nil:
-					dst[slot] = int64(len(acc.setsS[slot]))
-				case acc.seen[slot]:
-					dst[slot] = 1
-				default:
-					dst[slot] = 0
-				}
-			}
-		case Sum:
-			copy(out.Cols[col].Floats, acc.sums)
-		case Avg:
-			dst := out.Cols[col].Floats
-			for slot := 0; slot < g; slot++ {
-				dst[slot] = acc.sums[slot] / float64(st.counts[slot])
-			}
-		case Min:
-			copy(out.Cols[col].Floats, acc.mins)
-		case Max:
-			copy(out.Cols[col].Floats, acc.maxs)
-		}
-	}
-	return out
 }

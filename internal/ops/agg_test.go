@@ -418,3 +418,39 @@ func TestGroupCountsMatchLineage(t *testing.T) {
 	}
 	_ = lineage.Rid(0)
 }
+
+// TestKeyByteFormat pins the key byte format behind composite group keys,
+// set-op keys and data-skipping codes: an int as 8 little-endian bytes, a
+// float as its IEEE-754 bits in the same layout, a string followed by a NUL.
+// The NUL is what keeps ("ab", "c") and ("a", "bc") apart.
+func TestKeyByteFormat(t *testing.T) {
+	rel := storage.NewEmpty("t", storage.Schema{
+		{Name: "a", Type: storage.TString},
+		{Name: "b", Type: storage.TString},
+		{Name: "i", Type: storage.TInt},
+		{Name: "f", Type: storage.TFloat},
+	})
+	rel.AppendRow("ab", "c", int64(-2), 0.5)
+	rel.AppendRow("a", "bc", int64(-2), 0.5)
+	var got []byte
+	for _, c := range []string{"a", "b", "i", "f"} {
+		kc, err := compileKeyCol(rel, 0, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = kc.appendKey(got, 0)
+	}
+	want := []byte("ab\x00c\x00")
+	want = append(want, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff) // int64(-2)
+	want = append(want, 0, 0, 0, 0, 0, 0, 0xe0, 0x3f)                   // 0.5
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("key bytes = %x, want %x", got, want)
+	}
+	res, err := HashAgg(rel, nil, GroupBySpec{Keys: []string{"a", "b"}, Aggs: []AggSpec{{Fn: Count, Name: "c"}}}, AggOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Out.N != 2 {
+		t.Fatalf("(ab, c) and (a, bc) folded into %d group(s), want 2", res.Out.N)
+	}
+}

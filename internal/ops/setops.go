@@ -1,51 +1,36 @@
 package ops
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"smoke/internal/lineage"
 	"smoke/internal/storage"
 )
 
-// setKeyEnc encodes the set-operation attributes of a row into a byte key so
-// rows from both input relations hash into one shared table regardless of
-// column positions or types.
+// setKeyEnc encodes the set-operation attributes of a row into a byte key (the
+// key byte format of keyCol.appendKey) so rows from both input relations hash
+// into one shared table regardless of column positions or types.
 type setKeyEnc struct {
-	rel  *storage.Relation
-	cols []int
+	cols []keyCol
 	buf  []byte
 }
 
 func newSetKeyEnc(rel *storage.Relation, attrs []string) (*setKeyEnc, error) {
-	e := &setKeyEnc{rel: rel}
+	e := &setKeyEnc{}
 	for _, a := range attrs {
-		c := rel.Schema.Col(a)
-		if c < 0 {
+		kc, err := compileKeyCol(rel, 0, a)
+		if err != nil {
 			return nil, fmt.Errorf("ops: unknown set-op column %q in %s", a, rel.Name)
 		}
-		e.cols = append(e.cols, c)
+		e.cols = append(e.cols, kc)
 	}
 	return e, nil
 }
 
 func (e *setKeyEnc) encode(rid Rid) []byte {
 	e.buf = e.buf[:0]
-	for _, c := range e.cols {
-		switch e.rel.Schema[c].Type {
-		case storage.TInt:
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], uint64(e.rel.Cols[c].Ints[rid]))
-			e.buf = append(e.buf, tmp[:]...)
-		case storage.TFloat:
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(e.rel.Cols[c].Floats[rid]))
-			e.buf = append(e.buf, tmp[:]...)
-		case storage.TString:
-			e.buf = append(e.buf, e.rel.Cols[c].Strs[rid]...)
-			e.buf = append(e.buf, 0)
-		}
+	for i := range e.cols {
+		e.buf = e.cols[i].appendKey(e.buf, rid)
 	}
 	return e.buf
 }
