@@ -166,7 +166,7 @@ func Fig10(cfg Config) error {
 				})
 				// Data skipping: read only the matching partition.
 				skipT := timeOne(func() {
-					key, ok := ops.PartitionKey(&skip, li, partAttrs, []any{mode, instr})
+					key, ok := ops.PartitionKey(skip.BWPart, li, partAttrs, []any{mode, instr})
 					var rids []int32
 					if ok {
 						rids = skip.BWPart.Partition(o, key)

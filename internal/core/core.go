@@ -17,6 +17,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -111,8 +112,9 @@ type CaptureOptions struct {
 	// Strategy constants in strategy.go). The zero value keeps the
 	// pre-strategy contract: Mode alone decides, with Mode None now yielding
 	// a lazy result (traces re-execute the stored plan) instead of erroring.
-	// Conflicting combinations (a capturing Mode with Lazy, direction or
-	// push-down options with Lazy/Hybrid) fail Run with a structured Invalid.
+	// Conflicting combinations (a capturing Mode with Lazy, direction
+	// options with Lazy/Hybrid, push-downs without an eager capture) fail
+	// Run with a structured Invalid.
 	Strategy Strategy
 	// Dirs selects which directions to capture (defaults to both when Mode
 	// is not None and no per-table override is given).
@@ -120,17 +122,21 @@ type CaptureOptions struct {
 	// TableDirs prunes capture per relation name (§4.1); relations absent
 	// from a non-nil map are not captured at all.
 	TableDirs map[string]ops.Directions
+	// The §4.2 push-downs below annotate the query's group-by
+	// (plan.Pushdown) and need a capturing Mode. They apply to
+	// single-table aggregation blocks, including consuming trace queries.
+	//
 	// CountsByKey supplies exact cardinalities per integer group key
-	// (§6.1.1 "Cardinality Statistics"); single-table queries only.
+	// (§6.1.1 "Cardinality Statistics").
 	CountsByKey []int32
 	// PushdownFilter restricts backward capture to matching records
-	// (selection push-down, §4.2); single-table queries only.
+	// (selection push-down).
 	PushdownFilter expr.Expr
 	// PartitionBy partitions backward rid arrays by attributes (data
-	// skipping, §4.2); single-table queries only.
+	// skipping).
 	PartitionBy []string
 	// Cube materializes drill-down aggregates during capture (group-by
-	// push-down, §4.2); single-table queries only.
+	// push-down).
 	Cube *cube.Spec
 	// Params binds named expression parameters.
 	Params expr.Params
@@ -203,6 +209,16 @@ func (db *DB) sharedPool(w int) *pool.Pool {
 	return db.pool
 }
 
+// pushdown packages the §4.2 options as the group-by annotation, or nil
+// when none is set.
+func (o CaptureOptions) pushdown() *plan.Pushdown {
+	if o.PushdownFilter == nil && o.PartitionBy == nil && o.Cube == nil && o.CountsByKey == nil {
+		return nil
+	}
+	return &plan.Pushdown{CountsByKey: o.CountsByKey, Filter: o.PushdownFilter,
+		PartitionBy: o.PartitionBy, Cube: o.Cube}
+}
+
 func (o CaptureOptions) dirs() ops.Directions {
 	if o.Mode == ops.None {
 		return 0
@@ -219,13 +235,16 @@ func (o CaptureOptions) dirs() ops.Directions {
 // not the front end, decides when the fused SPJA executor applies — and
 // executes the optimized plan (exec.RunPlan).
 type Query struct {
-	db     *DB
-	names  []string
-	tables []exec.TableRef
-	joins  []exec.JoinEdge
-	keys   []exec.KeyRef
-	aggs   []exec.AggRef
-	err    error
+	db *DB
+	// names and rels are the sources GroupBy and Agg resolve columns
+	// against, in From/Join order (for a trace, its output); root is the
+	// scan or left-deep join chain over them.
+	names []string
+	rels  []*storage.Relation
+	root  plan.Node
+	keys  []string
+	aggs  []plan.AggDef
+	err   error
 
 	// prebuilt carries an externally lowered plan (QueryPlan, the SQL front
 	// end); when set, the builder state above is unused.
@@ -282,18 +301,16 @@ func (q *Query) Trace(res *Result, dir TraceDir, table string, seed Seed) *Query
 		q.fail(serr.New(serr.NotFound, "core: result has no captured base relation %q", table))
 		return q
 	}
-	if len(q.tables) > 0 || q.traceNode != nil || q.prebuilt != nil {
+	if len(q.rels) > 0 || q.traceNode != nil || q.prebuilt != nil {
 		q.fail(serr.New(serr.Invalid, "core: a trace must start the query"))
 		return q
 	}
 	q.db.traces.Add(1)
 	q.traceRes, q.traceDir, q.traceTable, q.traceSeed = res, dir, table, seed
 	if dir == TraceBackward {
-		q.names = append(q.names, table)
-		q.tables = append(q.tables, exec.TableRef{Rel: rel})
+		q.names, q.rels = []string{table}, []*storage.Relation{rel}
 	} else {
-		q.names = append(q.names, res.Out.Name)
-		q.tables = append(q.tables, exec.TableRef{Rel: res.Out})
+		q.names, q.rels = []string{res.Out.Name}, []*storage.Relation{res.Out}
 	}
 	lazy := res.TraceStrategy(table, dir) == StrategyLazy
 	q.traceNode = res.buildTraceNode(dir, table, rel, seed, lazy, false)
@@ -356,59 +373,58 @@ func (q *Query) Where(pred expr.Expr) *Query {
 
 // From sets the first (or only) table with an optional filter.
 func (q *Query) From(table string, filter expr.Expr) *Query {
-	if q.traceNode != nil {
+	switch {
+	case q.traceNode != nil:
 		q.fail(serr.New(serr.Invalid, "core: From after a trace is not supported (traces take no further tables)"))
-		return q
+	case q.root != nil:
+		q.fail(serr.New(serr.Invalid, "core: From starts the query; add further tables with Join"))
+	default:
+		q.root = q.scan(table, filter)
 	}
-	rel, err := q.db.Table(table)
-	if err != nil {
-		q.fail(err)
-		return q
-	}
-	q.names = append(q.names, table)
-	q.tables = append(q.tables, exec.TableRef{Rel: rel, Filter: filter})
 	return q
 }
 
 // Join adds a table joined to the prefix: prefixTable.leftCol = table.rightCol.
 func (q *Query) Join(table string, filter expr.Expr, prefixTable, leftCol, rightCol string) *Query {
+	switch {
+	case q.traceNode != nil:
+		q.fail(serr.New(serr.Unsupported, "core: joins after a trace are not supported"))
+	case !slices.Contains(q.names, prefixTable):
+		q.fail(serr.New(serr.Invalid, "core: join references %q which is not in the query prefix", prefixTable))
+	default:
+		// The builder names the prefix table explicitly: it qualifies the key.
+		right := q.scan(table, filter)
+		q.root = plan.Join{Left: q.root, Right: right, LeftKey: leftCol, RightKey: rightCol, LeftQual: prefixTable}
+	}
+	return q
+}
+
+// scan resolves a catalog table as the block's next source.
+func (q *Query) scan(table string, filter expr.Expr) plan.Node {
 	rel, err := q.db.Table(table)
 	if err != nil {
 		q.fail(err)
-		return q
+		return nil
 	}
-	lt := -1
-	for i, n := range q.names {
-		if n == prefixTable {
-			lt = i
-		}
-	}
-	if lt < 0 {
-		q.fail(serr.New(serr.Invalid, "core: join references %q which is not in the query prefix", prefixTable))
-		return q
-	}
-	q.names = append(q.names, table)
-	q.tables = append(q.tables, exec.TableRef{Rel: rel, Filter: filter})
-	q.joins = append(q.joins, exec.JoinEdge{LeftTable: lt, LeftCol: leftCol, RightCol: rightCol})
-	return q
+	q.names, q.rels = append(q.names, table), append(q.rels, rel)
+	return plan.Scan{Table: table, Rel: rel, Filter: filter}
 }
 
 // GroupBy sets the group-by key columns; each resolves to the unique table
 // containing it.
 func (q *Query) GroupBy(cols ...string) *Query {
 	for _, c := range cols {
-		t, err := q.resolve(c)
-		if err != nil {
+		if err := q.resolve(c); err != nil {
 			q.fail(err)
 			return q
 		}
-		q.keys = append(q.keys, exec.KeyRef{Table: t, Col: c})
+		q.keys = append(q.keys, c)
 	}
 	return q
 }
 
-// Agg adds an aggregate. Count takes a nil arg. The argument's columns must
-// resolve to one table.
+// Agg adds an aggregate. Count takes a nil arg. Each column of the argument
+// must resolve to exactly one table.
 func (q *Query) Agg(fn ops.AggFn, arg expr.Expr, name string) *Query {
 	return q.AggFiltered(fn, arg, nil, name)
 }
@@ -416,81 +432,37 @@ func (q *Query) Agg(fn ops.AggFn, arg expr.Expr, name string) *Query {
 // AggFiltered adds an aggregate that only folds rows satisfying filter (the
 // CASE WHEN counting idiom of TPC-H Q12).
 func (q *Query) AggFiltered(fn ops.AggFn, arg, filter expr.Expr, name string) *Query {
-	t := len(q.tables) - 1 // COUNT(*) defaults to the fact (last) table
-	for _, e := range []expr.Expr{arg, filter} {
-		if e == nil {
-			continue
-		}
-		for _, c := range expr.Columns(e) {
-			ct, err := q.resolve(c)
-			if err != nil {
-				q.fail(err)
-				return q
-			}
-			t = ct
+	for _, c := range append(expr.Columns(arg), expr.Columns(filter)...) {
+		if err := q.resolve(c); err != nil {
+			q.fail(err)
+			return q
 		}
 	}
-	q.aggs = append(q.aggs, exec.AggRef{Fn: fn, Table: t, Arg: arg, Filter: filter, Name: name})
+	q.aggs = append(q.aggs, plan.AggDef{Fn: fn, Arg: arg, Filter: filter, Name: name})
 	return q
 }
 
-func (q *Query) resolve(col string) (int, error) {
+// resolve checks that col names a column of exactly one source.
+func (q *Query) resolve(col string) error {
 	found := -1
-	for i, tr := range q.tables {
-		if tr.Rel.Schema.Col(col) >= 0 {
+	for i, rel := range q.rels {
+		if rel.Schema.Col(col) >= 0 {
 			if found >= 0 {
-				return 0, serr.New(serr.Invalid, "core: column %q is ambiguous between %s and %s", col, q.names[found], q.names[i])
+				return serr.New(serr.Invalid, "core: column %q is ambiguous between %s and %s", col, q.names[found], q.names[i])
 			}
 			found = i
 		}
 	}
 	if found < 0 {
-		return 0, serr.New(serr.Invalid, "core: column %q not found in query tables %v", col, q.names)
+		return serr.New(serr.Invalid, "core: column %q not found in query tables %v", col, q.names)
 	}
-	return found, nil
+	return nil
 }
 
 func (q *Query) fail(err error) {
 	if q.err == nil {
 		q.err = err
 	}
-}
-
-// asSingleBlock extracts a prebuilt plan's single-table aggregation block
-// when it has exactly the shape runSingle serves — a GroupBy over one
-// (possibly filtered) base scan — as a builder query. HAVING/ORDER BY/LIMIT
-// residue or joins disqualify it.
-func (q *Query) asSingleBlock() (*Query, bool) {
-	gb, ok := q.prebuilt.(plan.GroupBy)
-	if !ok {
-		return nil, false
-	}
-	child := gb.Child
-	var filter expr.Expr
-	if f, isFilter := child.(plan.Filter); isFilter {
-		filter = f.Pred
-		child = f.Child
-	}
-	sc, ok := child.(plan.Scan)
-	if !ok {
-		return nil, false
-	}
-	if sc.Filter != nil {
-		if filter == nil {
-			filter = sc.Filter
-		} else {
-			filter = expr.And{L: sc.Filter, R: filter}
-		}
-	}
-	nq := &Query{db: q.db, names: []string{sc.Table},
-		tables: []exec.TableRef{{Rel: sc.Rel, Filter: filter}}}
-	for _, k := range gb.Keys {
-		nq.keys = append(nq.keys, exec.KeyRef{Col: k})
-	}
-	for i, a := range gb.Aggs {
-		nq.aggs = append(nq.aggs, exec.AggRef{Fn: a.Fn, Arg: a.Arg, Filter: a.Filter, Name: a.OutName(i)})
-	}
-	return nq, true
 }
 
 // Plan lowers the query onto the logical plan IR (unoptimized): scans with
@@ -503,11 +475,10 @@ func (q *Query) Plan() (plan.Node, error) {
 	if q.prebuilt != nil {
 		return q.prebuilt, nil
 	}
-	if q.traceNode != nil {
-		if len(q.joins) > 0 {
-			return nil, serr.New(serr.Unsupported, "core: joins after a trace are not supported")
-		}
-		root := q.traceNode
+	root := q.root
+	switch {
+	case q.traceNode != nil:
+		root = q.traceNode
 		if q.traceFilter != nil {
 			root = plan.Filter{Child: root, Pred: q.traceFilter}
 		}
@@ -518,46 +489,20 @@ func (q *Query) Plan() (plan.Node, error) {
 			// A bare trace: the result is the traced rows themselves.
 			return root, nil
 		}
-		gb := plan.GroupBy{Child: root}
-		for _, k := range q.keys {
-			gb.Keys = append(gb.Keys, k.Col)
-		}
-		for _, a := range q.aggs {
-			gb.Aggs = append(gb.Aggs, plan.AggDef{Fn: a.Fn, Arg: a.Arg, Filter: a.Filter, Name: a.Name})
-		}
-		return gb, nil
-	}
-	if len(q.tables) == 0 {
+	case root == nil:
 		return nil, serr.New(serr.Invalid, "core: query has no tables")
-	}
-	if len(q.keys) == 0 {
+	case len(q.keys) == 0:
 		return nil, serr.New(serr.Unsupported, "core: only aggregation queries are supported; add GroupBy")
 	}
-	var n plan.Node = plan.Scan{Table: q.names[0], Rel: q.tables[0].Rel, Filter: q.tables[0].Filter}
-	for i, je := range q.joins {
-		n = plan.Join{
-			Left:     n,
-			Right:    plan.Scan{Table: q.names[i+1], Rel: q.tables[i+1].Rel, Filter: q.tables[i+1].Filter},
-			LeftKey:  je.LeftCol,
-			RightKey: je.RightCol,
-			LeftQual: q.names[je.LeftTable], // the builder names the prefix table explicitly
-		}
-	}
-	gb := plan.GroupBy{Child: n}
-	for _, k := range q.keys {
-		gb.Keys = append(gb.Keys, k.Col)
-	}
-	for _, a := range q.aggs {
-		gb.Aggs = append(gb.Aggs, plan.AggDef{Fn: a.Fn, Arg: a.Arg, Filter: a.Filter, Name: a.Name})
-	}
-	return gb, nil
+	return plan.GroupBy{Child: root, Keys: q.keys, Aggs: q.aggs}, nil
 }
 
 // Fingerprint returns the stable fingerprint of the query's optimized plan
 // (plan.Fingerprint): two queries with equal fingerprints execute
 // identically against the current catalog state, which is what the server's
-// result cache keys on. Queries that cannot be planned (builder errors,
-// push-down option paths) return an error; callers then simply skip caching.
+// result cache keys on. Capture options, push-downs included, are not part
+// of it: Run attaches them. Queries that cannot be planned (builder errors)
+// return an error; callers then simply skip caching.
 func (q *Query) Fingerprint() (string, error) {
 	p, err := q.Plan()
 	if err != nil {
@@ -574,17 +519,18 @@ type Result struct {
 
 	db      *DB
 	capture *lineage.Capture
-	// plan is the optimized plan that produced the result (nil for the
-	// runSingle capture-push-down path): bound traces carry it so the
+	// plan is the optimized plan that produced the result (nil for
+	// ConsumeGroupBy and restored results): bound traces carry it so the
 	// optimizer can reason about scan-and-filter equivalence.
-	plan   plan.Node
-	bwPart *lineage.PartitionedIndex
-	cube   *cube.Cube
-	// single-table metadata for consuming queries
-	baseRel   *storage.Relation
-	baseAgg   *ops.AggResult
+	plan plan.Node
+	// bwPart (data skipping, which replaces the plain backward index) and
+	// cube are the push-down outputs; partAttrs are bwPart's attributes.
+	bwPart    *lineage.PartitionedIndex
+	cube      *cube.Cube
 	partAttrs []string
-	params    expr.Params
+	// baseRel is the single base relation consuming queries re-aggregate.
+	baseRel *storage.Relation
+	params  expr.Params
 	// bases is set on disk-recovered results (RestoreResult): the base
 	// snapshots the capture addresses, resolved by BaseRelation in place of
 	// the plan the original result carried.
@@ -604,9 +550,10 @@ type Result struct {
 // (predicate pushdown, projection pruning, pk-fk detection, SPJA fusion), and
 // exec.RunPlan executes the optimized plan. The workload-aware capture
 // push-downs of §4.2 (cardinality statistics, selection push-down, data
-// skipping, cube materialization) bypass the plan layer: they are
-// capture-time options of the single-table hash aggregation and keep their
-// dedicated path (runSingle).
+// skipping, cube materialization) annotate the optimized root: they need it
+// to be a group-by directly over a base scan or a backward trace, because
+// the partitioned index and the cube address the group-by's input rids as
+// base rids.
 func (q *Query) Run(opts CaptureOptions) (*Result, error) {
 	if q.err != nil {
 		return nil, q.err
@@ -617,32 +564,21 @@ func (q *Query) Run(opts CaptureOptions) (*Result, error) {
 	if q.traceNode == nil {
 		q.db.runs.Add(1)
 	}
-	if opts.PushdownFilter != nil || opts.PartitionBy != nil || opts.Cube != nil || opts.CountsByKey != nil {
-		if q.traceNode != nil {
-			return nil, serr.New(serr.Unsupported, "core: capture push-down options are not supported on trace queries")
-		}
-		target := q
-		if q.prebuilt != nil {
-			// SQL-compiled queries qualify when their plan is a plain
-			// single-table aggregation block.
-			sq, ok := q.asSingleBlock()
-			if !ok {
-				return nil, serr.New(serr.Unsupported, "core: push-down options currently require a single-table query block")
-			}
-			target = sq
-		} else if len(q.tables) != 1 {
-			return nil, serr.New(serr.Unsupported, "core: push-down options currently require a single-table query block")
-		}
-		if len(target.keys) == 0 {
-			return nil, serr.New(serr.Unsupported, "core: only aggregation queries are supported; add GroupBy")
-		}
-		return target.runSingle(opts)
-	}
 	p, err := q.Plan()
 	if err != nil {
 		return nil, err
 	}
 	optimized := plan.OptimizeNoTrace(p, plan.Opts{Catalog: q.db.cat})
+	if pd := opts.pushdown(); pd != nil {
+		gb, _ := optimized.(plan.GroupBy) // any other root leaves gb childless
+		switch gb.Child.(type) {
+		case plan.Scan, plan.Backward:
+		default:
+			return nil, serr.New(serr.Unsupported, "core: push-down options currently require a single-table query block")
+		}
+		gb.Pushdown = pd
+		optimized = gb
+	}
 	strat := resolveStrategy(q.db, opts, optimized)
 	eopts := exec.PlanOpts{
 		Mode: opts.Mode, Dirs: opts.Dirs, TableDirs: opts.TableDirs,
@@ -669,92 +605,14 @@ func (q *Query) Run(opts CaptureOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Out: pres.Out, GroupCounts: pres.GroupCounts,
-		db: q.db, capture: pres.Capture, plan: optimized, params: opts.Params,
-		strategy: strat,
-	}
 	// Single-base plans keep consuming-query support (ConsumeGroupBy
 	// re-aggregates base rows addressed by backward rids).
-	if rel := plan.SingleBase(optimized); rel != nil {
-		res.baseRel = rel
-	}
-	return res, nil
-}
-
-func (q *Query) runSingle(opts CaptureOptions) (*Result, error) {
-	rel := q.tables[0].Rel
-	name := q.names[0]
-	workers, pl := opts.workers(q.db)
-
-	// Pipelined filter: materialize the selected rid set once; the group-by
-	// runs over it and lineage rids stay base-relation rids.
-	var inRids []Rid
-	if q.tables[0].Filter != nil {
-		pred, err := expr.CompilePred(q.tables[0].Filter, rel, opts.Params)
-		if err != nil {
-			return nil, err
-		}
-		// Select guarantees a non-nil OutRids under Mode None even for zero
-		// matches — load-bearing here, because a nil rid subset means "all
-		// rows" to HashAgg.
-		sres := ops.Select(rel.N, pred, ops.SelectOpts{
-			Mode: ops.None, Workers: workers, Pool: pl,
-			Kernel: expr.CompileBitKernel(q.tables[0].Filter, rel, opts.Params),
-		})
-		inRids = sres.OutRids
-	}
-
-	spec := ops.GroupBySpec{Aggs: q.aggs}
-	for _, k := range q.keys {
-		spec.Keys = append(spec.Keys, k.Col)
-	}
-
-	dirs := opts.dirs()
-	if opts.TableDirs != nil {
-		dirs = opts.TableDirs[name]
-	}
-	aggOpts := ops.AggOpts{
-		Mode: opts.Mode, Dirs: dirs,
-		CountsByKey:    opts.CountsByKey,
-		Params:         opts.Params,
-		PushdownFilter: opts.PushdownFilter,
-		PartitionBy:    opts.PartitionBy,
-		Workers:        workers, Pool: pl,
-		Compress: opts.Compress,
-	}
-	var cb *cube.Builder
-	if opts.Cube != nil {
-		var err error
-		cb, err = cube.NewBuilder(rel, *opts.Cube, opts.Params)
-		if err != nil {
-			return nil, err
-		}
-		aggOpts.Observe = cb.Observe
-	}
-	ares, err := ops.HashAgg(rel, inRids, spec, aggOpts)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Out: ares.Out, GroupCounts: ares.GroupCounts,
-		db: q.db, capture: lineage.NewCapture(),
-		baseRel: rel, baseAgg: &ares, partAttrs: opts.PartitionBy, params: opts.Params,
-		strategy: StrategyEager,
-	}
-	if ix := ares.BackwardIndex(); ix != nil {
-		res.capture.SetBackward(name, ix)
-	}
-	if ares.BWPart != nil {
-		res.bwPart = ares.BWPart
-	}
-	if ix := ares.ForwardIndex(); ix != nil {
-		res.capture.SetForward(name, ix)
-	}
-	if cb != nil {
-		res.cube = cb.Build()
-	}
-	return res, nil
+	return &Result{
+		Out: pres.Out, GroupCounts: pres.GroupCounts,
+		db: q.db, capture: pres.Capture, plan: optimized, params: opts.Params,
+		bwPart: pres.BWPart, cube: pres.Cube, partAttrs: opts.PartitionBy,
+		baseRel: plan.SingleBase(optimized), strategy: strat,
+	}, nil
 }
 
 // Backward evaluates Lb(outRids ⊆ Out, table): the base rids of table that
@@ -780,7 +638,7 @@ func (r *Result) BackwardPartition(outRid Rid, vals []any) ([]Rid, error) {
 		return nil, serr.New(serr.Invalid, "core: %d partition values for %d PartitionBy attributes %v",
 			len(vals), len(r.partAttrs), r.partAttrs)
 	}
-	key, ok := ops.PartitionKey(r.baseAgg, r.baseRel, r.partAttrs, vals)
+	key, ok := ops.PartitionKey(r.bwPart, r.baseRel, r.partAttrs, vals)
 	if !ok {
 		return nil, nil // value combination never observed
 	}
@@ -891,14 +749,11 @@ func (r *Result) ConsumeGroupBy(rids []Rid, spec ops.GroupBySpec, opts CaptureOp
 	out := &Result{
 		Out: ares.Out, GroupCounts: ares.GroupCounts,
 		db: r.db, capture: lineage.NewCapture(),
-		baseRel: r.baseRel, baseAgg: &ares, partAttrs: opts.PartitionBy, params: opts.Params,
+		baseRel: r.baseRel, bwPart: ares.BWPart, partAttrs: opts.PartitionBy, params: opts.Params,
 		strategy: StrategyEager,
 	}
 	if ix := ares.BackwardIndex(); ix != nil {
 		out.capture.SetBackward(r.baseRel.Name, ix)
-	}
-	if ares.BWPart != nil {
-		out.bwPart = ares.BWPart
 	}
 	if ix := ares.ForwardIndex(); ix != nil {
 		out.capture.SetForward(r.baseRel.Name, ix)

@@ -304,6 +304,18 @@ func TestPruningThroughFacade(t *testing.T) {
 	}
 }
 
+// The builder lowers straight onto plan nodes, so a second From has no
+// join edge to attach to: it is rejected rather than silently dropped.
+func TestSecondFromIsInvalid(t *testing.T) {
+	db, _ := openZipf(t)
+	db.Register(datagen.Gids("gids", 8, 1))
+	_, err := db.Query().From("gids", nil).From("zipf", nil).GroupBy("z").Agg(ops.Count, nil, "c").
+		Run(core.CaptureOptions{Mode: ops.Inject})
+	if serr.KindOf(err) != serr.Invalid {
+		t.Fatalf("second From: err = %v, want Invalid", err)
+	}
+}
+
 func TestQueryBuilderErrors(t *testing.T) {
 	db, _ := openZipf(t)
 	if _, err := db.Query().From("nope", nil).GroupBy("z").Agg(ops.Count, nil, "c").Run(core.CaptureOptions{}); err == nil {

@@ -149,10 +149,14 @@ func (s Seed) ridsForExec() []Rid {
 
 // validateStrategy rejects option combinations that would silently disable
 // each other — a capturing mode on a capture-free strategy, capture
-// direction or push-down options on a strategy that overrides them. All
-// rejections are structured Invalid (HTTP 400).
+// direction options on a strategy that overrides them, push-downs without
+// the eager capture they shape. All rejections are structured Invalid (HTTP
+// 400).
 func (o CaptureOptions) validateStrategy() error {
-	pushdown := o.PushdownFilter != nil || o.PartitionBy != nil || o.Cube != nil || o.CountsByKey != nil
+	if o.pushdown() != nil && (o.Mode == ops.None || o.Strategy == StrategyHybrid) {
+		return serr.New(serr.Invalid,
+			"core: capture push-down options need an eager capture: a capturing Mode, and Strategy neither Lazy nor Hybrid")
+	}
 	switch o.Strategy {
 	case StrategyDefault, StrategyAuto:
 		return nil
@@ -170,18 +174,10 @@ func (o CaptureOptions) validateStrategy() error {
 			return serr.New(serr.Invalid,
 				"core: capture directions conflict with Strategy Lazy (nothing is captured)")
 		}
-		if pushdown {
-			return serr.New(serr.Invalid,
-				"core: capture push-down options conflict with Strategy Lazy (nothing is captured)")
-		}
 	case StrategyHybrid:
 		if o.Dirs != 0 || o.TableDirs != nil {
 			return serr.New(serr.Invalid,
 				"core: Strategy Hybrid chooses capture directions itself; Dirs/TableDirs conflict")
-		}
-		if pushdown {
-			return serr.New(serr.Invalid,
-				"core: capture push-down options conflict with Strategy Hybrid")
 		}
 	default:
 		return serr.New(serr.Invalid, "core: unknown capture strategy")
@@ -201,7 +197,8 @@ const (
 // plan and the DB's observed workload into one of Eager, Lazy, or Hybrid.
 //
 // Auto's cost rules, cheapest-first for the trace-sparse case:
-//   - explicit Dirs/TableDirs pin Eager (the caller configured a capture);
+//   - explicit Dirs/TableDirs or push-downs pin Eager (the caller
+//     configured a capture);
 //   - a trace-heavy history (observed traces >= 1/10 of runs) picks Eager —
 //     re-execution would be paid too often;
 //   - a multi-input plan (join/union) picks Hybrid: backward stays an index
@@ -217,7 +214,7 @@ func resolveStrategy(db *DB, opts CaptureOptions, optimized plan.Node) Strategy 
 	case StrategyHybrid:
 		return StrategyHybrid
 	case StrategyAuto:
-		if opts.Dirs != 0 || opts.TableDirs != nil {
+		if opts.Dirs != 0 || opts.TableDirs != nil || opts.pushdown() != nil {
 			return StrategyEager
 		}
 		runs, traces := db.runs.Load(), db.traces.Load()

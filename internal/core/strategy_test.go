@@ -42,10 +42,44 @@ func TestStrategyConflictsAreInvalid(t *testing.T) {
 		"hybrid with dirs":      {Strategy: core.StrategyHybrid, Mode: ops.Inject, Dirs: ops.CaptureForward},
 		"hybrid with tabledirs": {Strategy: core.StrategyHybrid, Mode: ops.Inject,
 			TableDirs: map[string]ops.Directions{"zipf": ops.CaptureBackward}},
+		// Push-downs shape a capture: without one they would be dropped.
+		"pushdown without capture":      {PushdownFilter: expr.LtE(expr.C("v"), expr.F(30))},
+		"auto pushdown without capture": {Strategy: core.StrategyAuto, PartitionBy: []string{"id"}},
 	} {
 		_, err := microQuery(db).Run(opts)
 		if serr.KindOf(err) != serr.Invalid {
 			t.Fatalf("%s: err = %v, want Invalid", name, err)
+		}
+	}
+}
+
+// Auto never resolves a push-down request to lazy: the push-downs shape an
+// eager capture, and a lazy result would silently drop them.
+func TestAutoStrategyPinsEagerForPushdowns(t *testing.T) {
+	db, _ := openZipf(t)
+	pass := expr.LtE(expr.C("v"), expr.F(30))
+	res, err := microQuery(db).Run(core.CaptureOptions{Strategy: core.StrategyAuto, Mode: ops.Inject,
+		PushdownFilter: pass, PartitionBy: []string{"z"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Strategy(); got != core.StrategyEager {
+		t.Fatalf("auto with push-downs = %v, want eager", got)
+	}
+	rel, _ := db.Table("zipf")
+	for o := 0; o < res.Out.N; o++ {
+		rids, err := res.BackwardPartition(core.Rid(o), []any{res.Out.Int(0, o)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for r := 0; r < rel.N; r++ {
+			if rel.Int(1, r) == res.Out.Int(0, o) && rel.Float(2, r) < 30 {
+				want++
+			}
+		}
+		if len(rids) != want {
+			t.Fatalf("group %d: %d partition rids, want %d passing the push-down", o, len(rids), want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -28,7 +29,8 @@ func traceDB(t *testing.T, workers int) (*DB, *storage.Relation) {
 
 // TestQueryBackwardMatchesConsumeGroupBy: the plan-level consuming query
 // (Query.Trace + GroupBy) must be element-identical to the pre-plan
-// Result.Backward + ConsumeGroupBy path.
+// Result.Backward + ConsumeGroupBy path — plain, and carrying the §4.2
+// selection push-down and data skipping.
 func TestQueryBackwardMatchesConsumeGroupBy(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		db, _ := traceDB(t, workers)
@@ -46,47 +48,74 @@ func TestQueryBackwardMatchesConsumeGroupBy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := base.ConsumeGroupBy(rids, spec, CaptureOptions{Mode: ops.Inject, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		got, err := db.Query().Trace(base, TraceBackward, "orders", Rids(seeds...)).GroupBy("cat").
-			Agg(ops.Count, nil, "n").Agg(ops.Sum, expr.C("amount"), "s").
-			Run(CaptureOptions{Mode: ops.Inject})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Out.N != want.Out.N {
-			t.Fatalf("workers=%d: %d groups, want %d", workers, got.Out.N, want.Out.N)
-		}
-		for c := range want.Out.Cols {
-			if !reflect.DeepEqual(got.Out.Cols[c], want.Out.Cols[c]) {
-				t.Fatalf("workers=%d: output column %d diverges", workers, c)
-			}
-		}
-		for o := 0; o < want.Out.N; o++ {
-			w, _ := want.Backward("orders", []Rid{Rid(o)})
-			g, err := got.Backward("orders", []Rid{Rid(o)})
+		for _, opts := range []CaptureOptions{
+			{Mode: ops.Inject},
+			{Mode: ops.Inject, PushdownFilter: expr.LtE(expr.C("amount"), expr.F(30)), PartitionBy: []string{"state"}},
+		} {
+			name := fmt.Sprintf("workers=%d pushdown=%v", workers, opts.PartitionBy != nil)
+			wantOpts := opts
+			wantOpts.Parallelism = 1
+			want, err := base.ConsumeGroupBy(rids, spec, wantOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(w, g) {
-				t.Fatalf("workers=%d: group %d backward lineage diverges:\n got %v\nwant %v", workers, o, g, w)
+
+			got, err := db.Query().Trace(base, TraceBackward, "orders", Rids(seeds...)).GroupBy("cat").
+				Agg(ops.Count, nil, "n").Agg(ops.Sum, expr.C("amount"), "s").
+				Run(opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-		}
-		// The consuming result is itself a single-base query: chain another
-		// trace off it (Q1b → Q1c).
-		chain, err := db.Query().Trace(got, TraceBackward, "orders", Rids(0)).Run(CaptureOptions{Mode: ops.Inject})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantChain, err := got.Backward("orders", []Rid{0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if chain.Out.N != len(wantChain) {
-			t.Fatalf("workers=%d: chained trace rows %d, want %d", workers, chain.Out.N, len(wantChain))
+			if got.Out.N != want.Out.N {
+				t.Fatalf("%s: %d groups, want %d", name, got.Out.N, want.Out.N)
+			}
+			for c := range want.Out.Cols {
+				if !reflect.DeepEqual(got.Out.Cols[c], want.Out.Cols[c]) {
+					t.Fatalf("%s: output column %d diverges", name, c)
+				}
+			}
+			for o := 0; o < want.Out.N; o++ {
+				w, _ := want.Backward("orders", []Rid{Rid(o)})
+				g, err := got.Backward("orders", []Rid{Rid(o)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(w, g) {
+					t.Fatalf("%s: group %d backward lineage diverges:\n got %v\nwant %v", name, o, g, w)
+				}
+				if opts.PartitionBy == nil {
+					continue
+				}
+				for state := int64(0); state < 5; state++ {
+					w, err := want.BackwardPartition(Rid(o), []any{state})
+					if err != nil {
+						t.Fatal(err)
+					}
+					g, err := got.BackwardPartition(Rid(o), []any{state})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !reflect.DeepEqual(w, g) {
+						t.Fatalf("%s: group %d partition state=%d diverges:\n got %v\nwant %v", name, o, state, g, w)
+					}
+				}
+			}
+			if opts.PartitionBy != nil {
+				continue
+			}
+			// The consuming result is itself a single-base query: chain
+			// another trace off it (Q1b → Q1c).
+			chain, err := db.Query().Trace(got, TraceBackward, "orders", Rids(0)).Run(CaptureOptions{Mode: ops.Inject})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantChain, err := got.Backward("orders", []Rid{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chain.Out.N != len(wantChain) {
+				t.Fatalf("%s: chained trace rows %d, want %d", name, chain.Out.N, len(wantChain))
+			}
 		}
 	}
 }
@@ -188,7 +217,7 @@ func TestQueryForward(t *testing.T) {
 
 // TestTraceQueryErrors pins the builder misuse errors.
 func TestTraceQueryErrors(t *testing.T) {
-	db, _ := traceDB(t, 1)
+	db, rel := traceDB(t, 1)
 	defer db.Close()
 	base, err := db.Query().From("orders", nil).GroupBy("state").
 		Agg(ops.Count, nil, "c").Run(CaptureOptions{Mode: ops.Inject})
@@ -207,10 +236,31 @@ func TestTraceQueryErrors(t *testing.T) {
 	if _, err := db.Query().Trace(base, TraceBackward, "nope", Rids(0)).Run(CaptureOptions{}); err == nil {
 		t.Error("unknown table should fail")
 	}
-	if _, err := db.Query().Trace(base, TraceBackward, "orders", Rids(0)).GroupBy("cat").
+	// A consuming trace query takes capture push-downs like a base query:
+	// the selection push-down keeps only the passing rows' lineage.
+	pd, err := db.Query().Trace(base, TraceBackward, "orders", Rids(0)).GroupBy("cat").
 		Agg(ops.Count, nil, "n").
-		Run(CaptureOptions{Mode: ops.Inject, PushdownFilter: expr.EqE(expr.C("cat"), expr.I(1))}); err == nil {
-		t.Error("capture push-down on a trace query should fail")
+		Run(CaptureOptions{Mode: ops.Inject, PushdownFilter: expr.EqE(expr.C("cat"), expr.I(1))})
+	if err != nil {
+		t.Fatalf("capture push-down on a trace query: %v", err)
+	}
+	for o := 0; o < pd.Out.N; o++ {
+		rids, err := pd.Backward("orders", []Rid{Rid(o)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if pd.Out.Int(0, o) == 1 {
+			want = int(pd.Out.Int(1, o))
+		}
+		if len(rids) != want {
+			t.Fatalf("group cat=%d: %d lineage rids, want %d", pd.Out.Int(0, o), len(rids), want)
+		}
+		for _, r := range rids {
+			if rel.Cols[1].Ints[r] != 1 {
+				t.Fatalf("rid %d fails the push-down filter", r)
+			}
+		}
 	}
 	// Pruned capture: tracing a direction that was never captured errors.
 	pruned, err := db.Query().From("orders", nil).GroupBy("state").
@@ -221,5 +271,39 @@ func TestTraceQueryErrors(t *testing.T) {
 	}
 	if _, err := db.Query().Trace(pruned, TraceBackward, "orders", Rids(0)).Run(CaptureOptions{Mode: ops.Inject}); err == nil {
 		t.Error("backward trace over a forward-only capture should fail")
+	}
+}
+
+// TestPushdownResultTracesRestrictedLineage: a selection push-down result
+// holds only the lineage of rows passing the push-down filter. Its group-by
+// must not count as scan-equivalent, or an everything-seeded trace — whose
+// seeds cover every group — would run the base scan and return every row.
+func TestPushdownResultTracesRestrictedLineage(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		db, rel := traceDB(t, workers)
+		defer db.Close()
+		res, err := db.Query().From("orders", nil).GroupBy("state").Agg(ops.Count, nil, "c").
+			Run(CaptureOptions{Mode: ops.Inject, PushdownFilter: expr.EqE(expr.C("cat"), expr.I(1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced, err := db.Query().Trace(res, TraceBackward, "orders", Where(nil)).Run(CaptureOptions{Mode: ops.Inject})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for i := 0; i < rel.N; i++ {
+			if rel.Cols[1].Ints[i] == 1 {
+				want++
+			}
+		}
+		if traced.Out.N != want {
+			t.Fatalf("workers=%d: traced %d rows, want the %d passing the push-down", workers, traced.Out.N, want)
+		}
+		for o := 0; o < traced.Out.N; o++ {
+			if traced.Out.Cols[1].Ints[o] != 1 {
+				t.Fatalf("workers=%d: traced row %d has cat %d", workers, o, traced.Out.Cols[1].Ints[o])
+			}
+		}
 	}
 }

@@ -234,11 +234,31 @@ func Check(seed int64, queries int) error {
 		return fmt.Errorf("difftest: variant order broken: %q first", variants[0].Name)
 	}
 
+	// Push-down filters draw from their own stream, so the generated
+	// queries are the same with or without the push-down variant.
+	pdr := rand.New(rand.NewSource(-seed))
+
 	for qi := 0; qi < queries; qi++ {
 		build, desc, singleTable := GenQuery(ds, r)
 		ref, err := build().Run(variants[0].Opts)
 		if err != nil {
 			return fmt.Errorf("difftest: seed %d query %d (%s): reference run: %w", seed, qi, desc, err)
+		}
+		if singleTable {
+			// The §4.2 push-downs ride every variant: selection push-down
+			// and data skipping on b must reshape only the backward lineage.
+			pd := genFactFilter(pdr)
+			for _, v := range variants {
+				opts := v.Opts
+				opts.PushdownFilter, opts.PartitionBy = pd, []string{"b"}
+				got, err := build().Run(opts)
+				if err == nil {
+					err = diffPushdown(ds.Fact, ref, got, pd)
+				}
+				if err != nil {
+					return fmt.Errorf("difftest: seed %d query %d (%s) variant %s with push-down %v: %w", seed, qi, desc, v.Name, pd, err)
+				}
+			}
 		}
 		var refCons *core.Result
 		var consSpec ops.GroupBySpec
@@ -362,6 +382,50 @@ func diffResults(ref, got *core.Result) error {
 			}
 			if err := diffRids(want, gotL); err != nil {
 				return fmt.Errorf("forward lineage of %s input %d: %w", rel, in, err)
+			}
+		}
+	}
+	return nil
+}
+
+// diffPushdown checks a push-down run (PushdownFilter pd, PartitionBy b)
+// against the plain reference: the same output, and for every group o and
+// observed b value x, BackwardPartition(o, [x]) is the reference backward
+// list of o restricted to rows passing pd with b = x, order preserved.
+func diffPushdown(fact *storage.Relation, ref, got *core.Result, pd expr.Expr) error {
+	if err := diffRelation(ref.Out, got.Out); err != nil {
+		return err
+	}
+	pass := expr.Pred(func(int32) bool { return true })
+	if pd != nil {
+		var err error
+		if pass, err = expr.CompilePred(pd, fact, nil); err != nil {
+			return err
+		}
+	}
+	bs := fact.Cols[fact.Schema.MustCol("b")].Ints
+	seen := map[int64]bool{}
+	for _, b := range bs {
+		seen[b] = true
+	}
+	for o := 0; o < ref.Out.N; o++ {
+		all, err := ref.Backward("fact", []lineage.Rid{lineage.Rid(o)})
+		if err != nil {
+			return err
+		}
+		want := map[int64][]lineage.Rid{}
+		for _, r := range all {
+			if pass(r) {
+				want[bs[r]] = append(want[bs[r]], r)
+			}
+		}
+		for x := range seen {
+			gotL, err := got.BackwardPartition(lineage.Rid(o), []any{x})
+			if err != nil {
+				return err
+			}
+			if err := diffRids(want[x], gotL); err != nil {
+				return fmt.Errorf("backward partition of output %d at b = %d: %w", o, x, err)
 			}
 		}
 	}

@@ -5,11 +5,13 @@ import (
 	"sort"
 	"strings"
 
+	"smoke/internal/cube"
 	"smoke/internal/expr"
 	"smoke/internal/lineage"
 	"smoke/internal/ops"
 	"smoke/internal/plan"
 	"smoke/internal/pool"
+	"smoke/internal/serr"
 	"smoke/internal/storage"
 )
 
@@ -78,6 +80,11 @@ type PlanResult struct {
 	Out         *storage.Relation
 	Capture     *lineage.Capture
 	GroupCounts []int64
+	// BWPart and Cube are what a root GroupBy's capture push-downs
+	// (plan.Pushdown) produce beside the capture: the data-skipping
+	// backward index, which replaces the plain one, and the partial cube.
+	BWPart *lineage.PartitionedIndex
+	Cube   *cube.Cube
 }
 
 // RunPlan executes an (optimized) plan tree with end-to-end lineage capture.
@@ -96,17 +103,21 @@ func RunPlan(n plan.Node, opts PlanOpts) (PlanResult, error) {
 	if opts.Compress && opts.Mode != ops.None {
 		cap_.EncodeAll()
 	}
-	return PlanResult{Out: out.rel, Capture: cap_, GroupCounts: out.counts}, nil
+	return PlanResult{Out: out.rel, Capture: cap_, GroupCounts: out.counts,
+		BWPart: out.bwPart, Cube: out.cube}, nil
 }
 
 // nodeOut carries a node's relation, its per-base-relation end-to-end
 // indexes, and (for aggregation outputs) per-row group cardinalities during
-// recursive execution.
+// recursive execution. bwPart and cube are set only by a group-by with
+// capture push-downs; operators above it do not carry them on.
 type nodeOut struct {
 	rel    *storage.Relation
 	bw     map[string]*lineage.Index
 	fw     map[string]*lineage.Index
 	counts []int64
+	bwPart *lineage.PartitionedIndex
+	cube   *cube.Cube
 }
 
 // localDirs reports which directions the node above needs to capture locally
@@ -231,18 +242,10 @@ func runScan(node plan.Scan, opts PlanOpts) (nodeOut, error) {
 		}
 		return out, nil
 	}
-	pred, err := expr.CompilePred(node.Filter, node.Rel, opts.Params)
+	sres, err := selectRows(node.Rel, node.Filter, dirs, opts)
 	if err != nil {
 		return nodeOut{}, err
 	}
-	selMode := ops.None
-	if dirs != 0 {
-		selMode = ops.Inject
-	}
-	sres := ops.Select(node.Rel.N, pred, ops.SelectOpts{
-		Mode: selMode, Dirs: dirs, Workers: opts.Workers, Pool: opts.Pool,
-		Kernel: expr.CompileBitKernel(node.Filter, node.Rel, opts.Params),
-	})
 	// The filtered intermediate keeps the base name: downstream joins prefix
 	// colliding columns with it, and qualified join keys ("table.col")
 	// resolve against that prefix.
@@ -256,24 +259,35 @@ func runScan(node plan.Scan, opts PlanOpts) (nodeOut, error) {
 	return out, nil
 }
 
+// selectRows runs the morsel-parallel selection of pred over rel, capturing
+// the given directions (none: just the selected rids, which Select keeps
+// non-nil even when nothing matches — nil would mean "all rows" to the
+// aggregation kernels).
+func selectRows(rel *storage.Relation, pred expr.Expr, dirs ops.Directions, opts PlanOpts) (ops.SelectResult, error) {
+	p, err := expr.CompilePred(pred, rel, opts.Params)
+	if err != nil {
+		return ops.SelectResult{}, err
+	}
+	mode := ops.None
+	if dirs != 0 {
+		mode = ops.Inject
+	}
+	return ops.Select(rel.N, p, ops.SelectOpts{
+		Mode: mode, Dirs: dirs, Workers: opts.Workers, Pool: opts.Pool,
+		Kernel: expr.CompileBitKernel(pred, rel, opts.Params),
+	}), nil
+}
+
 func runFilter(node plan.Filter, opts PlanOpts) (nodeOut, error) {
 	child, err := runNode(node.Child, opts)
 	if err != nil {
 		return nodeOut{}, err
 	}
-	pred, err := expr.CompilePred(node.Pred, child.rel, opts.Params)
+	dirs := localDirs(&child)
+	sres, err := selectRows(child.rel, node.Pred, dirs, opts)
 	if err != nil {
 		return nodeOut{}, err
 	}
-	dirs := localDirs(&child)
-	selMode := ops.None
-	if dirs != 0 {
-		selMode = ops.Inject
-	}
-	sres := ops.Select(child.rel.N, pred, ops.SelectOpts{
-		Mode: selMode, Dirs: dirs, Workers: opts.Workers, Pool: opts.Pool,
-		Kernel: expr.CompileBitKernel(node.Pred, child.rel, opts.Params),
-	})
 	rel := child.rel.Gather(child.rel.Name+"_f", sres.OutRids)
 	var localBW, localFW *lineage.Index
 	if dirs.Backward() {
@@ -304,9 +318,8 @@ func groupBySpec(node plan.GroupBy) ops.GroupBySpec {
 }
 
 func runGroupBy(node plan.GroupBy, opts PlanOpts) (nodeOut, error) {
-	spec := groupBySpec(node)
 	if sc, ok := node.Child.(plan.Scan); ok {
-		return runGroupByOverScan(sc, spec, opts)
+		return runGroupByOverScan(sc, node, opts)
 	}
 	if bt, ok := node.Child.(plan.Backward); ok {
 		// Trace-then-aggregate pipelining (the consuming-query fast path):
@@ -323,11 +336,18 @@ func runGroupBy(node plan.GroupBy, opts PlanOpts) (nodeOut, error) {
 		if scan != nil {
 			// The selectivity choice picked scan-and-filter: the trace IS a
 			// filtered scan, so the block is a plain scan aggregation.
-			return runGroupByOverScan(*scan, spec, opts)
+			return runGroupByOverScan(*scan, node, opts)
 		}
-		return runGroupByOverRids(bt.Rel, bt.Table, rids, true, spec, opts)
+		return runGroupByOverRids(bt.Rel, bt.Table, rids, true, node, opts)
+	}
+	if node.Pushdown != nil {
+		// Here the group-by's input rids would be intermediate rids, which
+		// the partitioned index and the cube cannot address.
+		return nodeOut{}, serr.New(serr.Unsupported,
+			"exec: capture push-downs require a group-by over a base scan or a backward trace, not %T", node.Child)
 	}
 
+	spec := groupBySpec(node)
 	child, err := runNode(node.Child, opts)
 	if err != nil {
 		return nodeOut{}, err
@@ -361,50 +381,59 @@ func runGroupBy(node plan.GroupBy, opts PlanOpts) (nodeOut, error) {
 // runGroupByOverScan is the single-table fast path: the scan's filter
 // materializes a rid subset once and the aggregation runs over it, so
 // captured rids stay base-relation rids with no composition step.
-func runGroupByOverScan(sc plan.Scan, spec ops.GroupBySpec, opts PlanOpts) (nodeOut, error) {
+func runGroupByOverScan(sc plan.Scan, node plan.GroupBy, opts PlanOpts) (nodeOut, error) {
 	var inRids []lineage.Rid
 	if sc.Filter != nil {
-		pred, err := expr.CompilePred(sc.Filter, sc.Rel, opts.Params)
+		sres, err := selectRows(sc.Rel, sc.Filter, 0, opts)
 		if err != nil {
 			return nodeOut{}, err
 		}
-		// Select guarantees a non-nil OutRids under Mode None even for
-		// zero matches — load-bearing, because a nil rid subset means
-		// "all rows" to HashAgg.
-		sres := ops.Select(sc.Rel.N, pred, ops.SelectOpts{
-			Mode: ops.None, Workers: opts.Workers, Pool: opts.Pool,
-			Kernel: expr.CompileBitKernel(sc.Filter, sc.Rel, opts.Params),
-		})
 		inRids = sres.OutRids
 	}
-	return runGroupByOverRids(sc.Rel, sc.Table, inRids, false, spec, opts)
+	return runGroupByOverRids(sc.Rel, sc.Table, inRids, false, node, opts)
 }
 
 // runGroupByOverRids is the shared tail of both fast paths: aggregate the
 // base relation over a rid subset (nil = all rows) and install the captured
-// indexes directly under the base table's name.
+// indexes directly under the base table's name. The group-by's capture
+// push-downs apply here, where its input rids are base rids.
 func runGroupByOverRids(rel *storage.Relation, table string, inRids []lineage.Rid, dupRids bool,
-	spec ops.GroupBySpec, opts PlanOpts) (nodeOut, error) {
+	node plan.GroupBy, opts PlanOpts) (nodeOut, error) {
 	dirs := opts.dirsFor(table)
 	mode := opts.Mode
 	if dirs == 0 {
 		mode = ops.None
 	}
-	ares, err := ops.HashAgg(rel, inRids, spec, ops.AggOpts{
+	aopts := ops.AggOpts{
 		Mode: mode, Dirs: dirs, Params: opts.Params,
 		Workers: opts.Workers, Pool: opts.Pool, Compress: opts.Compress,
 		DupRids: dupRids,
-	})
+	}
+	var cb *cube.Builder
+	if pd := node.Pushdown; pd != nil {
+		aopts.CountsByKey, aopts.PushdownFilter, aopts.PartitionBy = pd.CountsByKey, pd.Filter, pd.PartitionBy
+		if pd.Cube != nil {
+			var err error
+			if cb, err = cube.NewBuilder(rel, *pd.Cube, opts.Params); err != nil {
+				return nodeOut{}, err
+			}
+			aopts.Observe = cb.Observe
+		}
+	}
+	ares, err := ops.HashAgg(rel, inRids, groupBySpec(node), aopts)
 	if err != nil {
 		return nodeOut{}, err
 	}
-	out := nodeOut{rel: ares.Out, counts: ares.GroupCounts,
+	out := nodeOut{rel: ares.Out, counts: ares.GroupCounts, bwPart: ares.BWPart,
 		bw: map[string]*lineage.Index{}, fw: map[string]*lineage.Index{}}
 	if ix := ares.BackwardIndex(); ix != nil {
 		out.bw[table] = ix
 	}
 	if ix := ares.ForwardIndex(); ix != nil {
 		out.fw[table] = ix
+	}
+	if cb != nil {
+		out.cube = cb.Build()
 	}
 	return out, nil
 }

@@ -5,10 +5,12 @@ import (
 	"sort"
 	"testing"
 
+	"smoke/internal/cube"
 	"smoke/internal/datagen"
 	"smoke/internal/expr"
 	"smoke/internal/ops"
 	"smoke/internal/plan"
+	"smoke/internal/serr"
 	"smoke/internal/storage"
 )
 
@@ -374,5 +376,59 @@ func TestPlanSPJAOverSubplan(t *testing.T) {
 	// gids is a direct scan input: its capture must be keyed by base name.
 	if !res.Capture.HasBackward("gids") || !res.Capture.HasForward("gids") {
 		t.Fatal("scan input capture missing")
+	}
+}
+
+// A group-by's capture push-downs lower into its hash aggregation when its
+// input rids are base rids, producing the data-skipping index and the cube
+// beside the capture. Over any other child they would address intermediate
+// rids: that is a structured Unsupported error, never a silent drop.
+func TestPlanGroupByPushdowns(t *testing.T) {
+	rel := datagen.Zipf("zipf", 1.0, 2000, 10, 5)
+	pass := expr.LtE(expr.C("v"), expr.F(50))
+	gb := plan.GroupBy{
+		Child: plan.Scan{Table: "zipf", Rel: rel},
+		Keys:  []string{"z"},
+		Aggs:  []plan.AggDef{{Fn: ops.Count, Name: "c"}},
+		Pushdown: &plan.Pushdown{Filter: pass, PartitionBy: []string{"z"},
+			Cube: &cube.Spec{Dims: []string{"z"}, Aggs: []cube.AggDef{{Fn: ops.Count, Name: "c"}}}},
+	}
+	for _, workers := range []int{1, 3} {
+		res, err := RunPlan(gb, PlanOpts{Mode: ops.Inject, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BWPart == nil || res.Cube == nil {
+			t.Fatalf("workers=%d: push-down outputs missing (BWPart %v, Cube %v)", workers, res.BWPart != nil, res.Cube != nil)
+		}
+		if res.Capture.HasBackward("zipf") {
+			t.Fatalf("workers=%d: the data-skipping index must replace the plain backward index", workers)
+		}
+		vcol, zcol := rel.Schema.MustCol("v"), rel.Schema.MustCol("z")
+		for o := 0; o < res.Out.N; o++ {
+			key := res.Out.Int(0, o)
+			var want []int32
+			for r := 0; r < rel.N; r++ {
+				if rel.Int(zcol, r) == key && rel.Float(vcol, r) < 50 {
+					want = append(want, int32(r))
+				}
+			}
+			if got := res.BWPart.Partition(o, key); !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d group %d: partition rids %v, want %v", workers, o, got, want)
+			}
+			ans, err := res.Cube.Query(int32(o), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := ans.Int(ans.Schema.MustCol("c"), 0); c != res.GroupCounts[o] {
+				t.Fatalf("workers=%d group %d: cube count %d, want %d", workers, o, c, res.GroupCounts[o])
+			}
+		}
+	}
+
+	generic := gb
+	generic.Child = plan.Filter{Child: plan.Scan{Table: "zipf", Rel: rel}, Pred: pass}
+	if _, err := RunPlan(generic, PlanOpts{Mode: ops.Inject}); serr.KindOf(err) != serr.Unsupported {
+		t.Fatalf("push-downs over a filter: err = %v, want Unsupported", err)
 	}
 }

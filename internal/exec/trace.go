@@ -122,14 +122,10 @@ func traceSeeds(seedRel *storage.Relation, ixLen int, rids []lineage.Rid, pred e
 		}
 		return all, nil
 	}
-	p, err := expr.CompilePred(pred, seedRel, opts.Params)
+	sres, err := selectRows(seedRel, pred, 0, opts)
 	if err != nil {
 		return nil, fmt.Errorf("exec: trace seed predicate: %w", err)
 	}
-	sres := ops.Select(seedRel.N, p, ops.SelectOpts{
-		Mode: ops.None, Workers: opts.Workers, Pool: opts.Pool,
-		Kernel: expr.CompileBitKernel(pred, seedRel, opts.Params),
-	})
 	return sres.OutRids, nil
 }
 
@@ -330,17 +326,9 @@ func scanRids(sc plan.Scan, opts PlanOpts) ([]lineage.Rid, error) {
 		}
 		return all, nil
 	}
-	p, err := expr.CompilePred(sc.Filter, sc.Rel, opts.Params)
+	sres, err := selectRows(sc.Rel, sc.Filter, 0, opts)
 	if err != nil {
 		return nil, fmt.Errorf("exec: trace scan filter: %w", err)
 	}
-	sres := ops.Select(sc.Rel.N, p, ops.SelectOpts{
-		Mode: ops.None, Workers: opts.Workers, Pool: opts.Pool,
-		Kernel: expr.CompileBitKernel(sc.Filter, sc.Rel, opts.Params),
-	})
-	rids := sres.OutRids
-	if rids == nil {
-		rids = []lineage.Rid{}
-	}
-	return rids, nil
+	return sres.OutRids, nil
 }

@@ -299,3 +299,22 @@ func TestPartitionedIndex(t *testing.T) {
 		t.Errorf("Len = %d", p.Len())
 	}
 }
+
+// All is the unpartitioned backward list: it must not depend on map
+// iteration order, or two reads of one capture could disagree.
+func TestPartitionedIndexAllIsOrdered(t *testing.T) {
+	p := NewPartitionedIndex(1, nil)
+	var want []Rid
+	for k := int64(0); k < 32; k++ {
+		want = append(want, Rid(2*k), Rid(2*k+1))
+	}
+	for k := int64(31); k >= 0; k-- {
+		p.Append(0, k, Rid(2*k))
+		p.Append(0, k, Rid(2*k+1))
+	}
+	for i := 0; i < 4; i++ {
+		if got := p.All(0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("All(0) = %v, want partitions in ascending key order %v", got, want)
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package lineage
 
+import "slices"
+
 // Dict interns partition-attribute values as dense int64 codes. The data
 // skipping optimization (§4.2) partitions rid arrays by (possibly composite,
 // possibly string-valued) predicate attributes; interning keeps partition
@@ -84,23 +86,25 @@ func (p *PartitionedIndex) Partition(i int, part int64) []Rid {
 	return m[part]
 }
 
-// Partitions returns the partition keys present for output i.
+// Partitions returns the partition keys present for output i, ascending.
 func (p *PartitionedIndex) Partitions(i int) []int64 {
 	m := p.parts[i]
 	keys := make([]int64, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
+	slices.Sort(keys)
 	return keys
 }
 
 // All returns all rids of output i across partitions (the unpartitioned
-// backward lineage).
+// backward lineage): the partitions in ascending key order, each in capture
+// order, so every call and every partitioning of the capture agrees.
 func (p *PartitionedIndex) All(i int) []Rid {
 	m := p.parts[i]
 	var out []Rid
-	for _, l := range m {
-		out = append(out, l...)
+	for _, k := range p.Partitions(i) {
+		out = append(out, m[k]...)
 	}
 	return out
 }

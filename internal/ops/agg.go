@@ -261,15 +261,15 @@ func partitionKeyFn(in *storage.Relation, attrs []string) (func(Rid) int64, *lin
 }
 
 // PartitionKey recomputes the partition code of an attribute-value
-// combination so consuming queries can address the right partition. Values
-// must be given in PartitionBy order, one per attribute; each is encoded
-// through the same key encoder partitionKeyFn applies to column values at
-// capture time.
-func PartitionKey(res *AggResult, in *storage.Relation, attrs []string, vals []any) (int64, bool) {
+// combination so consuming queries can address the right partition of part
+// (an AggResult.BWPart captured over in). Values must be given in
+// PartitionBy order, one per attribute; each is encoded through the same key
+// encoder partitionKeyFn applies to column values at capture time.
+func PartitionKey(part *lineage.PartitionedIndex, in *storage.Relation, attrs []string, vals []any) (int64, bool) {
 	if len(vals) != len(attrs) {
 		return 0, false
 	}
-	dict := res.BWPart.Dict()
+	dict := part.Dict()
 	if dict == nil {
 		return intValue(vals[0]) // single int attribute: the value is the code
 	}

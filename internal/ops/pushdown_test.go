@@ -83,7 +83,7 @@ func TestDataSkippingPartitionsBackward(t *testing.T) {
 		mcol := rel.Schema.MustCol("mode")
 		zcol := rel.Schema.MustCol("z")
 		attrs := []string{"mode"}
-		pk, ok := PartitionKey(&res, rel, attrs, []any{"MAIL"})
+		pk, ok := PartitionKey(res.BWPart, rel, attrs, []any{"MAIL"})
 		if !ok {
 			t.Fatalf("mode %v: MAIL partition key not found", mode)
 		}
@@ -111,7 +111,7 @@ func TestDataSkippingIntAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, ok := PartitionKey(&res, rel, []string{"id"}, []any{7})
+	pk, ok := PartitionKey(res.BWPart, rel, []string{"id"}, []any{7})
 	if !ok || pk != 7 {
 		t.Fatalf("int partition key = %d, %v", pk, ok)
 	}
@@ -126,7 +126,7 @@ func TestDataSkippingCompositeKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, ok := PartitionKey(&res, rel, []string{"mode", "z"}, []any{"MAIL", int64(1)})
+	pk, ok := PartitionKey(res.BWPart, rel, []string{"mode", "z"}, []any{"MAIL", int64(1)})
 	if !ok {
 		t.Fatal("composite partition key not found")
 	}
@@ -145,7 +145,7 @@ func TestDataSkippingCompositeKey(t *testing.T) {
 		t.Fatal("composite partition empty")
 	}
 	// Unseen combination reports not-found.
-	if _, ok := PartitionKey(&res, rel, []string{"mode", "z"}, []any{"NOPE", int64(1)}); ok {
+	if _, ok := PartitionKey(res.BWPart, rel, []string{"mode", "z"}, []any{"NOPE", int64(1)}); ok {
 		t.Fatal("unseen combination should not resolve")
 	}
 }
@@ -169,7 +169,7 @@ func TestDataSkippingFloatAttribute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pk, ok := PartitionKey(&res, rel, tc.attrs, tc.vals)
+		pk, ok := PartitionKey(res.BWPart, rel, tc.attrs, tc.vals)
 		if !ok {
 			t.Fatalf("%v = %v: partition key not found", tc.attrs, tc.vals)
 		}
@@ -191,7 +191,7 @@ func TestDataSkippingFloatAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := PartitionKey(&res, rel, []string{"v"}, []any{"42"}); ok {
+	if _, ok := PartitionKey(res.BWPart, rel, []string{"v"}, []any{"42"}); ok {
 		t.Fatal("a string value resolved a float partition")
 	}
 }

@@ -57,6 +57,9 @@ func fingerprint(b *strings.Builder, n Node) {
 		b.WriteByte(')')
 	case GroupBy:
 		fmt.Fprintf(b, "groupby(keys=%s,aggs=%s,", strings.Join(node.Keys, "|"), formatAggs(node.Aggs))
+		if node.Pushdown != nil {
+			fmt.Fprintf(b, "pushdown=%s,", node.Pushdown)
+		}
 		fingerprint(b, node.Child)
 		b.WriteByte(')')
 	case Union:
@@ -151,13 +154,7 @@ func traceFingerprint(rids []lineage.Rid, seedPred, filter expr.Expr,
 	var b strings.Builder
 	switch {
 	case rids != nil:
-		h := fnv.New64a()
-		var buf [4]byte
-		for _, r := range rids {
-			buf[0], buf[1], buf[2], buf[3] = byte(r), byte(r>>8), byte(r>>16), byte(r>>24)
-			h.Write(buf[:])
-		}
-		fmt.Fprintf(&b, "seeds=rids:%d:%x", len(rids), h.Sum64())
+		fmt.Fprintf(&b, "seeds=rids:%d:%x", len(rids), hashRids(rids))
 	case seedPred != nil:
 		fmt.Fprintf(&b, "seeds=pred:%s", seedPred)
 	default:
@@ -173,4 +170,15 @@ func traceFingerprint(rids []lineage.Rid, seedPred, filter expr.Expr,
 		fmt.Fprintf(&b, ",bound=%p", bound.Capture)
 	}
 	return b.String()
+}
+
+// hashRids is the FNV-1a hash of a rid list's little-endian bytes.
+func hashRids(rids []lineage.Rid) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, r := range rids {
+		buf[0], buf[1], buf[2], buf[3] = byte(r), byte(r>>8), byte(r>>16), byte(r>>24)
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }

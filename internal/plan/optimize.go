@@ -372,9 +372,14 @@ func traceScanEquiv(node Backward) (Scan, bool) {
 // chooser via ProfileTrace) understands: an optional group-by over an
 // optional filter over a scan. keys/grouped carry the group-by context;
 // pred is the intermediate filter, folded into the returned scan's filter by
-// the caller.
+// the caller. A group-by carrying capture push-downs never matches: its
+// lineage is what the push-downs captured (a selection push-down keeps only
+// the passing rows), not every row of its groups.
 func scanEquivSource(src Node) (sc Scan, pred expr.Expr, keys []string, grouped bool, ok bool) {
 	if gb, isGB := src.(GroupBy); isGB {
+		if gb.Pushdown != nil {
+			return sc, nil, nil, false, false
+		}
 		keys, grouped = gb.Keys, true
 		src = gb.Child
 	}
@@ -526,8 +531,9 @@ func keyUnique(n Node, col string, cat *storage.Catalog) bool {
 // fuseNode rewrites fusible GroupBy-over-pk-fk-join-chain subtrees into SPJA
 // nodes (bottom-up, so inner blocks fuse before outer ones). Preconditions:
 // at least two inputs, every chain join pk-fk with integer keys, no
-// COUNT(DISTINCT) (the fused aggregation does not implement it), and every
-// group key and aggregate argument resolving to exactly one input.
+// COUNT(DISTINCT) (the fused aggregation does not implement it), no capture
+// push-downs (the block has no place for them), and every group key and
+// aggregate argument resolving to exactly one input.
 func fuseNode(n Node) Node {
 	switch node := n.(type) {
 	case Filter:
@@ -571,6 +577,9 @@ func fuseNode(n Node) Node {
 }
 
 func tryFuse(g GroupBy) (Node, bool) {
+	if g.Pushdown != nil {
+		return nil, false
+	}
 	inputs, filters, joins, ok := collectChain(g.Child)
 	if !ok || len(inputs) < 2 {
 		return nil, false

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strings"
 
+	"smoke/internal/cube"
 	"smoke/internal/expr"
 	"smoke/internal/lineage"
 	"smoke/internal/ops"
@@ -72,8 +73,8 @@ type Join struct {
 }
 
 // AggDef is one aggregate of a GroupBy node. Filter models the SQL
-// CASE WHEN ... THEN 1 counting idiom and is supported on fusible blocks
-// only (the generic hash aggregation has no per-aggregate filters).
+// CASE WHEN ... THEN 1 counting idiom: the aggregate folds only the rows
+// passing it, on every lowering (fused block and hash aggregation alike).
 type AggDef struct {
 	Fn     ops.AggFn
 	Arg    expr.Expr // nil for COUNT(*)
@@ -96,6 +97,43 @@ type GroupBy struct {
 	Child Node
 	Keys  []string
 	Aggs  []AggDef
+	// Pushdown, when set, shapes the group-by's lineage capture (§4.2).
+	Pushdown *Pushdown
+}
+
+// Pushdown is the workload-aware capture annotation of a GroupBy: how it
+// captures backward lineage, chosen because the future lineage queries are
+// known up front (§4.2). It never changes the output. It applies only to a
+// group-by directly over a base Scan or a Backward trace, whose input rids
+// are base rids: the partitioned index and the cube address them.
+type Pushdown struct {
+	CountsByKey []int32    // exact cardinality per integer group key (§6.1.1)
+	Filter      expr.Expr  // capture only rows passing it (selection push-down)
+	PartitionBy []string   // partition backward rids by these attributes (data skipping)
+	Cube        *cube.Spec // drill-down aggregates built during capture (group-by push-down)
+}
+
+// String renders the annotation canonically for EXPLAIN and Fingerprint;
+// the counts are content-hashed like trace seeds.
+func (p *Pushdown) String() string {
+	var parts []string
+	if p.CountsByKey != nil {
+		parts = append(parts, fmt.Sprintf("counts=%d:%x", len(p.CountsByKey), hashRids(p.CountsByKey)))
+	}
+	if p.Filter != nil {
+		parts = append(parts, fmt.Sprintf("filter=%s", p.Filter))
+	}
+	if p.PartitionBy != nil {
+		parts = append(parts, fmt.Sprintf("partition=[%s]", strings.Join(p.PartitionBy, ", ")))
+	}
+	if p.Cube != nil {
+		aggs := make([]AggDef, len(p.Cube.Aggs))
+		for i, a := range p.Cube.Aggs {
+			aggs[i] = AggDef{Fn: a.Fn, Arg: a.Arg, Name: a.Name}
+		}
+		parts = append(parts, fmt.Sprintf("cube=[%s; %s]", strings.Join(p.Cube.Dims, ", "), formatAggs(aggs)))
+	}
+	return strings.Join(parts, " ")
 }
 
 // Union computes the set union of its children over the given attributes.
@@ -465,8 +503,12 @@ func format(b *strings.Builder, n Node, depth int) {
 		format(b, node.Left, depth+1)
 		format(b, node.Right, depth+1)
 	case GroupBy:
-		fmt.Fprintf(b, "GroupBy keys=[%s] aggs=[%s]\n",
+		fmt.Fprintf(b, "GroupBy keys=[%s] aggs=[%s]",
 			strings.Join(node.Keys, ", "), formatAggs(node.Aggs))
+		if node.Pushdown != nil {
+			fmt.Fprintf(b, " pushdown=[%s]", node.Pushdown)
+		}
+		b.WriteByte('\n')
 		format(b, node.Child, depth+1)
 	case Union:
 		fmt.Fprintf(b, "Union attrs=[%s]\n", strings.Join(node.Attrs, ", "))
