@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -599,7 +600,16 @@ func (s *Store) LoadResult(session, name string) (*Result, error) {
 	if len(rm.Indexes) > 0 {
 		cp := lineage.NewCapture()
 		for _, im := range rm.Indexes {
-			ix, err := loadIndex(seg, im.Sec, im)
+			// Forward values index output rows, backward ones base rows
+			// (unbounded but for the rid type when no base is recorded).
+			bound := out.N
+			if im.Dir == "bw" {
+				bound = math.MaxInt32
+				if base, ok := r.Bases[im.Rel]; ok {
+					bound = base.N
+				}
+			}
+			ix, err := loadIndex(seg, im.Sec, im, bound)
 			if err != nil {
 				return nil, err
 			}

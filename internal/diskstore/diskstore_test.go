@@ -195,43 +195,12 @@ func TestResultRoundTrip(t *testing.T) {
 
 // A forward index over a rid subset (a filtered or consuming group-by's)
 // persists as a "sparse" section pair and loads back sparse — never expanded
-// to one entry per base row — answering every forward trace identically.
+// to one entry per base row, its values repacked to the narrowest slot
+// width — answering every forward trace identically.
 func TestSparseForwardRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := testRelation("orders", 211)
-	res := buildResult(base)
-	var present []lineage.Rid
-	for r := 0; r < base.N; r += 3 {
-		present = append(present, lineage.Rid(r))
-	}
-	sp := lineage.NewSparseArr(base.N, present)
-	for _, r := range present {
-		sp.Set(r, r%16)
-	}
-	res.Capture.SetForward(base.Name, lineage.NewSparseOne(sp))
-	if _, err := s.PutResult("s1", "filtered", res); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if err := s2.VerifyAll(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.LoadResult("s1", "filtered")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, sp := subsetResult(base)
+	got := putAndReload(t, res)
 	ix, err := got.Capture.ForwardIndex("orders")
 	if err != nil {
 		t.Fatal(err)
@@ -239,18 +208,17 @@ func TestSparseForwardRoundTrip(t *testing.T) {
 	if ix.Kind != lineage.SparseOne {
 		t.Fatalf("recovered forward index kind = %v, want SparseOne", ix.Kind)
 	}
-	if ix.SizeBytes() != sp.SizeBytes() {
-		t.Fatalf("recovered forward index holds %d bytes, want %d", ix.SizeBytes(), sp.SizeBytes())
+	// Values below 16 take 1-byte slots: the bitmap and rank directory
+	// stay, the values shrink from 4 bytes to 1.
+	_, _, _, vals := sp.Parts()
+	if want := sp.SizeBytes() - 3*len(vals)/4; ix.SizeBytes() != want {
+		t.Fatalf("recovered forward index holds %d bytes, want %d", ix.SizeBytes(), want)
 	}
-	all := make([]lineage.Rid, base.N)
-	for i := range all {
-		all[i] = lineage.Rid(i)
-	}
-	want, err := res.Capture.Forward("orders", all)
+	want, err := res.Capture.Forward("orders", allRids(base.N))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFW, err := got.Capture.Forward("orders", all)
+	gotFW, err := got.Capture.Forward("orders", allRids(base.N))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,17 +72,19 @@ type relMeta struct {
 // indexMeta describes one persisted lineage index. Kind is the physical
 // representation: "arr" (raw 1-to-1 rid array), "encarr" (EncodedArr run
 // directory), "encmany" (EncodedIndex chunk store), or "sparse" (SparseArr:
-// presence bitmap words and one value per present record; the rank
+// an optional presence bitmap — no ".words" section means every record is
+// present — and one value slot of Width bytes per present record; the rank
 // directory is rebuilt at load). Raw 1-to-N indexes are encoded before they
 // are written — the chunked encoding IS the persistence format — so
 // "rawmany" does not exist on disk.
 type indexMeta struct {
-	Sec  string `json:"sec"` // section-name prefix inside the segment
-	Rel  string `json:"rel"`
-	Dir  string `json:"dir"`  // "bw" | "fw"
-	Kind string `json:"kind"` // "arr" | "encarr" | "encmany" | "sparse"
-	N    int    `json:"n"`
-	Card int    `json:"card,omitempty"`
+	Sec   string `json:"sec"` // section-name prefix inside the segment
+	Rel   string `json:"rel"`
+	Dir   string `json:"dir"`  // "bw" | "fw"
+	Kind  string `json:"kind"` // "arr" | "encarr" | "encmany" | "sparse"
+	N     int    `json:"n"`
+	Card  int    `json:"card,omitempty"`
+	Width int    `json:"width,omitempty"` // "sparse" slot bytes; absent = 4
 }
 
 // baseMeta names one base relation a result's capture refers to and the
@@ -307,12 +309,21 @@ func (s *segment) close() {
 }
 
 func (s *segment) section(name string) ([]byte, error) {
-	for _, sec := range s.meta.Sections {
-		if sec.Name == name {
-			return s.data[sec.Off : sec.Off+sec.Len], nil
-		}
+	if b, ok := s.lookup(name); ok {
+		return b, nil
 	}
 	return nil, corruptf(s.path, "missing section %q", name)
+}
+
+// lookup returns the named section's bytes, or false when the segment has no
+// such section (for the optional ones).
+func (s *segment) lookup(name string) ([]byte, bool) {
+	for _, sec := range s.meta.Sections {
+		if sec.Name == name {
+			return s.data[sec.Off : sec.Off+sec.Len], true
+		}
+	}
+	return nil, false
 }
 
 func corruptf(path, format string, args ...any) error {
@@ -515,10 +526,13 @@ func loadRelation(seg *segment, prefix string, m relMeta) (*storage.Relation, er
 // addIndexSections persists ix under prefix and returns its directory entry.
 // Raw 1-to-N indexes are converted to the chunked encoding first: the
 // encoded form is the on-disk representation (and what a promoted result
-// traces in situ). Raw 1-to-1 arrays stay raw — EncodeArr already decided
-// the run directory would not pay for itself — and sparse arrays stay sparse.
+// traces in situ). Forward 1-to-1 indexes go through the same chooser a
+// compressed capture uses (lineage.EncodeForward), so a raw forward array is
+// written packed, as a run directory, or raw, whichever is smallest.
 func addIndexSections(w *segWriter, prefix, rel, dir string, ix *lineage.Index) indexMeta {
-	if ix.Kind == lineage.OneToMany {
+	if dir == "fw" {
+		ix = lineage.EncodeForward(ix)
+	} else if ix.Kind == lineage.OneToMany {
 		ix = lineage.EncodeIndex(ix)
 	}
 	m := indexMeta{Sec: prefix, Rel: rel, Dir: dir, N: ix.Len()}
@@ -541,16 +555,25 @@ func addIndexSections(w *segWriter, prefix, rel, dir string, ix *lineage.Index) 
 		w.add(prefix+".data", data)
 	case lineage.SparseOne:
 		m.Kind = "sparse"
-		_, words, vals := ix.Sparse.Parts()
-		w.add(prefix+".words", uint64Bytes(words))
-		w.add(prefix+".vals", int32Bytes(vals))
+		_, words, width, vals := ix.Sparse.Parts()
+		if width != 4 {
+			m.Width = width
+		}
+		if words != nil {
+			w.add(prefix+".words", uint64Bytes(words))
+		}
+		w.add(prefix+".vals", vals)
 	}
 	return m
 }
 
 // loadIndex reconstructs a lineage index over the mapping; the encoded forms
 // wrap the mapped bytes via FromParts, so traces iterate disk pages directly.
-func loadIndex(seg *segment, prefix string, m indexMeta) (*lineage.Index, error) {
+// bound is the number of records a 1-to-1 index's values point at (the
+// output relation's for a forward index, the base relation's for a backward
+// one): a value at or past it would index past that relation in a trace, so
+// it is a corrupt segment even when its checksum matches.
+func loadIndex(seg *segment, prefix string, m indexMeta, bound int) (*lineage.Index, error) {
 	switch m.Kind {
 	case "arr":
 		b, err := seg.section(prefix + ".arr")
@@ -560,6 +583,11 @@ func loadIndex(seg *segment, prefix string, m indexMeta) (*lineage.Index, error)
 		arr := asInt32s(b)
 		if len(arr) != m.N {
 			return nil, corruptf(seg.path, "index %q has %d entries, want %d", prefix, len(arr), m.N)
+		}
+		for i, v := range arr {
+			if v < -1 || int64(v) >= int64(bound) {
+				return nil, corruptf(seg.path, "index %q entry %d is %d, outside [-1, %d)", prefix, i, v, bound)
+			}
 		}
 		return lineage.NewOneToOne(arr), nil
 	case "encarr":
@@ -575,7 +603,7 @@ func loadIndex(seg *segment, prefix string, m indexMeta) (*lineage.Index, error)
 		if err != nil {
 			return nil, err
 		}
-		e, err := lineage.EncodedArrFromParts(m.N, asInt32s(sb), asInt32s(vb), asBools(qb))
+		e, err := lineage.EncodedArrFromParts(m.N, asInt32s(sb), asInt32s(vb), asBools(qb), bound)
 		if err != nil {
 			return nil, fmt.Errorf("%s: index %q: %w", filepath.Base(seg.path), prefix, err)
 		}
@@ -599,18 +627,25 @@ func loadIndex(seg *segment, prefix string, m indexMeta) (*lineage.Index, error)
 		}
 		return lineage.NewEncodedMany(e), nil
 	case "sparse":
-		wb, err := seg.section(prefix + ".words")
-		if err != nil {
-			return nil, err
+		var words []uint64
+		if wb, ok := seg.lookup(prefix + ".words"); ok {
+			if len(wb) != 8*((m.N+63)/64) {
+				return nil, corruptf(seg.path, "index %q bitmap has %d bytes for %d records", prefix, len(wb), m.N)
+			}
+			words = asUint64s(wb)
+			if words == nil {
+				words = []uint64{} // a present bitmap over no records
+			}
 		}
 		vb, err := seg.section(prefix + ".vals")
 		if err != nil {
 			return nil, err
 		}
-		if len(wb)%8 != 0 || len(vb)%4 != 0 {
-			return nil, corruptf(seg.path, "index %q sections are not whole words", prefix)
+		width := m.Width
+		if width == 0 {
+			width = 4
 		}
-		s, err := lineage.SparseArrFromParts(m.N, asUint64s(wb), asInt32s(vb))
+		s, err := lineage.SparseArrFromParts(m.N, words, width, vb, bound)
 		if err != nil {
 			return nil, fmt.Errorf("%s: index %q: %w", filepath.Base(seg.path), prefix, err)
 		}

@@ -453,7 +453,7 @@ func Run(spec Spec, opts Opts) (Result, error) {
 				})
 				fwIx := lineage.NewOneToOne(fwLast)
 				if opts.Compress {
-					fwIx = lineage.EncodeIndex(fwIx)
+					fwIx = lineage.EncodeForward(fwIx)
 				}
 				res.Capture.SetForward(name, fwIx)
 			} else {

@@ -101,14 +101,16 @@ func (c *Capture) ForwardDistinct(rel string, in []Rid) ([]Rid, error) {
 
 // EncodeAll compresses every captured index in place (post-capture encoding:
 // operators capture into raw append-friendly structures, then the finished
-// indexes shrink to their adaptive encoded forms). Queries over the capture
-// read the encoded indexes transparently.
+// indexes shrink to their adaptive encoded forms — EncodeIndex for backward
+// indexes, EncodeForward for forward ones). Both are idempotent, so indexes
+// an operator already compressed are kept as they are. Queries over the
+// capture read the encoded indexes transparently.
 func (c *Capture) EncodeAll() {
 	for rel, ix := range c.backward {
 		c.backward[rel] = EncodeIndex(ix)
 	}
 	for rel, ix := range c.forward {
-		c.forward[rel] = EncodeIndex(ix)
+		c.forward[rel] = EncodeForward(ix)
 	}
 }
 

@@ -20,13 +20,17 @@ func manyOf(lists ...[]Rid) *Index {
 
 // encodedForms returns ix plus its force-encoded twin (EncodeIndex adaptively
 // keeps tiny rid arrays raw, which would silently skip the encoded branch)
-// and, for a rid array, its sparse twin.
+// and, for a rid array, its sparse twin and its packed twins (slot widths 1,
+// 2 and 4, with and without a presence bitmap).
 func encodedForms(ix *Index) map[string]*Index {
 	forms := map[string]*Index{"raw": ix}
 	switch ix.Kind {
 	case OneToOne:
 		forms["encoded"] = NewEncodedOne(encodeArrRuns(ix.Arr, len(ix.Arr)))
 		forms["sparse"] = NewSparseOne(sparseOf(ix.Arr))
+		for name, s := range packedForms(ix.Arr) {
+			forms["packed-"+name] = NewSparseOne(s)
+		}
 	case OneToMany:
 		forms["encoded"] = NewEncodedMany(EncodeRidIndex(ix.Many))
 	}

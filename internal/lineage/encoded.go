@@ -373,28 +373,37 @@ func encodeArrRuns(arr []Rid, maxRuns int) *EncodedArr {
 	n := len(arr)
 	e := &EncodedArr{n: n}
 	for i := 0; i < n; {
-		start := i
-		v := arr[i]
-		seq := false
-		i++
-		if i < n && arr[i] == v {
-			for i < n && arr[i] == v {
-				i++
-			}
-		} else if i < n && v >= 0 && arr[i] == v+1 {
-			seq = true
-			for i < n && arr[i] == v+Rid(i-start) {
-				i++
-			}
-		}
-		e.starts = append(e.starts, int32(start))
+		end, v, seq := nextRun(arr, i)
+		e.starts = append(e.starts, int32(i))
 		e.vals = append(e.vals, v)
 		e.seq = append(e.seq, seq)
 		if len(e.starts) > maxRuns {
 			return nil // incompressible: keep the raw array
 		}
+		i = end
 	}
 	return e
+}
+
+// nextRun returns the end of the run that starts at arr[i], its first value,
+// and whether it is sequential (v, v+1, ...) rather than constant. A
+// sequential run never starts at -1. It is the one run grammar: the run
+// directory is built from it and EncodeForward sizes that directory with it.
+func nextRun(arr []Rid, i int) (end int, v Rid, seq bool) {
+	n := len(arr)
+	start, v := i, arr[i]
+	i++
+	if i < n && arr[i] == v {
+		for i < n && arr[i] == v {
+			i++
+		}
+	} else if i < n && v >= 0 && arr[i] == v+1 {
+		seq = true
+		for i < n && arr[i] == v+Rid(i-start) {
+			i++
+		}
+	}
+	return i, v, seq
 }
 
 // Len returns the number of entries.

@@ -219,8 +219,10 @@ func (e *EncodedArr) Parts() (n int, starts []int32, vals []Rid, seq []bool) {
 // storage. The run directory is validated: the three slices must be the same
 // non-zero length, starts must begin at 0 and strictly increase, and every
 // start must fall inside [0, n) — Get binary-searches this directory, so a
-// malformed one would misresolve or crash every probe.
-func EncodedArrFromParts(n int, starts []int32, vals []Rid, seq []bool) (*EncodedArr, error) {
+// malformed one would misresolve or crash every probe. Every value a run
+// yields must be -1 or in [0, bound), where bound is the number of target
+// records the values index; a sequential run never yields -1.
+func EncodedArrFromParts(n int, starts []int32, vals []Rid, seq []bool, bound int) (*EncodedArr, error) {
 	if n <= 0 {
 		return nil, serr.New(serr.Internal, "lineage: encoded array has %d entries", n)
 	}
@@ -238,6 +240,19 @@ func EncodedArrFromParts(n int, starts []int32, vals []Rid, seq []bool) (*Encode
 	}
 	if int(starts[len(starts)-1]) >= n {
 		return nil, serr.New(serr.Internal, "lineage: encoded array run start %d past entry count %d", starts[len(starts)-1], n)
+	}
+	for k, v := range vals {
+		hi := int64(v) // the run's largest value
+		if seq[k] {
+			end := n
+			if k+1 < len(starts) {
+				end = int(starts[k+1])
+			}
+			hi += int64(end) - int64(starts[k]) - 1
+		}
+		if v < -1 || (seq[k] && v < 0) || hi >= int64(bound) {
+			return nil, serr.New(serr.Internal, "lineage: encoded array run %d yields values outside [-1, %d)", k, bound)
+		}
 	}
 	return &EncodedArr{n: n, starts: starts, vals: vals, seq: seq}, nil
 }

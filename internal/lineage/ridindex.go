@@ -1,7 +1,5 @@
 package lineage
 
-import "math/bits"
-
 // RidIndex is the 1-to-N lineage representation (§3.1, Figure 3): an inverted
 // index whose i-th entry is the rid array of input (or output) records
 // associated with the i-th output (or input) record. Backward lineage of
@@ -86,10 +84,11 @@ const (
 	// EncodedIndex). Queries read it in place; it is never decompressed
 	// wholesale.
 	EncodedMany
-	// SparseOne is a rid array over a subset of its source records
-	// (SparseArr: presence bitmap, rank directory, one value per present
-	// record). Only forward indexes take this form — an aggregation over a
-	// rid subset — and it is already compact, so encoding keeps it as is.
+	// SparseOne is a compact rid array (SparseArr): values packed in 1-, 2-
+	// or 4-byte slots, over every source record or, behind a presence
+	// bitmap, over a subset of them. Only forward indexes take this form —
+	// an aggregation over a rid subset captures it directly, and
+	// EncodeForward packs a finished forward array into it.
 	SparseOne
 )
 
@@ -126,6 +125,7 @@ func (ix *Index) Encoded() bool { return ix.Kind == EncodedOne || ix.Kind == Enc
 // EncodeIndex returns the compressed form of ix (or ix itself when already
 // encoded or sparse, or when a rid array is incompressible and raw is the
 // adaptive choice). Trace, Compose, and Invert read the result in place.
+// Backward indexes take this form; forward ones go through EncodeForward.
 func EncodeIndex(ix *Index) *Index {
 	switch ix.Kind {
 	case OneToOne:
@@ -400,8 +400,9 @@ func Invert(ix *Index, targets int) *Index {
 		}
 	case SparseOne:
 		// Absent records map to nothing: only the values are read.
-		for _, r := range ix.Sparse.vals {
-			if r >= 0 {
+		s := ix.Sparse
+		for k := range s.present() {
+			if r := s.at(k); r >= 0 {
 				counts[r]++
 			}
 		}
@@ -437,16 +438,12 @@ func Invert(ix *Index, targets int) *Index {
 			}
 		}
 	case SparseOne:
-		// Walk the set bits only, in ascending rid order.
-		s, k := ix.Sparse, 0
-		for w, x := range s.words {
-			for ; x != 0; x &= x - 1 {
-				if r := s.vals[k]; r >= 0 {
-					out.AppendFast(int(r), Rid(w<<6+bits.TrailingZeros64(x)))
-				}
-				k++
+		// Walk the present records only, in ascending rid order.
+		ix.Sparse.each(func(i, r Rid) {
+			if r >= 0 {
+				out.AppendFast(int(r), i)
 			}
-		}
+		})
 	default:
 		n := ix.Len()
 		var buf []Rid

@@ -122,9 +122,10 @@ type AggOpts struct {
 	// operator loop still appends into raw structures (Inject) or
 	// exactly-sized arrays (Defer), and encoding happens post-capture, per
 	// partition; a merge then concatenates encoded lists without
-	// re-encoding. The result's BWEnc/FWEnc replace BW/FW; queries read them
-	// in place. A sparse forward array (FWSparse) is already compact and is
-	// kept as is; PartitionBy (data-skipping) indexes are not compressed.
+	// re-encoding. The result's BWEnc replaces BW. The forward array goes
+	// through lineage.EncodeForward once: it becomes a run directory
+	// (FWEnc), a packed array (FWSparse), or stays FW. Queries read every
+	// form in place; PartitionBy (data-skipping) indexes are not compressed.
 	Compress bool
 }
 
@@ -143,11 +144,13 @@ type AggResult struct {
 	// backward rid arrays (AggOpts.PartitionBy).
 	BWPart *lineage.PartitionedIndex
 	FW     []Rid
-	// FWEnc replaces FW when AggOpts.Compress encoded the forward array
-	// (the encoder adaptively keeps FW raw when runs don't pay off).
+	// FWEnc replaces FW when AggOpts.Compress chose the forward array's run
+	// directory (lineage.EncodeForward).
 	FWEnc *lineage.EncodedArr
 	// FWSparse replaces FW when the input is a rid subset: nothing on that
-	// path allocates or fills an array of one entry per relation row.
+	// path allocates or fills an array of one entry per relation row. It
+	// also holds a compressed forward array that EncodeForward packed into
+	// narrower slots.
 	FWSparse *lineage.SparseArr
 	// GroupCounts[i] is the input cardinality of group i (tracked for every
 	// mode; Defer uses it to preallocate exact backward lists).
@@ -662,9 +665,12 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 			})
 		}
 		res.FW, res.FWSparse = fw.dense, fw.sparse
-		if opts.Compress && res.FW != nil {
-			if e := lineage.EncodeArr(res.FW); e != nil {
-				res.FWEnc, res.FW = e, nil
+		if opts.Compress {
+			switch ix := lineage.EncodeForward(res.ForwardIndex()); ix.Kind {
+			case lineage.EncodedOne:
+				res.FW, res.FWEnc = nil, ix.EncArr
+			case lineage.SparseOne:
+				res.FW, res.FWSparse = nil, ix.Sparse
 			}
 		}
 	}

@@ -225,8 +225,8 @@ func TestHashAggSubsetInput(t *testing.T) {
 		t.Fatalf("subset forward lineage: FW nil=%v, FWSparse nil=%v; want only the sparse form",
 			res.FW == nil, res.FWSparse == nil)
 	}
-	if _, _, vals := res.FWSparse.Parts(); len(vals) != len(sub) {
-		t.Fatalf("sparse forward holds %d rids, want %d", len(vals), len(sub))
+	if _, _, width, vals := res.FWSparse.Parts(); len(vals) != width*len(sub) {
+		t.Fatalf("sparse forward holds %d bytes at width %d, want %d rids", len(vals), width, len(sub))
 	}
 	inSub := map[Rid]bool{}
 	for _, r := range sub {
