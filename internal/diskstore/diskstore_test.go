@@ -195,8 +195,8 @@ func TestResultRoundTrip(t *testing.T) {
 
 // A forward index over a rid subset (a filtered or consuming group-by's)
 // persists as a "sparse" section pair and loads back sparse — never expanded
-// to one entry per base row, its values repacked to the narrowest slot
-// width — answering every forward trace identically.
+// to one entry per base row, its values packed at their exact bit width —
+// answering every forward trace identically.
 func TestSparseForwardRoundTrip(t *testing.T) {
 	base := testRelation("orders", 211)
 	res, sp := subsetResult(base)
@@ -208,10 +208,11 @@ func TestSparseForwardRoundTrip(t *testing.T) {
 	if ix.Kind != lineage.SparseOne {
 		t.Fatalf("recovered forward index kind = %v, want SparseOne", ix.Kind)
 	}
-	// Values below 16 take 1-byte slots: the bitmap and rank directory
-	// stay, the values shrink from 4 bytes to 1.
-	_, _, _, vals := sp.Parts()
-	if want := sp.SizeBytes() - 3*len(vals)/4; ix.SizeBytes() != want {
+	// Values below 16 take 4-bit slots: the bitmap and rank directory
+	// stay, the values shrink from 32 bits to 4, in whole 64-bit words.
+	_, _, _, _, vals := sp.Parts()
+	present := len(vals) / 4
+	if want := sp.SizeBytes() - len(vals) + 8*((4*present+63)/64); ix.SizeBytes() != want {
 		t.Fatalf("recovered forward index holds %d bytes, want %d", ix.SizeBytes(), want)
 	}
 	want, err := res.Capture.Forward("orders", allRids(base.N))

@@ -71,20 +71,26 @@ type relMeta struct {
 
 // indexMeta describes one persisted lineage index. Kind is the physical
 // representation: "arr" (raw 1-to-1 rid array), "encarr" (EncodedArr run
-// directory), "encmany" (EncodedIndex chunk store), or "sparse" (SparseArr:
-// an optional presence bitmap — no ".words" section means every record is
-// present — and one value slot of Width bytes per present record; the rank
-// directory is rebuilt at load). Raw 1-to-N indexes are encoded before they
-// are written — the chunked encoding IS the persistence format — so
-// "rawmany" does not exist on disk.
+// directory), "encmany" (EncodedIndex chunk store: an optional ".words"
+// presence bitmap over its N entries — then ".offs" covers the set ones
+// only — ".offs" and ".data"), or "sparse" (SparseArr: an optional ".words"
+// presence bitmap — none means every record is present — and one Bits-bit
+// value slot per present record in ".vals"). Rank directories are rebuilt at
+// load. A "sparse" entry without Bits was written with byte-wide slots:
+// Bits is then 8·Width (32 when Width is absent too) and the all-ones slot
+// is -1 whatever the form, which is what Sentinel says for entries with Bits.
+// Raw 1-to-N indexes are encoded before they are written — the chunked
+// encoding IS the persistence format — so "rawmany" does not exist on disk.
 type indexMeta struct {
-	Sec   string `json:"sec"` // section-name prefix inside the segment
-	Rel   string `json:"rel"`
-	Dir   string `json:"dir"`  // "bw" | "fw"
-	Kind  string `json:"kind"` // "arr" | "encarr" | "encmany" | "sparse"
-	N     int    `json:"n"`
-	Card  int    `json:"card,omitempty"`
-	Width int    `json:"width,omitempty"` // "sparse" slot bytes; absent = 4
+	Sec      string `json:"sec"` // section-name prefix inside the segment
+	Rel      string `json:"rel"`
+	Dir      string `json:"dir"`  // "bw" | "fw"
+	Kind     string `json:"kind"` // "arr" | "encarr" | "encmany" | "sparse"
+	N        int    `json:"n"`
+	Card     int    `json:"card,omitempty"`
+	Width    int    `json:"width,omitempty"`    // "sparse" slot bytes, older writers only
+	Bits     int    `json:"bits,omitempty"`     // "sparse" slot bits; absent: 8·Width
+	Sentinel bool   `json:"sentinel,omitempty"` // "sparse" with Bits: the all-ones slot is -1
 }
 
 // baseMeta names one base relation a result's capture refers to and the
@@ -549,15 +555,18 @@ func addIndexSections(w *segWriter, prefix, rel, dir string, ix *lineage.Index) 
 		w.add(prefix+".seq", boolBytes(seq))
 	case lineage.EncodedMany:
 		m.Kind = "encmany"
-		offs, data, card := ix.Enc.Parts()
+		_, words, offs, data, card := ix.Enc.Parts()
 		m.Card = card
+		if words != nil {
+			w.add(prefix+".words", uint64Bytes(words))
+		}
 		w.add(prefix+".offs", uint32Bytes(offs))
 		w.add(prefix+".data", data)
 	case lineage.SparseOne:
 		m.Kind = "sparse"
-		_, words, width, vals := ix.Sparse.Parts()
-		if width != 4 {
-			m.Width = width
+		_, words, bits, sentinel, vals := ix.Sparse.Parts()
+		if bits != 32 { // absent: the 32-bit layout every writer shares
+			m.Bits, m.Sentinel = bits, sentinel
 		}
 		if words != nil {
 			w.add(prefix+".words", uint64Bytes(words))
@@ -565,6 +574,23 @@ func addIndexSections(w *segWriter, prefix, rel, dir string, ix *lineage.Index) 
 		w.add(prefix+".vals", vals)
 	}
 	return m
+}
+
+// loadWords returns an index's optional ".words" presence bitmap over n
+// entries: nil when the section is absent, non-nil (possibly empty) when it
+// is present.
+func loadWords(seg *segment, prefix string, n int) ([]uint64, error) {
+	wb, ok := seg.lookup(prefix + ".words")
+	if !ok {
+		return nil, nil
+	}
+	if len(wb) != 8*((n+63)/64) {
+		return nil, corruptf(seg.path, "index %q bitmap has %d bytes for %d entries", prefix, len(wb), n)
+	}
+	if words := asUint64s(wb); words != nil {
+		return words, nil
+	}
+	return []uint64{}, nil // a present bitmap over no entries
 }
 
 // loadIndex reconstructs a lineage index over the mapping; the encoded forms
@@ -609,6 +635,10 @@ func loadIndex(seg *segment, prefix string, m indexMeta, bound int) (*lineage.In
 		}
 		return lineage.NewEncodedOne(e), nil
 	case "encmany":
+		words, err := loadWords(seg, prefix, m.N)
+		if err != nil {
+			return nil, err
+		}
 		ob, err := seg.section(prefix + ".offs")
 		if err != nil {
 			return nil, err
@@ -617,35 +647,32 @@ func loadIndex(seg *segment, prefix string, m indexMeta, bound int) (*lineage.In
 		if err != nil {
 			return nil, err
 		}
-		offs := asUint32s(ob)
-		if len(offs) != m.N+1 {
-			return nil, corruptf(seg.path, "index %q directory has %d offsets, want %d", prefix, len(offs), m.N+1)
-		}
-		e, err := lineage.EncodedIndexFromParts(offs, db, m.Card)
+		e, err := lineage.EncodedIndexFromParts(m.N, words, asUint32s(ob), db, m.Card)
 		if err != nil {
 			return nil, fmt.Errorf("%s: index %q: %w", filepath.Base(seg.path), prefix, err)
 		}
 		return lineage.NewEncodedMany(e), nil
 	case "sparse":
-		var words []uint64
-		if wb, ok := seg.lookup(prefix + ".words"); ok {
-			if len(wb) != 8*((m.N+63)/64) {
-				return nil, corruptf(seg.path, "index %q bitmap has %d bytes for %d records", prefix, len(wb), m.N)
-			}
-			words = asUint64s(wb)
-			if words == nil {
-				words = []uint64{} // a present bitmap over no records
-			}
+		words, err := loadWords(seg, prefix, m.N)
+		if err != nil {
+			return nil, err
 		}
 		vb, err := seg.section(prefix + ".vals")
 		if err != nil {
 			return nil, err
 		}
-		width := m.Width
-		if width == 0 {
-			width = 4
+		bits, sentinel := m.Bits, m.Sentinel
+		if bits == 0 { // an older writer's byte-wide slots
+			switch m.Width {
+			case 0:
+				bits, sentinel = 32, true
+			case 1, 2, 4:
+				bits, sentinel = 8*m.Width, true
+			default:
+				return nil, corruptf(seg.path, "index %q slot width %d is not 1, 2 or 4", prefix, m.Width)
+			}
 		}
-		s, err := lineage.SparseArrFromParts(m.N, words, width, vb, bound)
+		s, err := lineage.SparseArrFromParts(m.N, words, bits, sentinel, vb, bound)
 		if err != nil {
 			return nil, fmt.Errorf("%s: index %q: %w", filepath.Base(seg.path), prefix, err)
 		}

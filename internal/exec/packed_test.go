@@ -12,19 +12,20 @@ import (
 
 // TestCompressedGroupByForwardPacked pins the byte budget of a compressed
 // full-table group-by. Its forward index holds one slot per base row, sized
-// to the group count: 2 bytes for 1000 groups, 1 byte for 4. The whole
-// capture stays under a stated budget per lineage edge. The uncompressed
-// capture is untouched: its forward index is still the 4-byte rid array the
-// operator wrote, so capture timings do not move with the packed form.
+// to the group count in bits: 10 for 1000 groups, 2 for 4 (every row maps to
+// a group, so no -1 sentinel is reserved). The whole capture stays under a
+// stated budget per lineage edge. The uncompressed capture is untouched: its
+// forward index is still the 4-byte rid array the operator wrote, so capture
+// timings do not move with the packed form.
 func TestCompressedGroupByForwardPacked(t *testing.T) {
 	const n = 300_000
 	for _, tc := range []struct {
 		groups    int
-		width     int
+		bits      int
 		maxPerRid float64 // compressed capture bytes per lineage edge
 	}{
-		{1000, 2, 3.75}, // measured 3.49; 4-byte slots would be 5.49
-		{4, 1, 2.0},     // measured 1.50; 4-byte slots would be 4.50
+		{1000, 10, 3.0}, // measured 2.74; 16-bit slots were 3.49
+		{4, 2, 1.0},     // measured 0.75; 8-bit slots were 1.50
 	} {
 		rel := datagen.Zipf("zipf", 1.0, n, tc.groups, 7)
 		p := plan.GroupBy{
@@ -56,9 +57,14 @@ func TestCompressedGroupByForwardPacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fw.Kind != lineage.SparseOne || fw.SizeBytes() != tc.width*n {
-			t.Fatalf("%d groups: compressed forward is kind %v with %d bytes, want %d (%d per row)",
-				tc.groups, fw.Kind, fw.SizeBytes(), tc.width*n, tc.width)
+		want := 8 * ((tc.bits*n + 63) / 64)
+		if fw.Kind != lineage.SparseOne || fw.SizeBytes() != want {
+			t.Fatalf("%d groups: compressed forward is kind %v with %d bytes, want %d (%d bits a row)",
+				tc.groups, fw.Kind, fw.SizeBytes(), want, tc.bits)
+		}
+		if _, words, bits, _, _ := fw.Sparse.Parts(); words != nil || bits != tc.bits {
+			t.Fatalf("%d groups: compressed forward has a bitmap %v at %d bits, want a dense array at %d",
+				tc.groups, words != nil, bits, tc.bits)
 		}
 		if got, want := fw.DenseForward(n), rawFW.Arr; !slices.Equal(got, want) {
 			t.Fatalf("%d groups: packed forward differs from the raw array", tc.groups)

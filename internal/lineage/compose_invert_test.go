@@ -20,8 +20,10 @@ func manyOf(lists ...[]Rid) *Index {
 
 // encodedForms returns ix plus its force-encoded twin (EncodeIndex adaptively
 // keeps tiny rid arrays raw, which would silently skip the encoded branch)
-// and, for a rid array, its sparse twin and its packed twins (slot widths 1,
-// 2 and 4, with and without a presence bitmap).
+// and, for a rid array, its sparse twin and its bit-packed twins (several
+// bit widths, with and without a presence bitmap); for a rid index, its
+// dense-directory and presence-bitmap-directory twins, whichever form the
+// chooser would pick.
 func encodedForms(ix *Index) map[string]*Index {
 	forms := map[string]*Index{"raw": ix}
 	switch ix.Kind {
@@ -32,9 +34,28 @@ func encodedForms(ix *Index) map[string]*Index {
 			forms["packed-"+name] = NewSparseOne(s)
 		}
 	case OneToMany:
-		forms["encoded"] = NewEncodedMany(EncodeRidIndex(ix.Many))
+		dense, dir := directoryForms(EncodeRidIndex(ix.Many))
+		forms["encoded"], forms["directory"] = NewEncodedMany(dense), NewEncodedMany(dir)
 	}
 	return forms
+}
+
+// directoryForms returns e's twins in the dense form and in the directory
+// form, whatever their sizes.
+func directoryForms(e *EncodedIndex) (dense, dir *EncodedIndex) {
+	offs := make([]uint32, 1, e.n+1)
+	var data []byte
+	present := 0
+	for i := 0; i < e.n; i++ {
+		b := e.ListBytes(i)
+		if len(b) > 0 {
+			present++
+		}
+		data = append(data, b...)
+		offs = append(offs, uint32(len(data)))
+	}
+	dense = &EncodedIndex{n: e.n, offs: offs, data: data, card: e.card}
+	return dense, directoryIndex(offs, data, e.card, present)
 }
 
 func traceAll(ix *Index) [][]Rid {

@@ -409,7 +409,7 @@ func (l EncodedList) AppendTo(dst []Rid) []Rid {
 func (e *EncodedIndex) TraceInSitu(src []Rid) EncodedList {
 	total := 0
 	for _, i := range src {
-		total += int(e.offs[i+1] - e.offs[i])
+		total += len(e.ListBytes(int(i)))
 	}
 	data := make([]byte, 0, total)
 	n := 0

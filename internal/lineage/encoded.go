@@ -80,28 +80,49 @@ func uvarintLen(v uint64) int {
 }
 
 // EncodedIndex is a compressed RidIndex: n encoded lists packed into one byte
-// buffer with n+1 offsets. Entry i's chunks live in data[offs[i]:offs[i+1]];
-// an empty list occupies zero bytes.
+// buffer behind an offset directory, in one of two forms.
+//
+//   - Dense (no presence bitmap): n+1 offsets, entry i's chunks live in
+//     data[offs[i]:offs[i+1]], and an empty list occupies zero bytes.
+//   - Directory: a presence bitmap over the n entries, set for the non-empty
+//     ones, and offsets for those only — entry i's chunks are the rank(i)-th
+//     range. It is the form of a forward index over a dimension table whose
+//     rows mostly join nothing (4 bytes per empty entry become 1.5 bits).
+//
+// EncodedBuilder.Build keeps whichever directory is smaller (newEncodedIndex).
 type EncodedIndex struct {
+	n int
+	presence
 	offs []uint32
 	data []byte
 	card int
 }
 
 // Len returns the number of entries.
-func (e *EncodedIndex) Len() int { return len(e.offs) - 1 }
+func (e *EncodedIndex) Len() int { return e.n }
 
 // Cardinality returns the total number of rid elements across all lists.
 func (e *EncodedIndex) Cardinality() int { return e.card }
 
 // SizeBytes returns the memory footprint of the encoded payload plus the
 // offset directory (the bytes-per-rid numerator in the compress experiment).
-func (e *EncodedIndex) SizeBytes() int { return len(e.data) + 4*len(e.offs) }
+func (e *EncodedIndex) SizeBytes() int {
+	return len(e.data) + 4*len(e.offs) + e.presence.sizeBytes()
+}
 
-// ListBytes returns entry i's raw chunk bytes (shared, read-only). Because
-// chunks are self-contained, these bytes may be concatenated with another
-// list's to form the encoded concatenation of the two lists.
-func (e *EncodedIndex) ListBytes(i int) []byte { return e.data[e.offs[i]:e.offs[i+1]] }
+// ListBytes returns entry i's raw chunk bytes (shared, read-only; empty for
+// an absent entry of the directory form). Because chunks are
+// self-contained, these bytes may be concatenated with another list's to
+// form the encoded concatenation of the two lists.
+func (e *EncodedIndex) ListBytes(i int) []byte {
+	if e.words != nil {
+		if !e.has(i) {
+			return nil
+		}
+		i = e.before(i)
+	}
+	return e.data[e.offs[i]:e.offs[i+1]]
+}
 
 // ListLen returns entry i's element count by summing chunk headers; no
 // payload is read (sub-lenHeaderMin varint chunks aside).
@@ -193,7 +214,42 @@ func (b *EncodedBuilder) Add(list []Rid) {
 
 // Build finalizes the index. The builder must not be reused.
 func (b *EncodedBuilder) Build() *EncodedIndex {
-	return &EncodedIndex{offs: b.offs, data: b.data, card: b.card}
+	return newEncodedIndex(b.offs, b.data, b.card)
+}
+
+// newEncodedIndex wraps a dense offset directory over len(offs)-1 entries
+// and keeps whichever form is smaller: the dense one (4 bytes an entry) or
+// the directory form (12 bytes per 64 entries for the presence bitmap and
+// its rank, plus 4 bytes a non-empty entry). It is the one chooser every
+// encoded index goes through: EncodedBuilder.Build and the partition merge.
+func newEncodedIndex(offs []uint32, data []byte, card int) *EncodedIndex {
+	n := len(offs) - 1
+	present := 0
+	for i := 0; i < n; i++ {
+		if offs[i+1] != offs[i] {
+			present++
+		}
+	}
+	if presenceCost(n)+4*(present+1) >= 4*(n+1) {
+		return &EncodedIndex{n: n, offs: offs, data: data, card: card}
+	}
+	return directoryIndex(offs, data, card, present)
+}
+
+// directoryIndex returns the directory form of the dense offset directory
+// offs, present of whose entries are non-empty.
+func directoryIndex(offs []uint32, data []byte, card, present int) *EncodedIndex {
+	n := len(offs) - 1
+	words := make([]uint64, (n+63)/64)
+	dir := make([]uint32, 1, present+1)
+	for i := 0; i < n; i++ {
+		if offs[i+1] != offs[i] {
+			words[i>>6] |= 1 << (i & 63)
+			dir = append(dir, offs[i+1])
+		}
+	}
+	p, _ := newPresence(words)
+	return &EncodedIndex{n: n, presence: p, offs: dir, data: data, card: card}
 }
 
 // withLenHeader returns a varint-stream body's size plus the length field a

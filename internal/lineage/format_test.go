@@ -104,7 +104,7 @@ func ascendingBy(n int, first Rid, gap func(i int) Rid) []Rid {
 // fails unless all agree with want.
 func decodeEveryWay(t *testing.T, what string, enc []byte, want []Rid) {
 	t.Helper()
-	e := &EncodedIndex{offs: []uint32{0, uint32(len(enc))}, data: enc, card: len(want)}
+	e := &EncodedIndex{n: 1, offs: []uint32{0, uint32(len(enc))}, data: enc, card: len(want)}
 	check := func(how string, got []Rid) {
 		t.Helper()
 		if len(got) == 0 && len(want) == 0 {
@@ -319,7 +319,7 @@ func checkAcceptedBytesDecode(t *testing.T, data []byte) {
 		// are well-formed, just too large to expand once per fuzz input.
 		return
 	}
-	e, err := EncodedIndexFromParts(offs, data, card)
+	e, err := EncodedIndexFromParts(1, nil, offs, data, card)
 	if err != nil {
 		t.Fatalf("validated bytes % x rejected by EncodedIndexFromParts: %v", data, err)
 	}
@@ -387,15 +387,15 @@ func TestCaptureValidate(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("well-formed capture: %v", err)
 	}
-	offs, data, card := e.Parts()
-	lying, _ := EncodedIndexFromParts(offs, data, card+1)
+	n, words, offs, data, card := e.Parts()
+	lying, _ := EncodedIndexFromParts(n, words, offs, data, card+1)
 	c.SetBackward("t", NewEncodedMany(lying))
 	if err := c.Validate(); err == nil {
 		t.Fatal("capture whose directory overstates its cardinality validated")
 	}
 	bad := append([]byte(nil), data...)
 	bad[len(bad)-1] ^= 0x10 // one bitmap bit: popcount no longer matches
-	flipped, _ := EncodedIndexFromParts(offs, bad, card)
+	flipped, _ := EncodedIndexFromParts(n, words, offs, bad, card)
 	c.SetBackward("t", NewEncodedMany(flipped))
 	if err := c.Validate(); err == nil {
 		t.Fatal("capture with a flipped bitmap bit validated")

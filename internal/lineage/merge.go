@@ -150,7 +150,7 @@ func MergeEncodedBySlot(parts []*EncodedIndex, slotMaps [][]Rid, nGlobal int) *E
 			cursor[g] += uint32(len(b))
 		}
 	}
-	return &EncodedIndex{offs: offs, data: data, card: card}
+	return newEncodedIndex(offs, data, card)
 }
 
 // MergePairsByRid builds one exactly-sized forward RidIndex from

@@ -16,28 +16,49 @@ import (
 // TraceInSitu) iterates the mapped bytes directly. Nothing decodes on load;
 // the first trace faults in only the pages its seed lists touch.
 
-// Parts exposes the encoded index's physical representation: the n+1-entry
-// offset directory, the chunk payload, and the total cardinality. The slices
-// are the index's own storage — callers must treat them as read-only.
-func (e *EncodedIndex) Parts() (offs []uint32, data []byte, card int) {
-	return e.offs, e.data, e.card
+// Parts exposes the encoded index's physical representation: the entry
+// count, the presence bitmap (nil for the dense form), the offset directory
+// (n+1 offsets, or one more than the bitmap's popcount), the chunk payload,
+// and the total cardinality. The rank directory is derived (see
+// EncodedIndexFromParts). The slices are the index's own storage — callers
+// must treat them as read-only.
+func (e *EncodedIndex) Parts() (n int, words []uint64, offs []uint32, data []byte, card int) {
+	return e.n, e.words, e.offs, e.data, e.card
 }
 
 // EncodedIndexFromParts reassembles an EncodedIndex around externally owned
-// storage (typically slices aliasing mmap-backed bytes). Only the offset
-// directory is validated here — offsets must start at zero, be non-decreasing,
-// and end exactly at len(data) — so wrapping a segment touches none of its
-// chunk pages: that is what keeps a segment-backed view lazy. The chunk bytes
-// themselves are trusted by every cursor; a caller that restores a whole
-// result for arbitrary tracing runs Capture.Validate (ValidateEncoded) first.
-func EncodedIndexFromParts(offs []uint32, data []byte, card int) (*EncodedIndex, error) {
+// storage (typically slices aliasing mmap-backed bytes). Only the directory
+// is validated here: a presence bitmap, when there is one, has exactly one
+// word per 64 entries and no bit set at or past n; the offsets number one
+// more than the entries they cover (n, or the bitmap's popcount), start at
+// zero, never decrease, and end exactly at len(data). Wrapping a segment
+// therefore touches none of its chunk pages: that is what keeps a
+// segment-backed view lazy. The chunk bytes themselves are trusted by every
+// cursor; a caller that restores a whole result for arbitrary tracing runs
+// Capture.Validate (ValidateEncoded) first.
+func EncodedIndexFromParts(n int, words []uint64, offs []uint32, data []byte, card int) (*EncodedIndex, error) {
+	if n < 0 {
+		return nil, serr.New(serr.Internal, "lineage: encoded index has %d entries", n)
+	}
+	e := &EncodedIndex{n: n, offs: offs, data: data, card: card}
+	entries := n
+	if words != nil {
+		var err error
+		if e.presence, entries, err = presenceFromParts(words, n, "encoded index"); err != nil {
+			return nil, err
+		}
+	}
+	if len(offs) != entries+1 {
+		return nil, serr.New(serr.Internal, "lineage: encoded index directory has %d offsets for %d entries",
+			len(offs), entries)
+	}
 	if err := checkDirectory(offs, len(data)); err != nil {
 		return nil, err
 	}
 	if card < 0 {
 		return nil, serr.New(serr.Internal, "lineage: encoded index cardinality %d is negative", card)
 	}
-	return &EncodedIndex{offs: offs, data: data, card: card}, nil
+	return e, nil
 }
 
 func checkDirectory(offs []uint32, dataLen int) error {
@@ -59,7 +80,8 @@ func checkDirectory(offs []uint32, dataLen int) error {
 }
 
 // ValidateEncoded checks that (offs, data) is a well-formed encoded index and
-// returns its cardinality: the directory is sound and every entry is a
+// returns its cardinality (offs as Parts returns it: in the directory form it
+// covers the present entries only): the directory is sound and every entry is a
 // sequence of well-formed v2 chunks — a known tag, a positive count, a body
 // that ends inside the entry, and body contents that decode to exactly the
 // header count (varint count for gaps/delta, run sum for RLE, popcount for

@@ -84,11 +84,11 @@ const (
 	// EncodedIndex). Queries read it in place; it is never decompressed
 	// wholesale.
 	EncodedMany
-	// SparseOne is a compact rid array (SparseArr): values packed in 1-, 2-
-	// or 4-byte slots, over every source record or, behind a presence
-	// bitmap, over a subset of them. Only forward indexes take this form —
-	// an aggregation over a rid subset captures it directly, and
-	// EncodeForward packs a finished forward array into it.
+	// SparseOne is a compact rid array (SparseArr): values bit-packed at
+	// the width the largest one needs, over every source record or, behind
+	// a presence bitmap, over a subset of them. Only forward indexes take
+	// this form — an aggregation over a rid subset captures it directly,
+	// and EncodeForward packs a finished forward array into it.
 	SparseOne
 )
 
@@ -399,13 +399,15 @@ func Invert(ix *Index, targets int) *Index {
 			}
 		}
 	case SparseOne:
-		// Absent records map to nothing: only the values are read.
-		s := ix.Sparse
-		for k := range s.present() {
-			if r := s.at(k); r >= 0 {
-				counts[r]++
+		// Absent records map to nothing: only the values are read, in
+		// order.
+		ix.Sparse.blocks(func(_ int, vals []Rid) {
+			for _, r := range vals {
+				if r >= 0 {
+					counts[r]++
+				}
 			}
-		}
+		})
 	default:
 		n := ix.Len()
 		var buf []Rid

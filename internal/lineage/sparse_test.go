@@ -3,6 +3,7 @@ package lineage
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -23,33 +24,41 @@ func sparseOf(arr []Rid) *SparseArr {
 	return s
 }
 
-// packedOf builds arr's packed twin at the given slot width, over every
-// record or, with bitmap, over its non-negative entries. The width must hold
-// arr's values.
-func packedOf(arr []Rid, width int, bitmap bool) *SparseArr {
-	if bitmap {
-		return sparseOf(arr).repack(width)
-	}
-	s := &SparseArr{n: len(arr)}
-	s.alloc(width, len(arr))
+// packedOf builds arr's packed twin at b bits per slot: over every record
+// (the all-ones slot reserved for -1 when arr holds one) or, with bitmap,
+// over its non-negative entries. b must hold arr's values.
+func packedOf(arr []Rid, b uint, bitmap bool) *SparseArr {
+	var present []Rid
 	for i, v := range arr {
-		s.put(i, v)
+		if v >= 0 {
+			present = append(present, Rid(i))
+		}
 	}
-	return s
+	if !bitmap {
+		return newPacked(len(arr), presence{}, len(arr), b, len(present) < len(arr), arr)
+	}
+	return newPacked(len(arr), NewSparseArr(len(arr), present).presence, len(present), b, false, arr)
 }
 
-// packedForms returns every packed twin of arr whose width holds its values:
-// widths 1, 2 and 4, each with and without a presence bitmap.
+// packedForms returns packed twins of arr at the bit widths that hold its
+// values — the exact one, one more, a byte-layout width and 31 — each with
+// and without a presence bitmap.
 func packedForms(arr []Rid) map[string]*SparseArr {
-	maxV := Rid(-1)
+	maxV, neg := Rid(-1), false
 	for _, v := range arr {
-		maxV = max(maxV, v)
+		maxV, neg = max(maxV, v), neg || v < 0
 	}
 	forms := map[string]*SparseArr{}
-	for _, w := range []int{1, 2, 4} {
-		if widthFor(maxV) <= w {
-			forms[fmt.Sprintf("dense-w%d", w)] = packedOf(arr, w, false)
-			forms[fmt.Sprintf("bitmap-w%d", w)] = packedOf(arr, w, true)
+	for _, bitmap := range []bool{false, true} {
+		least := slotBits(maxV, neg && !bitmap)
+		for _, b := range []uint{least, least + 1, 16, 31} {
+			if b >= least && b < 32 {
+				name := fmt.Sprintf("dense-b%d", b)
+				if bitmap {
+					name = fmt.Sprintf("bitmap-b%d", b)
+				}
+				forms[name] = packedOf(arr, b, bitmap)
+			}
 		}
 	}
 	return forms
@@ -92,9 +101,9 @@ func TestSparseArrWordBoundaries(t *testing.T) {
 				want[r] = (r*7 + 3) % 11
 				s.Set(r, want[r])
 			}
-			if _, _, width, vals := s.Parts(); s.Len() != n || width != 4 || len(vals) != 4*present {
-				t.Fatalf("%s (n=%d): Len %d with %d value bytes at width %d, want %d with %d rids",
-					name, n, s.Len(), len(vals), width, n, present)
+			if _, _, b, _, vals := s.Parts(); s.Len() != n || b != 32 || len(vals) != 4*present {
+				t.Fatalf("%s (n=%d): Len %d with %d value bytes at %d bits, want %d with %d rids",
+					name, n, s.Len(), len(vals), b, n, present)
 			}
 			if got := s.SizeBytes(); got != 8*((n+63)/64)+4*((n+63)/64)+4*present {
 				t.Fatalf("%s (n=%d): SizeBytes %d", name, n, got)
@@ -119,8 +128,8 @@ func TestSparseArrWordBoundaries(t *testing.T) {
 // array that answers every lookup identically.
 func checkPartsRoundTrip(t *testing.T, what string, s *SparseArr, bound int) {
 	t.Helper()
-	n, words, width, vals := s.Parts()
-	back, err := SparseArrFromParts(n, words, width, vals, bound)
+	n, words, b, sentinel, vals := s.Parts()
+	back, err := SparseArrFromParts(n, words, b, sentinel, vals, bound)
 	if err != nil {
 		t.Fatalf("%s: round trip: %v", what, err)
 	}
@@ -193,39 +202,66 @@ func shuffledArr(n, groups int) []Rid {
 	return arr
 }
 
-// TestPackedWidthEdges pins the slot width at each edge: a narrow width's
-// all-ones slot is -1's, so its largest value is one below it.
+// TestPackedWidthEdges pins the bit width at each edge: b bits hold values up
+// to 2^b-1, but only up to 2^b-2 when an entry is -1, whose all-ones slot
+// that is. A dense array needing 32 bits is the rid array itself.
 func TestPackedWidthEdges(t *testing.T) {
-	for _, tc := range []struct {
-		max   int
-		width int // 4: the array itself is kept
-	}{
-		{253, 1}, {254, 1}, {255, 2},
-		{65533, 2}, {65534, 2}, {65535, 4},
-	} {
-		arr := shuffledArr(4*(tc.max+1), tc.max+1)
+	type edge struct {
+		max  int64
+		neg  bool
+		bits uint // 32: the array itself is kept
+	}
+	var edges []edge
+	for _, b := range []uint{1, 2, 8, 10, 16, 31} {
+		top := int64(1)<<b - 1
+		edges = append(edges,
+			edge{top - 1, false, max(b, 1)}, edge{top, false, b}, edge{top + 1, false, b + 1},
+			edge{top - 1, true, b}, edge{top, true, b + 1}, edge{top + 1, true, b + 1})
+	}
+	for _, tc := range edges {
+		if tc.max < 0 || tc.max > math.MaxInt32 {
+			continue // 2^31 is not a rid
+		}
+		if tc.max == 0 && !tc.neg {
+			continue // every entry 0: one run, whatever the width
+		}
+		what := fmt.Sprintf("max %d neg %v", tc.max, tc.neg)
+		// Scattered values (no long runs) from [0, min(max, 999)], plus -1
+		// when neg; the largest at entry 0.
+		m, off := min(tc.max+1, 1000), 0
+		if tc.neg {
+			m, off = m+1, 1
+		}
+		arr := make([]Rid, 4096)
+		for i := range arr {
+			arr[i] = Rid(int64(i*7919)%m) - Rid(off)
+		}
+		arr[0] = Rid(tc.max)
 		ix := EncodeForward(NewOneToOne(arr))
-		if tc.width == 4 {
+		if tc.bits == 32 {
 			if ix.Kind != OneToOne {
-				t.Fatalf("max %d: kind %v, want the raw array kept", tc.max, ix.Kind)
+				t.Fatalf("%s: kind %v, want the raw array kept", what, ix.Kind)
 			}
 			continue
 		}
-		if ix.Kind != SparseOne || ix.Sparse.words != nil || ix.Sparse.width != tc.width {
-			t.Fatalf("max %d: kind %v, want a dense packed array at width %d", tc.max, ix.Kind, tc.width)
+		if ix.Kind != SparseOne || ix.Sparse.words != nil || ix.Sparse.b != tc.bits {
+			t.Fatalf("%s: kind %v, want a dense packed array at %d bits", what, ix.Kind, tc.bits)
 		}
-		if got, want := ix.SizeBytes(), tc.width*len(arr); got != want {
-			t.Fatalf("max %d: SizeBytes %d, want %d", tc.max, got, want)
+		if got, want := ix.SizeBytes(), 8*((len(arr)*int(tc.bits)+63)/64); got != want {
+			t.Fatalf("%s: SizeBytes %d, want %d", what, got, want)
 		}
 		for i, v := range arr {
 			if got := ix.Sparse.Get(Rid(i)); got != v {
-				t.Fatalf("max %d: Get(%d) = %d, want %d", tc.max, i, got, v)
+				t.Fatalf("%s: Get(%d) = %d, want %d", what, i, got, v)
 			}
 		}
-		checkPartsRoundTrip(t, fmt.Sprintf("max %d", tc.max), ix.Sparse, tc.max+1)
-		_, _, _, vals := ix.Sparse.Parts()
-		if _, err := SparseArrFromParts(len(arr), nil, tc.width, vals, tc.max); err == nil {
-			t.Fatalf("max %d: bound %d accepted value %d", tc.max, tc.max, tc.max)
+		checkPartsRoundTrip(t, what, ix.Sparse, int(tc.max)+1)
+		n, _, b, sentinel, vals := ix.Sparse.Parts()
+		if sentinel != tc.neg {
+			t.Fatalf("%s: sentinel %v", what, sentinel)
+		}
+		if _, err := SparseArrFromParts(n, nil, b, sentinel, vals, int(tc.max)); err == nil {
+			t.Fatalf("%s: bound %d accepted value %d", what, tc.max, tc.max)
 		}
 	}
 }
@@ -238,6 +274,10 @@ func TestEncodeForwardChooses(t *testing.T) {
 	for i := range clustered {
 		clustered[i] = Rid(i / 640)
 	}
+	dropped := make([]Rid, 100)
+	for i := range dropped {
+		dropped[i] = -1
+	}
 	few := make([]Rid, 6400)
 	for i := range few {
 		few[i] = -1
@@ -245,30 +285,40 @@ func TestEncodeForwardChooses(t *testing.T) {
 	for i := 0; i < len(few); i += 10 {
 		few[i] = Rid(i % 7)
 	}
+	// 8 constant runs of 36 over values 0..3: the run directory's 72 bytes
+	// tie the dense 2-bit array's 9 words.
+	tie := make([]Rid, 288)
+	for i := range tie {
+		tie[i] = Rid(i / 36 % 4)
+	}
 	wide := shuffledArr(6400, 6400)
 	wide[5] = 1 << 20
+	widest := shuffledArr(6400, 6400)
+	widest[5] = math.MaxInt32
 	for _, tc := range []struct {
-		name  string
-		arr   []Rid
-		kind  Kind
-		width int // SparseOne only
-		bits  bool
+		name   string
+		arr    []Rid
+		kind   Kind
+		bits   uint // SparseOne only
+		bitmap bool
 	}{
 		{"clustered", clustered, EncodedOne, 0, false},
-		{"all dropped", []Rid{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1}, EncodedOne, 0, false},
-		{"1000 groups", shuffledArr(6400, 1000), SparseOne, 2, false},
-		{"4 groups", shuffledArr(6400, 4), SparseOne, 1, false},
-		{"few present", few, SparseOne, 1, true},
-		{"tie runs vs dense", []Rid{3, 3, 3, 3, 3, 3, 3, 3, 3}, SparseOne, 1, false},
-		{"wide values", wide, OneToOne, 0, false},
+		{"all dropped", dropped, EncodedOne, 0, false},
+		{"1000 groups", shuffledArr(6400, 1000), SparseOne, 10, false},
+		{"4 groups and a -1", shuffledArr(6400, 4), SparseOne, 3, false},
+		{"4 groups", shuffledArr(6400, 4)[2:], SparseOne, 2, false},
+		{"few present", few, SparseOne, 3, true},
+		{"tie runs vs dense", tie, SparseOne, 2, false},
+		{"wide values", wide, SparseOne, 21, false},
+		{"widest values", widest, OneToOne, 0, false},
 	} {
 		raw := NewOneToOne(tc.arr)
 		ix := EncodeForward(raw)
 		if ix.Kind != tc.kind {
 			t.Fatalf("%s: kind %v, want %v", tc.name, ix.Kind, tc.kind)
 		}
-		if tc.kind == SparseOne && (ix.Sparse.width != tc.width || (ix.Sparse.words != nil) != tc.bits) {
-			t.Fatalf("%s: width %d bitmap %v, want %d %v", tc.name, ix.Sparse.width, ix.Sparse.words != nil, tc.width, tc.bits)
+		if tc.kind == SparseOne && (ix.Sparse.b != tc.bits || (ix.Sparse.words != nil) != tc.bitmap) {
+			t.Fatalf("%s: %d bits bitmap %v, want %d %v", tc.name, ix.Sparse.b, ix.Sparse.words != nil, tc.bits, tc.bitmap)
 		}
 		if tc.kind == OneToOne && ix != raw {
 			t.Fatalf("%s: the kept array was rebuilt", tc.name)
@@ -279,73 +329,113 @@ func TestEncodeForwardChooses(t *testing.T) {
 		if got := ix.DenseForward(len(tc.arr)); !reflect.DeepEqual(got, tc.arr) {
 			t.Fatalf("%s: DenseForward differs from the input", tc.name)
 		}
-		// The chosen form is no larger than any candidate, raw included.
+		// The chosen form is no larger than any candidate: raw, the run
+		// directory, and every packed twin.
 		if ix.SizeBytes() > raw.SizeBytes() {
 			t.Fatalf("%s: %d bytes, raw is %d", tc.name, ix.SizeBytes(), raw.SizeBytes())
 		}
 		if e := EncodeArr(tc.arr); e != nil && ix.SizeBytes() > e.SizeBytes() {
 			t.Fatalf("%s: %d bytes, the run directory is %d", tc.name, ix.SizeBytes(), e.SizeBytes())
 		}
+		for form, p := range packedForms(tc.arr) {
+			if ix.SizeBytes() > p.SizeBytes() {
+				t.Fatalf("%s: %d bytes, the %s twin is %d", tc.name, ix.SizeBytes(), form, p.SizeBytes())
+			}
+		}
 	}
-	// A capture-time sparse array (4-byte slots) repacks to the narrowest
-	// width and keeps its bitmap.
-	sp := NewSparseOne(sparseOf(few))
-	if ix := EncodeForward(sp); ix.Kind != SparseOne || ix.Sparse.width != 1 || ix.Sparse.words == nil {
-		t.Fatalf("sparse repack: kind %v width %d", ix.Kind, ix.Sparse.width)
+	// A capture-time sparse array (32-bit slots) packs to its exact width
+	// and keeps its bitmap; a record holding -1 (a composed drop) leaves the
+	// bitmap instead of costing a sentinel bit.
+	s := sparseOf(few)
+	if ix := EncodeForward(NewSparseOne(s)); ix.Kind != SparseOne || ix.Sparse.b != 3 || ix.Sparse.words == nil {
+		t.Fatalf("sparse pack: kind %v, %d bits", ix.Kind, ix.Sparse.b)
 	}
+	s.Set(60, -1)
+	dropOne := append([]Rid(nil), few...)
+	dropOne[60] = -1
+	ix := EncodeForward(NewSparseOne(s))
+	if ix.Kind != SparseOne || ix.Sparse.b != 3 || ix.Sparse.count != s.count-1 || ix.Sparse.wrap == ix.Sparse.mask {
+		t.Fatalf("sparse pack with a -1: kind %v, %d bits, %d slots", ix.Kind, ix.Sparse.b, ix.Sparse.count)
+	}
+	if got := ix.DenseForward(len(few)); !reflect.DeepEqual(got, dropOne) {
+		t.Fatal("sparse pack with a -1: DenseForward differs")
+	}
+	if s.Get(60) != -1 || s.count != len(few)/10 {
+		t.Fatal("packing changed the capture-time array")
+	}
+}
+
+// sparseParts is one SparseArrFromParts input.
+type sparseParts struct {
+	name     string
+	n        int
+	words    []uint64
+	bits     int
+	sentinel bool
+	vals     []byte
 }
 
 func TestSparseArrFromPartsRejects(t *testing.T) {
 	good := NewSparseArr(70, []Rid{0, 64, 69})
 	good.Set(69, 1)
-	n, words, _, vals := good.Parts() // values 0, 0, 1
-	w1 := []byte{0, 0xff, 1}
-	for _, tc := range []struct {
-		name  string
-		n     int
-		words []uint64
-		width int
-		vals  []byte
-	}{
-		{"negative count", -1, nil, 4, nil},
-		{"too few words", n, words[:1], 4, vals},
-		{"too many words", n, append(append([]uint64(nil), words...), 0), 4, vals},
-		{"bit past n", n, []uint64{words[0], words[1] | 1<<6}, 4, append(append([]byte(nil), vals...), 0, 0, 0, 0)},
-		{"popcount above values", n, words, 4, vals[:8]},
-		{"popcount below values", n, words, 4, append(append([]byte(nil), vals...), 0, 0, 0, 0)},
-		{"value below -1", n, words, 4, []byte{0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0, 0, 0, 0}},
-		{"value at bound", n, words, 4, []byte{0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}},
-		{"narrow value at bound", n, words, 1, []byte{0, 2, 1}},
-		{"width 0", n, words, 0, nil},
-		{"width 3", n, words, 3, make([]byte, 9)},
-		{"width 8", n, words, 8, make([]byte, 24)},
-		{"values not whole slots", n, words, 2, make([]byte, 5)},
-		{"no bitmap, short values", n, nil, 1, w1},
-		{"no bitmap, record count wraps present*width", 1 << 62, nil, 4, nil},
+	n, words, _, _, vals := good.Parts() // values 0, 0, 1
+	w8 := []byte{0, 0xff, 1}
+	for _, tc := range []sparseParts{
+		{"negative count", -1, nil, 32, true, nil},
+		{"too few words", n, words[:1], 32, true, vals},
+		{"too many words", n, append(append([]uint64(nil), words...), 0), 32, true, vals},
+		{"bit past n", n, []uint64{words[0], words[1] | 1<<6}, 32, true, append(append([]byte(nil), vals...), 0, 0, 0, 0)},
+		{"popcount above values", n, words, 32, true, vals[:8]},
+		{"values past their words", n, words, 32, true, append(append([]byte(nil), vals...), make([]byte, 8)...)},
+		{"value below -1", n, words, 32, true, []byte{0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0, 0, 0, 0}},
+		{"value at bound", n, words, 32, true, []byte{0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}},
+		{"8-bit value at bound", n, words, 8, true, []byte{0, 2, 1}},
+		{"all-ones without a sentinel", n, words, 8, false, w8},
+		{"10-bit value at bound", n, words, 10, false, []byte{0, 0, 0x20, 0}},
+		{"bits 0", n, words, 0, true, nil},
+		{"bits 33", n, words, 33, true, make([]byte, 16)},
+		{"bits -8", n, words, -8, true, nil},
+		{"10 bits, short values", n, words, 10, false, make([]byte, 3)},
+		{"10 bits, values past their word", n, words, 10, false, make([]byte, 9)},
+		{"no bitmap, short values", n, nil, 8, true, w8},
+		{"no bitmap, record count wraps count*bits", 1 << 62, nil, 32, true, nil},
+		{"no bitmap, record count wraps at one bit", 1 << 62, nil, 1, false, make([]byte, 8)},
 	} {
-		if _, err := SparseArrFromParts(tc.n, tc.words, tc.width, tc.vals, 2); err == nil {
+		if _, err := SparseArrFromParts(tc.n, tc.words, tc.bits, tc.sentinel, tc.vals, 2); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	if _, err := SparseArrFromParts(n, words, 1, w1, 2); err != nil {
-		t.Fatalf("-1 values (a composed drop) must validate: %v", err)
+	for _, tc := range []sparseParts{
+		{"-1 values (a composed drop) at 8 bits", n, words, 8, true, w8},
+		{"a dense 8-bit array", n, nil, 8, true, make([]byte, n)},
+		{"a dense 1-bit array without a sentinel", n, nil, 1, false, make([]byte, 9)},
+		{"10 bits in whole words", n, words, 10, false, []byte{0, 0, 0x10, 0, 0, 0, 0, 0}},
+	} {
+		if _, err := SparseArrFromParts(tc.n, tc.words, tc.bits, tc.sentinel, tc.vals, 2); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
-	if _, err := SparseArrFromParts(n, nil, 1, make([]byte, n), 2); err != nil {
-		t.Fatalf("a dense packed array must validate: %v", err)
+	// The sentinel flag alone decides whether the all-ones slot is -1.
+	for sentinel, want := range map[bool]Rid{false: 1, true: -1} {
+		s, err := SparseArrFromParts(2, nil, 1, sentinel, []byte{0b10}, 2)
+		if err != nil || s.Get(0) != 0 || s.Get(1) != want {
+			t.Fatalf("1-bit all-ones slot with sentinel %v: %v", sentinel, err)
+		}
 	}
-	// A misaligned 4-byte value section is copied, not cast.
+	// A misaligned 32-bit value section is copied, not cast.
 	buf := make([]byte, 1+len(vals))
 	copy(buf[1:], vals)
-	if s, err := SparseArrFromParts(n, words, 4, buf[1:], 2); err != nil || s.Get(69) != 1 {
+	if s, err := SparseArrFromParts(n, words, 32, true, buf[1:], 2); err != nil || s.Get(69) != 1 {
 		t.Fatalf("misaligned values: %v", err)
 	}
-	// So is a misaligned 2-byte one.
+	// So is a misaligned packed one, and one that is not whole words (an
+	// older writer's 16-bit slots).
 	buf = []byte{0}
 	for _, v := range []uint16{0, 0xffff, 1} {
 		buf = binary.NativeEndian.AppendUint16(buf, v)
 	}
-	if s, err := SparseArrFromParts(n, words, 2, buf[1:], 2); err != nil || s.Get(64) != -1 || s.Get(69) != 1 {
-		t.Fatalf("misaligned 2-byte values: %v", err)
+	if s, err := SparseArrFromParts(n, words, 16, true, buf[1:], 2); err != nil || s.Get(64) != -1 || s.Get(69) != 1 {
+		t.Fatalf("misaligned 16-bit values: %v", err)
 	}
 }
 
@@ -375,44 +465,55 @@ func TestEncodedArrFromPartsBound(t *testing.T) {
 	}
 }
 
-// FuzzSparseParts feeds SparseArrFromParts arbitrary bitmaps, slot widths,
-// value bytes and bounds: what it rejects must be a structured error, never a
-// panic, and what it accepts must answer every lookup in range with a value
-// in [-1, bound) and hold exactly one slot per present record.
+// FuzzSparseParts feeds SparseArrFromParts arbitrary bitmaps, bit widths,
+// sentinel flags, value bytes and bounds: what it rejects must be a
+// structured error, never a panic, and what it accepts must answer every
+// lookup in range with a value in [-1, bound) and hold at least one b-bit
+// slot per present record, in no more than the words they occupy.
 func FuzzSparseParts(f *testing.F) {
-	add := func(n int, dense bool, width, bound int, words []uint64, vals []Rid) {
+	add := func(n int, dense bool, b int, sentinel bool, bound int, words []uint64, vals []Rid) {
 		wb := make([]byte, 0, 8*len(words))
 		for _, w := range words {
 			wb = binary.LittleEndian.AppendUint64(wb, w)
 		}
-		vb := make([]byte, 0, width*len(vals))
-		for _, v := range vals {
-			switch width {
-			case 1:
-				vb = append(vb, byte(v))
-			case 2:
-				vb = binary.LittleEndian.AppendUint16(vb, uint16(v))
-			default:
-				vb = binary.LittleEndian.AppendUint32(vb, uint32(v))
+		var stream []uint64
+		for k, v := range vals {
+			off := k * b
+			for len(stream) <= (off+b-1)/64 {
+				stream = append(stream, 0)
+			}
+			x := uint64(v) & (1<<b - 1)
+			stream[off/64] |= x << (off % 64)
+			if off%64+b > 64 {
+				stream[off/64+1] |= x >> (64 - off%64)
 			}
 		}
-		f.Add(n, dense, width, bound, wb, vb)
+		vb := make([]byte, 0, 8*len(stream))
+		for _, w := range stream {
+			vb = binary.LittleEndian.AppendUint64(vb, w)
+		}
+		f.Add(n, dense, b, sentinel, bound, wb, vb[:(len(vals)*b+7)/8])
 	}
-	add(0, false, 4, 1, nil, nil)
-	add(129, false, 4, 2, []uint64{1 << 63, 1, 1}, []Rid{0, 1, -1})
-	add(64, false, 4, 64, []uint64{^uint64(0)}, make([]Rid, 64))
-	add(65, false, 4, 1, []uint64{1}, []Rid{0})       // wrong word count
-	add(65, false, 4, 1, []uint64{1, 2}, []Rid{0, 0}) // bit past n
-	add(64, false, 4, 1, []uint64{3}, []Rid{0})       // popcount != values
-	add(64, false, 4, 1, []uint64{1}, []Rid{-7})      // value below -1
-	add(4, true, 1, 3, nil, []Rid{0, 2, -1, 1})       // dense, width 1
-	add(3, true, 2, 300, nil, []Rid{299, -1, 0})      // dense, width 2
-	add(70, false, 2, 9, []uint64{1, 1 << 5}, []Rid{8, -1})
-	add(4, true, 3, 3, nil, []Rid{0, 1, 2, 0})  // bad width
-	add(9, true, 1, 3, nil, []Rid{0, 1, 2})     // no bitmap, short values
-	add(4, true, 1, 2, nil, []Rid{0, 1, 2, -1}) // value at bound
-	add(1<<62, true, 4, 1, nil, nil)            // present*width wraps to 0
-	f.Fuzz(func(t *testing.T, n int, dense bool, width, bound int, wb, vb []byte) {
+	add(0, false, 32, true, 1, nil, nil)
+	add(129, false, 32, true, 2, []uint64{1 << 63, 1, 1}, []Rid{0, 1, -1})
+	add(64, false, 32, true, 64, []uint64{^uint64(0)}, make([]Rid, 64))
+	add(65, false, 32, true, 1, []uint64{1}, []Rid{0})       // wrong word count
+	add(65, false, 32, true, 1, []uint64{1, 2}, []Rid{0, 0}) // bit past n
+	add(64, false, 32, true, 1, []uint64{3}, []Rid{0})       // popcount != values
+	add(64, false, 32, true, 1, []uint64{1}, []Rid{-7})      // value below -1
+	add(4, true, 8, true, 3, nil, []Rid{0, 2, -1, 1})        // dense, 8 bits
+	add(3, true, 16, true, 300, nil, []Rid{299, -1, 0})      // dense, 16 bits
+	add(70, false, 16, true, 9, []uint64{1, 1 << 5}, []Rid{8, -1})
+	add(4, true, 33, true, 3, nil, []Rid{0, 1, 2, 0})                   // bad width
+	add(9, true, 8, true, 3, nil, []Rid{0, 1, 2})                       // no bitmap, short values
+	add(4, true, 8, true, 2, nil, []Rid{0, 1, 2, -1})                   // value at bound
+	add(1<<62, true, 32, true, 1, nil, nil)                             // count*bits wraps to 0
+	add(1<<62, true, 1, false, 1, nil, make([]Rid, 64))                 // count*bits wraps at one bit
+	add(7, true, 10, false, 1000, nil, []Rid{999, 0, 1023, 5, 6, 7, 8}) // 10 bits, value past bound
+	add(7, true, 10, true, 1000, nil, []Rid{999, 0, -1, 5, 6, 7, 8})    // 10 bits, straddling words
+	add(3, true, 1, false, 2, nil, []Rid{1, 0, 1})                      // 1 bit, no sentinel
+	add(130, false, 3, false, 8, []uint64{1 << 63, 1, 3}, []Rid{7, 0, 6, 5})
+	f.Fuzz(func(t *testing.T, n int, dense bool, b int, sentinel bool, bound int, wb, vb []byte) {
 		var words []uint64
 		if !dense {
 			words = make([]uint64, len(wb)/8)
@@ -420,7 +521,7 @@ func FuzzSparseParts(f *testing.F) {
 				words[i] = binary.LittleEndian.Uint64(wb[8*i:])
 			}
 		}
-		s, err := SparseArrFromParts(n, words, width, vb, bound)
+		s, err := SparseArrFromParts(n, words, b, sentinel, vb, bound)
 		if err != nil {
 			return
 		}
@@ -434,8 +535,8 @@ func FuzzSparseParts(f *testing.F) {
 				present++
 			}
 		}
-		if present*width != len(vb) {
-			t.Fatalf("accepted %d present records at width %d for %d value bytes", present, width, len(vb))
+		if 8*len(vb) < present*b || len(vb) > 8*((present*b+63)/64) {
+			t.Fatalf("accepted %d present records at %d bits for %d value bytes", present, b, len(vb))
 		}
 		_ = NewSparseOne(s).DenseForward(n)
 	})

@@ -225,8 +225,8 @@ func TestHashAggSubsetInput(t *testing.T) {
 		t.Fatalf("subset forward lineage: FW nil=%v, FWSparse nil=%v; want only the sparse form",
 			res.FW == nil, res.FWSparse == nil)
 	}
-	if _, _, width, vals := res.FWSparse.Parts(); len(vals) != width*len(sub) {
-		t.Fatalf("sparse forward holds %d bytes at width %d, want %d rids", len(vals), width, len(sub))
+	if _, _, bits, _, vals := res.FWSparse.Parts(); bits != 32 || len(vals) != 4*len(sub) {
+		t.Fatalf("sparse forward holds %d bytes at %d bits, want %d 32-bit rids", len(vals), bits, len(sub))
 	}
 	inSub := map[Rid]bool{}
 	for _, r := range sub {

@@ -317,10 +317,10 @@ func (r rotStore) LoadResult(sid, name string) (*diskstore.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	offs, data, card := ix.Enc.Parts()
+	n, words, offs, data, card := ix.Enc.Parts()
 	bad := append([]byte(nil), data...)
 	bad[0] = 0xee
-	enc, err := lineage.EncodedIndexFromParts(offs, bad, card)
+	enc, err := lineage.EncodedIndexFromParts(n, words, offs, bad, card)
 	if err != nil {
 		return nil, err
 	}

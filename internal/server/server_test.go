@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -366,6 +367,33 @@ func TestErrorStatuses(t *testing.T) {
 		Direction: "backward", Table: "orders", Rids: []int64{99},
 	})
 	wantStatus(t, err, 400)
+}
+
+// A result holding NaN or ±Inf has no JSON form. The query is answered as a
+// structured 422 saying so — stateless or retained — not as a 200 whose
+// body breaks off empty.
+func TestNonFiniteResultIs422(t *testing.T) {
+	c, _ := newTestServer(t, nil)
+	ctx := context.Background()
+	schema := []serverclient.Field{{Name: "k", Type: "int"}, {Name: "v", Type: "float"}}
+	if err := c.CreateTable(ctx, "t", schema, [][]any{{1, 2.0}, {1, -1.0}, {2, 0.0}}, ""); err != nil {
+		t.Fatal(err)
+	}
+	req := serverclient.QueryRequest{SQL: "SELECT k, SUM(v / 0.0) AS x FROM t GROUP BY k"}
+	_, err := c.Query(ctx, req)
+	if se := wantStatus(t, err, 422); se.Kind != "unsupported" || !strings.Contains(se.Message, "NaN") {
+		t.Fatalf("non-finite result: %+v", se)
+	}
+	sess, err := c.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sess.Run(ctx, "inf", req)
+	wantStatus(t, err, 422)
+	// A finite aggregate over the same table still answers 200.
+	if _, err := c.Query(ctx, serverclient.QueryRequest{SQL: "SELECT k, SUM(v) AS x FROM t GROUP BY k"}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSessionTTLEviction(t *testing.T) {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -53,12 +54,20 @@ func (r *Result) Normalize() {
 	}
 }
 
-// WriteJSON answers status with v as the JSON body.
+// WriteJSON answers status with v as the JSON body. v is encoded before
+// anything is sent: a value JSON cannot carry — a NaN or ±Inf in a result
+// row — is answered as a structured 422 (Unsupported) instead of the status
+// with an empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		WriteError(w, serr.New(serr.Unsupported,
+			"server: the answer holds a value JSON cannot carry (NaN and ±Inf floats have no JSON form): %v", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the status is sent; a dead connection has no one to tell
+	_, _ = w.Write(buf.Bytes()) // the status is sent; a dead connection has no one to tell
 }
 
 // WriteError answers err as the uniform error body under its kind's status.

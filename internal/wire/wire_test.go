@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -105,6 +106,28 @@ func TestErrorBodies(t *testing.T) {
 		if _, ok := ParseError([]byte(junk)); ok {
 			t.Errorf("ParseError(%q) accepted a non-error body", junk)
 		}
+	}
+}
+
+// TestWriteJSONNonFinite: a body JSON cannot carry — a result row holding
+// NaN or ±Inf — is answered as a structured 422 naming the rule, never as
+// the intended status with an empty body; a finite body is sent as before.
+func TestWriteJSONNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, 200, Result{Columns: []string{"x"}, Types: []string{"float"}, Rows: [][]any{{v}}, N: 1})
+		back, ok := ParseError(rec.Body.Bytes())
+		if rec.Code != 422 || !ok || back.Kind != serr.Unsupported || !strings.Contains(back.Msg, "NaN") {
+			t.Fatalf("%v: answered %d %q, want a structured 422", v, rec.Code, rec.Body.String())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%v: Content-Type = %q", v, ct)
+		}
+	}
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, 201, Result{Columns: []string{"x"}, Types: []string{"float"}, Rows: [][]any{{1.5}}, N: 1})
+	if want := `{"columns":["x"],"types":["float"],"rows":[[1.5]],"row_count":1}` + "\n"; rec.Code != 201 || rec.Body.String() != want {
+		t.Fatalf("finite body answered %d %q, want 201 %q", rec.Code, rec.Body.String(), want)
 	}
 }
 
