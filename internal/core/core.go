@@ -703,9 +703,15 @@ func (r *Result) MemBytes() int64 {
 }
 
 // bound packages the result as a trace binding: its output relation plus the
-// captured indexes, traced in place by the physical trace operator.
+// captured indexes, traced in place by the physical trace operator. Data
+// skipping keeps the backward lineage in the partitioned index only; the
+// binding carries it flattened, in the order Result.Backward reports.
 func (r *Result) bound() *plan.BoundTrace {
-	return &plan.BoundTrace{Out: r.Out, Capture: r.capture}
+	c := r.capture
+	if r.bwPart != nil && r.baseRel != nil {
+		c = c.WithBackward(r.baseRel.Name, r.bwPart.Flat())
+	}
+	return &plan.BoundTrace{Out: r.Out, Capture: c}
 }
 
 // Cube returns the partial data cube materialized by group-by push-down, or

@@ -117,6 +117,48 @@ func TestQueryBackwardMatchesConsumeGroupBy(t *testing.T) {
 				t.Fatalf("%s: chained trace rows %d, want %d", name, chain.Out.N, len(wantChain))
 			}
 		}
+
+		// A data-skipping base keeps its backward lineage in the partitioned
+		// index only: the bound trace and the lazy re-execution must read it
+		// the way Result.Backward does.
+		pbase, err := db.Query().From("orders", nil).GroupBy("state").
+			Agg(ops.Count, nil, "c").Run(CaptureOptions{Mode: ops.Inject, PartitionBy: []string{"cat"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prids, err := pbase.Backward("orders", []Rid{1, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pbase.ConsumeGroupBy(prids, spec, CaptureOptions{Mode: ops.Inject, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lazy := range []bool{false, true} {
+			name := fmt.Sprintf("workers=%d partitioned base lazy=%v", workers, lazy)
+			q := db.Query().Trace(pbase, TraceBackward, "orders", Rids(1, 3))
+			if lazy {
+				q = q.TraceWith(StrategyLazy)
+			}
+			got, err := q.GroupBy("cat").Agg(ops.Count, nil, "n").Agg(ops.Sum, expr.C("amount"), "s").
+				Run(CaptureOptions{Mode: ops.Inject})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(got.Out.Cols, want.Out.Cols) {
+				t.Fatalf("%s: output diverges:\n got %v\nwant %v", name, got.Out.Cols, want.Out.Cols)
+			}
+			for o := 0; o < want.Out.N; o++ {
+				w, _ := want.Backward("orders", []Rid{Rid(o)})
+				g, err := got.Backward("orders", []Rid{Rid(o)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(w, g) {
+					t.Fatalf("%s: group %d backward lineage diverges:\n got %v\nwant %v", name, o, g, w)
+				}
+			}
+		}
 	}
 }
 

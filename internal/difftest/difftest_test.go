@@ -24,7 +24,8 @@ func TestDifferentialLineageEquivalence(t *testing.T) {
 
 // TestMultiBlockDifferentialEquivalence is the plan-layer gate: randomized
 // multi-block plans (fusible star blocks with HAVING/ORDER BY/LIMIT residue,
-// aggregations over joins over grouped subqueries, group-bys over set unions)
+// aggregations over joins over grouped subqueries, group-bys over M:N joins
+// and over set unions)
 // plus fixed multi-block SQL queries must be element-identical across
 // fused/generic lowering × serial/par3 × Inject/Defer × raw/compressed.
 func TestMultiBlockDifferentialEquivalence(t *testing.T) {

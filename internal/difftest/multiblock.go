@@ -17,13 +17,14 @@ import (
 )
 
 // Multi-block differential checking: randomized plans that the single-block
-// facade cannot express — aggregations over joins over grouped subqueries,
-// set unions, HAVING/ORDER BY/LIMIT residue — run through both lowerings
-// (SPJA-fused and generic) under every capture configuration, and every
-// combination must produce output and lineage element-identical to the
-// generic/serial/Inject/raw reference. This is the correctness gate for the
-// plan optimizer (the fusion rule in particular) and for the parallel
-// generic-runner kernels (M:N join probe, set-union capture).
+// facade cannot express — aggregations over joins over grouped subqueries
+// and over M:N joins, set unions, HAVING/ORDER BY/LIMIT residue — run
+// through both lowerings (SPJA-fused and generic) under every capture
+// configuration, and every combination must produce output and lineage
+// element-identical to the generic/serial/Inject/raw reference. This is the
+// correctness gate for the plan optimizer (the fusion rule in particular)
+// and for the generic runner's drivers (the M:N join, the set union) at one
+// and at several partitions, under both capture modes.
 
 // PlanVariant is one (lowering, capture) configuration of a plan run.
 type PlanVariant struct {
@@ -185,6 +186,25 @@ func GenMultiBlockPlan(ds *Dataset, fact2 *storage.Relation, r *rand.Rand) (plan
 	}
 }
 
+// GenMNJoinPlan builds the M:N shape: a group-by over fact ⋈ fact2 on k, a
+// key unique on neither side, so every lowering runs the generic M:N join
+// (fusion absorbs pk-fk joins only). Every column name collides between the
+// sides, so the join output qualifies them as "fact.col" and "fact2.col".
+func GenMNJoinPlan(ds *Dataset, fact2 *storage.Relation, r *rand.Rand) (plan.Node, string) {
+	left := plan.Scan{Table: "fact", Rel: ds.Fact, Filter: genFactFilter(r)}
+	right := plan.Scan{Table: "fact2", Rel: fact2, Filter: genFactFilter(r)}
+	keys := [][]string{{"fact.s"}, {"fact2.b"}, {"fact.b", "fact2.s"}}[r.Intn(3)]
+	n := plan.Node(plan.GroupBy{
+		Child: plan.Join{Left: left, Right: right, LeftKey: "k", RightKey: "k"},
+		Keys:  keys,
+		Aggs: []plan.AggDef{
+			{Fn: ops.Count, Name: "cnt"},
+			{Fn: ops.Sum, Arg: expr.C("fact2.v"), Name: "sv"},
+		},
+	})
+	return n, fmt.Sprintf("m:n join group by %v", keys)
+}
+
 // multiBlockSQL is the fixed SQL side of the multi-block gate: the acceptance
 // shapes (group-by over a join over a grouped subquery with HAVING/ORDER
 // BY/LIMIT) exercised through the parser and the SQL lowering.
@@ -217,9 +237,16 @@ func CheckMultiBlock(seed int64, plans int) error {
 	pl := pool.New(3)
 	defer pl.Close()
 
+	// M:N plans draw from their own stream, so the other generated plans are
+	// the same with or without them.
+	mnr := rand.New(rand.NewSource(-seed))
 	for qi := 0; qi < plans; qi++ {
 		n, desc := GenMultiBlockPlan(ds, fact2, r)
 		if err := checkPlanVariants(ds.DB, n, pl, fmt.Sprintf("seed %d plan %d (%s)", seed, qi, desc)); err != nil {
+			return err
+		}
+		n, desc = GenMNJoinPlan(ds, fact2, mnr)
+		if err := checkPlanVariants(ds.DB, n, pl, fmt.Sprintf("seed %d m:n plan %d (%s)", seed, qi, desc)); err != nil {
 			return err
 		}
 	}

@@ -30,10 +30,11 @@ import (
 // the propagation technique of §3.3: every operator captures its own local
 // indexes, which immediately compose with its children's end-to-end indexes
 // so intermediates can be garbage collected. All residue operators thread
-// Workers/Pool through to their morsel-parallel kernels (selection scans,
-// hash aggregations, pk-fk and M:N join probes, set-union capture) and the
-// finished capture encodes into the adaptive compressed forms when
-// PlanOpts.Compress is set.
+// Mode, Workers and Pool through to their one driver each (selection scans,
+// hash aggregations, pk-fk and M:N join probes, the set union's Defer
+// backfill): the mode names the same capture algorithm at every worker
+// count, and the finished capture encodes into the adaptive compressed forms
+// when PlanOpts.Compress is set.
 
 // PlanOpts configures plan execution. It mirrors the capture options of the
 // engine facade: Mode and the direction controls select the instrumentation,
@@ -544,14 +545,14 @@ func runUnion(node plan.Union, opts PlanOpts) (nodeOut, error) {
 		return nodeOut{}, err
 	}
 	dirs := localDirs(&left, &right)
-	// No capture needed: run the plain operator (Inject would collect
-	// per-entry rid lists just to throw them away).
-	setMode := ops.None
-	if dirs != 0 {
-		setMode = ops.Inject
+	// The plan's mode names the union's capture algorithm; with no direction
+	// to capture, the plain operator runs.
+	mode := opts.Mode
+	if dirs == 0 {
+		mode = ops.None
 	}
-	ures, err := ops.SetUnionPar(left.rel, node.Attrs, right.rel, node.Attrs,
-		setMode, dirs, opts.Workers, opts.Pool)
+	ures, err := ops.SetUnion(left.rel, node.Attrs, right.rel, node.Attrs,
+		mode, dirs, opts.Workers, opts.Pool)
 	if err != nil {
 		return nodeOut{}, err
 	}

@@ -82,6 +82,12 @@ func traceIndex(source plan.Node, bound *plan.BoundTrace, table string, need ops
 	var ix *lineage.Index
 	if need.Backward() {
 		ix = child.bw[table]
+		if ix == nil && child.bwPart != nil {
+			// A data-skipping group-by keeps its backward lineage in the
+			// partitioned index only; the sub-run captured no relation but
+			// table, so that index addresses it.
+			ix = child.bwPart.Flat()
+		}
 	} else {
 		ix = child.fw[table]
 	}

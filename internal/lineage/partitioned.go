@@ -109,6 +109,16 @@ func (p *PartitionedIndex) All(i int) []Rid {
 	return out
 }
 
+// Flat returns the unpartitioned backward lineage as a plain 1-to-N index
+// whose entry i is All(i).
+func (p *PartitionedIndex) Flat() *Index {
+	ix := NewRidIndex(len(p.parts))
+	for i := range p.parts {
+		ix.SetList(i, p.All(i))
+	}
+	return NewOneToMany(ix)
+}
+
 // Cardinality returns the total number of rid entries in the index.
 func (p *PartitionedIndex) Cardinality() int {
 	n := 0

@@ -231,9 +231,6 @@ func TestMNJoinVariantsProduceIdenticalIndexes(t *testing.T) {
 	}
 	for r := 0; r < left.N; r++ {
 		a, b, c := inj.LeftFW.List(r), dfw.LeftFW.List(r), def.LeftFW.List(r)
-		sortRids(a)
-		sortRids(b)
-		sortRids(c)
 		if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, c) {
 			t.Fatalf("left forward lists differ at rid %d", r)
 		}

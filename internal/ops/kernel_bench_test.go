@@ -1,11 +1,13 @@
 package ops
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"smoke/internal/datagen"
 	"smoke/internal/expr"
+	"smoke/internal/pool"
 	"smoke/internal/storage"
 )
 
@@ -104,5 +106,52 @@ func TestHashAggSubsetAllocatesNoRelationSizedArray(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / reps; per >= 256<<10 {
 		t.Fatalf("capture-on group-by over %d of %d rows allocates %d bytes per call, want < 256 KB",
 			subsetAggRids, subsetAggRows, per)
+	}
+}
+
+// Set-union and M:N join capture through their one driver: every capture
+// mode (M:N variant) at one and at two partitions. The union is 200k ∪ 200k
+// rows over 1,000 keys; the join is Figure 7's skewed 1,000 × 10,000 cell
+// without materialization.
+
+func BenchmarkSetUnion(b *testing.B) {
+	x := datagen.Zipf("a", 1.0, 200_000, 1000, 1)
+	y := datagen.Zipf("b", 1.0, 200_000, 1000, 2)
+	p := pool.New(2)
+	defer p.Close()
+	for _, mode := range []CaptureMode{None, Inject, Defer} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%v/w%d", mode, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := SetUnion(x, []string{"z"}, y, []string{"z"}, mode, CaptureBoth, w, p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkMNJoin(b *testing.B) {
+	left := datagen.Zipf("zipf1", 1.0, 1000, 10, 3)
+	right := datagen.Zipf("zipf2", 1.0, 10_000, 100, 4)
+	p := pool.New(2)
+	defer p.Close()
+	for _, v := range []struct {
+		name    string
+		variant MNVariant
+	}{{"inject", MNInject}, {"deferforw", MNDeferForward}, {"defer", MNDefer}} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w%d", v.name, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := HashJoinMN(left, "z", right, "z", v.variant,
+						JoinOpts{Dirs: CaptureBoth, Workers: w, Pool: p}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

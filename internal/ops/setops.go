@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"smoke/internal/lineage"
+	"smoke/internal/pool"
 	"smoke/internal/storage"
 )
 
@@ -26,6 +27,10 @@ func newSetKeyEnc(rel *storage.Relation, attrs []string) (*setKeyEnc, error) {
 	}
 	return e, nil
 }
+
+// fork returns an encoder over the same columns with its own key buffer, for
+// a concurrent partition.
+func (e *setKeyEnc) fork() *setKeyEnc { return &setKeyEnc{cols: e.cols} }
 
 func (e *setKeyEnc) encode(rid Rid) []byte {
 	e.buf = e.buf[:0]
@@ -121,25 +126,26 @@ func copyValue(dst *storage.Relation, dc, drow int, src *storage.Relation, sc, s
 // SetUnion computes A ∪ B (set semantics) over the given attribute lists
 // (Appendix F.1). Inject keeps per-entry rid arrays during the build/append
 // phases; Defer stores only an output id per entry and joins both inputs back
-// against the hash table afterwards.
+// against the hash table afterwards, each input split into up to workers
+// partitions scheduled on pl.
 func SetUnion(a *storage.Relation, aAttrs []string, b *storage.Relation, bAttrs []string,
-	mode CaptureMode, dirs Directions) (SetOpResult, error) {
-	return setOp(a, aAttrs, b, bAttrs, mode, dirs, unionKind)
+	mode CaptureMode, dirs Directions, workers int, pl *pool.Pool) (SetOpResult, error) {
+	return setOp(a, aAttrs, b, bAttrs, mode, dirs, unionKind, workers, pl)
 }
 
 // SetIntersect computes A ∩ B (set semantics) over the given attribute lists
 // (Appendix F.3).
 func SetIntersect(a *storage.Relation, aAttrs []string, b *storage.Relation, bAttrs []string,
-	mode CaptureMode, dirs Directions) (SetOpResult, error) {
-	return setOp(a, aAttrs, b, bAttrs, mode, dirs, intersectKind)
+	mode CaptureMode, dirs Directions, workers int, pl *pool.Pool) (SetOpResult, error) {
+	return setOp(a, aAttrs, b, bAttrs, mode, dirs, intersectKind, workers, pl)
 }
 
 // SetDiff computes A − B (set semantics) over the given attribute lists
 // (Appendix F.5). Lineage is captured only for A: every output depends on the
 // whole of B by definition, so per-record lineage to B is not materialized.
 func SetDiff(a *storage.Relation, aAttrs []string, b *storage.Relation, bAttrs []string,
-	mode CaptureMode, dirs Directions) (SetOpResult, error) {
-	return setOp(a, aAttrs, b, bAttrs, mode, dirs, diffKind)
+	mode CaptureMode, dirs Directions, workers int, pl *pool.Pool) (SetOpResult, error) {
+	return setOp(a, aAttrs, b, bAttrs, mode, dirs, diffKind, workers, pl)
 }
 
 type setOpKind uint8
@@ -150,33 +156,29 @@ const (
 	diffKind
 )
 
-// setOpExec runs the execution phases of a set operation — hash-table build
-// over A, probe/append over B, qualifying-entry scan, output materialization —
-// with optional per-entry rid collection (collectRids is the Inject capture
-// path; Defer and the parallel backfill leave the lists empty and probe the
-// pinned table afterwards). It returns the result with Out set plus the
-// pinned table for capture passes and the emitted slot list in output-id
-// order.
-func setOpExec(a *storage.Relation, aAttrs []string, b *storage.Relation, bAttrs []string,
-	kind setOpKind) (SetOpResult, *setTable, []int32, error) {
-	return setOpExecMode(a, aAttrs, b, bAttrs, kind, false)
-}
-
-func setOpExecMode(a *storage.Relation, aAttrs []string, b *storage.Relation, bAttrs []string,
-	kind setOpKind, collectRids bool) (SetOpResult, *setTable, []int32, error) {
+// setOp is the one driver behind the set operations. The hash-table build
+// over A, the probe/append over B and the qualifying-entry scan stay serial,
+// because they decide the output; Inject collects each entry's rid lists
+// during them. Defer's backfill (setBackfill) is the partitioned kernel.
+func setOp(a *storage.Relation, aAttrs []string, b *storage.Relation, bAttrs []string,
+	mode CaptureMode, dirs Directions, kind setOpKind, workers int, pl *pool.Pool) (SetOpResult, error) {
 
 	if len(aAttrs) != len(bAttrs) {
-		return SetOpResult{}, nil, nil, fmt.Errorf("ops: set operation attribute lists differ in length")
+		return SetOpResult{}, fmt.Errorf("ops: set operation attribute lists differ in length")
 	}
 	encA, err := newSetKeyEnc(a, aAttrs)
 	if err != nil {
-		return SetOpResult{}, nil, nil, err
+		return SetOpResult{}, err
 	}
 	encB, err := newSetKeyEnc(b, bAttrs)
 	if err != nil {
-		return SetOpResult{}, nil, nil, err
+		return SetOpResult{}, err
 	}
-
+	if mode == None {
+		dirs = 0
+	}
+	inject := mode == Inject && dirs != 0
+	captureB := kind != diffKind
 	t := newSetTable()
 
 	// Build phase over A (∪ht / ∩ht / \ht).
@@ -186,7 +188,7 @@ func setOpExecMode(a *storage.Relation, aAttrs []string, b *storage.Relation, bA
 		if e.repA < 0 {
 			e.repA = rid
 		}
-		if collectRids {
+		if inject {
 			e.aRids = lineage.AppendRid(e.aRids, rid)
 		}
 	}
@@ -202,7 +204,7 @@ func setOpExecMode(a *storage.Relation, aAttrs []string, b *storage.Relation, bA
 		if e.repB < 0 {
 			e.repB = rid
 		}
-		if collectRids && kind != diffKind {
+		if inject && captureB {
 			e.bRids = lineage.AppendRid(e.bRids, rid)
 		}
 	}
@@ -226,24 +228,9 @@ func setOpExecMode(a *storage.Relation, aAttrs []string, b *storage.Relation, bA
 		e.oid = int32(len(emitted))
 		emitted = append(emitted, int32(slot))
 	}
-	return SetOpResult{Out: setOutput(kind.name(), a, b, aAttrs, bAttrs, t.entries, emitted)}, t, emitted, nil
-}
-
-func setOp(a *storage.Relation, aAttrs []string, b *storage.Relation, bAttrs []string,
-	mode CaptureMode, dirs Directions, kind setOpKind) (SetOpResult, error) {
-
-	inject := mode == Inject
-	res, t, emitted, err := setOpExecMode(a, aAttrs, b, bAttrs, kind, inject)
-	if err != nil {
-		return SetOpResult{}, err
-	}
-	captureB := kind != diffKind
-
-	if dirs.Backward() {
-		res.ABW = lineage.NewRidIndex(len(emitted))
-		if captureB {
-			res.BBW = lineage.NewRidIndex(len(emitted))
-		}
+	res := SetOpResult{Out: setOutput(kind.name(), a, b, aAttrs, bAttrs, t.entries, emitted)}
+	if dirs == 0 {
+		return res, nil
 	}
 	if dirs.Forward() {
 		res.AFW = newForwardArray(a.N)
@@ -251,75 +238,84 @@ func setOp(a *storage.Relation, aAttrs []string, b *storage.Relation, bAttrs []s
 			res.BFW = newForwardArray(b.N)
 		}
 	}
-	if dirs == 0 {
-		return res, nil
-	}
 
-	if inject {
-		// Indexes come straight from the per-entry rid arrays (reuse, P4).
-		for _, slot := range emitted {
-			e := &t.entries[slot]
-			if res.ABW != nil {
-				res.ABW.SetList(int(e.oid), e.aRids)
-			}
-			if res.BBW != nil {
-				res.BBW.SetList(int(e.oid), e.bRids)
-			}
-			if res.AFW != nil {
-				for _, r := range e.aRids {
-					res.AFW[r] = e.oid
-				}
-			}
-			if res.BFW != nil {
-				for _, r := range e.bRids {
-					res.BFW[r] = e.oid
-				}
-			}
+	if !inject {
+		// Defer (⋈′ over each input): probe the pinned hash table again and
+		// fill the lineage indexes after the operator produced its output.
+		res.ABW = setBackfill(t, encA, a.N, len(emitted), dirs.Backward(), res.AFW, workers, pl)
+		if captureB {
+			res.BBW = setBackfill(t, encB, b.N, len(emitted), dirs.Backward(), res.BFW, workers, pl)
 		}
 		return res, nil
 	}
-
-	// Defer (⋈′ over each input): probe the pinned hash table again and fill
-	// the lineage indexes after the operator produced its output.
-	encA, err := newSetKeyEnc(a, aAttrs)
-	if err != nil {
-		return SetOpResult{}, err
-	}
-	encB, err := newSetKeyEnc(b, bAttrs)
-	if err != nil {
-		return SetOpResult{}, err
-	}
-	for rid := int32(0); rid < int32(a.N); rid++ {
-		slot := t.lookup(encA.encode(rid), false)
-		if slot < 0 {
-			continue
-		}
-		if oid := t.entries[slot].oid; oid >= 0 {
-			if res.ABW != nil {
-				res.ABW.Append(int(oid), rid)
-			}
-			if res.AFW != nil {
-				res.AFW[rid] = oid
-			}
+	// Indexes come straight from the per-entry rid arrays (reuse, P4).
+	if dirs.Backward() {
+		res.ABW = lineage.NewRidIndex(len(emitted))
+		if captureB {
+			res.BBW = lineage.NewRidIndex(len(emitted))
 		}
 	}
-	if captureB {
-		for rid := int32(0); rid < int32(b.N); rid++ {
-			slot := t.lookup(encB.encode(rid), false)
-			if slot < 0 {
-				continue
+	for _, slot := range emitted {
+		e := &t.entries[slot]
+		if res.ABW != nil {
+			res.ABW.SetList(int(e.oid), e.aRids)
+		}
+		if res.BBW != nil {
+			res.BBW.SetList(int(e.oid), e.bRids)
+		}
+		if res.AFW != nil {
+			for _, r := range e.aRids {
+				res.AFW[r] = e.oid
 			}
-			if oid := t.entries[slot].oid; oid >= 0 {
-				if res.BBW != nil {
-					res.BBW.Append(int(oid), rid)
-				}
-				if res.BFW != nil {
-					res.BFW[rid] = oid
-				}
+		}
+		if res.BFW != nil {
+			for _, r := range e.bRids {
+				res.BFW[r] = e.oid
 			}
 		}
 	}
 	return res, nil
+}
+
+// setBackfill is the Defer capture of one input with n rows: each partition
+// of the input re-probes the pinned table read-only, and every row of an
+// emitted entry records the entry's output id. Forward entries go straight
+// into fw (partitions own disjoint rids); the backward index over outN
+// outputs (when bw) merges in partition order, which is input scan order.
+func setBackfill(t *setTable, enc *setKeyEnc, n, outN int, bw bool, fw []Rid, workers int, pl *pool.Pool) *lineage.RidIndex {
+	ranges := pool.Split(n, workers)
+	sinks := make([]listSink, len(ranges))
+	if bw && len(ranges) == 1 {
+		sinks[0].ix = lineage.NewRidIndex(outN)
+	}
+	pl.RunSplit(ranges, func(part, lo, hi int) {
+		enc, s := enc.fork(), sinks[part]
+		for rid := Rid(lo); rid < Rid(hi); rid++ {
+			slot := t.lookup(enc.encode(rid), false)
+			if slot < 0 {
+				continue
+			}
+			oid := t.entries[slot].oid
+			if oid < 0 {
+				continue
+			}
+			if bw {
+				if s.ix != nil {
+					s.ix.AppendFast(int(oid), rid)
+				} else {
+					s.pair(oid, rid)
+				}
+			}
+			if fw != nil {
+				fw[rid] = oid
+			}
+		}
+		sinks[part] = s
+	})
+	if !bw {
+		return nil
+	}
+	return mergeSinks(len(sinks), outN, func(p int) *listSink { return &sinks[p] }, nil)
 }
 
 func (k setOpKind) name() string {

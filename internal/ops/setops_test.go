@@ -26,7 +26,7 @@ func TestSetUnionBothModes(t *testing.T) {
 	a := setRel("a", 1, 2, 2, 3)
 	b := setRel("b", 3, 4, 4)
 	for _, mode := range []CaptureMode{Inject, Defer} {
-		res, err := SetUnion(a, []string{"k"}, b, []string{"k"}, mode, CaptureBoth)
+		res, err := SetUnion(a, []string{"k"}, b, []string{"k"}, mode, CaptureBoth, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,11 +68,11 @@ func TestSetUnionBothModes(t *testing.T) {
 func TestSetUnionInjectDeferEquivalent(t *testing.T) {
 	a := setRel("a", 5, 6, 7, 5)
 	b := setRel("b", 7, 8)
-	inj, err := SetUnion(a, []string{"k"}, b, []string{"k"}, Inject, CaptureBoth)
+	inj, err := SetUnion(a, []string{"k"}, b, []string{"k"}, Inject, CaptureBoth, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := SetUnion(a, []string{"k"}, b, []string{"k"}, Defer, CaptureBoth)
+	def, err := SetUnion(a, []string{"k"}, b, []string{"k"}, Defer, CaptureBoth, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSetIntersect(t *testing.T) {
 	a := setRel("a", 1, 2, 2, 3, 5)
 	b := setRel("b", 2, 3, 4, 3)
 	for _, mode := range []CaptureMode{Inject, Defer} {
-		res, err := SetIntersect(a, []string{"k"}, b, []string{"k"}, mode, CaptureBoth)
+		res, err := SetIntersect(a, []string{"k"}, b, []string{"k"}, mode, CaptureBoth, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestSetDiff(t *testing.T) {
 	a := setRel("a", 1, 2, 2, 3)
 	b := setRel("b", 2, 9)
 	for _, mode := range []CaptureMode{Inject, Defer} {
-		res, err := SetDiff(a, []string{"k"}, b, []string{"k"}, mode, CaptureBoth)
+		res, err := SetDiff(a, []string{"k"}, b, []string{"k"}, mode, CaptureBoth, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestSetOpsMultiColumnAndStringKeys(t *testing.T) {
 	})
 	b.AppendRow("x", 2)
 	b.AppendRow("z", 9)
-	res, err := SetIntersect(a, []string{"s", "n"}, b, []string{"s", "n"}, Inject, CaptureBoth)
+	res, err := SetIntersect(a, []string{"s", "n"}, b, []string{"s", "n"}, Inject, CaptureBoth, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +267,13 @@ func TestSetOpsMultiColumnAndStringKeys(t *testing.T) {
 func TestSetOpsErrors(t *testing.T) {
 	a := setRel("a", 1)
 	b := setRel("b", 1)
-	if _, err := SetUnion(a, []string{"nope"}, b, []string{"k"}, Inject, CaptureBoth); err == nil {
+	if _, err := SetUnion(a, []string{"nope"}, b, []string{"k"}, Inject, CaptureBoth, 1, nil); err == nil {
 		t.Error("unknown A column should error")
 	}
-	if _, err := SetUnion(a, []string{"k"}, b, []string{"nope"}, Inject, CaptureBoth); err == nil {
+	if _, err := SetUnion(a, []string{"k"}, b, []string{"nope"}, Inject, CaptureBoth, 1, nil); err == nil {
 		t.Error("unknown B column should error")
 	}
-	if _, err := SetUnion(a, []string{"k"}, b, []string{}, Inject, CaptureBoth); err == nil {
+	if _, err := SetUnion(a, []string{"k"}, b, []string{}, Inject, CaptureBoth, 1, nil); err == nil {
 		t.Error("arity mismatch should error")
 	}
 }
