@@ -97,6 +97,11 @@ type Store struct {
 	// stale is what Open dropped because the segment was written in format
 	// v1: session id → result names (see StaleResults).
 	stale map[string][]string
+	// writing counts, per file name, the segment writes in flight off the
+	// mutex that create or reference the file. The orphan sweep of a
+	// concurrent publish must spare them: until the writer's manifest
+	// commit nothing may reference them.
+	writing map[string]int
 }
 
 // Open opens (or initializes) a store directory: loads the manifest, drops
@@ -114,6 +119,7 @@ func Open(dir string) (*Store, error) {
 		relFiles:  map[*storage.Relation]string{},
 		relByFile: map[string]*storage.Relation{},
 		stale:     map[string][]string{},
+		writing:   map[string]int{},
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
@@ -226,10 +232,16 @@ func (s *Store) sweepOrphans() error {
 	for _, e := range entries {
 		name := e.Name()
 		switch {
-		case strings.HasSuffix(name, ".tmp"):
+		case strings.HasSuffix(name, ".tmp") && s.writing[strings.TrimSuffix(name, ".tmp")] == 0:
 			_ = os.Remove(filepath.Join(s.dir, name))
-		case strings.HasSuffix(name, ".seg") && !ref[name]:
+		case strings.HasSuffix(name, ".seg") && !ref[name] && s.writing[name] == 0:
 			_ = os.Remove(filepath.Join(s.dir, name))
+			// A relation that lived in the file must be written again by
+			// the next result that references it.
+			if rel := s.relByFile[name]; rel != nil {
+				delete(s.relFiles, rel)
+				delete(s.relByFile, name)
+			}
 		}
 	}
 	return nil
@@ -265,6 +277,15 @@ func (s *Store) publishLocked() error {
 		return err
 	}
 	return s.sweepOrphans()
+}
+
+// doneWritingLocked releases one in-flight write's claim on each file.
+func (s *Store) doneWritingLocked(files ...string) {
+	for _, f := range files {
+		if s.writing[f]--; s.writing[f] <= 0 {
+			delete(s.writing, f)
+		}
+	}
 }
 
 func (s *Store) nextFile(prefix string) string {
@@ -335,14 +356,16 @@ func (s *Store) PutTable(rel *storage.Relation, pk string) error {
 	w.meta.Relation = &m
 	addRelationSections(w, "", rel)
 	file := s.nextFile("t")
+	s.writing[file]++
 	s.mu.Unlock()
 
-	if _, err := w.writeTo(filepath.Join(s.dir, file)); err != nil {
-		return err
-	}
-
+	_, err := w.writeTo(filepath.Join(s.dir, file))
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.doneWritingLocked(file)
+	if err != nil {
+		return err
+	}
 	s.man.Tables[rel.Name] = tableEntry{File: file, PK: pk}
 	s.relFiles[rel] = file
 	s.relByFile[file] = rel
@@ -476,6 +499,7 @@ func (s *Store) putResult(session, name string, r *Result) (int64, error) {
 		// that is what keeps a superseded table segment alive (and
 		// recoverable) while a retained capture still points at it.
 		baseFiles = append(baseFiles, file)
+		s.writing[file]++
 		rm.Bases = append(rm.Bases, baseMeta{Table: t, File: file})
 	}
 
@@ -495,12 +519,18 @@ func (s *Store) putResult(session, name string, r *Result) (int64, error) {
 	}
 	w.meta.Result = rm
 	file := s.nextFile("s")
+	s.writing[file]++
 	s.mu.Unlock()
+	written := func() {
+		s.doneWritingLocked(baseFiles...)
+		s.doneWritingLocked(file)
+	}
 
 	// Phase 2: segment I/O off the lock. On failure the base reservations
 	// roll back so relFiles never points at a file that was not written.
 	unreserve := func() {
 		s.mu.Lock()
+		written()
 		for _, bw := range writes {
 			delete(s.relFiles, bw.rel)
 			delete(s.relByFile, bw.file)
@@ -530,6 +560,7 @@ func (s *Store) putResult(session, name string, r *Result) (int64, error) {
 	// Phase 3: manifest commit.
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	written()
 	se := s.man.Sessions[session]
 	if se == nil {
 		se = &sessionEntry{Results: map[string]resultEntry{}}

@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -571,4 +572,87 @@ func TestOpenDropsFormatV1Results(t *testing.T) {
 	if _, err := s2.LoadResult("s1", "new"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A publish's orphan sweep must spare the segments other writers have in
+// flight: an ingest's PutTable publishes while the server's flusher writes a
+// result off the mutex, and the reverse. A swept temp file fails the
+// write; a swept renamed-but-uncommitted segment leaves a manifest entry
+// whose file is gone.
+func TestPublishSparesInFlightWrites(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if err := s.Publish(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		if err := s.PutTable(testRelation(fmt.Sprintf("t%d", i%4), 256), ""); err != nil {
+			t.Fatalf("put table %d: %v", i, err)
+		}
+		if _, err := s.PutResultNoPublish("s1", fmt.Sprintf("q%d", i%4), buildResult(testRelation("b", 64))); err != nil {
+			t.Fatalf("put result %d: %v", i, err)
+		}
+	}
+	close(stop)
+	<-swept
+	if err := s.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.VerifyAll(); err != nil {
+		t.Fatalf("manifest references a swept segment: %v", err)
+	}
+	s.Close()
+}
+
+// A result retained over a table version that a re-ingest has since
+// replaced must persist that version with it. The replacing PutTable's
+// publish sweeps the old table segment once nothing references it; a later
+// PutResult over the old relation must then write it again as a standalone
+// base, not reference the swept file (the entry would be dropped at the
+// next Open as missing its backing file).
+func TestResultOverSupersededTableSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := testRelation("t", 32)
+	if err := s.PutTable(old, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutTable(testRelation("t", 40), ""); err != nil {
+		t.Fatal(err)
+	}
+	want := buildResult(old)
+	if _, err := s.PutResult("s1", "q", want); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got, err := s2.LoadResult("s1", "q")
+	if err != nil {
+		t.Fatalf("result over the superseded table lost across reopen: %v", err)
+	}
+	sameRelation(t, got.Bases["t"], old)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -390,5 +391,133 @@ func TestTombstonesKeepRecentAcrossOverflow(t *testing.T) {
 	ts.remove("j")
 	if ts.has("j") {
 		t.Fatal("removed tombstone still present")
+	}
+}
+
+// The lazy tier re-executes a result's producing request, which answers for
+// the result only over the inputs it originally ran on. After orders is
+// re-ingested, an evicted result must answer 410 — not rows of the new
+// table under the old result's name. Memory-only (eviction drops the
+// capture) and disk with a 1-byte budget (the demoted segment is deleted
+// once the flusher drains) reach the lazy tier the same way.
+func TestLazyTierRefusesReingestedBase(t *testing.T) {
+	for _, disk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("disk=%v", disk), func(t *testing.T) {
+			tweak := func(cfg *Config) {
+				cfg.MaxResultsPerSession = 1
+				cfg.CacheEntries = -1
+				cfg.MaxDiskBytes = 1
+			}
+			var (
+				c     *serverclient.Client
+				drain = func() {}
+			)
+			if disk {
+				var srv *Server
+				var stop func()
+				c, srv, _, stop = newDiskServer(t, t.TempDir(), tweak)
+				defer stop()
+				drain = srv.sessions.fl.drain
+			} else {
+				c, _ = newTestServer(t, tweak)
+			}
+			ctx := context.Background()
+			mustCreateOrders(t, c)
+			sess, err := c.NewSession(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Run(ctx, "base", serverclient.QueryRequest{
+				SQL: "SELECT region, SUM(amount) AS total FROM orders GROUP BY region"}); err != nil {
+				t.Fatal(err)
+			}
+			bw := serverclient.TraceRequest{Direction: "backward", Table: "orders", Rids: []int64{0}}
+			want, err := sess.Trace(ctx, "base", bw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(want.Rows) != "[[emea 10] [emea 30] [emea 2.5]]" {
+				t.Fatalf("reference trace = %v", want.Rows)
+			}
+			reingested := append([][]any{{"amer", 100.0}}, ordersRows()...)
+			if err := c.CreateTable(ctx, "orders", ordersSchema(), reingested, ""); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Run(ctx, "second", serverclient.QueryRequest{
+				SQL: "SELECT region, COUNT(*) AS n FROM orders GROUP BY region"}); err != nil {
+				t.Fatal(err)
+			}
+			drain()
+			got, err := sess.Trace(ctx, "base", bw)
+			if err == nil {
+				t.Fatalf("evicted result over a re-ingested table answered %v (strategy_used %q), want 410",
+					got.Rows, got.StrategyUsed)
+			}
+			wantStatus(t, err, 410)
+		})
+	}
+}
+
+// Lazy and hybrid results re-execute their plan for the traces they hold no
+// index for. Demotion keeps only the output and the captured indexes, so
+// those traces are answered by re-executing the producing request: element-
+// identical to the resident answers, on the same path (strategy_used), and
+// the demoted rows still read back.
+func TestDemotedLazyAndHybridResultsTrace(t *testing.T) {
+	for _, strategy := range []string{"lazy", "hybrid"} {
+		t.Run(strategy, func(t *testing.T) {
+			c, srv, _, stop := newDiskServer(t, t.TempDir(), func(cfg *Config) {
+				cfg.MaxResultsPerSession = 1
+			})
+			defer stop()
+			ctx := context.Background()
+			mustCreateOrders(t, c)
+			sess, err := c.NewSession(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := sess.Run(ctx, "r", serverclient.QueryRequest{
+				SQL: "SELECT region, COUNT(*) AS n FROM orders GROUP BY region", Strategy: strategy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces := []serverclient.TraceRequest{
+				{Direction: "forward", Table: "orders", Rids: []int64{0}},
+				{Direction: "backward", Table: "orders", Rids: []int64{0}},
+				{Direction: "forward", Table: "orders", Rids: []int64{1, 3}},
+			}
+			want := make([]*serverclient.Result, len(traces))
+			for i, tr := range traces {
+				if want[i], err = sess.Trace(ctx, "r", tr); err != nil {
+					t.Fatalf("resident %s trace: %v", tr.Direction, err)
+				}
+			}
+			// Retaining a second result demotes "r" (cap 1); drain so the
+			// segment write lands and the memory copy is released.
+			if _, err := sess.Run(ctx, "other", serverclient.QueryRequest{
+				SQL: "SELECT region, SUM(amount) AS s FROM orders GROUP BY region"}); err != nil {
+				t.Fatal(err)
+			}
+			srv.sessions.fl.drain()
+			if resident, onDisk := tierOf(srv.sessions, sess.ID, "r"); resident || !onDisk {
+				t.Fatalf("after demotion: resident=%v onDisk=%v, want the disk tier only", resident, onDisk)
+			}
+			for i, tr := range traces {
+				got, err := sess.Trace(ctx, "r", tr)
+				if err != nil {
+					t.Fatalf("demoted %s trace %v: %v", tr.Direction, tr.Rids, err)
+				}
+				sameRows(t, "demoted "+tr.Direction+" trace", got, want[i])
+				if got.StrategyUsed != want[i].StrategyUsed {
+					t.Fatalf("demoted %s trace strategy_used = %q, resident answered %q",
+						tr.Direction, got.StrategyUsed, want[i].StrategyUsed)
+				}
+			}
+			got, err := sess.Result(ctx, "r")
+			if err != nil {
+				t.Fatalf("GET of the demoted result: %v", err)
+			}
+			sameRows(t, "demoted rows", got, rows)
+		})
 	}
 }

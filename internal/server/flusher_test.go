@@ -102,7 +102,7 @@ func openTierStore(t *testing.T, dir string) *diskstore.Store {
 
 func mustPut(t *testing.T, r *registry, id, name string, res *core.Result) {
 	t.Helper()
-	if err := r.put(id, name, res); err != nil {
+	if err := r.put(id, name, res, nil); err != nil {
 		t.Fatalf("put %s/%s: %v", id, name, err)
 	}
 }
@@ -148,7 +148,7 @@ func TestSlowSegmentWriteDoesNotBlockServing(t *testing.T) {
 	go func() {
 		s2 := reg.create()
 		resB := tierResult(t, db)
-		if err := reg.put(s2.id, "b", resB); err != nil {
+		if err := reg.put(s2.id, "b", resB, nil); err != nil {
 			done <- err
 			return
 		}
@@ -188,10 +188,7 @@ func TestSlowSegmentWriteDoesNotBlockServing(t *testing.T) {
 	if st.c.writeBehind == 0 {
 		t.Fatalf("touched-during-demoting result should land as write-behind; counters %+v", st.c)
 	}
-	reg.mu.Lock()
-	_, resident := reg.sessions[s1.id].results["a"]
-	_, demoted := reg.sessions[s1.id].demoted["a"]
-	reg.mu.Unlock()
+	resident, demoted := tierOf(reg, s1.id, "a")
 	if !resident || !demoted {
 		t.Fatalf("after drain: resident=%v demoted=%v, want both (cancelled drop keeps it hot)", resident, demoted)
 	}
@@ -221,16 +218,14 @@ func TestInSituTraceRouting(t *testing.T) {
 	clk.advance(time.Second)
 	mustPut(t, reg, s.id, "b", tierResult(t, db)) // cap 1: demotes "a"
 	reg.fl.drain()
-	reg.mu.Lock()
-	_, resident := reg.sessions[s.id].results["a"]
-	reg.mu.Unlock()
+	resident, _ := tierOf(reg, s.id, "a")
 	if resident {
 		t.Fatal("demotion did not drop the memory copy")
 	}
 
 	// Small bound backward trace: in situ, element-identical, promotion-free.
 	h := traceHint{backward: true, table: "interact", seeds: seed}
-	view, err := reg.getForTrace(s.id, "a", h)
+	view, _, err := reg.resolve(s.id, "a", &h)
 	if err != nil {
 		t.Fatalf("in-situ trace resolve: %v", err)
 	}
@@ -246,9 +241,7 @@ func TestInSituTraceRouting(t *testing.T) {
 	if st.c.insituTraces != 1 || st.c.promotes != 0 || st.c.views != 1 {
 		t.Fatalf("after one small trace: %+v, want 1 in-situ, 1 view, 0 promotes", st.c)
 	}
-	reg.mu.Lock()
-	_, resident = reg.sessions[s.id].results["a"]
-	reg.mu.Unlock()
+	resident, _ = tierOf(reg, s.id, "a")
 	if resident {
 		t.Fatal("in-situ trace must not promote into the memory tier")
 	}
@@ -256,7 +249,7 @@ func TestInSituTraceRouting(t *testing.T) {
 	// Repeated small traces amortize residency: the insituPromoteAfter-th
 	// repeat promotes.
 	for i := 0; i < insituPromoteAfter; i++ {
-		if _, err := reg.getForTrace(s.id, "a", h); err != nil {
+		if _, _, err := reg.resolve(s.id, "a", &h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +268,7 @@ func TestInSituTraceRouting(t *testing.T) {
 	mustPut(t, reg, s.id, "c", tierResult(t, db))
 	reg.fl.drain()
 	fwd := traceHint{backward: false, table: "interact", seeds: []lineage.Rid{0}}
-	res, err := reg.getForTrace(s.id, "a", fwd)
+	res, _, err := reg.resolve(s.id, "a", &fwd)
 	if err != nil {
 		t.Fatalf("forward trace resolve: %v", err)
 	}
@@ -296,7 +289,7 @@ func TestInSituTraceRouting(t *testing.T) {
 	mustPut(t, reg, s.id, "d", tierResult(t, db))
 	reg.fl.drain()
 	bad := traceHint{backward: true, table: "interact", seeds: []lineage.Rid{1 << 30}}
-	if _, err := reg.getForTrace(s.id, "a", bad); err != nil {
+	if _, _, err := reg.resolve(s.id, "a", &bad); err != nil {
 		t.Fatalf("bad-seed resolve must fall back to promotion (the 400 comes later): %v", err)
 	}
 	if st = reg.stats(); st.c.promotes != 3 {
@@ -478,7 +471,7 @@ func TestTierChurnConcurrent(t *testing.T) {
 				name := fmt.Sprintf("r%d", rng.Intn(3))
 				switch rng.Intn(6) {
 				case 0, 1:
-					if err := reg.put(id, name, pool[rng.Intn(len(pool))]); err != nil && !tolerable(err) {
+					if err := reg.put(id, name, pool[rng.Intn(len(pool))], nil); err != nil && !tolerable(err) {
 						fail("put %s/%s: %v", id, name, err)
 					}
 				case 2:
@@ -493,14 +486,14 @@ func TestTierChurnConcurrent(t *testing.T) {
 					}
 				case 3:
 					h := traceHint{backward: true, table: "interact", seeds: seeds}
-					if res, err := reg.getForTrace(id, name, h); err == nil {
+					if res, _, err := reg.resolve(id, name, &h); err == nil {
 						if got, err := res.Backward("interact", seeds); err != nil {
 							fail("in-situ trace: %v", err)
 						} else if !reflect.DeepEqual(got, wantBW) {
 							fail("in-situ trace diverged: got %v want %v", got, wantBW)
 						}
 					} else if !tolerable(err) {
-						fail("getForTrace %s/%s: %v", id, name, err)
+						fail("resolve %s/%s: %v", id, name, err)
 					}
 				case 4:
 					_ = reg.stats()

@@ -321,6 +321,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.db.Register(rel)
+	s.sessions.forgetSpecs(name)
 	if pk != "" {
 		s.db.Catalog().SetPrimaryKey(name, pk)
 	}
@@ -489,14 +490,12 @@ func (s *Server) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, serr.New(serr.Invalid, "server: EXPLAIN statements cannot be retained"))
 		return
 	}
-	if err := s.sessions.put(id, name, res); err != nil {
+	// The producing request rides along: it answers traces the retained
+	// capture cannot (the lazy retention tier).
+	if err := s.sessions.put(id, name, res, &req); err != nil {
 		wire.WriteError(w, err)
 		return
 	}
-	// Remember the producing request: if every capture tier is later
-	// evicted, a trace can rebuild the result capture-free (the lazy
-	// retention tier) instead of answering 410.
-	s.sessions.rememberSpec(id, name, req)
 	out.Retained = name
 	wire.WriteJSON(w, http.StatusOK, out)
 }
@@ -514,10 +513,11 @@ func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 // Seeds pass through unvalidated: the registry's cost probe bounds-checks
 // them itself (out-of-range falls back to promotion, where runTrace turns
 // the bad seed into a 400), and nil seeds mean predicate-seeded.
-func traceHintOf(req wire.TraceRequest) traceHint {
-	h := traceHint{
+func traceHintOf(req wire.TraceRequest) *traceHint {
+	h := &traceHint{
 		backward: strings.EqualFold(req.Direction, "backward"),
 		table:    req.Table,
+		lazy:     strings.EqualFold(req.Strategy, "lazy"),
 	}
 	if req.Rids != nil {
 		h.seeds = make([]lineage.Rid, len(req.Rids))
@@ -535,62 +535,36 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	res, err := s.sessions.getForTrace(id, name, traceHintOf(req))
-	if err != nil && serr.KindOf(err) != serr.Gone {
+	res, sp, err := s.sessions.resolve(id, name, traceHintOf(req))
+	if err != nil {
 		wire.WriteError(w, err)
 		return
 	}
-	if gerr := s.gate.enter(r.Context()); gerr != nil {
-		wire.WriteError(w, gerr)
+	if err := s.gate.enter(r.Context()); err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 	defer s.gate.exit()
 	if res == nil {
-		// Fourth retention tier: memory → disk → lazy → gone. The capture
-		// was evicted end-to-end, but if the producing request is remembered
-		// the result is re-derived capture-free and the trace answers via
-		// the lazy path instead of 410.
-		res, err = s.lazyRebuild(id, name, err)
+		// The lazy tier answers: re-derive the result capture-free from its
+		// producing request, and trace that.
+		lazy := sp.req
+		lazy.Strategy, lazy.Capture = "lazy", ""
+		if res, _, err = s.runSQL(lazy, ops.None); err == nil {
+			err = s.sessions.adopt(id, name, sp, res)
+		}
 		if err != nil {
 			wire.WriteError(w, err)
 			return
 		}
+		s.lazyFallbacks.Add(1)
 	}
-
 	out, err := s.runTrace(id, res, req)
 	if err != nil {
 		wire.WriteError(w, err)
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, out)
-}
-
-// lazyRebuild is the lazy retention tier: a result evicted from memory and
-// disk is re-derived by re-running its remembered producing request
-// capture-free (strategy lazy), then re-retained under the same name —
-// clearing the tombstone, so subsequent traces find it again. goneErr (the
-// original 410) is returned unchanged when no producing spec survives (the
-// result was ingested before this server run, or the spec book was bounded
-// away).
-func (s *Server) lazyRebuild(id, name string, goneErr error) (*core.Result, error) {
-	req, ok := s.sessions.spec(id, name)
-	if !ok {
-		return nil, goneErr
-	}
-	req.Strategy = "lazy"
-	req.Capture = ""
-	res, _, err := s.runSQL(req, ops.None)
-	if err != nil {
-		return nil, err
-	}
-	if res == nil {
-		return nil, goneErr
-	}
-	if err := s.sessions.put(id, name, res); err != nil {
-		return nil, err
-	}
-	s.lazyFallbacks.Add(1)
-	return res, nil
 }
 
 // runTrace builds and executes the bound trace query described by req.
@@ -715,7 +689,7 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req wire.TraceRequ
 		out.StrategyUsed = path.String()
 	}
 	if req.Retain != "" {
-		if err := s.sessions.put(sessionID, req.Retain, traced); err != nil {
+		if err := s.sessions.put(sessionID, req.Retain, traced, nil); err != nil {
 			return wire.Result{}, err
 		}
 		out.Retained = req.Retain

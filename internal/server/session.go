@@ -3,12 +3,14 @@ package server
 import (
 	"fmt"
 	"log"
+	"maps"
 	"sync"
 	"time"
 
 	"smoke/internal/core"
 	"smoke/internal/lineage"
 	"smoke/internal/serr"
+	"smoke/internal/storage"
 	"smoke/internal/wire"
 )
 
@@ -17,45 +19,61 @@ import (
 // bound backward/forward traces against them across requests — the paper's
 // interactive loop, capture once then trace per interaction, over the wire.
 //
-// Retention is tiered: memory → disk → gone. In-memory captures are bounded
-// three ways (TTL, session LRU, byte budget), but when a disk store is
-// configured, crossing a bound *demotes* the result — its output relation
-// and encoded lineage indexes spill to an mmap-friendly segment — instead of
-// discarding it. Only the disk budget's own LRU (or an explicit DELETE)
-// moves a result to the terminal "gone" tier.
+// Each retained name is one entry with up to three answerers, each nil when
+// absent: the resident *core.Result (memory), the segment it was written to
+// with its lazily mapped view (disk), and the producing request (the spec,
+// re-executed capture-free: the lazy tier). The entry's tier is whichever
+// answerers are set; an entry left with none is deleted and its name
+// tombstoned. resolve serves every read and trace from the first answerer
+// that can answer the way the resident result would have: the resident
+// result; else the view, when it holds the index the trace reads; else the
+// spec, when the result would itself re-execute the trace (strategy lazy or
+// hybrid) or no capture survives; else 410 or 404.
 //
-//   - TTL: a session idle longer than ttl is demoted wholesale and parked in
-//     the dormant set (every registry operation sweeps lazily; the only
-//     background goroutine is the flusher, owned and stopped by close).
-//     Dormant sessions cost disk, not memory, so the TTL no longer applies
-//     to them; any reference revives the session.
+// Memory is bounded three ways (TTL, session LRU, byte budget). With a disk
+// store configured, crossing a bound *demotes* a result — its output
+// relation and encoded lineage indexes spill to an mmap-friendly segment —
+// instead of discarding it; without one the resident answerer is simply
+// dropped. Only the disk budget's own LRU (or an explicit DELETE) drops a
+// segment.
+//
+//   - TTL: a session idle longer than ttl is demoted wholesale and marked
+//     dormant (every registry operation sweeps lazily; the only background
+//     goroutine is the flusher, owned and stopped by close). Dormant
+//     sessions cost disk, not memory, so the TTL no longer applies to them;
+//     any reference revives the session.
 //   - Session LRU: at most maxSessions live sessions; creating (or reviving)
 //     one more demotes the least-recently-used.
-//   - Byte budget: retained results are charged their Result.MemBytes
+//   - Byte budget: resident results are charged their Result.MemBytes
 //     (output relation + captured indexes); past maxBytes — or past
-//     maxPerSession names in one session — the least-recently-used retained
-//     result anywhere is demoted.
-//   - Disk budget: demoted results are charged their segment bytes; past
-//     maxDiskBytes the least-recently-used demoted result anywhere is
-//     deleted and tombstoned.
+//     maxPerSession resident names in one session — the least-recently-used
+//     resident result is demoted.
+//   - Disk budget: segments are charged their bytes; past maxDiskBytes the
+//     least-recently-used segment whose result is not resident is deleted.
+//   - Specs: at most 4×maxPerSession entries per session keep one; past it
+//     the least-recently-used entry's spec is dropped. A spec is kept only
+//     while every relation its result read is still the catalog's (re-ingest
+//     drops it): re-executed over other data it would answer for a result
+//     nobody retained.
 //
 // No request handler blocks on segment I/O. All disk writes run on the
-// background flusher; the per-result state machine is
+// background flusher; one entry moves through
 //
 //	memory ──demote──▶ demoting ──write lands──▶ disk ──promote──▶ memory
-//	   │                   │                        │
-//	   └──── put() ────────┴─ get() serves the ─────┴─ small traces answer
-//	        (write-behind     still-resident copy;     in situ off the mapped
-//	         persist)         a drop/overwrite         segment, promotion-free
+//	   │                   │                       │
+//	   └──── put() ────────┴─ resolve serves the ──┴─ small traces answer
+//	        (write-behind     still-resident copy;    in situ off the mapped
+//	         persist)         a drop/overwrite        segment, promotion-free
 //	                          cancels the write
+//
+//	memory/disk ──evict (no store) / disk budget──▶ lazy (spec only) ──▶ gone
 //
 // demoting keeps the result resident and its bytes charged (minus a
 // demoting credit so the budget loop does not over-evict); the memory copy
 // is released only when the segment write lands. Promotion maps the segment
 // off-lock into a segment-backed view first; whether a trace then promotes
 // (re-retains) or answers straight off the view is a cost decision — see
-// getForTrace. Without a store every demotion degrades to the old behavior:
-// straight to gone.
+// resolve.
 //
 // Names and session ids in the gone tier leave tombstones so a later
 // reference answers 410 Gone ("re-run your base query") rather than 404 Not
@@ -70,13 +88,12 @@ type registry struct {
 	maxBytes      int64
 
 	db           *core.DB
-	store        resultStore // nil: no disk tier, evictions tombstone
+	store        resultStore // nil: no disk tier, evictions drop the resident answerer
 	fl           *flusher    // nil iff store is nil
 	maxDiskBytes int64
-	diskBytes    int64 // manifest bytes across all demoted results
+	diskBytes    int64 // segment bytes across all entries
 
-	sessions map[string]*session // live (memory-tier) sessions
-	dormant  map[string]*session // demoted-whole sessions, revived on access
+	sessions map[string]*session // live and dormant
 	retained int64               // bytes across all sessions, deduplicated by Result
 	// demotingBytes is the slice of retained the in-flight demotions will
 	// free; the byte-budget loop subtracts it so a slow segment write does
@@ -138,50 +155,55 @@ type refEntry struct {
 type session struct {
 	id      string
 	last    time.Time
-	results map[string]*retainedResult
-	demoted map[string]*demotedResult // disk-tier copies, promoted on access
-	gone    *tombstones               // evicted result names → 410
-	// specs remembers the request that produced each retained result, so a
-	// capture evicted from every tier can be rebuilt capture-free (the lazy
-	// retention tier) instead of answering 410. Lazily allocated; bounded;
-	// not persisted — recovered sessions fall back to 410 semantics.
-	specs map[string]wire.QueryRequest
+	dormant bool // demoted whole: costs disk, not memory; revived on access
+	entries map[string]*entry
+	gone    *tombstones // evicted result names → 410
 }
 
-type retainedResult struct {
-	res  *core.Result
+// entry is one retained name and its answerers.
+type entry struct {
 	last time.Time
-	// onDisk records that a current demoted copy exists under the same
-	// name, so re-demoting this result drops memory without rewriting the
-	// segment.
-	onDisk bool
-	// flushSeq is the ticket of the pending flusher write for this result
-	// (0: none). The flusher re-checks it before writing; cancelPendingLocked
+	res  *core.Result // resident answerer
+	seg  *segment     // disk answerer
+	spec *spec        // lazy answerer
+	// reexec records that the result answers traces its capture lacks by
+	// re-executing its plan (strategy lazy or hybrid). Recovered entries
+	// set it: a restart loses the strategy, and a trace of a table the
+	// result read that its segment holds no index for is one no segment
+	// can answer.
+	reexec bool
+
+	// The pending flusher write for res. flushSeq is its ticket (0: none);
+	// the flusher re-checks it before writing, and cancelPendingLocked
 	// bumps it stale so an overwrite or drop voids the queued write.
-	flushSeq uint64
-	// dropOnFlush marks a demotion in flight: when the pending write lands
-	// the memory copy is released — unless the result was referenced after
-	// demoteAt (a get during demoting keeps it hot; the completed write
-	// still counts as write-behind durability).
-	dropOnFlush bool
-	demoteAt    time.Time
-	// countedBytes is the demoting credit this entry holds against the byte
-	// budget (0 when the Result is shared with other retentions — releasing
-	// a shared ref frees nothing).
+	// dropOnFlush marks a demotion in flight: when the write lands the
+	// memory copy is released — unless the result was referenced after
+	// demoteAt (the completed write then counts as write-behind).
+	// countedBytes is the demoting credit held against the byte budget (0
+	// when the Result is shared — releasing a shared ref frees nothing).
+	flushSeq     uint64
+	dropOnFlush  bool
+	demoteAt     time.Time
 	countedBytes int64
 }
 
-type demotedResult struct {
-	bytes int64
-	last  time.Time
-	// view is the lazily materialized segment-backed trace view. loading is
-	// non-nil while one goroutine maps the segment off-lock; waiters block
-	// on it and re-resolve.
+// segment is an entry's disk copy. view is the lazily materialized
+// segment-backed trace view; loading is non-nil while one goroutine maps
+// the segment off-lock (waiters block on it and re-resolve). hits counts
+// in-situ traces since the last (re-)demotion; at insituPromoteAfter the
+// next trace promotes instead.
+type segment struct {
+	bytes   int64
 	view    *core.Result
 	loading chan struct{}
-	// hits counts in-situ traces since the last (re-)demotion; at
-	// insituPromoteAfter the next trace promotes instead.
-	hits int
+	hits    int
+}
+
+// spec is the lazy answerer: the request that produced the result and the
+// base relations it ran over, which a re-execution must read again.
+type spec struct {
+	req   wire.QueryRequest
+	bases map[string]*storage.Relation
 }
 
 // tombstoneCap bounds each tombstone set's memory. Eviction is generational:
@@ -232,7 +254,6 @@ func newRegistry(db *core.DB, store resultStore, clock func() time.Time, ttl tim
 		maxSessions: maxSessions, maxPerSession: maxPerSession,
 		maxBytes: maxBytes, maxDiskBytes: maxDiskBytes,
 		sessions:     map[string]*session{},
-		dormant:      map[string]*session{},
 		refs:         map[*core.Result]*refEntry{},
 		goneSessions: newTombstones(tombstoneCap),
 	}
@@ -257,25 +278,25 @@ func (r *registry) close() error {
 	return err
 }
 
-// recoverLocked rebuilds the dormant set from the store's manifest: every
-// published session comes back as a dormant session whose results are
-// demoted entries, promoted lazily on first access. Results the store had to
-// drop because their segments predate the current format come back as
-// tombstones, so they answer 410 (re-run the base query) like any other
-// result lost across a restart, not 404. Runs at construction (before the
-// registry is shared), so no lock is actually held.
+func newSession(id string, now time.Time) *session {
+	return &session{id: id, last: now, entries: map[string]*entry{}, gone: newTombstones(tombstoneCap)}
+}
+
+// recoverLocked rebuilds dormant sessions from the store's manifest: every
+// published result comes back as a disk-tier entry, promoted lazily on
+// first access. Results the store had to drop because their segments
+// predate the current format come back as tombstones, so they answer 410
+// (re-run the base query) like any other result lost across a restart, not
+// 404. Runs at construction (before the registry is shared), so no lock is
+// actually held.
 func (r *registry) recoverLocked() {
 	now := r.clock()
 	recovered := func(sid string) *session {
-		s := r.dormant[sid]
+		s := r.sessions[sid]
 		if s == nil {
-			s = &session{
-				id: sid, last: now,
-				results: map[string]*retainedResult{},
-				demoted: map[string]*demotedResult{},
-				gone:    newTombstones(tombstoneCap),
-			}
-			r.dormant[sid] = s
+			s = newSession(sid, now)
+			s.dormant = true
+			r.sessions[sid] = s
 			// Keep the id generator ahead of recovered ids even if the
 			// persisted watermark lagged (it publishes lazily).
 			var n uint64
@@ -288,7 +309,7 @@ func (r *registry) recoverLocked() {
 	for sid, results := range r.store.Sessions() {
 		s := recovered(sid)
 		for name, bytes := range results {
-			s.demoted[name] = &demotedResult{bytes: bytes, last: now}
+			s.entries[name] = &entry{last: now, seg: &segment{bytes: bytes}, reexec: true}
 			r.diskBytes += bytes
 		}
 	}
@@ -334,19 +355,9 @@ func (r *registry) create() *session {
 	defer r.mu.Unlock()
 	now := r.clock()
 	r.sweepLocked(now)
-	for len(r.sessions) >= r.maxSessions {
-		if !r.demoteLRUSessionLocked(now) {
-			break
-		}
-	}
+	r.makeRoomLocked()
 	r.nextID++
-	s := &session{
-		id:      fmt.Sprintf("s%08x", r.nextID),
-		last:    now,
-		results: map[string]*retainedResult{},
-		demoted: map[string]*demotedResult{},
-		gone:    newTombstones(tombstoneCap),
-	}
+	s := newSession(fmt.Sprintf("s%08x", r.nextID), now)
 	r.sessions[s.id] = s
 	if r.store != nil {
 		r.store.SetNextSessionID(r.nextID)
@@ -354,25 +365,22 @@ func (r *registry) create() *session {
 	return s
 }
 
-// sessionLocked resolves a live or dormant session, reviving dormant ones
-// (their demoted results stay demoted until individually promoted).
+// sessionLocked resolves a session, reviving a dormant one (its results
+// stay demoted until individually promoted).
 func (r *registry) sessionLocked(id string, now time.Time) (*session, error) {
-	if s, ok := r.sessions[id]; ok {
-		s.last = now
-		return s, nil
-	}
-	if s, ok := r.dormant[id]; ok {
-		delete(r.dormant, id)
-		for len(r.sessions) >= r.maxSessions {
-			if !r.demoteLRUSessionLocked(now) {
-				break
-			}
+	s, ok := r.sessions[id]
+	if !ok {
+		if r.goneSessions.has(id) {
+			return nil, serr.New(serr.Gone, "server: session %s expired or was evicted; open a new session", id)
 		}
-		s.last = now
-		r.sessions[id] = s
-		return s, nil
+		return nil, serr.New(serr.NotFound, "server: unknown session %s", id)
 	}
-	return nil, r.sessionMissingLocked(id)
+	if s.dormant {
+		r.makeRoomLocked()
+		s.dormant = false
+	}
+	s.last = now
+	return s, nil
 }
 
 // drop deletes a session explicitly (DELETE /v1/sessions/{id}): memory and
@@ -383,10 +391,8 @@ func (r *registry) drop(id string) error {
 	r.sweepLocked(r.clock())
 	s, ok := r.sessions[id]
 	if !ok {
-		s, ok = r.dormant[id]
-	}
-	if !ok {
-		return r.sessionMissingLocked(id)
+		_, err := r.sessionLocked(id, time.Time{}) // the 410 or 404
+		return err
 	}
 	r.removeSessionLocked(s)
 	return nil
@@ -395,8 +401,9 @@ func (r *registry) drop(id string) error {
 // put retains res under name in session id, demoting as needed to stay
 // within the byte budget and per-session cap, and hands the result to the
 // flusher eagerly (write-behind): once the queue drains, a hard crash loses
-// nothing retained.
-func (r *registry) put(id, name string, res *core.Result) error {
+// nothing retained. req, when non-nil, is the producing request; it becomes
+// the entry's spec if every relation res read is still the catalog's.
+func (r *registry) put(id, name string, res *core.Result, req *wire.QueryRequest) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.clock()
@@ -405,148 +412,179 @@ func (r *registry) put(id, name string, res *core.Result) error {
 	if err != nil {
 		return err
 	}
-	if old, ok := s.results[name]; ok {
-		r.cancelPendingLocked(old)
-		r.releaseRefLocked(old.res)
-		delete(s.results, name)
+	// The name now binds to a new result: the old one's disk copy is
+	// deleted — including a write already in flight, which lands before
+	// the queued delete runs — and its pending write voided. The delete
+	// runs before the new put's write (FIFO), so the manifest converges.
+	if old := s.entries[name]; old != nil {
+		r.dropSegmentLocked(s, name, old)
+		r.evictResidentLocked(old)
 	}
-	// A stale disk copy under this name describes the *previous* result; the
-	// name now binds to a new one. The queued delete runs before the new
-	// put's write (FIFO), so the manifest converges on the new content.
-	r.deleteDemotedLocked(s, name)
-	rr := &retainedResult{res: res, last: now}
-	s.results[name] = rr
+	strategy := res.Strategy()
+	e := &entry{last: now, res: res, reexec: strategy == core.StrategyLazy || strategy == core.StrategyHybrid}
+	if req != nil {
+		// Keep the spec only while every relation res read is still the
+		// one the catalog serves under its name.
+		e.spec = &spec{req: *req, bases: res.Bases()}
+		for t, rel := range e.spec.bases {
+			if cur, err := r.db.Table(t); err != nil || cur != rel {
+				e.spec = nil
+				break
+			}
+		}
+	}
+	s.entries[name] = e
 	s.gone.remove(name) // a re-created name is live again
-	r.retainRefLocked(res)
-	// Write-behind: a saturated queue just skips — the result persists at
-	// demotion or the next flush instead.
-	r.enqueuePutLocked(s, name, rr, false)
-	for len(s.results) > r.maxPerSession {
-		if !r.demoteLRUResultInLocked(s, rr, now) {
+	// Bound the specs well above the resident cap (specs outlive the
+	// results they describe — that is the point).
+	for n := s.count(func(x *entry) bool { return x.spec != nil }); n > 4*r.maxPerSession; n-- {
+		_, vname, v := r.victimLocked(s, func(x *entry) bool { return x.spec != nil && x != e })
+		v.spec = nil
+		r.settleLocked(s, vname, v)
+	}
+	r.admitLocked(s, name, e, true)
+	return nil
+}
+
+// forgetSpecs drops every spec that reads table: it was just re-ingested,
+// and a re-execution would read the new data.
+func (r *registry) forgetSpecs(table string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.sessions {
+		for name, e := range s.entries {
+			if e.spec != nil && e.spec.bases[table] != nil {
+				e.spec = nil
+				r.settleLocked(s, name, e)
+			}
+		}
+	}
+}
+
+// admitLocked charges e's resident result and hands it to the flusher as a
+// write-behind persist (a saturated queue just skips — the result persists
+// at demotion or the next flush instead; a result with a current segment
+// needs none), then demotes least-recently-used results until the session's
+// name cap (when capped) and the byte budget hold. e itself is never the
+// victim.
+func (r *registry) admitLocked(s *session, name string, e *entry, capped bool) {
+	r.retainRefLocked(e.res)
+	r.enqueuePutLocked(s, name, e, false, false)
+	for capped && s.count(func(x *entry) bool { return x.res != nil }) > r.maxPerSession {
+		vs, vname, v := r.victimLocked(s, func(x *entry) bool { return x.res != nil && x != e && !x.dropOnFlush })
+		if v == nil || !r.demoteLocked(vs, vname, v) {
 			break
 		}
 	}
 	for r.maxBytes > 0 && r.retained-r.demotingBytes > r.maxBytes {
-		if !r.demoteLRUResultLocked(rr, now) {
-			break // only the just-inserted result remains; keep it
+		// Only a sole reference frees memory: demoting one of several
+		// references to a cache-shared Result would cost a client its
+		// residency without freeing a byte.
+		vs, vname, v := r.victimLocked(nil, func(x *entry) bool {
+			return x.res != nil && x != e && !x.dropOnFlush && r.refs[x.res].n <= 1
+		})
+		if v == nil || !r.demoteLocked(vs, vname, v) {
+			break // only e remains; keep it
 		}
 	}
-	return nil
 }
 
-// rememberSpec records the request that produced result name. Best-effort:
-// a missing session just skips (the lazy tier then narrows back to 410).
-func (r *registry) rememberSpec(id, name string, req wire.QueryRequest) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.sessions[id]
-	if !ok {
+// count reports how many of s's entries ok accepts.
+func (s *session) count(ok func(*entry) bool) int {
+	n := 0
+	for _, e := range s.entries {
+		if ok(e) {
+			n++
+		}
+	}
+	return n
+}
+
+// victimLocked is the registry's one entry LRU scan: the least-recently-used
+// entry ok accepts, within session in, or in every session when in is nil.
+func (r *registry) victimLocked(in *session, ok func(*entry) bool) (vs *session, vname string, v *entry) {
+	scan := func(s *session) {
+		for name, e := range s.entries {
+			if ok(e) && (v == nil || e.last.Before(v.last)) {
+				vs, vname, v = s, name, e
+			}
+		}
+	}
+	if in != nil {
+		scan(in)
+		return vs, vname, v
+	}
+	for _, s := range r.sessions {
+		scan(s)
+	}
+	return vs, vname, v
+}
+
+// settleLocked deletes an entry left with no answerer, tombstoning its name,
+// and retires a dormant session left with no entry.
+func (r *registry) settleLocked(s *session, name string, e *entry) {
+	if e.res != nil || e.seg != nil || e.spec != nil {
 		return
 	}
-	if s.specs == nil {
-		s.specs = map[string]wire.QueryRequest{}
+	delete(s.entries, name)
+	s.gone.add(name)
+	if s.dormant && len(s.entries) == 0 {
+		delete(r.sessions, s.id)
+		r.goneSessions.add(s.id)
 	}
-	// Bound the spec book well above the live-result cap (specs outlive the
-	// results they describe — that is the point); evict arbitrarily past it.
-	for cap := 4 * r.maxPerSession; len(s.specs) >= cap; {
-		for k := range s.specs {
-			delete(s.specs, k)
-			break
-		}
-	}
-	s.specs[name] = req
 }
 
-// spec returns the remembered producing request for result name, if any.
-func (r *registry) spec(id, name string) (wire.QueryRequest, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.sessions[id]
-	if !ok {
-		s, ok = r.dormant[id]
-	}
-	if !ok {
-		return wire.QueryRequest{}, false
-	}
-	req, ok := s.specs[name]
-	return req, ok
-}
-
-// cancelPendingLocked voids a pending flusher write for rr (overwritten or
+// cancelPendingLocked voids a pending flusher write for e (overwritten or
 // dropped): the ticket mismatch makes the flusher skip the job, and the
 // demoting byte credit rolls back.
-func (r *registry) cancelPendingLocked(rr *retainedResult) {
-	if rr.flushSeq == 0 {
+func (r *registry) cancelPendingLocked(e *entry) {
+	if e.flushSeq == 0 {
 		return
 	}
-	rr.flushSeq = 0
-	rr.dropOnFlush = false
-	r.demotingBytes -= rr.countedBytes
-	rr.countedBytes = 0
+	e.flushSeq = 0
+	e.dropOnFlush = false
+	r.demotingBytes -= e.countedBytes
+	e.countedBytes = 0
 }
 
-// enqueuePutLocked hands rr to the flusher. drop demotes (the memory copy is
-// released when the write lands); otherwise it is write-behind and the
-// result stays resident. A write already pending is reused, escalating to
-// drop when asked. Reports whether a write is pending on return.
-func (r *registry) enqueuePutLocked(s *session, name string, rr *retainedResult, drop bool) bool {
-	if r.fl == nil || rr.onDisk {
+// evictResidentLocked drops e's resident answerer, voiding its pending
+// write.
+func (r *registry) evictResidentLocked(e *entry) {
+	if e.res == nil {
+		return
+	}
+	r.cancelPendingLocked(e)
+	r.releaseRefLocked(e.res)
+	e.res = nil
+}
+
+// enqueuePutLocked hands e's resident result to the flusher. drop demotes
+// (the memory copy is released when the write lands); otherwise it is
+// write-behind and the result stays resident. A write already pending is
+// reused, escalating to drop when asked; force bypasses the queue cap.
+// Reports whether a write is pending on return.
+func (r *registry) enqueuePutLocked(s *session, name string, e *entry, drop, force bool) bool {
+	if r.fl == nil || e.res == nil || e.seg != nil {
 		return false
 	}
-	now := r.clock()
-	if rr.flushSeq != 0 {
-		if drop && !rr.dropOnFlush {
-			rr.dropOnFlush = true
-			rr.demoteAt = now
-			r.chargeDemotingLocked(rr)
+	if e.flushSeq == 0 {
+		r.flushSeqGen++
+		if !r.fl.enqueue(flushJob{op: opPut, sid: s.id, name: name, res: e.res, seq: r.flushSeqGen}, force) {
+			return false
 		}
-		return true
+		e.flushSeq = r.flushSeqGen
 	}
-	r.flushSeqGen++
-	if !r.fl.enqueue(flushJob{op: opPut, sid: s.id, name: name, res: rr.res, seq: r.flushSeqGen}, false) {
-		return false
-	}
-	rr.flushSeq = r.flushSeqGen
-	if drop {
-		rr.dropOnFlush = true
-		rr.demoteAt = now
-		r.chargeDemotingLocked(rr)
+	if drop && !e.dropOnFlush {
+		e.dropOnFlush = true
+		e.demoteAt = r.clock()
+		// Credit the byte budget with what the demotion will free when its
+		// write lands (nothing when the Result is shared).
+		if ref := r.refs[e.res]; ref != nil && ref.n == 1 {
+			e.countedBytes = ref.bytes
+			r.demotingBytes += ref.bytes
+		}
 	}
 	return true
-}
-
-// chargeDemotingLocked credits the byte budget with what this demotion will
-// free when its write lands (nothing when the Result is shared).
-func (r *registry) chargeDemotingLocked(rr *retainedResult) {
-	if rr.countedBytes != 0 {
-		return
-	}
-	if e := r.refs[rr.res]; e != nil && e.n == 1 {
-		rr.countedBytes = e.bytes
-		r.demotingBytes += e.bytes
-	}
-}
-
-// demoteLRUResultInLocked demotes the least-recently-used retained result
-// within one session (the per-session name cap), never the just-inserted
-// keep or a result already demoting.
-func (r *registry) demoteLRUResultInLocked(s *session, keep *retainedResult, now time.Time) bool {
-	var (
-		lruName string
-		lruRes  *retainedResult
-	)
-	for name, rr := range s.results {
-		if rr == keep || rr.dropOnFlush {
-			continue
-		}
-		if lruRes == nil || rr.last.Before(lruRes.last) {
-			lruName, lruRes = name, rr
-		}
-	}
-	if lruRes == nil {
-		return false
-	}
-	return r.demoteLocked(s, lruName, lruRes, now)
 }
 
 // touch verifies a session is alive (refreshing its TTL clock) without
@@ -562,37 +600,35 @@ func (r *registry) touch(id string) error {
 }
 
 // traceHint carries what the registry needs to route one bound trace:
-// direction, the traced table, and the explicit seeds (nil when the trace is
-// predicate-seeded).
+// direction, the traced table, the explicit seeds (nil when the trace is
+// predicate-seeded), and whether the client forced the lazy path.
 type traceHint struct {
 	backward bool
 	table    string
 	seeds    []lineage.Rid
+	lazy     bool
 }
 
-// get returns the named retained result, refreshing the LRU clocks.
-// Demoted-only results are promoted: the segment maps in off-lock and the
-// restored result re-enters the memory tier.
+// get returns the named result for a read (GET): the resident result, or
+// the segment promoted back into memory. The lazy tier does not read back;
+// a spec-only entry answers 410.
 func (r *registry) get(id, name string) (*core.Result, error) {
-	return r.acquire(id, name, nil)
+	res, _, err := r.resolve(id, name, nil)
+	return res, err
 }
 
-// getForTrace resolves a result for one bound trace. Memory-resident results
-// serve directly. For a demoted result the registry first materializes the
-// segment-backed view, then routes: backward traces with explicit seeds
-// whose encoded rid lists span a small fraction of the restore bytes answer
-// in situ off the view — promotion-free — while big traces, forward traces,
-// predicate seeds, unknown costs, and the insituPromoteAfter-th repeat
-// promote and stay hot.
-func (r *registry) getForTrace(id, name string, h traceHint) (*core.Result, error) {
-	return r.acquire(id, name, &h)
-}
-
-// acquire is the common resolution loop for get/getForTrace. It may release
-// the registry lock to load a segment (ensureViewLocked) or to wait for a
-// concurrent loader, then re-resolves from scratch — the world can change
-// while unlocked.
-func (r *registry) acquire(id, name string, h *traceHint) (*core.Result, error) {
+// resolve picks the first of the entry's answerers that can answer the way
+// the resident result would have (see registry): a result to read or
+// trace, or — for a trace only — a spec the caller re-executes
+// capture-free and hands to adopt. For a demoted result it materializes
+// the segment-backed view first, then routes: backward traces with
+// explicit seeds whose encoded rid lists span a small fraction of the
+// restore bytes answer in situ off the view — promotion-free — while big
+// traces, forward traces, predicate seeds, unknown costs, reads (h nil) and
+// the insituPromoteAfter-th repeat promote and stay hot. It may release the
+// registry lock to load a segment or to wait for a concurrent loader, then
+// re-resolves from scratch — the world can change while unlocked.
+func (r *registry) resolve(id, name string, h *traceHint) (*core.Result, *spec, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -600,76 +636,104 @@ func (r *registry) acquire(id, name string, h *traceHint) (*core.Result, error) 
 		r.sweepLocked(now)
 		s, err := r.sessionLocked(id, now)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if rr, ok := s.results[name]; ok {
-			// Memory hit — including results mid-demotion: the still-resident
-			// copy serves, and the freshened LRU clock keeps it resident when
-			// the pending write lands (the write then just bought durability).
-			rr.last = now
-			if dr, ok := s.demoted[name]; ok {
-				dr.last = now
-			}
-			return rr.res, nil
-		}
-		dr, ok := s.demoted[name]
-		if !ok {
+		e := s.entries[name]
+		if e == nil {
 			if s.gone.has(name) {
-				return nil, serr.New(serr.Gone,
-					"server: result %q was evicted from session %s; re-run the base query", name, id)
+				return nil, nil, evicted(s, name)
 			}
-			return nil, serr.New(serr.NotFound, "server: session %s has no result %q", id, name)
+			return nil, nil, serr.New(serr.NotFound, "server: session %s has no result %q", id, name)
 		}
-		if dr.loading != nil {
-			w := dr.loading
-			r.mu.Unlock()
-			<-w
-			r.mu.Lock()
+		// A resident hit includes results mid-demotion: the still-resident
+		// copy serves, and the freshened clock keeps it resident when the
+		// pending write lands (the write then just bought durability).
+		e.last = now
+		dir := core.TraceForward
+		if h != nil && h.backward {
+			dir = core.TraceBackward
+		}
+		// reexec: the result would answer this trace by re-executing its
+		// plan, which a copy restored from disk (v) does not carry.
+		reexec := func(v *core.Result) bool {
+			return h != nil && (h.lazy || e.reexec &&
+				v.TraceStrategy(h.table, dir) != core.StrategyEager && v.BaseRelation(h.table) != nil)
+		}
+		if e.res != nil && !(e.res.IsView() && reexec(e.res)) {
+			return e.res, nil, nil
+		}
+		if seg := e.seg; seg != nil && seg.view == nil {
+			if w := seg.loading; w != nil {
+				r.mu.Unlock()
+				<-w
+				r.mu.Lock()
+			} else if err := r.ensureViewLocked(s, name, seg); err != nil {
+				return nil, nil, err
+			}
 			continue
 		}
-		if dr.view == nil {
-			if err := r.ensureViewLocked(s, name, dr); err != nil {
-				return nil, err
+		switch {
+		case e.seg != nil && !reexec(e.seg.view):
+			if h == nil || r.shouldPromoteLocked(e.seg, *h) {
+				return r.promoteLocked(s, name, e)
 			}
-			continue
-		}
-		dr.last = now
-		if h != nil && !r.shouldPromoteLocked(dr, *h) {
-			dr.hits++
+			e.seg.hits++
 			r.counters.insituTraces++
-			return dr.view, nil
+			return e.seg.view, nil, nil
+		case h != nil && e.spec != nil:
+			return nil, e.spec, nil
 		}
-		// Promotion is the full restore: from here the result serves every
-		// kind of trace over all of its lists, so its chunk bytes — which
-		// the lazily mapped view took on trust — are validated first.
-		if err := dr.view.Capture().Validate(); err != nil {
-			return nil, r.unrecoverableLocked(s, name, dr, err)
-		}
-		return r.promoteLocked(s, name, dr, now), nil
+		return nil, nil, evicted(s, name)
 	}
 }
 
-// unrecoverableLocked makes a demoted result whose segment cannot be used
-// gone — when the entry is still current — and returns the 410 the client
-// sees.
-func (r *registry) unrecoverableLocked(s *session, name string, dr *demotedResult, err error) error {
-	if cur, ok := s.demoted[name]; ok && cur == dr {
-		r.deleteDemotedLocked(s, name)
-		s.gone.add(name)
+func evicted(s *session, name string) error {
+	return serr.New(serr.Gone, "server: result %q was evicted from session %s; re-run the base query", name, s.id)
+}
+
+// adopt accepts a result re-executed from sp, the spec resolve handed out
+// for session id's name: it must have read the very relations the original
+// did — a re-ingest while it ran answers 410 — and, when the spec is still
+// the entry's only answerer, it is retained there so the name reads back
+// again.
+func (r *registry) adopt(id, name string, sp *spec, res *core.Result) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, err := r.sessionLocked(id, r.clock())
+	if err != nil {
+		return err
+	}
+	e := s.entries[name]
+	switch {
+	case e == nil || e.spec != sp || !maps.Equal(res.Bases(), sp.bases):
+		return evicted(s, name)
+	case e.res == nil && e.seg == nil:
+		e.res, e.reexec = res, true // capture-free: every trace re-executes
+		r.admitLocked(s, name, e, true)
+	}
+	return nil
+}
+
+// unrecoverableLocked drops a segment that cannot be used — when it is
+// still the entry's — and returns the 410 the client sees.
+func (r *registry) unrecoverableLocked(s *session, name string, seg *segment, err error) error {
+	if e := s.entries[name]; e != nil && e.seg == seg {
+		r.dropSegmentLocked(s, name, e)
+		r.settleLocked(s, name, e)
 	}
 	return serr.New(serr.Gone,
 		"server: result %q of session %s could not be recovered from disk (%v); re-run the base query",
 		name, s.id, err)
 }
 
-// ensureViewLocked materializes dr's segment-backed view, releasing the
+// ensureViewLocked materializes seg's segment-backed view, releasing the
 // registry lock for the segment load so concurrent sessions keep moving.
-// Exactly one goroutine loads; waiters block on dr.loading. On return the
-// lock is held again. A load failure makes the result gone (the segment is
+// Exactly one goroutine loads; waiters block on seg.loading. On return the
+// lock is held again. A load failure drops the segment (it is
 // unrecoverable).
-func (r *registry) ensureViewLocked(s *session, name string, dr *demotedResult) error {
+func (r *registry) ensureViewLocked(s *session, name string, seg *segment) error {
 	w := make(chan struct{})
-	dr.loading = w
+	seg.loading = w
 	r.mu.Unlock()
 	ld, err := r.store.LoadResult(s.id, name)
 	var view *core.Result
@@ -677,64 +741,59 @@ func (r *registry) ensureViewLocked(s *session, name string, dr *demotedResult) 
 		view = core.RestoreView(r.db, ld.Out, ld.GroupCounts, ld.Capture, ld.Bases)
 	}
 	r.mu.Lock()
-	dr.loading = nil
+	seg.loading = nil
 	close(w)
 	if err != nil {
-		return r.unrecoverableLocked(s, name, dr, err)
+		return r.unrecoverableLocked(s, name, seg, err)
 	}
-	dr.view = view
+	seg.view = view
 	r.counters.views++
 	return nil
 }
 
 // shouldPromoteLocked is the cost cutoff between answering a trace in situ
 // off the view and promoting the whole result back into memory.
-func (r *registry) shouldPromoteLocked(dr *demotedResult, h traceHint) bool {
-	if dr.hits >= insituPromoteAfter {
+func (r *registry) shouldPromoteLocked(seg *segment, h traceHint) bool {
+	if seg.hits >= insituPromoteAfter {
 		return true
 	}
 	if !h.backward || h.seeds == nil {
 		return true // forward and predicate-seeded traces want the full result
 	}
-	trace, restore, ok := dr.view.TraceCost(h.table, h.seeds)
+	trace, restore, ok := seg.view.TraceCost(h.table, h.seeds)
 	if !ok {
 		return true
 	}
 	return trace*insituCostFactor > restore
 }
 
-// promoteLocked installs the already-loaded view as a retained result. The
-// disk copy stays current (re-demotion is then free), and the promotion
-// charges the memory budget like any retention — possibly demoting colder
-// results.
-func (r *registry) promoteLocked(s *session, name string, dr *demotedResult, now time.Time) *core.Result {
-	res := dr.view
-	rr := &retainedResult{res: res, last: now, onDisk: true}
-	s.results[name] = rr
-	dr.last = now
-	dr.hits = 0
-	r.retainRefLocked(res)
-	r.counters.promotes++
-	for r.maxBytes > 0 && r.retained-r.demotingBytes > r.maxBytes {
-		if !r.demoteLRUResultLocked(rr, now) {
-			break
-		}
+// promoteLocked installs the already-loaded view as the resident result.
+// Promotion is the full restore: from here the result serves every kind of
+// trace over all of its lists, so its chunk bytes — which the lazily mapped
+// view took on trust — are validated first. The segment stays current
+// (re-demotion is then free), and the promotion charges the memory budget
+// like any retention — possibly demoting colder results.
+func (r *registry) promoteLocked(s *session, name string, e *entry) (*core.Result, *spec, error) {
+	view := e.seg.view
+	if err := view.Capture().Validate(); err != nil {
+		return nil, nil, r.unrecoverableLocked(s, name, e.seg, err)
 	}
-	return res
+	e.res = view
+	e.seg.hits = 0
+	r.counters.promotes++
+	r.admitLocked(s, name, e, false)
+	return view, nil, nil
 }
 
-// stats snapshots both retention tiers and the disk-tier counters.
+// stats snapshots every tier and the disk-tier counters.
 func (r *registry) stats() registryStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sweepLocked(r.clock())
-	st := registryStats{retainedBytes: r.retained, diskBytes: r.diskBytes, c: r.counters}
-	st.sessions = len(r.sessions) + len(r.dormant)
-	for _, set := range []map[string]*session{r.sessions, r.dormant} {
-		for _, s := range set {
-			st.results += len(s.results)
-			st.demoted += len(s.demoted)
-		}
+	st := registryStats{sessions: len(r.sessions), retainedBytes: r.retained, diskBytes: r.diskBytes, c: r.counters}
+	for _, s := range r.sessions {
+		st.results += s.count(func(e *entry) bool { return e.res != nil })
+		st.demoted += s.count(func(e *entry) bool { return e.seg != nil })
 	}
 	if r.fl != nil {
 		st.queueDepth = r.fl.queueDepth()
@@ -742,290 +801,190 @@ func (r *registry) stats() registryStats {
 	return st
 }
 
-// sessionMissingLocked distinguishes an expired/evicted session (410) from
-// one that never existed (404).
-func (r *registry) sessionMissingLocked(id string) error {
-	if r.goneSessions.has(id) {
-		return serr.New(serr.Gone, "server: session %s expired or was evicted; open a new session", id)
-	}
-	return serr.New(serr.NotFound, "server: unknown session %s", id)
-}
-
-// sweepLocked demotes every session idle past the TTL. Dormant sessions are
-// exempt: they already cost disk, not memory.
+// sweepLocked demotes every live session idle past the TTL. Dormant
+// sessions are exempt: they already cost disk, not memory.
 func (r *registry) sweepLocked(now time.Time) {
 	if r.ttl <= 0 {
 		return
 	}
 	for _, s := range r.sessions {
-		if now.Sub(s.last) > r.ttl {
-			r.demoteSessionLocked(s, now)
+		if !s.dormant && now.Sub(s.last) > r.ttl {
+			r.demoteSessionLocked(s)
 		}
 	}
 }
 
-// demoteLRUSessionLocked demotes the least-recently-used live session.
-func (r *registry) demoteLRUSessionLocked(now time.Time) bool {
-	var lru *session
-	for _, s := range r.sessions {
-		if lru == nil || s.last.Before(lru.last) {
-			lru = s
-		}
-	}
-	if lru == nil {
-		return false
-	}
-	return r.demoteSessionLocked(lru, now)
-}
-
-// demoteLRUResultLocked demotes the least-recently-used retained result
-// whose release actually frees memory (sole reference — demoting one of
-// several references to a cache-shared Result would cost a client its
-// memory residency without freeing a byte), never the just-inserted keep or
-// a result already on its way out. It reports whether anything was demoted;
-// false also means the byte budget cannot shrink further right now.
-func (r *registry) demoteLRUResultLocked(keep *retainedResult, now time.Time) bool {
-	var (
-		lruSess *session
-		lruName string
-		lruRes  *retainedResult
-	)
-	for _, s := range r.sessions {
-		for name, rr := range s.results {
-			if rr == keep || rr.dropOnFlush {
-				continue
-			}
-			if e := r.refs[rr.res]; e != nil && e.n > 1 {
-				continue // shared with other retentions: freeing this frees nothing
-			}
-			if lruRes == nil || rr.last.Before(lruRes.last) {
-				lruSess, lruName, lruRes = s, name, rr
+// makeRoomLocked demotes least-recently-used live sessions until one more
+// fits under maxSessions.
+func (r *registry) makeRoomLocked() {
+	for {
+		live := 0
+		var lru *session
+		for _, s := range r.sessions {
+			if !s.dormant {
+				live++
+				if lru == nil || s.last.Before(lru.last) {
+					lru = s
+				}
 			}
 		}
+		if live < r.maxSessions || !r.demoteSessionLocked(lru) {
+			return
+		}
 	}
-	if lruRes == nil {
-		return false
-	}
-	return r.demoteLocked(lruSess, lruName, lruRes, now)
 }
 
-// demoteLocked moves one retained result out of the memory tier. With no
-// store it degrades to gone immediately. With a current disk copy the
-// demotion is free: memory drops now. Otherwise the result enters the
-// demoting state — the segment write queues on the flusher and the memory
-// copy is released only when it lands (a get meanwhile serves the resident
-// copy and keeps it hot). Reports whether the demotion made, or queued,
-// progress; false means the flusher is saturated and the result stays.
-func (r *registry) demoteLocked(s *session, name string, rr *retainedResult, now time.Time) bool {
-	if r.store == nil {
-		r.releaseRefLocked(rr.res)
-		delete(s.results, name)
-		s.gone.add(name)
+// demoteLocked moves one resident result out of the memory tier. With no
+// store its resident answerer is dropped immediately. With a current
+// segment the demotion is free: memory drops now. Otherwise the result
+// enters the demoting state — the segment write queues on the flusher and
+// the memory copy is released only when it lands (a read meanwhile serves
+// the resident copy and keeps it hot). Reports whether the demotion made,
+// or queued, progress; false means the flusher is saturated and the result
+// stays.
+func (r *registry) demoteLocked(s *session, name string, e *entry) bool {
+	if r.store == nil || e.seg != nil {
+		r.evictResidentLocked(e)
+		if e.seg != nil {
+			e.seg.hits = 0 // re-demotion restarts the repeated-trace clock
+		}
 		r.counters.demotes++
+		r.settleLocked(s, name, e)
 		return true
 	}
-	if rr.onDisk {
-		if dr, ok := s.demoted[name]; ok {
-			r.cancelPendingLocked(rr)
-			r.releaseRefLocked(rr.res)
-			delete(s.results, name)
-			dr.last = now
-			dr.hits = 0 // re-demotion restarts the repeated-trace clock
-			r.counters.demotes++
-			return true
-		}
-		rr.onDisk = false // disk copy vanished (budget delete); rewrite
-	}
-	return r.enqueuePutLocked(s, name, rr, true)
+	return r.enqueuePutLocked(s, name, e, true, false)
 }
 
 // demoteSessionLocked demotes a whole live session. Results without a
-// current disk copy enter the demoting state; the session parks in the
-// dormant set while its pending writes and demoted entries live on. A
-// session with a demotion the flusher could not accept stays live and
-// retries on the next sweep. Reports whether the session left the live set.
-func (r *registry) demoteSessionLocked(s *session, now time.Time) bool {
+// current segment enter the demoting state; with a store the session turns
+// dormant while its pending writes and entries live on, without one it is
+// gone. A session with a demotion the flusher could not accept stays live
+// and retries on the next sweep. Reports whether the session left the live
+// set.
+func (r *registry) demoteSessionLocked(s *session) bool {
 	stuck := false
-	for name, rr := range s.results {
-		if !r.demoteLocked(s, name, rr, now) {
+	for name, e := range s.entries {
+		if e.res != nil && !r.demoteLocked(s, name, e) {
 			stuck = true
 		}
 	}
-	if stuck {
+	switch {
+	case stuck:
 		return false
+	case r.store != nil && len(s.entries) > 0:
+		s.dormant = true
+	default:
+		delete(r.sessions, s.id)
+		r.goneSessions.add(s.id)
 	}
-	delete(r.sessions, s.id)
-	if r.store != nil && (len(s.demoted) > 0 || len(s.results) > 0) {
-		r.dormant[s.id] = s
-		return true
-	}
-	r.goneSessions.add(s.id)
 	return true
 }
 
 // removeSessionLocked drops a session from every tier and tombstones its id.
 // Pending writes are cancelled; the manifest delete queues behind them.
 func (r *registry) removeSessionLocked(s *session) {
-	for _, rr := range s.results {
-		r.cancelPendingLocked(rr)
-		r.releaseRefLocked(rr.res)
-	}
-	s.results = map[string]*retainedResult{}
-	for name, dr := range s.demoted {
-		r.diskBytes -= dr.bytes
-		delete(s.demoted, name)
-	}
-	if r.fl != nil {
-		if !r.fl.enqueue(flushJob{op: opDeleteSession, sid: s.id}, true) {
-			r.counters.deleteErrors++
-			r.logDiskErrLocked("queue delete of session %s failed (flusher stopped)", s.id)
+	for _, e := range s.entries {
+		r.evictResidentLocked(e)
+		if e.seg != nil {
+			r.diskBytes -= e.seg.bytes
 		}
 	}
+	s.entries = map[string]*entry{}
+	if r.fl != nil && !r.fl.enqueue(flushJob{op: opDeleteSession, sid: s.id}, true) {
+		r.counters.deleteErrors++
+		r.diskErrLocked(nil, "queue delete of session %s failed (flusher stopped)", s.id)
+	}
 	delete(r.sessions, s.id)
-	delete(r.dormant, s.id)
 	r.goneSessions.add(s.id)
 }
 
-// deleteDemotedLocked drops one demoted entry. The manifest delete runs on
-// the flusher — FIFO behind any pending write of the same name, so a
-// put-then-delete lands in order. A delete that cannot queue is logged once
-// and counted (the entry is reclaimed as an orphan at the next Open).
-func (r *registry) deleteDemotedLocked(s *session, name string) {
-	dr, ok := s.demoted[name]
-	if !ok {
+// dropSegmentLocked drops e's segment, or the one its pending write may
+// still land. The manifest delete runs on the flusher — FIFO behind any
+// pending write of the same name, so a put-then-delete lands in order. A
+// delete that cannot queue is logged once and counted (the segment is
+// reclaimed as an orphan at the next Open).
+func (r *registry) dropSegmentLocked(s *session, name string, e *entry) {
+	if e.seg == nil && e.flushSeq == 0 {
 		return
 	}
-	r.diskBytes -= dr.bytes
-	delete(s.demoted, name)
-	if r.fl != nil {
-		if !r.fl.enqueue(flushJob{op: opDeleteResult, sid: s.id, name: name}, true) {
-			r.counters.deleteErrors++
-			r.logDiskErrLocked("queue delete of %s/%s failed (flusher stopped)", s.id, name)
-		}
+	if e.seg != nil {
+		r.diskBytes -= e.seg.bytes
+		e.seg = nil
 	}
-}
-
-// enforceDiskBudgetLocked deletes least-recently-used demoted results (the
-// terminal gone tier) until the disk budget holds. Results currently
-// promoted (memory copy live) are skipped — deleting their disk copy would
-// only force a rewrite on the next demotion.
-func (r *registry) enforceDiskBudgetLocked() {
-	for r.maxDiskBytes > 0 && r.diskBytes > r.maxDiskBytes {
-		var (
-			lruSess *session
-			lruName string
-			lruDr   *demotedResult
-		)
-		scan := func(s *session) {
-			for name, dr := range s.demoted {
-				if _, live := s.results[name]; live {
-					continue
-				}
-				if lruDr == nil || dr.last.Before(lruDr.last) {
-					lruSess, lruName, lruDr = s, name, dr
-				}
-			}
-		}
-		for _, s := range r.sessions {
-			scan(s)
-		}
-		for _, s := range r.dormant {
-			scan(s)
-		}
-		if lruDr == nil {
-			return
-		}
-		r.deleteDemotedLocked(lruSess, lruName)
-		lruSess.gone.add(lruName)
-		r.maybeRetireLocked(lruSess)
-	}
-}
-
-// maybeRetireLocked tombstones a dormant session that has nothing left in
-// any tier.
-func (r *registry) maybeRetireLocked(s *session) {
-	if len(s.results) == 0 && len(s.demoted) == 0 {
-		if _, ok := r.dormant[s.id]; ok {
-			delete(r.dormant, s.id)
-			r.goneSessions.add(s.id)
-		}
+	if r.fl != nil && !r.fl.enqueue(flushJob{op: opDeleteResult, sid: s.id, name: name}, true) {
+		r.counters.deleteErrors++
+		r.diskErrLocked(nil, "queue delete of %s/%s failed (flusher stopped)", s.id, name)
 	}
 }
 
 // ---- flusher callbacks (run on the flusher goroutine) ----
 
+// pendingLocked returns the entry a put job was queued for while the job's
+// ticket is still current — a drop, overwrite, or session delete since
+// enqueue voids it.
+func (r *registry) pendingLocked(job flushJob) (*session, *entry) {
+	if s := r.sessions[job.sid]; s != nil {
+		if e := s.entries[job.name]; e != nil && e.flushSeq == job.seq {
+			return s, e
+		}
+	}
+	return nil, nil
+}
+
 // shouldFlush is the flusher's pre-write check: the job's ticket must still
-// be current — a drop, overwrite, or session delete since enqueue voids it.
+// be current.
 func (r *registry) shouldFlush(job flushJob) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.sessions[job.sid]
-	if !ok {
-		s, ok = r.dormant[job.sid]
-	}
-	if !ok {
-		return false
-	}
-	rr := s.results[job.name]
-	return rr != nil && rr.flushSeq == job.seq
+	_, e := r.pendingLocked(job)
+	return e != nil
 }
 
 // onPutDone advances the state machine when a segment write finishes:
 // demoting → disk (release the memory copy, unless it was touched since) or
-// write-behind → durable-and-resident; a failed demotion write degrades to
-// gone rather than pinning memory the budgets already reclaimed.
+// write-behind → durable-and-resident; a failed demotion write drops the
+// resident answerer rather than pinning memory the budgets already
+// reclaimed.
 func (r *registry) onPutDone(job flushJob, bytes int64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.sessions[job.sid]
-	if !ok {
-		s, ok = r.dormant[job.sid]
+	s, e := r.pendingLocked(job)
+	if e == nil {
+		return // superseded, or the session was dropped while writing
 	}
-	if !ok {
-		// Session dropped while the write was in flight; the queued session
-		// delete cleans the manifest entry back up.
-		return
-	}
-	rr := s.results[job.name]
-	if rr == nil || rr.flushSeq != job.seq {
-		return // superseded: a newer put or a drop owns the name now
-	}
-	rr.flushSeq = 0
-	r.demotingBytes -= rr.countedBytes
-	rr.countedBytes = 0
-	drop := rr.dropOnFlush
-	rr.dropOnFlush = false
+	drop := e.dropOnFlush
+	r.cancelPendingLocked(e) // spent: the ticket and the demoting credit
 	if err != nil {
 		r.counters.flushErrors++
-		if r.flushErr == nil {
-			r.flushErr = err
-		}
-		r.logDiskErrLocked("segment write for %s/%s failed: %v", job.sid, job.name, err)
+		r.diskErrLocked(err, "segment write for %s/%s failed: %v", job.sid, job.name, err)
 		if drop {
-			r.releaseRefLocked(rr.res)
-			delete(s.results, job.name)
-			s.gone.add(job.name)
+			r.evictResidentLocked(e)
 			r.counters.demotes++
-			r.maybeRetireLocked(s)
+			r.settleLocked(s, job.name, e)
 		}
 		return
 	}
-	now := r.clock()
-	r.deleteDemotedEntryOnlyLocked(s, job.name)
-	s.demoted[job.name] = &demotedResult{bytes: bytes, last: now}
+	e.seg = &segment{bytes: bytes}
 	r.diskBytes += bytes
-	rr.onDisk = true
-	if drop && !rr.last.After(rr.demoteAt) {
-		r.releaseRefLocked(rr.res)
-		delete(s.results, job.name)
+	if drop && !e.last.After(e.demoteAt) {
+		r.evictResidentLocked(e)
 		r.counters.demotes++
 	} else {
 		// Referenced since the demotion queued (or plain write-behind): the
 		// result stays hot; the write still bought durability.
 		r.counters.writeBehind++
 	}
-	r.enforceDiskBudgetLocked()
-	r.maybeRetireLocked(s)
+	// The disk budget deletes the least-recently-used segments whose result
+	// is not resident (deleting a resident one's copy would only force a
+	// rewrite at its next demotion).
+	for r.maxDiskBytes > 0 && r.diskBytes > r.maxDiskBytes {
+		vs, vname, v := r.victimLocked(nil, func(x *entry) bool { return x.seg != nil && x.res == nil })
+		if v == nil {
+			break
+		}
+		r.dropSegmentLocked(vs, vname, v)
+		r.settleLocked(vs, vname, v)
+	}
 }
 
 // onPublish records manifest-publish failures (the only way a queued delete
@@ -1037,16 +996,17 @@ func (r *registry) onPublish(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counters.publishErrors++
+	r.diskErrLocked(err, "manifest publish failed: %v", err)
+}
+
+// diskErrLocked records a disk-tier failure for flush to return (err, when
+// non-nil and the first since the last flush) and reports the first one to
+// the process log — once, so a dying disk cannot flood it — while every
+// occurrence stays counted in the stats surface.
+func (r *registry) diskErrLocked(err error, format string, args ...any) {
 	if r.flushErr == nil {
 		r.flushErr = err
 	}
-	r.logDiskErrLocked("manifest publish failed: %v", err)
-}
-
-// logDiskErrLocked reports the first disk-tier failure to the process log —
-// once, so a dying disk cannot flood it — while every occurrence stays
-// counted in the stats surface.
-func (r *registry) logDiskErrLocked(format string, args ...any) {
 	if r.diskErrLogged {
 		return
 	}
@@ -1054,7 +1014,7 @@ func (r *registry) logDiskErrLocked(format string, args ...any) {
 	log.Printf("server: disk tier degraded (further errors counted, not logged): "+format, args...)
 }
 
-// flush persists every not-yet-durable retained result and publishes the
+// flush persists every not-yet-durable resident result and publishes the
 // manifest (graceful-shutdown path): enqueue whatever is not already
 // pending, drain the flusher, publish with the session-id watermark.
 // Results stay resident — flush persists, it does not evict. The first disk
@@ -1066,17 +1026,9 @@ func (r *registry) flush() error {
 	}
 	r.mu.Lock()
 	r.flushErr = nil
-	for _, set := range []map[string]*session{r.sessions, r.dormant} {
-		for _, s := range set {
-			for name, rr := range s.results {
-				if rr.onDisk || rr.flushSeq != 0 {
-					continue
-				}
-				r.flushSeqGen++
-				if r.fl.enqueue(flushJob{op: opPut, sid: s.id, name: name, res: rr.res, seq: r.flushSeqGen}, true) {
-					rr.flushSeq = r.flushSeqGen
-				}
-			}
+	for _, s := range r.sessions {
+		for name, e := range s.entries {
+			r.enqueuePutLocked(s, name, e, false, true)
 		}
 	}
 	r.mu.Unlock()
@@ -1089,13 +1041,4 @@ func (r *registry) flush() error {
 		err = perr
 	}
 	return err
-}
-
-// deleteDemotedEntryOnlyLocked forgets a demoted entry's bookkeeping without
-// touching the store (the caller just replaced the manifest entry).
-func (r *registry) deleteDemotedEntryOnlyLocked(s *session, name string) {
-	if dr, ok := s.demoted[name]; ok {
-		r.diskBytes -= dr.bytes
-		delete(s.demoted, name)
-	}
 }
