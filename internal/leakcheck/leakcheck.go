@@ -4,6 +4,7 @@
 package leakcheck
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"runtime"
@@ -20,18 +21,34 @@ const settle = 2 * time.Second
 // but more goroutines are running afterwards than before; the stacks of the
 // survivors go to stderr.
 func Main(m *testing.M) {
-	before := runtime.NumGoroutine()
+	before := running()
 	code := m.Run()
 	if code == 0 {
 		deadline := time.Now().Add(settle)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		for running() > before && time.Now().Before(deadline) {
 			time.Sleep(10 * time.Millisecond)
 		}
-		if n := runtime.NumGoroutine(); n > before {
+		if n := running(); n > before {
 			fmt.Fprintf(os.Stderr, "leakcheck: %d goroutines running after the tests, %d before:\n", n, before)
 			_ = pprof.Lookup("goroutine").WriteTo(os.Stderr, 1)
 			code = 1
 		}
 	}
 	os.Exit(code)
+}
+
+// running counts the goroutines a test could have left behind: every one
+// but os/signal's, which signal.Notify starts for the life of the process
+// (the fuzzing engine calls it, so a -fuzz run always ends with one more).
+func running() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	return bytes.Count(buf, []byte("\n\ngoroutine ")) + 1 - bytes.Count(buf, []byte("\nos/signal.loop("))
 }

@@ -10,12 +10,13 @@ package lineage
 //
 //   - Expansion: every decoding caller runs the one chunk loop (appendChunks
 //     → Chunk.ExpandInto) over the word-at-a-time kernels below — 8 payload
-//     bytes per step for gaps chunks, 64-bit words for bitmaps. Multi-seed
-//     traces (Index.Trace, ParTrace, ParTraceFiltered, via
-//     EncodedIndex.AppendLists) and EncodedList.AppendTo first size the output
-//     exactly from the headers, so each chunk decodes once into its final
-//     slot; one-entry probes (TraceOne, and Compose/Invert through it) reuse
-//     a caller buffer and let each chunk's header pre-grow it.
+//     bytes per step for gaps chunks, decoded a run of one varint width at a
+//     time, and 64-bit words for bitmaps. Multi-seed traces (Index.Trace,
+//     ParTrace, ParTraceFiltered, via EncodedIndex.AppendLists) and
+//     EncodedList.AppendTo first size the output exactly from the headers, so
+//     each chunk decodes once into its final slot; one-entry probes
+//     (TraceOne, and Compose/Invert through it) reuse a caller buffer and let
+//     each chunk's header pre-grow it.
 //   - In-situ trace (TraceInSitu / ParTraceInSitu): because chunks are
 //     self-contained, the backward trace of a seed set is the byte
 //     concatenation of the seeds' chunk bytes, and its element count is a sum
@@ -249,17 +250,24 @@ func fillRun(out []Rid, start Rid) {
 	}
 }
 
-const varintContBits = 0x8080808080808080
+const (
+	varintContBits = 0x8080808080808080
+	twoByteRun     = 0x0080008000800080 // the continuation bits of 4 two-byte varints
+)
 
 // expandGaps decodes a gaps chunk: out[0] = first, then a running sum of
 // len(out)-1 unsigned varint gaps. Each step loads 8 payload bytes and reads
-// their continuation bits: none set means 8 one-byte gaps (a large group's
-// list), every second one set means 4 two-byte gaps (a small group's), and
-// either prefix-sums straight out of the register. Any other mix emits the
-// one-byte gaps ahead of the first longer varint from the same word and
-// decodes that varint on its own (2-byte case first, then the generic
-// decoder). The last few elements take the scalar path so the word load never
-// reads past the payload.
+// their continuation bits. None set means 8 one-byte gaps (a large group's
+// list), and every second one set means 4 two-byte gaps (a small group's):
+// either prefix-sums straight out of the register and advances a whole word.
+// Any other word yields its leading run of one varint width: one-byte gaps
+// (7 slots written unconditionally) or two-byte gaps (4 slots; the run is
+// counted by matching the continuation bits against twoByteRun). The step
+// keeps the run's slots, the last of which is the new running sum, and the
+// next step overwrites the rest, which is why the loop needs 8 slots of room.
+// Only varints of 3 bytes or more reach the generic decoder. The last few
+// elements take the scalar path so the word load never reads past the
+// payload.
 func expandGaps(out []Rid, first Rid, p []byte) {
 	out[0] = first
 	prev := first
@@ -267,8 +275,8 @@ func expandGaps(out []Rid, first Rid, p []byte) {
 	for j+8 <= n {
 		w := binary.LittleEndian.Uint64(p)
 		m := w & varintContBits
+		o := out[j : j+8 : j+8]
 		if m == 0 {
-			o := out[j : j+8 : j+8]
 			prev += Rid(w & 0xff)
 			o[0] = prev
 			prev += Rid(w >> 8 & 0xff)
@@ -289,8 +297,7 @@ func expandGaps(out []Rid, first Rid, p []byte) {
 			j += 8
 			continue
 		}
-		if m == 0x0080008000800080 {
-			o := out[j : j+4 : j+4]
+		if m == twoByteRun {
 			prev += Rid(w&0x7f | w>>1&0x3f80)
 			o[0] = prev
 			prev += Rid(w>>16&0x7f | w>>17&0x3f80)
@@ -303,23 +310,44 @@ func expandGaps(out []Rid, first Rid, p []byte) {
 			j += 4
 			continue
 		}
-		singles := bits.TrailingZeros64(m) >> 3
-		for s := 0; s < singles; s++ {
-			prev += Rid(w & 0xff)
-			out[j] = prev
-			j++
-			w >>= 8
+		if run := bits.TrailingZeros64(m) >> 3; run > 0 {
+			s := prev + Rid(w&0xff)
+			o[0] = s
+			s += Rid(w >> 8 & 0xff)
+			o[1] = s
+			s += Rid(w >> 16 & 0xff)
+			o[2] = s
+			s += Rid(w >> 24 & 0xff)
+			o[3] = s
+			s += Rid(w >> 32 & 0xff)
+			o[4] = s
+			s += Rid(w >> 40 & 0xff)
+			o[5] = s
+			s += Rid(w >> 48 & 0xff)
+			o[6] = s
+			prev = o[run-1]
+			p = p[run:]
+			j += run
+			continue
 		}
-		p = p[singles:]
-		if b1 := p[1]; b1 < 0x80 {
-			prev += Rid(p[0]&0x7f) | Rid(b1)<<7
-			p = p[2:]
-		} else {
-			g, k := binary.Uvarint(p)
-			prev += Rid(g)
-			p = p[k:]
+		if run := bits.TrailingZeros64(m^twoByteRun) >> 4; run > 0 {
+			s := prev + Rid(w&0x7f|w>>1&0x3f80)
+			o[0] = s
+			s += Rid(w>>16&0x7f | w>>17&0x3f80)
+			o[1] = s
+			s += Rid(w>>32&0x7f | w>>33&0x3f80)
+			o[2] = s
+			s += Rid(w>>48&0x7f | w>>49&0x3f80)
+			o[3] = s
+			prev = o[run-1]
+			p = p[2*run:]
+			j += run
+			continue
 		}
-		out[j] = prev
+		g, k := binary.Uvarint(p)
+		prev += Rid(g)
+		o[0] = prev
+		p = p[k:]
 		j++
 	}
 	for ; j < n; j++ {

@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -208,4 +209,62 @@ func BenchmarkTraceZipfEncoded(b *testing.B) {
 func BenchmarkTraceZipfInSitu(b *testing.B) {
 	_, enc, seeds, rids := benchZipfTrace()
 	benchTraceRate(b, rids, func() { _ = enc.TraceInSitu(seeds) })
+}
+
+// Kernel benches: one chunk of kernelRids rids decoded into a pre-sized
+// buffer (the AppendLists shape), reported per rid so the chunk chooser's
+// break-even between a gaps and a bitmap chunk can be read off directly.
+const kernelRids = 1 << 15
+
+func benchExpand(b *testing.B, enc []byte, n int) {
+	ch, _ := NewEncCursor(enc).Next()
+	if ch.N != n {
+		b.Fatalf("chunk holds %d rids, want %d", ch.N, n)
+	}
+	dst := make([]Rid, 0, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = ch.ExpandInto(dst[:0])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/rid")
+}
+
+// BenchmarkExpandGaps decodes gaps chunks of one-byte gaps (a large group at
+// ~13% density), two-byte gaps (a tail group) and a mix with mean gap 100
+// (73% one-byte, the rest mostly two-byte, a few three-byte).
+func BenchmarkExpandGaps(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		gap  func(rng *rand.Rand) Rid
+	}{
+		{"1B", func(rng *rand.Rand) Rid { return Rid(1 + rng.Intn(14)) }},
+		{"2B", func(rng *rand.Rand) Rid { return Rid(128 + rng.Intn(1000)) }},
+		{"mixed", func(rng *rand.Rand) Rid { return Rid(1 + rng.ExpFloat64()*100) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			list := ascendingBy(kernelRids, 0, func(int) Rid { return c.gap(rng) })
+			benchExpand(b, appendGapsChunk(list), kernelRids)
+		})
+	}
+}
+
+// BenchmarkExpandBitmap decodes bitmap chunks whose bits are set at 5, 13, 30
+// and 60% density.
+func BenchmarkExpandBitmap(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		density float64
+	}{{"d05", 0.05}, {"d13", 0.13}, {"d30", 0.30}, {"d60", 0.60}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var list []Rid
+			for r := Rid(0); len(list) < kernelRids; r++ {
+				if rng.Float64() < c.density {
+					list = append(list, r)
+				}
+			}
+			benchExpand(b, appendBitmapChunk(list, 0, int(list[len(list)-1])/8+1), kernelRids)
+		})
+	}
 }

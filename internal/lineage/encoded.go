@@ -28,7 +28,9 @@ package lineage
 // it — and the cursor delimits the body by walking at most lenHeaderMin-1
 // varints. The decoder knows which layout it reads from n alone.
 //
-// Chunk encodings (chosen adaptively per list, smallest wins):
+// Chunk encodings (chosen adaptively per list: the smallest wins, except that
+// a bitmap must be clearly smaller, because it decodes slower; see
+// bitmapMargin):
 //
 //   - range:  one contiguous ascending run; body is the uvarint start.
 //   - gaps:   strictly ascending lists (every group-by backward list): uvarint
@@ -204,7 +206,7 @@ func checkEncodedSize(n int) {
 	}
 }
 
-// Add encodes list as the next entry, picking the smallest encoding.
+// Add encodes list as the next entry (appendEncodedList picks the encoding).
 func (b *EncodedBuilder) Add(list []Rid) {
 	b.data = appendEncodedList(b.data, list)
 	checkEncodedSize(len(b.data))
@@ -261,6 +263,14 @@ func withLenHeader(body, n int) int {
 	return body
 }
 
+// bitmapMargin sets how much smaller than the best other candidate a bitmap
+// chunk must be to win: by more than 1/bitmapMargin of it. A bitmap decodes
+// slower per rid than one-byte gaps at every density (cursor_bench_test.go's
+// kernel benches), and the two sizes cross at 1/8 density, where the largest
+// group of a skewed group-by sits; so a list between 1/8 and 1/7 density
+// spends up to 1/7 more bytes to decode as gaps.
+const bitmapMargin = 8
+
 // appendEncodedList appends list as one adaptively-chosen chunk. Empty lists
 // append nothing (a zero-byte list decodes as empty).
 func appendEncodedList(data []byte, list []Rid) []byte {
@@ -306,7 +316,7 @@ func appendEncodedList(data []byte, list []Rid) []byte {
 		}
 		span := int64(list[n-1]) - int64(list[0]) + 1
 		nb := (span + 7) / 8
-		if bm := uvarintLen(uint64(list[0])) + uvarintLen(uint64(nb)) + int(nb); bm < size {
+		if bm := uvarintLen(uint64(list[0])) + uvarintLen(uint64(nb)) + int(nb); bitmapMargin*bm < (bitmapMargin-1)*size {
 			tag = chunkBitmap
 		}
 	default:

@@ -2,9 +2,11 @@ package lineage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"smoke/internal/pool"
@@ -172,6 +174,100 @@ func TestUnsortedListsPickDeltaOrRaw(t *testing.T) {
 	}
 }
 
+// The chooser weighs decode cost: a bitmap decodes slower per rid than
+// one-byte gaps, so it wins only when clearly smaller. A list at 13% density
+// (the skewed group-by's largest group: its bitmap is a few percent smaller)
+// is gaps, one at 30% is a bitmap, and every list the smallest-wins rule gave
+// a range or RLE chunk keeps it. No chosen chunk is more than 8/7 the size of
+// the smallest candidate.
+func TestChunkChooserWeighsDecodeCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	atDensity := func(n int, d float64) []Rid {
+		var list []Rid
+		for r := Rid(500); len(list) < n; r++ {
+			if rng.Float64() < d {
+				list = append(list, r)
+			}
+		}
+		return list
+	}
+	for _, c := range []struct {
+		density float64
+		want    byte
+	}{{0.13, chunkGaps}, {0.30, chunkBitmap}} {
+		list := atDensity(4000, c.density)
+		sizes := candidateSizes(list)
+		if c.want == chunkGaps && sizes[chunkBitmap] >= sizes[chunkGaps] {
+			t.Fatalf("density %.2f: the bitmap (%d B) is not smaller than gaps (%d B); the case tests nothing", c.density, sizes[chunkBitmap], sizes[chunkGaps])
+		}
+		if got := appendEncodedList(nil, list)[0]; got != c.want {
+			t.Fatalf("density %.2f: chose kind %d, want %d (candidate sizes %v)", c.density, got, c.want, sizes)
+		}
+	}
+	var lists [][]Rid
+	for _, d := range []float64{0.01, 0.05, 0.1, 0.125, 0.13, 0.14, 0.15, 0.2, 0.3, 0.6, 0.95, 1} {
+		for _, n := range []int{2, 9, lenHeaderMin, 100, 3000} {
+			lists = append(lists, atDensity(n, d))
+		}
+	}
+	for _, n := range []int{9, lenHeaderMin, 100, 1000} {
+		lists = append(lists, kindLists[chunkRLE](n, rng), kindLists[chunkRange](n, rng))
+	}
+	for _, list := range lists {
+		sizes := candidateSizes(list)
+		smallest := chunkRaw
+		for _, kind := range []byte{chunkGaps, chunkRLE, chunkRange, chunkBitmap} {
+			if s, ok := sizes[kind]; ok && s < sizes[smallest] {
+				smallest = kind
+			}
+		}
+		enc := appendEncodedList(nil, list)
+		what := fmt.Sprintf("%d rids over [%d, %d]", len(list), list[0], list[len(list)-1])
+		if got := len(enc); 7*got > 8*sizes[smallest] {
+			t.Fatalf("%s: chose kind %d of %d B, more than 8/7 of the smallest candidate (kind %d, %d B)", what, enc[0], got, smallest, sizes[smallest])
+		}
+		if (smallest == chunkRange || smallest == chunkRLE) && enc[0] != smallest {
+			t.Fatalf("%s: chose kind %d where the smallest candidate is kind %d", what, enc[0], smallest)
+		}
+		decodeEveryWay(t, what, enc, list)
+	}
+}
+
+// candidateSizes encodes a strictly ascending list as every chunk kind that
+// can hold it, by the format comment's definitions, and returns each chunk's
+// byte size.
+func candidateSizes(list []Rid) map[byte]int {
+	n := len(list)
+	head := 1 + len(appendUvarint(nil, uint64(n)))
+	withLen := func(body []byte) int {
+		if n >= lenHeaderMin {
+			return head + len(appendUvarint(nil, uint64(len(body)))) + len(body)
+		}
+		return head + len(body)
+	}
+	rle := appendUvarint(nil, uint64(list[0]))
+	run := 1
+	for i := 1; i < n; i++ {
+		if list[i] == list[i-1]+1 {
+			run++
+			continue
+		}
+		rle = appendUvarint(appendUvarint(rle, uint64(run)), uint64(list[i]-list[i-1]-1))
+		run = 1
+	}
+	rle = appendUvarint(rle, uint64(run))
+	sizes := map[byte]int{
+		chunkRaw:    head + 4*n,
+		chunkGaps:   len(appendGapsChunk(list)),
+		chunkRLE:    withLen(rle),
+		chunkBitmap: len(appendBitmapChunk(list, list[0], int(list[n-1]-list[0])/8+1)),
+	}
+	if run == n {
+		sizes[chunkRange] = head + len(appendUvarint(nil, uint64(list[0])))
+	}
+	return sizes
+}
+
 // The gaps kernel reads 8 payload bytes at a time: every mix of varint widths
 // must decode the same whether a varint starts, straddles or ends a window,
 // and whether the payload ends inside one.
@@ -230,15 +326,21 @@ func TestBitmapKernelWordEdges(t *testing.T) {
 				list = append(list, base+Rid(bit))
 			}
 		}
-		enc := appendUvarint([]byte{chunkBitmap}, uint64(len(list)))
-		enc = appendUvarint(enc, uint64(base))
-		enc = appendUvarint(enc, uint64(nb))
-		bm := make([]byte, nb)
-		for _, r := range list {
-			bm[(r-base)/8] |= 1 << ((r - base) % 8)
-		}
-		decodeEveryWay(t, fmt.Sprintf("bitmap of %d bytes", nb), append(enc, bm...), list)
+		decodeEveryWay(t, fmt.Sprintf("bitmap of %d bytes", nb), appendBitmapChunk(list, base, nb), list)
 	}
+}
+
+// appendBitmapChunk encodes an ascending list as a bitmap chunk of nb bytes
+// over [base, base+8·nb), whatever the chooser would pick.
+func appendBitmapChunk(list []Rid, base Rid, nb int) []byte {
+	enc := appendUvarint([]byte{chunkBitmap}, uint64(len(list)))
+	enc = appendUvarint(enc, uint64(base))
+	enc = appendUvarint(enc, uint64(nb))
+	bm := make([]byte, nb)
+	for _, r := range list {
+		bm[(r-base)/8] |= 1 << ((r - base) % 8)
+	}
+	return append(enc, bm...)
 }
 
 // In-situ traces count and concatenate from headers alone; decoding them must
@@ -296,7 +398,8 @@ func TestTraceInSituMatchesTraceOnMergedLists(t *testing.T) {
 }
 
 // chunkSeeds is one well-formed chunk of each kind (with and without a body
-// length): the fuzz corpus, and the starting points of the mutation test.
+// length), then chunks that steer the word kernels down each of their paths:
+// the fuzz corpus, and the starting points of the mutation test.
 func chunkSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(19))
 	var seeds [][]byte
@@ -305,12 +408,108 @@ func chunkSeeds() [][]byte {
 			seeds = append(seeds, appendEncodedList(nil, kindLists[kind](n, rng)))
 		}
 	}
+	// Gaps chunks mixing 1-, 2-, 3- and 5-byte varints: 8-wide one-byte
+	// words, shorter one- and two-byte runs, 4 two-byte gaps in one word, and
+	// the longer varints that only the generic decoder reads.
+	const b1, b2, b3, b5 = 3, 300, 20_000, 1 << 28
+	for _, widths := range [][]Rid{
+		{b1, b1, b1, b1, b1, b1, b1, b1, b2, b2, b2, b2, b1, b1, b1, b3, b2, b1, b5, b1, b1, b2, b2, b2, b1},
+		{b2, b1, b2, b2, b1, b1, b2, b2, b2, b3, b3, b1, b2, b1, b1, b1, b1, b1, b1, b1, b2, b5, b2, b2, b2, b2, b2, b1, b3, b1},
+		{b1, b2, b1, b2, b1, b2, b1, b2, b1, b2, b1, b2, b1, b2, b1, b2},
+	} {
+		seeds = append(seeds, appendGapsChunk(ascendingBy(len(widths), 7, func(i int) Rid { return widths[i-1] })))
+	}
+	// Bitmaps of two 64-bit words holding 7, 8, 9, 16 and 17 bits each
+	// (either side of 8 and 16 positions per word, where a kernel that
+	// writes a word's positions in blocks changes path), then a partial
+	// tail word of 3 bytes.
+	for _, k := range []int{7, 8, 9, 16, 17} {
+		const base = 40
+		var list []Rid
+		for word := 0; word < 2; word++ {
+			for _, bit := range rng.Perm(64)[:k] {
+				list = append(list, base+Rid(64*word+bit))
+			}
+		}
+		list = append(list, base+128, base+131, base+147)
+		slices.Sort(list)
+		seeds = append(seeds, appendBitmapChunk(list, base, 19))
+	}
 	return seeds
+}
+
+// naiveDecode is the oracle the word kernels answer to: it decodes validated
+// chunk bytes by the format comment's definitions alone — one binary.Uvarint
+// per varint, one bit test per bitmap bit — sharing no code with the cursor.
+func naiveDecode(b []byte) []Rid {
+	var out []Rid
+	uvarint := func() uint64 {
+		u, k := binary.Uvarint(b)
+		b = b[k:]
+		return u
+	}
+	for len(b) > 0 {
+		tag := b[0]
+		b = b[1:]
+		n := int(uvarint())
+		if n >= lenHeaderMin && (tag == chunkGaps || tag == chunkDelta || tag == chunkRLE) {
+			uvarint() // the body length
+		}
+		switch tag {
+		case chunkRaw:
+			for i := 0; i < n; i++ {
+				out = append(out, Rid(binary.LittleEndian.Uint32(b)))
+				b = b[4:]
+			}
+		case chunkRange:
+			start := Rid(uvarint())
+			for i := 0; i < n; i++ {
+				out = append(out, start+Rid(i))
+			}
+		case chunkGaps:
+			cur := Rid(uvarint())
+			out = append(out, cur)
+			for i := 1; i < n; i++ {
+				cur += Rid(uvarint())
+				out = append(out, cur)
+			}
+		case chunkDelta:
+			cur := Rid(unzigzag(uvarint()))
+			out = append(out, cur)
+			for i := 1; i < n; i++ {
+				cur += Rid(unzigzag(uvarint()))
+				out = append(out, cur)
+			}
+		case chunkRLE:
+			cur := Rid(uvarint())
+			for left := n; ; {
+				run := int(uvarint())
+				for i := 0; i < run; i++ {
+					out = append(out, cur)
+					cur++
+				}
+				if left -= run; left == 0 {
+					break
+				}
+				cur += Rid(uvarint())
+			}
+		case chunkBitmap:
+			base := Rid(uvarint())
+			nb := int(uvarint())
+			for bit := 0; bit < 8*nb; bit++ {
+				if b[bit/8]&(1<<(bit%8)) != 0 {
+					out = append(out, base+Rid(bit))
+				}
+			}
+			b = b[nb:]
+		}
+	}
+	return out
 }
 
 // checkAcceptedBytesDecode is the contract between ValidateEncoded and the
 // trusting cursor: bytes it accepts decode, without a panic, to exactly the
-// count it returned.
+// rids the naive oracle reads from them, as many as the validator counted.
 func checkAcceptedBytesDecode(t *testing.T, data []byte) {
 	offs := []uint32{0, uint32(len(data))}
 	card, err := ValidateEncoded(offs, data)
@@ -326,11 +525,19 @@ func checkAcceptedBytesDecode(t *testing.T, data []byte) {
 	if got := e.ListLen(0); got != card {
 		t.Fatalf("bytes % x: ListLen = %d, validator counted %d", data, got, card)
 	}
-	if got := len(e.AppendLists([]Rid{0}, nil)); got != card {
-		t.Fatalf("bytes % x: decoded %d rids, validator counted %d", data, got, card)
+	want := naiveDecode(data)
+	if len(want) != card {
+		t.Fatalf("bytes % x: the oracle decoded %d rids, validator counted %d", data, len(want), card)
 	}
-	if is := e.TraceInSitu([]Rid{0, 0}); is.N != 2*card || len(is.AppendTo(nil)) != 2*card {
-		t.Fatalf("bytes % x: in-situ trace of the entry twice holds %d rids, want %d", data, is.N, 2*card)
+	if got := e.AppendLists([]Rid{0}, nil); !slices.Equal(got, want) {
+		t.Fatalf("bytes % x: AppendLists decoded %v, the oracle %v", data, got, want)
+	}
+	if got := e.AppendList(0, []Rid{-7}); !slices.Equal(got[1:], want) {
+		t.Fatalf("bytes % x: AppendList onto a prefix decoded %v, the oracle %v", data, got[1:], want)
+	}
+	is := e.TraceInSitu([]Rid{0, 0})
+	if got := is.AppendTo(nil); is.N != 2*card || !slices.Equal(got, append(slices.Clone(want), want...)) {
+		t.Fatalf("bytes % x: in-situ trace of the entry twice decoded %v (count %d), want the oracle's rids twice", data, got, is.N)
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"smoke/internal/serr"
 	"smoke/internal/serverclient"
 	"smoke/internal/shard"
+	"smoke/internal/wire"
 )
 
 // shardErr unwraps a serverclient error and asserts its HTTP status and serr
@@ -203,6 +205,30 @@ func TestPanickingShardIsContained(t *testing.T) {
 	coord.RestoreShardHandler(0)
 	if _, err := c.Query(ctx, serverclient.QueryRequest{SQL: "SELECT b, COUNT(*) AS cnt FROM fact GROUP BY b"}); err != nil {
 		t.Fatalf("query after restore: %v", err)
+	}
+}
+
+// TestScatterCancelledSiblingDoesNotOutrankCause: shard 0 is down, so its
+// failure cancels the wave, and shard 1 answers Busy only once that cancel
+// reaches it (as a sibling abandoned at its admission gate does). The Busy
+// is a consequence of the cancel and must never outrank its cause: every
+// wave answers 503. The Busy reaches the gather only when shard 1's call
+// starts waiting after its handler has replied, a scheduling race, so the
+// test runs 200 waves: a gather that ranks errors by kind instead of
+// recording the cause fails 19 of 20 runs under -race on a 2-core VM (1 of
+// 20 without -race).
+func TestScatterCancelledSiblingDoesNotOutrankCause(t *testing.T) {
+	ctx := context.Background()
+	coord, c := startFaultCoord(t, 2, 5*time.Second)
+	ingest(t, c, "shard")
+	coord.SetShardHandler(0, nil)
+	coord.SetShardHandler(1, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+		wire.WriteError(w, serr.New(serr.Busy, "request abandoned while queued: %v", r.Context().Err()))
+	}))
+	for i := 0; i < 200; i++ {
+		_, err := c.Query(ctx, serverclient.QueryRequest{SQL: "SELECT k, COUNT(*) AS cnt FROM fact GROUP BY k"})
+		shardErr(t, fmt.Sprintf("wave %d", i), err, http.StatusServiceUnavailable, "unavailable")
 	}
 }
 

@@ -134,16 +134,22 @@ func errorFromShard(shardID int, status int, body []byte) error {
 // scatter fans one request wave out to the given shards concurrently and
 // gathers the per-shard replies in shard order. The whole wave shares one
 // deadline; the first shard failure (down, timed out, or answering an error
-// status) cancels the remaining calls and surfaces as the wave's error, so a
-// half-answered wave never yields a silently partial gather.
+// status) cancels the remaining calls and is the wave's error, so a
+// half-answered wave never yields a silently partial gather. Errors that
+// arrive after that cancel are its consequences — deadline errors, or a Busy
+// from a sibling abandoned at its admission gate — and never outrank the
+// cause.
 func (c *Coordinator) scatter(ctx context.Context, shards []int, build func(shard int) (method, path string, body []byte)) ([]*wire.Result, error) {
 	c.scatters.Add(1)
 	wctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 
 	results := make([]*wire.Result, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
+	var (
+		mu    sync.Mutex
+		cause error // the failure that cancelled the wave
+		wg    sync.WaitGroup
+	)
 	for i, s := range shards {
 		i, s := i, s
 		wg.Add(1)
@@ -152,31 +158,20 @@ func (c *Coordinator) scatter(ctx context.Context, shards []int, build func(shar
 			method, path, body := build(s)
 			res, err := c.callJSON(wctx, c.nodes[s], method, path, body)
 			if err != nil {
-				errs[i] = err
-				cancel()
+				mu.Lock()
+				if cause == nil {
+					cause = err
+					cancel()
+				}
+				mu.Unlock()
 				return
 			}
 			results[i] = res
 		}()
 	}
 	wg.Wait()
-	// A shard's own error (a deterministic 4xx, say) outranks Unavailable:
-	// when one shard fails fast the cancellation cascades to its siblings as
-	// deadline errors, and reporting those would bury the actual cause.
-	var unavailable error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if serr.KindOf(err) != serr.Unavailable {
-			return nil, err
-		}
-		if unavailable == nil {
-			unavailable = err
-		}
-	}
-	if unavailable != nil {
-		return nil, unavailable
+	if cause != nil {
+		return nil, cause
 	}
 	return results, nil
 }
