@@ -271,6 +271,16 @@ func (db *DB) Query() *Query { return &Query{db: db} }
 // builder query.
 func (db *DB) QueryPlan(n plan.Node) *Query { return &Query{db: db, prebuilt: n} }
 
+// QueryTrace starts a query from a backward trace node the caller built —
+// unbound, over a stored optimized plan — instead of from a Result.
+// Where/GroupBy/Agg build the consuming query on top exactly as after
+// Query.Trace, and the optimizer collapses the trace to one filtered scan
+// when it proves the equivalence (trace-rewrite). The scatter/gather
+// coordinator runs such traces over its global copy of a sharded table.
+func (db *DB) QueryTrace(n plan.Backward) *Query {
+	return &Query{db: db, names: []string{n.Table}, rels: []*storage.Relation{n.Rel}, traceNode: n}
+}
+
 // Trace starts the query from a lineage trace of res in the given
 // direction. seed selects the starting rows: Rids(...) for explicit rids
 // (output rids for TraceBackward, base rids for TraceForward), Where(pred)

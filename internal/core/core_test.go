@@ -19,6 +19,7 @@ import (
 func openZipf(t *testing.T) (*core.DB, int) {
 	t.Helper()
 	db := core.Open()
+	t.Cleanup(db.Close)
 	rel := datagen.Zipf("zipf", 1.0, 2000, 10, 1)
 	db.Register(rel)
 	return db, rel.N
@@ -151,6 +152,7 @@ func TestFilteredAggregateSingleTable(t *testing.T) {
 func TestSPJAQueryThroughFacade(t *testing.T) {
 	tp := tpch.Generate(0.002, 42)
 	db := core.Open()
+	defer db.Close()
 	db.Register(tp.Customer)
 	db.Register(tp.Orders)
 	db.Register(tp.Lineitem)
@@ -182,6 +184,7 @@ func TestSPJAQueryThroughFacade(t *testing.T) {
 func TestDataSkippingThroughFacade(t *testing.T) {
 	tp := tpch.Generate(0.001, 7)
 	db := core.Open()
+	defer db.Close()
 	db.Register(tp.Lineitem)
 	res, err := db.Query().From("lineitem", nil).
 		GroupBy("l_returnflag", "l_linestatus").
@@ -337,6 +340,7 @@ func TestQueryBuilderErrors(t *testing.T) {
 	// Push-downs rejected for multi-table blocks.
 	tp := tpch.Generate(0.001, 3)
 	db2 := core.Open()
+	defer db2.Close()
 	db2.Register(tp.Orders)
 	db2.Register(tp.Lineitem)
 	q := db2.Query().From("orders", nil).

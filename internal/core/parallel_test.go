@@ -19,6 +19,7 @@ func openTPCH(t *testing.T, opts ...core.Option) (*core.DB, *tpch.DB) {
 	t.Helper()
 	data := tpch.Generate(0.002, 42)
 	db := core.Open(opts...)
+	t.Cleanup(db.Close)
 	db.Register(data.Nation)
 	db.Register(data.Customer)
 	db.Register(data.Orders)

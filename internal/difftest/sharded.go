@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"time"
 
 	"smoke/internal/core"
@@ -30,8 +31,10 @@ var shardStrategies = []string{"eager", "lazy", "hybrid"}
 // and consuming) must answer element-identically on a sharded coordinator —
 // for every shard count × capture strategy × index representation — as on a
 // single node. It drives both tiers through their public HTTP API, so the
-// whole scatter/gather path is under test: routing, seed translation,
-// two-phase merge, scan-decision mirroring, and slot rebasing.
+// whole scatter/gather path is under test: routing and fencing read off the
+// coordinator's optimized plan, seed translation, two-phase merge, the
+// plan layer's scan-vs-index trace decision taken with global seed counts,
+// and slot rebasing.
 func CheckSharded(seed int64, queries int) error {
 	r := rand.New(rand.NewSource(seed))
 	ds := GenDataset(r)
@@ -133,9 +136,11 @@ func CheckSharded(seed int64, queries int) error {
 
 // genShardSQL builds one randomized scatterable SPJA statement: a grouped
 // aggregation over the sharded fact table, optionally joined against the
-// replicated dim. COUNT(DISTINCT), HAVING, ORDER BY, and LIMIT are fenced
+// replicated dim, optionally with a HAVING on the first group key — the
+// optimizer sinks a key-only HAVING into a scan, so the plan layer admits it.
+// COUNT(DISTINCT), HAVING on aggregates, ORDER BY, and LIMIT are fenced
 // under scatter, so the generator stays inside the supported surface — the
-// fences themselves are pinned by the shard package's own tests.
+// fences themselves are pinned by the plan and shard packages' own tests.
 func genShardSQL(r *rand.Rand, ds *Dataset) (string, []string) {
 	aggs := "COUNT(*) AS cnt"
 	if r.Intn(2) == 0 {
@@ -157,24 +162,28 @@ func genShardSQL(r *rand.Rand, ds *Dataset) (string, []string) {
 	default:
 		where = fmt.Sprintf(" WHERE s = 'S1' OR v > %d", r.Intn(80))
 	}
+	var from string
+	var keys []string
 	if r.Intn(2) == 0 {
-		keys := [][]string{{"b"}, {"s"}, {"k"}, {"b", "s"}}[r.Intn(4)]
-		cols := keys[0]
-		for _, k := range keys[1:] {
-			cols += ", " + k
-		}
-		return fmt.Sprintf("SELECT %s, %s FROM fact%s GROUP BY %s", cols, aggs, where, cols), keys
+		from, keys = "fact", [][]string{{"b"}, {"s"}, {"k"}, {"b", "s"}}[r.Intn(4)]
+	} else {
+		// Joins write the sharded fact LAST — the probe side. That is the
+		// only join shape the coordinator admits, and it makes every order
+		// additive.
+		from, keys = "dim JOIN fact ON fact.k = dim.g", []string{[]string{"label", "b"}[r.Intn(2)]}
 	}
-	// Joins write the sharded fact LAST — the probe side. That is the only
-	// join shape the coordinator admits, and it makes every order additive.
-	key := []string{"label", "b"}[r.Intn(2)]
-	return fmt.Sprintf("SELECT %s, %s FROM dim JOIN fact ON fact.k = dim.g%s GROUP BY %s", key, aggs, where, key), []string{key}
+	having := ""
+	if r.Intn(3) == 0 {
+		having = " HAVING " + keySeedPred(r, keys[0])
+	}
+	cols := strings.Join(keys, ", ")
+	return fmt.Sprintf("SELECT %s, %s FROM %s%s GROUP BY %s%s", cols, aggs, from, where, cols, having), keys
 }
 
 // genShardTraces builds the trace battery for one retained result: explicit
 // global rids (the seed-translation path), trace-all and key-predicate seeds
-// (the scan-decision mirror on single-table bases; per-seed order-exact gather
-// on probe-last joins), a non-key predicate seed (always per-seed), filtered
+// (the plan layer's scan-vs-index decision on single-table bases; per-seed
+// order-exact gather on probe-last joins), a non-key predicate seed (always per-seed), filtered
 // and consuming variants, and forward traces both rid- and predicate-seeded.
 // outN gates rid selection so every seed is globally valid.
 func genShardTraces(r *rand.Rand, ds *Dataset, keys []string, outN int) []serverclient.TraceRequest {
@@ -208,8 +217,9 @@ func genShardTraces(r *rand.Rand, ds *Dataset, keys []string, outN int) []server
 	return trs
 }
 
-// keySeedPred builds a seed predicate over a group-key column — the shape
-// whose scan-vs-index decision the coordinator mirrors globally.
+// keySeedPred builds a predicate over a group-key column — the seed shape
+// whose trace the plan layer collapses to a scan, and the HAVING shape it
+// sinks into one.
 func keySeedPred(r *rand.Rand, key string) string {
 	switch key {
 	case "b", "k":

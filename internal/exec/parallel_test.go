@@ -70,6 +70,7 @@ func sameCapture(t *testing.T, tag string, got, want *lineage.Capture) {
 func TestSPJAParallelMatchesSerial(t *testing.T) {
 	db := tpch.Generate(0.002, 42)
 	p := pool.New(4)
+	defer p.Close()
 	for name, spec := range db.Queries() {
 		for _, mode := range []ops.CaptureMode{ops.None, ops.Inject, ops.Defer} {
 			for _, dirs := range []ops.Directions{ops.CaptureBackward, ops.CaptureForward, ops.CaptureBoth} {
@@ -120,6 +121,7 @@ func TestSPJAParallelMatchesSerial(t *testing.T) {
 func TestSPJAParallelTableDirsPruning(t *testing.T) {
 	db := tpch.Generate(0.002, 42)
 	p := pool.New(4)
+	defer p.Close()
 	spec := db.Q3()
 	dirs := make([]ops.Directions, len(spec.Tables))
 	dirs[len(dirs)-1] = ops.CaptureBackward // only the fact table, backward only

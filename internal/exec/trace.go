@@ -35,19 +35,9 @@ import (
 // itself, so trace-then-query plans compose end-to-end and consuming results
 // can serve as base queries for further traces (the Q1b → Q1c chains of
 // §2.1). When the optimizer proved a scan-and-filter equivalent
-// (Backward.ScanEquiv) and the seeds select most of the source output, the
-// operator runs the sequential predicate scan instead of scattered rid-list
-// expansion.
-
-// scanEquivThresholdNum/Den: a bound, pred-seeded trace switches to its
-// scan-and-filter equivalent when seeds cover at least half the source
-// output. The choice depends only on the plan and the data, never on worker
-// count or index encoding, so every capture variant of a plan makes the same
-// choice and stays element-identical.
-const (
-	scanEquivThresholdNum = 1
-	scanEquivThresholdDen = 2
-)
+// (Backward.ScanEquiv) and the seeds select most of the source output
+// (plan.ScanBeatsIndex), the operator runs the sequential predicate scan
+// instead of scattered rid-list expansion.
 
 // traceIndex resolves step 1 for one direction: the source's output relation
 // and its lineage index for table.
@@ -148,8 +138,7 @@ func backwardRids(node plan.Backward, opts PlanOpts) ([]lineage.Rid, *plan.Scan,
 	if err != nil {
 		return nil, nil, err
 	}
-	if node.ScanEquiv != nil && srcOut.N > 0 &&
-		len(seeds)*scanEquivThresholdDen >= srcOut.N*scanEquivThresholdNum {
+	if node.ScanEquiv != nil && plan.ScanBeatsIndex(len(seeds), srcOut.N) {
 		return nil, node.ScanEquiv, nil
 	}
 	var keep func(lineage.Rid) bool

@@ -105,6 +105,7 @@ func TestSelectParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pool.New(4)
+	defer p.Close()
 	for _, mode := range []CaptureMode{None, Inject} {
 		for _, dirs := range []Directions{0, CaptureBackward, CaptureForward, CaptureBoth} {
 			serial := Select(rel.N, pred, SelectOpts{Mode: mode, Dirs: dirs})
@@ -132,6 +133,7 @@ func TestSelectParallelZeroMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pool.New(4)
+	defer p.Close()
 	for _, mode := range []CaptureMode{None, Inject} {
 		for _, dirs := range []Directions{0, CaptureBackward, CaptureForward, CaptureBoth} {
 			serial := Select(rel.N, pred, SelectOpts{Mode: mode, Dirs: dirs})
@@ -155,6 +157,7 @@ func TestSelectParallelZeroMatches(t *testing.T) {
 func TestHashAggParallelMatchesSerial(t *testing.T) {
 	rel := parTestRel(10007)
 	p := pool.New(4)
+	defer p.Close()
 	specs := map[string]GroupBySpec{
 		"int-key": {Keys: []string{"z"}, Aggs: []AggSpec{
 			{Fn: Count, Name: "cnt"},
@@ -218,6 +221,7 @@ func TestHashAggParallelMatchesSerial(t *testing.T) {
 func TestHashAggParallelPushdownAndSkipping(t *testing.T) {
 	rel := parTestRel(5003)
 	p := pool.New(4)
+	defer p.Close()
 	spec := GroupBySpec{Keys: []string{"z"}, Aggs: []AggSpec{{Fn: Count, Name: "c"}}}
 	for _, mode := range []CaptureMode{Inject, Defer} {
 		// Selection push-down (§4.2): only matching rids are captured.
@@ -342,6 +346,7 @@ func TestPKFKJoinParallelMatchesSerial(t *testing.T) {
 		probe.Cols[1].Floats[i] = float64(i)
 	}
 	p := pool.New(4)
+	defer p.Close()
 	for _, dirs := range []Directions{0, CaptureBackward, CaptureForward, CaptureBoth} {
 		for _, mat := range []bool{false, true} {
 			serial, err := HashJoinPKFK(build, "id", nil, probe, "ref", nil, JoinOpts{Dirs: dirs, Materialize: mat})

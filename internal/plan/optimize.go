@@ -304,7 +304,7 @@ func rewriteTraces(n Node) Node {
 		if node.Source != nil {
 			node.Source = rewriteTraces(node.Source)
 		}
-		sc, ok := traceScanEquiv(node)
+		sc, ok := TraceScanEquiv(node)
 		if !ok {
 			return node
 		}
@@ -323,7 +323,7 @@ func rewriteTraces(n Node) Node {
 	return n
 }
 
-// traceScanEquiv derives the scan-and-filter equivalent of a Backward trace,
+// TraceScanEquiv derives the scan-and-filter equivalent of a Backward trace,
 // when one exists. Explicit rid seeds never qualify — they address output
 // rows the rewrite cannot name — so the trace must be seeded with nil or a
 // predicate, over one of two source shapes:
@@ -335,7 +335,7 @@ func rewriteTraces(n Node) Node {
 //   - a bare (possibly filtered) scan of the traced relation: its backward
 //     lineage is the selection itself, so a seed predicate over the output
 //     columns is a predicate over the surviving base rows verbatim.
-func traceScanEquiv(node Backward) (Scan, bool) {
+func TraceScanEquiv(node Backward) (Scan, bool) {
 	if node.SeedRids != nil {
 		return Scan{}, false
 	}
@@ -368,7 +368,27 @@ func traceScanEquiv(node Backward) (Scan, bool) {
 	return sc, true
 }
 
-// scanEquivSource matches the source shapes traceScanEquiv (and the strategy
+// scanEquivThresholdNum/Den: a scan-equivalent, pred-seeded trace answers
+// with its filtered scan when the seeds cover at least half the source
+// output. The choice depends only on the plan and the data, never on worker
+// count, index encoding or placement, so every capture variant of a plan —
+// and a scatter/gather coordinator counting seeds over the merged output —
+// makes the same choice and stays element-identical.
+const (
+	scanEquivThresholdNum = 1
+	scanEquivThresholdDen = 2
+)
+
+// ScanBeatsIndex reports whether a trace the optimizer proved
+// scan-equivalent (Backward.ScanEquiv) should run as its filtered scan rather
+// than expand the captured index: seeds selecting most of the outRows-row
+// source output touch nearly every base row anyway, and one sequential
+// predicate scan beats scattered rid-list expansion.
+func ScanBeatsIndex(seeds, outRows int) bool {
+	return outRows > 0 && seeds*scanEquivThresholdDen >= outRows*scanEquivThresholdNum
+}
+
+// scanEquivSource matches the source shapes TraceScanEquiv (and the strategy
 // chooser via ProfileTrace) understands: an optional group-by over an
 // optional filter over a scan. keys/grouped carry the group-by context;
 // pred is the intermediate filter, folded into the returned scan's filter by

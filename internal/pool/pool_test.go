@@ -46,6 +46,7 @@ func TestNilPoolRunsSerially(t *testing.T) {
 
 func TestRunRangesVisitsEveryRow(t *testing.T) {
 	p := New(4)
+	defer p.Close()
 	seen := make([]int32, 1000)
 	p.RunRanges(len(seen), 8, func(part, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -107,6 +108,7 @@ func TestCloseDuringRunRanges(t *testing.T) {
 // execution is not.
 func TestFairShareDispatchOrder(t *testing.T) {
 	p := New(1)
+	defer p.Close()
 	var order []string
 	mk := func(label string, n int) *runQ {
 		var wg sync.WaitGroup
@@ -166,6 +168,7 @@ func TestLateRunProgressesUnderLoad(t *testing.T) {
 // caller always runs one partition itself, so a busy pool cannot deadlock).
 func TestConcurrentRunRanges(t *testing.T) {
 	p := New(2)
+	defer p.Close()
 	var wg sync.WaitGroup
 	var total atomic.Int64
 	for g := 0; g < 16; g++ {

@@ -630,33 +630,8 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req wire.TraceRequ
 	if forced == core.StrategyEager || forced == core.StrategyLazy {
 		path = forced
 	}
-	if req.Where != "" {
-		pred, err := sql.ParseExpr(req.Where)
-		if err != nil {
-			return wire.Result{}, err
-		}
-		q = q.Where(pred)
-	}
-	if len(req.GroupBy) > 0 {
-		q = q.GroupBy(req.GroupBy...)
-	}
-	for i, a := range req.Aggs {
-		fn, err := wire.ParseAggFn(a.Fn)
-		if err != nil {
-			return wire.Result{}, err
-		}
-		var arg expr.Expr
-		if a.Arg != "" {
-			arg, err = sql.ParseScalarExpr(a.Arg)
-			if err != nil {
-				return wire.Result{}, err
-			}
-		}
-		aname := a.Name
-		if aname == "" {
-			aname = fmt.Sprintf("%s_%d", fn, i)
-		}
-		q = q.Agg(fn, arg, aname)
+	if q, err = Consume(q, req); err != nil {
+		return wire.Result{}, err
 	}
 
 	defMode := ops.None
@@ -695,6 +670,42 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req wire.TraceRequ
 		out.Retained = req.Retain
 	}
 	return out, nil
+}
+
+// Consume builds a trace request's consuming query on top of the trace
+// query q: the filter over the traced rows, then the group-by and its
+// aggregates. The scatter/gather coordinator builds the traces it answers
+// itself through this same function.
+func Consume(q *core.Query, req wire.TraceRequest) (*core.Query, error) {
+	if req.Where != "" {
+		pred, err := sql.ParseExpr(req.Where)
+		if err != nil {
+			return nil, err
+		}
+		q = q.Where(pred)
+	}
+	if len(req.GroupBy) > 0 {
+		q = q.GroupBy(req.GroupBy...)
+	}
+	for i, a := range req.Aggs {
+		fn, err := wire.ParseAggFn(a.Fn)
+		if err != nil {
+			return nil, err
+		}
+		var arg expr.Expr
+		if a.Arg != "" {
+			arg, err = sql.ParseScalarExpr(a.Arg)
+			if err != nil {
+				return nil, err
+			}
+		}
+		aname := a.Name
+		if aname == "" {
+			aname = fmt.Sprintf("%s_%d", fn, i)
+		}
+		q = q.Agg(fn, arg, aname)
+	}
+	return q, nil
 }
 
 // parseOptionalExpr parses a predicate string; empty means nil (trace all).

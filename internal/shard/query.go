@@ -2,13 +2,11 @@ package shard
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"net/http"
 	"strings"
 
 	"smoke/internal/serr"
-	"smoke/internal/sql"
 	"smoke/internal/wire"
 )
 
@@ -39,28 +37,6 @@ func readRequest(w http.ResponseWriter, r *http.Request, req any) ([]byte, error
 	return body, wire.DecodeRequest(bytes.NewReader(body), req)
 }
 
-// planQuery parses the statement and decides its route. Single-shard
-// deployments always proxy — one shard holds everything, so shards=1 has
-// exact single-node behavior with none of the scatter fences.
-func (c *Coordinator) planQuery(sqlText string) (*analysis, error) {
-	if strings.TrimSpace(sqlText) == "" {
-		return nil, serr.New(serr.Invalid, "server: request has no sql")
-	}
-	if len(c.nodes) == 1 {
-		return &analysis{route: routeProxy}, nil
-	}
-	st, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	if st.Explain {
-		// EXPLAIN renders a plan instead of executing; route it to one shard
-		// (over a sharded table the plan is the shard-local slice's).
-		return &analysis{route: routeProxy}, nil
-	}
-	return c.analyze(st, c.snapshotTables())
-}
-
 // handleQuery is stateless execution: proxy when every input is replicated
 // (any shard's answer is the answer; the ring spreads statements across
 // shards), scatter + two-phase merge when the statement reads the sharded
@@ -82,17 +58,10 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	if a.route == routeProxy {
+	if a == nil {
 		c.proxied.Add(1)
-		ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
-		defer cancel()
-		res, err := c.nodes[c.ring.owner(req.SQL)].invoke(ctx, http.MethodPost, "/v1/query", body, "application/json")
-		if err != nil {
-			c.shardTimeouts.Add(1)
-			wire.WriteError(w, err)
-			return
-		}
-		writeShardReply(w, res)
+		res, err := c.forward(r.Context(), c.ring.owner(req.SQL), http.MethodPost, "/v1/query", body)
+		writeShardReply(w, res, err)
 		return
 	}
 
@@ -103,7 +72,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	merged, _, err := mergeGrouped(parts, a.nKeys, a.aggs)
+	merged, _, err := mergeGrouped(parts, len(a.scatter.Keys), a.scatter.Aggs)
 	if err != nil {
 		wire.WriteError(w, err)
 		return
@@ -148,21 +117,14 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	if a.route == routeProxy {
+	if a == nil {
 		c.proxied.Add(1)
-		ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
-		defer cancel()
 		path := "/v1/sessions/" + sess.shardIDs[sess.home] + "/results/" + name
-		res, err := c.nodes[sess.home].invoke(ctx, http.MethodPost, path, body, "application/json")
-		if err != nil {
-			c.shardTimeouts.Add(1)
-			wire.WriteError(w, err)
-			return
-		}
-		if res.ok() {
+		res, err := c.forward(r.Context(), sess.home, http.MethodPost, path, body)
+		if err == nil && res.ok() {
 			sess.setPlacement(name, &placement{scattered: false})
 		}
-		writeShardReply(w, res)
+		writeShardReply(w, res, err)
 		return
 	}
 
@@ -173,7 +135,12 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	merged, gm, err := mergeGrouped(parts, a.nKeys, a.aggs)
+	merged, gm, err := mergeGrouped(parts, len(a.scatter.Keys), a.scatter.Aggs)
+	if err != nil {
+		wire.WriteError(w, err)
+		return
+	}
+	out, err := merged.Relation("merged")
 	if err != nil {
 		wire.WriteError(w, err)
 		return
@@ -181,14 +148,13 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 	c.mergedQueries.Add(1)
 	sess.setPlacement(name, &placement{
 		scattered: true,
-		table:     a.sharded,
-		nKeys:     a.nKeys,
+		table:     a.scatter.Table,
+		nKeys:     len(a.scatter.Keys),
 		merged:    merged,
+		out:       out,
 		gm:        gm,
 		tbl:       a.tbl,
-		keys:      a.keys,
-		scanPreds: a.scanPreds,
-		scanOK:    a.scanOK,
+		plan:      a.plan,
 		strategy:  resolvedStrategy(req.Capture, req.Strategy),
 	})
 	merged.Retained = name
@@ -220,14 +186,7 @@ func (c *Coordinator) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
-	defer cancel()
 	path := "/v1/sessions/" + sess.shardIDs[sess.home] + "/results/" + name
-	res, err := c.nodes[sess.home].invoke(ctx, http.MethodGet, path, nil, "")
-	if err != nil {
-		c.shardTimeouts.Add(1)
-		wire.WriteError(w, err)
-		return
-	}
-	writeShardReply(w, res)
+	res, err := c.forward(r.Context(), sess.home, http.MethodGet, path, nil)
+	writeShardReply(w, res, err)
 }

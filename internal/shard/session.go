@@ -7,8 +7,9 @@ import (
 	"net/http"
 	"sync"
 
-	"smoke/internal/expr"
+	"smoke/internal/plan"
 	"smoke/internal/serr"
+	"smoke/internal/storage"
 	"smoke/internal/wire"
 )
 
@@ -33,12 +34,14 @@ type session struct {
 type placement struct {
 	scattered bool
 	// Scattered placements keep the merge artifacts: the sharded table the
-	// result reads, the merged grouped output (global seed validation and
-	// seed-predicate evaluation run against it), its group-key count, and the
-	// gather map translating global slots ↔ per-shard partial rows.
+	// result reads, the merged grouped output and the same rows as a relation
+	// (global seed validation and seed-predicate and filter evaluation run
+	// against it), its group-key count, and the gather map translating
+	// global slots ↔ per-shard partial rows.
 	table  string
 	nKeys  int
 	merged *wire.Result
+	out    *storage.Relation
 	gm     *gatherMap
 	// tbl snapshots the sharded table AS OF the run — the capture-time
 	// relation and rid-range starts. Traces translate seeds against this
@@ -46,16 +49,12 @@ type placement struct {
 	// reads the relation instance the result was captured against even after
 	// the table is re-ingested.
 	tbl *table
-	// Scan-decision mirror: the outer group-key columns, the statement-side
-	// predicates a scan rewrite folds in (analysis.scanPreds), whether the
-	// plan shape admits that rewrite at all, and the resolved capture
-	// strategy ("eager", "lazy", "hybrid", or "auto"). Together these let
-	// the coordinator take the engine's scan-vs-index trace decision with
-	// global seed counts.
-	keys      []string
-	scanPreds []expr.Expr
-	scanOK    bool
-	strategy  string
+	// plan is the statement's optimized plan, lowered over the same snapshot
+	// (its scans read tbl.rel); traces build their backward node over it so
+	// the plan layer makes the scan-vs-index decision. strategy is the
+	// resolved capture strategy ("eager", "lazy", "hybrid", or "auto").
+	plan     plan.Node
+	strategy string
 }
 
 func (s *session) setPlacement(name string, p *placement) {

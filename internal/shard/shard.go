@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"smoke/internal/core"
+	"smoke/internal/plan"
 	"smoke/internal/serr"
 	"smoke/internal/server"
 	"smoke/internal/storage"
@@ -78,6 +79,10 @@ type Coordinator struct {
 	tables   map[string]*table
 	sessions map[string]*session
 	sessSeq  atomic.Uint64
+	// cat is the coordinator's catalog over the GLOBAL relations (the same
+	// pointers tables holds, zero-copy), which statements lower and traces
+	// run over. It never runs a shard's work; it runs on one worker.
+	cat *core.DB
 
 	// Coordinator counters (/healthz): scatter waves issued, single-shard
 	// proxies, merged grouped queries, merged bound traces, shard calls that
@@ -90,15 +95,17 @@ type Coordinator struct {
 	shardTimeouts atomic.Uint64
 	shardErrors   atomic.Uint64
 	rejected      atomic.Uint64
+	// fenced counts refusals by reason code (plan.Fence).
+	fenced [plan.NumFences]atomic.Uint64
 }
 
 // table is the coordinator's global view of one ingested relation. The
 // coordinator keeps the full relation (the shard slices alias its column
-// arrays, so this costs no extra row storage) to validate global seeds,
-// evaluate forward seed predicates, and serve table metadata globally.
+// arrays, so this costs no extra row storage) to lower statements over it,
+// validate global seeds, evaluate forward seed predicates, run the traces the
+// plan layer collapses to scans, and serve table metadata globally.
 type table struct {
 	rel  *storage.Relation
-	pk   string
 	dist string // "shard" | "replicate"
 	// starts has len(shards)+1 entries for dist=shard: shard i holds global
 	// rids [starts[i], starts[i+1]).
@@ -136,6 +143,7 @@ func New(cfg Config) *Coordinator {
 		mux:      http.NewServeMux(),
 		tables:   map[string]*table{},
 		sessions: map[string]*session{},
+		cat:      core.Open(core.WithWorkers(1)),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		db := core.Open(core.WithWorkers(cfg.Workers))
@@ -166,6 +174,7 @@ func (c *Coordinator) Close() error {
 		}
 		n.db.Close()
 	}
+	c.cat.Close()
 	return first
 }
 
@@ -225,8 +234,30 @@ func (c *Coordinator) enter() error {
 
 func (c *Coordinator) exit() { <-c.gate }
 
-// writeShardReply forwards a shard's reply verbatim (proxy paths).
-func writeShardReply(w http.ResponseWriter, res *callResult) {
+// forward sends one request to shard s untouched, under the coordinator's
+// deadline; a shard that is down or does not answer in time counts as a
+// timeout (proxy paths).
+func (c *Coordinator) forward(ctx context.Context, s int, method, path string, body []byte) (*callResult, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.timeout)
+	defer cancel()
+	contentType := ""
+	if body != nil {
+		contentType = "application/json"
+	}
+	res, err := c.nodes[s].invoke(ctx, method, path, body, contentType)
+	if err != nil {
+		c.shardTimeouts.Add(1)
+	}
+	return res, err
+}
+
+// writeShardReply writes a forwarded shard reply verbatim, or the error that
+// kept the shard from answering.
+func writeShardReply(w http.ResponseWriter, res *callResult, err error) {
+	if err != nil {
+		wire.WriteError(w, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
@@ -251,6 +282,11 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"shard_errors":      c.shardErrors.Load(),
 		"rejected_requests": c.rejected.Load(),
 	}
+	fenced := make(map[string]uint64, plan.NumFences-1)
+	for f := plan.Admit + 1; f < plan.NumFences; f++ {
+		fenced[f.String()] = c.fenced[f].Load()
+	}
+	body["fenced"] = fenced
 	// Per-shard probes share the coordinator deadline (enforced inside invoke
 	// through the request context) so a wedged shard makes its entry report
 	// ok=false instead of wedging /healthz itself.
@@ -389,7 +425,7 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	t := &table{rel: rel, pk: pk, dist: dist}
+	t := &table{rel: rel, dist: dist}
 	if dist == "shard" {
 		t.starts = splitStarts(rel.N, len(c.nodes))
 	}
@@ -405,6 +441,10 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	c.tables[name] = t
+	c.cat.Register(rel)
+	if pk != "" {
+		c.cat.Catalog().SetPrimaryKey(name, pk)
+	}
 	c.mu.Unlock()
 	wire.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "rows": rel.N})
 }
@@ -414,18 +454,6 @@ func (c *Coordinator) allShards() []int {
 	out := make([]int, len(c.nodes))
 	for i := range out {
 		out[i] = i
-	}
-	return out
-}
-
-// snapshotTables returns the dist book the analyzer reads (a consistent
-// snapshot: re-ingests during analysis cannot half-apply).
-func (c *Coordinator) snapshotTables() map[string]*table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]*table, len(c.tables))
-	for k, v := range c.tables {
-		out[k] = v
 	}
 	return out
 }

@@ -8,10 +8,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"smoke/internal/core"
+	"smoke/internal/plan"
 	"smoke/internal/server"
 	"smoke/internal/serverclient"
 	"smoke/internal/shard"
@@ -120,6 +122,10 @@ func TestScatterQueryMatchesSingleNode(t *testing.T) {
 		// column and by a fact column exercise both group-discovery orders.
 		"SELECT label, SUM(v) AS sv FROM dim JOIN fact ON fact.k = dim.g GROUP BY label",
 		"SELECT b, COUNT(*) AS cnt, SUM(v) AS sv FROM dim JOIN fact ON fact.k = dim.g WHERE v < 9 GROUP BY b",
+		// A HAVING on group keys only is no fence: the optimizer sinks it
+		// into the scan, so the plan is the canonical scatter shape.
+		"SELECT k, COUNT(*) AS cnt FROM fact GROUP BY k HAVING k > 2",
+		"SELECT k, SUM(v) AS sv FROM fact GROUP BY k HAVING k < 3",
 	}
 	for _, shards := range []int{1, 2, 4} {
 		_, c := startCoord(t, shards)
@@ -246,21 +252,26 @@ func TestScatterFences(t *testing.T) {
 	_, c := startCoord(t, 2)
 	ingest(t, c, "shard")
 
-	for _, q := range []string{
-		"SELECT k, COUNT(DISTINCT b) AS d FROM fact GROUP BY k",
-		"SELECT k, COUNT(*) AS cnt FROM fact GROUP BY k HAVING cnt > 10",
-		"SELECT k, COUNT(*) AS cnt FROM fact GROUP BY k ORDER BY cnt",
-		"SELECT k, COUNT(*) AS cnt FROM fact GROUP BY k LIMIT 3",
+	want := map[string]int64{}
+	for _, tc := range []struct{ sql, code string }{
+		{"SELECT k, COUNT(DISTINCT b) AS d FROM fact GROUP BY k", "count_distinct"},
+		// HAVING on an aggregate filters partial values (a key-only HAVING is
+		// admitted: TestScatterQueryMatchesSingleNode).
+		{"SELECT k, COUNT(*) AS cnt FROM fact GROUP BY k HAVING cnt > 10", "having"},
+		{"SELECT k, COUNT(*) AS cnt FROM fact GROUP BY k ORDER BY cnt", "order_limit"},
+		{"SELECT k, COUNT(*) AS cnt FROM fact GROUP BY k LIMIT 3", "order_limit"},
 		// The sharded table on the build side: output order follows the
 		// replicated probe table, interleaving shards' build rows.
-		"SELECT label, SUM(v) AS sv FROM fact JOIN dim ON fact.k = dim.g GROUP BY label",
+		{"SELECT label, SUM(v) AS sv FROM fact JOIN dim ON fact.k = dim.g GROUP BY label", "build_side"},
 	} {
-		_, err := c.Query(ctx, serverclient.QueryRequest{SQL: q})
+		_, err := c.Query(ctx, serverclient.QueryRequest{SQL: tc.sql})
 		se, ok := err.(*serverclient.Error)
-		if !ok || se.Status != 422 {
-			t.Fatalf("%q: want 422, got %v", q, err)
+		if !ok || se.Status != 422 || !strings.Contains(se.Message, "(fence "+tc.code+")") {
+			t.Fatalf("%q: want 422 naming fence %s, got %v", tc.sql, tc.code, err)
 		}
+		want[tc.code]++
 	}
+	checkFenced(t, c, want)
 
 	// Replicated-only statements are NOT fenced — they proxy.
 	if _, err := c.Query(ctx, serverclient.QueryRequest{
@@ -276,6 +287,29 @@ func TestScatterFences(t *testing.T) {
 		SQL: "SELECT k, COUNT(DISTINCT b) AS d FROM fact GROUP BY k",
 	}); err != nil {
 		t.Fatalf("shards=1 must be fence-free: %v", err)
+	}
+}
+
+// checkFenced asserts the coordinator's /healthz "fenced" object: every
+// reason code present, and each counting exactly the refusals in want.
+func checkFenced(t *testing.T, c *serverclient.Client, want map[string]int64) {
+	t.Helper()
+	h, err := c.Health(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fenced, ok := h["fenced"].(map[string]any)
+	if !ok {
+		t.Fatalf("healthz fenced = %v, want an object keyed by reason code", h["fenced"])
+	}
+	for f := plan.Admit + 1; f < plan.NumFences; f++ {
+		v, ok := fenced[f.String()]
+		if !ok {
+			t.Fatalf("healthz fenced misses code %q: %v", f, fenced)
+		}
+		if got := asInt(t, v); got != want[f.String()] {
+			t.Fatalf("healthz fenced[%s] = %d, want %d", f, got, want[f.String()])
+		}
 	}
 }
 
@@ -297,7 +331,7 @@ func TestHealthzCounters(t *testing.T) {
 	if asInt(t, h["shards"]) != 2 {
 		t.Fatalf("healthz shards = %v, want 2", h["shards"])
 	}
-	for _, key := range []string{"scatters", "proxied", "merged_queries", "merged_traces", "shard_timeouts", "shard_errors", "rejected_requests", "per_shard"} {
+	for _, key := range []string{"scatters", "proxied", "merged_queries", "merged_traces", "shard_timeouts", "shard_errors", "rejected_requests", "fenced", "per_shard"} {
 		if _, ok := h[key]; !ok {
 			t.Fatalf("healthz missing %q: %v", key, h)
 		}
@@ -440,22 +474,28 @@ func TestScatteredTraceFences(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cases := []serverclient.TraceRequest{
-		{Direction: "backward", Table: "dim", Rids: []int64{0}},                                                              // non-sharded table
-		{Direction: "backward", Table: "fact", Rids: []int64{0}, Retain: "x"},                                                // retain
-		{Direction: "forward", Table: "fact", Rids: []int64{0}, GroupBy: []string{"k"}},                                      // consuming forward
-		{Direction: "backward", Table: "fact", Rids: []int64{0}, Aggs: []serverclient.Agg{{Fn: "count_distinct", Arg: "b"}}}, // count_distinct
+	cases := []struct {
+		tr   serverclient.TraceRequest
+		code string
+	}{
+		{serverclient.TraceRequest{Direction: "backward", Table: "dim", Rids: []int64{0}}, "replicated_trace"},
+		{serverclient.TraceRequest{Direction: "backward", Table: "fact", Rids: []int64{0}, Retain: "x"}, "retain"},
+		{serverclient.TraceRequest{Direction: "forward", Table: "fact", Rids: []int64{0}, GroupBy: []string{"k"}}, "consuming_forward"},
+		{serverclient.TraceRequest{Direction: "backward", Table: "fact", Rids: []int64{0}, Aggs: []serverclient.Agg{{Fn: "count_distinct", Arg: "b"}}}, "count_distinct"},
 	}
-	for i, tr := range cases {
-		_, err := sess.Trace(ctx, "base", tr)
+	want := map[string]int64{}
+	for i, tc := range cases {
+		_, err := sess.Trace(ctx, "base", tc.tr)
 		se, ok := err.(*serverclient.Error)
-		if !ok || se.Status != 422 {
-			t.Fatalf("fence case %d: want 422, got %v", i, err)
+		if !ok || se.Status != 422 || !strings.Contains(se.Message, "(fence "+tc.code+")") {
+			t.Fatalf("fence case %d: want 422 naming fence %s, got %v", i, tc.code, err)
 		}
+		want[tc.code]++
 	}
+	checkFenced(t, c, want)
 }
 
-// TestScatteredTraceStrategyMatrix: the coordinator mirrors the engine's
+// TestScatteredTraceStrategyMatrix: the coordinator takes the plan layer's
 // scan-vs-index trace decision with GLOBAL seed counts. That decision differs
 // per strategy (eager applies the half-the-output threshold, lazy rewrites
 // unconditionally, hybrid captures backward eagerly), so every explicit
@@ -533,8 +573,8 @@ func TestAutoStrategyTraceFence(t *testing.T) {
 	_, err = sess.Trace(ctx, "base", serverclient.TraceRequest{
 		Direction: "backward", Table: "fact", SeedWhere: "k >= 3",
 	})
-	if se, ok := err.(*serverclient.Error); !ok || se.Status != 422 {
-		t.Fatalf("auto below-threshold trace: want 422, got %v", err)
+	if se, ok := err.(*serverclient.Error); !ok || se.Status != 422 || !strings.Contains(se.Message, "(fence auto_order)") {
+		t.Fatalf("auto below-threshold trace: want 422 naming fence auto_order, got %v", err)
 	}
 	// Above threshold both paths collapse to the scan — no fence.
 	if _, err := sess.Trace(ctx, "base", serverclient.TraceRequest{
@@ -574,6 +614,12 @@ func TestUnboundLineageQueryScattered(t *testing.T) {
 		"SELECT b, COUNT(*) AS n FROM LINEAGE BACKWARD(SELECT k, COUNT(*) AS c FROM fact GROUP BY k OF fact WHERE k >= 3) GROUP BY b",
 		"SELECT b, COUNT(*) AS n, SUM(v) AS sv FROM LINEAGE BACKWARD(SELECT k, COUNT(*) AS c FROM fact WHERE v < 9 GROUP BY k OF fact WHERE k = 2) GROUP BY b",
 		"SELECT k, COUNT(*) AS n FROM LINEAGE BACKWARD(SELECT k, COUNT(*) AS c FROM fact GROUP BY k OF fact) WHERE b = 1 GROUP BY k",
+		// The collapsed trace never runs the traced query, so its
+		// aggregates — COUNT(DISTINCT) included — do not matter.
+		"SELECT b, COUNT(*) AS n FROM LINEAGE BACKWARD(SELECT k, COUNT(DISTINCT b) AS d FROM fact GROUP BY k OF fact WHERE k = 2) GROUP BY b",
+		// A collapsed trace is a filtered scan of fact, so it may be the
+		// probe input of a join.
+		"SELECT label, COUNT(*) AS n, SUM(v) AS sv FROM dim JOIN LINEAGE BACKWARD(SELECT k, COUNT(*) AS c FROM fact GROUP BY k OF fact WHERE k >= 2) t ON t.k = dim.g GROUP BY label",
 	}
 	for _, shards := range []int{1, 2, 4} {
 		_, c := startCoord(t, shards)
@@ -598,8 +644,8 @@ func TestUnboundLineageQueryScattered(t *testing.T) {
 	_, err := c.Query(ctx, serverclient.QueryRequest{
 		SQL: "SELECT k, COUNT(*) AS n FROM LINEAGE BACKWARD(SELECT k, COUNT(*) AS c FROM fact JOIN dim ON fact.k = dim.g GROUP BY k OF fact WHERE k = 1) GROUP BY k",
 	})
-	if se, ok := err.(*serverclient.Error); !ok || se.Status != 422 {
-		t.Fatalf("traced join under sharding: want 422, got %v", err)
+	if se, ok := err.(*serverclient.Error); !ok || se.Status != 422 || !strings.Contains(se.Message, "(fence backward)") {
+		t.Fatalf("traced join under sharding: want 422 naming fence backward, got %v", err)
 	}
 }
 

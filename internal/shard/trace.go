@@ -3,15 +3,15 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 
+	"smoke/internal/core"
 	"smoke/internal/expr"
 	"smoke/internal/ops"
+	"smoke/internal/plan"
 	"smoke/internal/serr"
+	"smoke/internal/server"
 	"smoke/internal/sql"
 	"smoke/internal/storage"
 	"smoke/internal/wire"
@@ -50,16 +50,8 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 		// trace result the home shard retained itself): forward untouched and
 		// let the shard answer, including its own 404/410 bookkeeping.
 		c.proxied.Add(1)
-		ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
-		defer cancel()
-		path := "/v1/sessions/" + sess.shardIDs[sess.home] + "/results/" + name + "/trace"
-		res, err := c.nodes[sess.home].invoke(ctx, http.MethodPost, path, body, "application/json")
-		if err != nil {
-			c.shardTimeouts.Add(1)
-			wire.WriteError(w, err)
-			return
-		}
-		writeShardReply(w, res)
+		res, err := c.forward(r.Context(), sess.home, http.MethodPost, sess.tracePath(sess.home, name), body)
+		writeShardReply(w, res, err)
 		return
 	}
 
@@ -84,12 +76,10 @@ func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name
 		// Tracing into a REPLICATED base relation would gather each shard's
 		// rids over the same full copy — overlapping lists whose merged order
 		// no longer matches a single node's — so it is fenced, not wrong.
-		return nil, serr.New(serr.Unsupported,
-			"shard: traces against a scattered result must address the sharded table %q, not %q", p.table, req.Table)
+		return nil, c.fence(plan.FenceReplicatedTrace)
 	}
 	if req.Retain != "" {
-		return nil, serr.New(serr.Unsupported,
-			"shard: retaining a trace of a scattered result is not supported; re-run the consuming query as a retained base query")
+		return nil, c.fence(plan.FenceRetain)
 	}
 	for _, a := range req.Aggs {
 		fn, err := wire.ParseAggFn(a.Fn)
@@ -97,7 +87,7 @@ func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name
 			return nil, err
 		}
 		if fn == ops.CountDistinct {
-			return nil, serr.New(serr.Unsupported, "shard: COUNT(DISTINCT) does not decompose across shards; not supported")
+			return nil, c.fence(plan.FenceCountDistinct)
 		}
 	}
 	params, err := wire.Params(req.Params)
@@ -110,53 +100,52 @@ func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name
 	return c.forwardScattered(ctx, sess, name, p, req, params)
 }
 
-// seedSlots resolves a backward trace's seeds to GLOBAL output slots, in
-// seed order: explicit rids validated against the merged output's row count,
-// a seed predicate evaluated over the merged output (slot order), or — with
-// neither — every slot (the zero-seed "trace everything" expansion the
-// engine itself uses). The parsed seed predicate is returned alongside so
-// the scan-decision mirror can inspect its columns without re-parsing.
-func (p *placement) seedSlots(req wire.TraceRequest, params expr.Params) ([]int, expr.Expr, error) {
+// seedRids resolves a trace's seeds to GLOBAL rids of rel — the merged
+// output for backward traces, the capture-time base relation for forward
+// ones — in seed order: explicit rids validated against rel (space names it
+// in the 400), a seed predicate evaluated over rel in rid order, or — with
+// neither — every rid, the zero-seed "trace everything" expansion the engine
+// itself uses. The parsed seed predicate is returned alongside.
+func seedRids(req wire.TraceRequest, rel *storage.Relation, space string, params expr.Params) ([]int, expr.Expr, error) {
 	if req.Rids != nil {
-		slots := make([]int, len(req.Rids))
+		rids := make([]int, len(req.Rids))
 		for i, v := range req.Rids {
-			if v < 0 || v >= int64(p.merged.N) {
+			if v < 0 || v >= int64(rel.N) {
 				return nil, nil, serr.New(serr.Invalid,
-					"server: seed rid %d out of range [0,%d) for result output rows", v, p.merged.N)
+					"server: seed rid %d out of range [0,%d) for %s", v, rel.N, space)
 			}
-			slots[i] = int(v)
+			rids[i] = int(v)
 		}
-		return slots, nil, nil
+		return rids, nil, nil
 	}
 	if req.SeedWhere != "" {
-		pred, err := sql.ParseExpr(req.SeedWhere)
-		if err != nil {
-			return nil, nil, err
-		}
-		rel, err := p.merged.Relation("merged")
-		if err != nil {
-			return nil, nil, err
-		}
-		cp, err := expr.CompilePred(pred, rel, params)
-		if err != nil {
-			return nil, nil, serr.New(serr.Invalid, "server: trace seed predicate: %v", err)
-		}
-		var slots []int
-		for i := 0; i < rel.N; i++ {
-			if cp(int32(i)) {
-				slots = append(slots, i)
-			}
-		}
-		if slots == nil {
-			slots = []int{}
-		}
-		return slots, pred, nil
+		return matching(req.SeedWhere, rel, params, "trace seed predicate")
 	}
-	all := make([]int, p.merged.N)
+	all := make([]int, rel.N)
 	for i := range all {
 		all[i] = i
 	}
 	return all, nil, nil
+}
+
+// matching parses the predicate src and returns the rids of rel satisfying
+// it in rid order (never nil), with the parsed predicate.
+func matching(src string, rel *storage.Relation, params expr.Params, what string) ([]int, expr.Expr, error) {
+	pred, err := sql.ParseExpr(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	cp, err := expr.CompilePred(pred, rel, params)
+	if err != nil {
+		return nil, nil, serr.New(serr.Invalid, "server: %s: %v", what, err)
+	}
+	rids := []int{}
+	for i := 0; i < rel.N; i++ {
+		if cp(int32(i)) {
+			rids = append(rids, i)
+		}
+	}
+	return rids, pred, nil
 }
 
 // backwardPath resolves which trace path answers a backward trace of this
@@ -179,30 +168,6 @@ func (p *placement) backwardPath(reqStrategy string) string {
 		return "eager"
 	}
 	return ""
-}
-
-// seedPredOnKeys mirrors the optimizer's seed-predicate precondition for the
-// scan rewrite: every column the predicate reads must be a group key of the
-// traced query AND a column of the traced base relation.
-func (p *placement) seedPredOnKeys(seedPred expr.Expr) bool {
-	if seedPred == nil {
-		return true
-	}
-	for _, col := range expr.Columns(seedPred) {
-		if !containsStr(p.keys, col) || p.tbl.rel.Schema.Col(col) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // shardTraceBody renders the per-shard request: same trace, shard-local
@@ -244,34 +209,27 @@ func (c *Coordinator) emptyTrace(ctx context.Context, sess *session, name string
 	return emptyLike(parts[0]), nil
 }
 
-// backwardScattered gathers a backward trace. It first mirrors the engine's
-// own path decision — made per node by exec.backwardRids with LOCAL numbers —
-// using GLOBAL ones:
+// backwardScattered gathers a backward trace. The engine answers one of two
+// ways — exec.backwardRids decides per node with LOCAL numbers — and the
+// coordinator takes the same decision with GLOBAL ones:
 //
 //   - the per-seed index path expands every seed's captured rid list in seed
 //     order. Coordinator equivalent: one scatter wave per seed to the shards
 //     whose partial contributed to the seed's merged group, cells
 //     concatenated seed-major shard-minor (shard slices are rid-contiguous
 //     in shard order, so that IS the single node's capture append order).
-//   - the scan path — taken when the plan shape collapses (placement.scanOK)
-//     and the seeds cover at least half the output (eager), or always on the
-//     lazy path — answers with one filtered scan of the base table in rid
-//     order. Coordinator equivalent: evaluate the folded predicate over the
-//     global base relation it already holds, no shard round-trip at all.
-//
-// Consuming traces (group_by + aggs) fold per-seed cells through the
-// two-phase grouped merge; when the single node would have scanned, the
-// merged groups are re-ranked into scan discovery order (merge values are
-// order-insensitive, first-appearance order is not).
+//     Join placements always take it, and it is order-exact for them:
+//     plan.Distribute admits joins only with the sharded table as the probe
+//     side, so each group's captured list is its probe rows in slice rid
+//     order.
+//   - the scan path — taken when the plan layer proves the trace equivalent
+//     to one filtered scan (plan.TraceScanEquiv) and the seeds cover enough
+//     of the output (plan.ScanBeatsIndex, eager), or always on the lazy path
+//     — answers in base-table rid order. Coordinator equivalent: run that
+//     scan, or the consuming group-by over it, over the global relation it
+//     already holds, with no shard round-trip at all.
 func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name string, p *placement, req wire.TraceRequest, params expr.Params) (*wire.Result, error) {
-	// Join placements (!scanOK) always take the per-seed path, and it is
-	// order-exact for them: the analyzer admits joins only with the sharded
-	// table as the probe side, so each group's captured lineage list is its
-	// probe rows in slice rid order — shard-minor concatenation IS the single
-	// node's capture order. No scan rewrite exists for the join shape on a
-	// single node either, which also makes the path strategy-independent
-	// (auto included).
-	slots, seedPred, err := p.seedSlots(req, params)
+	slots, seedPred, err := seedRids(req, p.out, "result output rows", params)
 	if err != nil {
 		return nil, err
 	}
@@ -279,26 +237,22 @@ func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name
 		return c.emptyTrace(ctx, sess, name, req, true)
 	}
 
-	// Scan-vs-index mirror. With a single seed the two paths are
-	// row-identical (one group's captured list is its rows in rid order), so
-	// only multi-seed traces need the decision — which keeps single-seed
-	// crossfilter interactions on the cheap per-seed path under every
-	// strategy, including auto.
-	useScan, path := false, ""
-	if p.scanOK && req.Rids == nil && p.seedPredOnKeys(seedPred) && len(slots) >= 2 {
-		path = p.backwardPath(req.Strategy)
-		switch {
-		case 2*len(slots) >= p.merged.N:
-			useScan = true // eager and lazy both scan at this coverage
-		case path == "lazy":
-			useScan = true // the lazy rewrite scans unconditionally
-		case path == "":
-			return nil, serr.New(serr.Unsupported,
-				"shard: this trace's row order depends on strategy auto's per-node cost decision; request an explicit strategy or seed fewer rows")
+	// With a single seed the two paths are row-identical (one group's
+	// captured list is its rows in rid order), so only multi-seed traces
+	// need the decision — which keeps single-seed crossfilter interactions
+	// on the cheap per-seed path under every strategy, including auto.
+	// Explicit rids name output rows no scan predicate can: per-seed.
+	if req.Rids == nil && len(slots) >= 2 {
+		bw := plan.Backward{Source: p.plan, Table: p.table, Rel: p.tbl.rel, SeedPred: seedPred}
+		if _, ok := plan.TraceScanEquiv(bw); ok {
+			path := p.backwardPath(req.Strategy)
+			switch {
+			case plan.ScanBeatsIndex(len(slots), p.merged.N), path == "lazy":
+				return c.scanBackward(bw, req, params, path)
+			case path == "":
+				return nil, c.fence(plan.FenceAutoOrder)
+			}
 		}
-	}
-	if useScan {
-		return c.scanBackward(ctx, sess, name, p, req, seedPred, params, slots, path)
 	}
 
 	cells, err := c.perSeedCells(ctx, sess, name, p, req, slots)
@@ -310,6 +264,26 @@ func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name
 		return merged, err
 	}
 	return concatCells(cells), nil
+}
+
+// scanBackward answers a trace on the scan path the way a single node does:
+// the unbound backward node over the placement's plan, wrapped in the
+// request's consuming query (server.Consume, the single node's own builder),
+// runs through core — whose optimizer collapses it to the filtered scan of
+// the capture-time global relation — on the coordinator's catalog.
+func (c *Coordinator) scanBackward(bw plan.Backward, req wire.TraceRequest, params expr.Params, path string) (*wire.Result, error) {
+	q, err := server.Consume(c.cat.QueryTrace(bw), req)
+	if err != nil {
+		return nil, err
+	}
+	res, err := q.Run(core.CaptureOptions{Params: params})
+	if err != nil {
+		return nil, err
+	}
+	out := wire.Rows(res.Out, nil)
+	out.GroupCounts = res.GroupCounts
+	out.StrategyUsed = path
+	return &out, nil
 }
 
 // perSeedCells runs one scatter wave per seed: a shard's reply carries no
@@ -345,147 +319,6 @@ func reqAggs(req wire.TraceRequest) []ops.AggFn {
 	return aggs
 }
 
-// scanBackward answers a backward trace the way a single node's scan rewrite
-// does: the traced rows are the base rows satisfying the folded predicate
-// (statement filters ∧ seed predicate ∧ trace filter), in rid order. The
-// coordinator holds the global base relation — it is the ingest point — so a
-// bare trace needs no shard round-trip; a consuming trace still gathers its
-// aggregate VALUES from per-seed shard cells (two-phase merge) and takes only
-// its row ORDER from the scan's first-appearance sequence.
-func (c *Coordinator) scanBackward(ctx context.Context, sess *session, name string, p *placement, req wire.TraceRequest, seedPred expr.Expr, params expr.Params, slots []int, path string) (*wire.Result, error) {
-	conj := p.scanPreds
-	if seedPred != nil {
-		conj = append(conj[:len(conj):len(conj)], seedPred)
-	}
-	if req.Where != "" {
-		wp, err := sql.ParseExpr(req.Where)
-		if err != nil {
-			return nil, err
-		}
-		conj = append(conj[:len(conj):len(conj)], wp)
-	}
-	keep, err := compileConj(conj, p.tbl.rel, params)
-	if err != nil {
-		return nil, err
-	}
-
-	if len(req.GroupBy) == 0 && len(req.Aggs) == 0 {
-		out := wire.Rows(p.tbl.rel, keep)
-		out.StrategyUsed = path
-		return &out, nil
-	}
-
-	// Consuming: correct values from the per-seed merge, scan-order rows.
-	cells, err := c.perSeedCells(ctx, sess, name, p, req, slots)
-	if err != nil {
-		return nil, err
-	}
-	merged, _, err := mergeGrouped(cells, len(req.GroupBy), reqAggs(req))
-	if err != nil {
-		return nil, err
-	}
-	gbCols := make([]int, len(req.GroupBy))
-	for i, col := range req.GroupBy {
-		ci := p.tbl.rel.Schema.Col(col)
-		if ci < 0 {
-			return nil, serr.New(serr.Invalid, "server: unknown column %q", col)
-		}
-		gbCols[i] = ci
-	}
-	rank := map[string]int{}
-	for r := 0; r < p.tbl.rel.N; r++ {
-		if keep != nil && !keep(r) {
-			continue
-		}
-		k := relKey(p.tbl.rel, gbCols, r)
-		if _, ok := rank[k]; !ok {
-			rank[k] = len(rank)
-		}
-	}
-	reorderGrouped(merged, len(req.GroupBy), rank)
-	return merged, nil
-}
-
-// compileConj compiles the conjunction of preds over rel; nil means
-// keep-everything.
-func compileConj(preds []expr.Expr, rel *storage.Relation, params expr.Params) (func(int) bool, error) {
-	var conj expr.Expr
-	for _, e := range preds {
-		if e == nil {
-			continue
-		}
-		if conj == nil {
-			conj = e
-		} else {
-			conj = expr.And{L: conj, R: e}
-		}
-	}
-	if conj == nil {
-		return nil, nil
-	}
-	cp, err := expr.CompilePred(conj, rel, params)
-	if err != nil {
-		return nil, serr.New(serr.Invalid, "server: trace filter: %v", err)
-	}
-	return func(r int) bool { return cp(int32(r)) }, nil
-}
-
-// relKey renders the group-identity string of a base row's key columns in
-// exactly encodeKey's format, so ranks computed from the base relation match
-// keys computed from merged wire rows.
-func relKey(rel *storage.Relation, cols []int, r int) string {
-	var b strings.Builder
-	for _, ci := range cols {
-		switch rel.Schema[ci].Type {
-		case storage.TInt:
-			b.WriteByte('i')
-			b.WriteString(strconv.FormatInt(rel.Int(ci, r), 10))
-		case storage.TFloat:
-			b.WriteByte('f')
-			b.WriteString(strconv.FormatUint(math.Float64bits(rel.Float(ci, r)), 16))
-		case storage.TString:
-			s := rel.Str(ci, r)
-			b.WriteByte('s')
-			b.WriteString(strconv.Itoa(len(s)))
-			b.WriteByte(':')
-			b.WriteString(s)
-		}
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
-// reorderGrouped re-ranks a merged consuming result's rows (and group
-// counts) into the given first-appearance order. Keys absent from the rank
-// map — which a correct merge never produces — keep their relative order at
-// the end rather than dropping rows.
-func reorderGrouped(merged *wire.Result, nKeys int, rank map[string]int) {
-	type slot struct {
-		row  []any
-		gc   int64
-		rank int
-	}
-	slotted := make([]slot, len(merged.Rows))
-	for i, row := range merged.Rows {
-		r, ok := rank[encodeKey(row[:nKeys])]
-		if !ok {
-			r = len(rank) + i
-		}
-		var gc int64
-		if i < len(merged.GroupCounts) {
-			gc = merged.GroupCounts[i]
-		}
-		slotted[i] = slot{row: row, gc: gc, rank: r}
-	}
-	sort.SliceStable(slotted, func(a, b int) bool { return slotted[a].rank < slotted[b].rank })
-	for i, s := range slotted {
-		merged.Rows[i] = s.row
-		if i < len(merged.GroupCounts) {
-			merged.GroupCounts[i] = s.gc
-		}
-	}
-}
-
 // concatCells concatenates non-consuming trace cells in order.
 func concatCells(cells []*wire.Result) *wire.Result {
 	out := &wire.Result{Columns: cells[0].Columns, Types: cells[0].Types, Rows: [][]any{}}
@@ -513,48 +346,16 @@ func concatCells(cells []*wire.Result) *wire.Result {
 // values a single node's filter would see.
 func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name string, p *placement, req wire.TraceRequest, params expr.Params) (*wire.Result, error) {
 	if len(req.GroupBy) > 0 || len(req.Aggs) > 0 {
-		return nil, serr.New(serr.Unsupported,
-			"shard: consuming forward traces of a scattered result are not supported")
+		return nil, c.fence(plan.FenceConsumingForward)
 	}
 	// The placement snapshot, not the live book: seeds address the
 	// capture-time relation, which survives a re-ingest the same way a single
 	// node's bound trace does.
 	t := p.tbl
 
-	// Resolve global base-row seeds in seed order.
-	var seeds []int
-	switch {
-	case req.Rids != nil:
-		seeds = make([]int, len(req.Rids))
-		for i, v := range req.Rids {
-			if v < 0 || v >= int64(t.rel.N) {
-				return nil, serr.New(serr.Invalid,
-					"server: seed rid %d out of range [0,%d) for base rows of %s", v, t.rel.N, p.table)
-			}
-			seeds[i] = int(v)
-		}
-	case req.SeedWhere != "":
-		pred, err := sql.ParseExpr(req.SeedWhere)
-		if err != nil {
-			return nil, err
-		}
-		cp, err := expr.CompilePred(pred, t.rel, params)
-		if err != nil {
-			return nil, serr.New(serr.Invalid, "server: trace seed predicate: %v", err)
-		}
-		for i := 0; i < t.rel.N; i++ {
-			if cp(int32(i)) {
-				seeds = append(seeds, i)
-			}
-		}
-		if seeds == nil {
-			seeds = []int{}
-		}
-	default:
-		seeds = make([]int, t.rel.N)
-		for i := range seeds {
-			seeds[i] = i
-		}
+	seeds, _, err := seedRids(req, t.rel, "base rows of "+p.table, params)
+	if err != nil {
+		return nil, err
 	}
 	if len(seeds) == 0 {
 		return c.emptyTrace(ctx, sess, name, req, false)
@@ -564,21 +365,13 @@ func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name 
 	// precompute a per-slot mask once.
 	var mask []bool
 	if req.Where != "" {
-		pred, err := sql.ParseExpr(req.Where)
+		kept, _, err := matching(req.Where, p.out, params, "trace filter")
 		if err != nil {
 			return nil, err
 		}
-		rel, err := p.merged.Relation("merged")
-		if err != nil {
-			return nil, err
-		}
-		cp, err := expr.CompilePred(pred, rel, params)
-		if err != nil {
-			return nil, serr.New(serr.Invalid, "server: trace filter: %v", err)
-		}
-		mask = make([]bool, rel.N)
-		for i := 0; i < rel.N; i++ {
-			mask[i] = cp(int32(i))
+		mask = make([]bool, p.out.N)
+		for _, slot := range kept {
+			mask[slot] = true
 		}
 	}
 

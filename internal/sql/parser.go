@@ -26,6 +26,11 @@ type Stmt struct {
 	Limit   int        // -1 if absent
 }
 
+// IsExplain reports whether the statement renders its plan instead of
+// executing. A router that forwards EXPLAIN untouched asks here; everything
+// else it needs to know about a statement it reads off the lowered plan.
+func (st *Stmt) IsExplain() bool { return st.Explain }
+
 // FromItem is a relation source: a base table, an aggregate subquery with an
 // alias, or a lineage trace (LINEAGE BACKWARD/FORWARD).
 type FromItem struct {
