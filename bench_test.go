@@ -75,5 +75,5 @@ func BenchmarkFig23_SelectionPushdown(b *testing.B) { runExp(b, "fig23") }
 
 // Beyond-paper: morsel-parallel worker scaling (workers = 1/2/4/8) for the
 // select and group-by microbenches, with a serial-vs-parallel lineage
-// equality gate. cmd/smokebench -exp parscale emits BENCH_parallel.json.
+// equality gate. cmd/smokebench -exp parscale prints the same table.
 func BenchmarkParScale_WorkerScaling(b *testing.B) { runExp(b, "parscale") }

@@ -7,10 +7,9 @@
 //	smokebench -exp fig5,fig8          # run specific experiments
 //	smokebench -exp all                # run everything, paper order
 //	smokebench -exp fig13 -scale paper # paper-scale datasets (slow, RAM-hungry)
-//	smokebench -exp compress,parscale,plan -scale tiny -reps 1 -json bench/out
+//	smokebench -exp compress,parscale,plan -scale tiny -reps 1
 //	                                   # CI smoke-job: lineage-equality gates at
-//	                                   # sub-second scale; benchgate compares
-//	                                   # bench/out to bench/baselines
+//	                                   # sub-second scale
 //	smokebench -exp plan -profile prof # also write prof/profile_cpu.pprof and
 //	                                   # prof/profile_heap.pprof for
 //	                                   # `go tool pprof` drill-down
@@ -34,7 +33,6 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids (see -list), or 'all'")
 	scale := flag.String("scale", "small", "dataset scale: tiny | small | paper")
 	reps := flag.Int("reps", 3, "timed repetitions per measurement (median reported)")
-	jsonFlag := flag.String("json", "", "directory for BENCH_*.json output (created if missing); default: cwd at small/paper scale, suppressed at tiny (its timings are noise)")
 	profileDir := flag.String("profile", "", "directory for pprof artifacts (created if missing): CPU profile over the whole experiment run (profile_cpu.pprof) plus an end-of-run heap profile (profile_heap.pprof)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
@@ -46,20 +44,7 @@ func main() {
 		return
 	}
 
-	jsonDir := *jsonFlag
-	if jsonDir == "" {
-		// Tiny scale exists for CI gate runs; its timings are noise, so it
-		// writes no report unless an output directory is asked for
-		// explicitly (the CI bench-regression gate does).
-		jsonDir = "."
-		if *scale == "tiny" {
-			jsonDir = ""
-		}
-	} else if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "smokebench: %v\n", err)
-		os.Exit(1)
-	}
-	cfg := bench.Config{Scale: *scale, Reps: *reps, W: os.Stdout, JSONDir: jsonDir}
+	cfg := bench.Config{Scale: *scale, Reps: *reps, W: os.Stdout}
 	runners := bench.Experiments()
 
 	var cpuProf *os.File

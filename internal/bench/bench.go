@@ -27,10 +27,6 @@ type Config struct {
 	Reps int
 	// W receives the experiment's rows.
 	W io.Writer
-	// JSONDir, when non-empty, is where experiments that emit
-	// machine-readable results (e.g. parscale's BENCH_parallel.json) write
-	// them; empty suppresses the files (tests and benchmarks).
-	JSONDir string
 }
 
 // DefaultConfig returns the small-scale configuration.

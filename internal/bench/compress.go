@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
-	"time"
 
 	"smoke/internal/datagen"
 	"smoke/internal/lineage"
@@ -32,8 +28,7 @@ import (
 // chunk per contributing partition — the shape a served capture has). It
 // also times the compressed capture itself at workers ∈ {1, 2, 4, 8} (the
 // encoded-concat merge scaling). Encoded-vs-raw trace cost is the claims
-// benchmark's (encoded_vs_raw_ratio, lineage.backward_insitu_ms). Results
-// land in BENCH_compress.json with a detected-cores annotation.
+// benchmark's (encoded_vs_raw_ratio, lineage.backward_insitu_ms).
 func Compress(cfg Config) error {
 	n := 400_000
 	groups := 1_000
@@ -50,30 +45,7 @@ func Compress(cfg Config) error {
 	p := pool.New(workerCounts[len(workerCounts)-1])
 	defer p.Close()
 
-	type row struct {
-		Workload    string  `json:"workload"`
-		Repr        string  `json:"repr"`
-		Cardinality int     `json:"cardinality"`
-		IndexBytes  int     `json:"index_bytes"`
-		BytesPerRid float64 `json:"bytes_per_rid"`
-	}
-	type captureRow struct {
-		Workload string  `json:"workload"`
-		Op       string  `json:"op"`
-		Workers  int     `json:"workers"`
-		Ms       float64 `json:"ms"`
-	}
-	report := struct {
-		Tuples      int          `json:"tuples"`
-		Groups      int          `json:"groups"`
-		Cores       int          `json:"cores"`
-		Mode        string       `json:"mode"`
-		Rows        []row        `json:"rows"`
-		CaptureRows []captureRow `json:"capture_rows"`
-		Created     string       `json:"created"`
-	}{Tuples: n, Groups: groups, Cores: runtime.NumCPU(), Mode: "inject+both"}
-
-	cfg.printf("Figure Z (beyond-paper): compressed lineage indexes, %d tuples, %d groups, %d cores\n", n, groups, report.Cores)
+	cfg.printf("Figure Z (beyond-paper): compressed lineage indexes, %d tuples, %d groups, %d cores\n", n, groups, runtime.NumCPU())
 	cfg.printf("%-10s %-18s %14s %14s\n", "workload", "repr", "bytes/rid", "index bytes")
 
 	aggSpec := microAggSpec()
@@ -114,13 +86,8 @@ func Compress(cfg Config) error {
 			res  *ops.AggResult
 		}{{"raw", &raw}, {"compressed", &comp}, {"compressed-merged", &parComp}} {
 			bytes := m.res.BackwardIndex().SizeBytes() + m.res.ForwardIndex().SizeBytes()
-			r := row{
-				Workload: wl.name, Repr: m.repr,
-				Cardinality: card, IndexBytes: bytes,
-				BytesPerRid: float64(bytes) / float64(card+n), // bw rids + fw entries
-			}
-			report.Rows = append(report.Rows, r)
-			cfg.printf("%-10s %-18s %14.2f %14d\n", r.Workload, r.Repr, r.BytesPerRid, r.IndexBytes)
+			perRid := float64(bytes) / float64(card+n) // bw rids + fw entries
+			cfg.printf("%-10s %-18s %14.2f %14d\n", wl.name, m.repr, perRid, bytes)
 		}
 
 		// Compressed-capture scaling: the whole capture (execute + encode +
@@ -134,28 +101,9 @@ func Compress(cfg Config) error {
 				})
 				must(err)
 			})
-			report.CaptureRows = append(report.CaptureRows, captureRow{
-				Workload: wl.name, Op: "capture-compressed", Workers: w, Ms: ms(d),
-			})
 			cfg.printf(" w%d=%-11.1f", w, ms(d))
 		}
 		cfg.printf("\n")
-	}
-
-	report.Created = time.Now().Format(time.RFC3339)
-	if cfg.JSONDir != "" {
-		path := filepath.Join(cfg.JSONDir, "BENCH_compress.json")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(&report); err != nil {
-			return err
-		}
-		cfg.printf("wrote %s\n", path)
 	}
 	return nil
 }

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"time"
@@ -20,8 +17,7 @@ import (
 // capture, Inject, both directions) at workers = 1/2/4/8 over one shared
 // pool. Before timing, it asserts that every parallel run's lineage is
 // element-for-element identical to the serial run — scaling numbers for
-// wrong lineage would be meaningless. Results also land in
-// BENCH_parallel.json (the perf-trajectory record; see DESIGN.md).
+// wrong lineage would be meaningless.
 //
 // Speedups track physical core count: expect ~1x at every worker count on a
 // single-core machine and >= 2x at workers=4 on >= 4 cores.
@@ -74,22 +70,7 @@ func ParScale(cfg Config) error {
 		}
 	}
 
-	type row struct {
-		Op      string  `json:"op"`
-		Workers int     `json:"workers"`
-		Ms      float64 `json:"ms"`
-		Speedup float64 `json:"speedup_vs_serial"`
-	}
-	report := struct {
-		Tuples  int    `json:"tuples"`
-		Groups  int    `json:"groups"`
-		Cores   int    `json:"cores"`
-		Mode    string `json:"mode"`
-		Rows    []row  `json:"rows"`
-		Created string `json:"created"`
-	}{Tuples: n, Groups: groups, Cores: runtime.NumCPU(), Mode: "inject+both", Created: time.Now().Format(time.RFC3339)}
-
-	cfg.printf("Figure P (beyond-paper): worker scaling, execute+capture latency (ms; speedup vs workers=1), %d tuples, %d cores\n", n, report.Cores)
+	cfg.printf("Figure P (beyond-paper): worker scaling, execute+capture latency (ms; speedup vs workers=1), %d tuples, %d cores\n", n, runtime.NumCPU())
 	cfg.printf("%-10s", "op")
 	for _, w := range workerCounts {
 		cfg.printf(" %-16s", fmt.Sprintf("workers=%d", w))
@@ -105,9 +86,7 @@ func ParScale(cfg Config) error {
 			if w == 1 {
 				serial = d
 			}
-			sp := float64(serial) / float64(d)
-			report.Rows = append(report.Rows, row{Op: op, Workers: w, Ms: ms(d), Speedup: sp})
-			cfg.printf(" %-16s", fmt.Sprintf("%.1f (%.2fx)", ms(d), sp))
+			cfg.printf(" %-16s", fmt.Sprintf("%.1f (%.2fx)", ms(d), float64(serial)/float64(d)))
 		}
 		cfg.printf("\n")
 	}
@@ -118,20 +97,5 @@ func ParScale(cfg Config) error {
 		_, err := ops.HashAgg(rel, nil, aggSpec, ops.AggOpts{Mode: ops.Inject, Dirs: ops.CaptureBoth, Workers: w, Pool: p})
 		must(err)
 	})
-
-	if cfg.JSONDir != "" {
-		path := filepath.Join(cfg.JSONDir, "BENCH_parallel.json")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(&report); err != nil {
-			return err
-		}
-		cfg.printf("wrote %s\n", path)
-	}
 	return nil
 }

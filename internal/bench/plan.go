@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -24,7 +21,7 @@ import (
 // both directions). Before timing, it asserts that fused, generic, serial,
 // and morsel-parallel runs all produce element-identical output and lineage
 // (difftest.DiffPlanResults); timing numbers for divergent lineage would be
-// meaningless. Results land in BENCH_plan.json.
+// meaningless.
 func PlanBench(cfg Config) error {
 	dimN, factN := 2_000, 1_000_000
 	switch {
@@ -83,23 +80,7 @@ func PlanBench(cfg Config) error {
 		},
 	})
 
-	type row struct {
-		Query     string  `json:"query"`
-		Path      string  `json:"path"`
-		Workers   int     `json:"workers"`
-		Ms        float64 `json:"ms"`
-		VsGeneric float64 `json:"speedup_vs_generic"`
-	}
-	report := struct {
-		DimN    int    `json:"dim_rows"`
-		FactN   int    `json:"fact_rows"`
-		Cores   int    `json:"cores"`
-		Mode    string `json:"mode"`
-		Rows    []row  `json:"rows"`
-		Created string `json:"created"`
-	}{DimN: dimN, FactN: factN, Cores: runtime.NumCPU(), Mode: "inject+both", Created: time.Now().Format(time.RFC3339)}
-
-	cfg.printf("Figure Q (beyond-paper): plan layer, fused vs generic lowering, execute+capture latency (ms), dim=%d fact=%d, %d cores\n", dimN, factN, report.Cores)
+	cfg.printf("Figure Q (beyond-paper): plan layer, fused vs generic lowering, execute+capture latency (ms), dim=%d fact=%d, %d cores\n", dimN, factN, runtime.NumCPU())
 	cfg.printf("%-14s %-10s %-10s", "query", "path", "")
 	for _, w := range workerCounts {
 		cfg.printf(" %-16s", fmt.Sprintf("workers=%d", w))
@@ -156,26 +137,10 @@ func PlanBench(cfg Config) error {
 				if genericSerial > 0 {
 					sp = float64(genericSerial) / float64(d)
 				}
-				report.Rows = append(report.Rows, row{Query: q.name, Path: path.name, Workers: w, Ms: ms(d), VsGeneric: sp})
 				cfg.printf(" %-16s", fmt.Sprintf("%.1f (%.2fx)", ms(d), sp))
 			}
 			cfg.printf("\n")
 		}
-	}
-
-	if cfg.JSONDir != "" {
-		path := filepath.Join(cfg.JSONDir, "BENCH_plan.json")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(&report); err != nil {
-			return err
-		}
-		cfg.printf("wrote %s\n", path)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -326,7 +327,7 @@ func TestParentFormatSparseLoads(t *testing.T) {
 			for r := range want {
 				sameTrace(t, fmt.Sprintf("forward of %d", r), ix.TraceOne(lineage.Rid(r), nil), want[r])
 			}
-			if err := got.Capture.Validate(); err != nil {
+			if err := validate(got); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -360,7 +361,7 @@ func TestDirectoryForwardRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameTrace(t, "directory forward", gotFW, want)
-	if err := got.Capture.Validate(); err != nil {
+	if err := validate(got); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -509,6 +510,57 @@ func TestForwardValueOutOfBoundRejected(t *testing.T) {
 			}
 			if serr.KindOf(err) != serr.Internal {
 				t.Fatalf("error %v is kind %v, want a structured corrupt-segment error", err, serr.KindOf(err))
+			}
+		})
+	}
+}
+
+// A 1-to-N index whose rids reach past the rows they address — a backward
+// list naming base row N, a forward list naming output row Out.N — loads (a
+// view maps its chunks lazily) but fails the full-restore validation with a
+// structured corrupt-segment error instead of tracing to rows that do not
+// exist. One rid less validates.
+func TestEncodedRidsPastTheirRowsRejected(t *testing.T) {
+	base := testRelation("orders", 1000)
+	for _, tc := range []struct {
+		name    string
+		forward bool
+		lists   func(reach int) [][]lineage.Rid
+	}{
+		{"backward", false, func(reach int) [][]lineage.Rid {
+			lists := make([][]lineage.Rid, 16)
+			lists[3] = allRids(reach) // one range chunk over 0 … reach-1
+			return lists
+		}},
+		{"forward", true, func(reach int) [][]lineage.Rid {
+			lists := make([][]lineage.Rid, base.N)
+			for r := range lists {
+				lists[r] = []lineage.Rid{lineage.Rid(r % 16), lineage.Rid(reach - 1)}
+			}
+			return lists
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := base.N
+			if tc.forward {
+				rows = 16 // buildResult's output rows
+			}
+			for _, reach := range []int{rows, rows + 1} {
+				res := buildResult(base)
+				ix := lineage.NewEncodedMany(lineage.EncodeLists(tc.lists(reach)))
+				if tc.forward {
+					res.Capture.SetForward(base.Name, ix)
+				} else {
+					res.Capture.SetBackward(base.Name, ix)
+				}
+				err := validate(putAndReload(t, res))
+				if reach == rows && err != nil {
+					t.Fatalf("rids up to %d over %d rows: %v", reach-1, rows, err)
+				}
+				var se *serr.E
+				if reach > rows && (!errors.As(err, &se) || se.Kind != serr.Internal) {
+					t.Fatalf("rid %d over %d rows: %v, want a structured corrupt-segment error", reach-1, rows, err)
+				}
 			}
 		})
 	}

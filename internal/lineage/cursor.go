@@ -1,12 +1,12 @@
 package lineage
 
-// Chunk-cursor access to encoded lineage. This is the backend seam the trace
-// kernels share: an encoded rid list is a sequence of self-contained chunks
-// (see encoded.go), and a ChunkCursor walks them one at a time exposing
-// count, bounds, and expansion — without ever materializing the whole list.
-// Every chunk's byte extent comes from its header (format v2), so advancing
-// the cursor never reads a payload; only sub-lenHeaderMin varint chunks are
-// delimited by a (bounded) walk. Three trace strategies build on it:
+// Chunk-cursor access to encoded lineage. An encoded rid list is a sequence of
+// self-contained chunks (see encoded.go), and an EncCursor walks them one at
+// a time exposing each chunk's count, start and payload — without ever
+// materializing the whole list. Every chunk's byte extent comes from its
+// header (format v2), so advancing the cursor never reads a payload; only
+// sub-lenHeaderMin varint chunks are delimited by a (bounded) walk. Two trace
+// strategies build on it:
 //
 //   - Expansion: every decoding caller runs the one chunk loop (appendChunks
 //     → Chunk.ExpandInto) over the word-at-a-time kernels below — 8 payload
@@ -17,15 +17,11 @@ package lineage
 //     each chunk decodes once into its final slot; one-entry probes
 //     (TraceOne, and Compose/Invert through it) reuse a caller buffer and let
 //     each chunk's header pre-grow it.
-//   - In-situ trace (TraceInSitu / ParTraceInSitu): because chunks are
-//     self-contained, the backward trace of a seed set is the byte
-//     concatenation of the seeds' chunk bytes, and its element count is a sum
-//     of headers — no payload is decoded or even scanned. The result stays
-//     encoded (EncodedList) and moves ~1–2 bytes per rid instead of 4.
-//   - In-situ intersection (IntersectEncoded): chunk pairs dispatch on their
-//     encodings — range∩range is O(1) overlap arithmetic, bitmap∩bitmap is a
-//     byte-wise AND — and only mismatched pairs fall back to expand-and-merge
-//     over pooled scratch.
+//   - In-situ trace (TraceInSitu): because chunks are self-contained, the
+//     backward trace of a seed set is the byte concatenation of the seeds'
+//     chunk bytes, and its element count is a sum of headers — no payload is
+//     decoded or even scanned. The result stays encoded (EncodedList) and
+//     moves ~1–2 bytes per rid instead of 4.
 //
 // The cursor and the kernels trust their bytes: an index built by the encoder
 // is well-formed by construction, and bytes from outside the process pass
@@ -35,8 +31,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-
-	"smoke/internal/scratch"
 )
 
 // Chunk is one parsed chunk of an encoded list.
@@ -48,21 +42,10 @@ type Chunk struct {
 	// the first), gaps/delta = the N-1 varints after the first value, RLE =
 	// the run/gap varint stream, bitmap = the bitmap bytes, range = empty.
 	Payload []byte
-	// rawRids carries an in-memory list through the Chunk shape (RawCursor);
-	// encoded raw chunks use Payload instead.
-	rawRids []Rid
 }
 
-// ChunkCursor walks the chunks of one list. Implementations exist for the
-// encoded byte form (EncCursor) and for raw rid arrays (RawCursor), so trace
-// kernels written against the cursor work on either backend.
-type ChunkCursor interface {
-	// Next parses the next chunk, reporting false at the end of the list.
-	Next() (Chunk, bool)
-}
-
-// EncCursor is a ChunkCursor over encoded chunk bytes (zero-copy: payloads
-// alias the encoded buffer).
+// EncCursor walks the chunks of one encoded list (zero-copy: payloads alias
+// the encoded buffer).
 type EncCursor struct {
 	rest []byte
 }
@@ -149,50 +132,6 @@ func shortBodyLen(tag byte, n int, b []byte) int {
 	return end
 }
 
-// RawCursor presents a raw rid array as a single-chunk cursor, so kernels
-// written against ChunkCursor run on raw lists too.
-type RawCursor struct {
-	list []Rid
-	done bool
-}
-
-// NewRawCursor returns a cursor over a raw rid list.
-func NewRawCursor(list []Rid) *RawCursor { return &RawCursor{list: list} }
-
-// Next returns the whole list as one raw-tagged chunk. Empty lists yield no
-// chunks.
-func (c *RawCursor) Next() (Chunk, bool) {
-	if c.done || len(c.list) == 0 {
-		return Chunk{}, false
-	}
-	c.done = true
-	return Chunk{Tag: chunkRaw, N: len(c.list), Start: c.list[0], rawRids: c.list}, true
-}
-
-// Bounds returns the chunk's exact inclusive rid window when it is knowable
-// without full decoding: range chunks by arithmetic, bitmap chunks by
-// scanning for the last set byte. ok is false for raw, delta, and RLE
-// chunks, whose extent requires decoding. The bounds must be exact — the
-// intersection lockstep's advance rule relies on hi being the true last
-// element, not an upper bound.
-func (ch *Chunk) Bounds() (lo, hi Rid, ok bool) {
-	switch ch.Tag {
-	case chunkRange:
-		return ch.Start, ch.Start + Rid(ch.N) - 1, true
-	case chunkBitmap:
-		p := ch.Payload
-		i := len(p) - 1
-		for i >= 0 && p[i] == 0 {
-			i--
-		}
-		if i < 0 {
-			return 0, 0, false // all-zero bitmap: no elements
-		}
-		return ch.Start, ch.Start + Rid(8*i+bits.Len8(p[i])-1), true
-	}
-	return 0, 0, false
-}
-
 // ExpandInto appends the chunk's rids to dst: one exact pre-grow (a no-op
 // when the caller sized dst from the headers), then the per-kind kernel fills
 // the chunk's slot with indexed writes — the decode every expansion path
@@ -207,10 +146,6 @@ func (ch *Chunk) ExpandInto(dst []Rid) []Rid {
 	out := dst[off : off+n : off+n]
 	switch ch.Tag {
 	case chunkRaw:
-		if ch.rawRids != nil {
-			copy(out, ch.rawRids)
-			break
-		}
 		p := ch.Payload[:4*n]
 		for j := range out {
 			out[j] = Rid(binary.LittleEndian.Uint32(p[4*j : 4*j+4]))
@@ -409,7 +344,7 @@ func expandBitmap(out []Rid, base Rid, p []byte) {
 }
 
 // EncodedList is a standalone encoded rid list: the result shape of the
-// in-situ trace operations. Data is a valid chunk sequence (concatenable
+// in-situ trace (TraceInSitu). Data is a valid chunk sequence (concatenable
 // with any other encoded list); N is the element count.
 type EncodedList struct {
 	Data []byte
@@ -446,209 +381,6 @@ func (e *EncodedIndex) TraceInSitu(src []Rid) EncodedList {
 		n += e.ListLen(int(i))
 	}
 	return EncodedList{Data: data, N: n}
-}
-
-// IntersectEncoded intersects two encoded rid lists in-situ, returning the
-// encoded intersection. Both lists must be element-ascending (the invariant
-// of backward lineage lists over contiguous capture). Chunk pairs dispatch
-// on their encodings: range∩range computes the overlap in O(1) and emits a
-// range chunk; bitmap∩bitmap ANDs the overlapping window byte-wise; every
-// other pair expands into pooled scratch and merge-intersects.
-func IntersectEncoded(a, b []byte) EncodedList {
-	var out EncodedList
-	ca, cb := EncCursor{rest: a}, EncCursor{rest: b}
-	acur, aok := nextBounded(&ca)
-	bcur, bok := nextBounded(&cb)
-	for aok && bok {
-		switch {
-		case acur.hi < bcur.lo:
-			acur.release()
-			acur, aok = nextBounded(&ca)
-		case bcur.hi < acur.lo:
-			bcur.release()
-			bcur, bok = nextBounded(&cb)
-		default:
-			intersectPair(&acur, &bcur, &out)
-			// Only the chunk that ends first is exhausted; the other may
-			// still overlap its peer's successor chunks.
-			if acur.hi <= bcur.hi {
-				acur.release()
-				acur, aok = nextBounded(&ca)
-			} else {
-				bcur.release()
-				bcur, bok = nextBounded(&cb)
-			}
-		}
-	}
-	if aok {
-		acur.release()
-	}
-	if bok {
-		bcur.release()
-	}
-	return out
-}
-
-// boundedChunk is a chunk with resolved exact bounds; chunks whose bounds
-// require decoding (raw, delta, RLE) carry their expansion in pooled
-// scratch until released.
-type boundedChunk struct {
-	ch     Chunk
-	lo, hi Rid
-	elems  []Rid // non-nil when the chunk was expanded (scratch-backed)
-	buf    []Rid // the scratch buffer backing elems, returned on release
-}
-
-func (bc *boundedChunk) release() {
-	if bc.buf != nil {
-		scratch.PutRids(bc.buf)
-		bc.buf, bc.elems = nil, nil
-	}
-}
-
-// nextBounded pulls the next non-empty chunk and resolves its bounds,
-// expanding (into pooled scratch) only the encodings that require it.
-func nextBounded(c *EncCursor) (boundedChunk, bool) {
-	for {
-		ch, ok := c.Next()
-		if !ok {
-			return boundedChunk{}, false
-		}
-		if ch.N == 0 {
-			continue
-		}
-		if lo, hi, ok := ch.Bounds(); ok {
-			return boundedChunk{ch: ch, lo: lo, hi: hi}, true
-		}
-		buf := scratch.Rids(ch.N)
-		elems := ch.ExpandInto(buf[:0])
-		return boundedChunk{ch: ch, lo: elems[0], hi: elems[len(elems)-1], elems: elems, buf: buf}, true
-	}
-}
-
-// intersectPair appends the intersection of two overlapping chunks to out.
-func intersectPair(a, b *boundedChunk, out *EncodedList) {
-	if a.elems == nil && b.elems == nil {
-		if a.ch.Tag == chunkRange && b.ch.Tag == chunkRange {
-			lo, hi := maxRid(a.lo, b.lo), minRid(a.hi, b.hi)
-			n := int(hi-lo) + 1
-			out.Data = append(out.Data, chunkRange)
-			out.Data = binary.AppendUvarint(out.Data, uint64(n))
-			out.Data = binary.AppendUvarint(out.Data, uint64(lo))
-			out.N += n
-			return
-		}
-		if a.ch.Tag == chunkBitmap && b.ch.Tag == chunkBitmap {
-			intersectBitmaps(&a.ch, &b.ch, out)
-			return
-		}
-	}
-	// Generic: expand whichever sides aren't already expanded, merge-intersect.
-	ae, be := a.elems, b.elems
-	var bufA, bufB []Rid
-	if ae == nil {
-		bufA = scratch.Rids(a.ch.N)
-		ae = a.ch.ExpandInto(bufA[:0])
-	}
-	if be == nil {
-		bufB = scratch.Rids(b.ch.N)
-		be = b.ch.ExpandInto(bufB[:0])
-	}
-	n := len(ae)
-	if len(be) < n {
-		n = len(be)
-	}
-	buf := scratch.Rids(n)
-	m := 0
-	i, j := 0, 0
-	for i < len(ae) && j < len(be) {
-		switch {
-		case ae[i] < be[j]:
-			i++
-		case ae[i] > be[j]:
-			j++
-		default:
-			buf[m] = ae[i]
-			m++
-			i++
-			j++
-		}
-	}
-	if m > 0 {
-		out.Data = appendEncodedList(out.Data, buf[:m])
-		out.N += m
-	}
-	scratch.PutRids(buf)
-	if bufA != nil {
-		scratch.PutRids(bufA)
-	}
-	if bufB != nil {
-		scratch.PutRids(bufB)
-	}
-}
-
-// intersectBitmaps ANDs the overlapping window of two bitmap chunks and
-// emits the result as a bitmap chunk (count = popcount of the AND). The
-// window is addressed on a's byte grid, so a's bytes are read directly and
-// b's bits are gathered at the matching offset — a pure byte-AND when the
-// bases are byte-aligned.
-func intersectBitmaps(a, b *Chunk, out *EncodedList) {
-	lo := maxRid(a.Start, b.Start)
-	hi := minRid(a.Start+Rid(8*len(a.Payload)), b.Start+Rid(8*len(b.Payload))) - 1
-	if hi < lo {
-		return
-	}
-	aFirst := int(lo-a.Start) / 8
-	aLast := int(hi-a.Start) / 8
-	base := a.Start + Rid(8*aFirst)
-	nb := aLast - aFirst + 1
-	buf := make([]byte, nb)
-	n := 0
-	for i := 0; i < nb; i++ {
-		w := a.Payload[aFirst+i] & bitmapByteAt(b.Payload, int(base-b.Start)+8*i)
-		buf[i] = w
-		n += bits.OnesCount8(w)
-	}
-	if n == 0 {
-		return
-	}
-	out.Data = append(out.Data, chunkBitmap)
-	out.Data = binary.AppendUvarint(out.Data, uint64(n))
-	out.Data = binary.AppendUvarint(out.Data, uint64(base))
-	out.Data = binary.AppendUvarint(out.Data, uint64(nb))
-	out.Data = append(out.Data, buf...)
-	out.N += n
-}
-
-// bitmapByteAt extracts the 8 bits of bm starting at bit offset off; bits
-// outside the bitmap (including negative offsets) read as zero.
-func bitmapByteAt(bm []byte, off int) byte {
-	if off <= -8 || off >= 8*len(bm) {
-		return 0
-	}
-	if off < 0 {
-		return bm[0] << uint(-off)
-	}
-	i, s := off/8, off%8
-	v := bm[i] >> uint(s)
-	if s > 0 && i+1 < len(bm) {
-		v |= bm[i+1] << uint(8-s)
-	}
-	return v
-}
-
-func minRid(a, b Rid) Rid {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxRid(a, b Rid) Rid {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ArrCursor is a sequential-probe cursor over an EncodedArr: for

@@ -9,8 +9,8 @@ import (
 )
 
 // Microbenchmarks for the chunk-cursor trace kernels: decode-expansion vs
-// in-situ byte concatenation, the specialized intersection paths, and the
-// sequential EncodedArr cursor vs per-probe binary search.
+// in-situ byte concatenation, and the sequential EncodedArr cursor vs
+// per-probe binary search.
 
 // benchEncIndex builds a group-by-shaped backward index: groups groups, each
 // holding the dense strided rid list a clustered aggregation captures.
@@ -72,40 +72,6 @@ func BenchmarkRawTrace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = raw.Trace(src)
-	}
-}
-
-func BenchmarkChunkCursorIntersectRange(b *testing.B) {
-	b.ReportAllocs()
-	mk := func(lo, n Rid) []byte {
-		l := make([]Rid, n)
-		for i := range l {
-			l[i] = lo + Rid(i)
-		}
-		return appendEncodedList(nil, l)
-	}
-	da := mk(0, 1_000_000)
-	db := mk(500_000, 1_000_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = IntersectEncoded(da, db)
-	}
-}
-
-func BenchmarkChunkCursorIntersectBitmap(b *testing.B) {
-	b.ReportAllocs()
-	mk := func(lo, stride, n Rid) []byte {
-		l := make([]Rid, n)
-		for i := range l {
-			l[i] = lo + Rid(i)*stride
-		}
-		return appendEncodedList(nil, l)
-	}
-	da := mk(0, 2, 500_000)
-	db := mk(1, 3, 333_333)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = IntersectEncoded(da, db)
 	}
 }
 

@@ -3,6 +3,7 @@ package lineage
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -141,7 +142,7 @@ func checkManyIndex(t *testing.T, what string, enc, raw *Index) {
 	}
 	c := NewCapture()
 	c.SetForward("t", enc)
-	if err := c.Validate(); err != nil {
+	if err := c.Validate(targets, nil); err != nil {
 		t.Fatalf("%s: Validate: %v", what, err)
 	}
 }
@@ -254,7 +255,7 @@ func FuzzEncodedDirectory(f *testing.F) {
 		for i := range offs {
 			offs[i] = binary.LittleEndian.Uint32(ob[4*i:])
 		}
-		card, verr := ValidateEncoded(offs, data)
+		card, verr := ValidateEncoded(offs, data, math.MaxInt32)
 		e, err := EncodedIndexFromParts(n, words, offs, data, max(card, 0))
 		if err != nil {
 			return

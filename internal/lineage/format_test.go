@@ -3,13 +3,16 @@ package lineage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
 	"smoke/internal/pool"
+	"smoke/internal/serr"
 )
 
 // Chunk format v2: the byte layout, the decode kernels' edges, and the
@@ -123,8 +126,17 @@ func decodeEveryWay(t *testing.T, what string, enc []byte, want []Rid) {
 	if got := e.ListLen(0); got != len(want) {
 		t.Fatalf("%s: ListLen = %d, want %d", what, got, len(want))
 	}
-	if card, err := ValidateEncoded(e.offs, e.data); err != nil || card != len(want) {
-		t.Fatalf("%s: ValidateEncoded = %d, %v; want %d, nil", what, card, err, len(want))
+	bound := math.MaxInt32
+	if len(want) > 0 {
+		bound = int(slices.Max(want)) + 1
+	}
+	if card, err := ValidateEncoded(e.offs, e.data, bound); err != nil || card != len(want) {
+		t.Fatalf("%s: ValidateEncoded over %d rows = %d, %v; want %d, nil", what, bound, card, err, len(want))
+	}
+	if len(want) > 0 {
+		if _, err := ValidateEncoded(e.offs, e.data, bound-1); !isInternal(err) {
+			t.Fatalf("%s: ValidateEncoded over %d rows, one short of the largest rid: %v, want an Internal error", what, bound-1, err)
+		}
 	}
 }
 
@@ -344,7 +356,7 @@ func appendBitmapChunk(list []Rid, base Rid, nb int) []byte {
 }
 
 // In-situ traces count and concatenate from headers alone; decoding them must
-// equal the expanding trace on merged (multi-chunk) lists, serial or parallel.
+// equal the expanding trace, serial or parallel, on merged (multi-chunk) lists.
 func TestTraceInSituMatchesTraceOnMergedLists(t *testing.T) {
 	const groups, rows = 40, 6000
 	rng := rand.New(rand.NewSource(17))
@@ -371,17 +383,17 @@ func TestTraceInSituMatchesTraceOnMergedLists(t *testing.T) {
 		ix, raw := NewEncodedMany(enc), NewOneToMany(full)
 		seeds := []Rid{0, 5, 5, groups - 1, 17, 3, 0}
 		want := raw.Trace(seeds)
+		is := enc.TraceInSitu(seeds)
+		if is.N != len(want) {
+			t.Fatalf("%d chunks per list: in-situ trace counts %d rids from the headers, want %d", parts, is.N, len(want))
+		}
+		if got := is.AppendTo(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d chunks per list: decoded in-situ trace differs from the raw trace", parts)
+		}
 		for _, workers := range []int{1, 2, 4} {
 			what := fmt.Sprintf("%d chunks per list, %d workers", parts, workers)
 			if got := ParTrace(ix, seeds, workers, pl); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: ParTrace differs from the raw trace", what)
-			}
-			is := ParTraceInSitu(enc, seeds, workers, pl)
-			if is.N != len(want) {
-				t.Fatalf("%s: in-situ trace counts %d rids from the headers, want %d", what, is.N, len(want))
-			}
-			if got := is.AppendTo(nil); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: decoded in-situ trace differs from the raw trace", what)
 			}
 			keep := func(r Rid) bool { return r%3 != 0 }
 			var wantKept []Rid
@@ -509,10 +521,12 @@ func naiveDecode(b []byte) []Rid {
 
 // checkAcceptedBytesDecode is the contract between ValidateEncoded and the
 // trusting cursor: bytes it accepts decode, without a panic, to exactly the
-// rids the naive oracle reads from them, as many as the validator counted.
+// rids the naive oracle reads from them, as many as the validator counted,
+// and the validator's row bound is exact: it accepts one row past the largest
+// rid and rejects the bound at it.
 func checkAcceptedBytesDecode(t *testing.T, data []byte) {
 	offs := []uint32{0, uint32(len(data))}
-	card, err := ValidateEncoded(offs, data)
+	card, err := ValidateEncoded(offs, data, math.MaxInt32)
 	if err != nil || card > 1<<20 {
 		// A range or RLE chunk states millions of rids in a few bytes; they
 		// are well-formed, just too large to expand once per fuzz input.
@@ -528,6 +542,18 @@ func checkAcceptedBytesDecode(t *testing.T, data []byte) {
 	want := naiveDecode(data)
 	if len(want) != card {
 		t.Fatalf("bytes % x: the oracle decoded %d rids, validator counted %d", data, len(want), card)
+	}
+	if len(want) > 0 {
+		if lo := slices.Min(want); lo < 0 {
+			t.Fatalf("bytes % x: validated rid %d is negative", data, lo)
+		}
+		hi := int(slices.Max(want))
+		if _, err := ValidateEncoded(offs, data, hi+1); err != nil {
+			t.Fatalf("bytes % x: rejected over %d rows, one past the largest rid: %v", data, hi+1, err)
+		}
+		if _, err := ValidateEncoded(offs, data, hi); err == nil {
+			t.Fatalf("bytes % x: accepted over %d rows, which its largest rid reaches", data, hi)
+		}
 	}
 	if got := e.AppendLists([]Rid{0}, nil); !slices.Equal(got, want) {
 		t.Fatalf("bytes % x: AppendLists decoded %v, the oracle %v", data, got, want)
@@ -556,7 +582,7 @@ func TestValidateEncodedRejectsHostileBytes(t *testing.T) {
 	rejected := 0
 	for _, seed := range chunkSeeds() {
 		for cut := 1; cut < len(seed); cut++ {
-			if _, err := ValidateEncoded([]uint32{0, uint32(cut)}, seed[:cut]); err == nil {
+			if _, err := ValidateEncoded([]uint32{0, uint32(cut)}, seed[:cut], math.MaxInt32); err == nil {
 				t.Fatalf("chunk % x truncated to %d bytes validated", seed, cut)
 			}
 		}
@@ -564,7 +590,7 @@ func TestValidateEncodedRejectsHostileBytes(t *testing.T) {
 			for _, v := range []byte{0, 1, 0x7f, 0x80, 0xff, seed[i] + 1, seed[i] ^ 0x80} {
 				mut := append([]byte(nil), seed...)
 				mut[i] = v
-				if _, err := ValidateEncoded([]uint32{0, uint32(len(mut))}, mut); err != nil {
+				if _, err := ValidateEncoded([]uint32{0, uint32(len(mut))}, mut, math.MaxInt32); err != nil {
 					rejected++
 				}
 				checkAcceptedBytesDecode(t, mut)
@@ -575,10 +601,16 @@ func TestValidateEncodedRejectsHostileBytes(t *testing.T) {
 		t.Fatal("no corruption was rejected")
 	}
 	for _, offs := range [][]uint32{{}, {1, 3}, {0, 2, 1, 3}, {0, 2}} {
-		if _, err := ValidateEncoded(offs, []byte{chunkRange, 1, 0}); err == nil {
+		if _, err := ValidateEncoded(offs, []byte{chunkRange, 1, 0}, math.MaxInt32); err == nil {
 			t.Fatalf("directory %v over a 3-byte payload validated", offs)
 		}
 	}
+}
+
+// isInternal reports whether err is a structured Internal error.
+func isInternal(err error) bool {
+	var e *serr.E
+	return errors.As(err, &e) && e.Kind == serr.Internal
 }
 
 func TestCaptureValidate(t *testing.T) {
@@ -591,20 +623,24 @@ func TestCaptureValidate(t *testing.T) {
 	c := NewCapture()
 	c.SetBackward("t", NewEncodedMany(e))
 	c.SetForward("t", NewOneToOne([]Rid{0, -1, 2}))
-	if err := c.Validate(); err != nil {
+	rows := int(slices.Max(NewEncodedMany(e).Trace([]Rid{0, 1, 2}))) + 1
+	if err := c.Validate(3, map[string]int{"t": rows}); err != nil {
 		t.Fatalf("well-formed capture: %v", err)
+	}
+	if err := c.Validate(3, map[string]int{"t": rows - 1}); !isInternal(err) {
+		t.Fatalf("capture whose backward rids reach past its base table: %v, want an Internal error", err)
 	}
 	n, words, offs, data, card := e.Parts()
 	lying, _ := EncodedIndexFromParts(n, words, offs, data, card+1)
 	c.SetBackward("t", NewEncodedMany(lying))
-	if err := c.Validate(); err == nil {
+	if err := c.Validate(3, nil); err == nil {
 		t.Fatal("capture whose directory overstates its cardinality validated")
 	}
 	bad := append([]byte(nil), data...)
 	bad[len(bad)-1] ^= 0x10 // one bitmap bit: popcount no longer matches
 	flipped, _ := EncodedIndexFromParts(n, words, offs, bad, card)
 	c.SetBackward("t", NewEncodedMany(flipped))
-	if err := c.Validate(); err == nil {
+	if err := c.Validate(3, nil); err == nil {
 		t.Fatal("capture with a flipped bitmap bit validated")
 	}
 }

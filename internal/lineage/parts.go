@@ -79,21 +79,24 @@ func checkDirectory(offs []uint32, dataLen int) error {
 	return nil
 }
 
-// ValidateEncoded checks that (offs, data) is a well-formed encoded index and
-// returns its cardinality (offs as Parts returns it: in the directory form it
-// covers the present entries only): the directory is sound and every entry is a
-// sequence of well-formed v2 chunks — a known tag, a positive count, a body
-// that ends inside the entry, and body contents that decode to exactly the
-// header count (varint count for gaps/delta, run sum for RLE, popcount for
-// bitmaps). Bytes it accepts decode without a panic; EncCursor and the
-// expansion kernels assume nothing less. The walk reads headers only, except
-// for those per-kind content checks, which cost one pass over the body.
-func ValidateEncoded(offs []uint32, data []byte) (card int, err error) {
+// ValidateEncoded checks that (offs, data) is a well-formed encoded index
+// over a relation of bound rows and returns its cardinality (offs as Parts
+// returns it: in the directory form it covers the present entries only): the
+// directory is sound and every entry is a sequence of well-formed v2 chunks —
+// a known tag, a positive count, a body that ends inside the entry, body
+// contents that decode to exactly the header count (varint count for
+// gaps/delta, run sum for RLE, popcount for bitmaps), and rids in [0, bound).
+// Bytes it accepts decode without a panic to rids that address a row;
+// EncCursor and the expansion kernels assume nothing less. The walk reads
+// headers only, except for those per-kind content checks, which cost one pass
+// over the body; range and bitmap chunks are bounded from their headers (and a
+// bitmap's last byte), the varint kinds by the sum that pass already walks.
+func ValidateEncoded(offs []uint32, data []byte, bound int) (card int, err error) {
 	if err := checkDirectory(offs, len(data)); err != nil {
 		return 0, err
 	}
 	for i := 0; i+1 < len(offs); i++ {
-		n, err := validateChunks(data[offs[i]:offs[i+1]])
+		n, err := validateChunks(data[offs[i]:offs[i+1]], bound)
 		if err != nil {
 			return 0, serr.New(serr.Internal, "lineage: encoded index entry %d: %v", i, err)
 		}
@@ -104,7 +107,8 @@ func ValidateEncoded(offs []uint32, data []byte) (card int, err error) {
 
 // validateChunks validates one entry's chunk sequence and returns its element
 // count. It mirrors EncCursor.Next field for field, with every read checked.
-func validateChunks(b []byte) (int, error) {
+func validateChunks(b []byte, bound int) (int, error) {
+	lim := uint64(min(max(bound, 0), math.MaxInt32))
 	total := 0
 	for len(b) > 0 {
 		tag := b[0]
@@ -118,15 +122,20 @@ func validateChunks(b []byte) (int, error) {
 		b = b[1+k:]
 		n := int(n64)
 		var bodyLen int
+		var hi uint64 // the chunk's largest rid
 		switch tag {
 		case chunkRaw:
 			bodyLen = 4 * n
+			for i := 0; i < bodyLen && bodyLen <= len(b); i += 4 {
+				hi = max(hi, uint64(binary.LittleEndian.Uint32(b[i:])))
+			}
 		case chunkRange:
 			s, k := binary.Uvarint(b)
 			if k <= 0 || s > math.MaxInt32 || s+n64-1 > math.MaxInt32 {
 				return 0, fmt.Errorf("range chunk start missing or past the rid domain")
 			}
 			bodyLen = k
+			hi = s + n64 - 1
 		case chunkBitmap:
 			base, k1 := binary.Uvarint(b)
 			if k1 <= 0 {
@@ -137,8 +146,12 @@ func validateChunks(b []byte) (int, error) {
 				return 0, fmt.Errorf("bitmap chunk length missing or out of range")
 			}
 			bodyLen = k1 + k2 + int(nb)
-			if bodyLen <= len(b) && popcount(b[k1+k2:bodyLen]) != n {
-				return 0, fmt.Errorf("bitmap chunk holds a different number of bits than its count %d", n)
+			if bodyLen <= len(b) {
+				bm := b[k1+k2 : bodyLen]
+				if popcount(bm) != n {
+					return 0, fmt.Errorf("bitmap chunk holds a different number of bits than its count %d", n)
+				}
+				hi = base + uint64(lastSetBit(bm))
 			}
 		default: // the varint-stream kinds
 			body := b
@@ -150,14 +163,17 @@ func validateChunks(b []byte) (int, error) {
 				b = b[k:]
 				body = b[:l]
 			}
-			end, ok := varintBodyLen(tag, n, body)
+			end, last, ok := varintBodyLen(tag, n, body)
 			if !ok || (n >= lenHeaderMin && end != len(body)) {
 				return 0, fmt.Errorf("chunk body does not hold exactly %d elements", n)
 			}
-			bodyLen = end
+			bodyLen, hi = end, last
 		}
 		if bodyLen > len(b) {
 			return 0, fmt.Errorf("chunk body runs past the entry")
+		}
+		if hi >= lim {
+			return 0, fmt.Errorf("chunk rids reach %d, past the %d rows they index", hi, bound)
 		}
 		b = b[bodyLen:]
 		total += n
@@ -166,36 +182,86 @@ func validateChunks(b []byte) (int, error) {
 }
 
 // varintBodyLen walks the body of a gaps, delta or RLE chunk of n elements
-// with every varint checked, returning the bytes it spans.
-func varintBodyLen(tag byte, n int, body []byte) (end int, ok bool) {
+// with every varint checked, returning the bytes it spans and the chunk's
+// largest rid — math.MaxUint64 once an element leaves the rid domain (a
+// negative delta sum, or a sum past 64 bits).
+func varintBodyLen(tag byte, n int, body []byte) (end int, hi uint64, ok bool) {
 	next := func() (uint64, bool) {
 		u, k := binary.Uvarint(body[end:])
 		end += k
 		return u, k > 0
 	}
-	if tag != chunkRLE {
-		for ; n > 0; n-- {
-			if _, ok := next(); !ok {
-				return 0, false
+	first, ok := next()
+	if !ok {
+		return 0, 0, false
+	}
+	switch tag {
+	case chunkGaps:
+		hi = first
+		for ; n > 1; n-- {
+			g, ok := next()
+			if !ok {
+				return 0, 0, false
+			}
+			hi = satAdd(hi, g)
+		}
+	case chunkDelta:
+		v := unzigzag(first)
+		hi = ridDomain(v)
+		for ; n > 1; n-- {
+			u, ok := next()
+			if !ok {
+				return 0, 0, false
+			}
+			v += unzigzag(u)
+			hi = max(hi, ridDomain(v))
+		}
+	default: // chunkRLE: the start, then alternating run lengths and gaps
+		cur := first
+		for rem := uint64(n); rem > 0; {
+			l, ok := next()
+			if !ok || l == 0 || l > rem {
+				return 0, 0, false
+			}
+			hi = satAdd(cur, l-1)
+			cur = satAdd(cur, l)
+			if rem -= l; rem > 0 {
+				g, ok := next()
+				if !ok {
+					return 0, 0, false
+				}
+				cur = satAdd(cur, g)
 			}
 		}
-		return end, true
 	}
-	if _, ok := next(); !ok {
-		return 0, false
+	return end, hi, true
+}
+
+// satAdd is a + b, saturating at math.MaxUint64.
+func satAdd(a, b uint64) uint64 {
+	if s := a + b; s >= a {
+		return s
 	}
-	for rem := uint64(n); rem > 0; {
-		l, ok := next()
-		if !ok || l == 0 || l > rem {
-			return 0, false
-		}
-		if rem -= l; rem > 0 {
-			if _, ok := next(); !ok {
-				return 0, false
-			}
-		}
+	return math.MaxUint64
+}
+
+// ridDomain maps a signed running value to its unsigned rid, with every
+// negative one past the domain.
+func ridDomain(v int64) uint64 {
+	if v < 0 {
+		return math.MaxUint64
 	}
-	return end, true
+	return uint64(v)
+}
+
+// lastSetBit returns the index of the highest set bit of a bitmap that has
+// one.
+func lastSetBit(bm []byte) int {
+	i := len(bm) - 1
+	for bm[i] == 0 {
+		i--
+	}
+	return 8*i + bits.Len8(bm[i]) - 1
 }
 
 func popcount(b []byte) int {
@@ -211,20 +277,36 @@ func popcount(b []byte) int {
 
 // Validate runs ValidateEncoded over every encoded rid index of the capture
 // and checks each against its recorded cardinality: the full-restore check
-// for a capture whose chunk bytes came from outside the process.
-func (c *Capture) Validate() error {
-	for _, dir := range []map[string]*Index{c.backward, c.forward} {
-		for rel, ix := range dir {
-			if ix.Kind != EncodedMany {
-				continue
-			}
-			card, err := ValidateEncoded(ix.Enc.offs, ix.Enc.data)
-			if err == nil && card != ix.Enc.card {
-				err = serr.New(serr.Internal, "lineage: encoded index holds %d rids, its directory says %d", card, ix.Enc.card)
-			}
-			if err != nil {
-				return fmt.Errorf("index of %q: %w", rel, err)
-			}
+// for a capture whose chunk bytes came from outside the process. Each index is
+// bounded by the rows its rids address: a forward index by the outRows output
+// rows, a backward index over rel by baseRows[rel] (by the rid type alone when
+// rel has no recorded row count).
+func (c *Capture) Validate(outRows int, baseRows map[string]int) error {
+	check := func(rel string, ix *Index, bound int) error {
+		if ix.Kind != EncodedMany {
+			return nil
+		}
+		card, err := ValidateEncoded(ix.Enc.offs, ix.Enc.data, bound)
+		if err == nil && card != ix.Enc.card {
+			err = serr.New(serr.Internal, "lineage: encoded index holds %d rids, its directory says %d", card, ix.Enc.card)
+		}
+		if err != nil {
+			return fmt.Errorf("index of %q: %w", rel, err)
+		}
+		return nil
+	}
+	for rel, ix := range c.backward {
+		bound, ok := baseRows[rel]
+		if !ok {
+			bound = math.MaxInt32
+		}
+		if err := check(rel, ix, bound); err != nil {
+			return err
+		}
+	}
+	for rel, ix := range c.forward {
+		if err := check(rel, ix, outRows); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -48,32 +48,6 @@ func concatRids(locals [][]Rid) []Rid {
 	return []Rid{}
 }
 
-// ParTraceInSitu is the morsel-parallel form of EncodedIndex.TraceInSitu:
-// each partition concatenates its seeds' chunk bytes into a local buffer and
-// the merge concatenates the buffers in partition order — byte-identical to
-// the serial in-situ trace, and the trace never decodes a chunk.
-func ParTraceInSitu(e *EncodedIndex, src []Rid, workers int, pl *pool.Pool) EncodedList {
-	if workers <= 1 || len(src) < 2 {
-		return e.TraceInSitu(src)
-	}
-	ranges := pool.Split(len(src), workers)
-	locals := make([]EncodedList, len(ranges))
-	pl.RunSplit(ranges, func(part, lo, hi int) {
-		locals[part] = e.TraceInSitu(src[lo:hi])
-	})
-	total := 0
-	n := 0
-	for _, l := range locals {
-		total += len(l.Data)
-		n += l.N
-	}
-	data := make([]byte, 0, total)
-	for _, l := range locals {
-		data = append(data, l.Data...)
-	}
-	return EncodedList{Data: data, N: n}
-}
-
 // ParTraceFiltered is ParTrace with a per-rid keep predicate applied during
 // expansion (the trace operator's pushed-down consuming filter): each
 // partition expands its seeds through the serial Trace and drops the rids

@@ -770,12 +770,18 @@ func (r *registry) shouldPromoteLocked(seg *segment, h traceHint) bool {
 // promoteLocked installs the already-loaded view as the resident result.
 // Promotion is the full restore: from here the result serves every kind of
 // trace over all of its lists, so its chunk bytes — which the lazily mapped
-// view took on trust — are validated first. The segment stays current
-// (re-demotion is then free), and the promotion charges the memory budget
-// like any retention — possibly demoting colder results.
+// view took on trust — are validated first, each index against the rows its
+// rids address (a backward index its base snapshot's, a forward index the
+// output's). The segment stays current (re-demotion is then free), and the
+// promotion charges the memory budget like any retention — possibly demoting
+// colder results.
 func (r *registry) promoteLocked(s *session, name string, e *entry) (*core.Result, *spec, error) {
 	view := e.seg.view
-	if err := view.Capture().Validate(); err != nil {
+	baseRows := map[string]int{}
+	for table, rel := range view.Bases() {
+		baseRows[table] = rel.N
+	}
+	if err := view.Capture().Validate(view.Out.N, baseRows); err != nil {
 		return nil, nil, r.unrecoverableLocked(s, name, e.seg, err)
 	}
 	e.res = view

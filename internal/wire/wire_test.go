@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
@@ -14,41 +15,43 @@ import (
 	"smoke/internal/storage"
 )
 
-// TestGoldenBytes pins the encoded form of every body: these bytes are the
+// goldenBodies is the encoded form of every body: these bytes are the
 // contract clients and shards were built against.
+var goldenBodies = []struct {
+	name string
+	v    any
+	want string
+}{
+	{"result", Result{
+		Columns: []string{"k", "v"}, Types: []string{"int", "float"},
+		Rows: [][]any{{int64(1), 2.5}}, N: 1,
+	}, `{"columns":["k","v"],"types":["int","float"],"rows":[[1,2.5]],"row_count":1}`},
+	{"result, every annotation", Result{
+		Columns: []string{"k"}, Types: []string{"string"}, Rows: [][]any{}, N: 0,
+		GroupCounts: []int64{3}, Cached: true, Explain: "plan", Retained: "r", StrategyUsed: "lazy",
+	}, `{"columns":["k"],"types":["string"],"rows":[],"row_count":0,"group_counts":[3],"cached":true,"explain":"plan","retained":"r","strategy_used":"lazy"}`},
+	{"trace, nil rids = everything", TraceRequest{Direction: "backward", Table: "t"},
+		`{"direction":"backward","table":"t","rids":null}`},
+	{"trace, empty rids = nothing", TraceRequest{Direction: "backward", Table: "t", Rids: []int64{}},
+		`{"direction":"backward","table":"t","rids":[]}`},
+	{"trace, every field", TraceRequest{
+		Direction: "forward", Table: "t", Rids: []int64{4, 2}, SeedWhere: "a = 1", Where: "b < 2",
+		GroupBy: []string{"g"}, Aggs: []Agg{{Fn: "count"}, {Fn: "sum", Arg: "v", Name: "sv"}},
+		Capture: "inject", Compress: true, Params: map[string]any{"p": 1}, Retain: "drill", Strategy: "eager",
+	}, `{"direction":"forward","table":"t","rids":[4,2],"seed_where":"a = 1","where":"b \u003c 2","group_by":["g"],` +
+		`"aggs":[{"fn":"count"},{"fn":"sum","arg":"v","name":"sv"}],"capture":"inject","compress":true,` +
+		`"params":{"p":1},"retain":"drill","strategy":"eager"}`},
+	{"query, sql only", QueryRequest{SQL: "SELECT 1"}, `{"sql":"SELECT 1"}`},
+	{"query, every field", QueryRequest{
+		SQL: "SELECT 1", Capture: "defer", Compress: true, Params: map[string]any{"x": "y"}, Strategy: "auto",
+	}, `{"sql":"SELECT 1","capture":"defer","compress":true,"params":{"x":"y"},"strategy":"auto"}`},
+	{"table", Table{Schema: []Field{{Name: "a", Type: "int"}}, Rows: [][]any{{1}}, PK: "a"},
+		`{"schema":[{"name":"a","type":"int"}],"rows":[[1]],"pk":"a"}`},
+}
+
+// TestGoldenBytes pins goldenBodies.
 func TestGoldenBytes(t *testing.T) {
-	cases := []struct {
-		name string
-		v    any
-		want string
-	}{
-		{"result", Result{
-			Columns: []string{"k", "v"}, Types: []string{"int", "float"},
-			Rows: [][]any{{int64(1), 2.5}}, N: 1,
-		}, `{"columns":["k","v"],"types":["int","float"],"rows":[[1,2.5]],"row_count":1}`},
-		{"result, every annotation", Result{
-			Columns: []string{"k"}, Types: []string{"string"}, Rows: [][]any{}, N: 0,
-			GroupCounts: []int64{3}, Cached: true, Explain: "plan", Retained: "r", StrategyUsed: "lazy",
-		}, `{"columns":["k"],"types":["string"],"rows":[],"row_count":0,"group_counts":[3],"cached":true,"explain":"plan","retained":"r","strategy_used":"lazy"}`},
-		{"trace, nil rids = everything", TraceRequest{Direction: "backward", Table: "t"},
-			`{"direction":"backward","table":"t","rids":null}`},
-		{"trace, empty rids = nothing", TraceRequest{Direction: "backward", Table: "t", Rids: []int64{}},
-			`{"direction":"backward","table":"t","rids":[]}`},
-		{"trace, every field", TraceRequest{
-			Direction: "forward", Table: "t", Rids: []int64{4, 2}, SeedWhere: "a = 1", Where: "b < 2",
-			GroupBy: []string{"g"}, Aggs: []Agg{{Fn: "count"}, {Fn: "sum", Arg: "v", Name: "sv"}},
-			Capture: "inject", Compress: true, Params: map[string]any{"p": 1}, Retain: "drill", Strategy: "eager",
-		}, `{"direction":"forward","table":"t","rids":[4,2],"seed_where":"a = 1","where":"b \u003c 2","group_by":["g"],` +
-			`"aggs":[{"fn":"count"},{"fn":"sum","arg":"v","name":"sv"}],"capture":"inject","compress":true,` +
-			`"params":{"p":1},"retain":"drill","strategy":"eager"}`},
-		{"query, sql only", QueryRequest{SQL: "SELECT 1"}, `{"sql":"SELECT 1"}`},
-		{"query, every field", QueryRequest{
-			SQL: "SELECT 1", Capture: "defer", Compress: true, Params: map[string]any{"x": "y"}, Strategy: "auto",
-		}, `{"sql":"SELECT 1","capture":"defer","compress":true,"params":{"x":"y"},"strategy":"auto"}`},
-		{"table", Table{Schema: []Field{{Name: "a", Type: "int"}}, Rows: [][]any{{1}}, PK: "a"},
-			`{"schema":[{"name":"a","type":"int"}],"rows":[[1]],"pk":"a"}`},
-	}
-	for _, c := range cases {
+	for _, c := range goldenBodies {
 		got, err := json.Marshal(c.v)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -255,6 +258,58 @@ func TestTraceValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = %v, %v", c.req, backward, err)
 		}
 	}
+}
+
+// FuzzDecodeRequest: whatever bytes arrive as a query or trace body,
+// DecodeRequest, TraceRequest.Validate and Params answer a value or a
+// structured Invalid error (HTTP 400) — never a panic, never a plain error
+// (500). Seeds: the golden request bodies, each truncated, plus deep nesting
+// and numbers past int64 and float64.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, g := range goldenBodies {
+		switch g.v.(type) {
+		case QueryRequest, TraceRequest:
+			f.Add([]byte(g.want))
+			f.Add([]byte(g.want[:len(g.want)/2]))
+		}
+	}
+	deep := strings.Repeat("[", 20_000) + strings.Repeat("]", 20_000)
+	for _, body := range []string{
+		`{"direction":"backward","table":"t","rids":[9223372036854775808]}`,
+		`{"direction":"backward","table":"t","rids":[1e999,-1,2.5]}`,
+		`{"sql":"SELECT 1","params":{"x":1e999,"y":-1e999,"z":99999999999999999999}}`,
+		`{"sql":"SELECT 1","params":{"x":` + deep + `}}`,
+		`{"direction":"forward","table":"t","params":{"p":[[[{"q":[1]}]]]}}`,
+		`{"direction":"backward","table":"t","rids":[1],"seed_where":"a = 1"}`,
+		`{"direction":7,"compress":"yes"}`,
+		`null`, `[]`, `"x"`, ``,
+	} {
+		f.Add([]byte(body))
+	}
+	structured := func(t *testing.T, what string, body []byte, err error) {
+		var e *serr.E
+		if err != nil && (!errors.As(err, &e) || e.Kind != serr.Invalid) {
+			t.Fatalf("%s of %q: %v is not a structured Invalid error", what, body, err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var q QueryRequest
+		if err := DecodeRequest(bytes.NewReader(body), &q); err != nil {
+			structured(t, "decoding a query", body, err)
+		} else {
+			_, err := Params(q.Params)
+			structured(t, "query params", body, err)
+		}
+		var tr TraceRequest
+		if err := DecodeRequest(bytes.NewReader(body), &tr); err != nil {
+			structured(t, "decoding a trace", body, err)
+			return
+		}
+		_, err := tr.Validate()
+		structured(t, "validating a trace", body, err)
+		_, err = Params(tr.Params)
+		structured(t, "trace params", body, err)
+	})
 }
 
 // TestNameTables: every wire name parses to its engine value and back.
