@@ -120,41 +120,51 @@ func TestGroupByLogicalTup(t *testing.T) {
 
 // TestGroupByLogicIdxMatchesSmoke uses Logic-Idx — lineage re-derived by
 // joining the output back to the input — as a reference independent of the
-// capture driver: at every partition count, under both capture modes and over
-// the whole input and a selection's rid subset, Smoke's backward lists and
-// forward array must equal it element for element, order included.
+// capture code: at every partition count, under both capture modes, raw
+// and compressed, and over the whole input, a selection's rid subset and an
+// unsorted rid bag with duplicates (a consuming query's input), Smoke's
+// decoded backward lists and forward array must equal it element for
+// element, order included.
 func TestGroupByLogicIdxMatchesSmoke(t *testing.T) {
 	rel := datagen.Zipf("zipf", 1.0, 2000, 15, 9)
-	var sub []Rid
+	var sub, bag []Rid
 	for i := Rid(0); i < Rid(rel.N); i++ {
 		if i%3 != 0 {
 			sub = append(sub, i)
 		}
+		bag = append(bag, (i*7)%Rid(rel.N/2)) // every rid below N/2 twice
 	}
 	p := pool.New(4)
 	defer p.Close()
-	for _, inRids := range [][]Rid{nil, sub} {
+	for ri, inRids := range [][]Rid{nil, sub, bag} {
 		_, bw, fw, err := GroupByLogicIdx(rel, inRids, microSpec(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, mode := range []ops.CaptureMode{ops.Inject, ops.Defer} {
-			for _, workers := range []int{1, 2, 4, 7} {
-				tag := fmt.Sprintf("mode=%v sub=%v w=%d", mode, inRids != nil, workers)
-				smoke, err := ops.HashAgg(rel, inRids, microSpec(), ops.AggOpts{
-					Mode: mode, Dirs: ops.CaptureBoth, Workers: workers, Pool: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(fw, smoke.ForwardIndex().DenseForward(rel.N)) {
-					t.Fatalf("%s: Logic-Idx forward differs from Smoke", tag)
-				}
-				if bw.Len() != smoke.BW.Len() {
-					t.Fatalf("%s: %d groups, Logic-Idx has %d", tag, smoke.BW.Len(), bw.Len())
-				}
-				for o := 0; o < bw.Len(); o++ {
-					if !reflect.DeepEqual(bw.List(o), smoke.BW.List(o)) {
-						t.Fatalf("%s: Logic-Idx backward differs at group %d", tag, o)
+			for _, compress := range []bool{false, true} {
+				for _, workers := range []int{1, 2, 4, 7} {
+					tag := fmt.Sprintf("mode=%v input=%d compress=%v w=%d", mode, ri, compress, workers)
+					smoke, err := ops.HashAgg(rel, inRids, microSpec(), ops.AggOpts{
+						Mode: mode, Dirs: ops.CaptureBoth, Workers: workers, Pool: p,
+						Compress: compress, DupRids: ri == 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if compress != (smoke.BWEnc != nil) {
+						t.Fatalf("%s: encoded backward index = %v", tag, smoke.BWEnc != nil)
+					}
+					if !reflect.DeepEqual(fw, smoke.ForwardIndex().DenseForward(rel.N)) {
+						t.Fatalf("%s: Logic-Idx forward differs from Smoke", tag)
+					}
+					sbw := smoke.BackwardIndex()
+					if bw.Len() != sbw.Len() {
+						t.Fatalf("%s: %d groups, Logic-Idx has %d", tag, sbw.Len(), bw.Len())
+					}
+					for o := 0; o < bw.Len(); o++ {
+						if got := sbw.TraceOne(Rid(o), nil); !reflect.DeepEqual(bw.List(o), got) {
+							t.Fatalf("%s: Logic-Idx backward differs at group %d: %v, want %v", tag, o, got, bw.List(o))
+						}
 					}
 				}
 			}

@@ -258,13 +258,19 @@ func (r *Result) TraceStrategy(table string, dir TraceDir) Strategy {
 		if r.capture != nil && r.capture.HasForward(table) {
 			return StrategyEager
 		}
-	} else if r.bwPart != nil || (r.capture != nil && r.capture.HasBackward(table)) {
+	} else if r.partitioned(table) || (r.capture != nil && r.capture.HasBackward(table)) {
 		return StrategyEager
 	}
 	if r.lazyOK() && r.BaseRelation(table) != nil {
 		return StrategyLazy
 	}
 	return StrategyDefault
+}
+
+// partitioned reports whether table's backward lineage is the data-skipping
+// index, which replaces the captured backward index of the base relation.
+func (r *Result) partitioned(table string) bool {
+	return r.bwPart != nil && r.baseRel != nil && r.baseRel.Name == table
 }
 
 // lazyOK reports whether the result may answer a missing-index trace by
@@ -357,9 +363,12 @@ func (r *Result) trace(dir TraceDir, table string, seed Seed, distinct bool) ([]
 		// data-skipping partitioned indexes, which only this path serves).
 		rids := seed.rids
 		if dir == TraceBackward {
-			if r.bwPart != nil {
+			if r.partitioned(table) {
 				var all []Rid
 				for _, o := range rids {
+					if o < 0 || int(o) >= r.bwPart.Len() {
+						return nil, serr.New(serr.Invalid, "core: trace seed rid %d out of range [0, %d)", o, r.bwPart.Len())
+					}
 					all = append(all, r.bwPart.All(int(o))...)
 				}
 				if distinct {

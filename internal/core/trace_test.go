@@ -7,6 +7,7 @@ import (
 
 	"smoke/internal/expr"
 	"smoke/internal/ops"
+	"smoke/internal/serr"
 	"smoke/internal/storage"
 )
 
@@ -346,6 +347,41 @@ func TestPushdownResultTracesRestrictedLineage(t *testing.T) {
 			if traced.Out.Cols[1].Ints[o] != 1 {
 				t.Fatalf("workers=%d: traced row %d has cat %d", workers, o, traced.Out.Cols[1].Ints[o])
 			}
+		}
+	}
+}
+
+// TestDataSkippingTraceChecksTableAndSeeds: a result captured with
+// PartitionBy answers rid-seeded backward traces from its partitioned index,
+// and must reject an unknown table or an out-of-range seed with the same
+// structured error a plain capture gives, never another table's rids or a
+// panic.
+func TestDataSkippingTraceChecksTableAndSeeds(t *testing.T) {
+	db, _ := traceDB(t, 1)
+	defer db.Close()
+	for _, opts := range []CaptureOptions{{Mode: ops.Inject}, {Mode: ops.Inject, PartitionBy: []string{"cat"}}} {
+		res, err := db.Query().From("orders", nil).GroupBy("state").Agg(ops.Count, nil, "c").Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("PartitionBy=%v", opts.PartitionBy)
+		if got := res.TraceStrategy("no_such_table", TraceBackward); got != StrategyDefault {
+			t.Errorf("%s: TraceStrategy(no_such_table) = %v, want default", name, got)
+		}
+		for _, distinct := range []bool{false, true} {
+			for _, c := range []struct {
+				table string
+				rids  []Rid
+			}{{"orders", []Rid{99}}, {"orders", []Rid{0, -1}}, {"no_such_table", []Rid{0}}} {
+				got, err := res.trace(TraceBackward, c.table, Rids(c.rids...), distinct)
+				if serr.KindOf(err) != serr.Invalid {
+					t.Errorf("%s distinct=%v: Backward(%s, %v) = %v, %v; want a serr.Invalid error",
+						name, distinct, c.table, c.rids, got, err)
+				}
+			}
+		}
+		if got, err := res.Backward("orders", []Rid{0}); err != nil || len(got) != 12 {
+			t.Errorf("%s: Backward(orders, [0]) = %v, %v; want 12 rids", name, got, err)
 		}
 	}
 }

@@ -466,7 +466,7 @@ func (s *Store) putResult(session, name string, r *Result) (int64, error) {
 	addRelationSections(w, "out/", r.Out)
 	if r.GroupCounts != nil {
 		rm.GroupCounts = true
-		w.add("gc", int64Bytes(r.GroupCounts))
+		w.add("gc", bytesOf(r.GroupCounts))
 	}
 
 	baseNames := make([]string, 0, len(r.Bases))
@@ -619,7 +619,7 @@ func (s *Store) LoadResult(session, name string) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.GroupCounts = asInt64s(b)
+		r.GroupCounts = asSlice[int64](b)
 	}
 	for _, bm := range rm.Bases {
 		rel, err := s.loadRelFileLocked(bm.File)

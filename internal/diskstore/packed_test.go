@@ -248,13 +248,13 @@ func TestParentFormatSparseLoads(t *testing.T) {
 				for k, r := range present {
 					vals[k] = r % 16
 				}
-				return map[string][]byte{"words": uint64Bytes(every3), "vals": packBytes(vals, 32)}
+				return map[string][]byte{"words": bytesOf(every3), "vals": packBytes(vals, 32)}
 			}},
 		{"width-1 dense with -1", buildResult, 1, "sparse",
 			func(*lineage.Index) map[string][]byte { return map[string][]byte{"vals": packBytes(dense8, 8)} }},
 		{"width-2 bitmap with -1", func(base *storage.Relation) *Result { res, _ := subsetResult(base); return res }, 2, "sparse",
 			func(*lineage.Index) map[string][]byte {
-				return map[string][]byte{"words": uint64Bytes(every3), "vals": packBytes(sparse16, 16)}
+				return map[string][]byte{"words": bytesOf(every3), "vals": packBytes(sparse16, 16)}
 			}},
 		{"encmany without a bitmap", directoryResult, 0, "encmany",
 			func(ix *lineage.Index) map[string][]byte {
@@ -264,7 +264,7 @@ func TestParentFormatSparseLoads(t *testing.T) {
 					data = append(data, ix.Enc.ListBytes(i)...)
 					offs = append(offs, uint32(len(data)))
 				}
-				return map[string][]byte{"offs": uint32Bytes(offs), "data": data}
+				return map[string][]byte{"offs": bytesOf(offs), "data": data}
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -391,7 +391,7 @@ func TestForwardDirectoryRejected(t *testing.T) {
 	past[len(past)-1] |= 1 << (nBase & 63)
 	long := append(append([]uint32(nil), offs...), offs[len(offs)-1]+1)
 	encmany := func(w []uint64, o []uint32) map[string][]byte {
-		return map[string][]byte{"words": uint64Bytes(w), "offs": uint32Bytes(o), "data": data}
+		return map[string][]byte{"words": bytesOf(w), "offs": bytesOf(o), "data": data}
 	}
 	for _, tc := range []struct {
 		name string
@@ -473,16 +473,16 @@ func TestForwardValueOutOfBoundRejected(t *testing.T) {
 		bits  int
 		secs  map[string][]byte
 	}{
-		{"raw array", "arr", 0, 0, map[string][]byte{"arr": int32Bytes(arr)}},
+		{"raw array", "arr", 0, 0, map[string][]byte{"arr": bytesOf(arr)}},
 		{"constant run", "encarr", 0, 0, map[string][]byte{
-			"starts": int32Bytes([]int32{0, 100}), "vals": int32Bytes([]int32{3, int32(out)}), "seq": {0, 0}}},
+			"starts": bytesOf([]int32{0, 100}), "vals": bytesOf([]int32{3, int32(out)}), "seq": {0, 0}}},
 		{"sequential run", "encarr", 0, 0, map[string][]byte{
-			"starts": int32Bytes([]int32{0}), "vals": int32Bytes([]int32{0}), "seq": {1}}},
+			"starts": bytesOf([]int32{0}), "vals": bytesOf([]int32{0}), "seq": {1}}},
 		{"dense packed", "sparse", 1, 0, map[string][]byte{"vals": packed}},
-		{"bitmap packed", "sparse", 2, 0, map[string][]byte{"words": uint64Bytes(words), "vals": {1, 0, byte(out), 0}}},
-		{"bitmap width-less", "sparse", 0, 0, map[string][]byte{"words": uint64Bytes(words), "vals": int32Bytes([]int32{1, int32(out)})}},
+		{"bitmap packed", "sparse", 2, 0, map[string][]byte{"words": bytesOf(words), "vals": {1, 0, byte(out), 0}}},
+		{"bitmap width-less", "sparse", 0, 0, map[string][]byte{"words": bytesOf(words), "vals": bytesOf([]int32{1, int32(out)})}},
 		{"dense 5-bit", "sparse", 0, 5, map[string][]byte{"vals": packBytes(bits5, 5)}},
-		{"bitmap 5-bit", "sparse", 0, 5, map[string][]byte{"words": uint64Bytes(words), "vals": packBytes([]int64{1, int64(out)}, 5)}},
+		{"bitmap 5-bit", "sparse", 0, 5, map[string][]byte{"words": bytesOf(words), "vals": packBytes([]int64{1, int64(out)}, 5)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

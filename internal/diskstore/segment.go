@@ -338,93 +338,30 @@ func corruptf(path, format string, args ...any) error {
 }
 
 // ---- typed views over mapped bytes ----
-//
-// Sections are page-aligned (checked at open), so the element-pointer casts
-// below are always aligned. The views alias the mapping: zero copies, and the
-// slices stay valid until Store.Close unmaps.
 
-func asInt64s(b []byte) []int64 {
+// word is an element type a section holds.
+type word interface {
+	int64 | float64 | int32 | uint64 | uint32 | bool
+}
+
+// asSlice views b as elements of T. A section starts at an 8-byte-aligned
+// offset of a page-aligned mapping (parse rejects any other offset), which
+// is the precondition that keeps the cast aligned for every T. The view
+// aliases the mapping: zero copies, valid until Store.Close unmaps.
+func asSlice[T word](b []byte) []T {
 	if len(b) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
+	var zero T
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/int(unsafe.Sizeof(zero)))
 }
 
-func asFloat64s(b []byte) []float64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
-func asInt32s(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-func asUint64s(b []byte) []uint64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
-func asUint32s(b []byte) []uint32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-func asBools(b []byte) []bool {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*bool)(unsafe.Pointer(&b[0])), len(b))
-}
-
-func int64Bytes(v []int64) []byte {
+// bytesOf views v's storage as bytes, with no copy.
+func bytesOf[T word](v []T) []byte {
 	if len(v) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
-}
-
-func float64Bytes(v []float64) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
-}
-
-func int32Bytes(v []int32) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
-}
-
-func uint64Bytes(v []uint64) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
-}
-
-func uint32Bytes(v []uint32) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
-}
-
-func boolBytes(v []bool) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v))
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*int(unsafe.Sizeof(v[0])))
 }
 
 // ---- relation sections ----
@@ -444,9 +381,9 @@ func addRelationSections(w *segWriter, prefix string, rel *storage.Relation) {
 		name := fmt.Sprintf("%scol%d", prefix, i)
 		switch f.Type {
 		case storage.TInt:
-			w.add(name, int64Bytes(rel.Cols[i].Ints))
+			w.add(name, bytesOf(rel.Cols[i].Ints))
 		case storage.TFloat:
-			w.add(name, float64Bytes(rel.Cols[i].Floats))
+			w.add(name, bytesOf(rel.Cols[i].Floats))
 		case storage.TString:
 			offs := make([]uint32, len(rel.Cols[i].Strs)+1)
 			total := 0
@@ -458,7 +395,7 @@ func addRelationSections(w *segWriter, prefix string, rel *storage.Relation) {
 			for _, s := range rel.Cols[i].Strs {
 				bytes = append(bytes, s...)
 			}
-			w.add(name+".offs", uint32Bytes(offs))
+			w.add(name+".offs", bytesOf(offs))
 			w.add(name+".bytes", bytes)
 		}
 	}
@@ -486,7 +423,7 @@ func loadRelation(seg *segment, prefix string, m relMeta) (*storage.Relation, er
 			if len(b) != 8*m.N {
 				return nil, corruptf(seg.path, "column %q has %d bytes, want %d", name, len(b), 8*m.N)
 			}
-			rel.Cols[i].Ints = asInt64s(b)
+			rel.Cols[i].Ints = asSlice[int64](b)
 		case storage.TFloat:
 			b, err := seg.section(name)
 			if err != nil {
@@ -495,7 +432,7 @@ func loadRelation(seg *segment, prefix string, m relMeta) (*storage.Relation, er
 			if len(b) != 8*m.N {
 				return nil, corruptf(seg.path, "column %q has %d bytes, want %d", name, len(b), 8*m.N)
 			}
-			rel.Cols[i].Floats = asFloat64s(b)
+			rel.Cols[i].Floats = asSlice[float64](b)
 		case storage.TString:
 			ob, err := seg.section(name + ".offs")
 			if err != nil {
@@ -505,7 +442,7 @@ func loadRelation(seg *segment, prefix string, m relMeta) (*storage.Relation, er
 			if err != nil {
 				return nil, err
 			}
-			offs := asUint32s(ob)
+			offs := asSlice[uint32](ob)
 			if len(offs) != m.N+1 || (m.N > 0 && offs[0] != 0) {
 				return nil, corruptf(seg.path, "column %q offset directory malformed", name)
 			}
@@ -545,22 +482,22 @@ func addIndexSections(w *segWriter, prefix, rel, dir string, ix *lineage.Index) 
 	switch ix.Kind {
 	case lineage.OneToOne:
 		m.Kind = "arr"
-		w.add(prefix+".arr", int32Bytes(ix.Arr))
+		w.add(prefix+".arr", bytesOf(ix.Arr))
 	case lineage.EncodedOne:
 		m.Kind = "encarr"
 		n, starts, vals, seq := ix.EncArr.Parts()
 		m.N = n
-		w.add(prefix+".starts", int32Bytes(starts))
-		w.add(prefix+".vals", int32Bytes(vals))
-		w.add(prefix+".seq", boolBytes(seq))
+		w.add(prefix+".starts", bytesOf(starts))
+		w.add(prefix+".vals", bytesOf(vals))
+		w.add(prefix+".seq", bytesOf(seq))
 	case lineage.EncodedMany:
 		m.Kind = "encmany"
 		_, words, offs, data, card := ix.Enc.Parts()
 		m.Card = card
 		if words != nil {
-			w.add(prefix+".words", uint64Bytes(words))
+			w.add(prefix+".words", bytesOf(words))
 		}
-		w.add(prefix+".offs", uint32Bytes(offs))
+		w.add(prefix+".offs", bytesOf(offs))
 		w.add(prefix+".data", data)
 	case lineage.SparseOne:
 		m.Kind = "sparse"
@@ -569,7 +506,7 @@ func addIndexSections(w *segWriter, prefix, rel, dir string, ix *lineage.Index) 
 			m.Bits, m.Sentinel = bits, sentinel
 		}
 		if words != nil {
-			w.add(prefix+".words", uint64Bytes(words))
+			w.add(prefix+".words", bytesOf(words))
 		}
 		w.add(prefix+".vals", vals)
 	}
@@ -587,7 +524,7 @@ func loadWords(seg *segment, prefix string, n int) ([]uint64, error) {
 	if len(wb) != 8*((n+63)/64) {
 		return nil, corruptf(seg.path, "index %q bitmap has %d bytes for %d entries", prefix, len(wb), n)
 	}
-	if words := asUint64s(wb); words != nil {
+	if words := asSlice[uint64](wb); words != nil {
 		return words, nil
 	}
 	return []uint64{}, nil // a present bitmap over no entries
@@ -606,7 +543,7 @@ func loadIndex(seg *segment, prefix string, m indexMeta, bound int) (*lineage.In
 		if err != nil {
 			return nil, err
 		}
-		arr := asInt32s(b)
+		arr := asSlice[int32](b)
 		if len(arr) != m.N {
 			return nil, corruptf(seg.path, "index %q has %d entries, want %d", prefix, len(arr), m.N)
 		}
@@ -629,7 +566,7 @@ func loadIndex(seg *segment, prefix string, m indexMeta, bound int) (*lineage.In
 		if err != nil {
 			return nil, err
 		}
-		e, err := lineage.EncodedArrFromParts(m.N, asInt32s(sb), asInt32s(vb), asBools(qb), bound)
+		e, err := lineage.EncodedArrFromParts(m.N, asSlice[int32](sb), asSlice[int32](vb), asSlice[bool](qb), bound)
 		if err != nil {
 			return nil, fmt.Errorf("%s: index %q: %w", filepath.Base(seg.path), prefix, err)
 		}
@@ -647,7 +584,7 @@ func loadIndex(seg *segment, prefix string, m indexMeta, bound int) (*lineage.In
 		if err != nil {
 			return nil, err
 		}
-		e, err := lineage.EncodedIndexFromParts(m.N, words, asUint32s(ob), db, m.Card)
+		e, err := lineage.EncodedIndexFromParts(m.N, words, asSlice[uint32](ob), db, m.Card)
 		if err != nil {
 			return nil, fmt.Errorf("%s: index %q: %w", filepath.Base(seg.path), prefix, err)
 		}

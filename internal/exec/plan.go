@@ -20,11 +20,11 @@ import (
 // with end-to-end lineage capture.
 //
 // SPJA nodes — the subtrees the optimizer's fusion rule matched — lower onto
-// the fused block executor (Run, spja.go): base-scan inputs run exactly the
-// legacy fused path (pipelined filters, chain hash tables, single final
-// capture, morsel-parallel, partition-local compressed encoding), and subplan
-// inputs execute first, their end-to-end indexes composing with the block's
-// capture.
+// the fused block executor (Run, spja.go): base-scan inputs run it directly
+// (pipelined filters, chain hash tables, one final capture through
+// ops.GroupCapture, morsel-parallel, partition-local compressed encoding),
+// and subplan inputs execute first, their end-to-end indexes composing with
+// the block's capture.
 //
 // Everything else — the non-fusible residue — runs operator-at-a-time with
 // the propagation technique of §3.3: every operator captures its own local
@@ -720,7 +720,7 @@ func prefixRelation(rel *storage.Relation, n int) *storage.Relation {
 }
 
 // runSPJANode lowers a fused block onto the block executor. Scan inputs feed
-// the executor directly (the legacy fused path: zero composition, per-name
+// the executor directly (zero composition, per-name
 // direction pruning, in-executor compression); subplan inputs run first, are
 // registered under a synthetic name, and their end-to-end indexes compose
 // with the block's capture afterwards.

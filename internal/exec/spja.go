@@ -10,17 +10,17 @@
 // and the non-fusible residue runs operator-at-a-time with index
 // composition.
 //
-// The block executor owns the join chain and the capture; the group state
-// does not live here. The final pipeline hands its joined rows, as
-// column-major batches of base-rid chains, to ops.GroupState — the same
-// group-by state ops.HashAgg folds into — and writes per-table lineage from
-// the group slots it resolves. The executor is morsel-parallel (Run): join
-// chains build serially, then the final pipeline runs over contiguous
-// row-range partitions of the last table's scan, each with its own group
-// state and partition-local lineage, merged in partition order
-// (ops.MergeGroups) into a result identical for every partition count.
-// Workers <= 1 in Opts is one partition of the same driver, which skips the
-// merge.
+// The block executor owns the join chain; the group state and the capture
+// do not live here. The final pipeline hands its joined rows, as
+// column-major batches of base-rid chains, to ops.GroupState and
+// ops.GroupCapture — the same group-by state and capture ops.HashAgg uses —
+// which write per-table lineage from the group slots the state resolves.
+// The executor is morsel-parallel (Run): join chains build serially, then
+// the final pipeline runs over contiguous row-range partitions of the last
+// table's scan, each with its own group state and partition-local lineage,
+// merged in partition order into a result identical for every partition
+// count. Workers <= 1 in Opts is one partition of the same code, which
+// skips the merge.
 package exec
 
 import (
@@ -86,10 +86,10 @@ type Opts struct {
 	// Pool schedules the partition kernels; nil runs them inline.
 	Pool *pool.Pool
 	// Compress encodes the captured indexes into their adaptive compressed
-	// forms after capture (one partition: the whole capture encodes post-run;
-	// several: each partition encodes its local backward lists and the merge
-	// concatenates encoded lists without re-encoding). Backward/Forward and
-	// consuming queries read the encoded indexes in place.
+	// forms after capture: each partition encodes its local backward lists
+	// and a merge concatenates encoded lists without re-encoding; forward
+	// indexes encode once, after the merge. Backward/Forward and consuming
+	// queries read the encoded indexes in place.
 	Compress bool
 }
 
@@ -317,12 +317,9 @@ func (p *pipeline) newGroups(params expr.Params) (*ops.GroupState, error) {
 // scan — the paper's final pipeline, where both the aggregation work and the
 // capture writes happen — splits into up to opts.Workers contiguous rid-range
 // partitions. Each folds its joined rows into its own ops.GroupState and
-// writes its own per-table capture from the resolved group slots. The group
-// states merge in partition order (ops.MergeGroups), and per-table rid
-// lists and forward indexes are stitched through the resulting slot maps,
-// which reproduces the one-partition output relation and every lineage index
-// exactly. One partition's aggregation already is the result, so it skips
-// the merge.
+// hands them to the block's ops.GroupCapture, which writes, merges and
+// encodes the per-table lineage. The merged output relation and every
+// lineage index are identical for every partition count.
 func Run(spec Spec, opts Opts) (Result, error) {
 	pipe, err := compilePipeline(spec, opts.Params)
 	if err != nil {
@@ -331,281 +328,51 @@ func Run(spec Spec, opts Opts) (Result, error) {
 	pipe.buildChains()
 
 	k := len(spec.Tables)
-	last := k - 1
-	n := spec.Tables[last].Rel.N
-	ranges := pool.Split(n, opts.Workers)
-	merge := len(ranges) > 1
-
-	// The last table's forward index is rid-addressed and partitions own
-	// disjoint rid ranges, so all partitions share one array (writing
-	// partition-local group slots, rebased after a merge).
-	var fwLast []lineage.Rid
-	if opts.dirsFor(last).Forward() {
-		fwLast = make([]lineage.Rid, n)
-		for i := range fwLast {
-			fwLast[i] = -1
-		}
+	ranges := pool.Split(spec.Tables[k-1].Rel.N, opts.Workers)
+	rels := make([]*storage.Relation, k)
+	dirs := make([]ops.Directions, k)
+	for t, tr := range spec.Tables {
+		rels[t], dirs[t] = tr.Rel, opts.dirsFor(t)
 	}
-	locals := make([]*partAgg, len(ranges))
 	groups := make([]*ops.GroupState, len(ranges))
-	for p := range locals {
+	for p := range groups {
 		if groups[p], err = pipe.newGroups(opts.Params); err != nil {
 			return Result{}, err
 		}
-		locals[p] = newPartAgg(groups[p], spec, opts, fwLast, merge)
 	}
-
-	inject := opts.Mode == ops.Inject
-	// Compressed capture with several partitions: each partition encodes its
-	// local backward lists inside the worker (encBW[part][t]); the merge
-	// below concatenates the encoded lists per global group without
-	// re-encoding.
-	encodeLocal := merge && opts.Compress && opts.Mode != ops.None
-	encBW := make([][]*lineage.EncodedIndex, len(ranges))
+	c := ops.NewGroupCapture(rels, nil, false, dirs, opts.Compress, groups, ranges)
 	opts.Pool.RunSplit(ranges, func(part, lo, hi int) {
-		a := locals[part]
+		g := groups[part]
 		slots := make([]lineage.Rid, batchRows)
 		pipe.forEachBatch(lo, hi, func(cols [][]lineage.Rid) {
 			sb := slots[:len(cols[0])]
-			a.groups.Fold(cols, sb)
-			if inject {
-				a.capture(cols, sb)
+			g.Fold(cols, sb)
+			if opts.Mode == ops.Inject {
+				c.Add(part, cols, sb)
 			}
 		})
 		if opts.Mode == ops.Defer {
 			// Partition-local Zγ pass: rerun the range, probing the pinned
-			// hash tables and the group state to recover each row's group;
-			// local counts are exact for the local range, so the local
-			// backward indexes preallocate exactly.
-			a.prepareDefer()
+			// hash tables and the group state to recover each row's group.
+			c.Defer(part)
 			pipe.forEachBatch(lo, hi, func(cols [][]lineage.Rid) {
 				sb := slots[:len(cols[0])]
-				a.groups.Probe(cols, sb)
-				a.capture(cols, sb)
+				g.Probe(cols, sb)
+				c.Add(part, cols, sb)
 			})
 		}
-		if encodeLocal {
-			encBW[part] = make([]*lineage.EncodedIndex, k)
-			for t := 0; t < k; t++ {
-				if !a.tableDirs[t].Backward() {
-					continue
-				}
-				if opts.Mode == ops.Defer {
-					encBW[part][t] = lineage.EncodeRidIndex(a.deferBW[t])
-				} else {
-					encBW[part][t] = lineage.EncodeLists(a.groupRids[t])
-				}
-			}
-		}
+		c.Finish(part)
 	})
 
-	if !merge {
-		// One partition: its aggregation and direct-form indexes are the
-		// result — no slot maps, no rebase.
-		a := locals[0]
-		res := Result{Out: a.groups.Materialize("spja"), GroupCounts: a.groups.Counts(), Capture: lineage.NewCapture()}
-		a.emit(res.Capture, spec)
-		if opts.Compress {
-			res.Capture.EncodeAll()
+	_, bw, fw := c.Merge(opts.Pool)
+	res := Result{Out: groups[0].Materialize("spja"), GroupCounts: groups[0].Counts(), Capture: lineage.NewCapture()}
+	for t, rel := range rels {
+		if bw[t] != nil {
+			res.Capture.SetBackward(rel.Name, bw[t])
 		}
-		return res, nil
-	}
-
-	slotMaps := ops.MergeGroups(groups)
-	final := groups[0]
-	nG := final.Len()
-	res := Result{Out: final.Materialize("spja"), GroupCounts: final.Counts(), Capture: lineage.NewCapture()}
-	for t := 0; t < k; t++ {
-		d := locals[0].tableDirs[t]
-		name := spec.Tables[t].Rel.Name
-		if d.Backward() {
-			if opts.Compress {
-				// Compression-aware merge: concatenate the partition-encoded
-				// lists per global group — no re-encoding.
-				parts := make([]*lineage.EncodedIndex, len(locals))
-				for p := range locals {
-					parts[p] = encBW[p][t]
-				}
-				merged := lineage.MergeEncodedBySlot(parts, slotMaps, nG)
-				res.Capture.SetBackward(name, lineage.NewEncodedMany(merged))
-			} else if opts.Mode == ops.Defer {
-				parts := make([]*lineage.RidIndex, len(locals))
-				for p, a := range locals {
-					parts[p] = a.deferBW[t]
-				}
-				ix := lineage.MergeIndexesBySlot(parts, slotMaps, nG)
-				res.Capture.SetBackward(name, lineage.NewOneToMany(ix))
-			} else {
-				lists := make([][][]lineage.Rid, len(locals))
-				for p, a := range locals {
-					lists[p] = a.groupRids[t]
-				}
-				ix := lineage.MergeListsBySlot(lists, slotMaps, nG)
-				res.Capture.SetBackward(name, lineage.NewOneToMany(ix))
-			}
-		}
-		if d.Forward() {
-			if t == last {
-				// Rebase shared last-table forward entries from local to
-				// global slots, each partition covering only its rid range.
-				opts.Pool.RunSplit(ranges, func(part, lo, hi int) {
-					lineage.SlotRebase(fwLast, lo, hi, slotMaps[part])
-				})
-				fwIx := lineage.NewOneToOne(fwLast)
-				if opts.Compress {
-					fwIx = lineage.EncodeForward(fwIx)
-				}
-				res.Capture.SetForward(name, fwIx)
-			} else {
-				pairR := make([][]lineage.Rid, len(locals))
-				pairS := make([][]lineage.Rid, len(locals))
-				for p, a := range locals {
-					pairR[p] = a.fwPairR[t]
-					pairS[p] = a.fwPairS[t]
-				}
-				fw := lineage.MergePairsByRid(pairR, pairS, spec.Tables[t].Rel.N,
-					func(part int, s lineage.Rid) lineage.Rid { return slotMaps[part][s] })
-				if opts.Compress {
-					res.Capture.SetForward(name, lineage.NewEncodedMany(lineage.EncodeRidIndex(fw)))
-				} else {
-					res.Capture.SetForward(name, lineage.NewOneToMany(fw))
-				}
-			}
+		if fw[t] != nil {
+			res.Capture.SetForward(rel.Name, fw[t])
 		}
 	}
 	return res, nil
-}
-
-// partAgg is one partition of the final aggregation: its group state plus
-// the block's end-to-end capture, written from the group slots the state
-// resolves.
-type partAgg struct {
-	groups *ops.GroupState
-
-	// capture state: per table, per group rid lists (Inject) and forward
-	// indexes.
-	tableDirs []ops.Directions
-	groupRids [][][]lineage.Rid // [table][group][]rid
-	fwLast    []lineage.Rid     // last table: one-to-one
-	fwMany    []*lineage.RidIndex
-	deferBW   []*lineage.RidIndex // Defer: exact-sized backward indexes
-	// When partitions merge, each collects non-last forward edges as (rid,
-	// local slot) pairs instead of filling fwMany — a relation-sized index
-	// per partition would multiply memory by the worker count; the merge
-	// builds one exactly-sized index from the pairs.
-	collectFW        bool
-	fwPairR, fwPairS [][]lineage.Rid // [table] parallel pair arrays
-}
-
-// newPartAgg sets up one partition's capture. fwLast is the last table's
-// rid-addressed forward array, shared by every partition (their rid ranges
-// are disjoint). collectFW, set when partitions will merge, collects non-last
-// forward edges as pairs rather than relation-sized per-partition indexes;
-// a one-partition run keeps the direct-index form.
-func newPartAgg(groups *ops.GroupState, spec Spec, opts Opts, fwLast []lineage.Rid, collectFW bool) *partAgg {
-	k := len(spec.Tables)
-	a := &partAgg{groups: groups, fwLast: fwLast, collectFW: collectFW,
-		tableDirs: make([]ops.Directions, k), groupRids: make([][][]lineage.Rid, k), fwMany: make([]*lineage.RidIndex, k)}
-	for t := range a.tableDirs {
-		a.tableDirs[t] = opts.dirsFor(t)
-	}
-	if collectFW {
-		a.fwPairR = make([][]lineage.Rid, k)
-		a.fwPairS = make([][]lineage.Rid, k)
-	}
-	for t := 0; t < k-1; t++ {
-		// With collectFW the pair arrays grow on demand instead.
-		if a.tableDirs[t].Forward() && !collectFW {
-			a.fwMany[t] = lineage.NewRidIndex(spec.Tables[t].Rel.N)
-		}
-	}
-	return a
-}
-
-// capture writes one resolved batch's lineage edges for every captured
-// table. Each table's structures see the rows in scan order, so lists and
-// forward entries are those of a row-at-a-time loop.
-func (a *partAgg) capture(cols [][]lineage.Rid, slots []lineage.Rid) {
-	last := len(cols) - 1
-	for t, d := range a.tableDirs {
-		rids := cols[t]
-		if d.Backward() {
-			if a.deferBW != nil {
-				bw := a.deferBW[t]
-				for j, s := range slots {
-					bw.AppendFast(int(s), rids[j])
-				}
-			} else {
-				gr := a.groupRids[t]
-				for len(gr) < a.groups.Len() {
-					gr = append(gr, nil)
-				}
-				for j, s := range slots {
-					gr[s] = lineage.AppendRid(gr[s], rids[j])
-				}
-				a.groupRids[t] = gr
-			}
-		}
-		if d.Forward() {
-			switch {
-			case t == last:
-				for j, s := range slots {
-					a.fwLast[rids[j]] = s
-				}
-			case a.collectFW:
-				a.fwPairR[t] = append(a.fwPairR[t], rids...)
-				a.fwPairS[t] = append(a.fwPairS[t], slots...)
-			default:
-				fw := a.fwMany[t]
-				for j, s := range slots {
-					fw.Append(int(rids[j]), s)
-				}
-			}
-		}
-	}
-}
-
-// prepareDefer allocates exact-sized backward indexes: each table's per-group
-// list length equals the group's row count (every join row contributes one
-// rid per table).
-func (a *partAgg) prepareDefer() {
-	counts := a.groups.Counts()
-	c32 := make([]int32, len(counts))
-	for i, c := range counts {
-		c32[i] = int32(c)
-	}
-	a.deferBW = make([]*lineage.RidIndex, len(a.tableDirs))
-	for t, d := range a.tableDirs {
-		if d.Backward() {
-			a.deferBW[t] = lineage.NewRidIndexWithCounts(c32)
-		}
-	}
-}
-
-// emit moves the accumulated indexes into the capture container, reusing
-// the per-group rid lists directly (P4).
-func (a *partAgg) emit(cap_ *lineage.Capture, spec Spec) {
-	last := len(a.tableDirs) - 1
-	for t, d := range a.tableDirs {
-		name := spec.Tables[t].Rel.Name
-		if d.Backward() {
-			var ix *lineage.RidIndex
-			if a.deferBW != nil {
-				ix = a.deferBW[t]
-			} else {
-				ix = lineage.NewRidIndex(a.groups.Len())
-				for slot, l := range a.groupRids[t] {
-					ix.SetList(slot, l)
-				}
-			}
-			cap_.SetBackward(name, lineage.NewOneToMany(ix))
-		}
-		if d.Forward() {
-			if t == last {
-				cap_.SetForward(name, lineage.NewOneToOne(a.fwLast))
-			} else {
-				cap_.SetForward(name, lineage.NewOneToMany(a.fwMany[t]))
-			}
-		}
-	}
 }

@@ -91,26 +91,21 @@ func (c *Capture) Forward(rel string, in []Rid) ([]Rid, error) {
 
 // BackwardDistinct is Backward with set semantics (which-provenance).
 func (c *Capture) BackwardDistinct(rel string, out []Rid) ([]Rid, error) {
-	ix, err := c.BackwardIndex(rel)
-	if err != nil {
-		return nil, err
-	}
-	if err := ix.CheckSeeds(out); err != nil {
-		return nil, err
-	}
-	return ix.TraceDistinct(out), nil
+	return distinct(c.Backward(rel, out))
 }
 
 // ForwardDistinct is Forward with set semantics.
 func (c *Capture) ForwardDistinct(rel string, in []Rid) ([]Rid, error) {
-	ix, err := c.ForwardIndex(rel)
-	if err != nil {
+	return distinct(c.Forward(rel, in))
+}
+
+// distinct dedups a trace's rid bag (Dedup); a trace that reaches nothing
+// answers nil.
+func distinct(rids []Rid, err error) ([]Rid, error) {
+	if err != nil || len(rids) == 0 {
 		return nil, err
 	}
-	if err := ix.CheckSeeds(in); err != nil {
-		return nil, err
-	}
-	return ix.TraceDistinct(in), nil
+	return Dedup(rids), nil
 }
 
 // EncodeAll compresses every captured index in place (post-capture encoding:

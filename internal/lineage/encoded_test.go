@@ -272,8 +272,13 @@ func TestIndexTraceEncodedMatchesRaw(t *testing.T) {
 	if got, want := enc.Trace(src), raw.Trace(src); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Trace: %v, want %v", got, want)
 	}
-	if got, want := enc.TraceDistinct(src), raw.TraceDistinct(src); !reflect.DeepEqual(got, want) {
-		t.Fatalf("TraceDistinct: %v, want %v", got, want)
+	encCap, rawCap := NewCapture(), NewCapture()
+	encCap.SetBackward("r", enc)
+	rawCap.SetBackward("r", raw)
+	got, err1 := encCap.BackwardDistinct("r", src)
+	want, err2 := rawCap.BackwardDistinct("r", src)
+	if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("BackwardDistinct: %v (%v), want %v (%v)", got, err1, want, err2)
 	}
 
 	arr := []Rid{-1, 0, 1, 2, -1, -1, 3, 4}

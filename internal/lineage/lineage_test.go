@@ -108,8 +108,10 @@ func TestOneToManyTrace(t *testing.T) {
 	if !reflect.DeepEqual(got, []Rid{1, 2, 2}) {
 		t.Errorf("Trace = %v, want duplicates preserved", got)
 	}
-	if d := ix.TraceDistinct([]Rid{0, 1}); !reflect.DeepEqual(d, []Rid{1, 2}) {
-		t.Errorf("TraceDistinct = %v", d)
+	c := NewCapture()
+	c.SetBackward("r", ix)
+	if d, err := c.BackwardDistinct("r", []Rid{0, 1}); err != nil || !reflect.DeepEqual(d, []Rid{1, 2}) {
+		t.Errorf("BackwardDistinct = %v, %v", d, err)
 	}
 }
 

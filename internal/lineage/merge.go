@@ -102,16 +102,6 @@ func MergeListsBySlot(parts [][][]Rid, slotMaps [][]Rid, nGlobal int) *RidIndex 
 	return out
 }
 
-// MergeIndexesBySlot is MergeListsBySlot over partition-local RidIndexes
-// (local slot → rid list).
-func MergeIndexesBySlot(parts []*RidIndex, slotMaps [][]Rid, nGlobal int) *RidIndex {
-	lists := make([][][]Rid, len(parts))
-	for p, ix := range parts {
-		lists[p] = ix.lists
-	}
-	return MergeListsBySlot(lists, slotMaps, nGlobal)
-}
-
 // MergeEncodedBySlot is the compression-aware partition merge: partition-local
 // encoded indexes combine into one global EncodedIndex by concatenating each
 // local list's chunk bytes onto its global slot, in partition order — no list

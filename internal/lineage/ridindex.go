@@ -17,19 +17,25 @@ func NewRidIndex(n int) *RidIndex {
 // exactly counts[i] capacity. This is the cardinality-statistics optimization:
 // with exact counts, Append never resizes.
 func NewRidIndexWithCounts(counts []int32) *RidIndex {
-	ix := &RidIndex{lists: make([][]Rid, len(counts))}
+	return &RidIndex{lists: ExactLists(counts)}
+}
+
+// ExactLists returns one empty rid list per count, list i with exactly
+// counts[i] capacity. One backing allocation for all lists keeps them dense
+// in memory.
+func ExactLists[C int32 | int64](counts []C) [][]Rid {
+	lists := make([][]Rid, len(counts))
 	total := 0
 	for _, c := range counts {
 		total += int(c)
 	}
-	// One backing allocation for all lists keeps them dense in memory.
 	backing := make([]Rid, 0, total)
 	off := 0
 	for i, c := range counts {
-		ix.lists[i] = backing[off : off : off+int(c)]
+		lists[i] = backing[off : off : off+int(c)]
 		off += int(c)
 	}
-	return ix
+	return lists
 }
 
 // Len returns the number of entries.
@@ -299,25 +305,6 @@ func (ix *Index) DenseForward(n int) []Rid {
 		}
 	}
 	return out
-}
-
-// TraceDistinct returns the set of records mapped from the source rids, in
-// first-seen order. Lineage consuming queries that re-aggregate use Trace;
-// highlight-style consumers use TraceDistinct.
-func (ix *Index) TraceDistinct(src []Rid) []Rid {
-	seen := map[Rid]struct{}{}
-	var dst []Rid
-	var buf []Rid
-	for _, i := range src {
-		buf = ix.TraceOne(i, buf[:0])
-		for _, r := range buf {
-			if _, ok := seen[r]; !ok {
-				seen[r] = struct{}{}
-				dst = append(dst, r)
-			}
-		}
-	}
-	return dst
 }
 
 // Compose returns an index mapping the sources of outer to the targets of

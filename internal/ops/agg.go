@@ -110,7 +110,7 @@ type AggOpts struct {
 	// DupRids declares that inRids may contain duplicate entries — the shape
 	// of lineage-consuming queries, whose backward rid sets preserve
 	// duplicates (transformational semantics). With several partitions the
-	// driver then tracks forward slots per input *position* instead of
+	// capture then tracks forward slots per input *position* instead of
 	// writing the shared forward array from the kernels (a duplicated rid
 	// spanning two partitions would otherwise be rebased by both), and fills
 	// the forward array once after the merge. Backward lists and aggregate
@@ -184,27 +184,17 @@ func (r *AggResult) ForwardIndex() *lineage.Index {
 	return nil
 }
 
-// aggState is one partition of HashAgg: the shared group state plus this
-// driver's own capture — backward rid lists (raw, or shaped by the §4.2
-// push-downs), the forward sink, and the Observe hook.
-type aggState struct {
-	g           *GroupState
-	mode        CaptureMode
-	dirs        Directions
-	countsByKey []int32
-
-	groupRids [][]Rid // Inject backward lists (i_rids per group)
-	fw        fwdSink
-
-	// push-down state (§4.2)
-	pdFilter expr.Pred
+// aggPart is one partition of HashAgg: the shared group state plus the
+// data-skipping partition maps (§4.2), the one backward form HashAgg writes
+// itself rather than through the GroupCapture.
+type aggPart struct {
+	g        *GroupState
 	partKey  func(rid Rid) int64
 	partDict *lineage.Dict
 	partMaps []map[int64][]Rid
-	observe  func(slot int32, rid Rid)
 }
 
-func newAggState(in *storage.Relation, spec GroupBySpec, opts AggOpts) (*aggState, error) {
+func newAggPart(in *storage.Relation, spec GroupBySpec, opts AggOpts) (*aggPart, error) {
 	keys := make([]KeyRef, len(spec.Keys))
 	for i, k := range spec.Keys {
 		keys[i] = KeyRef{Col: k}
@@ -213,21 +203,11 @@ func newAggState(in *storage.Relation, spec GroupBySpec, opts AggOpts) (*aggStat
 	if err != nil {
 		return nil, err
 	}
-	st := &aggState{g: g, mode: opts.Mode, dirs: opts.Dirs, countsByKey: opts.CountsByKey, observe: opts.Observe}
-	if opts.PushdownFilter != nil {
-		p, err := expr.CompilePred(opts.PushdownFilter, in, opts.Params)
-		if err != nil {
-			return nil, fmt.Errorf("ops: push-down filter: %w", err)
-		}
-		st.pdFilter = p
-	}
+	st := &aggPart{g: g}
 	if len(opts.PartitionBy) > 0 {
-		pk, dict, err := partitionKeyFn(in, opts.PartitionBy)
-		if err != nil {
+		if st.partKey, st.partDict, err = partitionKeyFn(in, opts.PartitionBy); err != nil {
 			return nil, err
 		}
-		st.partKey = pk
-		st.partDict = dict
 	}
 	return st, nil
 }
@@ -337,43 +317,40 @@ func floatValue(v any) (float64, bool) {
 	return 0, false
 }
 
-// addGroups extends the Inject backward structures to the groups the state
-// discovered since the last batch.
-func (st *aggState) addGroups() {
-	if st.partKey != nil {
-		for len(st.partMaps) < st.g.Len() {
-			st.partMaps = append(st.partMaps, nil)
+// partition writes one captured batch into the data-skipping maps,
+// honoring the selection push-down keep.
+func (st *aggPart) partition(slots, rids []Rid, keep expr.Pred) {
+	for len(st.partMaps) < st.g.Len() {
+		st.partMaps = append(st.partMaps, nil)
+	}
+	for j, s := range slots {
+		rid := rids[j]
+		if keep != nil && !keep(rid) {
+			continue
 		}
-		return
-	}
-	for slot := len(st.groupRids); slot < st.g.Len(); slot++ {
-		var l []Rid
-		if st.countsByKey != nil && st.g.kind == keyInt {
-			if key := st.g.intCol[st.g.rep[0][slot]]; key >= 1 && int(key) <= len(st.countsByKey) {
-				l = make([]Rid, 0, st.countsByKey[key-1])
-			}
-		}
-		st.groupRids = append(st.groupRids, l)
-	}
-}
-
-// captureBackward writes rid into group slot's backward structure, honoring
-// selection push-down and data-skipping partitioning.
-func (st *aggState) captureBackward(slot int32, rid Rid) {
-	if st.pdFilter != nil && !st.pdFilter(rid) {
-		return
-	}
-	if st.partKey != nil {
-		m := st.partMaps[slot]
+		m := st.partMaps[s]
 		if m == nil {
 			m = map[int64][]Rid{}
-			st.partMaps[slot] = m
+			st.partMaps[s] = m
 		}
 		pk := st.partKey(rid)
 		m[pk] = lineage.AppendRid(m[pk], rid)
-		return
 	}
-	st.groupRids[slot] = lineage.AppendRid(st.groupRids[slot], rid)
+}
+
+// countsByKeyCap sizes a new group's Inject list from the exact cardinality
+// statistics of its single integer key (AggOpts.CountsByKey), or is nil when
+// they do not apply.
+func countsByKeyCap(g *GroupState, counts []int32) func(slot int) int {
+	if counts == nil || g.kind != keyInt {
+		return nil
+	}
+	return func(slot int) int {
+		if key := g.intCol[g.rep[0][slot]]; key >= 1 && int(key) <= len(counts) {
+			return int(counts[key-1])
+		}
+		return -1
+	}
 }
 
 // aggBatchSize is how many rows a kernel hands the group state per call:
@@ -382,9 +359,8 @@ func (st *aggState) captureBackward(slot int32, rid Rid) {
 const aggBatchSize = 512
 
 // forEachBatch hands input positions [lo, hi) — of inRids, or of the dense
-// rid range when inRids is nil — to f in aggBatchSize chunks; base is the
-// chunk's first position.
-func forEachBatch(inRids []Rid, lo, hi int, f func(base int, rids []Rid)) {
+// rid range when inRids is nil — to f in aggBatchSize chunks.
+func forEachBatch(inRids []Rid, lo, hi int, f func(rids []Rid)) {
 	var dense []Rid
 	if inRids == nil {
 		dense = scratch.Rids(aggBatchSize)
@@ -393,79 +369,27 @@ func forEachBatch(inRids []Rid, lo, hi int, f func(base int, rids []Rid)) {
 	for base := lo; base < hi; base += aggBatchSize {
 		end := min(base+aggBatchSize, hi)
 		if inRids != nil {
-			f(base, inRids[base:end])
+			f(inRids[base:end])
 			continue
 		}
 		rids := dense[:end-base]
 		for j := range rids {
 			rids[j] = Rid(base + j)
 		}
-		f(base, rids)
+		f(rids)
 	}
-}
-
-// processRows drives the aggregation kernel over input positions [lo, hi):
-// each batch folds into the group state (which resolves a whole batch of
-// slots per call) and then into this driver's capture. Every per-(slot, rid)
-// effect happens in row order, so group discovery order, backward list
-// order, and forward entries are those of a row-at-a-time loop. posSlots,
-// when non-nil, records each input position's slot (the duplicate-rid
-// parallel path).
-func (st *aggState) processRows(inRids []Rid, lo, hi int, posSlots []Rid) {
-	slots := scratch.Rids(aggBatchSize)
-	cols := make([][]Rid, 1)
-	forEachBatch(inRids, lo, hi, func(base int, rids []Rid) {
-		sb := slots[:len(rids)]
-		cols[0] = rids
-		st.g.Fold(cols, sb)
-		st.capture(sb, rids)
-		if posSlots != nil {
-			copy(posSlots[base:], sb)
-		}
-	})
-	scratch.PutRids(slots)
-}
-
-// capture applies one folded batch to the Observe hook and, under Inject, to
-// the backward lists and forward entries. The loops are per-effect rather
-// than per-row, but each effect still sees rows in input order, which is all
-// any of them depends on.
-func (st *aggState) capture(slots, rids []Rid) {
-	if st.observe != nil {
-		for j, s := range slots {
-			st.observe(s, rids[j])
-		}
-	}
-	if st.mode != Inject {
-		return
-	}
-	if st.dirs.Backward() {
-		st.addGroups()
-		if st.partKey == nil && st.pdFilter == nil {
-			gr := st.groupRids
-			for j, s := range slots {
-				gr[s] = lineage.AppendRid(gr[s], rids[j])
-			}
-		} else {
-			for j, s := range slots {
-				st.captureBackward(s, rids[j])
-			}
-		}
-	}
-	st.fw.setBatch(rids, slots)
 }
 
 // Hash aggregation runs the paper-style two-phase plan, and Workers <= 1 is
 // its one-partition case. Phase 1 splits the input into contiguous row-range
-// partitions; each worker runs the aggregation kernel (aggState.processRows)
-// against its own group state and appends rids into its own partition-local
-// lists — no shared-state writes in the hot loop beyond rid-disjoint
-// forward-array slots. Phase 2 merges the partition group states in
-// partition order (MergeGroups): because a group's first global occurrence
-// lies in the first partition that contains it, the merged group discovery
-// order — and therefore the output relation, the group counts, and every
-// backward rid list — is element-for-element identical for every partition
-// count. One partition's state already is the result, so it skips phase 2.
+// partitions; each worker folds its rows into its own group state and hands
+// them to the partition's side of the GroupCapture. Phase 2 merges the
+// partition group states in partition order (MergeGroups): because a group's
+// first global occurrence lies in the first partition that contains it, the
+// merged group discovery order — and therefore the output relation, the
+// group counts, and every backward rid list — is element-for-element
+// identical for every partition count. One partition's state already is the
+// result, so it skips phase 2.
 
 // parallelizableAgg reports whether the two-phase merge covers the requested
 // options; when it does not, HashAgg runs them as one partition. Observe
@@ -491,10 +415,11 @@ func parallelizableAgg(in *storage.Relation, opts AggOpts) bool {
 // is nil, otherwise only the listed rids — the shape lineage-consuming
 // queries take when they aggregate over a backward-lineage rid set).
 //
-// The groups, their counts and aggregates live in GroupState, the same state
-// the fused SPJA block folds join chains into; HashAgg drives it over
-// one-table batches of base rids and keeps only its capture — backward
-// lists, the forward array, and the §4.2 push-downs.
+// The groups, their counts and aggregates live in GroupState and the lineage
+// in GroupCapture, the same state and capture the fused SPJA block uses;
+// HashAgg drives them over one-table batches of base rids and keeps only the
+// §4.2 push-downs — the selection filter, the data-skipping partition maps,
+// Observe — and the cardinality statistics.
 //
 // Inject (§3.2.3) augments each group's intermediate state with the rid array
 // of its input records and emits indexes directly from the hash table.
@@ -515,242 +440,99 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 		workers = 1
 	}
 	ranges := pool.Split(n, workers)
-	merge := len(ranges) > 1
 
 	// Partition-local states compile up front (serially) so expression
-	// errors surface deterministically before any kernel runs. With several
-	// partitions CountsByKey is dropped for the locals: the counts are
-	// global, so every partition would preallocate each group's list at
-	// full-table cardinality (workers × total-rid memory); the merge builds
-	// an exactly-sized index from the local list lengths regardless.
-	popts := opts
-	if merge {
-		popts.CountsByKey = nil
+	// errors surface deterministically before any kernel runs.
+	var keep expr.Pred
+	if opts.PushdownFilter != nil {
+		p, err := expr.CompilePred(opts.PushdownFilter, in, opts.Params)
+		if err != nil {
+			return AggResult{}, fmt.Errorf("ops: push-down filter: %w", err)
+		}
+		keep = p
 	}
-	sts := make([]*aggState, len(ranges))
+	sts := make([]*aggPart, len(ranges))
+	groups := make([]*GroupState, len(ranges))
 	for p := range sts {
-		st, err := newAggState(in, spec, popts)
+		st, err := newAggPart(in, spec, opts)
 		if err != nil {
 			return AggResult{}, err
 		}
-		sts[p] = st
+		sts[p], groups[p] = st, st.g
 	}
-
-	wantBW := opts.Mode != None && opts.Dirs.Backward()
-	wantFW := opts.Mode != None && opts.Dirs.Forward()
-	var fw fwdSink
-	var posSlots []Rid
-	if wantFW {
-		// One shared forward array: partitions own disjoint rid sets, so
-		// each writes its rows' entries (with partition-local group slots,
-		// rebased to global slots after a merge) without conflicts. A rid
-		// subset gets the sparse form, built by one bit-set pass over
-		// inRids: no array of in.N entries is allocated or filled.
-		if inRids == nil {
-			fw.dense = make([]Rid, in.N)
-		} else {
-			fw.sparse = lineage.NewSparseArr(in.N, inRids)
-		}
-		switch {
-		case merge && opts.DupRids && inRids != nil:
-			// Duplicate rid sets (lineage-consuming queries) break the
-			// disjointness assumption: the same rid in two partitions would
-			// be rebased by both. Kernels instead record each input
-			// *position*'s partition-local slot (positions are disjoint by
-			// construction), and the forward array fills after the merge.
-			posSlots = make([]Rid, len(inRids))
-		case opts.Mode == Inject:
-			for _, st := range sts {
-				st.fw = fw
-			}
-		}
+	var dirs Directions
+	if opts.Mode != None {
+		dirs = opts.Dirs
 	}
-	// Compressed capture: each partition encodes its own local lists after
-	// its kernel finishes (inside the worker, so encoding parallelizes), and
-	// a merge concatenates the encoded lists per global slot without
-	// re-encoding (lineage.MergeEncodedBySlot).
-	encodeLocal := opts.Compress && wantBW && sts[0].partKey == nil
-	deferBWs := make([]*lineage.RidIndex, len(ranges))
-	encBWs := make([]*lineage.EncodedIndex, len(ranges))
+	bwPart := dirs.Backward() && sts[0].partKey != nil
+	if bwPart {
+		dirs &^= CaptureBackward // the partition maps replace the lists
+	}
+	c := NewGroupCapture([]*storage.Relation{in}, inRids, opts.DupRids, []Directions{dirs}, opts.Compress, groups, ranges)
+	c.keep = keep
+	if len(ranges) == 1 {
+		// With several partitions the counts, being global, would size every
+		// partition's lists at full-table cardinality; the merge sizes the
+		// global lists exactly regardless.
+		c.listCap = countsByKeyCap(groups[0], opts.CountsByKey)
+	}
 
 	opts.Pool.RunSplit(ranges, func(part, lo, hi int) {
 		st := sts[part]
-		var injectPos []Rid
-		if opts.Mode == Inject {
-			injectPos = posSlots
-		}
-		st.processRows(inRids, lo, hi, injectPos)
-		switch {
-		case opts.Mode == Defer:
-			deferBWs[part] = st.deferPass(inRids, lo, hi, wantBW, fw, posSlots)
-			if encodeLocal {
-				encBWs[part] = lineage.EncodeRidIndex(deferBWs[part])
+		slots := scratch.Rids(aggBatchSize)
+		cols := make([][]Rid, 1)
+		capture := func(sb, rids []Rid) {
+			c.Add(part, cols, sb)
+			if bwPart {
+				st.partition(sb, rids, keep)
 			}
-		case encodeLocal && opts.Mode == Inject:
-			encBWs[part] = lineage.EncodeLists(st.groupRids)
 		}
-	})
-
-	// Phase 2. One partition's state and indexes are the result as built;
-	// several merge in partition order into the first partition's group
-	// state (MergeGroups), and indexes are stitched from the locals through
-	// the per-partition slot maps (local group slot → global slot).
-	final := sts[0].g
-	var slotMaps [][]Rid
-	if merge {
-		parts := make([]*GroupState, len(sts))
-		for p, st := range sts {
-			parts[p] = st.g
-		}
-		slotMaps = MergeGroups(parts)
-	}
-	nG := final.Len()
-
-	res := AggResult{Out: final.Materialize("groupby"), GroupCounts: final.Counts()}
-	if wantBW {
-		switch {
-		case sts[0].partKey != nil && merge:
-			parts := make([][]map[int64][]Rid, len(sts))
-			for p, st := range sts {
-				parts[p] = st.partMaps
-			}
-			res.BWPart = lineage.MergePartitionMaps(parts, slotMaps, nG, nil)
-		case sts[0].partKey != nil:
-			res.BWPart = lineage.NewPartitionedIndexFromParts(sts[0].partMaps, sts[0].partDict)
-		case encodeLocal && merge:
-			res.BWEnc = lineage.MergeEncodedBySlot(encBWs, slotMaps, nG)
-		case encodeLocal:
-			res.BWEnc = encBWs[0]
-		case opts.Mode == Defer && merge:
-			res.BW = lineage.MergeIndexesBySlot(deferBWs, slotMaps, nG)
-		case opts.Mode == Defer:
-			res.BW = deferBWs[0]
-		case merge:
-			lists := make([][][]Rid, len(sts))
-			for p, st := range sts {
-				lists[p] = st.groupRids
-			}
-			res.BW = lineage.MergeListsBySlot(lists, slotMaps, nG)
-		default:
-			bw := lineage.NewRidIndex(nG)
-			for slot, l := range sts[0].groupRids {
-				bw.SetList(slot, l) // reuse the hash-table rid lists (P4)
-			}
-			res.BW = bw
-		}
-	}
-	if wantFW {
-		switch {
-		case posSlots != nil:
-			// Duplicate-tolerant fill: one pass rebases each position's
-			// local slot through its partition's map and writes its rid's
-			// entry. Duplicates of a rid all land on the same merged group
-			// (same key), so every write stores the same value and the
-			// result is identical to the one-partition forward array.
-			for _, r := range ranges {
-				sm := slotMaps[r.Part]
-				for pos := r.Lo; pos < r.Hi; pos++ {
-					fw.set(inRids[pos], sm[posSlots[pos]])
+		forEachBatch(inRids, lo, hi, func(rids []Rid) {
+			sb := slots[:len(rids)]
+			cols[0] = rids
+			st.g.Fold(cols, sb)
+			if opts.Observe != nil {
+				for j, s := range sb {
+					opts.Observe(s, rids[j])
 				}
 			}
-		case merge:
-			// Rebase partition-local slots to global slots, in parallel:
-			// each partition revisits exactly the rids it wrote.
-			opts.Pool.RunSplit(ranges, func(part, lo, hi int) {
-				if inRids == nil {
-					lineage.SlotRebase(fw.dense, lo, hi, slotMaps[part])
-				} else {
-					fw.sparse.RebaseRids(inRids[lo:hi], slotMaps[part])
-				}
+			if opts.Mode == Inject {
+				capture(sb, rids)
+			}
+		})
+		if opts.Mode == Defer {
+			// The partition-local Zγ pass (§3.2.3): rescan the range and
+			// reuse the pinned hash table to recover each row's group.
+			c.Defer(part)
+			forEachBatch(inRids, lo, hi, func(rids []Rid) {
+				sb := slots[:len(rids)]
+				cols[0] = rids
+				st.g.Probe(cols, sb)
+				capture(sb, rids)
 			})
 		}
-		res.FW, res.FWSparse = fw.dense, fw.sparse
-		if opts.Compress {
-			switch ix := lineage.EncodeForward(res.ForwardIndex()); ix.Kind {
-			case lineage.EncodedOne:
-				res.FW, res.FWEnc = nil, ix.EncArr
-			case lineage.SparseOne:
-				res.FW, res.FWSparse = nil, ix.Sparse
-			}
+		scratch.PutRids(slots)
+		c.Finish(part)
+	})
+
+	slotMaps, bw, fw := c.Merge(opts.Pool)
+	final := groups[0]
+	res := AggResult{Out: final.Materialize("groupby"), GroupCounts: final.Counts()}
+	if ix := bw[0]; ix != nil {
+		res.BW, res.BWEnc = ix.Many, ix.Enc
+	}
+	if ix := fw[0]; ix != nil {
+		res.FW, res.FWEnc, res.FWSparse = ix.Arr, ix.EncArr, ix.Sparse
+	}
+	switch {
+	case bwPart && slotMaps != nil:
+		parts := make([][]map[int64][]Rid, len(sts))
+		for p, st := range sts {
+			parts[p] = st.partMaps
 		}
+		res.BWPart = lineage.MergePartitionMaps(parts, slotMaps, final.Len(), nil)
+	case bwPart:
+		res.BWPart = lineage.NewPartitionedIndexFromParts(sts[0].partMaps, sts[0].partDict)
 	}
 	return res, nil
-}
-
-// deferPass is the partition-local Zγ pass (§3.2.3) over rows [lo, hi) of
-// the kernel's range: rescan it, reuse the pinned hash table to recover each
-// record's group, and fill backward indexes preallocated exactly from the
-// local counts, so Defer keeps its no-growth property per morsel. Forward
-// entries go to posSlots when it is non-nil, else to fw.
-func (st *aggState) deferPass(inRids []Rid, lo, hi int, wantBW bool, fw fwdSink, posSlots []Rid) *lineage.RidIndex {
-	var bw *lineage.RidIndex
-	if wantBW {
-		if st.partKey != nil {
-			st.partMaps = make([]map[int64][]Rid, st.g.Len())
-		} else {
-			c32 := make([]int32, st.g.Len())
-			for i, c := range st.g.Counts() {
-				c32[i] = int32(c)
-			}
-			bw = lineage.NewRidIndexWithCounts(c32)
-		}
-	}
-	slots := scratch.Rids(aggBatchSize)
-	cols := make([][]Rid, 1)
-	forEachBatch(inRids, lo, hi, func(base int, rids []Rid) {
-		sb := slots[:len(rids)]
-		cols[0] = rids
-		st.g.Probe(cols, sb)
-		switch {
-		case !wantBW:
-		case st.partKey != nil:
-			for j, s := range sb {
-				st.captureBackward(s, rids[j])
-			}
-		default:
-			for j, s := range sb {
-				if st.pdFilter == nil || st.pdFilter(rids[j]) {
-					bw.AppendFast(int(s), rids[j])
-				}
-			}
-		}
-		if posSlots != nil {
-			copy(posSlots[base:], sb)
-		} else {
-			fw.setBatch(rids, sb)
-		}
-	})
-	scratch.PutRids(slots)
-	return bw
-}
-
-// fwdSink is the forward array an aggregation kernel writes group slots
-// into: dense and rid-addressed when the input is the whole relation, sparse
-// over the present rids when it is a rid subset, or neither when forward
-// lineage is not captured (writes are then no-ops).
-type fwdSink struct {
-	dense  []Rid
-	sparse *lineage.SparseArr
-}
-
-func (f fwdSink) set(rid, slot Rid) {
-	if f.dense != nil {
-		f.dense[rid] = slot
-	} else if f.sparse != nil {
-		f.sparse.Set(rid, slot)
-	}
-}
-
-// setBatch is set over a resolved batch, with the form switch hoisted out of
-// the row loop.
-func (f fwdSink) setBatch(rids, slots []Rid) {
-	if fw := f.dense; fw != nil {
-		for j, s := range slots {
-			fw[rids[j]] = s
-		}
-	} else if sp := f.sparse; sp != nil {
-		for j, s := range slots {
-			sp.Set(rids[j], s)
-		}
-	}
 }

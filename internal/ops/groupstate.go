@@ -15,8 +15,8 @@ import (
 // per-group counts and accumulators, the partition-order merge, and output
 // materialisation. Both hash-aggregation drivers fold into it — HashAgg over
 // one relation and the fused SPJA block (internal/exec) over join chains —
-// and each keeps its own lineage capture, reading group slots back from the
-// state.
+// and hand the group slots it resolves to the one lineage capture,
+// GroupCapture.
 //
 // The state spans one or more tables and addresses an input row by (table,
 // rid): rows arrive in column-major batches where cols[t][j] is the rid of

@@ -18,7 +18,7 @@
 // input splits into up to Workers morsels (contiguous ranges) executed
 // concurrently over a shared pool, and partition-local indexes merge in
 // partition order into structures identical for every partition count (see
-// HashAgg and internal/lineage/merge.go). Workers <= 1 is one partition of
+// GroupCapture and internal/lineage/merge.go). Workers <= 1 is one partition of
 // the same driver — it skips the merge — and reproduces the paper's
 // single-threaded experiments exactly.
 package ops
