@@ -22,7 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -192,7 +192,8 @@ func (s *Store) dropUnusable() {
 		}
 	}
 	if stale > 0 {
-		log.Printf("diskstore: %s: dropped %d retained results written in segment format v1 (the lineage chunk format changed); re-run their base queries", s.dir, stale)
+		slog.Warn("diskstore: dropped retained results written in segment format v1 (the lineage chunk format changed); re-run their base queries",
+			"dir", s.dir, "dropped", stale)
 	}
 }
 

@@ -167,12 +167,11 @@ func New(cfg Config) *Server {
 		gate:  newGate(cfg.MaxInFlight, cfg.MaxQueued),
 		sessions: newRegistry(cfg.DB, rs, cfg.Clock, cfg.SessionTTL, cfg.MaxSessions,
 			cfg.MaxResultsPerSession, cfg.MaxRetainedBytes, cfg.MaxDiskBytes),
-		mux: http.NewServeMux(),
 	}
 	if cfg.CacheEntries > 0 {
 		s.cache = newResultCache(cfg.CacheEntries, cfg.CacheBytes)
 	}
-	s.routes()
+	s.mux = s.routes()
 	return s
 }
 
@@ -185,17 +184,19 @@ func (s *Server) Close() error {
 	return s.sessions.close()
 }
 
-func (s *Server) routes() {
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /v1/tables", s.handleListTables)
-	s.mux.HandleFunc("GET /v1/tables/{name}", s.handleGetTable)
-	s.mux.HandleFunc("POST /v1/tables/{name}", s.handleIngest)
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v1/sessions", s.handleNewSession)
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDropSession)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/results/{name}", s.handleRunResult)
-	s.mux.HandleFunc("GET /v1/sessions/{id}/results/{name}", s.handleGetResult)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/results/{name}/trace", s.handleTrace)
+func (s *Server) routes() *http.ServeMux {
+	return wire.NewMux(map[string]http.HandlerFunc{
+		"GET /healthz":                                s.handleHealth,
+		"GET /v1/tables":                              s.handleListTables,
+		"GET /v1/tables/{name}":                       s.handleGetTable,
+		"POST /v1/tables/{name}":                      s.handleIngest,
+		"POST /v1/query":                              s.handleQuery,
+		"POST /v1/sessions":                           s.handleNewSession,
+		"DELETE /v1/sessions/{id}":                    s.handleDropSession,
+		"POST /v1/sessions/{id}/results/{name}":       s.handleRunResult,
+		"GET /v1/sessions/{id}/results/{name}":        s.handleGetResult,
+		"POST /v1/sessions/{id}/results/{name}/trace": s.handleTrace,
+	})
 }
 
 // ServeHTTP dispatches with panic containment: a handler panic answers 500
@@ -385,7 +386,7 @@ func (s *Server) runCached(q *core.Query, opts core.CaptureOptions) (*core.Resul
 		if fp, err := q.Fingerprint(); err == nil {
 			key = cacheKey(fp, opts)
 			if res, ok := s.cache.get(key); ok {
-				out := wire.Rows(res.Out, nil)
+				out := wire.Rows(res.Out)
 				out.GroupCounts = res.GroupCounts
 				out.Cached = true
 				return res, out, nil
@@ -397,7 +398,7 @@ func (s *Server) runCached(q *core.Query, opts core.CaptureOptions) (*core.Resul
 		return nil, wire.Result{}, err
 	}
 	s.cache.put(key, res)
-	out := wire.Rows(res.Out, nil)
+	out := wire.Rows(res.Out)
 	out.GroupCounts = res.GroupCounts
 	return res, out, nil
 }
@@ -506,7 +507,7 @@ func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, wire.Rows(res.Out, nil))
+	wire.WriteJSON(w, http.StatusOK, wire.Rows(res.Out))
 }
 
 // traceHintOf projects a trace request onto the registry's routing hint.

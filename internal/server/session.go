@@ -2,7 +2,7 @@ package server
 
 import (
 	"fmt"
-	"log"
+	"log/slog"
 	"maps"
 	"sync"
 	"time"
@@ -898,7 +898,7 @@ func (r *registry) removeSessionLocked(s *session) {
 	s.entries = map[string]*entry{}
 	if r.fl != nil && !r.fl.enqueue(flushJob{op: opDeleteSession, sid: s.id}, true) {
 		r.counters.deleteErrors++
-		r.diskErrLocked(nil, "queue delete of session %s failed (flusher stopped)", s.id)
+		r.diskErrLocked(nil, "queue delete failed (flusher stopped)", "session", s.id)
 	}
 	delete(r.sessions, s.id)
 	r.goneSessions.add(s.id)
@@ -919,7 +919,7 @@ func (r *registry) dropSegmentLocked(s *session, name string, e *entry) {
 	}
 	if r.fl != nil && !r.fl.enqueue(flushJob{op: opDeleteResult, sid: s.id, name: name}, true) {
 		r.counters.deleteErrors++
-		r.diskErrLocked(nil, "queue delete of %s/%s failed (flusher stopped)", s.id, name)
+		r.diskErrLocked(nil, "queue delete failed (flusher stopped)", "session", s.id, "result", name)
 	}
 }
 
@@ -962,7 +962,7 @@ func (r *registry) onPutDone(job flushJob, bytes int64, err error) {
 	r.cancelPendingLocked(e) // spent: the ticket and the demoting credit
 	if err != nil {
 		r.counters.flushErrors++
-		r.diskErrLocked(err, "segment write for %s/%s failed: %v", job.sid, job.name, err)
+		r.diskErrLocked(err, "segment write failed", "session", job.sid, "result", job.name)
 		if drop {
 			r.evictResidentLocked(e)
 			r.counters.demotes++
@@ -1002,14 +1002,15 @@ func (r *registry) onPublish(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counters.publishErrors++
-	r.diskErrLocked(err, "manifest publish failed: %v", err)
+	r.diskErrLocked(err, "manifest publish failed")
 }
 
 // diskErrLocked records a disk-tier failure for flush to return (err, when
 // non-nil and the first since the last flush) and reports the first one to
 // the process log — once, so a dying disk cannot flood it — while every
-// occurrence stays counted in the stats surface.
-func (r *registry) diskErrLocked(err error, format string, args ...any) {
+// occurrence stays counted in the stats surface. op names the failed step;
+// attrs are its slog key/value pairs.
+func (r *registry) diskErrLocked(err error, op string, attrs ...any) {
 	if r.flushErr == nil {
 		r.flushErr = err
 	}
@@ -1017,7 +1018,11 @@ func (r *registry) diskErrLocked(err error, format string, args ...any) {
 		return
 	}
 	r.diskErrLogged = true
-	log.Printf("server: disk tier degraded (further errors counted, not logged): "+format, args...)
+	attrs = append([]any{"op", op}, attrs...)
+	if err != nil {
+		attrs = append(attrs, "err", err)
+	}
+	slog.Error("server: disk tier degraded (further errors counted, not logged)", attrs...)
 }
 
 // flush persists every not-yet-durable resident result and publishes the

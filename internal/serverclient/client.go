@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 
 	"smoke/internal/wire"
@@ -47,8 +48,8 @@ func (e *Error) Error() string {
 }
 
 // The wire shapes, by the names this package has always exported. A Result
-// handed back by the client has been normalized: row values are int64,
-// float64, or string by column type.
+// handed back by the client holds row values as int64, float64, or string by
+// column type (wire.DecodeResult).
 type (
 	Field        = wire.Field
 	Result       = wire.Result
@@ -75,9 +76,9 @@ func (c *Client) CreateTable(ctx context.Context, name string, schema []Field, r
 // across the shards, dist "replicate" (or "") registers a full copy on every
 // shard. A single-node server ignores the parameter.
 func (c *Client) CreateTableDist(ctx context.Context, name string, schema []Field, rows [][]any, pk, dist string) error {
-	path := "/v1/tables/" + name
+	path := "/v1/tables/" + url.PathEscape(name)
 	if dist != "" {
-		path += "?dist=" + dist
+		path += "?" + url.Values{"dist": {dist}}.Encode()
 	}
 	return c.do(ctx, http.MethodPost, path, wire.Table{Schema: schema, Rows: rows, PK: pk}, nil)
 }
@@ -85,21 +86,24 @@ func (c *Client) CreateTableDist(ctx context.Context, name string, schema []Fiel
 // CreateTableCSV registers a table from CSV bytes (header record first).
 // types is "int,float,..." per column, or "" to sniff.
 func (c *Client) CreateTableCSV(ctx context.Context, name string, csvBody []byte, types, pk string) error {
-	path := "/v1/tables/" + name
-	sep := "?"
+	path := "/v1/tables/" + url.PathEscape(name)
+	q := url.Values{}
 	if types != "" {
-		path += sep + "types=" + types
-		sep = "&"
+		q.Set("types", types)
 	}
 	if pk != "" {
-		path += sep + "pk=" + pk
+		q.Set("pk", pk)
+	}
+	if len(q) > 0 {
+		path += "?" + q.Encode()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(csvBody))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "text/csv")
-	return c.roundTrip(req, nil)
+	_, err = c.roundTrip(req)
+	return err
 }
 
 // Query runs one stateless SQL statement (including EXPLAIN and unbound
@@ -137,7 +141,7 @@ func (s *Session) TTLSeconds() int { return s.ttl }
 
 // Close deletes the session and every retained result in it.
 func (s *Session) Close(ctx context.Context) error {
-	return s.c.do(ctx, http.MethodDelete, "/v1/sessions/"+s.ID, nil, nil)
+	return s.c.do(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(s.ID), nil, nil)
 }
 
 // Run executes a statement and retains its Result (with live capture) under
@@ -157,58 +161,66 @@ func (s *Session) Trace(ctx context.Context, name string, req TraceRequest) (*Re
 }
 
 func (s *Session) path(name string) string {
-	return "/v1/sessions/" + s.ID + "/results/" + name
+	return "/v1/sessions/" + url.PathEscape(s.ID) + "/results/" + url.PathEscape(name)
 }
 
-// result is do for the endpoints that answer a result body.
+// result is do for the endpoints that answer a result body, decoded by the
+// result codec.
 func (c *Client) result(ctx context.Context, method, path string, in any) (*Result, error) {
-	var out Result
-	if err := c.do(ctx, method, path, in, &out); err != nil {
+	data, err := c.send(ctx, method, path, in)
+	if err != nil {
 		return nil, err
 	}
-	out.Normalize()
-	return &out, nil
+	return wire.DecodeResult(data)
 }
 
 // do sends a JSON request and decodes a JSON reply (out may be nil).
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	data, err := c.send(ctx, method, path, in)
+	if err != nil || out == nil {
+		return err
+	}
+	return wire.Decode(bytes.NewReader(data), out)
+}
+
+// send sends a JSON request (in may be nil) and returns the reply body.
+func (c *Client) send(ctx context.Context, method, path string, in any) ([]byte, error) {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	return c.roundTrip(req, out)
+	return c.roundTrip(req)
 }
 
-func (c *Client) roundTrip(req *http.Request, out any) error {
+// roundTrip sends req and returns a 2xx reply's body; any other status is
+// an *Error.
+func (c *Client) roundTrip(req *http.Request) ([]byte, error) {
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode >= 300 {
 		e := &Error{Status: resp.StatusCode, Kind: "internal", Message: string(data), Pos: -1}
 		if se, ok := wire.ParseError(data); ok {
 			e.Kind, e.Message, e.Pos = se.Kind.String(), se.Msg, se.Pos
 		}
-		return e
+		return nil, e
 	}
-	if out == nil {
-		return nil
-	}
-	return wire.Decode(bytes.NewReader(data), out)
+	return data, nil
 }

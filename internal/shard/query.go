@@ -119,8 +119,7 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if a == nil {
 		c.proxied.Add(1)
-		path := "/v1/sessions/" + sess.shardIDs[sess.home] + "/results/" + name
-		res, err := c.forward(r.Context(), sess.home, http.MethodPost, path, body)
+		res, err := c.forward(r.Context(), sess.home, http.MethodPost, sess.resultPath(sess.home, name), body)
 		if err == nil && res.ok() {
 			sess.setPlacement(name, &placement{scattered: false})
 		}
@@ -129,7 +128,7 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 	}
 
 	parts, err := c.scatter(r.Context(), c.allShards(), func(s int) (string, string, []byte) {
-		return http.MethodPost, "/v1/sessions/" + sess.shardIDs[s] + "/results/" + name, body
+		return http.MethodPost, sess.resultPath(s, name), body
 	})
 	if err != nil {
 		wire.WriteError(w, err)
@@ -157,8 +156,9 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		plan:      a.plan,
 		strategy:  resolvedStrategy(req.Capture, req.Strategy),
 	})
-	merged.Retained = name
-	wire.WriteJSON(w, http.StatusOK, merged)
+	reply := wire.Rows(out) // the placement's typed rows, not typed again
+	reply.GroupCounts, reply.StrategyUsed, reply.Retained = merged.GroupCounts, merged.StrategyUsed, name
+	wire.WriteJSON(w, http.StatusOK, reply)
 }
 
 // handleGetResult re-renders a retained result. Scattered results render
@@ -178,15 +178,9 @@ func (c *Coordinator) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	defer c.exit()
 	p := sess.placementOf(name)
 	if p != nil && p.scattered {
-		wire.WriteJSON(w, http.StatusOK, &wire.Result{
-			Columns: p.merged.Columns,
-			Types:   p.merged.Types,
-			Rows:    p.merged.Rows,
-			N:       p.merged.N,
-		})
+		wire.WriteJSON(w, http.StatusOK, wire.Rows(p.out))
 		return
 	}
-	path := "/v1/sessions/" + sess.shardIDs[sess.home] + "/results/" + name
-	res, err := c.forward(r.Context(), sess.home, http.MethodGet, path, nil)
+	res, err := c.forward(r.Context(), sess.home, http.MethodGet, sess.resultPath(sess.home, name), nil)
 	writeShardReply(w, res, err)
 }

@@ -112,14 +112,13 @@ func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string
 		c.shardErrors.Add(1)
 		return nil, errorFromShard(n.id, res.status, res.body)
 	}
-	// Numbers decode exactly and normalize by column type, so merge
-	// arithmetic never round-trips large int64 values through float64.
-	var out wire.Result
-	if err := wire.Decode(bytes.NewReader(res.body), &out); err != nil {
+	// Cells decode by column type, so merge arithmetic never round-trips
+	// large int64 values through float64.
+	out, err := wire.DecodeResult(res.body)
+	if err != nil {
 		return nil, serr.New(serr.Internal, "shard: undecodable shard reply: %v", err)
 	}
-	out.Normalize()
-	return &out, nil
+	return out, nil
 }
 
 // errorFromShard rebuilds the structured error a shard answered with, so the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sync"
 
 	"smoke/internal/plan"
@@ -190,7 +191,7 @@ func (c *Coordinator) handleDropSession(w http.ResponseWriter, r *http.Request) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := n.invoke(ctx, http.MethodDelete, "/v1/sessions/"+sess.shardIDs[i], nil, "")
+			res, err := n.invoke(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(sess.shardIDs[i]), nil, "")
 			if err != nil {
 				errs[i] = err
 				return

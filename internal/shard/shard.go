@@ -140,7 +140,6 @@ func New(cfg Config) *Coordinator {
 		ring:     newRing(cfg.Shards),
 		timeout:  cfg.ShardTimeout,
 		gate:     make(chan struct{}, cfg.MaxInFlight),
-		mux:      http.NewServeMux(),
 		tables:   map[string]*table{},
 		sessions: map[string]*session{},
 		cat:      core.Open(core.WithWorkers(1)),
@@ -161,7 +160,7 @@ func New(cfg Config) *Coordinator {
 		n.handler = srv
 		c.nodes = append(c.nodes, n)
 	}
-	c.routes()
+	c.mux = c.routes()
 	return c
 }
 
@@ -194,17 +193,19 @@ func (c *Coordinator) RestoreShardHandler(i int) {
 	c.nodes[i].setHandler(c.nodes[i].srv)
 }
 
-func (c *Coordinator) routes() {
-	c.mux.HandleFunc("GET /healthz", c.handleHealth)
-	c.mux.HandleFunc("GET /v1/tables", c.handleListTables)
-	c.mux.HandleFunc("GET /v1/tables/{name}", c.handleGetTable)
-	c.mux.HandleFunc("POST /v1/tables/{name}", c.handleIngest)
-	c.mux.HandleFunc("POST /v1/query", c.handleQuery)
-	c.mux.HandleFunc("POST /v1/sessions", c.handleNewSession)
-	c.mux.HandleFunc("DELETE /v1/sessions/{id}", c.handleDropSession)
-	c.mux.HandleFunc("POST /v1/sessions/{id}/results/{name}", c.handleRunResult)
-	c.mux.HandleFunc("GET /v1/sessions/{id}/results/{name}", c.handleGetResult)
-	c.mux.HandleFunc("POST /v1/sessions/{id}/results/{name}/trace", c.handleTrace)
+func (c *Coordinator) routes() *http.ServeMux {
+	return wire.NewMux(map[string]http.HandlerFunc{
+		"GET /healthz":                                c.handleHealth,
+		"GET /v1/tables":                              c.handleListTables,
+		"GET /v1/tables/{name}":                       c.handleGetTable,
+		"POST /v1/tables/{name}":                      c.handleIngest,
+		"POST /v1/query":                              c.handleQuery,
+		"POST /v1/sessions":                           c.handleNewSession,
+		"DELETE /v1/sessions/{id}":                    c.handleDropSession,
+		"POST /v1/sessions/{id}/results/{name}":       c.handleRunResult,
+		"GET /v1/sessions/{id}/results/{name}":        c.handleGetResult,
+		"POST /v1/sessions/{id}/results/{name}/trace": c.handleTrace,
+	})
 }
 
 // ServeHTTP dispatches with panic containment, mirroring the single-node

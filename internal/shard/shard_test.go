@@ -768,3 +768,112 @@ func TestScatteredJoinTraceMatchesSingleNode(t *testing.T) {
 		}
 	}
 }
+
+// TestEscapedNames: table and result names reach both front doors — and the
+// coordinator's shard calls — escaped. Results retained as r?x, r#x and r%x
+// sit beside r and each round-trips: GET answers its own rows and a trace
+// reaches its own capture, while r keeps its rows. A table ingested as
+// fact?x leaves fact as it was.
+func TestEscapedNames(t *testing.T) {
+	_, coord := startCoord(t, 2)
+	ctx := context.Background()
+	queries := map[string]string{
+		"r":   "SELECT k, COUNT(*) AS cnt FROM fact GROUP BY k",
+		"r?x": "SELECT k, COUNT(*) AS cnt FROM fact WHERE b < 3 GROUP BY k",
+		"r#x": "SELECT b, COUNT(*) AS cnt FROM fact GROUP BY b",
+		"r%x": "SELECT label, COUNT(*) AS cnt FROM dim GROUP BY label", // proxied by the coordinator
+	}
+	traced := map[string]string{"r": "fact", "r?x": "fact", "r#x": "fact", "r%x": "dim"}
+	for _, front := range []struct {
+		name string
+		c    *serverclient.Client
+		dist string
+	}{{"single node", startSingle(t), ""}, {"2 shards", coord, "shard"}} {
+		c := front.c
+		ingest(t, c, front.dist)
+		sess, err := c.NewSession(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := map[string]*serverclient.Result{}
+		for _, name := range []string{"r", "r?x", "r#x", "r%x"} {
+			res, err := sess.Run(ctx, name, serverclient.QueryRequest{SQL: queries[name]})
+			if err != nil || res.Retained != name {
+				t.Fatalf("%s: retaining %q = %+v, %v", front.name, name, res, err)
+			}
+			retained[name] = res
+		}
+		for name, want := range retained {
+			got, err := sess.Result(ctx, name)
+			if err != nil {
+				t.Fatalf("%s: GET %q: %v", front.name, name, err)
+			}
+			sameResult(t, front.name+" GET "+name, got, want)
+			tr, err := sess.Trace(ctx, name, serverclient.TraceRequest{Direction: "backward", Table: traced[name], Rids: []int64{0}})
+			if err != nil || int64(tr.N) != want.Rows[0][1].(int64) {
+				t.Fatalf("%s: tracing %q row 0 (count %v) answered %+v, %v", front.name, name, want.Rows[0][1], tr, err)
+			}
+		}
+
+		_, factSchema, _, factRows := testData()
+		if err := c.CreateTableDist(ctx, "fact?x", factSchema, factRows[:3], "", front.dist); err != nil {
+			t.Fatalf("%s: ingest fact?x: %v", front.name, err)
+		}
+		again, err := c.Query(ctx, serverclient.QueryRequest{SQL: queries["r"]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, front.name+" fact after ingesting fact?x", again, retained["r"])
+	}
+}
+
+// TestUnmatchedRoutes: a request no endpoint takes answers the uniform
+// error body at both front doors — 404 not_found for an unknown path, 405
+// with the Allow header for a known path under another method.
+func TestUnmatchedRoutes(t *testing.T) {
+	coord := shard.New(shard.Config{Shards: 2})
+	t.Cleanup(func() { _ = coord.Close() })
+	db := core.Open(core.WithWorkers(1))
+	single := server.New(server.Config{DB: db})
+	t.Cleanup(func() {
+		_ = single.Close()
+		db.Close()
+	})
+	cases := []struct {
+		method, path string
+		status       int
+		kind, allow  string
+	}{
+		{http.MethodGet, "/v1/nope", 404, "not_found", ""},
+		{http.MethodPost, "/v1/query/", 404, "not_found", ""},
+		{http.MethodGet, "/v1/sessions/s/results/r/trace/x", 404, "not_found", ""},
+		{http.MethodGet, "/v1/query", 405, "invalid", "POST"},
+		{http.MethodPut, "/v1/sessions", 405, "invalid", "POST"},
+		{http.MethodGet, "/v1/sessions/s/results/r/trace", 405, "invalid", "POST"},
+		{http.MethodPut, "/v1/tables/t", 405, "invalid", "GET, HEAD, POST"},
+		{http.MethodPost, "/healthz", 405, "invalid", "GET, HEAD"},
+	}
+	for _, front := range []struct {
+		name string
+		h    http.Handler
+	}{{"single node", single}, {"2 shards", coord}} {
+		for _, tc := range cases {
+			rec := httptest.NewRecorder()
+			front.h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+			var body struct {
+				Error struct{ Kind, Message string }
+			}
+			if rec.Code != tc.status || rec.Header().Get("Content-Type") != "application/json" ||
+				json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error.Kind != tc.kind ||
+				rec.Header().Get("Allow") != tc.allow {
+				t.Errorf("%s: %s %s = %d %q Allow %q %q, want %d %s Allow %q", front.name, tc.method, tc.path,
+					rec.Code, rec.Header().Get("Content-Type"), rec.Header().Get("Allow"), rec.Body.String(), tc.status, tc.kind, tc.allow)
+			}
+		}
+		rec := httptest.NewRecorder()
+		front.h.ServeHTTP(rec, httptest.NewRequest(http.MethodHead, "/healthz", nil))
+		if rec.Code != 200 {
+			t.Errorf("%s: HEAD /healthz = %d, want 200", front.name, rec.Code)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"strings"
 
 	"smoke/internal/core"
@@ -191,9 +192,14 @@ func shardTraceBody(req wire.TraceRequest, rids []int64, keepWhere bool) []byte 
 	return b
 }
 
-// tracePath renders a shard's trace endpoint for the session's peer id.
+// resultPath renders a shard's endpoint for the retained result name under
+// the session's peer id; tracePath, its trace endpoint.
+func (sess *session) resultPath(shard int, name string) string {
+	return "/v1/sessions/" + url.PathEscape(sess.shardIDs[shard]) + "/results/" + url.PathEscape(name)
+}
+
 func (sess *session) tracePath(shard int, name string) string {
-	return "/v1/sessions/" + sess.shardIDs[shard] + "/results/" + name + "/trace"
+	return sess.resultPath(shard, name) + "/trace"
 }
 
 // emptyTrace answers a zero-seed trace by asking one shard for its (empty)
@@ -280,7 +286,7 @@ func (c *Coordinator) scanBackward(bw plan.Backward, req wire.TraceRequest, para
 	if err != nil {
 		return nil, err
 	}
-	out := wire.Rows(res.Out, nil)
+	out := wire.Rows(res.Out)
 	out.GroupCounts = res.GroupCounts
 	out.StrategyUsed = path
 	return &out, nil

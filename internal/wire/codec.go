@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"smoke/internal/expr"
 	"smoke/internal/serr"
@@ -30,55 +32,93 @@ func DecodeRequest(r io.Reader, v any) error {
 	return nil
 }
 
-// Normalize converts decoded row values to their column's Go type:
-// json.Number → int64/float64 per the Types list, so callers compare values
-// and merge partials without float64 precision loss on large ints.
-func (r *Result) Normalize() {
-	for _, row := range r.Rows {
-		for c := range row {
-			n, ok := row[c].(json.Number)
-			if !ok || c >= len(r.Types) {
-				continue
-			}
-			switch r.Types[c] {
-			case "int":
-				if v, err := n.Int64(); err == nil {
-					row[c] = v
-				}
-			case "float":
-				if v, err := n.Float64(); err == nil {
-					row[c] = v
-				}
-			}
-		}
-	}
-}
-
 // WriteJSON answers status with v as the JSON body. v is encoded before
 // anything is sent: a value JSON cannot carry — a NaN or ±Inf in a result
 // row — is answered as a structured 422 (Unsupported) instead of the status
-// with an empty body.
+// with an empty body. A Result is appended by the result codec
+// (AppendResult); only the small bodies — errors, /healthz, table lists,
+// session handles — go through encoding/json.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		WriteError(w, serr.New(serr.Unsupported,
-			"server: the answer holds a value JSON cannot carry (NaN and ±Inf floats have no JSON form): %v", err))
-		return
+	bp := bodyPool.Get().(*[]byte)
+	body := (*bp)[:0]
+	var err error
+	switch r := v.(type) {
+	case Result:
+		body, err = AppendResult(body, &r)
+	case *Result:
+		body, err = AppendResult(body, r)
+	default:
+		buf := bytes.NewBuffer(body)
+		if err = json.NewEncoder(buf).Encode(v); err != nil {
+			err = serr.New(serr.Unsupported,
+				"server: the answer holds a value JSON cannot carry (NaN and ±Inf floats have no JSON form): %v", err)
+		}
+		body = buf.Bytes()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes()) // the status is sent; a dead connection has no one to tell
+	if err != nil {
+		WriteError(w, err)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		_, _ = w.Write(body) // the status is sent; a dead connection has no one to tell
+	}
+	if cap(body) <= maxPooledBody {
+		*bp = body[:0]
+		bodyPool.Put(bp)
+	}
 }
+
+// bodyPool recycles WriteJSON's encode buffers. A buffer that grew past
+// maxPooledBody is left to the collector, so the pool never pins the
+// memory of one large answer.
+var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+
+const maxPooledBody = 64 << 10
 
 // WriteError answers err as the uniform error body under its kind's status.
 func WriteError(w http.ResponseWriter, err error) {
+	writeError(w, StatusOf(err), err)
+}
+
+func writeError(w http.ResponseWriter, status int, err error) {
 	var body ErrorBody
 	body.Error.Kind = serr.KindOf(err).String()
 	body.Error.Message = err.Error()
 	if pos := serr.PosOf(err); pos >= 0 {
 		body.Error.Pos = &pos
 	}
-	WriteJSON(w, StatusOf(err), body)
+	WriteJSON(w, status, body)
+}
+
+// NewMux returns a ServeMux serving each "METHOD /path" pattern of routes
+// with its handler, in which a request no route takes still answers the
+// uniform error body: an unknown path is NotFound (404), and a known path
+// under another method is a 405 whose Allow header lists the path's
+// methods — the statuses and header ServeMux's own text/plain pages carry.
+func NewMux(routes map[string]http.HandlerFunc) *http.ServeMux {
+	mux := http.NewServeMux()
+	allowed := map[string][]string{}
+	for pattern, h := range routes {
+		mux.HandleFunc(pattern, h)
+		method, path, _ := strings.Cut(pattern, " ")
+		allowed[path] = append(allowed[path], method)
+		if method == http.MethodGet { // a GET route serves HEAD too
+			allowed[path] = append(allowed[path], http.MethodHead)
+		}
+	}
+	for path, methods := range allowed {
+		slices.Sort(methods)
+		allow := strings.Join(methods, ", ")
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Allow", allow)
+			writeError(w, http.StatusMethodNotAllowed, serr.New(serr.Invalid,
+				"server: method %s not allowed on %s (allowed: %s)", r.Method, r.URL.Path, allow))
+		})
+	}
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		WriteError(w, serr.New(serr.NotFound, "server: no endpoint %s %s", r.Method, r.URL.Path))
+	})
+	return mux
 }
 
 // ParseError rebuilds the structured error a server answered with — same
@@ -149,7 +189,7 @@ func Params(in map[string]any) (expr.Params, error) {
 }
 
 // jsonInt and jsonFloat read a decoded number: json.Number off the wire,
-// int64/float64 once a Result has been normalized.
+// int64/float64 from a Go caller.
 func jsonInt(v any) (int64, error) {
 	switch n := v.(type) {
 	case json.Number:
@@ -172,29 +212,7 @@ func jsonFloat(v any) (float64, error) {
 	return 0, serr.New(serr.Invalid, "want number, got %T", v)
 }
 
-// Rows renders the rows of rel satisfying keep (nil = all), in rid order, as
-// the result shape shared by every query/trace/result endpoint.
-func Rows(rel *storage.Relation, keep func(rid int) bool) Result {
-	out := Result{Rows: [][]any{}}
-	if keep == nil {
-		out.Rows = make([][]any, 0, rel.N)
-	}
-	for _, f := range rel.Schema {
-		out.Columns = append(out.Columns, f.Name)
-		out.Types = append(out.Types, TypeName(f.Type))
-	}
-	for i := 0; i < rel.N; i++ {
-		if keep != nil && !keep(i) {
-			continue
-		}
-		out.Rows = append(out.Rows, rel.Row(i))
-	}
-	out.N = len(out.Rows)
-	return out
-}
-
-// Relation builds a relation from schema + rows: an ingest body, whose
-// numbers are json.Number, or a normalized Result.
+// Relation builds a relation from an ingest body's schema + rows.
 func (t Table) Relation(name string) (*storage.Relation, error) {
 	if len(t.Schema) == 0 {
 		return nil, serr.New(serr.Invalid, "server: table body needs a non-empty schema")
@@ -241,22 +259,43 @@ func (t Table) Relation(name string) (*storage.Relation, error) {
 	return rel, nil
 }
 
-// Relation rebuilds the relation a normalized result's rows describe — the
+// Relation rebuilds the relation a decoded result's rows describe — the
 // inverse of Rows — so a gathered output can be filtered by compiled
-// predicates exactly the way a single node filters its own output relation.
-// A result that does not match its own schema is the sender's bug, not the
-// client's.
+// predicates exactly the way a single node filters its own output relation,
+// and encoded by the one row writer. A result that does not match its own
+// schema — a cell that is not its column type's Go value — is the sender's
+// bug, not the client's.
 func (r *Result) Relation(name string) (*storage.Relation, error) {
-	t := Table{Schema: make([]Field, len(r.Columns)), Rows: r.Rows}
-	for c, col := range r.Columns {
-		t.Schema[c].Name = col
-		if c < len(r.Types) {
-			t.Schema[c].Type = r.Types[c]
-		}
+	if len(r.Types) != len(r.Columns) {
+		return nil, serr.New(serr.Internal, "server: malformed result: %d columns but %d types", len(r.Columns), len(r.Types))
 	}
-	rel, err := t.Relation(name)
-	if err != nil {
-		return nil, serr.New(serr.Internal, "server: malformed result: %v", err)
+	schema := make(storage.Schema, len(r.Columns))
+	for c, col := range r.Columns {
+		ty, err := ParseType(r.Types[c])
+		if err != nil {
+			return nil, serr.New(serr.Internal, "server: malformed result: %v", err)
+		}
+		schema[c] = storage.Field{Name: col, Type: ty}
+	}
+	rel := storage.NewRelation(name, schema, len(r.Rows))
+	for i, row := range r.Rows {
+		if len(row) != len(schema) {
+			return nil, serr.New(serr.Internal, "server: malformed result: row %d has %d values for %d columns", i, len(row), len(schema))
+		}
+		for c, f := range schema {
+			ok := false
+			switch f.Type {
+			case storage.TInt:
+				rel.Cols[c].Ints[i], ok = row[c].(int64)
+			case storage.TFloat:
+				rel.Cols[c].Floats[i], ok = row[c].(float64)
+			case storage.TString:
+				rel.Cols[c].Strs[i], ok = row[c].(string)
+			}
+			if !ok {
+				return nil, serr.New(serr.Internal, "server: malformed result: row %d column %s holds %T, not %s", i, f.Name, row[c], TypeName(f.Type))
+			}
+		}
 	}
 	return rel, nil
 }

@@ -13,6 +13,8 @@
 // them: clients cannot tell a coordinator from a single node.
 package wire
 
+import "smoke/internal/storage"
+
 // Field is one schema field.
 type Field struct {
 	Name string `json:"name"`
@@ -29,8 +31,10 @@ type Table struct {
 	PK string `json:"pk,omitempty"`
 }
 
-// Result is the body of every query/trace/result reply. After Normalize,
-// row values are int64, float64, or string by column type.
+// Result is the body of every query/trace/result reply. A decoded Result
+// (DecodeResult) holds its rows boxed in Rows, int64, float64, or string by
+// column type; one built by Rows holds them as the relation's typed columns,
+// and only AppendResult renders those.
 type Result struct {
 	Columns []string `json:"columns"`
 	Types   []string `json:"types"`
@@ -48,6 +52,8 @@ type Result struct {
 	// ("eager", "lazy", "hybrid") when the request selected a strategy or a
 	// trace was routed through a non-eager path.
 	StrategyUsed string `json:"strategy_used,omitempty"`
+
+	rel *storage.Relation // the rows as typed columns; Rows is then nil
 }
 
 // QueryRequest is the body of POST /v1/query and POST

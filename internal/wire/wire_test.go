@@ -186,20 +186,19 @@ func TestRelationRoundTrip(t *testing.T) {
 	rel.AppendRow(int64(-2), 1.25, "b")
 	rel.AppendRow(int64(3), -7.0, "")
 
-	all := Rows(rel, nil)
+	all := Rows(rel)
 	if all.N != 3 || !reflect.DeepEqual(all.Columns, []string{"i", "f", "s"}) || !reflect.DeepEqual(all.Types, []string{"int", "float", "string"}) {
 		t.Fatalf("Rows = %+v", all)
 	}
 	// Over the wire and back.
-	data, err := json.Marshal(all)
+	data, err := AppendResult(nil, &all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded Result
-	if err := Decode(strings.NewReader(string(data)), &decoded); err != nil {
+	decoded, err := DecodeResult(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	decoded.Normalize()
 	back, err := decoded.Relation("t")
 	if err != nil {
 		t.Fatal(err)
@@ -212,13 +211,9 @@ func TestRelationRoundTrip(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v", r, back.Row(r), rel.Row(r))
 		}
 	}
-
-	odd := Rows(rel, func(rid int) bool { return rid%2 == 0 })
-	if odd.N != 2 || !reflect.DeepEqual(odd.Rows, [][]any{rel.Row(0), rel.Row(2)}) {
-		t.Fatalf("filtered Rows = %+v", odd)
-	}
-	if none := Rows(rel, func(int) bool { return false }); none.N != 0 || none.Rows == nil {
-		t.Fatalf("empty filter = %+v, want zero rows encoding as []", none)
+	none := Rows(storage.NewRelation("t", rel.Schema, 0))
+	if data, err := AppendResult(nil, &none); err != nil || !strings.Contains(string(data), `"rows":[],"row_count":0`) {
+		t.Fatalf("zero rows encode as %s (%v), want rows []", data, err)
 	}
 
 	// The ingest direction rejects what it cannot place.
