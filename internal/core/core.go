@@ -132,8 +132,10 @@ type CaptureOptions struct {
 	// PushdownFilter restricts backward capture to matching records
 	// (selection push-down).
 	PushdownFilter expr.Expr
-	// PartitionBy partitions backward rid arrays by attributes (data
-	// skipping).
+	// PartitionBy orders each backward rid list stably by the partition
+	// code of these attributes (data skipping), so BackwardPartition reads
+	// only one code's range of the captured list. The list is the ordinary
+	// backward index: traces, MemBytes and persistence see it.
 	PartitionBy []string
 	// Cube materializes drill-down aggregates during capture (group-by
 	// push-down).
@@ -153,7 +155,8 @@ type CaptureOptions struct {
 	// happens post-capture (per partition in parallel runs, merged by
 	// concatenating encoded lists); Backward/Forward and consuming queries
 	// read the encoded indexes in place, element-identically to raw capture.
-	// Data-skipping (PartitionBy) indexes are not compressed.
+	// A PartitionBy capture encodes its lists once ordered; BackwardPartition
+	// then decodes the group's list and slices it.
 	Compress bool
 }
 
@@ -533,9 +536,9 @@ type Result struct {
 	// ConsumeGroupBy and restored results): bound traces carry it so the
 	// optimizer can reason about scan-and-filter equivalence.
 	plan plan.Node
-	// bwPart (data skipping, which replaces the plain backward index) and
-	// cube are the push-down outputs; partAttrs are bwPart's attributes.
-	bwPart    *lineage.PartitionedIndex
+	// bwPart (the data-skipping directory over the captured backward index)
+	// and cube are the push-down outputs; partAttrs are bwPart's attributes.
+	bwPart    *lineage.PartitionDir
 	cube      *cube.Cube
 	partAttrs []string
 	// baseRel is the single base relation consuming queries re-aggregate.
@@ -562,7 +565,7 @@ type Result struct {
 // push-downs of §4.2 (cardinality statistics, selection push-down, data
 // skipping, cube materialization) annotate the optimized root: they need it
 // to be a group-by directly over a base scan or a backward trace, because
-// the partitioned index and the cube address the group-by's input rids as
+// the partition directory and the cube address the group-by's input rids as
 // base rids.
 func (q *Query) Run(opts CaptureOptions) (*Result, error) {
 	if q.err != nil {
@@ -634,9 +637,10 @@ func (r *Result) Backward(table string, outRids []Rid) ([]Rid, error) {
 }
 
 // BackwardPartition evaluates a parameterized backward query over a
-// data-skipping index: only the rid partition matching the attribute values
-// (in PartitionBy order, one per attribute) is read (§4.2). An outRid outside
-// the result or a wrong value count is a serr.Invalid error.
+// data-skipping capture: only the range of the output's backward list that
+// matches the attribute values (in PartitionBy order, one per attribute) is
+// read (§4.2). An outRid outside the result or a wrong value count is a
+// serr.Invalid error.
 func (r *Result) BackwardPartition(outRid Rid, vals []any) ([]Rid, error) {
 	if r.bwPart == nil {
 		return nil, serr.New(serr.Invalid, "core: query was not captured with PartitionBy")
@@ -708,20 +712,17 @@ func (r *Result) MemBytes() int64 {
 	if r.capture != nil {
 		total += r.capture.MemBytes()
 	}
+	if r.bwPart != nil {
+		total += int64(r.bwPart.SizeBytes())
+	}
 	total += int64(len(r.GroupCounts)) * 8
 	return total
 }
 
 // bound packages the result as a trace binding: its output relation plus the
-// captured indexes, traced in place by the physical trace operator. Data
-// skipping keeps the backward lineage in the partitioned index only; the
-// binding carries it flattened, in the order Result.Backward reports.
+// captured indexes, traced in place by the physical trace operator.
 func (r *Result) bound() *plan.BoundTrace {
-	c := r.capture
-	if r.bwPart != nil && r.baseRel != nil {
-		c = c.WithBackward(r.baseRel.Name, r.bwPart.Flat())
-	}
-	return &plan.BoundTrace{Out: r.Out, Capture: c}
+	return &plan.BoundTrace{Out: r.Out, Capture: r.capture}
 }
 
 // Cube returns the partial data cube materialized by group-by push-down, or

@@ -5,7 +5,6 @@ import (
 
 	"smoke/internal/exec"
 	"smoke/internal/expr"
-	"smoke/internal/lineage"
 	"smoke/internal/ops"
 	"smoke/internal/plan"
 	"smoke/internal/serr"
@@ -258,19 +257,13 @@ func (r *Result) TraceStrategy(table string, dir TraceDir) Strategy {
 		if r.capture != nil && r.capture.HasForward(table) {
 			return StrategyEager
 		}
-	} else if r.partitioned(table) || (r.capture != nil && r.capture.HasBackward(table)) {
+	} else if r.capture != nil && r.capture.HasBackward(table) {
 		return StrategyEager
 	}
 	if r.lazyOK() && r.BaseRelation(table) != nil {
 		return StrategyLazy
 	}
 	return StrategyDefault
-}
-
-// partitioned reports whether table's backward lineage is the data-skipping
-// index, which replaces the captured backward index of the base relation.
-func (r *Result) partitioned(table string) bool {
-	return r.bwPart != nil && r.baseRel != nil && r.baseRel.Name == table
 }
 
 // lazyOK reports whether the result may answer a missing-index trace by
@@ -359,23 +352,9 @@ func (r *Result) trace(dir TraceDir, table string, seed Seed, distinct bool) ([]
 	}
 	lazy := r.TraceStrategy(table, dir) == StrategyLazy
 	if !lazy && seed.pred == nil && seed.explicit {
-		// The classic rid-seeded index read keeps its direct path (including
-		// data-skipping partitioned indexes, which only this path serves).
+		// The classic rid-seeded index read keeps its direct path.
 		rids := seed.rids
 		if dir == TraceBackward {
-			if r.partitioned(table) {
-				var all []Rid
-				for _, o := range rids {
-					if o < 0 || int(o) >= r.bwPart.Len() {
-						return nil, serr.New(serr.Invalid, "core: trace seed rid %d out of range [0, %d)", o, r.bwPart.Len())
-					}
-					all = append(all, r.bwPart.All(int(o))...)
-				}
-				if distinct {
-					all = lineage.Dedup(all)
-				}
-				return all, nil
-			}
 			if distinct {
 				return r.capture.BackwardDistinct(table, rids)
 			}

@@ -119,9 +119,9 @@ func TestQueryBackwardMatchesConsumeGroupBy(t *testing.T) {
 			}
 		}
 
-		// A data-skipping base keeps its backward lineage in the partitioned
-		// index only: the bound trace and the lazy re-execution must read it
-		// the way Result.Backward does.
+		// A data-skipping base orders its backward lists by partition code:
+		// the bound trace and the lazy re-execution must read them in the
+		// order Result.Backward does.
 		pbase, err := db.Query().From("orders", nil).GroupBy("state").
 			Agg(ops.Count, nil, "c").Run(CaptureOptions{Mode: ops.Inject, PartitionBy: []string{"cat"}})
 		if err != nil {
@@ -352,8 +352,8 @@ func TestPushdownResultTracesRestrictedLineage(t *testing.T) {
 }
 
 // TestDataSkippingTraceChecksTableAndSeeds: a result captured with
-// PartitionBy answers rid-seeded backward traces from its partitioned index,
-// and must reject an unknown table or an out-of-range seed with the same
+// PartitionBy answers rid-seeded backward traces from its ordered index, and
+// must reject an unknown table or an out-of-range seed with the same
 // structured error a plain capture gives, never another table's rids or a
 // panic.
 func TestDataSkippingTraceChecksTableAndSeeds(t *testing.T) {
@@ -382,6 +382,56 @@ func TestDataSkippingTraceChecksTableAndSeeds(t *testing.T) {
 		}
 		if got, err := res.Backward("orders", []Rid{0}); err != nil || len(got) != 12 {
 			t.Errorf("%s: Backward(orders, [0]) = %v, %v; want 12 rids", name, got, err)
+		}
+	}
+}
+
+// TestDataSkippingLineageRidesInTheCapture: a PartitionBy result's backward
+// lineage is the capture's ordinary backward index, only ordered by
+// partition code. So MemBytes charges it, the Capture serves it, and bound
+// traces read it in place: two identical trace queries fingerprint alike.
+func TestDataSkippingLineageRidesInTheCapture(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		db, _ := traceDB(t, workers)
+		defer db.Close()
+		run := func(opts CaptureOptions) *Result {
+			t.Helper()
+			opts.Mode, opts.Dirs = ops.Inject, ops.CaptureBackward
+			res, err := db.Query().From("orders", nil).GroupBy("state").Agg(ops.Count, nil, "c").Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		plain, part := run(CaptureOptions{}), run(CaptureOptions{PartitionBy: []string{"cat"}})
+		name := fmt.Sprintf("workers=%d", workers)
+		if got, want := part.MemBytes(), plain.MemBytes(); got < want {
+			t.Errorf("%s: MemBytes = %d, below the plain capture's %d: the backward lineage is not charged", name, got, want)
+		}
+		fp := func() string {
+			t.Helper()
+			f, err := db.Query().Trace(part, TraceBackward, "orders", Rids(1)).
+				GroupBy("cat").Agg(ops.Count, nil, "n").Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		if a, b := fp(), fp(); a != b {
+			t.Errorf("%s: identical trace queries fingerprint differently:\n%s\n%s", name, a, b)
+		}
+		if _, err := part.Capture().BackwardIndex("orders"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for o := 0; o < part.Out.N; o++ {
+			want, err := part.Backward("orders", []Rid{Rid(o)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := part.Capture().Backward("orders", []Rid{Rid(o)})
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s group %d: Capture().Backward = %v, %v; want Result.Backward's %v", name, o, got, err, want)
+			}
 		}
 	}
 }

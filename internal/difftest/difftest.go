@@ -14,9 +14,11 @@
 package difftest
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"smoke/internal/core"
@@ -389,9 +391,11 @@ func diffResults(ref, got *core.Result) error {
 }
 
 // diffPushdown checks a push-down run (PushdownFilter pd, PartitionBy b)
-// against the plain reference: the same output, and for every group o and
-// observed b value x, BackwardPartition(o, [x]) is the reference backward
-// list of o restricted to rows passing pd with b = x, order preserved.
+// against the plain reference: the same output; for every group o, the
+// backward list is the reference list of o restricted to rows passing pd,
+// stably ordered by b (an INT attribute codes by value, ascending); and for
+// every observed b value x, BackwardPartition(o, [x]) is that list's run of
+// rows with b = x.
 func diffPushdown(fact *storage.Relation, ref, got *core.Result, pd expr.Expr) error {
 	if err := diffRelation(ref.Out, got.Out); err != nil {
 		return err
@@ -414,10 +418,20 @@ func diffPushdown(fact *storage.Relation, ref, got *core.Result, pd expr.Expr) e
 			return err
 		}
 		want := map[int64][]lineage.Rid{}
+		var kept []lineage.Rid
 		for _, r := range all {
 			if pass(r) {
 				want[bs[r]] = append(want[bs[r]], r)
+				kept = append(kept, r)
 			}
+		}
+		slices.SortStableFunc(kept, func(a, b lineage.Rid) int { return cmp.Compare(bs[a], bs[b]) })
+		gotAll, err := got.Backward("fact", []lineage.Rid{lineage.Rid(o)})
+		if err != nil {
+			return err
+		}
+		if err := diffRids(kept, gotAll); err != nil {
+			return fmt.Errorf("backward lineage of output %d, ordered by b: %w", o, err)
 		}
 		for x := range seen {
 			gotL, err := got.BackwardPartition(lineage.Rid(o), []any{x})

@@ -83,8 +83,8 @@ type PlanResult struct {
 	GroupCounts []int64
 	// BWPart and Cube are what a root GroupBy's capture push-downs
 	// (plan.Pushdown) produce beside the capture: the data-skipping
-	// backward index, which replaces the plain one, and the partial cube.
-	BWPart *lineage.PartitionedIndex
+	// directory over the captured backward index, and the partial cube.
+	BWPart *lineage.PartitionDir
 	Cube   *cube.Cube
 }
 
@@ -117,7 +117,7 @@ type nodeOut struct {
 	bw     map[string]*lineage.Index
 	fw     map[string]*lineage.Index
 	counts []int64
-	bwPart *lineage.PartitionedIndex
+	bwPart *lineage.PartitionDir
 	cube   *cube.Cube
 }
 
@@ -343,7 +343,7 @@ func runGroupBy(node plan.GroupBy, opts PlanOpts) (nodeOut, error) {
 	}
 	if node.Pushdown != nil {
 		// Here the group-by's input rids would be intermediate rids, which
-		// the partitioned index and the cube cannot address.
+		// the partition directory and the cube cannot address.
 		return nodeOut{}, serr.New(serr.Unsupported,
 			"exec: capture push-downs require a group-by over a base scan or a backward trace, not %T", node.Child)
 	}

@@ -380,9 +380,10 @@ func TestPlanSPJAOverSubplan(t *testing.T) {
 }
 
 // A group-by's capture push-downs lower into its hash aggregation when its
-// input rids are base rids, producing the data-skipping index and the cube
-// beside the capture. Over any other child they would address intermediate
-// rids: that is a structured Unsupported error, never a silent drop.
+// input rids are base rids, producing the data-skipping directory over the
+// captured backward index and the cube beside the capture. Over any other
+// child they would address intermediate rids: that is a structured
+// Unsupported error, never a silent drop.
 func TestPlanGroupByPushdowns(t *testing.T) {
 	rel := datagen.Zipf("zipf", 1.0, 2000, 10, 5)
 	pass := expr.LtE(expr.C("v"), expr.F(50))
@@ -401,8 +402,8 @@ func TestPlanGroupByPushdowns(t *testing.T) {
 		if res.BWPart == nil || res.Cube == nil {
 			t.Fatalf("workers=%d: push-down outputs missing (BWPart %v, Cube %v)", workers, res.BWPart != nil, res.Cube != nil)
 		}
-		if res.Capture.HasBackward("zipf") {
-			t.Fatalf("workers=%d: the data-skipping index must replace the plain backward index", workers)
+		if ix, err := res.Capture.BackwardIndex("zipf"); err != nil || ix.Many != res.BWPart.Index().Many {
+			t.Fatalf("workers=%d: the capture must hold the index the data-skipping directory addresses (%v)", workers, err)
 		}
 		vcol, zcol := rel.Schema.MustCol("v"), rel.Schema.MustCol("z")
 		for o := 0; o < res.Out.N; o++ {

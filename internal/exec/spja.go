@@ -364,7 +364,7 @@ func Run(spec Spec, opts Opts) (Result, error) {
 		c.Finish(part)
 	})
 
-	_, bw, fw := c.Merge(opts.Pool)
+	bw, fw := c.Merge(opts.Pool)
 	res := Result{Out: groups[0].Materialize("spja"), GroupCounts: groups[0].Counts(), Capture: lineage.NewCapture()}
 	for t, rel := range rels {
 		if bw[t] != nil {

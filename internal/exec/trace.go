@@ -69,17 +69,9 @@ func traceIndex(source plan.Node, bound *plan.BoundTrace, table string, need ops
 	if err != nil {
 		return nil, nil, err
 	}
-	var ix *lineage.Index
+	ix := child.fw[table]
 	if need.Backward() {
 		ix = child.bw[table]
-		if ix == nil && child.bwPart != nil {
-			// A data-skipping group-by keeps its backward lineage in the
-			// partitioned index only; the sub-run captured no relation but
-			// table, so that index addresses it.
-			ix = child.bwPart.Flat()
-		}
-	} else {
-		ix = child.fw[table]
 	}
 	if ix == nil {
 		return nil, nil, fmt.Errorf("exec: trace: no lineage captured for %q (is it a base relation of the source?)", table)

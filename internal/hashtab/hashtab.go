@@ -78,7 +78,7 @@ func (m *Map) Get(key int64) (int32, bool) {
 // Put stores val under key, replacing any existing value.
 func (m *Map) Put(key int64, val int32) {
 	if m.size >= m.maxLoad {
-		m.grow()
+		m.grow(m.size + 1)
 	}
 	n := uint64(len(m.keys))
 	keys, vals, occ := m.keys[:n], m.vals[:n], m.occupied[:n]
@@ -101,7 +101,7 @@ func (m *Map) Put(key int64, val int32) {
 // one hash computation covers both the lookup and the insert.
 func (m *Map) GetOrPut(key int64, val int32) (existing int32, inserted bool) {
 	if m.size >= m.maxLoad {
-		m.grow()
+		m.grow(m.size + 1)
 	}
 	n := uint64(len(m.keys))
 	keys, vals, occ := m.keys[:n], m.vals[:n], m.occupied[:n]
@@ -124,11 +124,11 @@ func (m *Map) GetOrPut(key int64, val int32) (existing int32, inserted bool) {
 // order — and stores its return value, so group ids are assigned exactly as
 // the row-at-a-time loop would assign them (the determinism contract of the
 // parallel merge depends on discovery order). Hashing runs as its own tight
-// loop over the batch before any probing, and capacity is reserved up front
-// so the probe loop never rehashes mid-batch.
+// loop over the batch before any probing, and capacity is reserved up front,
+// in one resize, so the probe loop never rehashes mid-batch.
 func (m *Map) GetOrPutBatch(keys []int64, slots []int32, onNew func(j int, key int64) int32) {
-	for m.size+len(keys) > m.maxLoad {
-		m.grow()
+	if need := m.size + len(keys); need > m.maxLoad {
+		m.grow(need)
 	}
 	hs := hashBatch(keys)
 	n := uint64(len(m.keys))
@@ -188,9 +188,15 @@ func hashBatch(keys []int64) []uint64 {
 	return hs
 }
 
-func (m *Map) grow() {
+// grow rehashes into the smallest doubling of the table whose load bound
+// covers need entries: the size repeated doubling would reach, in one
+// allocation.
+func (m *Map) grow(need int) {
 	oldKeys, oldVals, oldOcc := m.keys, m.vals, m.occupied
 	n := len(m.keys) * 2
+	for n*7/10 < need {
+		n <<= 1
+	}
 	m.keys = make([]int64, n)
 	m.vals = make([]int32, n)
 	m.occupied = make([]bool, n)

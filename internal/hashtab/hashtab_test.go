@@ -131,3 +131,32 @@ func TestAgainstStdlibMap(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A batch that overflows the table resizes it once, straight to its final
+// size, instead of doubling through tables it then discards: New(64) holds
+// 128 slots, and 512 new keys need 1,024.
+func TestGetOrPutBatchGrowsOnce(t *testing.T) {
+	keys := make([]int64, 512)
+	for j := range keys {
+		keys[j] = int64(7 * j)
+	}
+	slots := make([]int32, len(keys))
+	onNew := func(j int, _ int64) int32 { return int32(j) }
+	var m *Map
+	allocs := testing.AllocsPerRun(20, func() {
+		m = New(64)
+		m.GetOrPutBatch(keys, slots, onNew)
+	})
+	// New allocates the map and its three arrays; the resize three more.
+	if allocs > 7 {
+		t.Errorf("New(64) + one 512-key batch: %v allocations, want <= 7", allocs)
+	}
+	if len(m.keys) != 1024 || m.Len() != len(keys) {
+		t.Errorf("table has %d slots and %d entries, want 1024 and %d", len(m.keys), m.Len(), len(keys))
+	}
+	for j, k := range keys {
+		if v, ok := m.Get(k); !ok || v != int32(j) || slots[j] != int32(j) {
+			t.Fatalf("key %d: Get = %d, %v; slot %d", k, v, ok, slots[j])
+		}
+	}
+}

@@ -22,20 +22,6 @@ func (c *Capture) SetBackward(rel string, ix *Index) { c.backward[rel] = ix }
 // SetForward installs the forward index for a base relation.
 func (c *Capture) SetForward(rel string, ix *Index) { c.forward[rel] = ix }
 
-// WithBackward returns a copy of c whose backward index for rel is ix; c
-// itself is unchanged.
-func (c *Capture) WithBackward(rel string, ix *Index) *Capture {
-	out := NewCapture()
-	for name, b := range c.backward {
-		out.backward[name] = b
-	}
-	for name, f := range c.forward {
-		out.forward[name] = f
-	}
-	out.backward[rel] = ix
-	return out
-}
-
 // BackwardIndex returns the backward index for rel, or an error if it was
 // pruned or never captured.
 func (c *Capture) BackwardIndex(rel string) (*Index, error) {

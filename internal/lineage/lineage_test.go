@@ -275,48 +275,74 @@ func TestDict(t *testing.T) {
 }
 
 func TestPartitionedIndex(t *testing.T) {
-	p := NewPartitionedIndex(2, nil)
-	p.Append(0, 10, 1)
-	p.Append(0, 10, 2)
-	p.Append(0, 20, 3)
-	p.Append(1, 10, 4)
-	if got := p.Partition(0, 10); !reflect.DeepEqual(got, []Rid{1, 2}) {
-		t.Errorf("Partition(0,10) = %v", got)
+	ix := NewRidIndex(3)
+	ix.SetList(0, []Rid{1, 3, 2})
+	ix.SetList(2, []Rid{4})
+	// Entry ranks, list by list: rids 1 and 2 have code 10 (rank 0), rid 3
+	// code 20, rid 4 code 10.
+	p := OrderByPartition(ix, []int32{0, 1, 0, 0}, []int64{10, 20}, nil)
+	if got := p.Index().Many.List(0); !reflect.DeepEqual(got, []Rid{1, 2, 3}) {
+		t.Errorf("ordered list 0 = %v", got)
 	}
-	if got := p.Partition(0, 99); got != nil {
-		t.Errorf("missing partition = %v, want nil", got)
+	for _, enc := range []bool{false, true} {
+		if enc {
+			p.Encode()
+			if !p.Index().Encoded() {
+				t.Fatal("Encode left the index raw")
+			}
+		}
+		for _, tc := range []struct {
+			i    int
+			code int64
+			want []Rid
+		}{{0, 10, []Rid{1, 2}}, {0, 20, []Rid{3}}, {0, 99, nil}, {1, 10, nil}, {2, 10, []Rid{4}}, {2, 20, nil}} {
+			if got := p.Partition(tc.i, tc.code); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("encoded=%v Partition(%d,%d) = %v, want %v", enc, tc.i, tc.code, got, tc.want)
+			}
+		}
 	}
-	all := p.All(0)
-	if len(all) != 3 {
-		t.Errorf("All(0) = %v", all)
+	if p.Len() != 3 || p.Dict() != nil {
+		t.Errorf("Len = %d, Dict = %v", p.Len(), p.Dict())
 	}
-	if p.Cardinality() != 4 {
-		t.Errorf("Cardinality = %d", p.Cardinality())
-	}
-	keys := p.Partitions(0)
-	if len(keys) != 2 {
-		t.Errorf("Partitions(0) = %v", keys)
-	}
-	if p.Len() != 2 {
-		t.Errorf("Len = %d", p.Len())
+	// A raw partition is a capacity-clipped range of the list: appending to
+	// it cannot overwrite the next code's rids.
+	q := OrderByPartition(ix, []int32{0, 1, 0, 0}, []int64{10, 20}, nil)
+	_ = append(q.Partition(0, 10), 99)
+	if got := q.Partition(0, 20); !reflect.DeepEqual(got, []Rid{3}) {
+		t.Errorf("append to a partition reached the next one: %v", got)
 	}
 }
 
-// All is the unpartitioned backward list: it must not depend on map
-// iteration order, or two reads of one capture could disagree.
+// The order is stable: entries of one code keep their capture order, in
+// every list, whatever order the codes arrive in.
 func TestPartitionedIndexAllIsOrdered(t *testing.T) {
-	p := NewPartitionedIndex(1, nil)
-	var want []Rid
-	for k := int64(0); k < 32; k++ {
-		want = append(want, Rid(2*k), Rid(2*k+1))
+	ix := NewRidIndex(2)
+	var ranks []int32
+	var want [2][]Rid
+	for i := range 2 {
+		var l []Rid
+		for k := 31; k >= 0; k-- {
+			l = append(l, Rid(100*i+2*k), Rid(100*i+2*k+1))
+			ranks = append(ranks, int32(k), int32(k))
+		}
+		ix.SetList(i, l)
+		for k := range 32 {
+			want[i] = append(want[i], Rid(100*i+2*k), Rid(100*i+2*k+1))
+		}
 	}
-	for k := int64(31); k >= 0; k-- {
-		p.Append(0, k, Rid(2*k))
-		p.Append(0, k, Rid(2*k+1))
+	codes := make([]int64, 32)
+	for k := range codes {
+		codes[k] = int64(3 * k)
 	}
-	for i := 0; i < 4; i++ {
-		if got := p.All(0); !reflect.DeepEqual(got, want) {
-			t.Fatalf("All(0) = %v, want partitions in ascending key order %v", got, want)
+	p := OrderByPartition(ix, ranks, codes, nil)
+	for i := range 2 {
+		if got := p.Index().Many.List(i); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("list %d = %v, want codes ascending, capture order within a code %v", i, got, want[i])
+		}
+		for k := range 32 {
+			if got := p.Partition(i, int64(3*k)); !reflect.DeepEqual(got, want[i][2*k:2*k+2]) {
+				t.Fatalf("Partition(%d, %d) = %v", i, 3*k, got)
+			}
 		}
 	}
 }

@@ -167,28 +167,3 @@ func MergePairsByRid(pairR, pairV [][]Rid, n int, remap func(part int, v Rid) Ri
 	}
 	return out
 }
-
-// MergePartitionMaps merges partition-local data-skipping maps (per local
-// group: partition-attribute code → rid list) into a PartitionedIndex over
-// nGlobal outputs, concatenating lists per (group, code) in partition order.
-func MergePartitionMaps(parts [][]map[int64][]Rid, slotMaps [][]Rid, nGlobal int, dict *Dict) *PartitionedIndex {
-	out := NewPartitionedIndex(nGlobal, dict)
-	for p, maps := range parts {
-		sm := slotMaps[p]
-		for s, m := range maps {
-			if m == nil {
-				continue
-			}
-			g := sm[s]
-			gm := out.parts[g]
-			if gm == nil {
-				gm = make(map[int64][]Rid, len(m))
-				out.parts[g] = gm
-			}
-			for code, l := range m {
-				gm[code] = append(gm[code], l...)
-			}
-		}
-	}
-	return out
-}

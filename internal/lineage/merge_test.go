@@ -54,21 +54,3 @@ func TestMergeListsBySlotMatchesSerialOrder(t *testing.T) {
 		t.Fatalf("cardinality %d", ix.Cardinality())
 	}
 }
-
-func TestMergePartitionMaps(t *testing.T) {
-	parts := [][]map[int64][]Rid{
-		{{1: {0, 2}}, nil},
-		{{2: {5}}, {1: {4}}},
-	}
-	slotMaps := [][]Rid{{0, 1}, {1, 0}}
-	ix := MergePartitionMaps(parts, slotMaps, 2, nil)
-	if got, want := ix.Partition(0, 1), []Rid{0, 2, 4}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("(g0,p1): got %v want %v", got, want)
-	}
-	if got, want := ix.Partition(1, 2), []Rid{5}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("(g1,p2): got %v want %v", got, want)
-	}
-	if ix.Cardinality() != 4 {
-		t.Fatalf("cardinality %d", ix.Cardinality())
-	}
-}

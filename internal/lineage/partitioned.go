@@ -37,95 +37,123 @@ func (d *Dict) Value(c int64) string { return d.vals[c] }
 // Size returns the number of interned values.
 func (d *Dict) Size() int { return len(d.vals) }
 
-// PartitionedIndex is a backward rid index whose per-output rid arrays are
-// partitioned by a predicate attribute (§4.2 data skipping): entry (output i,
-// partition key p) holds exactly the input rids of output i whose partition
-// attribute encodes to p. A parameterized lineage-consuming query
-// σ_attr=:p(Lb(o, R)) then scans only the matching partition.
-type PartitionedIndex struct {
-	parts []map[int64][]Rid
+// PartitionDir is the §4.2 data-skipping directory of a backward index
+// whose lists are stably ordered by partition code (OrderByPartition): for
+// every list, the [lo, hi) range each present code occupies. A
+// parameterized lineage-consuming query σ_attr=:p(Lb(o, R)) then reads only
+// the range of p. The directory addresses the same index the capture holds,
+// raw or encoded, and copies no rids.
+type PartitionDir struct {
+	ix *Index
+	// List i's directory entries are [off[i], off[i+1]). Entry k holds a
+	// code, ascending within the list, whose range ends at ends[k] and
+	// starts where the list's previous entry ends (0 for its first).
+	off   []int32
+	codes []int64
+	ends  []int32
 	dict  *Dict
 }
 
-// NewPartitionedIndex returns an index with n outputs and the given (shared,
-// possibly nil) dictionary for string-valued partition attributes.
-func NewPartitionedIndex(n int, dict *Dict) *PartitionedIndex {
-	return &PartitionedIndex{parts: make([]map[int64][]Rid, n), dict: dict}
+// OrderByPartition stably orders every list of ix by the rank of its
+// entries' partition codes and returns the directory over the ordered
+// index. ranks holds one rank per entry, list by list; codes[r] is the code
+// of rank r, ascending in r. Two stable counting passes, first by rank and
+// then by list, cost O(entries + ranks + lists) whatever the attribute's
+// cardinality. dict is the dictionary that interned the codes, nil when
+// they are INT values.
+func OrderByPartition(ix *RidIndex, ranks []int32, codes []int64, dict *Dict) *PartitionDir {
+	n := ix.Len()
+	// Pass 1: bucket (list, rid) by rank, in list order within a bucket.
+	start := make([]int32, len(codes)+1)
+	for _, r := range ranks {
+		start[r+1]++
+	}
+	for r := range codes {
+		start[r+1] += start[r]
+	}
+	byList := make([]int32, len(ranks))
+	byRid := make([]Rid, len(ranks))
+	next := slices.Clone(start[:len(codes)])
+	lens := make([]int32, n)
+	e := 0
+	for i, l := range ix.lists {
+		lens[i] = int32(len(l))
+		for _, rid := range l {
+			k := next[ranks[e]]
+			next[ranks[e]]++
+			byList[k], byRid[k] = int32(i), rid
+			e++
+		}
+	}
+	// Pass 2: stable by list. A list's entries arrive in ascending rank, so
+	// its directory entries do too; the first sweep counts them.
+	off := make([]int32, n+1)
+	last := make([]int32, n) // 1 + the rank of the list's last entry; 0 for none
+	for r := range codes {
+		for _, i := range byList[start[r]:start[r+1]] {
+			if last[i] != int32(r)+1 {
+				last[i] = int32(r) + 1
+				off[i+1]++
+			}
+		}
+	}
+	for i := range n {
+		off[i+1] += off[i]
+	}
+	d := &PartitionDir{off: off, codes: make([]int64, off[n]), ends: make([]int32, off[n]), dict: dict}
+	out := ExactLists(lens)
+	clear(last)
+	nextDir := slices.Clone(off[:n])
+	for r, code := range codes {
+		for k := start[r]; k < start[r+1]; k++ {
+			i := byList[k]
+			if last[i] != int32(r)+1 {
+				last[i] = int32(r) + 1
+				d.codes[nextDir[i]] = code
+				nextDir[i]++
+			}
+			out[i] = append(out[i], byRid[k])
+			d.ends[nextDir[i]-1] = int32(len(out[i]))
+		}
+	}
+	d.ix = NewOneToMany(&RidIndex{lists: out})
+	return d
 }
 
-// NewPartitionedIndexFromParts wraps per-output partition maps built
-// incrementally during capture (the operator appends maps as groups are
-// discovered, then hands them over without copying).
-func NewPartitionedIndexFromParts(parts []map[int64][]Rid, dict *Dict) *PartitionedIndex {
-	return &PartitionedIndex{parts: parts, dict: dict}
-}
+// Index returns the ordered backward index the directory addresses.
+func (d *PartitionDir) Index() *Index { return d.ix }
+
+// Encode replaces the addressed index with its compressed form; Partition
+// then decodes a list before slicing it.
+func (d *PartitionDir) Encode() { d.ix = EncodeIndex(d.ix) }
 
 // Dict returns the dictionary used for string partition attributes (nil for
 // integer attributes).
-func (p *PartitionedIndex) Dict() *Dict { return p.dict }
+func (d *PartitionDir) Dict() *Dict { return d.dict }
 
 // Len returns the number of outputs.
-func (p *PartitionedIndex) Len() int { return len(p.parts) }
+func (d *PartitionDir) Len() int { return len(d.off) - 1 }
 
-// Append adds rid to the partition key part of output i.
-func (p *PartitionedIndex) Append(i int, part int64, rid Rid) {
-	m := p.parts[i]
-	if m == nil {
-		m = map[int64][]Rid{}
-		p.parts[i] = m
-	}
-	m[part] = AppendRid(m[part], rid)
-}
-
-// Partition returns the rid array for (output i, partition key part).
-func (p *PartitionedIndex) Partition(i int, part int64) []Rid {
-	m := p.parts[i]
-	if m == nil {
+// Partition returns the rids of output i whose partition code is code, in
+// capture order: a raw list's range in place (capacity-clipped, so an
+// append cannot reach the next range), an encoded list's range decoded.
+func (d *PartitionDir) Partition(i int, code int64) []Rid {
+	lo, hi := int(d.off[i]), int(d.off[i+1])
+	k, ok := slices.BinarySearch(d.codes[lo:hi], code)
+	if !ok {
 		return nil
 	}
-	return m[part]
+	k += lo
+	from, to := int32(0), d.ends[k]
+	if k > lo {
+		from = d.ends[k-1]
+	}
+	if d.ix.Kind == OneToMany {
+		return d.ix.Many.List(i)[from:to:to]
+	}
+	return d.ix.Enc.AppendList(i, nil)[from:to]
 }
 
-// Partitions returns the partition keys present for output i, ascending.
-func (p *PartitionedIndex) Partitions(i int) []int64 {
-	m := p.parts[i]
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// All returns all rids of output i across partitions (the unpartitioned
-// backward lineage): the partitions in ascending key order, each in capture
-// order, so every call and every partitioning of the capture agrees.
-func (p *PartitionedIndex) All(i int) []Rid {
-	m := p.parts[i]
-	var out []Rid
-	for _, k := range p.Partitions(i) {
-		out = append(out, m[k]...)
-	}
-	return out
-}
-
-// Flat returns the unpartitioned backward lineage as a plain 1-to-N index
-// whose entry i is All(i).
-func (p *PartitionedIndex) Flat() *Index {
-	ix := NewRidIndex(len(p.parts))
-	for i := range p.parts {
-		ix.SetList(i, p.All(i))
-	}
-	return NewOneToMany(ix)
-}
-
-// Cardinality returns the total number of rid entries in the index.
-func (p *PartitionedIndex) Cardinality() int {
-	n := 0
-	for _, m := range p.parts {
-		for _, l := range m {
-			n += len(l)
-		}
-	}
-	return n
-}
+// SizeBytes returns the directory's own memory footprint; the index it
+// addresses belongs to the capture.
+func (d *PartitionDir) SizeBytes() int { return 4*len(d.off) + 12*len(d.codes) }

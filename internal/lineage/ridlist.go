@@ -1,9 +1,10 @@
 // Package lineage implements the paper's lineage index representations
 // (§3.1): rid arrays for 1-to-1 operator relationships and rid indexes
-// (inverted indexes of rid arrays) for 1-to-N relationships, plus partitioned
-// indexes for the data-skipping optimization (§4.2), index composition for
-// multi-operator propagation (§3.3), and the Capture container that maps a
-// query's output to its per-base-relation backward and forward indexes.
+// (inverted indexes of rid arrays) for 1-to-N relationships, plus the
+// partition order and directory of the data-skipping optimization (§4.2),
+// index composition for multi-operator propagation (§3.3), and the Capture
+// container that maps a query's output to its per-base-relation backward and
+// forward indexes.
 package lineage
 
 // Rid is a record id: the position of a record within its relation.

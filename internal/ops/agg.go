@@ -1,9 +1,12 @@
 package ops
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"smoke/internal/expr"
+	"smoke/internal/hashtab"
 	"smoke/internal/lineage"
 	"smoke/internal/pool"
 	"smoke/internal/scratch"
@@ -90,9 +93,12 @@ type AggOpts struct {
 	// satisfying the predicate (selection push-down). The query result is
 	// unaffected; only the captured lineage shrinks.
 	PushdownFilter expr.Expr
-	// PartitionBy partitions each group's backward rid array by the given
-	// attributes (data skipping): parameterized consuming queries then scan
-	// only the matching partition. The result's BWPart replaces BW.
+	// PartitionBy orders each group's backward rid list stably by the
+	// partition code of the given attributes (data skipping): a single TInt
+	// attribute's code is its value, in ascending order; any other
+	// attribute's code numbers its values by first appearance over the
+	// captured rows, in scan order. BWPart addresses each code's range, so a
+	// parameterized consuming query reads only its own partition.
 	PartitionBy []string
 	// Observe, when non-nil, is called once per (group slot, input rid) pair
 	// during aggregation. The group-by push-down passes a cube.Builder's
@@ -102,8 +108,8 @@ type AggOpts struct {
 	// Workers bounds the partition count of the two-phase aggregation:
 	// partition-local hash tables and rid lists merged in partition order
 	// (see HashAgg). Workers <= 1 is one partition of the same driver, which
-	// skips the merge. Options the merge does not cover (Observe, and
-	// non-int or composite PartitionBy) run as one partition.
+	// skips the merge. Observe, which the merge does not cover, runs as one
+	// partition.
 	Workers int
 	// Pool schedules the partition kernels; nil runs them inline.
 	Pool *pool.Pool
@@ -122,10 +128,11 @@ type AggOpts struct {
 	// operator loop still appends into raw structures (Inject) or
 	// exactly-sized arrays (Defer), and encoding happens post-capture, per
 	// partition; a merge then concatenates encoded lists without
-	// re-encoding. The result's BWEnc replaces BW. The forward array goes
-	// through lineage.EncodeForward once: it becomes a run directory
+	// re-encoding; a PartitionBy capture encodes its lists once the merge
+	// has ordered them. The result's BWEnc replaces BW. The forward array
+	// goes through lineage.EncodeForward once: it becomes a run directory
 	// (FWEnc), a packed array (FWSparse), or stays FW. Queries read every
-	// form in place; PartitionBy (data-skipping) indexes are not compressed.
+	// form in place.
 	Compress bool
 }
 
@@ -140,9 +147,9 @@ type AggResult struct {
 	BW  *lineage.RidIndex
 	// BWEnc replaces BW when AggOpts.Compress encoded the backward index.
 	BWEnc *lineage.EncodedIndex
-	// BWPart replaces BW when the data-skipping optimization partitions the
-	// backward rid arrays (AggOpts.PartitionBy).
-	BWPart *lineage.PartitionedIndex
+	// BWPart is the data-skipping directory (AggOpts.PartitionBy) over the
+	// backward index BW or BWEnc, whose lists it ordered by partition code.
+	BWPart *lineage.PartitionDir
 	FW     []Rid
 	// FWEnc replaces FW when AggOpts.Compress chose the forward array's run
 	// directory (lineage.EncodeForward).
@@ -159,7 +166,7 @@ type AggResult struct {
 
 // BackwardIndex wraps whichever backward representation the result holds
 // (raw or encoded) as a direction-agnostic index, or nil if backward lineage
-// was not captured (BWPart, the data-skipping form, is exposed separately).
+// was not captured.
 func (r *AggResult) BackwardIndex() *lineage.Index {
 	switch {
 	case r.BWEnc != nil:
@@ -182,34 +189,6 @@ func (r *AggResult) ForwardIndex() *lineage.Index {
 		return lineage.NewOneToOne(r.FW)
 	}
 	return nil
-}
-
-// aggPart is one partition of HashAgg: the shared group state plus the
-// data-skipping partition maps (§4.2), the one backward form HashAgg writes
-// itself rather than through the GroupCapture.
-type aggPart struct {
-	g        *GroupState
-	partKey  func(rid Rid) int64
-	partDict *lineage.Dict
-	partMaps []map[int64][]Rid
-}
-
-func newAggPart(in *storage.Relation, spec GroupBySpec, opts AggOpts) (*aggPart, error) {
-	keys := make([]KeyRef, len(spec.Keys))
-	for i, k := range spec.Keys {
-		keys[i] = KeyRef{Col: k}
-	}
-	g, err := NewGroupState([]*storage.Relation{in}, keys, spec.Aggs, opts.Params)
-	if err != nil {
-		return nil, err
-	}
-	st := &aggPart{g: g}
-	if len(opts.PartitionBy) > 0 {
-		if st.partKey, st.partDict, err = partitionKeyFn(in, opts.PartitionBy); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
 }
 
 // partitionKeyFn compiles the data-skipping partition key: single TInt
@@ -248,7 +227,7 @@ func partitionKeyFn(in *storage.Relation, attrs []string) (func(Rid) int64, *lin
 // (an AggResult.BWPart captured over in). Values must be given in
 // PartitionBy order, one per attribute; each is encoded through the same key
 // encoder partitionKeyFn applies to column values at capture time.
-func PartitionKey(part *lineage.PartitionedIndex, in *storage.Relation, attrs []string, vals []any) (int64, bool) {
+func PartitionKey(part *lineage.PartitionDir, in *storage.Relation, attrs []string, vals []any) (int64, bool) {
 	if len(vals) != len(attrs) {
 		return 0, false
 	}
@@ -317,27 +296,6 @@ func floatValue(v any) (float64, bool) {
 	return 0, false
 }
 
-// partition writes one captured batch into the data-skipping maps,
-// honoring the selection push-down keep.
-func (st *aggPart) partition(slots, rids []Rid, keep expr.Pred) {
-	for len(st.partMaps) < st.g.Len() {
-		st.partMaps = append(st.partMaps, nil)
-	}
-	for j, s := range slots {
-		rid := rids[j]
-		if keep != nil && !keep(rid) {
-			continue
-		}
-		m := st.partMaps[s]
-		if m == nil {
-			m = map[int64][]Rid{}
-			st.partMaps[s] = m
-		}
-		pk := st.partKey(rid)
-		m[pk] = lineage.AppendRid(m[pk], rid)
-	}
-}
-
 // countsByKeyCap sizes a new group's Inject list from the exact cardinality
 // statistics of its single integer key (AggOpts.CountsByKey), or is nil when
 // they do not apply.
@@ -391,26 +349,6 @@ func forEachBatch(inRids []Rid, lo, hi int, f func(rids []Rid)) {
 // identical for every partition count. One partition's state already is the
 // result, so it skips phase 2.
 
-// parallelizableAgg reports whether the two-phase merge covers the requested
-// options; when it does not, HashAgg runs them as one partition. Observe
-// (group-by push-down cube building) is stateful and order-sensitive, and
-// data-skipping partition codes are only stable across partition-local
-// dictionaries for single TInt attributes (string codes are assigned in
-// discovery order, which differs per partition).
-func parallelizableAgg(in *storage.Relation, opts AggOpts) bool {
-	if opts.Observe != nil {
-		return false
-	}
-	if len(opts.PartitionBy) == 0 {
-		return true
-	}
-	if len(opts.PartitionBy) > 1 {
-		return false
-	}
-	c := in.Schema.Col(opts.PartitionBy[0])
-	return c >= 0 && in.Schema[c].Type == storage.TInt
-}
-
 // HashAgg executes a hash group-by aggregation over in (all rows when inRids
 // is nil, otherwise only the listed rids — the shape lineage-consuming
 // queries take when they aggregate over a backward-lineage rid set).
@@ -418,8 +356,8 @@ func parallelizableAgg(in *storage.Relation, opts AggOpts) bool {
 // The groups, their counts and aggregates live in GroupState and the lineage
 // in GroupCapture, the same state and capture the fused SPJA block uses;
 // HashAgg drives them over one-table batches of base rids and keeps only the
-// §4.2 push-downs — the selection filter, the data-skipping partition maps,
-// Observe — and the cardinality statistics.
+// §4.2 push-downs — the selection filter, the data-skipping order, Observe —
+// and the cardinality statistics.
 //
 // Inject (§3.2.3) augments each group's intermediate state with the rid array
 // of its input records and emits indexes directly from the hash table.
@@ -436,8 +374,8 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 		n = len(inRids)
 	}
 	workers := opts.Workers
-	if !parallelizableAgg(in, opts) {
-		workers = 1
+	if opts.Observe != nil {
+		workers = 1 // cube building is stateful and order-sensitive
 	}
 	ranges := pool.Split(n, workers)
 
@@ -451,24 +389,35 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 		}
 		keep = p
 	}
-	sts := make([]*aggPart, len(ranges))
+	var partCode func(Rid) int64
+	var partDict *lineage.Dict
+	if len(opts.PartitionBy) > 0 {
+		var err error
+		if partCode, partDict, err = partitionKeyFn(in, opts.PartitionBy); err != nil {
+			return AggResult{}, err
+		}
+	}
+	keys := make([]KeyRef, len(spec.Keys))
+	for i, k := range spec.Keys {
+		keys[i] = KeyRef{Col: k}
+	}
 	groups := make([]*GroupState, len(ranges))
-	for p := range sts {
-		st, err := newAggPart(in, spec, opts)
+	for p := range groups {
+		g, err := NewGroupState([]*storage.Relation{in}, keys, spec.Aggs, opts.Params)
 		if err != nil {
 			return AggResult{}, err
 		}
-		sts[p], groups[p] = st, st.g
+		groups[p] = g
 	}
 	var dirs Directions
 	if opts.Mode != None {
 		dirs = opts.Dirs
 	}
-	bwPart := dirs.Backward() && sts[0].partKey != nil
-	if bwPart {
-		dirs &^= CaptureBackward // the partition maps replace the lists
-	}
-	c := NewGroupCapture([]*storage.Relation{in}, inRids, opts.DupRids, []Directions{dirs}, opts.Compress, groups, ranges)
+	// A data-skipping capture orders its lists once they are merged, so it
+	// encodes them only afterwards.
+	ordered := dirs.Backward() && partCode != nil
+	c := NewGroupCapture([]*storage.Relation{in}, inRids, opts.DupRids, []Directions{dirs},
+		opts.Compress && !ordered, groups, ranges)
 	c.keep = keep
 	if len(ranges) == 1 {
 		// With several partitions the counts, being global, would size every
@@ -478,26 +427,20 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 	}
 
 	opts.Pool.RunSplit(ranges, func(part, lo, hi int) {
-		st := sts[part]
+		g := groups[part]
 		slots := scratch.Rids(aggBatchSize)
 		cols := make([][]Rid, 1)
-		capture := func(sb, rids []Rid) {
-			c.Add(part, cols, sb)
-			if bwPart {
-				st.partition(sb, rids, keep)
-			}
-		}
 		forEachBatch(inRids, lo, hi, func(rids []Rid) {
 			sb := slots[:len(rids)]
 			cols[0] = rids
-			st.g.Fold(cols, sb)
+			g.Fold(cols, sb)
 			if opts.Observe != nil {
 				for j, s := range sb {
 					opts.Observe(s, rids[j])
 				}
 			}
 			if opts.Mode == Inject {
-				capture(sb, rids)
+				c.Add(part, cols, sb)
 			}
 		})
 		if opts.Mode == Defer {
@@ -507,32 +450,101 @@ func HashAgg(in *storage.Relation, inRids []Rid, spec GroupBySpec, opts AggOpts)
 			forEachBatch(inRids, lo, hi, func(rids []Rid) {
 				sb := slots[:len(rids)]
 				cols[0] = rids
-				st.g.Probe(cols, sb)
-				capture(sb, rids)
+				g.Probe(cols, sb)
+				c.Add(part, cols, sb)
 			})
 		}
 		scratch.PutRids(slots)
 		c.Finish(part)
 	})
 
-	slotMaps, bw, fw := c.Merge(opts.Pool)
+	bw, fw := c.Merge(opts.Pool)
 	final := groups[0]
 	res := AggResult{Out: final.Materialize("groupby"), GroupCounts: final.Counts()}
+	if ordered {
+		dir := orderByPartition(bw[0].Many, partCode, partDict, inRids, n, keep)
+		if opts.Compress {
+			dir.Encode()
+			if fw[0] != nil {
+				fw[0] = lineage.EncodeForward(fw[0])
+			}
+		}
+		bw[0] = dir.Index()
+		res.BWPart = dir
+	}
 	if ix := bw[0]; ix != nil {
 		res.BW, res.BWEnc = ix.Many, ix.Enc
 	}
 	if ix := fw[0]; ix != nil {
 		res.FW, res.FWEnc, res.FWSparse = ix.Arr, ix.EncArr, ix.Sparse
 	}
-	switch {
-	case bwPart && slotMaps != nil:
-		parts := make([][]map[int64][]Rid, len(sts))
-		for p, st := range sts {
-			parts[p] = st.partMaps
-		}
-		res.BWPart = lineage.MergePartitionMaps(parts, slotMaps, final.Len(), nil)
-	case bwPart:
-		res.BWPart = lineage.NewPartitionedIndexFromParts(sts[0].partMaps, sts[0].partDict)
-	}
 	return res, nil
+}
+
+// orderByPartition orders the merged backward lists stably by partition
+// code (§4.2 data skipping) and returns the directory over them. A single
+// TInt attribute (dict nil) codes a row by its value, ranked in ascending
+// order. Any other attribute interns its values here, in scan order over
+// the captured rows (those keep admits), so codes number values by first
+// appearance and rank as themselves.
+func orderByPartition(bw *lineage.RidIndex, code func(Rid) int64, dict *lineage.Dict,
+	inRids []Rid, n int, keep expr.Pred) *lineage.PartitionDir {
+	ranks := make([]int32, 0, bw.Cardinality())
+	var codes []int64
+	if dict == nil {
+		// Rank values by first sight, then renumber by ascending value.
+		seen := hashtab.New(64)
+		for i := range bw.Len() {
+			for _, rid := range bw.List(i) {
+				v := code(rid)
+				r, added := seen.GetOrPut(v, int32(len(codes)))
+				if added {
+					codes = append(codes, v)
+				}
+				ranks = append(ranks, r)
+			}
+		}
+		order := make([]int32, len(codes)) // first-sight numbers by ascending value
+		for r := range order {
+			order[r] = int32(r)
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(codes[a], codes[b]) })
+		rank := make([]int32, len(codes))
+		for r, first := range order {
+			rank[first] = int32(r)
+		}
+		for e, r := range ranks {
+			ranks[e] = rank[r]
+		}
+		slices.Sort(codes)
+		return lineage.OrderByPartition(bw, ranks, codes, nil)
+	}
+	codeOf := code
+	if inRids == nil {
+		// A dense scan keeps each row's code, so ranking reads it back
+		// instead of interning the value again.
+		byRid := make([]int32, n)
+		for r := range byRid {
+			if keep == nil || keep(Rid(r)) {
+				byRid[r] = int32(code(Rid(r)))
+			}
+		}
+		codeOf = func(r Rid) int64 { return int64(byRid[r]) }
+	} else {
+		for _, r := range inRids {
+			if keep == nil || keep(r) {
+				code(r)
+			}
+		}
+	}
+	for i := range bw.Len() {
+		for _, rid := range bw.List(i) {
+			ranks = append(ranks, int32(codeOf(rid)))
+		}
+	}
+	codes = make([]int64, dict.Size())
+	for c := range codes {
+		codes[c] = int64(c)
+	}
+	return lineage.OrderByPartition(bw, ranks, codes, dict)
 }

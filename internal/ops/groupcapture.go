@@ -212,10 +212,11 @@ func (c *GroupCapture) Finish(part int) {
 }
 
 // Merge ends the capture once every kernel has finished: it folds the group
-// states into the first in partition order and returns the slot maps (nil
-// for one partition) and each table's backward and forward index (nil where
-// the table's direction is not captured).
-func (c *GroupCapture) Merge(p *pool.Pool) (slotMaps [][]Rid, bw, fw []*lineage.Index) {
+// states into the first in partition order and returns each table's
+// backward and forward index (nil where the table's direction is not
+// captured).
+func (c *GroupCapture) Merge(p *pool.Pool) (bw, fw []*lineage.Index) {
+	var slotMaps [][]Rid
 	if len(c.parts) > 1 {
 		slotMaps = MergeGroups(c.groups)
 	}
@@ -238,7 +239,7 @@ func (c *GroupCapture) Merge(p *pool.Pool) (slotMaps [][]Rid, bw, fw []*lineage.
 			fw[t] = lineage.EncodeForward(fw[t])
 		}
 	}
-	return slotMaps, bw, fw
+	return bw, fw
 }
 
 // backward is table t's backward index: each global group's list is the

@@ -238,40 +238,25 @@ func TestHashAggParallelPushdownAndSkipping(t *testing.T) {
 		sameRidIndex(t, fmt.Sprintf("pushdown mode=%v BW", mode), par.BW, serial.BW)
 		sameRelation(t, par.Out, serial.Out)
 
-		// Data skipping over a single TInt attribute stays parallel.
-		opts = AggOpts{Mode: mode, Dirs: CaptureBackward, PartitionBy: []string{"part"}}
-		serial, err = HashAgg(rel, nil, spec, opts)
-		if err != nil {
-			t.Fatal(err)
+		// Data skipping runs at every partition count: the ordered lists,
+		// the dictionary and every code's range are element-identical to
+		// one partition's, for single TInt, STRING and composite attributes.
+		for _, attrs := range [][]string{{"part"}, {"s"}, {"part", "s"}} {
+			opts = AggOpts{Mode: mode, Dirs: CaptureBackward, PartitionBy: attrs}
+			serial, err = HashAgg(rel, nil, spec, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Workers, opts.Pool = 4, p
+			par, err = HashAgg(rel, nil, spec, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBWPart(t, fmt.Sprintf("PartitionBy %v mode=%v", attrs, mode), par, serial)
 		}
-		opts.Workers, opts.Pool = 4, p
-		par, err = HashAgg(rel, nil, spec, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.BWPart == nil || serial.BWPart == nil {
-			t.Fatalf("expected partitioned indexes (par=%v serial=%v)", par.BWPart != nil, serial.BWPart != nil)
-		}
-		if par.BWPart.Cardinality() != serial.BWPart.Cardinality() {
-			t.Fatalf("partitioned cardinality %d, want %d", par.BWPart.Cardinality(), serial.BWPart.Cardinality())
-		}
-		sameBWPart(t, fmt.Sprintf("int PartitionBy mode=%v", mode), par.BWPart, serial.BWPart)
 
-		// Options the merge does not cover run as one partition at any
-		// worker count: composite data skipping, and the order-sensitive
-		// Observe hook (its call sequence must match too).
-		opts = AggOpts{Mode: mode, Dirs: CaptureBackward, PartitionBy: []string{"part", "s"}}
-		serial, err = HashAgg(rel, nil, spec, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Workers, opts.Pool = 4, p
-		par, err = HashAgg(rel, nil, spec, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBWPart(t, fmt.Sprintf("composite PartitionBy mode=%v", mode), par.BWPart, serial.BWPart)
-
+		// Observe is order-sensitive, so it runs as one partition at any
+		// worker count (its call sequence must match too).
 		var calls [2][]Rid
 		observed := func(i, workers int) AggResult {
 			res, err := HashAgg(rel, nil, spec, AggOpts{Mode: mode, Dirs: CaptureBoth, Workers: workers, Pool: p,
@@ -310,19 +295,32 @@ func TestHashAggParallelPushdownAndSkipping(t *testing.T) {
 	}
 }
 
-func sameBWPart(t *testing.T, what string, got, want *lineage.PartitionedIndex) {
+// sameBWPart checks two data-skipping captures element for element: the
+// ordered backward lists, the dictionary, and the range of every code.
+func sameBWPart(t *testing.T, what string, got, want AggResult) {
 	t.Helper()
-	if got == nil || want == nil {
-		t.Fatalf("%s: expected partitioned indexes (got %v, want %v)", what, got != nil, want != nil)
+	if got.BWPart == nil || want.BWPart == nil {
+		t.Fatalf("%s: expected partition directories (got %v, want %v)", what, got.BWPart != nil, want.BWPart != nil)
 	}
-	if got.Cardinality() != want.Cardinality() || got.Len() != want.Len() {
-		t.Fatalf("%s: %d groups / %d rids, want %d / %d", what,
-			got.Len(), got.Cardinality(), want.Len(), want.Cardinality())
+	sameRidIndex(t, what+" BW", got.BW, want.BW)
+	gd, wd := got.BWPart.Dict(), want.BWPart.Dict()
+	if (gd == nil) != (wd == nil) || gd != nil && gd.Size() != wd.Size() {
+		t.Fatalf("%s: dictionaries differ", what)
 	}
-	for g := 0; g < want.Len(); g++ {
-		for _, code := range want.Partitions(g) {
+	codes := []int64{-1, 0, 1, 2, 3, 4}
+	if wd != nil {
+		codes = codes[:0]
+		for c := range int64(wd.Size()) {
+			if gd.Value(c) != wd.Value(c) {
+				t.Fatalf("%s: code %d is %q, want %q", what, c, gd.Value(c), wd.Value(c))
+			}
+			codes = append(codes, c)
+		}
+	}
+	for g := range want.BWPart.Len() {
+		for _, code := range codes {
 			sameRidArr(t, fmt.Sprintf("%s BWPart[%d][%d]", what, g, code),
-				got.Partition(g, code), want.Partition(g, code))
+				got.BWPart.Partition(g, code), want.BWPart.Partition(g, code))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"cmp"
 	"reflect"
 	"slices"
 	"testing"
@@ -73,15 +74,50 @@ func TestDataSkippingPartitionsBackward(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.BW != nil {
-			t.Fatalf("mode %v: plain BW should be replaced by partitioned index", mode)
+		if res.BW == nil || res.BWPart == nil {
+			t.Fatalf("mode %v: want the ordered backward index and its directory (BW %v, BWPart %v)",
+				mode, res.BW != nil, res.BWPart != nil)
 		}
-		if res.BWPart == nil {
-			t.Fatalf("mode %v: partitioned index missing", mode)
+		plain, err := HashAgg(rel, nil, countSpec(), AggOpts{Mode: mode, Dirs: CaptureBoth})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Partition (group, 'MAIL') holds exactly the MAIL rids of the group.
+		// Each list is the plain capture's, stably ordered by code (first
+		// appearance in scan order), and the directory slices every code's
+		// range out of it in place.
 		mcol := rel.Schema.MustCol("mode")
 		zcol := rel.Schema.MustCol("z")
+		dict := res.BWPart.Dict()
+		code := func(r Rid) int64 {
+			c, ok := dict.Lookup(rel.Str(mcol, int(r)))
+			if !ok {
+				t.Fatalf("mode %v: value %q of rid %d not interned", mode, rel.Str(mcol, int(r)), r)
+			}
+			return c
+		}
+		if got := dict.Value(0); got != rel.Str(mcol, 0) {
+			t.Fatalf("mode %v: code 0 is %q, want the first row's %q", mode, got, rel.Str(mcol, 0))
+		}
+		for slot := 0; slot < res.BW.Len(); slot++ {
+			want := slices.Clone(plain.BW.List(slot))
+			slices.SortStableFunc(want, func(a, b Rid) int { return cmp.Compare(code(a), code(b)) })
+			list := res.BW.List(slot)
+			if !reflect.DeepEqual(list, want) {
+				t.Fatalf("mode %v group %d: list %v, want %v", mode, slot, list, want)
+			}
+			var joined []Rid
+			for c := range int64(dict.Size()) {
+				part := res.BWPart.Partition(slot, c)
+				if len(part) > 0 && &part[0] != &list[len(joined)] {
+					t.Fatalf("mode %v group %d code %d: partition is a copy, not a range of the list", mode, slot, c)
+				}
+				joined = append(joined, part...)
+			}
+			if !reflect.DeepEqual(joined, list) {
+				t.Fatalf("mode %v group %d: partitions %v do not tile the list %v", mode, slot, joined, list)
+			}
+		}
+		// Partition (group, 'MAIL') holds exactly the MAIL rids of the group.
 		attrs := []string{"mode"}
 		pk, ok := PartitionKey(res.BWPart, rel, attrs, []any{"MAIL"})
 		if !ok {
@@ -96,8 +132,8 @@ func TestDataSkippingPartitionsBackward(t *testing.T) {
 			}
 		}
 		// All partitions together cover the input.
-		if res.BWPart.Cardinality() != rel.N {
-			t.Fatalf("mode %v: partitions cover %d, want %d", mode, res.BWPart.Cardinality(), rel.N)
+		if res.BW.Cardinality() != rel.N {
+			t.Fatalf("mode %v: partitions cover %d, want %d", mode, res.BW.Cardinality(), rel.N)
 		}
 	}
 }
@@ -247,7 +283,7 @@ func TestPushdownCombination(t *testing.T) {
 	}
 	vcol := rel.Schema.MustCol("v")
 	for slot := 0; slot < res.BWPart.Len(); slot++ {
-		for _, rid := range res.BWPart.All(slot) {
+		for _, rid := range res.BW.List(slot) {
 			if rel.Float(vcol, int(rid)) >= 50 {
 				t.Fatal("partition contains filtered-out rid")
 			}

@@ -105,7 +105,7 @@ type GroupBy struct {
 // captures backward lineage, chosen because the future lineage queries are
 // known up front (§4.2). It never changes the output. It applies only to a
 // group-by directly over a base Scan or a Backward trace, whose input rids
-// are base rids: the partitioned index and the cube address them.
+// are base rids: the partition directory and the cube address them.
 type Pushdown struct {
 	CountsByKey []int32    // exact cardinality per integer group key (§6.1.1)
 	Filter      expr.Expr  // capture only rows passing it (selection push-down)

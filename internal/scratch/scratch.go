@@ -15,6 +15,7 @@ package scratch
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // size classes: 1<<6 .. 1<<24 elements; requests outside the classed range
@@ -35,97 +36,60 @@ func classFor(n int) int {
 	return c
 }
 
-type pools struct {
+// pools recycles []T buffers by size class. It holds a pointer to a
+// buffer's first element, which an interface stores without allocating (a
+// slice header would be boxed on every Put), and the class restores the
+// capacity.
+type pools[T any] struct {
 	byClass [maxClassBits + 1]sync.Pool
 }
 
-func (p *pools) get(n int) (buf any, class int, ok bool) {
-	class = classFor(n)
+func (p *pools[T]) get(n int) []T {
+	class := classFor(n)
 	if class > maxClassBits {
-		return nil, class, false
+		return make([]T, n)
 	}
-	return p.byClass[class].Get(), class, true
+	if v := p.byClass[class].Get(); v != nil {
+		return unsafe.Slice(v.(*T), 1<<class)[:n]
+	}
+	return make([]T, n, 1<<class)
+}
+
+// put admits only exact power-of-two capacities inside the classed range
+// (anything else would poison its size class). The range checks run before
+// the shift so a zero capacity cannot produce a negative shift.
+func (p *pools[T]) put(b []T) {
+	c := bits.Len(uint(cap(b))) - 1
+	if c < minClassBits || c > maxClassBits || cap(b) != 1<<c {
+		return
+	}
+	p.byClass[c].Put(&b[:1][0])
 }
 
 var (
-	wordPools pools // []uint64
-	ridPools  pools // []int32
-	intPools  pools // []int64
+	wordPools pools[uint64]
+	ridPools  pools[int32]
+	intPools  pools[int64]
 )
 
 // Words returns a []uint64 with length exactly n. Contents are undefined;
 // callers must fully overwrite (bitmap kernels write every word under
 // KernSet).
-func Words(n int) []uint64 {
-	if v, class, ok := wordPools.get(n); ok {
-		if v != nil {
-			return v.([]uint64)[:n]
-		}
-		return make([]uint64, n, 1<<class)
-	}
-	return make([]uint64, n)
-}
-
-// putClass returns the pool class for a buffer capacity, or -1 when the
-// buffer must be dropped: only exact power-of-two capacities inside the
-// classed range are readmitted (anything else would poison its size class).
-// The range checks run before the shift so a zero capacity cannot produce a
-// negative shift.
-func putClass(capacity int) int {
-	c := bits.Len(uint(capacity)) - 1
-	if c < minClassBits || c > maxClassBits || capacity != 1<<c {
-		return -1
-	}
-	return c
-}
+func Words(n int) []uint64 { return wordPools.get(n) }
 
 // PutWords recycles a buffer obtained from Words.
-func PutWords(b []uint64) {
-	c := putClass(cap(b))
-	if c < 0 {
-		return
-	}
-	wordPools.byClass[c].Put(b[:cap(b)]) //nolint:staticcheck // slice is heap-allocated
-}
+func PutWords(b []uint64) { wordPools.put(b) }
 
 // Rids returns an []int32 scratch buffer with length exactly n (rid and
 // group-slot batches). Contents are undefined.
-func Rids(n int) []int32 {
-	if v, class, ok := ridPools.get(n); ok {
-		if v != nil {
-			return v.([]int32)[:n]
-		}
-		return make([]int32, n, 1<<class)
-	}
-	return make([]int32, n)
-}
+func Rids(n int) []int32 { return ridPools.get(n) }
 
 // PutRids recycles a buffer obtained from Rids.
-func PutRids(b []int32) {
-	c := putClass(cap(b))
-	if c < 0 {
-		return
-	}
-	ridPools.byClass[c].Put(b[:cap(b)]) //nolint:staticcheck
-}
+func PutRids(b []int32) { ridPools.put(b) }
 
 // Ints returns an []int64 scratch buffer with length exactly n (group-by key
 // batches). Contents are undefined.
-func Ints(n int) []int64 {
-	if v, class, ok := intPools.get(n); ok {
-		if v != nil {
-			return v.([]int64)[:n]
-		}
-		return make([]int64, n, 1<<class)
-	}
-	return make([]int64, n)
-}
+func Ints(n int) []int64 { return intPools.get(n) }
 
 // PutInts recycles a buffer obtained from Ints.
-func PutInts(b []int64) {
-	c := putClass(cap(b))
-	if c < 0 {
-		return
-	}
-	intPools.byClass[c].Put(b[:cap(b)]) //nolint:staticcheck
-}
+func PutInts(b []int64) { intPools.put(b) }
