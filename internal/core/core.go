@@ -16,8 +16,10 @@
 package core
 
 import (
+	"maps"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -264,6 +266,9 @@ type Query struct {
 	traceDir   TraceDir
 	traceTable string
 	traceSeed  Seed
+	// siblings are the executed results the forward-scatter rule may read
+	// (Siblings), in name order.
+	siblings []plan.Sibling
 }
 
 // Query starts a new query.
@@ -362,6 +367,25 @@ func (q *Query) TraceWith(s Strategy) *Query {
 		q.traceNode = res.buildTraceNode(dir, table, rel, q.traceSeed, true, false)
 	default:
 		q.fail(serr.New(serr.Invalid, "core: per-trace strategy must be eager or lazy"))
+	}
+	return q
+}
+
+// Siblings offers executed results to the optimizer's forward-scatter rule
+// (plan.RewriteForwardScatter), keyed by the names EXPLAIN shows them under.
+// A capture-off COUNT group-by over a bound backward trace then counts the
+// traced rids through the forward index of the first qualifying result, in
+// name order — a result grouping the same relation, under the same scan
+// filter, by the consuming query's key — instead of hash-aggregating them:
+// the same rows, row order and group counts. Results without a stored plan
+// (restored and consuming ones) never qualify, and a run that captures
+// lineage ignores the siblings, because the rewrite captures none.
+func (q *Query) Siblings(named map[string]*Result) *Query {
+	q.siblings = q.siblings[:0]
+	for _, name := range slices.Sorted(maps.Keys(named)) {
+		if r := named[name]; r != nil && r.plan != nil {
+			q.siblings = append(q.siblings, plan.Sibling{Name: name, Plan: r.plan, Out: r.Out, Capture: r.capture})
+		}
 	}
 	return q
 }
@@ -514,14 +538,41 @@ func (q *Query) Plan() (plan.Node, error) {
 // (plan.Fingerprint): two queries with equal fingerprints execute
 // identically against the current catalog state, which is what the server's
 // result cache keys on. Capture options, push-downs included, are not part
-// of it: Run attaches them. Queries that cannot be planned (builder errors)
-// return an error; callers then simply skip caching.
+// of it: Run attaches them. The plan is the capture-off one: a
+// forward-scatter rewrite over the Siblings, and the sibling it reads, are
+// part of it. Queries that cannot be planned (builder errors) return an
+// error; callers then simply skip caching.
 func (q *Query) Fingerprint() (string, error) {
 	p, err := q.Plan()
 	if err != nil {
 		return "", err
 	}
-	return plan.Fingerprint(plan.OptimizeNoTrace(p, plan.Opts{Catalog: q.db.cat})), nil
+	return plan.Fingerprint(plan.OptimizeNoTrace(p, plan.Opts{Catalog: q.db.cat, Siblings: q.siblings})), nil
+}
+
+// Explain renders the query's logical plan and, after each optimizer rule
+// that fired, the rewritten plan — the forward-scatter rule included when
+// Run with opts would apply it, naming the sibling result it reads.
+func (q *Query) Explain(opts CaptureOptions) (string, error) {
+	p, err := q.Plan()
+	if err != nil {
+		return "", err
+	}
+	o := plan.Opts{Catalog: q.db.cat}
+	if resolveStrategy(q.db, opts, plan.OptimizeNoTrace(p, o)) == StrategyLazy {
+		o.Siblings = q.siblings
+	}
+	var b strings.Builder
+	b.WriteString("logical plan:\n")
+	b.WriteString(plan.Format(p))
+	_, traces := plan.Optimize(p, o)
+	for _, tr := range traces {
+		b.WriteString("\nafter " + tr.Rule + ":\n" + tr.Plan)
+	}
+	if len(traces) == 0 {
+		b.WriteString("\n(no optimizer rule fired)\n")
+	}
+	return b.String(), nil
 }
 
 // Result is an executed base query: its output relation plus captured
@@ -556,6 +607,9 @@ type Result struct {
 	// whether a missing-index trace re-executes the stored plan (lazy,
 	// hybrid) or fails like an explicitly pruned capture always has.
 	strategy Strategy
+	// scatteredFrom names the sibling whose forward index answered the
+	// query (plan.ForwardScatter); "" when no rewrite ran.
+	scatteredFrom string
 }
 
 // Run executes the query with the given capture options: the builder state
@@ -614,19 +668,35 @@ func (q *Query) Run(opts CaptureOptions) (*Result, error) {
 		}
 	}
 	eopts.Workers, eopts.Pool = opts.workers(q.db)
-	pres, err := exec.RunPlan(optimized, eopts)
+	// The forward-scatter rewrite captures nothing, so only a capture-off
+	// run takes it; the result keeps the unrewritten plan, which is what a
+	// lazy trace of it re-executes with capture.
+	run := optimized
+	if strat == StrategyLazy {
+		run = plan.RewriteForwardScatter(optimized, q.siblings)
+	}
+	pres, err := exec.RunPlan(run, eopts)
 	if err != nil {
 		return nil, err
 	}
-	// Single-base plans keep consuming-query support (ConsumeGroupBy
-	// re-aggregates base rows addressed by backward rids).
-	return &Result{
+	res := &Result{
 		Out: pres.Out, GroupCounts: pres.GroupCounts,
 		db: q.db, capture: pres.Capture, plan: optimized, params: opts.Params,
 		bwPart: pres.BWPart, cube: pres.Cube, partAttrs: opts.PartitionBy,
+		// Single-base plans keep consuming-query support (ConsumeGroupBy
+		// re-aggregates base rows addressed by backward rids).
 		baseRel: plan.SingleBase(optimized), strategy: strat,
-	}, nil
+	}
+	if fs, ok := run.(plan.ForwardScatter); ok {
+		res.scatteredFrom = fs.Sibling.Name
+	}
+	return res, nil
 }
+
+// ScatteredFrom names the sibling result (Query.Siblings) whose forward
+// index answered the query through the forward-scatter rewrite, or "" when
+// the query ran without it.
+func (r *Result) ScatteredFrom() string { return r.scatteredFrom }
 
 // Backward evaluates Lb(outRids ⊆ Out, table): the base rids of table that
 // contributed to the given output rows. Lazy/hybrid results with no

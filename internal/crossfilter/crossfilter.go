@@ -13,7 +13,11 @@
 //     path.
 //   - BT+FT: forward indexes map each input record straight to its bar in
 //     every view — a perfect hash — so interactions become counter
-//     increments with no hash tables at all (Listing 1).
+//     increments with no hash tables at all (Listing 1). It is BT's plan
+//     with the other views offered as siblings: the optimizer's
+//     forward-scatter rule (plan.ForwardScatter) rewrites each
+//     trace-then-aggregate into counts through the target view's forward
+//     index.
 //   - Cube:  a partial data cube (pairwise dimension matrices) answers
 //     interactions near-instantaneously but pays a large offline
 //     construction cost — the cold-start trade-off of Figure 13.
@@ -72,7 +76,8 @@ type App struct {
 	tech Technique
 
 	views []*core.Result
-	fw    [][]Rid // BTFT: per-view forward arrays (input rid → bar slot)
+	// siblings offers every view to BT+FT's consuming queries, by name.
+	siblings map[string]*core.Result
 }
 
 // New computes the initial views through the engine's plan layer. The
@@ -116,12 +121,11 @@ func NewParallel(rel *storage.Relation, dims []string, tech Technique, workers i
 			return nil, err
 		}
 		a.views = append(a.views, res)
-		if tech == BTFT {
-			ix, err := res.Capture().ForwardIndex(rel.Name)
-			if err != nil {
-				return nil, err
-			}
-			a.fw = append(a.fw, ix.DenseForward(rel.N))
+	}
+	if tech == BTFT {
+		a.siblings = make(map[string]*core.Result, len(dims))
+		for v, d := range dims {
+			a.siblings[d] = a.views[v]
 		}
 	}
 	return a, nil
@@ -143,14 +147,10 @@ type Counts []map[int64]int64
 // HighlightBar computes the crossfiltered counts of all other views when bar
 // (an output row of view v) is highlighted.
 func (a *App) HighlightBar(v int, bar Rid) (Counts, error) {
-	switch a.tech {
-	case Lazy:
+	if a.tech == Lazy {
 		return a.lazyHighlight(v, bar)
-	case BT:
-		return a.btHighlight(v, bar)
-	default:
-		return a.btftHighlight(v, bar)
 	}
+	return a.traceHighlight(v, bar)
 }
 
 // lazyHighlight: shared selection scan with the brushed predicate inlined;
@@ -202,12 +202,14 @@ func (a *App) lazyHighlight(v int, bar Rid) (Counts, error) {
 	return out, nil
 }
 
-// btHighlight: every target view recomputes as a backward
-// trace-then-aggregate plan — the bar's rid list expands through the
+// traceHighlight: every target view recomputes as a backward
+// trace-then-aggregate plan. Under BT the bar's rid list expands through the
 // captured index (morsel-parallel when the app is) and re-aggregates on the
 // duplicate-tolerant consuming fast path, with no composition and no base
-// scan.
-func (a *App) btHighlight(v int, bar Rid) (Counts, error) {
+// scan. Under BT+FT the views are offered as siblings, and the
+// forward-scatter rule turns the aggregation into counter increments through
+// the target view's forward index (Listing 1).
+func (a *App) traceHighlight(v int, bar Rid) (Counts, error) {
 	out := make(Counts, len(a.dims))
 	for w := range a.dims {
 		if w == v {
@@ -217,51 +219,18 @@ func (a *App) btHighlight(v int, bar Rid) (Counts, error) {
 			Trace(a.views[v], core.TraceBackward, a.rel.Name, core.Rids(bar)).
 			GroupBy(a.dims[w]).
 			Agg(ops.Count, nil, "count").
+			Siblings(a.siblings).
 			Run(core.CaptureOptions{Mode: ops.None})
 		if err != nil {
 			return nil, err
 		}
+		if a.tech == BTFT && res.ScatteredFrom() != a.dims[w] {
+			return nil, fmt.Errorf("crossfilter: BT+FT brush of %s answered through %q, not the forward index of view %s",
+				a.dims[v], res.ScatteredFrom(), a.dims[w])
+		}
 		m := make(map[int64]int64, res.Out.N)
 		for o := 0; o < res.Out.N; o++ {
 			m[res.Out.Int(0, o)] = res.Out.Int(1, o)
-		}
-		out[w] = m
-	}
-	return out, nil
-}
-
-// btftHighlight: the forward indexes are perfect hashes from input records to
-// bars, so the interaction is pure counter increments (Listing 1).
-func (a *App) btftHighlight(v int, bar Rid) (Counts, error) {
-	rids, err := a.views[v].Backward(a.rel.Name, []Rid{bar})
-	if err != nil {
-		return nil, err
-	}
-	out := make(Counts, len(a.dims))
-	slotCounts := make([][]int64, len(a.dims))
-	for w := range a.dims {
-		if w != v {
-			slotCounts[w] = make([]int64, a.views[w].Out.N)
-		}
-	}
-	for _, rid := range rids {
-		for w := range a.dims {
-			if w == v {
-				continue
-			}
-			slotCounts[w][a.fw[w][rid]]++
-		}
-	}
-	for w := range a.dims {
-		if w == v {
-			continue
-		}
-		viewOut := a.views[w].Out
-		m := make(map[int64]int64)
-		for slot, c := range slotCounts[w] {
-			if c != 0 { // remove_non_affected_groups
-				m[viewOut.Int(0, slot)] = c
-			}
 		}
 		out[w] = m
 	}

@@ -219,3 +219,23 @@ func TestShardedDifferentialEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardScatterDifferentialEquivalence is the BT+FT rule's gate: a
+// capture-off COUNT group-by over a bound trace, rewritten to count through
+// a sibling view's forward index, must be element-identical to the hash
+// group-by at workers 1/2/4 over raw and compressed views and siblings, and
+// every sibling or query shape the rule must refuse keeps the hash path.
+func TestForwardScatterDifferentialEquivalence(t *testing.T) {
+	// Seed 13's view filter passes no row: every view and trace is empty.
+	seeds := []int64{57, 2030, 13}
+	queries := 12
+	if testing.Short() {
+		seeds = seeds[:1]
+		queries = 6
+	}
+	for _, seed := range seeds {
+		if err := CheckForwardScatter(seed, queries); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -223,6 +223,8 @@ func runNode(n plan.Node, opts PlanOpts) (nodeOut, error) {
 		return runSPJANode(node, opts)
 	case plan.Backward:
 		return runBackward(node, opts)
+	case plan.ForwardScatter:
+		return runForwardScatter(node, opts)
 	case plan.Forward:
 		return runForward(node, opts)
 	}

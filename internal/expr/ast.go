@@ -9,7 +9,7 @@ package expr
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // CmpOp is a comparison operator.
@@ -143,30 +143,69 @@ func (Year) isExpr()     {}
 func (Month) isExpr()    {}
 
 func (e Col) String() string      { return e.Name }
-func (e IntLit) String() string   { return fmt.Sprintf("%d", e.V) }
-func (e FloatLit) String() string { return fmt.Sprintf("%g", e.V) }
-func (e StrLit) String() string   { return fmt.Sprintf("'%s'", e.V) }
+func (e IntLit) String() string   { return string(Append(nil, e)) }
+func (e FloatLit) String() string { return string(Append(nil, e)) }
+func (e StrLit) String() string   { return string(Append(nil, e)) }
 func (e Param) String() string    { return ":" + e.Name }
-func (e Cmp) String() string      { return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R) }
-func (e And) String() string      { return fmt.Sprintf("(%s AND %s)", e.L, e.R) }
-func (e Or) String() string       { return fmt.Sprintf("(%s OR %s)", e.L, e.R) }
-func (e Not) String() string      { return fmt.Sprintf("(NOT %s)", e.E) }
-func (e Arith) String() string    { return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R) }
-func (e Sqrt) String() string     { return fmt.Sprintf("sqrt(%s)", e.E) }
-func (e Year) String() string     { return fmt.Sprintf("year(%s)", e.E) }
-func (e Month) String() string    { return fmt.Sprintf("month(%s)", e.E) }
+func (e Cmp) String() string      { return string(Append(nil, e)) }
+func (e And) String() string      { return string(Append(nil, e)) }
+func (e Or) String() string       { return string(Append(nil, e)) }
+func (e Not) String() string      { return string(Append(nil, e)) }
+func (e Arith) String() string    { return string(Append(nil, e)) }
+func (e Sqrt) String() string     { return string(Append(nil, e)) }
+func (e Year) String() string     { return string(Append(nil, e)) }
+func (e Month) String() string    { return string(Append(nil, e)) }
+func (e InStr) String() string    { return string(Append(nil, e)) }
 
-func (e InStr) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "(%s IN (", e.E)
-	for i, s := range e.Set {
-		if i > 0 {
-			b.WriteString(", ")
+// Append appends e's canonical text — its String form — to dst. It is the
+// one renderer behind every String method, and plan fingerprints call it
+// directly so that keying a cache renders no intermediate strings.
+func Append(dst []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case Col:
+		return append(dst, x.Name...)
+	case IntLit:
+		return strconv.AppendInt(dst, x.V, 10)
+	case FloatLit:
+		return strconv.AppendFloat(dst, x.V, 'g', -1, 64)
+	case StrLit:
+		return append(append(append(dst, '\''), x.V...), '\'')
+	case Param:
+		return append(append(dst, ':'), x.Name...)
+	case Cmp:
+		return appendBinary(dst, x.L, x.Op.String(), x.R)
+	case And:
+		return appendBinary(dst, x.L, "AND", x.R)
+	case Or:
+		return appendBinary(dst, x.L, "OR", x.R)
+	case Arith:
+		return appendBinary(dst, x.L, x.Op.String(), x.R)
+	case Not:
+		return append(Append(append(dst, "(NOT "...), x.E), ')')
+	case Sqrt:
+		return append(Append(append(dst, "sqrt("...), x.E), ')')
+	case Year:
+		return append(Append(append(dst, "year("...), x.E), ')')
+	case Month:
+		return append(Append(append(dst, "month("...), x.E), ')')
+	case InStr:
+		dst = append(Append(append(dst, '('), x.E), " IN ("...)
+		for i, s := range x.Set {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(append(append(dst, '\''), s...), '\'')
 		}
-		fmt.Fprintf(&b, "'%s'", s)
+		return append(dst, "))"...)
 	}
-	b.WriteString("))")
-	return b.String()
+	return append(dst, e.String()...)
+}
+
+// appendBinary renders "(l op r)".
+func appendBinary(dst []byte, l Expr, op string, r Expr) []byte {
+	dst = Append(append(dst, '('), l)
+	dst = append(append(append(dst, ' '), op...), ' ')
+	return append(Append(dst, r), ')')
 }
 
 // Convenience constructors keep query definitions in benches and tests

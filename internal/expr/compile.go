@@ -101,37 +101,41 @@ func TypeOf(e Expr, schema storage.Schema, params Params) (storage.Type, error) 
 // Columns returns the column names referenced by an expression.
 func Columns(e Expr) []string {
 	var out []string
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case Col:
-			out = append(out, n.Name)
-		case Cmp:
-			walk(n.L)
-			walk(n.R)
-		case And:
-			walk(n.L)
-			walk(n.R)
-		case Or:
-			walk(n.L)
-			walk(n.R)
-		case Not:
-			walk(n.E)
-		case InStr:
-			walk(n.E)
-		case Arith:
-			walk(n.L)
-			walk(n.R)
-		case Sqrt:
-			walk(n.E)
-		case Year:
-			walk(n.E)
-		case Month:
-			walk(n.E)
+	Walk(e, func(x Expr) {
+		if c, ok := x.(Col); ok {
+			out = append(out, c.Name)
 		}
-	}
-	walk(e)
+	})
 	return out
+}
+
+// Walk calls fn on e and then on every expression under it, depth first.
+func Walk(e Expr, fn func(Expr)) {
+	fn(e)
+	switch n := e.(type) {
+	case Cmp:
+		Walk(n.L, fn)
+		Walk(n.R, fn)
+	case And:
+		Walk(n.L, fn)
+		Walk(n.R, fn)
+	case Or:
+		Walk(n.L, fn)
+		Walk(n.R, fn)
+	case Arith:
+		Walk(n.L, fn)
+		Walk(n.R, fn)
+	case Not:
+		Walk(n.E, fn)
+	case InStr:
+		Walk(n.E, fn)
+	case Sqrt:
+		Walk(n.E, fn)
+	case Year:
+		Walk(n.E, fn)
+	case Month:
+		Walk(n.E, fn)
+	}
 }
 
 func paramValue(p Param, params Params) (any, error) {

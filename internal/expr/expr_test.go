@@ -1,9 +1,11 @@
 package expr
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"smoke/internal/dates"
@@ -279,5 +281,73 @@ func TestStringRendering(t *testing.T) {
 	}
 	if got := (Param{Name: "p1"}).String(); got != ":p1" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// fmtString is the fmt-based rendering Append replaced, kept as the oracle:
+// expression text is part of plan fingerprints and EXPLAIN, so it must not
+// move by a byte.
+func fmtString(e Expr) string {
+	switch x := e.(type) {
+	case Col:
+		return x.Name
+	case IntLit:
+		return fmt.Sprintf("%d", x.V)
+	case FloatLit:
+		return fmt.Sprintf("%g", x.V)
+	case StrLit:
+		return fmt.Sprintf("'%s'", x.V)
+	case Param:
+		return ":" + x.Name
+	case Cmp:
+		return fmt.Sprintf("(%s %s %s)", fmtString(x.L), x.Op, fmtString(x.R))
+	case And:
+		return fmt.Sprintf("(%s AND %s)", fmtString(x.L), fmtString(x.R))
+	case Or:
+		return fmt.Sprintf("(%s OR %s)", fmtString(x.L), fmtString(x.R))
+	case Not:
+		return fmt.Sprintf("(NOT %s)", fmtString(x.E))
+	case Arith:
+		return fmt.Sprintf("(%s %s %s)", fmtString(x.L), x.Op, fmtString(x.R))
+	case Sqrt:
+		return fmt.Sprintf("sqrt(%s)", fmtString(x.E))
+	case Year:
+		return fmt.Sprintf("year(%s)", fmtString(x.E))
+	case Month:
+		return fmt.Sprintf("month(%s)", fmtString(x.E))
+	case InStr:
+		var b strings.Builder
+		fmt.Fprintf(&b, "(%s IN (", fmtString(x.E))
+		for i, s := range x.Set {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "'%s'", s)
+		}
+		b.WriteString("))")
+		return b.String()
+	}
+	panic(fmt.Sprintf("fmtString: unhandled %T", e))
+}
+
+func TestStringMatchesFmtOracle(t *testing.T) {
+	exprs := []Expr{
+		C("a"), I(-42), I(0), F(1.5), F(-0.0), F(1e21), F(1e-7), F(math.Inf(1)), F(math.NaN()),
+		S("it's"), P("p1"),
+		Cmp{Op: Ne, L: C("a"), R: I(3)},
+		AndE(GeE(C("date"), I(10)), LtE(C("date"), I(20)), LtE(C("delay"), P("k"))),
+		Or{L: EqE(C("s"), S("x")), R: Not{E: GtE(C("v"), F(2.25))}},
+		Arith{Op: Div, L: MulE(C("a"), SubE(C("b"), I(1))), R: AddE(F(0.5), C("c"))},
+		Sqrt{E: C("v")}, Year{E: C("d")}, Month{E: C("d")},
+		InStr{E: C("m"), Set: []string{"MAIL", "SHIP"}}, InStr{E: C("m")},
+	}
+	for _, e := range exprs {
+		want := fmtString(e)
+		if got := e.String(); got != want {
+			t.Errorf("%T: String = %q, want %q", e, got, want)
+		}
+		if got := string(Append([]byte("x"), e)); got != "x"+want {
+			t.Errorf("%T: Append = %q, want %q", e, got, "x"+want)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package lineage
 
+import "slices"
+
 // RidIndex is the 1-to-N lineage representation (§3.1, Figure 3): an inverted
 // index whose i-th entry is the rid array of input (or output) records
 // associated with the i-th output (or input) record. Backward lineage of
@@ -202,6 +204,34 @@ func (ix *Index) TraceOne(i Rid, dst []Rid) []Rid {
 	default:
 		return ix.Enc.AppendList(int(i), dst)
 	}
+}
+
+// Lookup appends, for each rid of src, the one record a one-to-one index
+// maps it to, or -1 where it maps to none — the per-record probe of a
+// forward index read as a perfect hash (the BT+FT counter loop). Encoded
+// arrays probe through one cursor, amortized O(1) for the ascending rids of
+// a backward list. It panics on a one-to-many index.
+func (ix *Index) Lookup(src []Rid, dst []Rid) []Rid {
+	off := len(dst)
+	dst = slices.Grow(dst, len(src))[:off+len(src)]
+	out := dst[off:]
+	switch ix.Kind {
+	case OneToOne:
+		arr := ix.Arr
+		for j, r := range src {
+			out[j] = arr[r]
+		}
+	case SparseOne:
+		ix.Sparse.lookup(src, out)
+	case EncodedOne:
+		c := ix.EncArr.Cursor()
+		for j, r := range src {
+			out[j] = c.Get(r)
+		}
+	default:
+		panic("lineage: Lookup needs a one-to-one index")
+	}
+	return dst
 }
 
 // seqTracer returns a TraceOne-shaped probe function specialized for

@@ -189,6 +189,29 @@ func (s *SparseArr) Get(i Rid) Rid {
 	return s.at(k)
 }
 
+// lookup writes Get(r) for each rid r of src to out. A capture-time array
+// (bitmap and 32-bit slots: what a filtered view's forward index holds)
+// takes one loop with the bitmap probe, rank and slot load inline; any
+// other form probes through Get.
+func (s *SparseArr) lookup(src, out []Rid) {
+	if s.words == nil || s.b != 32 {
+		for j, r := range src {
+			out[j] = s.Get(r)
+		}
+		return
+	}
+	words, rank, vals := s.words, s.rank, s.vals
+	for j, r := range src {
+		w, bit := uint(r)>>6, uint64(1)<<(uint(r)&63)
+		x := words[w]
+		if x&bit == 0 {
+			out[j] = -1
+			continue
+		}
+		out[j] = vals[int(rank[w])+bits.OnesCount64(x&(bit-1))]
+	}
+}
+
 // RebaseRids maps the values of the present records rids (a partition's
 // slice of a distinct input rid list) through slotMap in place: the parallel
 // aggregation merge's local-to-global group slot rebase, on a capture-time

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -540,4 +542,58 @@ func FuzzSparseParts(f *testing.F) {
 		}
 		_ = NewSparseOne(s).DenseForward(n)
 	})
+}
+
+// TestLookupMatchesTraceOne probes every one-to-one forward form — the raw
+// array, a capture-time bitmap array, and each form EncodeForward picks —
+// with ascending, descending and duplicated rids, and requires Lookup to
+// read what TraceOne reads, -1 where a record maps to nothing.
+func TestLookupMatchesTraceOne(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const n = 1000
+	for _, absent := range []int{0, 3, 10} { // one record in absent maps to nothing (0: none)
+		arr := make([]Rid, n)
+		present := []Rid{}
+		for i := range arr {
+			arr[i] = Rid(r.Intn(37))
+			if absent > 0 && r.Intn(absent) == 0 {
+				arr[i] = -1
+			} else {
+				present = append(present, Rid(i))
+			}
+		}
+		capture := NewSparseArr(n, present)
+		for _, p := range present {
+			capture.Set(p, arr[p])
+		}
+		forms := map[string]*Index{
+			"raw":          NewOneToOne(arr),
+			"capture-time": NewSparseOne(capture),
+			"encoded":      EncodeForward(NewOneToOne(arr)),
+			"packed":       EncodeForward(NewSparseOne(capture)),
+			"runs":         EncodeForward(NewOneToOne(slices.Repeat([]Rid{4}, n))),
+		}
+		probes := make([]Rid, 0, 3*n)
+		for i := 0; i < n; i++ {
+			probes = append(probes, Rid(i))
+		}
+		for i := n - 1; i >= 0; i -= 3 {
+			probes = append(probes, Rid(i), Rid(i))
+		}
+		for name, ix := range forms {
+			got := ix.Lookup(probes, []Rid{-7})
+			if got[0] != -7 || len(got) != len(probes)+1 {
+				t.Fatalf("absent 1/%d %s: Lookup did not append", absent, name)
+			}
+			for j, p := range probes {
+				want := Rid(-1)
+				if one := ix.TraceOne(p, nil); len(one) == 1 {
+					want = one[0]
+				}
+				if got[j+1] != want {
+					t.Fatalf("absent 1/%d %s (kind %d): Lookup(%d) = %d, want %d", absent, name, ix.Kind, p, got[j+1], want)
+				}
+			}
+		}
+	}
 }

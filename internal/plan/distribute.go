@@ -91,6 +91,11 @@ func Distribute(n Node, sharded func(table string) bool) (Scatter, Fence) {
 	switch root := n.(type) {
 	case OrderBy, Limit:
 		return Scatter{}, FenceOrderLimit
+	case ForwardScatter:
+		// A bound trace regrouped through a sibling result: like any trace
+		// the optimizer did not collapse to a scan, it expands in per-shard
+		// order.
+		return Scatter{}, FenceBackward
 	case Filter:
 		return Scatter{}, FenceHaving
 	case GroupBy:
@@ -207,6 +212,8 @@ func shardedRefs(n Node, sharded func(string) bool) int {
 		return refs
 	case Backward:
 		return traceRefs(node.Table, node.Source, sharded)
+	case ForwardScatter:
+		return traceRefs(node.Trace.Table, node.Trace.Source, sharded)
 	case Forward:
 		return traceRefs(node.Table, node.Source, sharded)
 	}

@@ -1,12 +1,14 @@
 package plan
 
 import (
-	"fmt"
 	"hash/fnv"
-	"strings"
+	"reflect"
+	"strconv"
+	"unsafe"
 
 	"smoke/internal/expr"
 	"smoke/internal/lineage"
+	"smoke/internal/storage"
 )
 
 // Fingerprint renders a plan as a canonical one-line string that identifies
@@ -27,149 +29,177 @@ import (
 // Pointer components make fingerprints process-local: they are stable for
 // the lifetime of the process (what a cache needs), not across restarts.
 func Fingerprint(n Node) string {
-	var b strings.Builder
-	fingerprint(&b, n)
-	return b.String()
+	return string(appendFingerprint(make([]byte, 0, 256), n))
 }
 
-func fingerprint(b *strings.Builder, n Node) {
+// appendFingerprint appends n's fingerprint to b. It renders with strconv
+// appends, not fmt: every served request keys the result cache on it.
+func appendFingerprint(b []byte, n Node) []byte {
 	switch node := n.(type) {
 	case Scan:
-		fmt.Fprintf(b, "scan(%s,n=%d,rel=%p", node.Table, node.Rel.N, node.Rel)
+		b = append(append(b, "scan("...), node.Table...)
+		b = strconv.AppendInt(append(b, ",n="...), int64(node.Rel.N), 10)
+		b = appendPtr(append(b, ",rel="...), unsafe.Pointer(node.Rel))
 		if node.Filter != nil {
-			fmt.Fprintf(b, ",filter=%s", node.Filter)
+			b = expr.Append(append(b, ",filter="...), node.Filter)
 		}
-		b.WriteByte(')')
+		return append(b, ')')
 	case Filter:
-		fmt.Fprintf(b, "filter(%s,", node.Pred)
-		fingerprint(b, node.Child)
-		b.WriteByte(')')
+		b = expr.Append(append(b, "filter("...), node.Pred)
+		return append(appendFingerprint(append(b, ','), node.Child), ')')
 	case Project:
-		fmt.Fprintf(b, "project(%s,", strings.Join(node.Cols, "|"))
-		fingerprint(b, node.Child)
-		b.WriteByte(')')
+		b = appendJoined(append(b, "project("...), node.Cols, "|")
+		return append(appendFingerprint(append(b, ','), node.Child), ')')
 	case Join:
-		fmt.Fprintf(b, "join(%s=%s,qual=%s,pkfk=%t,cols=%s,",
-			node.LeftKey, node.RightKey, node.LeftQual, node.PKFK, strings.Join(node.Cols, "|"))
-		fingerprint(b, node.Left)
-		b.WriteByte(',')
-		fingerprint(b, node.Right)
-		b.WriteByte(')')
+		b = append(append(append(append(b, "join("...), node.LeftKey...), '='), node.RightKey...)
+		b = append(append(b, ",qual="...), node.LeftQual...)
+		b = strconv.AppendBool(append(b, ",pkfk="...), node.PKFK)
+		b = appendJoined(append(b, ",cols="...), node.Cols, "|")
+		b = appendFingerprint(append(b, ','), node.Left)
+		return append(appendFingerprint(append(b, ','), node.Right), ')')
 	case GroupBy:
-		fmt.Fprintf(b, "groupby(keys=%s,aggs=%s,", strings.Join(node.Keys, "|"), formatAggs(node.Aggs))
+		b = appendJoined(append(b, "groupby(keys="...), node.Keys, "|")
+		b = append(appendAggs(append(b, ",aggs="...), node.Aggs), ',')
 		if node.Pushdown != nil {
-			fmt.Fprintf(b, "pushdown=%s,", node.Pushdown)
+			b = append(node.Pushdown.append(append(b, "pushdown="...)), ',')
 		}
-		fingerprint(b, node.Child)
-		b.WriteByte(')')
+		return append(appendFingerprint(b, node.Child), ')')
 	case Union:
-		fmt.Fprintf(b, "union(attrs=%s,", strings.Join(node.Attrs, "|"))
-		fingerprint(b, node.Left)
-		b.WriteByte(',')
-		fingerprint(b, node.Right)
-		b.WriteByte(')')
+		b = appendJoined(append(b, "union(attrs="...), node.Attrs, "|")
+		b = appendFingerprint(append(b, ','), node.Left)
+		return append(appendFingerprint(append(b, ','), node.Right), ')')
 	case OrderBy:
-		b.WriteString("orderby(")
+		b = append(b, "orderby("...)
 		for i, k := range node.Keys {
 			if i > 0 {
-				b.WriteByte('|')
+				b = append(b, '|')
 			}
-			b.WriteString(k.Col)
+			b = append(b, k.Col...)
 			if k.Desc {
-				b.WriteString(" desc")
+				b = append(b, " desc"...)
 			}
 		}
-		b.WriteByte(',')
-		fingerprint(b, node.Child)
-		b.WriteByte(')')
+		return append(appendFingerprint(append(b, ','), node.Child), ')')
 	case Limit:
-		fmt.Fprintf(b, "limit(%d,", node.N)
-		fingerprint(b, node.Child)
-		b.WriteByte(')')
+		b = strconv.AppendInt(append(b, "limit("...), int64(node.N), 10)
+		return append(appendFingerprint(append(b, ','), node.Child), ')')
 	case SPJA:
-		b.WriteString("spja(keys=")
+		b = append(b, "spja(keys="...)
 		for i, k := range node.Keys {
 			if i > 0 {
-				b.WriteByte('|')
+				b = append(b, '|')
 			}
-			fmt.Fprintf(b, "in%d.%s", k.Input, k.Col)
+			b = append(appendInput(b, k.Input), k.Col...)
 		}
-		b.WriteString(",aggs=")
+		b = append(b, ",aggs="...)
 		for i, a := range node.Aggs {
 			if i > 0 {
-				b.WriteByte('|')
+				b = append(b, '|')
 			}
-			arg := "*"
-			if a.Arg != nil {
-				arg = a.Arg.String()
-			}
-			fmt.Fprintf(b, "%s(in%d.%s)", a.Fn, a.Input, arg)
+			b = appendInput(append(append(b, a.Fn.String()...), '('), a.Input)
+			b = append(appendArg(b, a.Arg), ')')
 			if a.Filter != nil {
-				fmt.Fprintf(b, " if %s", a.Filter)
+				b = expr.Append(append(b, " if "...), a.Filter)
 			}
-			fmt.Fprintf(b, " as %s", a.Name)
+			b = append(append(b, " as "...), a.Name...)
 		}
-		b.WriteString(",joins=")
+		b = append(b, ",joins="...)
 		for i, j := range node.Joins {
 			if i > 0 {
-				b.WriteByte('|')
+				b = append(b, '|')
 			}
-			fmt.Fprintf(b, "in%d.%s=%s", j.LeftInput, j.LeftCol, j.RightCol)
+			b = append(append(append(appendInput(b, j.LeftInput), j.LeftCol...), '='), j.RightCol...)
 		}
 		for i, in := range node.Inputs {
-			b.WriteByte(',')
+			b = append(b, ',')
 			if node.Filters[i] != nil {
-				fmt.Fprintf(b, "[%s]", node.Filters[i])
+				b = append(expr.Append(append(b, '['), node.Filters[i]), ']')
 			}
-			fingerprint(b, in)
+			b = appendFingerprint(b, in)
 		}
-		b.WriteByte(')')
+		return append(b, ')')
 	case Backward:
-		fmt.Fprintf(b, "backward(%s,rel=%p,%s", node.Table, node.Rel,
-			traceFingerprint(node.SeedRids, node.SeedPred, node.Filter, node.Distinct, node.Bound))
+		b = appendTrace(append(b, "backward("...), node.Table, node.Rel,
+			node.SeedRids, node.SeedPred, node.Filter, node.Distinct, node.Bound)
 		if node.Source != nil {
-			b.WriteByte(',')
-			fingerprint(b, node.Source)
+			b = appendFingerprint(append(b, ','), node.Source)
 		}
-		b.WriteByte(')')
+		return append(b, ')')
 	case Forward:
-		fmt.Fprintf(b, "forward(%s,rel=%p,%s", node.Table, node.Rel,
-			traceFingerprint(node.SeedRids, node.SeedPred, node.Filter, node.Distinct, node.Bound))
+		b = appendTrace(append(b, "forward("...), node.Table, node.Rel,
+			node.SeedRids, node.SeedPred, node.Filter, node.Distinct, node.Bound)
 		if node.Source != nil {
-			b.WriteByte(',')
-			fingerprint(b, node.Source)
+			b = appendFingerprint(append(b, ','), node.Source)
 		}
-		b.WriteByte(')')
-	default:
-		fmt.Fprintf(b, "?%T", n)
+		return append(b, ')')
+	case ForwardScatter:
+		// The sibling's capture identity: the rewrite reads its forward
+		// index, so another sibling is another plan.
+		b = append(append(b, "fwscatter(key="...), node.Key...)
+		b = appendAggs(append(b, ",aggs="...), node.Aggs)
+		b = append(appendPtr(append(b, ",sibling="...), unsafe.Pointer(node.Sibling.Capture)), ',')
+		return append(appendFingerprint(b, node.Trace), ')')
 	}
+	if n == nil {
+		return append(b, "?<nil>"...)
+	}
+	return append(append(b, '?'), reflect.TypeOf(n).String()...)
 }
 
-// traceFingerprint canonicalizes the attributes shared by the two trace
-// nodes. Seed rid lists are content-hashed: two traces with the same seeds
+// appendTrace canonicalizes the attributes shared by the two trace nodes.
+// Seed rid lists are content-hashed: two traces with the same seeds
 // fingerprint equal, and a million-rid seed set does not inline a
 // million-entry string.
-func traceFingerprint(rids []lineage.Rid, seedPred, filter expr.Expr,
-	distinct bool, bound *BoundTrace) string {
-	var b strings.Builder
+func appendTrace(b []byte, table string, rel *storage.Relation, rids []lineage.Rid, seedPred, filter expr.Expr,
+	distinct bool, bound *BoundTrace) []byte {
+	b = append(append(b, table...), ",rel="...)
+	b = appendPtr(b, unsafe.Pointer(rel))
 	switch {
 	case rids != nil:
-		fmt.Fprintf(&b, "seeds=rids:%d:%x", len(rids), hashRids(rids))
+		b = strconv.AppendInt(append(b, ",seeds=rids:"...), int64(len(rids)), 10)
+		b = strconv.AppendUint(append(b, ':'), hashRids(rids), 16)
 	case seedPred != nil:
-		fmt.Fprintf(&b, "seeds=pred:%s", seedPred)
+		b = expr.Append(append(b, ",seeds=pred:"...), seedPred)
 	default:
-		b.WriteString("seeds=all")
+		b = append(b, ",seeds=all"...)
 	}
 	if filter != nil {
-		fmt.Fprintf(&b, ",filter=%s", filter)
+		b = expr.Append(append(b, ",filter="...), filter)
 	}
 	if distinct {
-		b.WriteString(",distinct")
+		b = append(b, ",distinct"...)
 	}
 	if bound != nil {
-		fmt.Fprintf(&b, ",bound=%p", bound.Capture)
+		b = appendPtr(append(b, ",bound="...), unsafe.Pointer(bound.Capture))
 	}
-	return b.String()
+	return b
+}
+
+// appendPtr renders a pointer the way fmt's %p does.
+func appendPtr(b []byte, p unsafe.Pointer) []byte {
+	return strconv.AppendUint(append(b, "0x"...), uint64(uintptr(p)), 16)
+}
+
+func appendJoined(b []byte, s []string, sep string) []byte {
+	for i, x := range s {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = append(b, x...)
+	}
+	return b
+}
+
+// appendInput renders an SPJA input qualifier "in<i>.".
+func appendInput(b []byte, i int) []byte {
+	return append(strconv.AppendInt(append(b, "in"...), int64(i), 10), '.')
+}
+
+func appendArg(b []byte, arg expr.Expr) []byte {
+	if arg == nil {
+		return append(b, '*')
+	}
+	return expr.Append(b, arg)
 }
 
 // hashRids is the FNV-1a hash of a rid list's little-endian bytes.

@@ -16,6 +16,9 @@ type Opts struct {
 	// generic runner. The differential harness and the plan benchmark use it
 	// to compare the fused path against the generic path.
 	NoFusion bool
+	// Siblings are the executed results the forward-scatter rule may read a
+	// forward index of (RewriteForwardScatter); none leaves the rule idle.
+	Siblings []Sibling
 }
 
 // Trace records one optimizer rule application that changed the plan.
@@ -38,6 +41,7 @@ func rules(o Opts) []struct {
 		{"pkfk-detect", detectPKFK},
 		{"fuse-spja", func(n Node, _ Opts) Node { return fuseNode(n) }},
 		{"prune-projections", func(n Node, _ Opts) Node { return pruneNode(n, nil) }},
+		{"forward-scatter", func(n Node, o Opts) Node { return RewriteForwardScatter(n, o.Siblings) }},
 	}
 	if o.NoFusion {
 		out := rs[:0:0]

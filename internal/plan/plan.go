@@ -16,6 +16,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"smoke/internal/cube"
@@ -88,7 +89,14 @@ func (a AggDef) OutName(i int) string {
 	if a.Name != "" {
 		return a.Name
 	}
-	return fmt.Sprintf("%s_%d", a.Fn, i)
+	return string(a.appendOutName(nil, i))
+}
+
+func (a AggDef) appendOutName(b []byte, i int) []byte {
+	if a.Name != "" {
+		return append(b, a.Name...)
+	}
+	return strconv.AppendInt(append(append(b, a.Fn.String()...), '_'), int64(i), 10)
 }
 
 // GroupBy hash-aggregates its child: output columns are Keys (in order)
@@ -115,25 +123,37 @@ type Pushdown struct {
 
 // String renders the annotation canonically for EXPLAIN and Fingerprint;
 // the counts are content-hashed like trace seeds.
-func (p *Pushdown) String() string {
-	var parts []string
+func (p *Pushdown) String() string { return string(p.append(nil)) }
+
+func (p *Pushdown) append(b []byte) []byte {
+	start := len(b)
+	sep := func() {
+		if len(b) > start {
+			b = append(b, ' ')
+		}
+	}
 	if p.CountsByKey != nil {
-		parts = append(parts, fmt.Sprintf("counts=%d:%x", len(p.CountsByKey), hashRids(p.CountsByKey)))
+		b = strconv.AppendInt(append(b, "counts="...), int64(len(p.CountsByKey)), 10)
+		b = strconv.AppendUint(append(b, ':'), hashRids(p.CountsByKey), 16)
 	}
 	if p.Filter != nil {
-		parts = append(parts, fmt.Sprintf("filter=%s", p.Filter))
+		sep()
+		b = expr.Append(append(b, "filter="...), p.Filter)
 	}
 	if p.PartitionBy != nil {
-		parts = append(parts, fmt.Sprintf("partition=[%s]", strings.Join(p.PartitionBy, ", ")))
+		sep()
+		b = append(appendJoined(append(b, "partition=["...), p.PartitionBy, ", "), ']')
 	}
 	if p.Cube != nil {
 		aggs := make([]AggDef, len(p.Cube.Aggs))
 		for i, a := range p.Cube.Aggs {
 			aggs[i] = AggDef{Fn: a.Fn, Arg: a.Arg, Name: a.Name}
 		}
-		parts = append(parts, fmt.Sprintf("cube=[%s; %s]", strings.Join(p.Cube.Dims, ", "), formatAggs(aggs)))
+		sep()
+		b = appendJoined(append(b, "cube=["...), p.Cube.Dims, ", ")
+		b = append(appendAggs(append(b, "; "...), aggs), ']')
 	}
-	return strings.Join(parts, " ")
+	return b
 }
 
 // Union computes the set union of its children over the given attributes.
@@ -362,6 +382,8 @@ func OutSchema(n Node) (storage.Schema, error) {
 		return OutSchema(node.Child)
 	case Backward:
 		return node.Rel.Schema, nil
+	case ForwardScatter:
+		return OutSchema(GroupBy{Child: node.Trace, Keys: []string{node.Key}, Aggs: node.Aggs})
 	case Forward:
 		if node.Source != nil {
 			return OutSchema(node.Source)
@@ -442,6 +464,8 @@ func Bases(n Node, dst []*storage.Relation) []*storage.Relation {
 		// consuming queries over it are single-base in Rel, regardless of what
 		// else the source scanned.
 		return append(dst, node.Rel)
+	case ForwardScatter:
+		return append(dst, node.Trace.Rel)
 	case Forward:
 		if node.Source != nil {
 			return Bases(node.Source, dst)
@@ -574,6 +598,10 @@ func format(b *strings.Builder, n Node, depth int) {
 		if node.Source != nil {
 			format(b, node.Source, depth+1)
 		}
+	case ForwardScatter:
+		fmt.Fprintf(b, "ForwardScatter key=%s aggs=[%s] sibling=%s (forward index of %s)\n",
+			node.Key, formatAggs(node.Aggs), node.Sibling.Name, node.Trace.Table)
+		format(b, node.Trace, depth+1)
 	case Forward:
 		fmt.Fprintf(b, "Forward trace of %s%s", node.Table, traceAttrs(node.SeedRids, node.SeedPred, node.Filter, node.Distinct))
 		if node.Bound != nil {
@@ -608,20 +636,22 @@ func traceAttrs(rids []lineage.Rid, seedPred, filter expr.Expr, distinct bool) s
 	return b.String()
 }
 
-func formatAggs(aggs []AggDef) string {
-	parts := make([]string, len(aggs))
+func formatAggs(aggs []AggDef) string { return string(appendAggs(nil, aggs)) }
+
+// appendAggs renders an aggregate list: "fn(arg)[ filter=pred] AS name",
+// comma-separated.
+func appendAggs(b []byte, aggs []AggDef) []byte {
 	for i, a := range aggs {
-		arg := "*"
-		if a.Arg != nil {
-			arg = a.Arg.String()
+		if i > 0 {
+			b = append(b, ", "...)
 		}
-		s := fmt.Sprintf("%s(%s)", a.Fn, arg)
+		b = append(appendArg(append(append(b, a.Fn.String()...), '('), a.Arg), ')')
 		if a.Filter != nil {
-			s += fmt.Sprintf(" filter=%s", a.Filter)
+			b = expr.Append(append(b, " filter="...), a.Filter)
 		}
-		parts[i] = s + " AS " + a.OutName(i)
+		b = a.appendOutName(append(b, " AS "...), i)
 	}
-	return strings.Join(parts, ", ")
+	return b
 }
 
 func containsStr(s []string, v string) bool {

@@ -115,5 +115,14 @@ func TestConcurrentClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Each session's "base" groups by region over the traced scan, so the
+	// storm's region re-counts ran through its forward index, concurrently.
+	h, err := c.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := healthCount(t, h, "scatter_traces"); n == 0 {
+		t.Fatal("no trace of the storm took the forward-scatter rewrite")
+	}
 	_ = db
 }

@@ -104,6 +104,9 @@ type Server struct {
 	lazyTraces    atomic.Uint64
 	hybridTraces  atomic.Uint64
 	lazyFallbacks atomic.Uint64
+	// scatterTraces counts traces computed by the forward-scatter rewrite:
+	// a sibling result's forward index answered them, no hash table.
+	scatterTraces atomic.Uint64
 }
 
 // New returns a Server over cfg.DB.
@@ -230,6 +233,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"lazy_traces":    s.lazyTraces.Load(),
 		"hybrid_traces":  s.hybridTraces.Load(),
 		"lazy_fallbacks": s.lazyFallbacks.Load(),
+		"scatter_traces": s.scatterTraces.Load(),
 	}
 	if s.store != nil {
 		body["demoted_results"] = st.demoted
@@ -651,9 +655,17 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req wire.TraceRequ
 	if err != nil {
 		return wire.Result{}, err
 	}
+	if mode == ops.None && len(req.GroupBy) > 0 {
+		// The session's other resident results may answer a consuming
+		// COUNT through a forward index (the BT+FT rewrite).
+		q = q.Siblings(s.sessions.residents(sessionID))
+	}
 	traced, out, err := s.runCached(q, core.CaptureOptions{Mode: mode, Compress: req.Compress, Params: params})
 	if err != nil {
 		return wire.Result{}, err
+	}
+	if !out.Cached && traced.ScatteredFrom() != "" {
+		s.scatterTraces.Add(1)
 	}
 	if path == core.StrategyLazy {
 		s.lazyTraces.Add(1)

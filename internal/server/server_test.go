@@ -725,3 +725,73 @@ func TestAdmissionGateRejects(t *testing.T) {
 		t.Fatalf("queued waiter failed: %v", err)
 	}
 }
+
+// TestConsumingTraceScattersThroughSibling: once the session retains a view
+// grouped by the consuming key over the same filter, a capture-off consuming
+// COUNT answers through its forward index — with the hash path's rows and
+// group counts — and /healthz counts it; a cache hit and a capturing trace
+// do not.
+func TestConsumingTraceScattersThroughSibling(t *testing.T) {
+	c, _ := newTestServer(t, nil)
+	ctx := context.Background()
+	var rows [][]any
+	for i := 0; i < 200; i++ {
+		rows = append(rows, []any{int64(i % 7), int64((i * 13) % 11), int64(i % 120)})
+	}
+	schema := []serverclient.Field{{Name: "carrier", Type: "int"}, {Name: "delay", Type: "int"}, {Name: "date", Type: "int"}}
+	if err := c.CreateTable(ctx, "flights", schema, rows, ""); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := func(name, key string) {
+		t.Helper()
+		sql := "SELECT " + key + ", COUNT(*) AS cnt FROM flights WHERE date >= 10 AND date < 90 GROUP BY " + key
+		if _, err := sess.Run(ctx, name, serverclient.QueryRequest{SQL: sql}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	brush := serverclient.TraceRequest{Direction: "backward", Table: "flights", Rids: []int64{2, 0},
+		GroupBy: []string{"delay"}, Aggs: []serverclient.Agg{{Fn: "count", Name: "cnt"}}}
+	scattered := func() int64 {
+		t.Helper()
+		h, err := c.Health(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return healthCount(t, h, "scatter_traces")
+	}
+
+	view("bycarrier", "carrier")
+	want, err := sess.Trace(ctx, "bycarrier", brush)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := scattered(); n != 0 {
+		t.Fatalf("scatter_traces = %d with no sibling, want 0", n)
+	}
+	view("bydelay", "delay")
+	got, err := sess.Trace(ctx, "bycarrier", brush)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cached || !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(got.GroupCounts, want.GroupCounts) {
+		t.Fatalf("scattered trace = %v %v (cached %v), want %v %v", got.Rows, got.GroupCounts, got.Cached, want.Rows, want.GroupCounts)
+	}
+	if n := scattered(); n != 1 {
+		t.Fatalf("scatter_traces = %d, want 1", n)
+	}
+	if again, err := sess.Trace(ctx, "bycarrier", brush); err != nil || !again.Cached {
+		t.Fatalf("repeat: cached=%v err=%v, want a cache hit", again != nil && again.Cached, err)
+	}
+	captured := brush
+	captured.Capture, captured.Retain = "inject", "kept"
+	if _, err := sess.Trace(ctx, "bycarrier", captured); err != nil {
+		t.Fatal(err)
+	}
+	if n := scattered(); n != 1 {
+		t.Fatalf("scatter_traces = %d after a cache hit and a capturing trace, want 1", n)
+	}
+}

@@ -687,6 +687,26 @@ func (r *registry) resolve(id, name string, h *traceHint) (*core.Result, *spec, 
 	}
 }
 
+// residents returns session id's resident results by name — the siblings a
+// capture-off consuming trace may regroup through (core.Query.Siblings).
+// Segment-backed views are left out, and no clock moves: offering a result
+// as a sibling is not a use of it.
+func (r *registry) residents(id string) map[string]*core.Result {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.sessions[id]
+	if s == nil || s.dormant {
+		return nil
+	}
+	out := make(map[string]*core.Result, len(s.entries))
+	for name, e := range s.entries {
+		if e.res != nil && !e.res.IsView() {
+			out[name] = e.res
+		}
+	}
+	return out
+}
+
 func evicted(s *session, name string) error {
 	return serr.New(serr.Gone, "server: result %q was evicted from session %s; re-run the base query", name, s.id)
 }

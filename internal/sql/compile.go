@@ -2,7 +2,6 @@ package sql
 
 import (
 	"fmt"
-	"strings"
 
 	"smoke/internal/core"
 	"smoke/internal/expr"
@@ -53,17 +52,7 @@ func ExplainStmt(db *core.DB, st *Stmt) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	b.WriteString("logical plan:\n")
-	b.WriteString(plan.Format(n))
-	_, traces := plan.Optimize(n, plan.Opts{Catalog: db.Catalog()})
-	for _, tr := range traces {
-		fmt.Fprintf(&b, "\nafter %s:\n%s", tr.Rule, tr.Plan)
-	}
-	if len(traces) == 0 {
-		b.WriteString("\n(no optimizer rule fired)\n")
-	}
-	return b.String(), nil
+	return db.QueryPlan(n).Explain(core.CaptureOptions{})
 }
 
 // source is one FROM/JOIN relation during lowering: its reference name (alias
