@@ -378,8 +378,9 @@ func (q *Query) TraceWith(s Strategy) *Query {
 // name order — a result grouping the same relation, under the same scan
 // filter, by the consuming query's key — instead of hash-aggregating them:
 // the same rows, row order and group counts. Results without a stored plan
-// (restored and consuming ones) never qualify, and a run that captures
-// lineage ignores the siblings, because the rewrite captures none.
+// — consuming ones, and restored ones not given theirs back (AttachPlan) —
+// never qualify, and a run that captures lineage ignores the siblings,
+// because the rewrite captures none.
 func (q *Query) Siblings(named map[string]*Result) *Query {
 	q.siblings = q.siblings[:0]
 	for _, name := range slices.Sorted(maps.Keys(named)) {
@@ -584,8 +585,9 @@ type Result struct {
 	db      *DB
 	capture *lineage.Capture
 	// plan is the optimized plan that produced the result (nil for
-	// ConsumeGroupBy and restored results): bound traces carry it so the
-	// optimizer can reason about scan-and-filter equivalence.
+	// ConsumeGroupBy results, and for restored ones until AttachPlan):
+	// bound traces carry it so the optimizer can reason about
+	// scan-and-filter equivalence.
 	plan plan.Node
 	// bwPart (the data-skipping directory over the captured backward index)
 	// and cube are the push-down outputs; partAttrs are bwPart's attributes.

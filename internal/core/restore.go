@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"smoke/internal/lineage"
 	"smoke/internal/plan"
 	"smoke/internal/storage"
@@ -11,9 +13,10 @@ import (
 // lineage indexes, and the base-relation snapshots the capture's rids
 // address. The restored result serves bound traces exactly like the original
 // — Backward/Forward, distinct variants, and ConsumeGroupBy when the capture
-// spans a single base — but carries no plan (it already executed; only the
-// lineage survives demotion), so optimizer reasoning over scan equivalence
-// is unavailable until the client re-runs the base query.
+// spans a single base. The segment holds no plan: a caller that kept the
+// original's (ProducingPlan) gives it back with AttachPlan, and until then
+// optimizer reasoning over scan equivalence — the forward-scatter rule, a
+// scan-equivalent trace — is unavailable.
 func RestoreResult(db *DB, out *storage.Relation, groupCounts []int64,
 	capture *lineage.Capture, bases map[string]*storage.Relation) *Result {
 	if capture == nil {
@@ -37,7 +40,8 @@ func RestoreResult(db *DB, out *storage.Relation, groupCounts []int64,
 // segment, so a trace touching few groups faults in only the pages its seed
 // lists need — without charging the memory budget or taking an LRU slot.
 // A view becomes a regular retained result by simply being retained (the
-// flag records provenance, not a capability difference).
+// flag records provenance, not a capability difference), and takes back its
+// plan like any restored result (AttachPlan).
 func RestoreView(db *DB, out *storage.Relation, groupCounts []int64,
 	capture *lineage.Capture, bases map[string]*storage.Relation) *Result {
 	res := RestoreResult(db, out, groupCounts, capture, bases)
@@ -48,6 +52,70 @@ func RestoreView(db *DB, out *storage.Relation, groupCounts []int64,
 // IsView reports whether the result was restored as a transient
 // segment-backed trace view (RestoreView) rather than promoted into memory.
 func (r *Result) IsView() bool { return r.view }
+
+// ProducingPlan returns the optimized plan that produced the result, for a
+// caller that keeps it across a demotion to give back to the restored copy
+// (AttachPlan). It is nil when the result has none (restored and
+// ConsumeGroupBy results), when it ran bound to query parameters — a
+// restored result carries no bindings — and when the plan reads another
+// result's lineage: kept past a demotion, its bound trace would hold that
+// result's indexes in memory uncharged.
+func (r *Result) ProducingPlan() plan.Node {
+	if r.plan == nil || len(r.params) > 0 || bindsLineage(r.plan) {
+		return nil
+	}
+	return r.plan
+}
+
+// AttachPlan gives a restored result (RestoreResult, RestoreView) the plan
+// its original ran (ProducingPlan), so the optimizer reasons over it as it
+// did over the original: it qualifies for the forward-scatter rule as the
+// traced result and as a sibling, and a predicate-seeded trace may run as
+// its scan equivalent. The plan is attached only when every relation it
+// scans is, pointer for pointer, the restored base snapshot of that name:
+// the rows the plan names are then the rows the capture's rids address.
+// Reports whether it was attached; a result that already has a plan keeps
+// it.
+func (r *Result) AttachPlan(p plan.Node) bool {
+	if p == nil || r.plan != nil || r.bases == nil {
+		return false
+	}
+	for _, rel := range plan.Bases(p, nil) {
+		if r.bases[rel.Name] != rel {
+			return false
+		}
+	}
+	r.plan = p
+	return true
+}
+
+// bindsLineage reports whether n traces a captured result (a bound
+// Backward or Forward).
+func bindsLineage(n plan.Node) bool {
+	switch node := n.(type) {
+	case plan.Backward:
+		return node.Bound != nil || node.Source != nil && bindsLineage(node.Source)
+	case plan.Forward:
+		return node.Bound != nil || node.Source != nil && bindsLineage(node.Source)
+	case plan.Filter:
+		return bindsLineage(node.Child)
+	case plan.Project:
+		return bindsLineage(node.Child)
+	case plan.GroupBy:
+		return bindsLineage(node.Child)
+	case plan.OrderBy:
+		return bindsLineage(node.Child)
+	case plan.Limit:
+		return bindsLineage(node.Child)
+	case plan.Join:
+		return bindsLineage(node.Left) || bindsLineage(node.Right)
+	case plan.Union:
+		return bindsLineage(node.Left) || bindsLineage(node.Right)
+	case plan.SPJA:
+		return slices.ContainsFunc(node.Inputs, bindsLineage)
+	}
+	return false
+}
 
 // TraceCost estimates what a backward trace with the given seeds against
 // table would touch: trace is the summed encoded bytes of the seeds' rid

@@ -223,7 +223,8 @@ func TestShardedDifferentialEquivalence(t *testing.T) {
 // TestForwardScatterDifferentialEquivalence is the BT+FT rule's gate: a
 // capture-off COUNT group-by over a bound trace, rewritten to count through
 // a sibling view's forward index, must be element-identical to the hash
-// group-by at workers 1/2/4 over raw and compressed views and siblings, and
+// group-by at workers 1/2/4 over raw and compressed views and siblings —
+// resident, and restored from a disk store with their plans attached — and
 // every sibling or query shape the rule must refuse keeps the hash path.
 func TestForwardScatterDifferentialEquivalence(t *testing.T) {
 	// Seed 13's view filter passes no row: every view and trace is empty.
@@ -234,7 +235,7 @@ func TestForwardScatterDifferentialEquivalence(t *testing.T) {
 		queries = 6
 	}
 	for _, seed := range seeds {
-		if err := CheckForwardScatter(seed, queries); err != nil {
+		if err := CheckForwardScatter(t.TempDir(), seed, queries); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"smoke/internal/core"
+	"smoke/internal/diskstore"
 	"smoke/internal/expr"
 	"smoke/internal/lineage"
 	"smoke/internal/ops"
@@ -24,15 +25,18 @@ import (
 // and compressed traced views and siblings, for rid seeds with duplicates,
 // predicate seeds (the scan-equivalent choice included), every seed and an
 // empty expansion. Where no sibling qualifies, EXPLAIN must show the hash
-// path and the answer must still match.
+// path and the answer must still match. Traced views and siblings restored
+// from a disk store with their producing plans attached must qualify and
+// answer like the originals.
 
 // scatterWorkers are the worker counts each consuming query runs at.
 var scatterWorkers = []int{1, 2, 4}
 
 // CheckForwardScatter runs one seeded forward-scatter session: queries
-// randomized consuming traces over qualifying siblings, then one pass over
-// every sibling shape the rule must refuse.
-func CheckForwardScatter(seed int64, queries int) error {
+// randomized consuming traces over qualifying siblings, the same over views
+// restored from a disk store in dir, then one pass over every sibling shape
+// the rule must refuse.
+func CheckForwardScatter(dir string, seed int64, queries int) error {
 	r := rand.New(rand.NewSource(seed))
 	ds := GenDataset(r)
 	defer ds.DB.Close()
@@ -64,7 +68,7 @@ func CheckForwardScatter(seed int64, queries int) error {
 		rev[i] = lineage.Rid(a.Out.N - 1 - i)
 	}
 	twin := map[string]*core.Result{"kc": views["kc"]}
-	if err := checkScatter(ds.DB, a, core.Rids(rev...), "k", twin, "kc",
+	if err := checkScatter(ds.DB, a, a, core.Rids(rev...), "k", twin, "kc",
 		fmt.Sprintf("scatter seed %d (every bar of k in reverse, regroup by k)", seed)); err != nil {
 		return err
 	}
@@ -86,11 +90,86 @@ func CheckForwardScatter(seed int64, queries int) error {
 		}
 		what := fmt.Sprintf("scatter seed %d query %d (trace %s, %s, regroup by %s through %s)",
 			seed, qi, traced, sdesc, key, want)
-		if err := checkScatter(ds.DB, a, s, key, offered, want, what); err != nil {
+		if err := checkScatter(ds.DB, a, a, s, key, offered, want, what); err != nil {
 			return err
 		}
 	}
+	if err := checkScatterRestored(dir, ds, r, views, queries, fmt.Sprintf("scatter seed %d", seed)); err != nil {
+		return err
+	}
 	return checkScatterRefusals(ds, filter, views, fmt.Sprintf("scatter seed %d", seed))
+}
+
+// checkScatterRestored round-trips the views grouped by k and by b, raw and
+// compressed, through a disk store in dir — PutResult, LoadResult, then
+// RestoreResult with the producing plan attached, as the server's registry
+// restores a demoted result — and runs consuming traces of a restored k
+// view regrouped by b through a restored b view: the rule must fire and
+// answer like the unrewritten plan over the original view. A restored view
+// left without its plan, and one whose store was reopened (its base
+// snapshots are other relation instances), must not qualify.
+func checkScatterRestored(dir string, ds *Dataset, r *rand.Rand, views map[string]*core.Result, queries int, what string) error {
+	store, err := diskstore.Open(dir)
+	if err != nil {
+		return fmt.Errorf("difftest: %s: open store: %w", what, err)
+	}
+	defer store.Close()
+	names := []string{"k", "kc", "b", "bc"}
+	restored := map[string]*core.Result{}
+	bare := map[string]*core.Result{} // restored without the plan
+	for _, name := range names {
+		v := views[name]
+		if _, err := store.PutResult("sScatter", name, &diskstore.Result{
+			Out: v.Out, GroupCounts: v.GroupCounts, Capture: v.Capture(), Bases: v.Bases(),
+		}); err != nil {
+			return fmt.Errorf("difftest: %s: persist %s: %w", what, name, err)
+		}
+		ld, err := store.LoadResult("sScatter", name)
+		if err != nil {
+			return fmt.Errorf("difftest: %s: load %s: %w", what, name, err)
+		}
+		res := core.RestoreResult(ds.DB, ld.Out, ld.GroupCounts, ld.Capture, ld.Bases)
+		if !res.AttachPlan(v.ProducingPlan()) {
+			return fmt.Errorf("difftest: %s: restored %s refused its own plan", what, name)
+		}
+		restored[name] = res
+		bare[name] = core.RestoreResult(ds.DB, ld.Out, ld.GroupCounts, ld.Capture, ld.Bases)
+	}
+	for qi := 0; qi < max(4, queries/2); qi++ { // every pairing of k, kc with b, bc
+		traced, sib := names[qi%2], names[2+qi/2%2]
+		s, sdesc := scatterSeed(r, views[traced])
+		q := fmt.Sprintf("%s: restored query %d (trace %s, %s, regroup by b through %s)", what, qi, traced, sdesc, sib)
+		if err := checkScatter(ds.DB, views[traced], restored[traced], s, "b",
+			map[string]*core.Result{sib: restored[sib]}, sib, q); err != nil {
+			return err
+		}
+	}
+	all := core.Where(nil)
+	if err := checkRefused(func() *core.Query { return consuming(ds.DB, restored["k"], all, "b") },
+		map[string]*core.Result{"b": bare["b"]}, core.CaptureOptions{}, what+": a restored sibling without its plan"); err != nil {
+		return err
+	}
+	if err := checkRefused(func() *core.Query { return consuming(ds.DB, bare["k"], all, "b") },
+		map[string]*core.Result{"b": restored["b"]}, core.CaptureOptions{}, what+": a restored traced view without its plan"); err != nil {
+		return err
+	}
+	// A reopened store maps its own copies of the base relations.
+	if err := store.Close(); err != nil {
+		return fmt.Errorf("difftest: %s: close store: %w", what, err)
+	}
+	reopened, err := diskstore.Open(dir)
+	if err != nil {
+		return fmt.Errorf("difftest: %s: reopen store: %w", what, err)
+	}
+	defer reopened.Close()
+	ld, err := reopened.LoadResult("sScatter", "b")
+	if err != nil {
+		return fmt.Errorf("difftest: %s: reload b: %w", what, err)
+	}
+	if core.RestoreResult(ds.DB, ld.Out, ld.GroupCounts, ld.Capture, ld.Bases).AttachPlan(views["b"].ProducingPlan()) {
+		return fmt.Errorf("difftest: %s: a plan attached over base relations the store reloaded", what)
+	}
+	return nil
 }
 
 // countView runs the crossfilter view shape: COUNT(*) per key over the
@@ -134,13 +213,15 @@ func consuming(db *core.DB, a *core.Result, s core.Seed, key string) *core.Query
 	return db.Query().Trace(a, core.TraceBackward, "fact", s).GroupBy(key).Agg(ops.Count, nil, "n")
 }
 
-// checkScatter requires the rewrite to fire, reading sibling want, and to
-// answer element-identically to the unrewritten plan at every worker count.
-func checkScatter(db *core.DB, a *core.Result, s core.Seed, key string,
+// checkScatter requires the rewrite of a consuming trace of a to fire,
+// reading sibling want, and to answer element-identically to the
+// unrewritten plan over orig (a itself, or the view a was restored from) at
+// every worker count.
+func checkScatter(db *core.DB, orig, a *core.Result, s core.Seed, key string,
 	offered map[string]*core.Result, want, what string) error {
 	for _, w := range scatterWorkers {
 		opts := core.CaptureOptions{Parallelism: w}
-		ref, err := consuming(db, a, s, key).Run(opts)
+		ref, err := consuming(db, orig, s, key).Run(opts)
 		if err != nil {
 			return fmt.Errorf("difftest: %s: hash path: %w", what, err)
 		}

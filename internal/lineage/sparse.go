@@ -189,18 +189,39 @@ func (s *SparseArr) Get(i Rid) Rid {
 	return s.at(k)
 }
 
-// lookup writes Get(r) for each rid r of src to out. A capture-time array
-// (bitmap and 32-bit slots: what a filtered view's forward index holds)
-// takes one loop with the bitmap probe, rank and slot load inline; any
-// other form probes through Get.
+// lookup writes Get(r) for each rid r of src to out, with the probe inline
+// for every form: the bitmap word, rank and popcount when there is a bitmap,
+// then the slot load — a 32-bit one (the capture-time form a filtered view's
+// forward index holds) or an unpack of b packed bits (a persisted or
+// compressed forward index).
 func (s *SparseArr) lookup(src, out []Rid) {
-	if s.words == nil || s.b != 32 {
+	words, rank := s.words, s.rank
+	if s.b == 32 {
+		vals := s.vals
+		if words == nil {
+			for j, r := range src {
+				out[j] = vals[r]
+			}
+			return
+		}
 		for j, r := range src {
-			out[j] = s.Get(r)
+			w, bit := uint(r)>>6, uint64(1)<<(uint(r)&63)
+			x := words[w]
+			if x&bit == 0 {
+				out[j] = -1
+				continue
+			}
+			out[j] = vals[int(rank[w])+bits.OnesCount64(x&(bit-1))]
 		}
 		return
 	}
-	words, rank, vals := s.words, s.rank, s.vals
+	packed, b, mask, wrap := s.packed, s.b, s.mask, s.wrap
+	if words == nil {
+		for j, r := range src {
+			out[j] = Rid((unpack(packed, uint(r)*b)&mask+1)&wrap - 1)
+		}
+		return
+	}
 	for j, r := range src {
 		w, bit := uint(r)>>6, uint64(1)<<(uint(r)&63)
 		x := words[w]
@@ -208,7 +229,8 @@ func (s *SparseArr) lookup(src, out []Rid) {
 			out[j] = -1
 			continue
 		}
-		out[j] = vals[int(rank[w])+bits.OnesCount64(x&(bit-1))]
+		k := uint(rank[w]) + uint(bits.OnesCount64(x&(bit-1)))
+		out[j] = Rid((unpack(packed, k*b)&mask+1)&wrap - 1)
 	}
 }
 

@@ -545,12 +545,22 @@ func FuzzSparseParts(f *testing.F) {
 }
 
 // TestLookupMatchesTraceOne probes every one-to-one forward form — the raw
-// array, a capture-time bitmap array, and each form EncodeForward picks —
-// with ascending, descending and duplicated rids, and requires Lookup to
-// read what TraceOne reads, -1 where a record maps to nothing.
+// array, a capture-time bitmap array, each form EncodeForward picks, and a
+// packed array at every slot width from 1 to 32 bits (the word-straddling
+// ones included) with and without a bitmap, the all-ones sentinel on and
+// off, built and restored from its parts — with ascending, descending and
+// duplicated rids, and requires Lookup to read what TraceOne reads, -1
+// where a record maps to nothing.
 func TestLookupMatchesTraceOne(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const n = 1000
+	probes := make([]Rid, 0, 3*n)
+	for i := 0; i < n; i++ {
+		probes = append(probes, Rid(i))
+	}
+	for i := n - 1; i >= 0; i -= 3 {
+		probes = append(probes, Rid(i), Rid(i))
+	}
 	for _, absent := range []int{0, 3, 10} { // one record in absent maps to nothing (0: none)
 		arr := make([]Rid, n)
 		present := []Rid{}
@@ -573,27 +583,150 @@ func TestLookupMatchesTraceOne(t *testing.T) {
 			"packed":       EncodeForward(NewSparseOne(capture)),
 			"runs":         EncodeForward(NewOneToOne(slices.Repeat([]Rid{4}, n))),
 		}
-		probes := make([]Rid, 0, 3*n)
-		for i := 0; i < n; i++ {
-			probes = append(probes, Rid(i))
-		}
-		for i := n - 1; i >= 0; i -= 3 {
-			probes = append(probes, Rid(i), Rid(i))
-		}
 		for name, ix := range forms {
-			got := ix.Lookup(probes, []Rid{-7})
-			if got[0] != -7 || len(got) != len(probes)+1 {
-				t.Fatalf("absent 1/%d %s: Lookup did not append", absent, name)
-			}
-			for j, p := range probes {
-				want := Rid(-1)
-				if one := ix.TraceOne(p, nil); len(one) == 1 {
-					want = one[0]
+			checkLookup(t, fmt.Sprintf("absent 1/%d %s (kind %d)", absent, name, ix.Kind), ix, probes)
+		}
+	}
+	for b := uint(1); b <= 32; b++ {
+		for _, bitmap := range []bool{false, true} {
+			for _, sentinel := range []bool{false, true} {
+				if b == 32 && !sentinel {
+					continue // 32-bit slots are rids: -1 is always the sentinel
 				}
-				if got[j+1] != want {
-					t.Fatalf("absent 1/%d %s (kind %d): Lookup(%d) = %d, want %d", absent, name, ix.Kind, p, got[j+1], want)
+				arr, s := widthArr(r, n, b, bitmap, sentinel)
+				what := fmt.Sprintf("b%d bitmap=%v sentinel=%v", b, bitmap, sentinel)
+				checkLookup(t, what, NewSparseOne(s), probes)
+				for i, v := range arr {
+					if got := s.Get(Rid(i)); got != v {
+						t.Fatalf("%s: Get(%d) = %d, want %d", what, i, got, v)
+					}
 				}
+				pn, words, pb, psent, vals := s.Parts()
+				back, err := SparseArrFromParts(pn, words, pb, psent, vals, int(widthTop(b, sentinel))+1)
+				if err != nil {
+					t.Fatalf("%s: from parts: %v", what, err)
+				}
+				checkLookup(t, what+" from parts", NewSparseOne(back), probes)
 			}
 		}
+	}
+}
+
+// widthTop returns the largest value a b-bit slot holds: all ones, less one
+// when the all-ones slot is the -1 sentinel, and the largest rid at 32 bits.
+func widthTop(b uint, sentinel bool) Rid {
+	if b == 32 {
+		return math.MaxInt32
+	}
+	top := Rid(1)<<b - 1
+	if sentinel {
+		top--
+	}
+	return top
+}
+
+// widthArr draws n records' values for a b-bit array — 0, the width's top
+// value or anything between, and -1 where the array can hold it (an absent
+// record with a bitmap, the sentinel without one) — and builds the array.
+func widthArr(r *rand.Rand, n int, b uint, bitmap, sentinel bool) ([]Rid, *SparseArr) {
+	top := widthTop(b, sentinel)
+	arr := make([]Rid, n)
+	var present []Rid
+	for i := range arr {
+		switch {
+		case (bitmap || sentinel) && r.Intn(4) == 0:
+			arr[i] = -1
+		case r.Intn(3) == 0:
+			arr[i] = top
+		default:
+			arr[i] = Rid(r.Int63n(int64(top) + 1))
+		}
+		if arr[i] >= 0 {
+			present = append(present, Rid(i))
+		}
+	}
+	switch {
+	case b == 32 && bitmap:
+		return arr, sparseOf(arr)
+	case b == 32:
+		s, err := SparseArrFromParts(n, nil, 32, true, bytesOf(arr), int(top)+1)
+		if err != nil {
+			panic(err)
+		}
+		return arr, s
+	case bitmap:
+		return arr, newPacked(n, NewSparseArr(n, present).presence, len(present), b, sentinel, arr)
+	}
+	return arr, newPacked(n, presence{}, n, b, sentinel, arr)
+}
+
+// checkLookup requires ix.Lookup over probes to append what TraceOne reads
+// for each, -1 where it reads nothing.
+func checkLookup(t *testing.T, what string, ix *Index, probes []Rid) {
+	t.Helper()
+	got := ix.Lookup(probes, []Rid{-7})
+	if got[0] != -7 || len(got) != len(probes)+1 {
+		t.Fatalf("%s: Lookup did not append", what)
+	}
+	for j, p := range probes {
+		want := Rid(-1)
+		if one := ix.TraceOne(p, nil); len(one) == 1 {
+			want = one[0]
+		}
+		if got[j+1] != want {
+			t.Fatalf("%s: Lookup(%d) = %d, want %d", what, p, got[j+1], want)
+		}
+	}
+}
+
+// BenchmarkLookup probes each one-to-one forward form with one brush: an
+// ascending 15.6k-rid bar drawn from the records that map to a group, a
+// quarter of 500k over 1000 groups — the per-rid probe the forward-scatter
+// rule counts a traced bar through. capture-time is a filtered view's
+// forward index as captured; packed is the same index compressed or
+// persisted (a bitmap and 10-bit slots); dense-packed maps every record;
+// runs is a run directory over contiguous groups of 512 records.
+func BenchmarkLookup(b *testing.B) {
+	const n, groups, bar = 500_000, 1000, 15_600
+	r := rand.New(rand.NewSource(1))
+	arr := make([]Rid, n)
+	dense := make([]Rid, n)
+	runs := make([]Rid, n)
+	var present []Rid
+	for i := range arr {
+		arr[i] = -1
+		if r.Intn(4) == 0 {
+			arr[i] = Rid(r.Intn(groups))
+			present = append(present, Rid(i))
+		}
+		dense[i] = Rid(r.Intn(groups))
+		runs[i] = Rid(i / 512)
+	}
+	probes := make([]Rid, bar)
+	for j, k := range r.Perm(len(present))[:bar] {
+		probes[j] = present[k]
+	}
+	slices.Sort(probes)
+	forms := []struct {
+		name string
+		ix   *Index
+	}{
+		{"capture-time", NewSparseOne(sparseOf(arr))},
+		{"packed", EncodeForward(NewSparseOne(sparseOf(arr)))},
+		{"dense-packed", EncodeForward(NewOneToOne(dense))},
+		{"runs", EncodeForward(NewOneToOne(runs))},
+	}
+	if p := forms[1].ix; p.Kind != SparseOne || p.Sparse.b == 32 || p.Sparse.words == nil ||
+		forms[2].ix.Kind != SparseOne || forms[2].ix.Sparse.words != nil || forms[3].ix.Kind != EncodedOne {
+		b.Fatal("EncodeForward did not pick the benchmarked forms")
+	}
+	for _, f := range forms {
+		b.Run(f.name, func(b *testing.B) {
+			out := make([]Rid, 0, bar)
+			for i := 0; i < b.N; i++ {
+				out = f.ix.Lookup(probes, out[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bar), "ns/rid")
+		})
 	}
 }

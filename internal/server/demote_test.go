@@ -521,3 +521,139 @@ func TestDemotedLazyAndHybridResultsTrace(t *testing.T) {
 		})
 	}
 }
+
+// TestDiskTierForwardScatter: a demoted result keeps its producing plan in
+// the registry and gets it back when restored, so consuming COUNT traces on
+// the disk tier count through a sibling's forward index like resident ones.
+// A disk server (every retention demotes, no cache) and a memory-only one
+// run the same requests; every trace must answer identically, and the disk
+// server's scatter_traces must advance exactly when the rule applies: a
+// demoted traced view answered in situ, a sibling mapped but never promoted,
+// a promoted traced view, a promoted sibling — and not once a re-ingest
+// separates the traced view's relation from the sibling's, nor after a
+// restart, whose recovered entries have no plan.
+func TestDiskTierForwardScatter(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	tweak := func(cfg *Config) {
+		cfg.MaxResultsPerSession = 1
+		cfg.CacheEntries = -1
+	}
+	disk, srv, _, stop := newDiskServer(t, dir, tweak)
+	mem, _ := newTestServer(t, func(cfg *Config) { cfg.CacheEntries = -1 })
+	schema := []serverclient.Field{{Name: "carrier", Type: "int"}, {Name: "delay", Type: "int"}, {Name: "date", Type: "int"}}
+	var rows [][]any
+	for i := 0; i < 2000; i++ {
+		rows = append(rows, []any{int64(i % 7), int64((i * 13) % 11), int64(i % 120)})
+	}
+	ingest := func() {
+		t.Helper()
+		for _, c := range []*serverclient.Client{disk, mem} {
+			if err := c.CreateTable(ctx, "flights", schema, rows, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest()
+	dsess, err := disk.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msess, err := mem.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := func(name, key string) {
+		t.Helper()
+		sql := "SELECT " + key + ", COUNT(*) AS cnt FROM flights WHERE date >= 10 AND date < 90 GROUP BY " + key
+		for _, s := range []*serverclient.Session{dsess, msess} {
+			if _, err := s.Run(ctx, name, serverclient.QueryRequest{SQL: sql}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.sessions.fl.drain() // the demotions this retention queued land
+	}
+	counters := func(c *serverclient.Client) map[string]int64 {
+		t.Helper()
+		h, err := c.Health(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int64{}
+		for _, k := range []string{"scatter_traces", "insitu_traces", "promotes", "views"} {
+			out[k] = healthCount(t, h, k)
+		}
+		return out
+	}
+	// trace runs req on both servers and requires identical answers and the
+	// disk server's counters to move by exactly moved.
+	trace := func(what string, ds *serverclient.Session, name string, req serverclient.TraceRequest, moved map[string]int64) {
+		t.Helper()
+		before := counters(disk)
+		got, err := ds.Trace(ctx, name, req)
+		if err != nil {
+			t.Fatalf("%s: disk server: %v", what, err)
+		}
+		want, err := msess.Trace(ctx, name, req)
+		if err != nil {
+			t.Fatalf("%s: memory server: %v", what, err)
+		}
+		sameRows(t, what, got, want)
+		if !reflect.DeepEqual(got.GroupCounts, want.GroupCounts) {
+			t.Fatalf("%s: group counts %v, want %v", what, got.GroupCounts, want.GroupCounts)
+		}
+		after := counters(disk)
+		for k := range after {
+			if d := after[k] - before[k]; d != moved[k] {
+				t.Fatalf("%s: %s moved by %d, want %d (before %v, after %v)", what, k, d, moved[k], before, after)
+			}
+		}
+	}
+	brush := func(key string, rids ...int64) serverclient.TraceRequest {
+		return serverclient.TraceRequest{Direction: "backward", Table: "flights", Rids: rids,
+			GroupBy: []string{key}, Aggs: []serverclient.Agg{{Fn: "count", Name: "n"}}}
+	}
+	wherePred := serverclient.TraceRequest{Direction: "backward", Table: "flights", SeedWhere: "date >= 50"}
+	brushPred := wherePred
+	brushPred.GroupBy, brushPred.Aggs = []string{"carrier"}, []serverclient.Agg{{Fn: "count", Name: "n"}}
+
+	view("bydate", "date")
+	view("bycarrier", "carrier") // demotes bydate
+	trace("demoted traced view, in situ", dsess, "bydate", brush("carrier", 5),
+		map[string]int64{"scatter_traces": 1, "insitu_traces": 1, "views": 1})
+	trace("mapped sibling view", dsess, "bycarrier", brush("date", 0, 3),
+		map[string]int64{"scatter_traces": 1})
+	// A scan-equivalent seed reads the plan too: the restored view must run
+	// the filtered scan the original would, in its row order.
+	trace("promoted traced view, plain predicate trace", dsess, "bydate", wherePred,
+		map[string]int64{"promotes": 1})
+	trace("promoted traced view", dsess, "bydate", brushPred, map[string]int64{"scatter_traces": 1})
+
+	view("bydelay", "delay") // demotes bydate and bycarrier
+	for _, s := range []*serverclient.Session{dsess, msess} {
+		if _, err := s.Result(ctx, "bycarrier"); err != nil { // promotes bycarrier
+			t.Fatal(err)
+		}
+	}
+	if c := counters(disk); c["promotes"] != 2 {
+		t.Fatalf("reading the demoted bycarrier back: %v, want 2 promotes", c)
+	}
+	trace("promoted sibling", dsess, "bydelay", brush("carrier", 0, 3), map[string]int64{"scatter_traces": 1})
+
+	// bycarrier's plan scans the relation flights was before the re-ingest;
+	// a fresh view scans the new one.
+	ingest()
+	view("fresh", "date")
+	trace("sibling over a re-ingested relation", dsess, "fresh", brush("carrier", 5), nil)
+
+	stop()
+	disk, _, _, stop = newDiskServer(t, dir, tweak)
+	defer stop()
+	dsess = disk.Session(dsess.ID)
+	for _, name := range []string{"bycarrier", "bydate"} {
+		if _, err := dsess.Result(ctx, name); err != nil { // promote both, planless
+			t.Fatal(err)
+		}
+	}
+	trace("recovered after a restart", dsess, "bydate", brush("carrier", 5), nil)
+}

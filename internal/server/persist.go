@@ -24,9 +24,10 @@ type resultStore interface {
 
 // resultToDisk projects a retained result onto the disk tier's exchange
 // shape: the output relation, group counts, the captured lineage indexes,
-// and the base-relation snapshots the capture's rids address. The plan does
-// not survive demotion — a promoted result serves bound traces only, which
-// is all the session API offers on it.
+// and the base-relation snapshots the capture's rids address. The plan is
+// not persisted: the registry keeps it with the entry in memory and attaches
+// it to the copy restored from the segment (core.Result.AttachPlan), so
+// only a restart loses it.
 func resultToDisk(res *core.Result) *diskstore.Result {
 	return &diskstore.Result{
 		Out:         res.Out,

@@ -656,7 +656,7 @@ func (s *Server) runTrace(sessionID string, res *core.Result, req wire.TraceRequ
 		return wire.Result{}, err
 	}
 	if mode == ops.None && len(req.GroupBy) > 0 {
-		// The session's other resident results may answer a consuming
+		// The session's other results in memory may answer a consuming
 		// COUNT through a forward index (the BT+FT rewrite).
 		q = q.Siblings(s.sessions.residents(sessionID))
 	}

@@ -9,6 +9,7 @@ import (
 
 	"smoke/internal/core"
 	"smoke/internal/lineage"
+	"smoke/internal/plan"
 	"smoke/internal/serr"
 	"smoke/internal/storage"
 	"smoke/internal/wire"
@@ -28,7 +29,11 @@ import (
 // that can answer the way the resident result would have: the resident
 // result; else the view, when it holds the index the trace reads; else the
 // spec, when the result would itself re-execute the trace (strategy lazy or
-// hybrid) or no capture survives; else 410 or 404.
+// hybrid) or no capture survives; else 410 or 404. The entry also keeps
+// the result's producing plan in memory and gives it back to the copy
+// restored from the segment, so a demoted result still reaches the
+// optimizer's rules over scan equivalence; the segment itself holds no plan,
+// and a restart loses it.
 //
 // Memory is bounded three ways (TTL, session LRU, byte budget). With a disk
 // store configured, crossing a bound *demotes* a result — its output
@@ -166,6 +171,9 @@ type entry struct {
 	res  *core.Result // resident answerer
 	seg  *segment     // disk answerer
 	spec *spec        // lazy answerer
+	// plan is res's producing plan (core.Result.ProducingPlan), attached to
+	// the result restored from seg; nil for recovered entries.
+	plan plan.Node
 	// reexec records that the result answers traces its capture lacks by
 	// re-executing its plan (strategy lazy or hybrid). Recovered entries
 	// set it: a restart loses the strategy, and a trace of a table the
@@ -421,7 +429,8 @@ func (r *registry) put(id, name string, res *core.Result, req *wire.QueryRequest
 		r.evictResidentLocked(old)
 	}
 	strategy := res.Strategy()
-	e := &entry{last: now, res: res, reexec: strategy == core.StrategyLazy || strategy == core.StrategyHybrid}
+	e := &entry{last: now, res: res, plan: res.ProducingPlan(),
+		reexec: strategy == core.StrategyLazy || strategy == core.StrategyHybrid}
 	if req != nil {
 		// Keep the spec only while every relation res read is still the
 		// one the catalog serves under its name.
@@ -654,7 +663,8 @@ func (r *registry) resolve(id, name string, h *traceHint) (*core.Result, *spec, 
 			dir = core.TraceBackward
 		}
 		// reexec: the result would answer this trace by re-executing its
-		// plan, which a copy restored from disk (v) does not carry.
+		// plan, which a copy restored from disk (v) never does: its
+		// strategy is not restored.
 		reexec := func(v *core.Result) bool {
 			return h != nil && (h.lazy || e.reexec &&
 				v.TraceStrategy(h.table, dir) != core.StrategyEager && v.BaseRelation(h.table) != nil)
@@ -667,7 +677,7 @@ func (r *registry) resolve(id, name string, h *traceHint) (*core.Result, *spec, 
 				r.mu.Unlock()
 				<-w
 				r.mu.Lock()
-			} else if err := r.ensureViewLocked(s, name, seg); err != nil {
+			} else if err := r.ensureViewLocked(s, name, seg, e.plan); err != nil {
 				return nil, nil, err
 			}
 			continue
@@ -687,10 +697,11 @@ func (r *registry) resolve(id, name string, h *traceHint) (*core.Result, *spec, 
 	}
 }
 
-// residents returns session id's resident results by name — the siblings a
-// capture-off consuming trace may regroup through (core.Query.Siblings).
-// Segment-backed views are left out, and no clock moves: offering a result
-// as a sibling is not a use of it.
+// residents returns the in-memory answerer of each of session id's results
+// by name — the siblings a capture-off consuming trace may regroup through
+// (core.Query.Siblings): the resident or promoted result, else the segment's
+// view when one is already mapped. It never loads a segment, and no clock
+// moves: offering a result as a sibling is not a use of it.
 func (r *registry) residents(id string) map[string]*core.Result {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -700,8 +711,11 @@ func (r *registry) residents(id string) map[string]*core.Result {
 	}
 	out := make(map[string]*core.Result, len(s.entries))
 	for name, e := range s.entries {
-		if e.res != nil && !e.res.IsView() {
+		switch {
+		case e.res != nil:
 			out[name] = e.res
+		case e.seg != nil && e.seg.view != nil:
+			out[name] = e.seg.view
 		}
 	}
 	return out
@@ -728,7 +742,7 @@ func (r *registry) adopt(id, name string, sp *spec, res *core.Result) error {
 	case e == nil || e.spec != sp || !maps.Equal(res.Bases(), sp.bases):
 		return evicted(s, name)
 	case e.res == nil && e.seg == nil:
-		e.res, e.reexec = res, true // capture-free: every trace re-executes
+		e.res, e.plan, e.reexec = res, res.ProducingPlan(), true // capture-free: every trace re-executes
 		r.admitLocked(s, name, e, true)
 	}
 	return nil
@@ -747,11 +761,12 @@ func (r *registry) unrecoverableLocked(s *session, name string, seg *segment, er
 }
 
 // ensureViewLocked materializes seg's segment-backed view, releasing the
-// registry lock for the segment load so concurrent sessions keep moving.
-// Exactly one goroutine loads; waiters block on seg.loading. On return the
-// lock is held again. A load failure drops the segment (it is
-// unrecoverable).
-func (r *registry) ensureViewLocked(s *session, name string, seg *segment) error {
+// registry lock for the segment load so concurrent sessions keep moving, and
+// gives it p, the entry's producing plan (core.Result.AttachPlan keeps it
+// only over the very base relations the segment restored). Exactly one
+// goroutine loads; waiters block on seg.loading. On return the lock is held
+// again. A load failure drops the segment (it is unrecoverable).
+func (r *registry) ensureViewLocked(s *session, name string, seg *segment, p plan.Node) error {
 	w := make(chan struct{})
 	seg.loading = w
 	r.mu.Unlock()
@@ -759,6 +774,7 @@ func (r *registry) ensureViewLocked(s *session, name string, seg *segment) error
 	var view *core.Result
 	if err == nil {
 		view = core.RestoreView(r.db, ld.Out, ld.GroupCounts, ld.Capture, ld.Bases)
+		view.AttachPlan(p)
 	}
 	r.mu.Lock()
 	seg.loading = nil
