@@ -331,6 +331,10 @@ func (q *Query) Trace(res *Result, dir TraceDir, table string, seed Seed) *Query
 		q.names, q.rels = []string{res.Out.Name}, []*storage.Relation{res.Out}
 	}
 	lazy := res.TraceStrategy(table, dir) == StrategyLazy
+	if lazy && len(res.params) > 0 {
+		q.fail(lazyParamsErr())
+		return q
+	}
 	q.traceNode = res.buildTraceNode(dir, table, rel, seed, lazy, false)
 	return q
 }
@@ -362,6 +366,10 @@ func (q *Query) TraceWith(s Strategy) *Query {
 		if res.plan == nil {
 			q.fail(serr.New(serr.Invalid,
 				"core: result carries no plan; lazy trace unavailable"))
+			return q
+		}
+		if len(res.params) > 0 {
+			q.fail(lazyParamsErr())
 			return q
 		}
 		q.traceNode = res.buildTraceNode(dir, table, rel, q.traceSeed, true, false)

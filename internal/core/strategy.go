@@ -344,6 +344,14 @@ func (r *Result) buildTraceNode(dir TraceDir, table string, rel *storage.Relatio
 	}
 }
 
+// lazyParamsErr refuses a lazy trace query of a result captured under query
+// parameters: it would re-execute the stored plan under the trace query's
+// own parameters, selecting other rows than the result holds.
+func lazyParamsErr() error {
+	return serr.New(serr.Unsupported,
+		"core: the result was captured under query parameters, which a lazy trace query would re-bind to its own; trace it eagerly")
+}
+
 // trace is the unified Result-level trace evaluator behind
 // Backward/Forward/Trace and their Distinct variants.
 func (r *Result) trace(dir TraceDir, table string, seed Seed, distinct bool) ([]Rid, error) {

@@ -435,3 +435,48 @@ func TestDataSkippingLineageRidesInTheCapture(t *testing.T) {
 		}
 	}
 }
+
+// TestParameterizedCaptureTrace: a consuming trace of a result captured
+// under a query parameter, seeded by a key predicate, reads the captured
+// lineage whatever parameters the trace query runs under — the scan
+// equivalent would re-evaluate the source filter under the trace's own. A
+// lazy result has only its plan to re-run, so its trace query is refused.
+func TestParameterizedCaptureTrace(t *testing.T) {
+	rel := storage.NewRelation("t", storage.Schema{{Name: "k", Type: storage.TInt}, {Name: "v", Type: storage.TInt}}, 100)
+	for i := 0; i < 100; i++ {
+		rel.Cols[0].Ints[i], rel.Cols[1].Ints[i] = int64(i%7), int64(i)
+	}
+	db := Open()
+	defer db.Close()
+	db.Register(rel)
+	run := func(mode ops.CaptureMode, s Strategy) *Result {
+		res, err := db.Query().From("t", expr.GeE(expr.C("v"), expr.P("x"))).GroupBy("k").Agg(ops.Count, nil, "c").
+			Run(CaptureOptions{Mode: mode, Strategy: s, Params: expr.Params{"x": int64(50)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seed := Where(expr.GeE(expr.C("k"), expr.I(0)))
+	eager := run(ops.Inject, StrategyEager)
+	want, err := eager.Trace(TraceBackward, "t", seed)
+	if err != nil || len(want) != 50 {
+		t.Fatalf("Result.Trace = %d rids (%v), want the 50 captured", len(want), err)
+	}
+	for _, params := range []expr.Params{nil, {"x": int64(90)}} {
+		got, err := db.Query().Trace(eager, TraceBackward, "t", seed).Run(CaptureOptions{Params: params})
+		if err != nil {
+			t.Fatalf("params %v: %v", params, err)
+		}
+		if !reflect.DeepEqual(got.Out.Cols[1].Ints, rel.Gather("", want).Cols[1].Ints) {
+			t.Fatalf("params %v: traced v = %v, want the captured %v", params, got.Out.Cols[1].Ints, rel.Gather("", want).Cols[1].Ints)
+		}
+	}
+	lazy := run(ops.None, StrategyLazy)
+	if _, err := db.Query().Trace(lazy, TraceBackward, "t", seed).Run(CaptureOptions{}); serr.KindOf(err) != serr.Unsupported {
+		t.Fatalf("lazy trace query = %v, want Unsupported", err)
+	}
+	if _, err := db.Query().Trace(eager, TraceBackward, "t", seed).TraceWith(StrategyLazy).Run(CaptureOptions{}); serr.KindOf(err) != serr.Unsupported {
+		t.Fatalf("forced lazy trace query = %v, want Unsupported", err)
+	}
+}

@@ -339,12 +339,16 @@ func rewriteTraces(n Node) Node {
 //   - a bare (possibly filtered) scan of the traced relation: its backward
 //     lineage is the selection itself, so a seed predicate over the output
 //     columns is a predicate over the surviving base rows verbatim.
+//
+// A source filter that reads a query parameter never qualifies: the source
+// ran under the capture's parameters, and the scan would run under the
+// trace query's own, selecting other rows than the captured lineage holds.
 func TraceScanEquiv(node Backward) (Scan, bool) {
 	if node.SeedRids != nil {
 		return Scan{}, false
 	}
 	sc, pred, keys, grouped, ok := scanEquivSource(node.Source)
-	if !ok || sc.Table != node.Table || sc.Rel != node.Rel {
+	if !ok || sc.Table != node.Table || sc.Rel != node.Rel || readsParam(sc.Filter) || readsParam(pred) {
 		return Scan{}, false
 	}
 	if node.SeedPred != nil {
@@ -370,6 +374,17 @@ func TraceScanEquiv(node Backward) (Scan, bool) {
 		}
 	}
 	return sc, true
+}
+
+// readsParam reports whether e reads a query parameter.
+func readsParam(e expr.Expr) bool {
+	found := false
+	expr.Walk(e, func(x expr.Expr) {
+		if _, ok := x.(expr.Param); ok {
+			found = true
+		}
+	})
+	return found
 }
 
 // scanEquivThresholdNum/Den: a scan-equivalent, pred-seeded trace answers

@@ -10,6 +10,7 @@ import (
 
 	"smoke/internal/serr"
 	"smoke/internal/serverclient"
+	"smoke/internal/storage"
 	"smoke/internal/wire"
 )
 
@@ -70,9 +71,9 @@ func TestNonJSONErrorBody(t *testing.T) {
 // EOF).
 func TestNonFiniteResultIsStructured(t *testing.T) {
 	c := serve(t, func(w http.ResponseWriter, r *http.Request) {
-		wire.WriteJSON(w, http.StatusOK, wire.Result{
-			Columns: []string{"x"}, Types: []string{"float"}, Rows: [][]any{{math.NaN()}}, N: 1,
-		})
+		rel := storage.NewRelation("r", storage.Schema{{Name: "x", Type: storage.TFloat}}, 0)
+		rel.AppendRow(math.NaN())
+		wire.WriteJSON(w, http.StatusOK, wire.Rows(rel))
 	})
 	res, err := c.Query(context.Background(), serverclient.QueryRequest{SQL: "SELECT"})
 	if res != nil {
@@ -115,10 +116,10 @@ func TestNilAndEmptyRidsSurvive(t *testing.T) {
 func TestLargeIntRoundTrip(t *testing.T) {
 	const big = int64(1)<<53 + 1
 	c := serve(t, func(w http.ResponseWriter, r *http.Request) {
-		wire.WriteJSON(w, http.StatusOK, wire.Result{
-			Columns: []string{"k", "f"}, Types: []string{"int", "float"},
-			Rows: [][]any{{big, 0.5}, {int64(math.MinInt64), -2.25}}, N: 2,
-		})
+		rel := storage.NewRelation("r", storage.Schema{{Name: "k", Type: storage.TInt}, {Name: "f", Type: storage.TFloat}}, 0)
+		rel.AppendRow(big, 0.5)
+		rel.AppendRow(int64(math.MinInt64), -2.25)
+		wire.WriteJSON(w, http.StatusOK, wire.Rows(rel))
 	})
 	res, err := c.Query(context.Background(), serverclient.QueryRequest{SQL: "SELECT"})
 	if err != nil {

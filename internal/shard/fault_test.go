@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -261,5 +262,69 @@ func TestFailureCountersAdvance(t *testing.T) {
 	entry, _ := perShard[1].(map[string]any)
 	if asInt(t, entry["failures"]) < 3 {
 		t.Fatalf("shard 1 failures = %v, want >= 3", entry["failures"])
+	}
+}
+
+// TestHostileShardReplies: a shard answering 200 with a body that does not
+// fit its own schema, or does not parse, makes every gather touching it a
+// structured 500 Internal naming the shard — never a panic, a wrong answer
+// or a leaked goroutine (TestMain's leak check).
+func TestHostileShardReplies(t *testing.T) {
+	ctx := context.Background()
+	coord, c := startFaultCoord(t, 2, 2*time.Second)
+	ingest(t, c, "shard")
+	sess, err := c.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT k, COUNT(*) AS cnt FROM fact GROUP BY k"
+	if _, err := sess.Run(ctx, "base", serverclient.QueryRequest{SQL: sql}); err != nil {
+		t.Fatal(err)
+	}
+	const head = `{"columns":["k","cnt"],"types":["int","int"],"rows":`
+	bodies := map[string]string{
+		"string in an INT column":   head + `[["x",1]],"row_count":1,"group_counts":[1]}`,
+		"fraction in an INT column": head + `[[1.5,1]],"row_count":1,"group_counts":[1]}`,
+		"short row":                 head + `[[1]],"row_count":1,"group_counts":[1]}`,
+		"group_counts length":       head + `[[1,2]],"row_count":1,"group_counts":[2,3]}`,
+		"truncated body":            head + `[[1,`,
+	}
+	calls := map[string]func() error{
+		"query": func() error {
+			_, err := c.Query(ctx, serverclient.QueryRequest{SQL: sql})
+			return err
+		},
+		"retain": func() error {
+			_, err := sess.Run(ctx, "again", serverclient.QueryRequest{SQL: sql})
+			return err
+		},
+		"backward trace": func() error {
+			_, err := sess.Trace(ctx, "base", serverclient.TraceRequest{Direction: "backward", Table: "fact",
+				Rids: []int64{0, 1}, GroupBy: []string{"b"}, Aggs: []serverclient.Agg{{Fn: "count"}}})
+			return err
+		},
+		"forward trace": func() error {
+			_, err := sess.Trace(ctx, "base", serverclient.TraceRequest{Direction: "forward", Table: "fact", Rids: []int64{102}})
+			return err
+		},
+	}
+	for what, body := range bodies {
+		coord.SetShardHandler(1, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write([]byte(body))
+		}))
+		for call, do := range calls {
+			tag := what + " / " + call
+			err := do()
+			shardErr(t, tag, err, http.StatusInternalServerError, "internal")
+			var se *serverclient.Error
+			if errors.As(err, &se); !strings.Contains(se.Message, "shard 1") || strings.Contains(se.Message, "panic") {
+				t.Fatalf("%s: message %q, want one naming shard 1 and no panic", tag, se.Message)
+			}
+		}
+	}
+	coord.RestoreShardHandler(1)
+	if _, err := c.Query(ctx, serverclient.QueryRequest{SQL: sql}); err != nil {
+		t.Fatalf("query after restore: %v", err)
 	}
 }

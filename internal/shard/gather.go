@@ -3,215 +3,270 @@ package shard
 import (
 	"math"
 	"strconv"
-	"strings"
 
 	"smoke/internal/ops"
 	"smoke/internal/serr"
+	"smoke/internal/storage"
 	"smoke/internal/wire"
 )
 
-// gatherMap remembers how a merged grouped result relates to its per-shard
-// partials, so later interactions against the merged result (bound traces,
-// per-shard retained captures) can translate both ways:
-//
-//   - a global output slot → each shard's local row holding that group's
-//     partial (or -1 where the shard saw no input for the group);
-//   - a shard's local row → the global slot it folded into;
-//   - a group-key identity string → the global slot (forward traces map
-//     shard-reported output rows back to merged rows by key).
-type gatherMap struct {
-	localToGlobal [][]int // [shard][localRow] -> global slot
-	globalToLocal [][]int // [globalSlot][shard] -> local row, -1 if absent
-	keyToGlobal   map[string]int
-}
-
-// aggState accumulates one output aggregate across shards. Counts stay in
-// int64 (no float round-trip); AVG folds as a group-count-weighted sum so the
-// merged mean equals the global mean regardless of how rows split.
-type aggState struct {
-	i   int64   // Count
-	f   float64 // Sum fold; Min/Max fold; Avg weighted numerator
-	w   int64   // Avg denominator (summed partial group counts)
-	set bool    // Min/Max seeded
+// reply is one shard's decoded answer in a gather: its rows in typed
+// columns (Rel), and the shard that sent it, which every error about the
+// reply names.
+type reply struct {
+	shard int
+	*wire.Result
 }
 
 // mergeGrouped folds per-shard grouped partials into the global grouped
-// result. Output slots are assigned on FIRST APPEARANCE scanning parts in
-// shard order and rows in each part's own order — shard slices are
-// rid-contiguous, so this discovery order is exactly the order a single
+// result, in typed columns. Output slots are the engine's own: keySlots
+// resolves the partials' keys through ops.GroupState, scanning parts in
+// reply order (shard-major) and rows in each part's own order. Shard slices
+// are rid-contiguous, so that discovery order is exactly the order a single
 // node's grouped scan assigns groups in (the partition-major merge argument
 // of internal/lineage/merge.go), which is what makes the merged result
-// element-identical, not merely set-equal.
+// element-identical, not merely set-equal — for float, string and composite
+// keys too, since identity is the key core's.
 //
-// Aggregates fold two-phase: COUNT and SUM add, MIN/MAX take the fold,
-// AVG reweights each partial mean by its group's partial input cardinality
-// (the group_counts the shard replies carry). The merged reply carries the
-// summed group_counts, so a retained merged result supports consuming traces
-// the same way a single node's does.
-func mergeGrouped(parts []*wire.Result, nKeys int, aggs []ops.AggFn) (*wire.Result, *gatherMap, error) {
+// Aggregates fold two-phase: COUNT adds in int64; SUM adds, MIN/MAX take
+// the fold and AVG reweights each partial mean by its group's partial input
+// cardinality (the group_counts the replies carry), all in float64. The
+// merged group counts are the sums, so a retained merged result supports
+// consuming traces the same way a single node's does. Beside the merged
+// result it returns the global slot of every partial row (the partials'
+// rows concatenated in reply order).
+func mergeGrouped(parts []reply, nKeys int, aggs []ops.AggFn) (*wire.Result, []ops.Rid, error) {
 	if len(parts) == 0 {
 		return nil, nil, serr.New(serr.Internal, "shard: merge of zero partials")
 	}
-	first := parts[0]
-	if len(first.Types) != nKeys+len(aggs) {
+	if err := sameSchema(parts); err != nil {
+		return nil, nil, err
+	}
+	first := parts[0].Rel()
+	if len(first.Schema) != nKeys+len(aggs) {
 		return nil, nil, serr.New(serr.Internal,
-			"shard: partial has %d columns, analysis expects %d keys + %d aggregates",
-			len(first.Types), nKeys, len(aggs))
+			"shard: shard %d partial has %d columns, analysis expects %d keys + %d aggregates",
+			parts[0].shard, len(first.Schema), nKeys, len(aggs))
 	}
-	for s, p := range parts[1:] {
-		if len(p.Columns) != len(first.Columns) {
-			return nil, nil, serr.New(serr.Internal, "shard: shard %d partial schema differs", s+1)
+	for j, fn := range aggs {
+		want := storage.TFloat
+		switch fn {
+		case ops.Count:
+			want = storage.TInt
+		case ops.Sum, ops.Min, ops.Max, ops.Avg:
+		default:
+			return nil, nil, serr.New(serr.Unsupported, "shard: aggregate %v does not merge across shards", fn)
+		}
+		if f := first.Schema[nKeys+j]; f.Type != want {
+			return nil, nil, serr.New(serr.Internal, "shard: shard %d partial's %v column %s is %s, want %s",
+				parts[0].shard, fn, f.Name, f.Type, want)
 		}
 	}
-
-	gm := &gatherMap{
-		localToGlobal: make([][]int, len(parts)),
-		keyToGlobal:   map[string]int{},
-	}
-	var (
-		keys        [][]any
-		accs        [][]aggState
-		groupCounts []int64
-	)
-	for s, p := range parts {
-		if len(p.Rows) > 0 && len(p.GroupCounts) != len(p.Rows) {
+	rels := relations(parts)
+	for i, p := range parts {
+		if rels[i].N > 0 && len(p.GroupCounts) != rels[i].N {
 			return nil, nil, serr.New(serr.Internal,
-				"shard: shard %d partial has %d rows but %d group counts", s, len(p.Rows), len(p.GroupCounts))
-		}
-		gm.localToGlobal[s] = make([]int, len(p.Rows))
-		for r, row := range p.Rows {
-			k := encodeKey(row[:nKeys])
-			slot, ok := gm.keyToGlobal[k]
-			if !ok {
-				slot = len(keys)
-				gm.keyToGlobal[k] = slot
-				keys = append(keys, row[:nKeys])
-				accs = append(accs, make([]aggState, len(aggs)))
-				groupCounts = append(groupCounts, 0)
-				gl := make([]int, len(parts))
-				for i := range gl {
-					gl[i] = -1
-				}
-				gm.globalToLocal = append(gm.globalToLocal, gl)
-			}
-			gm.localToGlobal[s][r] = slot
-			gm.globalToLocal[slot][s] = r
-			gc := p.GroupCounts[r]
-			groupCounts[slot] += gc
-			for j, fn := range aggs {
-				v := row[nKeys+j]
-				acc := &accs[slot][j]
-				switch fn {
-				case ops.Count:
-					iv, ok := v.(int64)
-					if !ok {
-						return nil, nil, serr.New(serr.Internal, "shard: COUNT partial is %T, want int64", v)
-					}
-					acc.i += iv
-				case ops.Sum:
-					fv, ok := v.(float64)
-					if !ok {
-						return nil, nil, serr.New(serr.Internal, "shard: SUM partial is %T, want float64", v)
-					}
-					acc.f += fv
-				case ops.Min:
-					fv, ok := v.(float64)
-					if !ok {
-						return nil, nil, serr.New(serr.Internal, "shard: MIN partial is %T, want float64", v)
-					}
-					if !acc.set || fv < acc.f {
-						acc.f, acc.set = fv, true
-					}
-				case ops.Max:
-					fv, ok := v.(float64)
-					if !ok {
-						return nil, nil, serr.New(serr.Internal, "shard: MAX partial is %T, want float64", v)
-					}
-					if !acc.set || fv > acc.f {
-						acc.f, acc.set = fv, true
-					}
-				case ops.Avg:
-					fv, ok := v.(float64)
-					if !ok {
-						return nil, nil, serr.New(serr.Internal, "shard: AVG partial is %T, want float64", v)
-					}
-					acc.f += fv * float64(gc)
-					acc.w += gc
-				default:
-					return nil, nil, serr.New(serr.Unsupported, "shard: aggregate %v does not merge across shards", fn)
-				}
-			}
+				"shard: shard %d partial has %d rows but %d group counts", p.shard, rels[i].N, len(p.GroupCounts))
 		}
 	}
+	keys, slots := keySlots(rels, nKeys)
 
-	out := &wire.Result{
-		Columns:     first.Columns,
-		Types:       first.Types,
-		Rows:        make([][]any, len(keys)),
-		N:           len(keys),
-		GroupCounts: groupCounts,
+	// rep[g] is the first row (across the concatenated partials) of group g:
+	// slots number groups in first-appearance order, so a row opens a new
+	// group exactly when its slot is the next one.
+	var rep []ops.Rid
+	for row, g := range slots {
+		if int(g) == len(rep) {
+			rep = append(rep, ops.Rid(row))
+		}
 	}
-	for slot, ks := range keys {
-		row := make([]any, 0, nKeys+len(aggs))
-		row = append(row, ks...)
-		for j, fn := range aggs {
-			acc := accs[slot][j]
+	n := len(rep)
+	out := storage.NewRelation("merged", first.Schema, n)
+	copy(out.Cols, keys.Gather("merged", rep).Cols)
+
+	// at[i] holds the slots of part i's rows.
+	at := make([][]ops.Rid, len(parts))
+	for i, start := 0, 0; i < len(parts); i++ {
+		at[i], start = slots[start:start+rels[i].N], start+rels[i].N
+	}
+	counts := make([]int64, n)
+	for i, p := range parts {
+		for r, v := range p.GroupCounts {
+			counts[at[i][r]] += v
+		}
+	}
+	for j, fn := range aggs {
+		dst := &out.Cols[nKeys+j]
+		if fn == ops.Min || fn == ops.Max {
+			// The identities of the folds, as aggAcc starts them.
+			seed := math.Inf(1)
+			if fn == ops.Max {
+				seed = math.Inf(-1)
+			}
+			for g := range dst.Floats {
+				dst.Floats[g] = seed
+			}
+		}
+		for i, rel := range rels {
+			src, at := &rel.Cols[nKeys+j], at[i]
 			switch fn {
 			case ops.Count:
-				row = append(row, acc.i)
-			case ops.Avg:
-				if acc.w == 0 {
-					row = append(row, 0.0)
-				} else {
-					row = append(row, acc.f/float64(acc.w))
+				for r, v := range src.Ints {
+					dst.Ints[at[r]] += v
 				}
-			default:
-				row = append(row, acc.f)
+			case ops.Sum:
+				for r, v := range src.Floats {
+					dst.Floats[at[r]] += v
+				}
+			case ops.Min:
+				for r, v := range src.Floats {
+					if v < dst.Floats[at[r]] {
+						dst.Floats[at[r]] = v
+					}
+				}
+			case ops.Max:
+				for r, v := range src.Floats {
+					if v > dst.Floats[at[r]] {
+						dst.Floats[at[r]] = v
+					}
+				}
+			case ops.Avg:
+				gc := parts[i].GroupCounts
+				for r, v := range src.Floats {
+					dst.Floats[at[r]] += v * float64(gc[r])
+				}
 			}
 		}
-		out.Rows[slot] = row
+		if fn == ops.Avg {
+			// The weights are the summed group counts; a group with none
+			// keeps its zero sum.
+			for g, w := range counts {
+				if w != 0 {
+					dst.Floats[g] /= float64(w)
+				}
+			}
+		}
 	}
-	// StrategyUsed is a per-node observability field; surface it only when
-	// every shard answered the same thing.
-	strategy := first.StrategyUsed
+	merged := wire.Rows(out)
+	merged.GroupCounts, merged.StrategyUsed = counts, uniformStrategy(parts)
+	return &merged, slots, nil
+}
+
+// localRows builds a placement's flat slot map from the slots mergeGrouped
+// gave the rows of one reply per shard, in shard order, over n groups.
+func localRows(parts []reply, slots []ops.Rid, n int) []int32 {
+	local := make([]int32, n*len(parts))
+	for i := range local {
+		local[i] = -1
+	}
+	row := 0
+	for s, p := range parts {
+		for r := 0; r < p.Rel().N; r++ {
+			local[int(slots[row])*len(parts)+s] = int32(r)
+			row++
+		}
+	}
+	return local
+}
+
+// keySlots resolves the group keys — the first nKeys columns — of rels, in
+// relation order and then row order, to group slots through the engine's
+// group-key core, ops.GroupState: a hashtab for one INT key, its byte key
+// format otherwise. A slot numbers its group by first appearance, as a
+// single node's grouped scan numbers groups; with no key every row is in
+// group 0. It returns the key columns of rels concatenated, and each of
+// their rows' slot; rels share one schema.
+func keySlots(rels []*storage.Relation, nKeys int) (*storage.Relation, []ops.Rid) {
+	schema := make(storage.Schema, nKeys)
+	refs := make([]ops.KeyRef, nKeys)
+	for c := range schema {
+		// Renamed: output column names need not be distinct.
+		schema[c] = storage.Field{Name: "k" + strconv.Itoa(c), Type: rels[0].Schema[c].Type}
+		refs[c] = ops.KeyRef{Col: schema[c].Name}
+	}
+	keys := concat(schema, rels)
+	slots := make([]ops.Rid, keys.N)
+	if nKeys == 0 {
+		return keys, slots
+	}
+	rids := make([]ops.Rid, keys.N)
+	for i := range rids {
+		rids[i] = ops.Rid(i)
+	}
+	g, err := ops.NewGroupState([]*storage.Relation{keys}, refs, nil, nil)
+	if err != nil {
+		panic(err) // the key columns were just built under these names
+	}
+	g.Fold([][]ops.Rid{rids}, slots)
+	return keys, slots
+}
+
+// sameSchema checks that every reply's relation has the first's schema.
+func sameSchema(parts []reply) error {
+	want := parts[0].Rel().Schema
 	for _, p := range parts[1:] {
-		if p.StrategyUsed != strategy {
-			strategy = ""
-			break
+		got := p.Rel().Schema
+		same := len(got) == len(want)
+		for c := 0; same && c < len(got); c++ {
+			same = got[c] == want[c]
+		}
+		if !same {
+			return serr.New(serr.Internal, "shard: shard %d answered schema %v, shard %d %v", p.shard, got, parts[0].shard, want)
 		}
 	}
-	out.StrategyUsed = strategy
-	return out, gm, nil
+	return nil
 }
 
-// emptyLike builds a zero-row result with a partial's schema (empty trace
-// waves gather into this instead of a nil reply).
-func emptyLike(p *wire.Result) *wire.Result {
-	return &wire.Result{Columns: p.Columns, Types: p.Types, Rows: [][]any{}, N: 0}
-}
-
-// encodeKey builds the group-identity string of a key tuple. Float keys
-// encode by exact bit pattern and strings are length-prefixed, so distinct
-// tuples can never collide through formatting.
-func encodeKey(keys []any) string {
-	var b strings.Builder
-	for _, k := range keys {
-		switch v := k.(type) {
-		case int64:
-			b.WriteByte('i')
-			b.WriteString(strconv.FormatInt(v, 10))
-		case float64:
-			b.WriteByte('f')
-			b.WriteString(strconv.FormatUint(math.Float64bits(v), 16))
-		case string:
-			b.WriteByte('s')
-			b.WriteString(strconv.Itoa(len(v)))
-			b.WriteByte(':')
-			b.WriteString(v)
-		default:
-			b.WriteByte('?')
-		}
-		b.WriteByte('|')
+// concatReplies concatenates non-consuming trace replies in order: the
+// rows, and the strategy when every reply names the same one.
+func concatReplies(parts []reply) (*wire.Result, error) {
+	if err := sameSchema(parts); err != nil {
+		return nil, err
 	}
-	return b.String()
+	out := wire.Rows(concat(parts[0].Rel().Schema, relations(parts)))
+	out.StrategyUsed = uniformStrategy(parts)
+	return &out, nil
+}
+
+// relations returns the replies' typed rows.
+func relations(parts []reply) []*storage.Relation {
+	rels := make([]*storage.Relation, len(parts))
+	for i, p := range parts {
+		rels[i] = p.Rel()
+	}
+	return rels
+}
+
+// uniformStrategy is the strategy_used every reply names, or "": it is a
+// per-node observability field, surfaced only when every shard agrees.
+func uniformStrategy(parts []reply) string {
+	s := parts[0].StrategyUsed
+	for _, p := range parts[1:] {
+		if p.StrategyUsed != s {
+			return ""
+		}
+	}
+	return s
+}
+
+// concat returns the rows of rels, one after the other, in a relation of
+// the given schema: its columns are the first len(schema) columns of every
+// relation, which hold the schema's types.
+func concat(schema storage.Schema, rels []*storage.Relation) *storage.Relation {
+	out := storage.NewEmpty("concat", schema)
+	for _, rel := range rels {
+		for c, f := range schema {
+			src, dst := &rel.Cols[c], &out.Cols[c]
+			switch f.Type {
+			case storage.TInt:
+				dst.Ints = append(dst.Ints, src.Ints[:rel.N]...)
+			case storage.TFloat:
+				dst.Floats = append(dst.Floats, src.Floats[:rel.N]...)
+			case storage.TString:
+				dst.Strs = append(dst.Strs, src.Strs[:rel.N]...)
+			}
+		}
+		out.N += rel.N
+	}
+	return out
 }

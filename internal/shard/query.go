@@ -134,12 +134,7 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	merged, gm, err := mergeGrouped(parts, len(a.scatter.Keys), a.scatter.Aggs)
-	if err != nil {
-		wire.WriteError(w, err)
-		return
-	}
-	out, err := merged.Relation("merged")
+	merged, slots, err := mergeGrouped(parts, len(a.scatter.Keys), a.scatter.Aggs)
 	if err != nil {
 		wire.WriteError(w, err)
 		return
@@ -149,16 +144,14 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		scattered: true,
 		table:     a.scatter.Table,
 		nKeys:     len(a.scatter.Keys),
-		merged:    merged,
-		out:       out,
-		gm:        gm,
+		out:       merged.Rel(),
+		local:     localRows(parts, slots, merged.N),
 		tbl:       a.tbl,
 		plan:      a.plan,
 		strategy:  resolvedStrategy(req.Capture, req.Strategy),
 	})
-	reply := wire.Rows(out) // the placement's typed rows, not typed again
-	reply.GroupCounts, reply.StrategyUsed, reply.Retained = merged.GroupCounts, merged.StrategyUsed, name
-	wire.WriteJSON(w, http.StatusOK, reply)
+	merged.Retained = name
+	wire.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleGetResult re-renders a retained result. Scattered results render

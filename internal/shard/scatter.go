@@ -100,8 +100,10 @@ func (n *node) invoke(ctx context.Context, method, path string, body []byte, con
 	}
 }
 
-// callJSON invokes a shard and decodes a 2xx reply as a result body. Non-2xx
-// replies come back as the shard's own structured error.
+// callJSON invokes a shard and decodes a 2xx reply as a result body in typed
+// columns. Non-2xx replies come back as the shard's own structured error; a
+// reply that does not decode, or whose group counts do not match its rows,
+// is an Internal error naming the shard.
 func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string, body []byte) (*wire.Result, error) {
 	res, err := n.invoke(ctx, method, path, body, "application/json")
 	if err != nil {
@@ -114,9 +116,12 @@ func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string
 	}
 	// Cells decode by column type, so merge arithmetic never round-trips
 	// large int64 values through float64.
-	out, err := wire.DecodeResult(res.body)
+	out, err := wire.DecodeTyped(res.body)
 	if err != nil {
-		return nil, serr.New(serr.Internal, "shard: undecodable shard reply: %v", err)
+		return nil, serr.New(serr.Internal, "shard: shard %d sent an undecodable reply: %v", n.id, err)
+	}
+	if gc, rows := len(out.GroupCounts), out.Rel().N; gc > 0 && gc != rows {
+		return nil, serr.New(serr.Internal, "shard: shard %d replied %d rows but %d group counts", n.id, rows, gc)
 	}
 	return out, nil
 }
@@ -138,12 +143,12 @@ func errorFromShard(shardID int, status int, body []byte) error {
 // arrive after that cancel are its consequences — deadline errors, or a Busy
 // from a sibling abandoned at its admission gate — and never outrank the
 // cause.
-func (c *Coordinator) scatter(ctx context.Context, shards []int, build func(shard int) (method, path string, body []byte)) ([]*wire.Result, error) {
+func (c *Coordinator) scatter(ctx context.Context, shards []int, build func(shard int) (method, path string, body []byte)) ([]reply, error) {
 	c.scatters.Add(1)
 	wctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 
-	results := make([]*wire.Result, len(shards))
+	results := make([]reply, len(shards))
 	var (
 		mu    sync.Mutex
 		cause error // the failure that cancelled the wave
@@ -165,7 +170,7 @@ func (c *Coordinator) scatter(ctx context.Context, shards []int, build func(shar
 				mu.Unlock()
 				return
 			}
-			results[i] = res
+			results[i] = reply{shard: s, Result: res}
 		}()
 	}
 	wg.Wait()

@@ -35,15 +35,14 @@ type session struct {
 type placement struct {
 	scattered bool
 	// Scattered placements keep the merge artifacts: the sharded table the
-	// result reads, the merged grouped output and the same rows as a relation
-	// (global seed validation and seed-predicate and filter evaluation run
-	// against it), its group-key count, and the gather map translating
-	// global slots ↔ per-shard partial rows.
-	table  string
-	nKeys  int
-	merged *wire.Result
-	out    *storage.Relation
-	gm     *gatherMap
+	// result reads, the merged grouped output (global seed validation and
+	// seed-predicate and filter evaluation run against it), its group-key
+	// count, and the flat slot map: local[g*shards+s] is shard s's partial
+	// row of global slot g, -1 where the shard saw no input for the group.
+	table string
+	nKeys int
+	out   *storage.Relation
+	local []int32
 	// tbl snapshots the sharded table AS OF the run — the capture-time
 	// relation and rid-range starts. Traces translate seeds against this
 	// snapshot, not the live book, exactly as a single node's bound trace

@@ -212,7 +212,8 @@ func (c *Coordinator) emptyTrace(ctx context.Context, sess *session, name string
 	if err != nil {
 		return nil, err
 	}
-	return emptyLike(parts[0]), nil
+	empty := wire.Rows(parts[0].Rel())
+	return &empty, nil
 }
 
 // backwardScattered gathers a backward trace. The engine answers one of two
@@ -253,7 +254,7 @@ func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name
 		if _, ok := plan.TraceScanEquiv(bw); ok {
 			path := p.backwardPath(req.Strategy)
 			switch {
-			case plan.ScanBeatsIndex(len(slots), p.merged.N), path == "lazy":
+			case plan.ScanBeatsIndex(len(slots), p.out.N), path == "lazy":
 				return c.scanBackward(bw, req, params, path)
 			case path == "":
 				return nil, c.fence(plan.FenceAutoOrder)
@@ -269,7 +270,7 @@ func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name
 		merged, _, err := mergeGrouped(cells, len(req.GroupBy), reqAggs(req))
 		return merged, err
 	}
-	return concatCells(cells), nil
+	return concatReplies(cells)
 }
 
 // scanBackward answers a trace on the scan path the way a single node does:
@@ -296,18 +297,19 @@ func (c *Coordinator) scanBackward(bw plan.Backward, req wire.TraceRequest, para
 // per-seed boundaries, so batching a shard's seeds into one request would
 // lose the seed-major interleave a single node produces. Crossfilter-style
 // interactions seed one output row, so the common case is exactly one wave.
-func (c *Coordinator) perSeedCells(ctx context.Context, sess *session, name string, p *placement, req wire.TraceRequest, slots []int) ([]*wire.Result, error) {
-	var cells []*wire.Result
+func (c *Coordinator) perSeedCells(ctx context.Context, sess *session, name string, p *placement, req wire.TraceRequest, slots []int) ([]reply, error) {
+	var cells []reply
+	n := len(c.nodes)
 	for _, g := range slots {
+		locals := p.local[g*n : (g+1)*n]
 		var participants []int
-		for s, local := range p.gm.globalToLocal[g] {
+		for s, local := range locals {
 			if local >= 0 {
 				participants = append(participants, s)
 			}
 		}
 		parts, err := c.scatter(ctx, participants, func(s int) (string, string, []byte) {
-			local := int64(p.gm.globalToLocal[g][s])
-			return http.MethodPost, sess.tracePath(s, name), shardTraceBody(req, []int64{local}, true)
+			return http.MethodPost, sess.tracePath(s, name), shardTraceBody(req, []int64{int64(locals[s])}, true)
 		})
 		if err != nil {
 			return nil, err
@@ -323,23 +325,6 @@ func reqAggs(req wire.TraceRequest) []ops.AggFn {
 		aggs[i], _ = wire.ParseAggFn(a.Fn) // validated in runScatteredTrace
 	}
 	return aggs
-}
-
-// concatCells concatenates non-consuming trace cells in order.
-func concatCells(cells []*wire.Result) *wire.Result {
-	out := &wire.Result{Columns: cells[0].Columns, Types: cells[0].Types, Rows: [][]any{}}
-	strategy, uniform := cells[0].StrategyUsed, true
-	for _, cell := range cells {
-		out.Rows = append(out.Rows, cell.Rows...)
-		out.N += cell.N
-		if cell.StrategyUsed != strategy {
-			uniform = false
-		}
-	}
-	if uniform {
-		out.StrategyUsed = strategy
-	}
-	return out
 }
 
 // forwardScattered gathers a forward trace: seeds address the sharded base
@@ -384,8 +369,7 @@ func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name 
 	// Maximal same-owner seed runs, one shard request per run: the shard
 	// answers its seeds' reached rows in seed order, so run-order concat is
 	// the global seed-order concat.
-	out := &wire.Result{Columns: p.merged.Columns, Types: p.merged.Types, Rows: [][]any{}}
-	strategy, uniform, first := "", true, true
+	var cells []reply
 	for i := 0; i < len(seeds); {
 		owner := t.ownerOf(seeds[i])
 		j := i
@@ -399,30 +383,46 @@ func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name 
 		if err != nil {
 			return nil, err
 		}
-		cell := parts[0]
-		for _, row := range cell.Rows {
-			if len(row) < p.nKeys {
-				return nil, serr.New(serr.Internal, "shard: forward trace row narrower than the group key")
-			}
-			slot, ok := p.gm.keyToGlobal[encodeKey(row[:p.nKeys])]
-			if !ok {
-				return nil, serr.New(serr.Internal, "shard: forward trace reached a group absent from the merged result")
-			}
-			if mask != nil && !mask[slot] {
-				continue
-			}
-			out.Rows = append(out.Rows, p.merged.Rows[slot])
-			out.N++
-		}
-		if first {
-			strategy, first = cell.StrategyUsed, false
-		} else if cell.StrategyUsed != strategy {
-			uniform = false
-		}
+		cells = append(cells, parts[0])
 		i = j
 	}
-	if uniform && !first {
-		out.StrategyUsed = strategy
+	rows, err := mergedRows(p, cells)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	kept := rows[:0]
+	for _, slot := range rows {
+		if mask == nil || mask[slot] {
+			kept = append(kept, slot)
+		}
+	}
+	out := wire.Rows(p.out.Gather(p.out.Name, kept))
+	out.StrategyUsed = uniformStrategy(cells)
+	return &out, nil
+}
+
+// mergedRows maps every row of the forward-trace replies, in order, to the
+// merged output row of its group. The merged keys and the replies' keys
+// resolve together through keySlots: the merged keys come first and are
+// distinct, so a reply row's slot is its group's merged row.
+func mergedRows(p *placement, cells []reply) ([]ops.Rid, error) {
+	rels := []*storage.Relation{p.out}
+	for _, cell := range cells {
+		rel := cell.Rel()
+		for c := 0; c < p.nKeys; c++ {
+			if c >= len(rel.Schema) || rel.Schema[c].Type != p.out.Schema[c].Type {
+				return nil, serr.New(serr.Internal, "shard: shard %d answered a forward trace whose rows do not start with the group key %v",
+					cell.shard, p.out.Schema[:p.nKeys])
+			}
+		}
+		rels = append(rels, rel)
+	}
+	_, slots := keySlots(rels, p.nKeys)
+	rows := slots[p.out.N:]
+	for _, g := range rows {
+		if int(g) >= p.out.N {
+			return nil, serr.New(serr.Internal, "shard: forward trace reached a group absent from the merged result")
+		}
+	}
+	return rows, nil
 }

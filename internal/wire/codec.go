@@ -258,44 +258,3 @@ func (t Table) Relation(name string) (*storage.Relation, error) {
 	}
 	return rel, nil
 }
-
-// Relation rebuilds the relation a decoded result's rows describe — the
-// inverse of Rows — so a gathered output can be filtered by compiled
-// predicates exactly the way a single node filters its own output relation,
-// and encoded by the one row writer. A result that does not match its own
-// schema — a cell that is not its column type's Go value — is the sender's
-// bug, not the client's.
-func (r *Result) Relation(name string) (*storage.Relation, error) {
-	if len(r.Types) != len(r.Columns) {
-		return nil, serr.New(serr.Internal, "server: malformed result: %d columns but %d types", len(r.Columns), len(r.Types))
-	}
-	schema := make(storage.Schema, len(r.Columns))
-	for c, col := range r.Columns {
-		ty, err := ParseType(r.Types[c])
-		if err != nil {
-			return nil, serr.New(serr.Internal, "server: malformed result: %v", err)
-		}
-		schema[c] = storage.Field{Name: col, Type: ty}
-	}
-	rel := storage.NewRelation(name, schema, len(r.Rows))
-	for i, row := range r.Rows {
-		if len(row) != len(schema) {
-			return nil, serr.New(serr.Internal, "server: malformed result: row %d has %d values for %d columns", i, len(row), len(schema))
-		}
-		for c, f := range schema {
-			ok := false
-			switch f.Type {
-			case storage.TInt:
-				rel.Cols[c].Ints[i], ok = row[c].(int64)
-			case storage.TFloat:
-				rel.Cols[c].Floats[i], ok = row[c].(float64)
-			case storage.TString:
-				rel.Cols[c].Strs[i], ok = row[c].(string)
-			}
-			if !ok {
-				return nil, serr.New(serr.Internal, "server: malformed result: row %d column %s holds %T, not %s", i, f.Name, row[c], TypeName(f.Type))
-			}
-		}
-	}
-	return rel, nil
-}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -28,8 +29,13 @@ import (
 //     unknown fields tolerated, int64 values beyond 2^53 exact, a cell its
 //     column type cannot hold left a json.Number — and fails on exactly the
 //     bodies Decode fails on.
+//   - DecodeTyped is the same parser landing the rows in typed columns, as
+//     Rows holds them, for a reader that computes on the cells (the shard
+//     coordinator's gather). It accepts exactly the bodies DecodeResult
+//     accepts whose every row fits the body's own schema, with the same
+//     cells.
 //
-// Both claims are checked against encoding/json in wire's tests, which keep
+// The claims are checked against encoding/json in wire's tests, which keep
 // Normalize as the oracle and are the only place encoding/json still meets
 // a result body.
 
@@ -47,17 +53,12 @@ func Rows(rel *storage.Relation) Result {
 }
 
 // AppendResult appends r's JSON body, newline-terminated, to dst. The rows
-// come from the relation Rows built r from; a Result holding boxed rows (a
-// coordinator's gather) is first typed through Relation, so both reach the
-// one row writer. A NaN or ±Inf cell is an Unsupported error — JSON has no
-// form for it — and a boxed cell its column type cannot hold is Internal.
+// come from the typed columns Rows or DecodeTyped gave r; boxed rows are
+// DecodeResult's read-only form and encode as an Internal error. A NaN or
+// ±Inf cell is an Unsupported error — JSON has no form for it.
 func AppendResult(dst []byte, r *Result) ([]byte, error) {
-	rel := r.rel
-	if rel == nil && len(r.Rows) > 0 {
-		var err error
-		if rel, err = r.Relation("result"); err != nil {
-			return dst, err
-		}
+	if r.rel == nil && len(r.Rows) > 0 {
+		return dst, serr.New(serr.Internal, "server: a result body encodes from typed columns, not boxed rows")
 	}
 	dst = append(dst, `{"columns":`...)
 	dst = appendStrings(dst, r.Columns)
@@ -65,9 +66,9 @@ func AppendResult(dst []byte, r *Result) ([]byte, error) {
 	dst = appendStrings(dst, r.Types)
 	dst = append(dst, `,"rows":`...)
 	switch {
-	case rel != nil:
+	case r.rel != nil:
 		var err error
-		if dst, err = appendRows(dst, rel); err != nil {
+		if dst, err = appendRows(dst, r.rel); err != nil {
 			return dst, err
 		}
 	case r.Rows == nil:
@@ -258,6 +259,51 @@ var (
 // codec comment above for the equivalence it keeps with Decode + Normalize.
 func DecodeResult(data []byte) (*Result, error) {
 	d := decoder{data: data}
+	return d.body()
+}
+
+// DecodeTyped decodes one result body as DecodeResult does, with its rows in
+// typed columns: Rel holds them, Rows stays nil, and the result encodes
+// through AppendResult as one Rows built does. It fails where DecodeResult
+// fails, and with an Internal error where a body does not fit its own
+// schema — columns and types of different lengths, an unknown type, a row
+// of the wrong width, or a cell that is not its column type's value (the
+// int64, float64 or string DecodeResult would have put there).
+func DecodeTyped(data []byte) (*Result, error) {
+	d := decoder{data: data, typed: true}
+	r, err := d.body()
+	if err != nil {
+		return nil, err
+	}
+	if len(r.Types) != len(r.Columns) {
+		return nil, serr.New(serr.Internal, "server: malformed result: %d columns but %d types", len(r.Columns), len(r.Types))
+	}
+	schema := make(storage.Schema, len(r.Columns))
+	for c, col := range r.Columns {
+		ty, err := ParseType(r.Types[c])
+		if err != nil {
+			return nil, serr.New(serr.Internal, "server: malformed result: %v", err)
+		}
+		schema[c] = storage.Field{Name: col, Type: ty}
+	}
+	switch {
+	case d.unfit:
+		return nil, serr.New(serr.Internal, "server: malformed result: a row does not fit the schema %v", r.Types)
+	case d.rel == nil || d.rel.N == 0:
+		r.rel = storage.NewRelation("result", schema, 0)
+	default:
+		d.rel.Schema = schema
+		r.rel = d.rel
+	}
+	return r, nil
+}
+
+// Rel is the result's rows as typed columns: set by Rows and DecodeTyped,
+// nil on a DecodeResult result.
+func (r *Result) Rel() *storage.Relation { return r.rel }
+
+// body decodes the result body at the start of d.data.
+func (d *decoder) body() (*Result, error) {
 	r := &Result{}
 	d.space()
 	if d.pos == len(d.data) {
@@ -287,6 +333,12 @@ type decoder struct {
 	depth int
 	plain bool   // the last string read had no escapes and valid UTF-8
 	text  string // a copy of data, made for the first plain string cell
+
+	// A typed decoder (DecodeTyped) reads rows into rel; unfit records
+	// that the last rows value did not fit the types it was read under.
+	typed bool
+	rel   *storage.Relation
+	unfit bool
 }
 
 func (d *decoder) errorf(format string, args ...any) error {
@@ -393,7 +445,7 @@ func (d *decoder) result(r *Result) error {
 			typesSeen++
 		case "rows":
 			rowsAt, rowsTyped = d.pos, typesSeen
-			r.Rows, err = d.rows(r.Types)
+			err = d.rowsInto(r)
 		case "row_count":
 			err = d.intField(&r.N)
 		case "group_counts":
@@ -414,8 +466,9 @@ func (d *decoder) result(r *Result) error {
 		}
 		if done, err := d.next('}'); err != nil || done {
 			if err == nil && rowsAt >= 0 && rowsTyped != typesSeen {
-				again := decoder{data: d.data, pos: rowsAt, depth: 1}
-				r.Rows, err = again.rows(r.Types)
+				again := decoder{data: d.data, pos: rowsAt, depth: 1, typed: d.typed}
+				err = again.rowsInto(r)
+				d.rel, d.unfit = again.rel, again.unfit
 			}
 			return err
 		}
@@ -542,12 +595,142 @@ func list[T any](d *decoder, old []T, elem func(*T) error) ([]T, error) {
 	}
 }
 
-// Cell kinds: the column types Normalize converts numbers for.
+// Cell kinds: the column types Normalize converts numbers for, and — for
+// a typed decoder — the string columns a string cell fits.
 const (
 	kindOther byte = iota
 	kindInt
 	kindFloat
+	kindString
 )
+
+// rowsInto decodes the rows value at the cursor into r: boxed into Rows, or
+// on a typed decoder into d.rel.
+func (d *decoder) rowsInto(r *Result) (err error) {
+	if !d.typed {
+		r.Rows, err = d.rows(r.Types)
+		return err
+	}
+	start, depth := d.pos, d.depth
+	d.rel, err = d.typedRows(r.Types)
+	if d.unfit = err == errUnfit; d.unfit {
+		// The typed reader stopped at the first cell that does not fit;
+		// the boxed reader checks the rest of the value's grammar.
+		d.pos, d.depth, d.rel = start, depth, nil
+		_, err = d.rows(r.Types)
+	}
+	return err
+}
+
+// errUnfit stops the typed reader at a row or cell its types cannot hold.
+var errUnfit = errors.New("wire: row does not fit its types")
+
+// typedRows decodes the rows array into a relation typed by types, with the
+// grammar the boxed reader (rows) checks. A cell fits its column when
+// DecodeResult would box it as the Go value of the column's type: a number
+// that parses as int64 under the type "int" or float64 under "float", a
+// string under a type that names the string type.
+func (d *decoder) typedRows(types []string) (*storage.Relation, error) {
+	switch d.data[d.pos] {
+	case 'n':
+		return nil, d.literal("null")
+	case '[':
+	default:
+		return nil, d.errorf("want an array of rows")
+	}
+	schema := make(storage.Schema, len(types))
+	kinds := make([]byte, len(types))
+	for c, t := range types {
+		switch ty, err := ParseType(t); {
+		case t == "int":
+			kinds[c] = kindInt
+		case t == "float":
+			schema[c].Type, kinds[c] = storage.TFloat, kindFloat
+		case err == nil && ty == storage.TString:
+			schema[c].Type, kinds[c] = storage.TString, kindString
+		}
+	}
+	if err := d.open(); err != nil {
+		return nil, err
+	}
+	rel := storage.NewRelation("result", schema, 0)
+	if d.empty(']') {
+		return rel, nil
+	}
+	for {
+		if err := d.typedRow(rel, kinds); err != nil {
+			return nil, err
+		}
+		rel.N++
+		if done, err := d.next(']'); err != nil || done {
+			return rel, err
+		}
+	}
+}
+
+// typedRow appends one row's cells to rel's columns.
+func (d *decoder) typedRow(rel *storage.Relation, kinds []byte) error {
+	switch d.peek() {
+	case 'n':
+		if len(kinds) > 0 {
+			return errUnfit
+		}
+		return d.literal("null")
+	case '[':
+	default:
+		return d.errorf("want a row array")
+	}
+	if err := d.open(); err != nil {
+		return err
+	}
+	if d.empty(']') {
+		if len(kinds) > 0 {
+			return errUnfit
+		}
+		return nil
+	}
+	for c := 0; ; c++ {
+		if c == len(kinds) {
+			return errUnfit
+		}
+		d.space()
+		col := &rel.Cols[c]
+		switch b := d.byteAt(); {
+		case b == '"' && kinds[c] == kindString:
+			s, err := d.strValue()
+			if err != nil {
+				return err
+			}
+			col.Strs = append(col.Strs, s)
+		case (b == '-' || '0' <= b && b <= '9') && (kinds[c] == kindInt || kinds[c] == kindFloat):
+			lit, isInt, err := d.number()
+			if err != nil {
+				return err
+			}
+			if kinds[c] == kindInt {
+				v, ok := parseInt(lit, isInt)
+				if !ok {
+					return errUnfit
+				}
+				col.Ints = append(col.Ints, v)
+			} else {
+				v, err := strconv.ParseFloat(string(lit), 64)
+				if err != nil {
+					return errUnfit
+				}
+				col.Floats = append(col.Floats, v)
+			}
+		default:
+			return errUnfit
+		}
+		if done, err := d.next(']'); err != nil || done {
+			if err == nil && c+1 != len(kinds) {
+				return errUnfit
+			}
+			return err
+		}
+	}
+}
 
 // rows decodes the rows array, typing number cells by types.
 func (d *decoder) rows(types []string) ([][]any, error) {
@@ -651,14 +834,23 @@ func (d *decoder) byteAt() byte {
 	return d.data[d.pos]
 }
 
-// stringCell reads a string cell. Cells without escapes are cut from one
-// copy of the body, so the strings of a body cost one allocation between
-// them (and keep that copy alive while any of them is).
+// stringCell reads a string cell boxed.
 func (d *decoder) stringCell() (any, error) {
+	s, err := d.strValue()
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// strValue reads a string cell. Cells without escapes are cut from one copy
+// of the body, so the strings of a body cost one allocation between them
+// (and keep that copy alive while any of them is).
+func (d *decoder) strValue() (string, error) {
 	start := d.pos + 1
 	b, err := d.str()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if !d.plain {
 		return string(b), nil

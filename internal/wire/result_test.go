@@ -70,8 +70,48 @@ func boxed(r Result) Result {
 	return r
 }
 
+// oracleRelation types a decoded result's boxed rows: the relation their
+// schema describes, or an error when a row does not fit it — the check the
+// gather ran on boxed partials before DecodeTyped.
+func oracleRelation(r *Result) (*storage.Relation, error) {
+	if len(r.Types) != len(r.Columns) {
+		return nil, serr.New(serr.Internal, "%d columns but %d types", len(r.Columns), len(r.Types))
+	}
+	schema := make(storage.Schema, len(r.Columns))
+	for c, col := range r.Columns {
+		ty, err := ParseType(r.Types[c])
+		if err != nil {
+			return nil, err
+		}
+		schema[c] = storage.Field{Name: col, Type: ty}
+	}
+	rel := storage.NewRelation("result", schema, len(r.Rows))
+	for i, row := range r.Rows {
+		if len(row) != len(schema) {
+			return nil, serr.New(serr.Internal, "row %d has %d values for %d columns", i, len(row), len(schema))
+		}
+		for c, f := range schema {
+			ok := false
+			switch f.Type {
+			case storage.TInt:
+				rel.Cols[c].Ints[i], ok = row[c].(int64)
+			case storage.TFloat:
+				rel.Cols[c].Floats[i], ok = row[c].(float64)
+			case storage.TString:
+				rel.Cols[c].Strs[i], ok = row[c].(string)
+			}
+			if !ok {
+				return nil, serr.New(serr.Internal, "row %d column %s holds %T", i, f.Name, row[c])
+			}
+		}
+	}
+	return rel, nil
+}
+
 // sameDecode fails t unless DecodeResult and the oracle agree on body: both
-// fail, or both succeed with deep-equal results.
+// fail, or both succeed with deep-equal results. DecodeTyped must then
+// succeed exactly when the boxed rows also type (oracleRelation), with the
+// same cells and the same other fields.
 func sameDecode(t *testing.T, body []byte) {
 	t.Helper()
 	got, err := DecodeResult(body)
@@ -81,6 +121,39 @@ func sameDecode(t *testing.T, body []byte) {
 	}
 	if err == nil && !reflect.DeepEqual(got, want) {
 		t.Fatalf("body %q:\n got %#v\nwant %#v", body, got, want)
+	}
+	typed, terr := DecodeTyped(body)
+	var wantRel *storage.Relation
+	if werr == nil {
+		wantRel, werr = oracleRelation(want)
+	}
+	if (terr != nil) != (werr != nil) {
+		t.Fatalf("body %q: DecodeTyped error %v, DecodeResult + Relation error %v", body, terr, werr)
+	}
+	if terr != nil {
+		if err == nil && serr.KindOf(terr) != serr.Internal {
+			t.Fatalf("body %q: DecodeTyped refused a decodable body with %v, want Internal", body, terr)
+		}
+		return
+	}
+	rel := typed.Rel()
+	if !reflect.DeepEqual(rel.Schema, wantRel.Schema) || rel.N != wantRel.N {
+		t.Fatalf("body %q: typed schema %v rows %d, want %v rows %d", body, rel.Schema, rel.N, wantRel.Schema, wantRel.N)
+	}
+	for i := 0; i < rel.N; i++ {
+		for c := range rel.Schema {
+			g, w := rel.Value(c, i), wantRel.Value(c, i)
+			if gf, ok := g.(float64); ok {
+				g, w = math.Float64bits(gf), math.Float64bits(w.(float64))
+			}
+			if g != w {
+				t.Fatalf("body %q: typed cell (%d, %d) = %#v, want %#v", body, i, c, rel.Value(c, i), wantRel.Value(c, i))
+			}
+		}
+	}
+	typed.rel, want.Rows = nil, nil
+	if !reflect.DeepEqual(typed, want) {
+		t.Fatalf("body %q: typed fields\n got %#v\nwant %#v", body, typed, want)
 	}
 }
 
@@ -112,11 +185,29 @@ var decodeSeeds = []string{
 	`{"columns":[1]}`, `{"rows":[1]}`, `{"rows":{}}`, `{"group_counts":[1e0]}`, `{"explain":false}`,
 	`{"rows":[[01]]}`, `{"rows":[[1.]]}`, `{"rows":[[1e]]}`, `{"rows":[[-]]}`, `{"rows":[[1,]]}`,
 	`{"a":1,}`, `{"a" 1}`, `{"a":"\x01"}`, `{"a":"\'"}`, `{"a":"\u12"}`, `{"a":tru}`, `{"columns":["a"]`,
+	// Rows that do or do not fit their schema: the typed decode's edges.
+	`{"columns":["a","b"],"types":["int","string"],"rows":[[1,"x"],[2,"y\u00e9"]]}`,
+	`{"columns":["a"],"types":["int"],"rows":[["1"]]}`,
+	`{"columns":["a"],"types":["int"],"rows":[[1.5]]}`,
+	`{"columns":["a","b"],"types":["int","int"],"rows":[[1]]}`,
+	`{"columns":["a"],"types":["int"],"rows":[[1,2]]}`,
+	`{"columns":["a"],"types":["INT"],"rows":[[1]]}`,
+	`{"columns":["a"],"types":["STRING"],"rows":[["s"]]}`,
+	`{"columns":["a"],"types":["INT"],"rows":[]}`,
+	`{"columns":["a"],"types":["int"],"rows":[[1]],"types":["string"]}`,
+	`{"columns":["a"],"types":["string"],"rows":[[1]],"rows":null}`,
+	`{"columns":["a"],"types":["int"],"rows":[["x"],5]}`,
+	`{"columns":[],"types":[],"rows":[[],null]}`,
+	`{"columns":["a"],"types":["float"],"rows":[[1e400]]}`,
+	`{"columns":["a"],"types":["bogus"],"rows":null}`,
+	`{"columns":["a"],"types":["int"],"rows":[[1]],"group_counts":[1,2]}`,
+	`{"columns":["a"],"rows":[[1]]}`,
 }
 
 // FuzzDecodeResult: for any bytes, DecodeResult and Decode + Normalize give
-// deep-equal results or both fail. Seeds: the golden result bodies, encoder
-// output, and decodeSeeds.
+// deep-equal results or both fail, and DecodeTyped succeeds exactly when
+// the boxed rows type, with equal cells (sameDecode). Seeds: the golden
+// result bodies, encoder output, and decodeSeeds.
 func FuzzDecodeResult(f *testing.F) {
 	for _, g := range goldenBodies {
 		if _, ok := g.v.(Result); ok {
@@ -223,7 +314,7 @@ func randomString(rng *rand.Rand) string {
 // TestResultCodecMatchesEncodingJSON: over random relations, AppendResult
 // writes the bytes encoding/json writes for the boxed rows — or, for a NaN
 // or ±Inf cell, both refuse — and DecodeResult reads them back as the
-// oracle does. The boxed form, a coordinator's gather, encodes the same.
+// oracle does. Boxed rows are decode-only: encoding them is Internal.
 func TestResultCodecMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 3000; i++ {
@@ -240,8 +331,8 @@ func TestResultCodecMatchesEncodingJSON(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("result %d:\n got %s (%v)\nwant %s", i, got, err, want)
 		}
-		if got, err := AppendResult(nil, &old); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("boxed result %d:\n got %s (%v)\nwant %s", i, got, err, want)
+		if _, err := AppendResult(nil, &old); old.N > 0 && serr.KindOf(err) != serr.Internal {
+			t.Fatalf("boxed result %d encoded with error %v, want Internal", i, err)
 		}
 		sameDecode(t, got)
 	}
@@ -260,6 +351,11 @@ func TestResultCodecMatchesEncodingJSON(t *testing.T) {
 		if !ok {
 			continue
 		}
+		rel, err := oracleRelation(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.rel, r.Rows = rel, nil
 		if got, err := AppendResult(nil, &r); err != nil || string(got) != g.want+"\n" {
 			t.Errorf("%s: AppendResult = %s (%v), want %s", g.name, got, err, g.want)
 		}
@@ -292,6 +388,14 @@ func BenchmarkResultCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := DecodeResult(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode-typed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeTyped(body); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -31,10 +31,10 @@ type Table struct {
 	PK string `json:"pk,omitempty"`
 }
 
-// Result is the body of every query/trace/result reply. A decoded Result
-// (DecodeResult) holds its rows boxed in Rows, int64, float64, or string by
-// column type; one built by Rows holds them as the relation's typed columns,
-// and only AppendResult renders those.
+// Result is the body of every query/trace/result reply. DecodeResult holds
+// its rows boxed in Rows, int64, float64, or string by column type; Rows and
+// DecodeTyped hold them as a relation's typed columns (Rel), the only form
+// AppendResult renders.
 type Result struct {
 	Columns []string `json:"columns"`
 	Types   []string `json:"types"`

@@ -118,7 +118,9 @@ func TestErrorBodies(t *testing.T) {
 func TestWriteJSONNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		rec := httptest.NewRecorder()
-		WriteJSON(rec, 200, Result{Columns: []string{"x"}, Types: []string{"float"}, Rows: [][]any{{v}}, N: 1})
+		rel := storage.NewRelation("r", storage.Schema{{Name: "x", Type: storage.TFloat}}, 0)
+		rel.AppendRow(v)
+		WriteJSON(rec, 200, Rows(rel))
 		back, ok := ParseError(rec.Body.Bytes())
 		if rec.Code != 422 || !ok || back.Kind != serr.Unsupported || !strings.Contains(back.Msg, "NaN") {
 			t.Fatalf("%v: answered %d %q, want a structured 422", v, rec.Code, rec.Body.String())
@@ -128,7 +130,9 @@ func TestWriteJSONNonFinite(t *testing.T) {
 		}
 	}
 	rec := httptest.NewRecorder()
-	WriteJSON(rec, 201, Result{Columns: []string{"x"}, Types: []string{"float"}, Rows: [][]any{{1.5}}, N: 1})
+	rel := storage.NewRelation("r", storage.Schema{{Name: "x", Type: storage.TFloat}}, 0)
+	rel.AppendRow(1.5)
+	WriteJSON(rec, 201, Rows(rel))
 	if want := `{"columns":["x"],"types":["float"],"rows":[[1.5]],"row_count":1}` + "\n"; rec.Code != 201 || rec.Body.String() != want {
 		t.Fatalf("finite body answered %d %q, want 201 %q", rec.Code, rec.Body.String(), want)
 	}
@@ -195,14 +199,11 @@ func TestRelationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeResult(data)
+	decoded, err := DecodeTyped(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decoded.Relation("t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := decoded.Rel()
 	if !reflect.DeepEqual(back.Schema, rel.Schema) || back.N != rel.N {
 		t.Fatalf("round-trip schema/rows = %v/%d, want %v/%d", back.Schema, back.N, rel.Schema, rel.N)
 	}
@@ -229,7 +230,7 @@ func TestRelationRoundTrip(t *testing.T) {
 			t.Errorf("Table %+v = %v, want Invalid", bad, err)
 		}
 	}
-	if _, err := (&Result{Columns: []string{"a"}, Types: []string{"int"}, Rows: [][]any{{"x"}}}).Relation("t"); serr.KindOf(err) != serr.Internal {
+	if _, err := DecodeTyped([]byte(`{"columns":["a"],"types":["int"],"rows":[["x"]]}`)); serr.KindOf(err) != serr.Internal {
 		t.Errorf("malformed result = %v, want Internal", err)
 	}
 }
