@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"smoke/internal/serr"
@@ -127,5 +130,43 @@ func TestLargeIntRoundTrip(t *testing.T) {
 	}
 	if res.Rows[0][0] != big || res.Rows[0][1] != 0.5 || res.Rows[1][0] != int64(math.MinInt64) || res.Rows[1][1] != -2.25 {
 		t.Fatalf("rows = %#v", res.Rows)
+	}
+}
+
+// Sequential requests through one Client reuse one connection, including
+// when the request body and the chunked reply body are over 2 KiB each: the
+// client reads every reply to its end and closes it.
+func TestClientReusesConnection(t *testing.T) {
+	var conns atomic.Int32
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req wire.QueryRequest
+		if err := wire.DecodeRequest(r.Body, &req); err != nil {
+			wire.WriteError(w, err)
+			return
+		}
+		rel := storage.NewRelation("r", storage.Schema{{Name: "sql", Type: storage.TString}}, 2)
+		rel.Cols[0].Strs[0], rel.Cols[0].Strs[1] = req.SQL, req.SQL
+		wire.WriteJSON(w, http.StatusOK, wire.Rows(rel))
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := serverclient.New(ts.URL, ts.Client())
+	sql := "SELECT " + strings.Repeat("x", 3<<10)
+	for i := 0; i < 50; i++ {
+		res, err := c.Query(context.Background(), serverclient.QueryRequest{SQL: sql})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.N != 2 || res.Rows[1][0] != sql {
+			t.Fatalf("request %d: reply %d rows", i, res.N)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("50 sequential requests opened %d connections, want 1", n)
 	}
 }

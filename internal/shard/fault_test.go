@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -268,7 +269,9 @@ func TestFailureCountersAdvance(t *testing.T) {
 // TestHostileShardReplies: a shard answering 200 with a body that does not
 // fit its own schema, or does not parse, makes every gather touching it a
 // structured 500 Internal naming the shard — never a panic, a wrong answer
-// or a leaked goroutine (TestMain's leak check).
+// or a leaked goroutine (TestMain's leak check). A reply handed back in
+// typed columns meets the same check: group counts that do not number its
+// rows, or a schema that is not the other partials', answer the same 500.
 func TestHostileShardReplies(t *testing.T) {
 	ctx := context.Background()
 	coord, c := startFaultCoord(t, 2, 2*time.Second)
@@ -308,11 +311,35 @@ func TestHostileShardReplies(t *testing.T) {
 			return err
 		},
 	}
+	faults := map[string]func(){
+		"handed-back group_counts length": func() {
+			wrapShard(coord, 1, func(r *wire.Result) *wire.Result {
+				out := *r
+				out.GroupCounts = make([]int64, r.N+1)
+				return &out
+			})
+		},
+		"handed-back schema": func() {
+			wrapShard(coord, 1, func(r *wire.Result) *wire.Result {
+				rel := *r.Rel()
+				rel.Schema = slices.Clone(rel.Schema)
+				rel.Schema[len(rel.Schema)-1].Name += "_"
+				out := wire.Rows(&rel)
+				out.GroupCounts = r.GroupCounts
+				return &out
+			})
+		},
+	}
 	for what, body := range bodies {
-		coord.SetShardHandler(1, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write([]byte(body))
-		}))
+		faults[what] = func() {
+			coord.SetShardHandler(1, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				_, _ = w.Write([]byte(body))
+			}))
+		}
+	}
+	for what, fault := range faults {
+		fault()
 		for call, do := range calls {
 			tag := what + " / " + call
 			err := do()

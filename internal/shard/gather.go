@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math"
+	"slices"
 	"strconv"
 
 	"smoke/internal/ops"
@@ -10,9 +11,10 @@ import (
 	"smoke/internal/wire"
 )
 
-// reply is one shard's decoded answer in a gather: its rows in typed
-// columns (Rel), and the shard that sent it, which every error about the
-// reply names.
+// reply is one shard's answer in a gather, handed back or decoded: its rows
+// in typed columns (Rel), which may be the shard's own retained or cached
+// relation and so are only ever read, and the shard that sent it, which
+// every error about the reply names.
 type reply struct {
 	shard int
 	*wire.Result
@@ -39,7 +41,7 @@ func mergeGrouped(parts []reply, nKeys int, aggs []ops.AggFn) (*wire.Result, []o
 	if len(parts) == 0 {
 		return nil, nil, serr.New(serr.Internal, "shard: merge of zero partials")
 	}
-	if err := sameSchema(parts); err != nil {
+	if err := checkReplies(parts, nil, true); err != nil {
 		return nil, nil, err
 	}
 	first := parts[0].Rel()
@@ -63,12 +65,6 @@ func mergeGrouped(parts []reply, nKeys int, aggs []ops.AggFn) (*wire.Result, []o
 		}
 	}
 	rels := relations(parts)
-	for i, p := range parts {
-		if rels[i].N > 0 && len(p.GroupCounts) != rels[i].N {
-			return nil, nil, serr.New(serr.Internal,
-				"shard: shard %d partial has %d rows but %d group counts", p.shard, rels[i].N, len(p.GroupCounts))
-		}
-	}
 	keys, slots := keySlots(rels, nKeys)
 
 	// rep[g] is the first row (across the concatenated partials) of group g:
@@ -148,7 +144,7 @@ func mergeGrouped(parts []reply, nKeys int, aggs []ops.AggFn) (*wire.Result, []o
 		}
 	}
 	merged := wire.Rows(out)
-	merged.GroupCounts, merged.StrategyUsed = counts, uniformStrategy(parts)
+	merged.GroupCounts, merged.StrategyUsed, merged.Cached = counts, uniformStrategy(parts), allCached(parts)
 	return &merged, slots, nil
 }
 
@@ -201,17 +197,22 @@ func keySlots(rels []*storage.Relation, nKeys int) (*storage.Relation, []ops.Rid
 	return keys, slots
 }
 
-// sameSchema checks that every reply's relation has the first's schema.
-func sameSchema(parts []reply) error {
-	want := parts[0].Rel().Schema
-	for _, p := range parts[1:] {
-		got := p.Rel().Schema
-		same := len(got) == len(want)
-		for c := 0; same && c < len(got); c++ {
-			same = got[c] == want[c]
+// checkReplies is the one check every gathered reply passes before a merge
+// reads it, whether the shard handed it back in typed columns or its body
+// was decoded: its schema must be want — the other partials' (the first
+// reply's) when want is nil — and its group counts must number its rows,
+// which grouped partials always carry and other replies may omit.
+func checkReplies(parts []reply, want storage.Schema, grouped bool) error {
+	if want == nil {
+		want = parts[0].Rel().Schema
+	}
+	for _, p := range parts {
+		rel := p.Rel()
+		if gc := len(p.GroupCounts); gc != rel.N && (grouped || gc > 0) {
+			return serr.New(serr.Internal, "shard: shard %d replied %d rows but %d group counts", p.shard, rel.N, gc)
 		}
-		if !same {
-			return serr.New(serr.Internal, "shard: shard %d answered schema %v, shard %d %v", p.shard, got, parts[0].shard, want)
+		if !slices.Equal(rel.Schema, want) {
+			return serr.New(serr.Internal, "shard: shard %d answered schema %v, the gather expects %v", p.shard, rel.Schema, want)
 		}
 	}
 	return nil
@@ -220,11 +221,11 @@ func sameSchema(parts []reply) error {
 // concatReplies concatenates non-consuming trace replies in order: the
 // rows, and the strategy when every reply names the same one.
 func concatReplies(parts []reply) (*wire.Result, error) {
-	if err := sameSchema(parts); err != nil {
+	if err := checkReplies(parts, nil, false); err != nil {
 		return nil, err
 	}
 	out := wire.Rows(concat(parts[0].Rel().Schema, relations(parts)))
-	out.StrategyUsed = uniformStrategy(parts)
+	out.StrategyUsed, out.Cached = uniformStrategy(parts), allCached(parts)
 	return &out, nil
 }
 
@@ -247,6 +248,17 @@ func uniformStrategy(parts []reply) string {
 		}
 	}
 	return s
+}
+
+// allCached reports whether every reply came from its shard's result
+// cache: a gathered reply is "cached" only when no shard ran anything.
+func allCached(parts []reply) bool {
+	for _, p := range parts {
+		if !p.Cached {
+			return false
+		}
+	}
+	return true
 }
 
 // concat returns the rows of rels, one after the other, in a relation of

@@ -77,15 +77,6 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, err)
 		return
 	}
-	// Cached is per-node observability; a merged reply is "cached" only when
-	// every shard answered from its cache.
-	merged.Cached = true
-	for _, p := range parts {
-		if !p.Cached {
-			merged.Cached = false
-			break
-		}
-	}
 	c.mergedQueries.Add(1)
 	wire.WriteJSON(w, http.StatusOK, merged)
 }

@@ -47,10 +47,26 @@ func (n *node) setHandler(h http.Handler) {
 	n.mu.Unlock()
 }
 
-// callResult is one shard HTTP exchange.
+// callResult is one shard HTTP exchange: the status and either the body or,
+// on a gather call, the typed result the handler handed back in its place.
 type callResult struct {
 	status int
 	body   []byte
+	result *wire.Result
+}
+
+// recorder is the response writer a gather call runs a shard's handler
+// against: a ResponseRecorder that also takes a typed result (a
+// wire.ResultTaker), so an in-process shard's reply crosses the seam as
+// columns, not as JSON encoded only to be parsed again.
+type recorder struct {
+	*httptest.ResponseRecorder
+	result *wire.Result
+}
+
+func (r *recorder) TakeResult(status int, res *wire.Result) {
+	r.WriteHeader(status)
+	r.result = res
 }
 
 func (r *callResult) ok() bool { return r.status >= 200 && r.status < 300 }
@@ -60,8 +76,9 @@ func (r *callResult) ok() bool { return r.status >= 200 && r.status < 300 }
 // cannot wedge the coordinator: when ctx expires first the call returns a
 // structured Unavailable (HTTP 503) naming the shard, and the stuck
 // goroutine is abandoned with its private recorder — it can never write
-// into a reply the coordinator already sent.
-func (n *node) invoke(ctx context.Context, method, path string, body []byte, contentType string) (*callResult, error) {
+// into a reply the coordinator already sent. With take, the recorder takes
+// a typed result the handler hands back; without, the reply is bytes.
+func (n *node) invoke(ctx context.Context, method, path string, body []byte, contentType string, take bool) (*callResult, error) {
 	n.calls.Add(1)
 	h := n.currentHandler()
 	if h == nil {
@@ -82,9 +99,13 @@ func (n *node) invoke(ctx context.Context, method, path string, body []byte, con
 				done <- &callResult{status: http.StatusInternalServerError}
 			}
 		}()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		done <- &callResult{status: rec.Code, body: rec.Body.Bytes()}
+		rec := &recorder{ResponseRecorder: httptest.NewRecorder()}
+		if take {
+			h.ServeHTTP(rec, req)
+		} else {
+			h.ServeHTTP(rec.ResponseRecorder, req)
+		}
+		done <- &callResult{status: rec.Code, body: rec.Body.Bytes(), result: rec.result}
 	}()
 	select {
 	case res := <-done:
@@ -100,12 +121,15 @@ func (n *node) invoke(ctx context.Context, method, path string, body []byte, con
 	}
 }
 
-// callJSON invokes a shard and decodes a 2xx reply as a result body in typed
-// columns. Non-2xx replies come back as the shard's own structured error; a
-// reply that does not decode, or whose group counts do not match its rows,
-// is an Internal error naming the shard.
-func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string, body []byte) (*wire.Result, error) {
-	res, err := n.invoke(ctx, method, path, body, "application/json")
+// fetch invokes a shard on a gather call and returns its 2xx reply as a
+// result in typed columns: the result the handler handed back, or its body
+// decoded (a handler that writes bytes — a fault-injecting one, or a shard
+// across a real network). Non-2xx replies come back as the shard's own
+// structured error; a body that does not decode is an Internal error naming
+// the shard. Either way the gather checks the reply (checkReplies) before
+// reading it.
+func (c *Coordinator) fetch(ctx context.Context, n *node, method, path string, body []byte) (*wire.Result, error) {
+	res, err := n.invoke(ctx, method, path, body, "application/json", true)
 	if err != nil {
 		c.shardTimeouts.Add(1)
 		return nil, err
@@ -114,14 +138,14 @@ func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string
 		c.shardErrors.Add(1)
 		return nil, errorFromShard(n.id, res.status, res.body)
 	}
+	if res.result != nil {
+		return res.result, nil
+	}
 	// Cells decode by column type, so merge arithmetic never round-trips
 	// large int64 values through float64.
 	out, err := wire.DecodeTyped(res.body)
 	if err != nil {
 		return nil, serr.New(serr.Internal, "shard: shard %d sent an undecodable reply: %v", n.id, err)
-	}
-	if gc, rows := len(out.GroupCounts), out.Rel().N; gc > 0 && gc != rows {
-		return nil, serr.New(serr.Internal, "shard: shard %d replied %d rows but %d group counts", n.id, rows, gc)
 	}
 	return out, nil
 }
@@ -160,7 +184,7 @@ func (c *Coordinator) scatter(ctx context.Context, shards []int, build func(shar
 		go func() {
 			defer wg.Done()
 			method, path, body := build(s)
-			res, err := c.callJSON(wctx, c.nodes[s], method, path, body)
+			res, err := c.fetch(wctx, c.nodes[s], method, path, body)
 			if err != nil {
 				mu.Lock()
 				if cause == nil {

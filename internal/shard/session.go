@@ -95,7 +95,7 @@ func (c *Coordinator) handleNewSession(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := n.invoke(ctx, http.MethodPost, "/v1/sessions", nil, "application/json")
+			res, err := n.invoke(ctx, http.MethodPost, "/v1/sessions", nil, "application/json", false)
 			if err != nil {
 				errs[i] = err
 				return
@@ -190,7 +190,7 @@ func (c *Coordinator) handleDropSession(w http.ResponseWriter, r *http.Request) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := n.invoke(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(sess.shardIDs[i]), nil, "")
+			res, err := n.invoke(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(sess.shardIDs[i]), nil, "", false)
 			if err != nil {
 				errs[i] = err
 				return

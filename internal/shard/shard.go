@@ -245,7 +245,7 @@ func (c *Coordinator) forward(ctx context.Context, s int, method, path string, b
 	if body != nil {
 		contentType = "application/json"
 	}
-	res, err := c.nodes[s].invoke(ctx, method, path, body, contentType)
+	res, err := c.nodes[s].invoke(ctx, method, path, body, contentType, false)
 	if err != nil {
 		c.shardTimeouts.Add(1)
 	}
@@ -305,7 +305,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 				"calls":    n.calls.Load(),
 				"failures": n.failures.Load(),
 			}
-			res, err := n.invoke(ctx, http.MethodGet, "/healthz", nil, "")
+			res, err := n.invoke(ctx, http.MethodGet, "/healthz", nil, "", false)
 			switch {
 			case err != nil:
 				entry["ok"] = false

@@ -212,7 +212,11 @@ func (c *Coordinator) emptyTrace(ctx context.Context, sess *session, name string
 	if err != nil {
 		return nil, err
 	}
+	if err := checkReplies(parts, nil, false); err != nil {
+		return nil, err
+	}
 	empty := wire.Rows(parts[0].Rel())
+	empty.Cached = parts[0].Cached
 	return &empty, nil
 }
 
@@ -386,6 +390,11 @@ func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name 
 		cells = append(cells, parts[0])
 		i = j
 	}
+	// Reply rows are rows of the shards' partial results, so they carry the
+	// merged result's schema.
+	if err := checkReplies(cells, p.out.Schema, false); err != nil {
+		return nil, err
+	}
 	rows, err := mergedRows(p, cells)
 	if err != nil {
 		return nil, err
@@ -397,7 +406,7 @@ func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name 
 		}
 	}
 	out := wire.Rows(p.out.Gather(p.out.Name, kept))
-	out.StrategyUsed = uniformStrategy(cells)
+	out.StrategyUsed, out.Cached = uniformStrategy(cells), allCached(cells)
 	return &out, nil
 }
 
@@ -406,18 +415,7 @@ func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name 
 // resolve together through keySlots: the merged keys come first and are
 // distinct, so a reply row's slot is its group's merged row.
 func mergedRows(p *placement, cells []reply) ([]ops.Rid, error) {
-	rels := []*storage.Relation{p.out}
-	for _, cell := range cells {
-		rel := cell.Rel()
-		for c := 0; c < p.nKeys; c++ {
-			if c >= len(rel.Schema) || rel.Schema[c].Type != p.out.Schema[c].Type {
-				return nil, serr.New(serr.Internal, "shard: shard %d answered a forward trace whose rows do not start with the group key %v",
-					cell.shard, p.out.Schema[:p.nKeys])
-			}
-		}
-		rels = append(rels, rel)
-	}
-	_, slots := keySlots(rels, p.nKeys)
+	_, slots := keySlots(append([]*storage.Relation{p.out}, relations(cells)...), p.nKeys)
 	rows := slots[p.out.N:]
 	for _, g := range rows {
 		if int(g) >= p.out.N {

@@ -32,13 +32,31 @@ func DecodeRequest(r io.Reader, v any) error {
 	return nil
 }
 
-// WriteJSON answers status with v as the JSON body. v is encoded before
-// anything is sent: a value JSON cannot carry — a NaN or ±Inf in a result
-// row — is answered as a structured 422 (Unsupported) instead of the status
-// with an empty body. A Result is appended by the result codec
+// ResultTaker is an optional interface an http.ResponseWriter implements,
+// in the style of http.Flusher, to take a typed result in place of its JSON
+// body: the in-process shard seam, where a body would be encoded only for
+// the caller to parse it again. The taker owns the status and the result
+// from then on, but not the result's rows, which may be a retained or
+// cached relation of the handler's: it must never write into them. A taker
+// that answers a client of its own with the rows encodes them there
+// (WriteJSON), where a value JSON cannot carry is refused as it would have
+// been here.
+type ResultTaker interface {
+	TakeResult(status int, r *Result)
+}
+
+// WriteJSON answers status with v as the JSON body. A typed result (one
+// Rows or DecodeTyped built) is handed to a writer that is a ResultTaker
+// instead; error bodies, boxed rows and every other value encode. v is
+// encoded before anything is sent: a value JSON cannot carry — a NaN or ±Inf
+// in a result row — is answered as a structured 422 (Unsupported) instead of
+// the status with an empty body. A Result is appended by the result codec
 // (AppendResult); only the small bodies — errors, /healthz, table lists,
 // session handles — go through encoding/json.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	if handBack(w, status, v) {
+		return
+	}
 	bp := bodyPool.Get().(*[]byte)
 	body := (*bp)[:0]
 	var err error
@@ -66,6 +84,28 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		*bp = body[:0]
 		bodyPool.Put(bp)
 	}
+}
+
+// handBack gives v to w when w is a ResultTaker and v a typed result, and
+// reports whether it did.
+func handBack(w http.ResponseWriter, status int, v any) bool {
+	t, ok := w.(ResultTaker)
+	if !ok {
+		return false
+	}
+	switch r := v.(type) {
+	case Result:
+		if r.rel != nil {
+			t.TakeResult(status, &r)
+			return true
+		}
+	case *Result:
+		if r.rel != nil {
+			t.TakeResult(status, r)
+			return true
+		}
+	}
+	return false
 }
 
 // bodyPool recycles WriteJSON's encode buffers. A buffer that grew past

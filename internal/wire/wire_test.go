@@ -138,6 +138,45 @@ func TestWriteJSONNonFinite(t *testing.T) {
 	}
 }
 
+// taker is a ResponseRecorder that also takes typed results.
+type taker struct {
+	*httptest.ResponseRecorder
+	status int
+	taken  *Result
+}
+
+func (t *taker) TakeResult(status int, r *Result) { t.status, t.taken = status, r }
+
+// TestWriteJSONHandsBackTypedResults: a writer that takes results receives
+// a typed result — by value or by pointer, its rows the very relation, NaN
+// included, nothing encoded — while boxed rows, error bodies and every
+// other value still encode, as they do to a plain writer.
+func TestWriteJSONHandsBackTypedResults(t *testing.T) {
+	rel := storage.NewRelation("r", storage.Schema{{Name: "x", Type: storage.TFloat}}, 0)
+	rel.AppendRow(math.NaN())
+	typed := Rows(rel)
+	typed.GroupCounts = []int64{3}
+	for _, v := range []any{typed, &typed} {
+		w := &taker{ResponseRecorder: httptest.NewRecorder()}
+		WriteJSON(w, 201, v)
+		if w.taken == nil || w.status != 201 || w.taken.Rel() != rel || w.taken.GroupCounts[0] != 3 || w.Body.Len() != 0 {
+			t.Fatalf("%T: took %+v with status %d, wrote %q", v, w.taken, w.status, w.Body.String())
+		}
+	}
+	boxed := Result{Columns: []string{"x"}, Types: []string{"int"}, Rows: [][]any{{int64(1)}}, N: 1}
+	var eb ErrorBody
+	eb.Error.Kind, eb.Error.Message = "gone", "session expired"
+	for _, v := range []any{boxed, &boxed, eb, map[string]any{"ok": true}, Result{Explain: "plan"}} {
+		plain, w := httptest.NewRecorder(), &taker{ResponseRecorder: httptest.NewRecorder()}
+		WriteJSON(plain, 200, v)
+		WriteJSON(w, 200, v)
+		if w.taken != nil || w.Code != plain.Code || w.Body.String() != plain.Body.String() {
+			t.Fatalf("%T: took %v, answered %d %q; a plain writer got %d %q",
+				v, w.taken, w.Code, w.Body.String(), plain.Code, plain.Body.String())
+		}
+	}
+}
+
 // TestDecodeNormalizeExact: an int64 beyond float64's 2^53 integer range
 // survives decode and normalization bit-exact.
 func TestDecodeNormalizeExact(t *testing.T) {
